@@ -1,11 +1,12 @@
-//! Checkpoint-service timing: flat v1 vs chunked-compressed v2 `.pmb`
-//! writes, a delta checkpoint after a sparse touch pass, and many
-//! concurrent clients restoring disjoint slices of one checkpoint through
-//! the shared chunk cache of `pumi-serve`.
+//! Checkpoint-service timing: a chunked-compressed `.pmb` write, a delta
+//! checkpoint after a sparse touch pass, and many concurrent clients
+//! restoring disjoint slices of one checkpoint through the shared chunk
+//! cache of `pumi-serve`.
 //!
 //! The default pass runs at ~10^6 triangles; `--large` adds a ~10^7 pass
 //! (one rep). Each leg reports the median wall time and the bytes the leg
-//! put on disk; the v2 write must beat v1 on bytes or the bin aborts.
+//! put on disk; the write must put fewer bytes on disk than its sections
+//! hold raw (the section tables record both) or the bin aborts.
 //!
 //! Usage: `checkpoint_service [--parts N] [--reps N] [--clients N] [--large]
 //! [--nx N]` — `--nx` replaces the default ~10^6 pass with a small
@@ -15,7 +16,7 @@
 use pumi_bench::report::{f, print_table, table_to_json, write_report, Table};
 use pumi_core::{distribute, DistMesh, PartMap};
 use pumi_field::{DistField, Field, FieldShape};
-use pumi_io::{write_checkpoint_with, write_delta_checkpoint, WriteOpts};
+use pumi_io::{write_checkpoint, write_delta_checkpoint, PartFile};
 use pumi_meshgen::{jitter, tri_rect};
 use pumi_obs::json::Json;
 use pumi_obs::report::Report;
@@ -37,8 +38,8 @@ struct Leg {
 struct ScaleBytes {
     scale: String,
     elements: u64,
-    v1: u64,
-    v2: u64,
+    raw: u64,
+    disk: u64,
     delta: u64,
 }
 
@@ -117,42 +118,25 @@ fn run_scale(
     eprintln!("checkpoint_service[{scale}]: {elements} tris, {parts} parts, {reps} reps");
     let labels = partition_mesh(&serial, parts);
     let tag = format!("pumi_io_serve_{}_{scale}", std::process::id());
-    let dir_v1: PathBuf = std::env::temp_dir().join(format!("{tag}_v1"));
-    let dir_v2: PathBuf = std::env::temp_dir().join(format!("{tag}_v2"));
-    let _ = std::fs::remove_dir_all(&dir_v1);
-    let _ = std::fs::remove_dir_all(&dir_v2);
+    let dir: PathBuf = std::env::temp_dir().join(format!("{tag}_ckpt"));
+    let _ = std::fs::remove_dir_all(&dir);
 
     // One world does all the writing: distribute once, then time each leg.
     let out = execute(parts, |c| {
         let mut dm = distribute(c, PartMap::contiguous(parts, parts), &serial, &labels);
         let mut fields = make_fields(&dm);
 
-        let mut v1_ns = Vec::with_capacity(reps);
-        let mut v1_bytes = 0u64;
-        let opts_v1 = WriteOpts {
-            version: 1,
-            ..WriteOpts::default()
-        };
+        let mut write_ns = Vec::with_capacity(reps);
+        let mut disk_bytes = 0u64;
         for _ in 0..reps {
             let t = Timer::start();
-            let stats =
-                write_checkpoint_with(c, &dm, &[&fields], &dir_v1, &opts_v1).expect("v1 write");
-            v1_ns.push((t.seconds() * 1e9) as u64);
-            v1_bytes = stats.bytes_global;
-        }
-
-        let mut v2_ns = Vec::with_capacity(reps);
-        let mut v2_bytes = 0u64;
-        for _ in 0..reps {
-            let t = Timer::start();
-            let stats = write_checkpoint_with(c, &dm, &[&fields], &dir_v2, &WriteOpts::default())
-                .expect("v2 write");
-            v2_ns.push((t.seconds() * 1e9) as u64);
-            v2_bytes = stats.bytes_global;
+            let stats = write_checkpoint(c, &dm, &[&fields], &dir).expect("write");
+            write_ns.push((t.seconds() * 1e9) as u64);
+            disk_bytes = stats.bytes_global;
         }
 
         // Sparse touch pass (~1% of vertices) and one delta round on top
-        // of the v2 base — the between-adapt-rounds checkpoint shape.
+        // of the base — the between-adapt-rounds checkpoint shape.
         dm.start_dirty_tracking();
         for (part, fld) in dm.parts.iter_mut().zip(fields.iter_mut()) {
             let vs: Vec<_> = part.mesh.iter(Dim::Vertex).step_by(97).collect();
@@ -165,40 +149,33 @@ fn run_scale(
             }
         }
         let t = Timer::start();
-        let stats = write_delta_checkpoint(c, &mut dm, &[&fields], &dir_v2).expect("delta write");
+        let stats = write_delta_checkpoint(c, &mut dm, &[&fields], &dir).expect("delta write");
         let delta_ns = (t.seconds() * 1e9) as u64;
-        (
-            v1_ns,
-            v2_ns,
-            vec![delta_ns],
-            stats.bytes_global,
-            v1_bytes,
-            v2_bytes,
-        )
+        (write_ns, vec![delta_ns], stats.bytes_global, disk_bytes)
     });
-    let (_, _, _, delta_bytes, v1_bytes, v2_bytes) = out[0].clone();
-    let v1_ns = fold_max(out.iter().map(|o| o.0.clone()).collect());
-    let v2_ns = fold_max(out.iter().map(|o| o.1.clone()).collect());
-    let delta_ns = fold_max(out.iter().map(|o| o.2.clone()).collect());
+    let (_, _, delta_bytes, disk_bytes) = out[0].clone();
+    let write_ns = fold_max(out.iter().map(|o| o.0.clone()).collect());
+    let delta_ns = fold_max(out.iter().map(|o| o.1.clone()).collect());
 
+    // What the base snapshot's sections hold uncompressed, off the tables.
+    let raw_bytes: u64 = (0..parts as u32)
+        .map(|p| PartFile::read(&dir, p, None).expect("part file"))
+        .flat_map(|f| f.header.sections)
+        .map(|e| e.raw_len)
+        .sum();
     assert!(
-        v2_bytes < v1_bytes,
-        "[{scale}] compressed v2 ({v2_bytes} B) must beat flat v1 ({v1_bytes} B)"
+        disk_bytes < raw_bytes,
+        "[{scale}] the checkpoint on disk ({disk_bytes} B) must be smaller than its raw sections ({raw_bytes} B)"
     );
 
     legs.push(Leg {
-        name: format!("write_v1@{scale}"),
-        median_ns: median_ns(v1_ns),
-        samples: reps as u64,
-        bytes: v1_bytes,
-        detail: "flat".into(),
-    });
-    legs.push(Leg {
+        // "v2" is the row's name in BENCH_pcu.json since PR 8, kept so the
+        // history lines up; there is only one format.
         name: format!("write_v2@{scale}"),
-        median_ns: median_ns(v2_ns),
+        median_ns: median_ns(write_ns),
         samples: reps as u64,
-        bytes: v2_bytes,
-        detail: format!("{:.2}x of v1", v2_bytes as f64 / v1_bytes as f64),
+        bytes: disk_bytes,
+        detail: format!("{:.2}x of raw", disk_bytes as f64 / raw_bytes as f64),
     });
     legs.push(Leg {
         name: format!("delta@{scale}"),
@@ -210,8 +187,8 @@ fn run_scale(
     bytes_rows.push(ScaleBytes {
         scale: scale.to_string(),
         elements,
-        v1: v1_bytes,
-        v2: v2_bytes,
+        raw: raw_bytes,
+        disk: disk_bytes,
         delta: delta_bytes,
     });
 
@@ -220,7 +197,7 @@ fn run_scale(
     let mut serve_ns = Vec::with_capacity(reps);
     let mut detail = String::new();
     for _ in 0..reps {
-        let server = CheckpointServer::open(&dir_v2).expect("open");
+        let server = CheckpointServer::open(&dir).expect("open");
         let t = Timer::start();
         let counts = execute(clients, |c| {
             let slice = server
@@ -245,12 +222,11 @@ fn run_scale(
         name: format!("serve{clients}@{scale}"),
         median_ns: median_ns(serve_ns),
         samples: reps as u64,
-        bytes: v2_bytes + delta_bytes,
+        bytes: disk_bytes + delta_bytes,
         detail,
     });
 
-    let _ = std::fs::remove_dir_all(&dir_v1);
-    let _ = std::fs::remove_dir_all(&dir_v2);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn main() {
@@ -306,12 +282,12 @@ fn main() {
             Json::obj([
                 ("scale", Json::str(r.scale.clone())),
                 ("elements", Json::U64(r.elements)),
-                ("v1_bytes", Json::U64(r.v1)),
-                ("v2_bytes", Json::U64(r.v2)),
+                ("raw_bytes", Json::U64(r.raw)),
+                ("disk_bytes", Json::U64(r.disk)),
                 ("delta_bytes", Json::U64(r.delta)),
                 (
-                    "v2_over_v1",
-                    Json::str(format!("{:.3}", r.v2 as f64 / r.v1 as f64)),
+                    "disk_over_raw",
+                    Json::str(format!("{:.3}", r.disk as f64 / r.raw as f64)),
                 ),
             ])
         })),

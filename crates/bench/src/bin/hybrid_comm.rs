@@ -15,8 +15,8 @@
 
 use pumi_bench::report::{f, print_table, table_to_json, write_report, Table};
 use pumi_bench::workloads::aaa_mesh;
-use pumi_core::twolevel::{boundary_traffic_split, two_level_map};
-use pumi_core::{distribute, PartExchange};
+use pumi_core::twolevel::boundary_traffic_split;
+use pumi_core::{distribute, PartExchange, PartMap};
 use pumi_obs::json::Json;
 use pumi_obs::report::Report;
 use pumi_partition::partition_mesh;
@@ -106,7 +106,7 @@ fn main() {
         ("2-level (8 cores/node)", MachineModel::new(nparts / 8, 8)),
     ] {
         let out = execute_on(machine, |c| {
-            let dm = distribute(c, two_level_map(machine), &serial, &labels);
+            let dm = distribute(c, PartMap::contiguous(nparts, nparts), &serial, &labels);
             let split = boundary_traffic_split(&dm, machine);
             // §II-D: an on-node boundary entity "exists implicitly in shared
             // memory"; the bytes our explicit copies spend on them is the
@@ -165,11 +165,16 @@ fn main() {
     // on the nodes" — compared against a machine-oblivious assignment of
     // the same number of parts (part ids permuted, as a partitioner with no
     // machine knowledge would produce).
-    use pumi_partition::{off_node_share, two_level_partition};
+    use pumi_partition::{off_node_share, partition_mesh_hier, HierOpts};
     use pumi_util::{Dim, PartId};
     let nodes = nparts / 8;
     let cores = 8;
-    let hybrid = two_level_partition(&serial, nodes, cores);
+    let hybrid = partition_mesh_hier(
+        &serial,
+        nparts,
+        &MachineModel::new(nodes, cores),
+        HierOpts::default(),
+    );
     let oblivious: Vec<PartId> = labels
         .iter()
         .map(|&p| (p * 7 + 3) % nparts as PartId)

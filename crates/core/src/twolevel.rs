@@ -4,9 +4,10 @@
 //! a hybrid mesh partitioning algorithm which involves first partitioning a
 //! mesh into nodes and subsequently to the cores on the nodes."
 //!
-//! Here a [`PartMap`] built by [`two_level_map`] places `cores_per_node`
-//! consecutive parts on each node (one part per core, the paper's
-//! process-per-node + thread-per-core mapping), and
+//! Here [`PartMap::contiguous`] with one part per rank places
+//! `cores_per_node` consecutive parts on each node (one part per core, the
+//! paper's process-per-node + thread-per-core mapping; ranks are laid out
+//! node-major by the machine model), and
 //! [`boundary_traffic_split`] classifies each part-boundary entity as
 //! on-node (dashed boundaries of Fig 3 — implicit in shared memory) or
 //! off-node (solid boundaries — explicit, duplicated in distributed
@@ -16,12 +17,6 @@ use crate::dist::{DistMesh, PartMap};
 use crate::part::Part;
 use pumi_pcu::MachineModel;
 use pumi_util::Dim;
-
-/// Build the part → rank map for a machine: part `i` on rank `i` (one part
-/// per core), ranks laid out node-major per the machine model.
-pub fn two_level_map(machine: MachineModel) -> PartMap {
-    PartMap::contiguous(machine.nranks(), machine.nranks())
-}
 
 /// Per-dimension counts of part-boundary entity copies split by link class.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -117,7 +112,7 @@ mod tests {
                 // x splits within a node, y splits across nodes.
                 elem_part[e.idx()] = (py * 2 + px) as PartId;
             }
-            let map = two_level_map(machine);
+            let map = PartMap::contiguous(machine.nranks(), machine.nranks());
             let dm = distribute(c, map, &serial, &elem_part);
             let part = &dm.parts[0];
             let split = boundary_split(part, &dm.map, machine);
@@ -163,7 +158,7 @@ mod tests {
             for e in serial.iter(d) {
                 elem_part[e.idx()] = if serial.centroid(e)[0] < 0.5 { 0 } else { 1 };
             }
-            let dm = distribute(c, two_level_map(machine), &serial, &elem_part);
+            let dm = distribute(c, PartMap::contiguous(2, 2), &serial, &elem_part);
             // Single node: everything is on-node.
             let f = on_node_fraction(&dm.parts[0], &dm.map, machine);
             assert_eq!(f, 1.0);

@@ -1,8 +1,8 @@
-//! Chunked, compressed section streams — the heart of `.pmb` v2.
+//! Chunked, compressed section streams — the payload container of `.pmb`.
 //!
-//! A v2 section payload is not one flat byte run but a sequence of
-//! *chunks*, each independently compressed (LZ4 block via the vendored
-//! `minilz4`) and CRC-checked:
+//! A section payload is not one flat byte run but a sequence of *chunks*,
+//! each independently compressed (LZ4 block via the vendored `minilz4`)
+//! and CRC-checked:
 //!
 //! ```text
 //! chunk: raw_len u32 | comp_len u32 | crc32 u32 | payload
@@ -12,29 +12,37 @@
 //! `raw_len` bytes verbatim; otherwise the payload is `comp_len` bytes of
 //! LZ4 that must decompress to exactly `raw_len` bytes. The CRC covers the
 //! payload *as stored*, so a flipped bit is caught before the decompressor
-//! runs; `raw_len` is deliberately outside the CRC so a damaged length
-//! header is caught by the decompressed-length comparison instead — both
-//! surface as [`IoError::BadChunk`] naming part, section and chunk index.
+//! runs; `raw_len` is deliberately outside the CRC, so a damaged length
+//! header is caught by a bound against what `comp_len` bytes can expand to
+//! (before anything is allocated for it) and then by the
+//! decompressed-length comparison — all surface as [`IoError::BadChunk`]
+//! naming part, section and chunk index.
 //!
 //! [`ChunkWriter`] is the streaming producer: encoders push typed values
 //! through the [`SectionSink`] trait and every `chunk_len` raw bytes are
 //! compressed and flushed to the underlying `Write` immediately, so a
 //! part's serialized image is never resident in memory — peak buffering is
-//! one chunk. Readers either reassemble a whole section
-//! ([`section_raw_bytes`]) or pull individual chunks through a cache
-//! (`pumi-serve`).
+//! one chunk. [`section_raw_bytes`] is the one consumer: it walks a
+//! section's chunk stream and reassembles it, handing each chunk to a
+//! caller-supplied decode step ([`decode_chunk`] directly, or through
+//! `pumi-serve`'s shared cache).
 
 use crate::crc::crc32;
 use crate::error::{IoError, Section};
-use pumi_pcu::MsgWriter;
+use crate::format::SectionEntry;
 use pumi_util::PartId;
 use std::io::Write;
+use std::sync::Arc;
 
 /// Default raw-chunk size (bytes of uncompressed section stream per chunk).
 pub const DEFAULT_CHUNK_LEN: usize = 256 * 1024;
 
 /// On-disk size of a chunk header.
 pub const CHUNK_HEADER_LEN: usize = 12;
+
+/// An LZ4 block expands at most this many times: a length-extension byte
+/// adds at most 255 output bytes per input byte.
+const LZ4_MAX_EXPANSION: u64 = 255;
 
 /// A parsed chunk header.
 #[derive(Debug, Clone, Copy)]
@@ -120,6 +128,19 @@ pub fn decode_chunk(
     if hdr.comp_len == 0 {
         return Ok(payload.to_vec());
     }
+    // `raw_len` is outside the CRC: bound it before it sizes an allocation.
+    if hdr.raw_len as u64 > LZ4_MAX_EXPANSION * payload.len() as u64 {
+        return Err(bad_chunk(
+            part,
+            section,
+            idx,
+            format!(
+                "promised {} raw bytes, more than {} compressed bytes can expand to",
+                hdr.raw_len,
+                payload.len()
+            ),
+        ));
+    }
     let raw = minilz4::decompress(payload, hdr.raw_len as usize).map_err(|e| {
         bad_chunk(
             part,
@@ -134,19 +155,18 @@ pub fn decode_chunk(
     Ok(raw)
 }
 
-/// Reassemble a whole v2 section from in-memory file bytes: walk the chunk
-/// stream at `[offset, offset+disk_len)`, verifying and decompressing each
-/// chunk. Errors name the part, section, and damaged chunk.
+/// Reassemble one section from in-memory file bytes: walk the chunk
+/// stream `entry` describes, pass each chunk's header and stored payload to
+/// `decode` ([`decode_chunk`], or a cache in front of it), and concatenate
+/// the results. Errors name the part, section, and damaged chunk.
 pub fn section_raw_bytes(
     part: PartId,
-    section: Section,
     data: &[u8],
-    offset: u64,
-    disk_len: u64,
-    raw_len: u64,
-    nchunks: u32,
+    entry: &SectionEntry,
+    mut decode: impl FnMut(u32, &ChunkHeader, &[u8]) -> Result<Arc<Vec<u8>>, IoError>,
 ) -> Result<Vec<u8>, IoError> {
-    let end = offset.saturating_add(disk_len);
+    let section = entry.section;
+    let end = entry.offset.saturating_add(entry.disk_len);
     if end > data.len() as u64 {
         return Err(IoError::Truncated {
             part,
@@ -155,14 +175,19 @@ pub fn section_raw_bytes(
             have: data.len() as u64,
         });
     }
-    let mut out = Vec::with_capacity(raw_len as usize);
-    let mut at = offset as usize;
+    // Reserve what the table promises, but never more than the bytes
+    // present could decode to.
+    let cap = entry
+        .raw_len
+        .min(entry.disk_len.saturating_mul(LZ4_MAX_EXPANSION));
+    let mut out = Vec::with_capacity(cap as usize);
+    let mut at = entry.offset as usize;
     let section_end = end as usize;
-    for idx in 0..nchunks {
+    for idx in 0..entry.nchunks {
         let hdr = parse_chunk_header(part, section, idx, &data[at..section_end])?;
         at += CHUNK_HEADER_LEN;
         let plen = hdr.disk_payload_len();
-        if at + plen > section_end {
+        if plen > section_end - at {
             return Err(bad_chunk(
                 part,
                 section,
@@ -173,27 +198,26 @@ pub fn section_raw_bytes(
                 ),
             ));
         }
-        let raw = decode_chunk(part, section, idx, &hdr, &data[at..at + plen])?;
-        out.extend_from_slice(&raw);
+        out.extend_from_slice(&decode(idx, &hdr, &data[at..at + plen])?);
         at += plen;
     }
-    if out.len() as u64 != raw_len {
+    if out.len() as u64 != entry.raw_len {
         return Err(IoError::Decode {
             part,
             section,
             detail: format!(
-                "section reassembled to {} bytes, table promised {raw_len}",
-                out.len()
+                "section reassembled to {} bytes, table promised {}",
+                out.len(),
+                entry.raw_len
             ),
         });
     }
     Ok(out)
 }
 
-/// The typed-value sink the section encoders write through. Implemented by
-/// [`MsgWriter`] (v1 in-memory sections) and [`ChunkWriter`] (v2 streaming
-/// sections); the byte framing is identical, so one encoder serves both
-/// format versions.
+/// The typed-value sink the section encoders write through: the framing of
+/// [`pumi_pcu::MsgWriter`], streamed. Implemented by [`ChunkWriter`] for any
+/// underlying `Write`, so the encoders need not be generic over it.
 pub trait SectionSink {
     /// Append raw bytes (no length prefix).
     fn put_raw(&mut self, b: &[u8]);
@@ -239,40 +263,6 @@ pub trait SectionSink {
         for &x in xs {
             self.put_f64(x);
         }
-    }
-}
-
-impl SectionSink for MsgWriter {
-    fn put_raw(&mut self, b: &[u8]) {
-        // MsgWriter has no raw append; length-free framing is reproduced
-        // byte-wise through the typed puts.
-        for &x in b {
-            MsgWriter::put_u8(self, x);
-        }
-    }
-    fn put_u8(&mut self, x: u8) {
-        MsgWriter::put_u8(self, x);
-    }
-    fn put_u32(&mut self, x: u32) {
-        MsgWriter::put_u32(self, x);
-    }
-    fn put_u64(&mut self, x: u64) {
-        MsgWriter::put_u64(self, x);
-    }
-    fn put_f64(&mut self, x: f64) {
-        MsgWriter::put_f64(self, x);
-    }
-    fn put_bytes(&mut self, b: &[u8]) {
-        MsgWriter::put_bytes(self, b);
-    }
-    fn put_u32_slice(&mut self, xs: &[u32]) {
-        MsgWriter::put_u32_slice(self, xs);
-    }
-    fn put_u64_slice(&mut self, xs: &[u64]) {
-        MsgWriter::put_u64_slice(self, xs);
-    }
-    fn put_f64_slice(&mut self, xs: &[f64]) {
-        MsgWriter::put_f64_slice(self, xs);
     }
 }
 
@@ -374,6 +364,25 @@ impl<W: Write> SectionSink for ChunkWriter<'_, W> {
 mod tests {
     use super::*;
 
+    /// Reassemble a section written at offset 0 of `file`.
+    fn reassemble(
+        part: PartId,
+        section: Section,
+        file: &[u8],
+        sec: &ChunkedSection,
+    ) -> Result<Vec<u8>, IoError> {
+        let entry = SectionEntry {
+            section,
+            offset: 0,
+            disk_len: sec.disk_len,
+            raw_len: sec.raw_len,
+            nchunks: sec.nchunks,
+        };
+        section_raw_bytes(part, file, &entry, |idx, hdr, payload| {
+            decode_chunk(part, section, idx, hdr, payload).map(Arc::new)
+        })
+    }
+
     #[test]
     fn chunk_stream_roundtrip() {
         let mut file: Vec<u8> = Vec::new();
@@ -387,16 +396,7 @@ mod tests {
         assert!(sec.nchunks > 3, "expected multiple chunks: {sec:?}");
         assert_eq!(sec.raw_len, 4000 * 16);
         assert!(sec.disk_len < sec.raw_len, "compressible data must shrink");
-        let raw = section_raw_bytes(
-            0,
-            Section::Entities,
-            &file,
-            0,
-            sec.disk_len,
-            sec.raw_len,
-            sec.nchunks,
-        )
-        .expect("reassemble");
+        let raw = reassemble(0, Section::Entities, &file, &sec).expect("reassemble");
         let mut r = pumi_pcu::MsgReader::from_vec(raw);
         for i in 0..4000u64 {
             assert_eq!(r.try_get_u64().unwrap(), i);
@@ -415,16 +415,7 @@ mod tests {
             w.put_u64(i);
         }
         let sec = w.finish_section().expect("io");
-        let raw = section_raw_bytes(
-            3,
-            Section::Tags,
-            &file,
-            0,
-            sec.disk_len,
-            sec.raw_len,
-            sec.nchunks,
-        )
-        .expect("reassemble");
+        let raw = reassemble(3, Section::Tags, &file, &sec).expect("reassemble");
         let mut r = pumi_pcu::MsgReader::from_vec(raw);
         for i in 0..2000u64 {
             assert_eq!(r.try_get_u8().unwrap(), i as u8);
@@ -444,16 +435,7 @@ mod tests {
         let hdr0 = parse_chunk_header(1, Section::Fields, 0, &file).unwrap();
         let c1_at = CHUNK_HEADER_LEN + hdr0.disk_payload_len();
         file[c1_at + CHUNK_HEADER_LEN + 5] ^= 0x08;
-        let err = section_raw_bytes(
-            1,
-            Section::Fields,
-            &file,
-            0,
-            sec.disk_len,
-            sec.raw_len,
-            sec.nchunks,
-        )
-        .expect_err("corruption must surface");
+        let err = reassemble(1, Section::Fields, &file, &sec).expect_err("corruption must surface");
         match err {
             IoError::BadChunk {
                 part: 1,
@@ -473,32 +455,27 @@ mod tests {
             w.put_u64(i % 17);
         }
         let sec = w.finish_section().expect("io");
-        // Shrink chunk 0's promised raw length; the CRC (payload-only) still
-        // passes, so the decompressed-length comparison must catch it.
-        let bogus = (4096u32 - 9).to_le_bytes();
-        file[0..4].copy_from_slice(&bogus);
-        let err = section_raw_bytes(
-            2,
-            Section::Entities,
-            &file,
-            0,
-            sec.disk_len,
-            sec.raw_len,
-            sec.nchunks,
-        )
-        .expect_err("length lie must surface");
-        assert!(
-            matches!(
-                err,
-                IoError::BadChunk {
-                    part: 2,
-                    section: Section::Entities,
-                    chunk: 0,
-                    ..
-                }
-            ),
-            "got {err:?}"
-        );
+        // Lie about chunk 0's raw length, a little short and absurdly long;
+        // the CRC (payload-only) still passes, so the decompressed-length
+        // comparison must catch the first and the expansion bound the
+        // second — before 4 GiB is reserved for it.
+        for bogus in [4096u32 - 9, 0xFFFF_FFF0] {
+            file[0..4].copy_from_slice(&bogus.to_le_bytes());
+            let err =
+                reassemble(2, Section::Entities, &file, &sec).expect_err("length lie must surface");
+            assert!(
+                matches!(
+                    err,
+                    IoError::BadChunk {
+                        part: 2,
+                        section: Section::Entities,
+                        chunk: 0,
+                        ..
+                    }
+                ),
+                "raw_len {bogus:#x}: got {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -510,16 +487,8 @@ mod tests {
         }
         let sec = w.finish_section().expect("io");
         let cut = file.len() - 20;
-        let err = section_raw_bytes(
-            4,
-            Section::Remotes,
-            &file[..cut],
-            0,
-            sec.disk_len,
-            sec.raw_len,
-            sec.nchunks,
-        )
-        .expect_err("truncation must surface");
+        let err = reassemble(4, Section::Remotes, &file[..cut], &sec)
+            .expect_err("truncation must surface");
         // Either the section bound or the last chunk's payload is short —
         // both carry the typed location.
         match err {

@@ -98,13 +98,6 @@ pub enum IoError {
         /// What went wrong.
         detail: String,
     },
-    /// A section payload failed its CRC-32 — the file was corrupted at rest.
-    BadChecksum {
-        /// The part whose file is damaged.
-        part: PartId,
-        /// The damaged section.
-        section: Section,
-    },
     /// A section extends past the end of the file — the file was truncated.
     Truncated {
         /// The part whose file is damaged.
@@ -116,7 +109,7 @@ pub enum IoError {
         /// Bytes actually present.
         have: u64,
     },
-    /// A compressed chunk of a `.pmb` v2 section is damaged: truncated,
+    /// A chunk of a `.pmb` section is damaged: truncated,
     /// payload CRC mismatch, failed decompression, or a decompressed-length
     /// disagreement with its header. Names part, section, and chunk index.
     BadChunk {
@@ -163,9 +156,6 @@ impl std::fmt::Display for IoError {
             }
             IoError::Header { part, detail } => {
                 write!(f, "part {part}: damaged header: {detail}")
-            }
-            IoError::BadChecksum { part, section } => {
-                write!(f, "part {part}: section '{}' failed CRC-32", section.name())
             }
             IoError::Truncated {
                 part,
@@ -231,12 +221,17 @@ mod tests {
 
     #[test]
     fn errors_name_part_and_section() {
-        let e = IoError::BadChecksum {
+        let e = IoError::BadChunk {
             part: 7,
             section: Section::Tags,
+            chunk: 2,
+            detail: "payload CRC mismatch".into(),
         };
         let msg = e.to_string();
-        assert!(msg.contains("part 7") && msg.contains("tags"), "{msg}");
+        assert!(
+            msg.contains("part 7") && msg.contains("tags") && msg.contains("chunk 2"),
+            "{msg}"
+        );
         let e = IoError::Truncated {
             part: 3,
             section: Section::Entities,

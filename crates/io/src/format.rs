@@ -1,29 +1,10 @@
 //! The `.pmb` (PUMI mesh, binary) on-disk layout.
 //!
 //! A checkpoint is a directory: one `manifest.pmb` plus one
-//! `part_<id>.pmb` per part. All integers are little-endian.
+//! `part_<id>.pmb` per part, and one `delta_<k>/part_<id>.pmb` per part
+//! and delta round. All integers are little-endian.
 //!
-//! Part file:
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic "PMBP"
-//! 4       4     format version (u32)
-//! 8       4     part id (u32)
-//! 12      4     element dimension (u32)
-//! 16      8     fresh-gid counter (u64)
-//! 24      4     section count n (u32)
-//! 28      21*n  section table: (kind u8, offset u64, len u64, crc32 u32)
-//! 28+21n  4     crc32 of bytes [0, 28+21n)
-//! ...           section payloads (offsets are absolute)
-//! ```
-//!
-//! The header + table carry their own CRC so a damaged table is detected
-//! before any offset is trusted; each payload carries a CRC checked before
-//! decoding. Section payloads are [`pumi_pcu::MsgWriter`] streams — the same
-//! encoding migration uses on the wire.
-//!
-//! Version 2 part file (streaming, compressed):
+//! Part file (base snapshot or delta round):
 //!
 //! ```text
 //! offset  size  field
@@ -43,11 +24,13 @@
 //!         4     crc32 of the table bytes before it
 //! ```
 //!
-//! The v2 writer streams chunks as encoders produce them, records where
-//! each section landed, appends the table at the end, and seeks back to
-//! rewrite the 44-byte header — so a part's serialized image is never held
-//! in memory. Section *content* encoding is identical to v1; only the
-//! payload container (chunked + LZ4 + per-chunk CRC) differs.
+//! The header and the table carry their own CRCs so damage is detected
+//! before any offset is trusted. The writer streams chunks as encoders
+//! produce them, records where each section landed, appends the table at
+//! the end, and seeks back to rewrite the 44-byte header — so a part's
+//! serialized image is never held in memory. Section content is a
+//! [`pumi_pcu::MsgWriter`]-framed stream — the same encoding migration
+//! uses on the wire.
 //!
 //! Manifest file:
 //!
@@ -56,11 +39,15 @@
 //! ```
 //!
 //! where `body` holds part count, element dimension, writer world size,
-//! global owned entity counts, a ghost flag, and the field descriptors.
+//! global owned entity counts, a ghost flag, the field descriptors, and
+//! the number of delta rounds.
+//!
+//! Version 1 (a flat, uncompressed container written before PR 8) is no
+//! longer read: such a part file or manifest is refused with a typed
+//! [`IoError::Header`] / [`IoError::Manifest`].
 
 use crate::crc::crc32;
 use crate::error::{IoError, Section};
-use bytes::Bytes;
 use pumi_field::FieldShape;
 use pumi_pcu::{MsgReader, MsgWriter};
 use pumi_util::PartId;
@@ -70,20 +57,17 @@ use std::path::{Path, PathBuf};
 pub const PART_MAGIC: [u8; 4] = *b"PMBP";
 /// Magic bytes opening the manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"PMBM";
-/// The original (uncompressed, in-memory) format version.
-pub const FORMAT_VERSION: u32 = 1;
-/// The chunked/compressed streaming format version.
-pub const FORMAT_VERSION_V2: u32 = 2;
+/// The format version written to (and required of) every part file and
+/// manifest.
+pub const FORMAT_VERSION: u32 = 2;
 /// The manifest file name inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "manifest.pmb";
-/// v2 header flag bit: this part file is a *delta* against a base snapshot.
+/// Header flag bit: this part file is a *delta* against a base snapshot.
 pub const FLAG_DELTA: u32 = 1;
 
-const HEADER_FIXED: usize = 28;
-const TABLE_ENTRY: usize = 21;
-/// Fixed v2 header length (the trailing 4 bytes are its CRC).
-pub const HEADER_V2_LEN: usize = 44;
-const TABLE_ENTRY_V2: usize = 29;
+/// Fixed header length (the trailing 4 bytes are its CRC).
+pub const HEADER_LEN: usize = 44;
+const TABLE_ENTRY: usize = 29;
 
 /// The file name of a part's data inside a checkpoint directory.
 pub fn part_file_name(part: PartId) -> String {
@@ -95,65 +79,6 @@ pub fn part_file_path(dir: &Path, part: PartId) -> PathBuf {
     dir.join(part_file_name(part))
 }
 
-/// One row of a parsed section table.
-#[derive(Debug, Clone, Copy)]
-pub struct SectionEntry {
-    /// Which section this is.
-    pub section: Section,
-    /// Absolute byte offset of the payload.
-    pub offset: u64,
-    /// Payload length in bytes.
-    pub len: u64,
-    /// CRC-32 of the payload.
-    pub crc: u32,
-}
-
-/// A parsed part-file header.
-#[derive(Debug)]
-pub struct PartHeader {
-    /// The part id recorded in the file.
-    pub part: PartId,
-    /// Element dimension of the part's mesh.
-    pub elem_dim: u32,
-    /// The part's fresh-gid counter at write time.
-    pub gid_counter: u64,
-    /// The section table, in file order.
-    pub sections: Vec<SectionEntry>,
-}
-
-/// Assemble a complete part file from section payloads.
-pub fn encode_part_file(
-    part: PartId,
-    elem_dim: u32,
-    gid_counter: u64,
-    sections: &[(Section, Bytes)],
-) -> Vec<u8> {
-    let table_len = HEADER_FIXED + TABLE_ENTRY * sections.len() + 4;
-    let total: usize = table_len + sections.iter().map(|(_, b)| b.len()).sum::<usize>();
-    let mut out = Vec::with_capacity(total);
-    out.extend_from_slice(&PART_MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&part.to_le_bytes());
-    out.extend_from_slice(&elem_dim.to_le_bytes());
-    out.extend_from_slice(&gid_counter.to_le_bytes());
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    let mut offset = table_len as u64;
-    for (s, payload) in sections {
-        out.push(s.to_u8());
-        out.extend_from_slice(&offset.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        offset += payload.len() as u64;
-    }
-    let hcrc = crc32(&out);
-    out.extend_from_slice(&hcrc.to_le_bytes());
-    for (_, payload) in sections {
-        out.extend_from_slice(payload);
-    }
-    debug_assert_eq!(out.len(), total);
-    out
-}
-
 fn get_u32(data: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(data[at..at + 4].try_into().expect("bounds checked"))
 }
@@ -162,107 +87,9 @@ fn get_u64(data: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(data[at..at + 8].try_into().expect("bounds checked"))
 }
 
-/// Parse and checksum-verify a part file's header and section table.
-/// `part` is the id implied by the file name; the header must agree.
-pub fn parse_part_header(part: PartId, data: &[u8]) -> Result<PartHeader, IoError> {
-    let header_err = |detail: String| IoError::Header { part, detail };
-    if data.len() < HEADER_FIXED + 4 {
-        return Err(header_err(format!(
-            "file too short for a header: {} bytes",
-            data.len()
-        )));
-    }
-    if data[0..4] != PART_MAGIC {
-        return Err(header_err("bad magic (not a .pmb part file)".into()));
-    }
-    let version = get_u32(data, 4);
-    if version != FORMAT_VERSION {
-        return Err(header_err(format!(
-            "unsupported format version {version} (reader supports {FORMAT_VERSION})"
-        )));
-    }
-    let file_part = get_u32(data, 8);
-    if file_part != part {
-        return Err(header_err(format!(
-            "header names part {file_part}, expected {part}"
-        )));
-    }
-    let elem_dim = get_u32(data, 12);
-    let gid_counter = get_u64(data, 16);
-    let nsections = get_u32(data, 24) as usize;
-    let table_end = HEADER_FIXED + TABLE_ENTRY * nsections;
-    if data.len() < table_end + 4 {
-        return Err(header_err(format!(
-            "section table truncated: {} sections need {} bytes, have {}",
-            nsections,
-            table_end + 4,
-            data.len()
-        )));
-    }
-    let stored = get_u32(data, table_end);
-    let actual = crc32(&data[..table_end]);
-    if stored != actual {
-        return Err(header_err(format!(
-            "header CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        )));
-    }
-    let mut sections = Vec::with_capacity(nsections);
-    for i in 0..nsections {
-        let at = HEADER_FIXED + TABLE_ENTRY * i;
-        let section = Section::from_u8(data[at])
-            .ok_or_else(|| header_err(format!("unknown section code {}", data[at])))?;
-        sections.push(SectionEntry {
-            section,
-            offset: get_u64(data, at + 1),
-            len: get_u64(data, at + 9),
-            crc: get_u32(data, at + 17),
-        });
-    }
-    Ok(PartHeader {
-        part,
-        elem_dim,
-        gid_counter,
-        sections,
-    })
-}
-
-/// Slice out a section payload, verifying bounds and checksum.
-pub fn section_payload<'a>(
-    part: PartId,
-    data: &'a [u8],
-    entry: &SectionEntry,
-) -> Result<&'a [u8], IoError> {
-    let end = entry.offset.saturating_add(entry.len);
-    if end > data.len() as u64 {
-        return Err(IoError::Truncated {
-            part,
-            section: entry.section,
-            needed: end,
-            have: data.len() as u64,
-        });
-    }
-    let payload = &data[entry.offset as usize..end as usize];
-    if crc32(payload) != entry.crc {
-        return Err(IoError::BadChecksum {
-            part,
-            section: entry.section,
-        });
-    }
-    Ok(payload)
-}
-
-/// Find a section's table entry.
-pub fn find_section(header: &PartHeader, section: Section) -> Option<SectionEntry> {
-    header
-        .sections
-        .iter()
-        .copied()
-        .find(|e| e.section == section)
-}
-
-/// One row of a parsed v2 section table: a chunked, compressed payload.
+/// One row of a parsed section table: a chunked, compressed payload.
 #[derive(Debug, Clone, Copy)]
-pub struct SectionEntryV2 {
+pub struct SectionEntry {
     /// Which section this is.
     pub section: Section,
     /// Absolute byte offset of the first chunk.
@@ -275,9 +102,9 @@ pub struct SectionEntryV2 {
     pub nchunks: u32,
 }
 
-/// A parsed v2 part-file header + table.
+/// A parsed part-file header + section table.
 #[derive(Debug)]
-pub struct PartHeaderV2 {
+pub struct PartHeader {
     /// The part id recorded in the file.
     pub part: PartId,
     /// Element dimension of the part's mesh.
@@ -287,35 +114,67 @@ pub struct PartHeaderV2 {
     /// Header flags ([`FLAG_DELTA`]).
     pub flags: u32,
     /// The section table, in file order.
-    pub sections: Vec<SectionEntryV2>,
+    pub sections: Vec<SectionEntry>,
 }
 
-impl PartHeaderV2 {
+impl PartHeader {
     /// Whether this part file is a delta against a base snapshot.
     pub fn is_delta(&self) -> bool {
         self.flags & FLAG_DELTA != 0
     }
 
     /// Find a section's table entry.
-    pub fn find(&self, section: Section) -> Option<SectionEntryV2> {
+    pub fn find(&self, section: Section) -> Option<SectionEntry> {
         self.sections.iter().copied().find(|e| e.section == section)
     }
 }
 
-/// Encode the fixed 44-byte v2 header. The streaming writer calls this
+/// A part file held in memory: its on-disk image and parsed header. The
+/// image stays compressed; sections are decoded from it chunk by chunk.
+#[derive(Debug)]
+pub struct PartFile {
+    /// Which of the part's files this is: the base snapshot's (`None`) or
+    /// delta round `k`'s (`Some(k)`).
+    pub delta: Option<u32>,
+    /// The file's bytes as stored.
+    pub data: Vec<u8>,
+    /// The parsed, CRC-verified header and section table.
+    pub header: PartHeader,
+}
+
+impl PartFile {
+    /// Read and parse part `fpart`'s file under checkpoint directory `dir`:
+    /// the base snapshot's for `delta == None`, delta round `k`'s for
+    /// `Some(k)`.
+    pub fn read(dir: &Path, fpart: PartId, delta: Option<u32>) -> Result<PartFile, IoError> {
+        let path = match delta {
+            None => part_file_path(dir, fpart),
+            Some(k) => part_file_path(&delta_dir(dir, k), fpart),
+        };
+        let data = std::fs::read(&path).map_err(|source| IoError::Io { path, source })?;
+        let header = parse_part_header(fpart, &data)?;
+        Ok(PartFile {
+            delta,
+            data,
+            header,
+        })
+    }
+}
+
+/// Encode the fixed 44-byte header. The streaming writer calls this
 /// twice: once with zeroed `table_offset`/`table_len` to reserve the bytes,
 /// and again (seeking back) once the table's landing spot is known.
-pub fn encode_header_v2(
+pub fn encode_header(
     part: PartId,
     elem_dim: u32,
     gid_counter: u64,
     flags: u32,
     table_offset: u64,
     table_len: u32,
-) -> [u8; HEADER_V2_LEN] {
-    let mut h = [0u8; HEADER_V2_LEN];
+) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
     h[0..4].copy_from_slice(&PART_MAGIC);
-    h[4..8].copy_from_slice(&FORMAT_VERSION_V2.to_le_bytes());
+    h[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
     h[8..12].copy_from_slice(&part.to_le_bytes());
     h[12..16].copy_from_slice(&elem_dim.to_le_bytes());
     h[16..24].copy_from_slice(&gid_counter.to_le_bytes());
@@ -327,9 +186,9 @@ pub fn encode_header_v2(
     h
 }
 
-/// Encode a v2 section table (count, entries, trailing CRC).
-pub fn encode_table_v2(entries: &[SectionEntryV2]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + TABLE_ENTRY_V2 * entries.len() + 4);
+/// Encode a section table (count, entries, trailing CRC).
+pub fn encode_table(entries: &[SectionEntry]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + TABLE_ENTRY * entries.len() + 4);
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for e in entries {
         out.push(e.section.to_u8());
@@ -343,41 +202,27 @@ pub fn encode_table_v2(entries: &[SectionEntryV2]) -> Vec<u8> {
     out
 }
 
-/// The format version a part file claims (checked before full parsing so
-/// the reader can dispatch v1 vs v2).
-pub fn peek_part_version(part: PartId, data: &[u8]) -> Result<u32, IoError> {
-    if data.len() < 8 {
-        return Err(IoError::Header {
-            part,
-            detail: format!("file too short for a header: {} bytes", data.len()),
-        });
-    }
-    if data[0..4] != PART_MAGIC {
-        return Err(IoError::Header {
-            part,
-            detail: "bad magic (not a .pmb part file)".into(),
-        });
-    }
-    Ok(get_u32(data, 4))
-}
-
-/// Parse and checksum-verify a v2 part file's header and section table.
-pub fn parse_part_header_v2(part: PartId, data: &[u8]) -> Result<PartHeaderV2, IoError> {
+/// Parse and checksum-verify a part file's header and section table.
+/// `part` is the id implied by the file name; the header must agree.
+pub fn parse_part_header(part: PartId, data: &[u8]) -> Result<PartHeader, IoError> {
     let header_err = |detail: String| IoError::Header { part, detail };
-    if data.len() < HEADER_V2_LEN {
-        return Err(header_err(format!(
-            "file too short for a v2 header: {} bytes",
-            data.len()
-        )));
+    let too_short = || header_err(format!("file too short for a header: {} bytes", data.len()));
+    // Magic and version sit at the same offsets in every generation of the
+    // format, so an old file is named as such before its length is judged.
+    if data.len() < 8 {
+        return Err(too_short());
     }
     if data[0..4] != PART_MAGIC {
         return Err(header_err("bad magic (not a .pmb part file)".into()));
     }
     let version = get_u32(data, 4);
-    if version != FORMAT_VERSION_V2 {
+    if version != FORMAT_VERSION {
         return Err(header_err(format!(
-            "not a v2 part file (version {version})"
+            "unsupported format version {version} (reader supports {FORMAT_VERSION})"
         )));
+    }
+    if data.len() < HEADER_LEN {
+        return Err(too_short());
     }
     let stored = get_u32(data, 40);
     let actual = crc32(&data[..40]);
@@ -415,17 +260,17 @@ pub fn parse_part_header_v2(part: PartId, data: &[u8]) -> Result<PartHeaderV2, I
         )));
     }
     let nsections = get_u32(table, 0) as usize;
-    if 4 + TABLE_ENTRY_V2 * nsections + 4 != table_len {
+    if 4 + TABLE_ENTRY * nsections + 4 != table_len {
         return Err(header_err(format!(
             "section table length disagrees with count: {nsections} sections in {table_len} bytes"
         )));
     }
     let mut sections = Vec::with_capacity(nsections);
     for i in 0..nsections {
-        let at = 4 + TABLE_ENTRY_V2 * i;
+        let at = 4 + TABLE_ENTRY * i;
         let section = Section::from_u8(table[at])
             .ok_or_else(|| header_err(format!("unknown section code {}", table[at])))?;
-        sections.push(SectionEntryV2 {
+        sections.push(SectionEntry {
             section,
             offset: get_u64(table, at + 1),
             disk_len: get_u64(table, at + 9),
@@ -433,54 +278,13 @@ pub fn parse_part_header_v2(part: PartId, data: &[u8]) -> Result<PartHeaderV2, I
             nchunks: get_u32(table, at + 25),
         });
     }
-    Ok(PartHeaderV2 {
+    Ok(PartHeader {
         part,
         elem_dim,
         gid_counter,
         flags,
         sections,
     })
-}
-
-/// A part header of either format version.
-#[derive(Debug)]
-pub enum AnyPartHeader {
-    /// Version 1: flat sections with whole-payload CRCs.
-    V1(PartHeader),
-    /// Version 2: chunked, compressed sections.
-    V2(PartHeaderV2),
-}
-
-impl AnyPartHeader {
-    /// Element dimension recorded in the file.
-    pub fn elem_dim(&self) -> u32 {
-        match self {
-            AnyPartHeader::V1(h) => h.elem_dim,
-            AnyPartHeader::V2(h) => h.elem_dim,
-        }
-    }
-
-    /// Fresh-gid counter recorded in the file.
-    pub fn gid_counter(&self) -> u64 {
-        match self {
-            AnyPartHeader::V1(h) => h.gid_counter,
-            AnyPartHeader::V2(h) => h.gid_counter,
-        }
-    }
-}
-
-/// Parse a part file of either version, dispatching on the version field.
-pub fn parse_part_any(part: PartId, data: &[u8]) -> Result<AnyPartHeader, IoError> {
-    match peek_part_version(part, data)? {
-        FORMAT_VERSION => Ok(AnyPartHeader::V1(parse_part_header(part, data)?)),
-        FORMAT_VERSION_V2 => Ok(AnyPartHeader::V2(parse_part_header_v2(part, data)?)),
-        v => Err(IoError::Header {
-            part,
-            detail: format!(
-                "unsupported format version {v} (reader supports {FORMAT_VERSION} and {FORMAT_VERSION_V2})"
-            ),
-        }),
-    }
 }
 
 /// A field's descriptor in the manifest (enough to rebuild the `Field`
@@ -517,8 +321,6 @@ pub fn shape_from_u8(x: u8) -> Option<FieldShape> {
 /// The checkpoint manifest written by rank 0.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Format version of the checkpoint's part files (1 or 2).
-    pub version: u32,
     /// Number of parts in the checkpoint (= number of part files).
     pub nparts: u32,
     /// Element dimension of the mesh.
@@ -531,8 +333,8 @@ pub struct Manifest {
     pub has_ghosts: bool,
     /// Field descriptors, in write order.
     pub fields: Vec<FieldDesc>,
-    /// Number of delta rounds appended after the base snapshot (v2 only;
-    /// delta `k` lives in `delta_<k:04>/` under the checkpoint directory).
+    /// Number of delta rounds appended after the base snapshot (delta `k`
+    /// lives in `delta_<k:04>/` under the checkpoint directory).
     pub delta_count: u32,
 }
 
@@ -552,13 +354,11 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
         w.put_u8(shape_to_u8(f.shape));
         w.put_u32(f.ncomp);
     }
-    if m.version >= FORMAT_VERSION_V2 {
-        w.put_u32(m.delta_count);
-    }
+    w.put_u32(m.delta_count);
     let body = w.finish();
     let mut out = Vec::with_capacity(12 + body.len() + 4);
     out.extend_from_slice(&MANIFEST_MAGIC);
-    out.extend_from_slice(&m.version.to_le_bytes());
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(&body);
     out.extend_from_slice(&crc32(&body).to_le_bytes());
@@ -579,8 +379,10 @@ pub fn parse_manifest(path: &Path, data: &[u8]) -> Result<Manifest, IoError> {
         return Err(err("bad magic (not a .pmb manifest)".into()));
     }
     let version = get_u32(data, 4);
-    if version != FORMAT_VERSION && version != FORMAT_VERSION_V2 {
-        return Err(err(format!("unsupported format version {version}")));
+    if version != FORMAT_VERSION {
+        return Err(err(format!(
+            "unsupported format version {version} (reader supports {FORMAT_VERSION})"
+        )));
     }
     let body_len = get_u32(data, 8) as usize;
     if data.len() < 12 + body_len + 4 {
@@ -618,11 +420,7 @@ pub fn parse_manifest(path: &Path, data: &[u8]) -> Result<Manifest, IoError> {
         let ncomp = r.try_get_u32().map_err(parse)?;
         fields.push(FieldDesc { name, shape, ncomp });
     }
-    let delta_count = if version >= FORMAT_VERSION_V2 {
-        r.try_get_u32().map_err(parse)?
-    } else {
-        0
-    };
+    let delta_count = r.try_get_u32().map_err(parse)?;
     if nparts == 0 {
         return Err(err("zero parts".into()));
     }
@@ -630,7 +428,6 @@ pub fn parse_manifest(path: &Path, data: &[u8]) -> Result<Manifest, IoError> {
         return Err(err(format!("bad element dimension {elem_dim}")));
     }
     Ok(Manifest {
-        version,
         nparts,
         elem_dim,
         nranks_at_write,
@@ -651,69 +448,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn part_header_roundtrip() {
-        let sections = vec![
-            (Section::Entities, Bytes::from(vec![1u8, 2, 3])),
-            (Section::Remotes, Bytes::from(vec![4u8; 10])),
-        ];
-        let file = encode_part_file(7, 3, 42, &sections);
-        let h = parse_part_header(7, &file).expect("parse");
-        assert_eq!(h.part, 7);
-        assert_eq!(h.elem_dim, 3);
-        assert_eq!(h.gid_counter, 42);
-        assert_eq!(h.sections.len(), 2);
-        let e = find_section(&h, Section::Entities).expect("entities entry");
-        assert_eq!(section_payload(7, &file, &e).expect("payload"), &[1, 2, 3]);
-        let r = find_section(&h, Section::Remotes).expect("remotes entry");
-        assert_eq!(section_payload(7, &file, &r).expect("payload"), &[4u8; 10]);
-    }
-
-    #[test]
-    fn flipped_header_byte_is_detected() {
-        let mut file = encode_part_file(1, 2, 0, &[(Section::Entities, Bytes::from(vec![9u8]))]);
-        file[13] ^= 0x10; // inside elem_dim, covered by the header CRC
-        assert!(matches!(
-            parse_part_header(1, &file),
-            Err(IoError::Header { part: 1, .. })
-        ));
-    }
-
-    #[test]
-    fn flipped_payload_byte_is_bad_checksum() {
-        let mut file = encode_part_file(2, 2, 0, &[(Section::Tags, Bytes::from(vec![5u8; 20]))]);
-        let n = file.len();
-        file[n - 1] ^= 0xFF;
-        let h = parse_part_header(2, &file).expect("header still fine");
-        let e = find_section(&h, Section::Tags).expect("entry");
-        assert!(matches!(
-            section_payload(2, &file, &e),
-            Err(IoError::BadChecksum {
-                part: 2,
-                section: Section::Tags
-            })
-        ));
-    }
-
-    #[test]
-    fn truncated_payload_is_reported() {
-        let file = encode_part_file(3, 2, 0, &[(Section::Fields, Bytes::from(vec![5u8; 20]))]);
-        let cut = &file[..file.len() - 6];
-        let h = parse_part_header(3, cut).expect("header intact");
-        let e = find_section(&h, Section::Fields).expect("entry");
-        assert!(matches!(
-            section_payload(3, cut, &e),
-            Err(IoError::Truncated {
-                part: 3,
-                section: Section::Fields,
-                ..
-            })
-        ));
-    }
-
-    #[test]
     fn manifest_roundtrip() {
         let m = Manifest {
-            version: FORMAT_VERSION,
             nparts: 8,
             elem_dim: 3,
             nranks_at_write: 4,
@@ -731,23 +467,6 @@ mod tests {
                     ncomp: 1,
                 },
             ],
-            delta_count: 0,
-        };
-        let bytes = encode_manifest(&m);
-        let back = parse_manifest(Path::new("manifest.pmb"), &bytes).expect("parse");
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn manifest_v2_roundtrips_delta_count() {
-        let m = Manifest {
-            version: FORMAT_VERSION_V2,
-            nparts: 4,
-            elem_dim: 2,
-            nranks_at_write: 4,
-            owned_counts: [50, 120, 71, 0],
-            has_ghosts: false,
-            fields: vec![],
             delta_count: 3,
         };
         let bytes = encode_manifest(&m);
@@ -756,32 +475,32 @@ mod tests {
     }
 
     #[test]
-    fn v2_header_and_table_roundtrip() {
+    fn header_and_table_roundtrip() {
         let entries = vec![
-            SectionEntryV2 {
+            SectionEntry {
                 section: Section::Entities,
-                offset: HEADER_V2_LEN as u64,
+                offset: HEADER_LEN as u64,
                 disk_len: 500,
                 raw_len: 2000,
                 nchunks: 2,
             },
-            SectionEntryV2 {
+            SectionEntry {
                 section: Section::Deleted,
-                offset: HEADER_V2_LEN as u64 + 500,
+                offset: HEADER_LEN as u64 + 500,
                 disk_len: 60,
                 raw_len: 64,
                 nchunks: 1,
             },
         ];
-        let table = encode_table_v2(&entries);
+        let table = encode_table(&entries);
         let body_len: u64 = entries.iter().map(|e| e.disk_len).sum();
-        let table_offset = HEADER_V2_LEN as u64 + body_len;
-        let hdr = encode_header_v2(9, 2, 77, FLAG_DELTA, table_offset, table.len() as u32);
+        let table_offset = HEADER_LEN as u64 + body_len;
+        let hdr = encode_header(9, 2, 77, FLAG_DELTA, table_offset, table.len() as u32);
         let mut file = Vec::new();
         file.extend_from_slice(&hdr);
-        file.resize(HEADER_V2_LEN + body_len as usize, 0xAB);
+        file.resize(HEADER_LEN + body_len as usize, 0xAB);
         file.extend_from_slice(&table);
-        let h = parse_part_header_v2(9, &file).expect("parse");
+        let h = parse_part_header(9, &file).expect("parse");
         assert_eq!(h.part, 9);
         assert_eq!(h.elem_dim, 2);
         assert_eq!(h.gid_counter, 77);
@@ -790,15 +509,11 @@ mod tests {
         let d = h.find(Section::Deleted).expect("deleted entry");
         assert_eq!(d.raw_len, 64);
         assert_eq!(d.nchunks, 1);
-        match parse_part_any(9, &file).expect("any") {
-            AnyPartHeader::V2(h2) => assert_eq!(h2.gid_counter, 77),
-            other => panic!("expected v2, got {other:?}"),
-        }
         // Damaged header byte → typed Header error before any offset is used.
         let mut bad = file.clone();
         bad[30] ^= 0x40;
         assert!(matches!(
-            parse_part_header_v2(9, &bad),
+            parse_part_header(9, &bad),
             Err(IoError::Header { part: 9, .. })
         ));
         // Damaged table byte → typed Header error too.
@@ -806,7 +521,7 @@ mod tests {
         let n = bad.len();
         bad[n - 6] ^= 0x01;
         assert!(matches!(
-            parse_part_header_v2(9, &bad),
+            parse_part_header(9, &bad),
             Err(IoError::Header { part: 9, .. })
         ));
     }
@@ -814,7 +529,6 @@ mod tests {
     #[test]
     fn manifest_corruption_detected() {
         let m = Manifest {
-            version: FORMAT_VERSION,
             nparts: 2,
             elem_dim: 2,
             nranks_at_write: 2,

@@ -9,10 +9,16 @@
 //! ```text
 //! checkpoint-dir/
 //!   manifest.pmb       nparts, elem_dim, owned counts, field descriptors
-//!   part_00000.pmb     entities | remotes | tags | fields   (+ CRC-32s)
+//!   part_00000.pmb     entities | remotes | tags | fields, as LZ4 chunks + CRC-32s
 //!   part_00001.pmb
 //!   ...
+//!   delta_0001/        one part file per part: what changed since, + deleted
 //! ```
+//!
+//! There is one format ([`mod@format`]), one set of section encoders
+//! ([`mod@write`], which [`delta`] reuses with a dirty-entity filter) and one
+//! part loader ([`read::load_part`]) that both the collective reader and
+//! the `pumi-serve` slice service drive through a [`SectionSource`].
 //!
 //! The reader restores an N-part checkpoint onto **any** M ranks:
 //! remote-copy links are rebuilt from global ids with one phased
@@ -41,18 +47,18 @@ pub mod write;
 pub(crate) const FIELD_TAG_PREFIX: &str = "__io:f:";
 
 /// Name of the staging tag that carries field `name`'s node values during
-/// restore. [`load_standalone_part`] leaves field data under this tag;
-/// `pumi-serve` and the collective reader both recover fields from it.
+/// restore. [`load_part`] leaves field data under this tag; `pumi-serve`
+/// and the collective reader both recover fields from it.
 pub fn staged_field_tag(name: &str) -> String {
     format!("{FIELD_TAG_PREFIX}{name}")
 }
 
-pub use delta::{write_delta_checkpoint, write_delta_checkpoint_with, DeltaOpts};
+pub use delta::write_delta_checkpoint;
 pub use error::{IoError, Section};
-pub use format::{FieldDesc, Manifest, FORMAT_VERSION, FORMAT_VERSION_V2, MANIFEST_FILE};
+pub use format::{FieldDesc, Manifest, PartFile, FORMAT_VERSION, MANIFEST_FILE};
 pub use hash::struct_hash;
 pub use read::{
-    load_standalone_part, read_checkpoint, read_checkpoint_with, ReadOpts, ReadStats, Restored,
-    SectionSource,
+    balanced_block, load_part, read_checkpoint, read_checkpoint_with, DirSource, LoadedPart,
+    ReadOpts, ReadStats, Restored, SectionSource,
 };
 pub use write::{write_checkpoint, write_checkpoint_with, WriteOpts, WriteStats};

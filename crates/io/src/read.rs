@@ -17,13 +17,15 @@
 //! floored at the global maximum so ids minted after a restore never
 //! collide with checkpointed ones. Every entry point is collective and
 //! returns `Err` on *every* rank when any rank fails.
+//!
+//! Parts are rebuilt from their files (base snapshot, then delta rounds)
+//! by [`load_part`], the loader `pumi-serve` uses too; the two differ only
+//! in the [`SectionSource`] they hand it. The block arithmetic above is
+//! [`balanced_block`], shared the same way.
 
-use crate::chunk::section_raw_bytes;
+use crate::chunk::{decode_chunk, section_raw_bytes, ChunkHeader};
 use crate::error::{IoError, Section};
-use crate::format::{
-    find_section, parse_manifest, parse_part_any, part_file_path, section_payload, AnyPartHeader,
-    Manifest, PartHeader, MANIFEST_FILE,
-};
+use crate::format::{parse_manifest, Manifest, PartFile, MANIFEST_FILE};
 use crate::FIELD_TAG_PREFIX;
 use pumi_core::verify::verify_dist;
 use pumi_core::{migrate, DistMesh, MigrationPlan, Part, PartExchange, PartMap};
@@ -34,7 +36,9 @@ use pumi_partition::partition_mesh;
 use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
 use pumi_util::tag::{TagData, TagKind};
 use pumi_util::{Dim, FxHashMap, GlobalId, MeshEnt, PartId};
+use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Options for [`read_checkpoint_with`].
 #[derive(Debug, Clone, Copy)]
@@ -88,114 +92,209 @@ fn derr(part: PartId, section: Section) -> impl Fn(MsgError) -> IoError {
     }
 }
 
-/// Per-part data that feeds the post-load stitching exchanges.
-pub(crate) struct LoadedPart {
-    pub(crate) part: Part,
-    /// Part-boundary rows: (dim, gid, residence parts — already remapped).
-    pub(crate) res_rows: Vec<(Dim, GlobalId, Vec<PartId>)>,
-    /// Ghost-holder rows: (local ghost entity, source part).
-    pub(crate) ghost_rows: Vec<(MeshEnt, PartId)>,
-    pub(crate) gid_counter: u64,
-    pub(crate) bytes: u64,
+/// One part as [`load_part`] rebuilt it, with the per-part data that feeds
+/// the collective reader's post-load stitching exchanges.
+pub struct LoadedPart {
+    /// The part: entities, tags, and field values staged as tags.
+    pub part: Part,
+    /// Part-boundary rows: (dim, gid, residence parts as written).
+    pub res_rows: Vec<(Dim, GlobalId, Vec<PartId>)>,
+    /// Ghost-holder rows: (local ghost entity, source part), in entity
+    /// order. Empty when ghosts were skipped.
+    pub ghost_rows: Vec<(MeshEnt, PartId)>,
+    /// The highest fresh-gid counter any of the part's files recorded.
+    pub gid_counter: u64,
+    /// Bytes of the part files read (base plus delta rounds).
+    pub bytes: u64,
 }
 
-pub(crate) fn decode_entities(
+/// Ghost provenance while a part loads, keyed by gid: local handles can be
+/// invalidated by slot reuse across a delta round's deletions, gids cannot.
+type GhostMap = FxHashMap<(Dim, GlobalId), PartId>;
+
+/// One row of an Entities section.
+struct EntityRow {
+    gid: GlobalId,
+    topo: Topology,
+    class: GeomEnt,
+    /// The source part, for a ghost copy.
+    ghost_src: Option<PartId>,
+    /// Vertex coordinates (dimension 0; zeros otherwise).
+    coords: [f64; 3],
+    /// Bounding vertex gids (dimensions ≥ 1; empty for a vertex).
+    vgids: Vec<GlobalId>,
+}
+
+/// Parse and validate one Entities row of the dimension-`d` block — the
+/// one place that knows the row layout.
+fn read_entity_row(fpart: PartId, r: &mut MsgReader, d: usize) -> Result<EntityRow, IoError> {
+    let e = &derr(fpart, Section::Entities);
+    let gid = r.try_get_u64().map_err(e)?;
+    let topo_code = r.try_get_u8().map_err(e)?;
+    let class = GeomEnt(r.try_get_u32().map_err(e)?);
+    let ghost_src = match r.try_get_u8().map_err(e)? {
+        0 => None,
+        _ => Some(r.try_get_u32().map_err(e)?),
+    };
+    let topo = Topology::try_from_u8(topo_code)
+        .ok_or(MsgError::bad_enum("topology", topo_code))
+        .map_err(e)?;
+    if topo.dim().as_usize() != d {
+        return Err(IoError::Decode {
+            part: fpart,
+            section: Section::Entities,
+            detail: format!("topology {topo:?} in dimension-{d} block"),
+        });
+    }
+    let (mut coords, mut vgids) = ([0.0; 3], Vec::new());
+    if d == 0 {
+        for x in &mut coords {
+            *x = r.try_get_f64().map_err(e)?;
+        }
+    } else {
+        vgids = r.try_get_u64_slice().map_err(e)?;
+    }
+    Ok(EntityRow {
+        gid,
+        topo,
+        class,
+        ghost_src,
+        coords,
+        vgids,
+    })
+}
+
+/// Decode an Entities section into the part. A base snapshot's rows are
+/// all new and are inserted; a delta round's rows (`upsert`) update the
+/// entity with the same gid in place when there is one. Ghost provenance
+/// lands in `ghosts`; with `skip_ghosts`, ghost copies are dropped instead
+/// (not created, or demoted top-down after the scan when a delta turns an
+/// existing entity into one).
+fn decode_entities(
     fpart: PartId,
     part: &mut Part,
     payload: Vec<u8>,
-    elem_dim: usize,
+    upsert: bool,
     skip_ghosts: bool,
-) -> Result<Vec<(MeshEnt, PartId)>, IoError> {
-    let sec = Section::Entities;
-    let e = derr(fpart, sec);
+    ghosts: &mut GhostMap,
+) -> Result<(), IoError> {
+    let e = derr(fpart, Section::Entities);
     let mut r = MsgReader::from_vec(payload);
-    let mut ghost_rows = Vec::new();
-    for d in 0..=elem_dim {
+    // Entities a delta turned into ghosts while ghosts are being skipped.
+    let mut demote: Vec<MeshEnt> = Vec::new();
+    for d in 0..=part.mesh.elem_dim() {
+        let dim = Dim::from_usize(d);
         let n = r.try_get_u32().map_err(&e)?;
         for _ in 0..n {
-            let gid = r.try_get_u64().map_err(&e)?;
-            let topo_code = r.try_get_u8().map_err(&e)?;
-            let class = r.try_get_u32().map_err(&e)?;
-            let ghost = r.try_get_u8().map_err(&e)? != 0;
-            let src = if ghost {
-                Some(r.try_get_u32().map_err(&e)?)
+            let row = read_entity_row(fpart, &mut r, d)?;
+            let key = (dim, row.gid);
+            let dropped = row.ghost_src.is_some() && skip_ghosts;
+            match row.ghost_src {
+                Some(src) if !skip_ghosts => {
+                    ghosts.insert(key, src);
+                }
+                _ if upsert => {
+                    ghosts.remove(&key);
+                }
+                _ => {}
+            }
+            // Only a delta row can name an entity the part already holds.
+            let existing = if upsert {
+                part.find_gid(dim, row.gid)
             } else {
                 None
             };
-            let topo = Topology::try_from_u8(topo_code)
-                .ok_or(MsgError::bad_enum("topology", topo_code))
-                .map_err(&e)?;
-            if topo.dim().as_usize() != d {
-                return Err(IoError::Decode {
-                    part: fpart,
-                    section: sec,
-                    detail: format!("topology {topo:?} in dimension-{d} block"),
-                });
-            }
-            if d == 0 {
-                let x = [
-                    r.try_get_f64().map_err(&e)?,
-                    r.try_get_f64().map_err(&e)?,
-                    r.try_get_f64().map_err(&e)?,
-                ];
-                if ghost && skip_ghosts {
-                    continue;
-                }
-                let v = part.add_vertex(x, GeomEnt(class), gid);
-                if let Some(src) = src {
-                    ghost_rows.push((v, src));
-                }
-            } else {
-                let vgids = r.try_get_u64_slice().map_err(&e)?;
-                if ghost && skip_ghosts {
-                    continue;
-                }
-                let mut verts = Vec::with_capacity(vgids.len());
-                for g in vgids {
-                    match part.find_gid(Dim::Vertex, g) {
-                        Some(v) => verts.push(v.index()),
-                        None => {
-                            return Err(IoError::Decode {
-                                part: fpart,
-                                section: sec,
-                                detail: format!("entity gid {gid} references unknown vertex {g}"),
-                            })
-                        }
+            match existing {
+                Some(ent) => {
+                    if d == 0 {
+                        part.mesh.set_coords(ent, row.coords);
+                    }
+                    part.mesh.set_class(ent, row.class);
+                    if dropped {
+                        demote.push(ent);
                     }
                 }
-                let ent = part.add_entity(topo, &verts, GeomEnt(class), gid);
-                if let Some(src) = src {
-                    ghost_rows.push((ent, src));
+                None if dropped => {}
+                None if d == 0 => {
+                    part.add_vertex(row.coords, row.class, row.gid);
+                }
+                None => {
+                    let mut verts = Vec::with_capacity(row.vgids.len());
+                    for g in row.vgids {
+                        let v = part
+                            .find_gid(Dim::Vertex, g)
+                            .ok_or_else(|| IoError::Decode {
+                                part: fpart,
+                                section: Section::Entities,
+                                detail: format!(
+                                    "entity gid {} references unknown vertex {g}",
+                                    row.gid
+                                ),
+                            })?;
+                        verts.push(v.index());
+                    }
+                    part.add_entity(row.topo, &verts, row.class, row.gid);
                 }
             }
         }
     }
-    Ok(ghost_rows)
+    demote.sort_by_key(|ent| std::cmp::Reverse(ent.dim().as_usize()));
+    for ent in demote {
+        if part.mesh.is_live(ent) {
+            part.delete_entity(ent);
+        }
+    }
+    Ok(())
 }
 
-pub(crate) fn decode_remotes(
+/// Apply a delta round's Deleted section: per-dimension gid lists, removed
+/// elements down to vertices.
+fn apply_deleted(
+    fpart: PartId,
+    part: &mut Part,
+    payload: Vec<u8>,
+    ghosts: &mut GhostMap,
+) -> Result<(), IoError> {
+    let e = derr(fpart, Section::Deleted);
+    let mut r = MsgReader::from_vec(payload);
+    let mut deleted: [Vec<GlobalId>; 4] = Default::default();
+    for slot in &mut deleted {
+        *slot = r.try_get_u64_slice().map_err(&e)?;
+    }
+    for d in (0..4).rev() {
+        let dim = Dim::from_usize(d);
+        for &gid in &deleted[d] {
+            ghosts.remove(&(dim, gid));
+            if let Some(ent) = part.find_gid(dim, gid) {
+                part.delete_entity(ent);
+            }
+        }
+    }
+    Ok(())
+}
+
+fn decode_remotes(
     fpart: PartId,
     payload: Vec<u8>,
-    remap: &dyn Fn(PartId) -> PartId,
 ) -> Result<Vec<(Dim, GlobalId, Vec<PartId>)>, IoError> {
+    /// Dimension byte, gid, residence-list length: the least a row takes.
+    const MIN_ROW: usize = 1 + 8 + 4;
     let e = derr(fpart, Section::Remotes);
     let mut r = MsgReader::from_vec(payload);
     let n = r.try_get_u32().map_err(&e)?;
-    let mut rows = Vec::with_capacity(n as usize);
+    let mut rows = Vec::with_capacity((n as usize).min(r.remaining() / MIN_ROW));
     for _ in 0..n {
         let db = r.try_get_u8().map_err(&e)?;
         let d = Dim::try_from_u8(db)
             .ok_or(MsgError::bad_enum("dimension", db))
             .map_err(&e)?;
         let gid = r.try_get_u64().map_err(&e)?;
-        let res = r.try_get_u32_slice().map_err(&e)?;
-        let res: Vec<PartId> = res.into_iter().map(remap).collect();
-        rows.push((d, gid, res));
+        rows.push((d, gid, r.try_get_u32_slice().map_err(&e)?));
     }
     Ok(rows)
 }
 
-pub(crate) fn decode_tags(
+fn decode_tags(
     fpart: PartId,
     part: &mut Part,
     payload: Vec<u8>,
@@ -252,7 +351,7 @@ pub(crate) fn decode_tags(
     Ok(())
 }
 
-pub(crate) fn decode_fields(
+fn decode_fields(
     fpart: PartId,
     part: &mut Part,
     payload: Vec<u8>,
@@ -302,144 +401,123 @@ pub(crate) fn decode_fields(
     Ok(())
 }
 
-fn require_section(
-    fpart: PartId,
-    header: &PartHeader,
-    section: Section,
-) -> Result<crate::format::SectionEntry, IoError> {
-    find_section(header, section).ok_or_else(|| IoError::Header {
-        part: fpart,
-        detail: format!("missing section '{}'", section.name()),
-    })
-}
-
-/// Materialize one section's raw (decoded-container) bytes from either
-/// format version: a verified slice copy for v1, chunk-by-chunk
-/// decompression for v2.
-pub(crate) fn section_bytes(
-    fpart: PartId,
-    data: &[u8],
-    header: &AnyPartHeader,
-    section: Section,
-) -> Result<Vec<u8>, IoError> {
-    match header {
-        AnyPartHeader::V1(h) => {
-            let entry = require_section(fpart, h, section)?;
-            Ok(section_payload(fpart, data, &entry)?.to_vec())
-        }
-        AnyPartHeader::V2(h) => {
-            let e = h.find(section).ok_or_else(|| IoError::Header {
-                part: fpart,
-                detail: format!("missing section '{}'", section.name()),
-            })?;
-            section_raw_bytes(
-                fpart, section, data, e.offset, e.disk_len, e.raw_len, e.nchunks,
-            )
-        }
-    }
-}
-
-fn load_part(
-    dir: &Path,
-    fpart: PartId,
-    loaded_id: PartId,
-    manifest: &Manifest,
-    skip_ghosts: bool,
-    remap: &impl Fn(PartId) -> PartId,
-) -> Result<LoadedPart, IoError> {
-    let path = part_file_path(dir, fpart);
-    let data = std::fs::read(&path).map_err(|e| IoError::Io {
-        path: path.clone(),
-        source: e,
-    })?;
-    let header = parse_part_any(fpart, &data)?;
-    let elem_dim = manifest.elem_dim as usize;
-    if header.elem_dim() as usize != elem_dim {
-        return Err(IoError::Header {
-            part: fpart,
-            detail: format!(
-                "element dimension {} disagrees with manifest ({})",
-                header.elem_dim(),
-                manifest.elem_dim
-            ),
-        });
-    }
-    if let AnyPartHeader::V2(h) = &header {
-        if h.is_delta() {
-            return Err(IoError::Header {
-                part: fpart,
-                detail: "delta part file where a base snapshot was expected".into(),
-            });
-        }
-    }
-    let mut part = Part::new(loaded_id, elem_dim);
-    let payload = section_bytes(fpart, &data, &header, Section::Entities)?;
-    let ghost_rows = decode_entities(fpart, &mut part, payload, elem_dim, skip_ghosts)?;
-    let payload = section_bytes(fpart, &data, &header, Section::Remotes)?;
-    let res_rows = decode_remotes(fpart, payload, remap)?;
-    let payload = section_bytes(fpart, &data, &header, Section::Tags)?;
-    decode_tags(fpart, &mut part, payload, skip_ghosts)?;
-    let payload = section_bytes(fpart, &data, &header, Section::Fields)?;
-    decode_fields(fpart, &mut part, payload, skip_ghosts)?;
-    let mut lp = LoadedPart {
-        part,
-        res_rows,
-        ghost_rows,
-        gid_counter: header.gid_counter(),
-        bytes: data.len() as u64,
-    };
-    if manifest.delta_count > 0 {
-        crate::delta::replay_deltas(dir, fpart, manifest, &mut lp, skip_ghosts, remap)?;
-    }
-    Ok(lp)
-}
-
-/// Byte-level access to one checkpoint's part files, abstracted so that a
-/// restore service (`pumi-serve`) can interpose a shared chunk cache
-/// between the files and the decoders. `delta == None` addresses the base
-/// snapshot's part file, `Some(k)` delta round `k`'s file; the returned
-/// bytes are the section's raw (decompressed, CRC-verified) stream.
+/// Where [`load_part`] gets a checkpoint's part files and decoded chunks.
+/// The collective reader reads each file from disk and decodes every chunk
+/// ([`DirSource`]); a restore service (`pumi-serve`) keeps the files and a
+/// shared chunk cache between the disk and the decoders.
 pub trait SectionSource {
-    /// Fetch one section of one part file.
-    fn section(
+    /// Part `fpart`'s file: the base snapshot's for `delta == None`, delta
+    /// round `k`'s for `Some(k)`.
+    fn part_file(&self, fpart: PartId, delta: Option<u32>) -> Result<Arc<PartFile>, IoError>;
+
+    /// The raw bytes of chunk `idx` of `section` in `file`, given the
+    /// chunk's header and stored payload. The default verifies and
+    /// decompresses it ([`decode_chunk`]).
+    fn chunk(
         &self,
-        fpart: PartId,
-        delta: Option<u32>,
+        file: &PartFile,
         section: Section,
-    ) -> Result<Vec<u8>, IoError>;
+        idx: u32,
+        hdr: &ChunkHeader,
+        payload: &[u8],
+    ) -> Result<Arc<Vec<u8>>, IoError> {
+        decode_chunk(file.header.part, section, idx, hdr, payload).map(Arc::new)
+    }
 }
 
-/// Load one part of a checkpoint standalone: no remote-copy stitching, no
-/// ghost layers (ghost copies are dropped on decode), deltas replayed in
-/// order. Field values stay staged as `__io:f:<name>` double tags, exactly
-/// as they ride migration during a collective restore. This is the restore
-/// primitive behind `pumi-serve`'s slice service; the full collective
-/// restore is [`read_checkpoint`].
-pub fn load_standalone_part(
+/// The plain [`SectionSource`]: part files read from a checkpoint
+/// directory on every request, nothing cached.
+pub struct DirSource<'a>(pub &'a Path);
+
+impl SectionSource for DirSource<'_> {
+    fn part_file(&self, fpart: PartId, delta: Option<u32>) -> Result<Arc<PartFile>, IoError> {
+        PartFile::read(self.0, fpart, delta).map(Arc::new)
+    }
+}
+
+/// Rebuild one part of a checkpoint from its files: the base snapshot, then
+/// every delta round in order — deletions, entity upserts, tag and field
+/// values by gid, and the boundary rows replaced wholesale. No remote-copy
+/// stitching happens here ([`read_checkpoint`] does it from the returned
+/// rows); with `skip_ghosts` ghost copies are dropped on decode. Field
+/// values stay staged as `__io:f:<name>` double tags, which is how they ride
+/// migration during a collective restore. This is the one part loader: the
+/// collective reader calls it over a [`DirSource`], `pumi-serve` over its
+/// chunk cache.
+pub fn load_part(
     manifest: &Manifest,
     fpart: PartId,
     src: &dyn SectionSource,
-) -> Result<Part, IoError> {
-    let elem_dim = manifest.elem_dim as usize;
-    let mut part = Part::new(fpart, elem_dim);
-    let payload = src.section(fpart, None, Section::Entities)?;
-    decode_entities(fpart, &mut part, payload, elem_dim, true)?;
-    let payload = src.section(fpart, None, Section::Tags)?;
-    decode_tags(fpart, &mut part, payload, true)?;
-    let payload = src.section(fpart, None, Section::Fields)?;
-    decode_fields(fpart, &mut part, payload, true)?;
-    let mut ghost_map = FxHashMap::default();
-    for k in 1..=manifest.delta_count {
-        crate::delta::apply_delta_round(
+    skip_ghosts: bool,
+) -> Result<LoadedPart, IoError> {
+    let mut lp = LoadedPart {
+        part: Part::new(fpart, manifest.elem_dim as usize),
+        res_rows: Vec::new(),
+        ghost_rows: Vec::new(),
+        gid_counter: 0,
+        bytes: 0,
+    };
+    let mut ghosts = GhostMap::default();
+    for delta in std::iter::once(None).chain((1..=manifest.delta_count).map(Some)) {
+        let file = src.part_file(fpart, delta)?;
+        let h = &file.header;
+        let header_err = |detail: String| IoError::Header {
+            part: fpart,
+            detail,
+        };
+        if h.is_delta() != delta.is_some() {
+            return Err(header_err(match delta {
+                None => "delta part file where a base snapshot was expected".into(),
+                Some(k) => format!("delta round {k}: not a delta part file"),
+            }));
+        }
+        if h.elem_dim != manifest.elem_dim {
+            return Err(header_err(format!(
+                "element dimension {} disagrees with manifest ({})",
+                h.elem_dim, manifest.elem_dim
+            )));
+        }
+        let fetch = |section: Section| {
+            let entry = h
+                .find(section)
+                .ok_or_else(|| header_err(format!("missing section '{}'", section.name())))?;
+            section_raw_bytes(fpart, &file.data, &entry, |idx, hdr, payload| {
+                src.chunk(&file, section, idx, hdr, payload)
+            })
+        };
+        if delta.is_some() {
+            apply_deleted(fpart, &mut lp.part, fetch(Section::Deleted)?, &mut ghosts)?;
+        }
+        let (payload, upsert) = (fetch(Section::Entities)?, delta.is_some());
+        decode_entities(
             fpart,
-            &mut part,
-            elem_dim,
-            true,
-            &mut ghost_map,
-            &mut |s| src.section(fpart, Some(k), s),
+            &mut lp.part,
+            payload,
+            upsert,
+            skip_ghosts,
+            &mut ghosts,
         )?;
+        lp.res_rows = decode_remotes(fpart, fetch(Section::Remotes)?)?;
+        decode_tags(fpart, &mut lp.part, fetch(Section::Tags)?, skip_ghosts)?;
+        decode_fields(fpart, &mut lp.part, fetch(Section::Fields)?, skip_ghosts)?;
+        lp.gid_counter = lp.gid_counter.max(h.gid_counter);
+        lp.bytes += file.data.len() as u64;
     }
-    Ok(part)
+    lp.ghost_rows = ghosts
+        .into_iter()
+        .filter_map(|((dim, gid), src)| lp.part.find_gid(dim, gid).map(|e| (e, src)))
+        .collect();
+    lp.ghost_rows.sort_by_key(|&(e, _)| e);
+    Ok(lp)
+}
+
+/// The balanced-block rule every restore path shares: item `i` of `of`
+/// covers `[i·over/of, (i+1)·over/of)` of `over`. With N file parts and M
+/// readers, reader `r` takes whole parts `balanced_block(r, M, N)` when
+/// M ≤ N, and file part `p` fans out over readers `balanced_block(p, N, M)`
+/// when M > N. ([`PartMap::balanced_blocks`] is the same rule as a map.)
+pub fn balanced_block(i: usize, of: usize, over: usize) -> Range<usize> {
+    i * over / of..(i + 1) * over / of
 }
 
 /// Read the manifest on rank 0 and broadcast it.
@@ -496,34 +574,42 @@ pub fn read_checkpoint_with(comm: &Comm, dir: &Path, opts: ReadOpts) -> Result<R
 
     // Part assignment and id remapping (old part id → loaded part id).
     // N ≥ M: ids are unchanged, rank r hosts a contiguous block.
-    // N < M: file part p becomes part p·M/N on rank p·M/N; the other ranks
-    // start empty and receive elements in the split phase.
+    // N < M: file part p becomes the first part of its fan-out block, on
+    // the rank of the same number; the other ranks start empty and receive
+    // elements in the split phase.
     let map = if n >= m {
         PartMap::balanced_blocks(n, m)
     } else {
         PartMap::contiguous(m, m)
     };
-    let assignments: Vec<(PartId, PartId)> = if n >= m {
-        map.parts_on(rank).iter().map(|&p| (p, p)).collect()
-    } else {
-        (0..n as PartId)
-            .filter(|&p| (p as usize * m) / n == rank)
-            .map(|p| (p, ((p as usize * m) / n) as PartId))
-            .collect()
-    };
     let remap = |p: PartId| -> PartId {
         if n >= m {
             p
         } else {
-            ((p as usize * m) / n) as PartId
+            balanced_block(p as usize, n, m).start as PartId
         }
+    };
+    let assignments: Vec<PartId> = if n >= m {
+        map.parts_on(rank).to_vec()
+    } else {
+        (0..n as PartId)
+            .filter(|&p| remap(p) as usize == rank)
+            .collect()
     };
 
     let mut loaded: Vec<LoadedPart> = Vec::new();
     let mut local_err: Option<IoError> = None;
-    for &(fpart, loaded_id) in &assignments {
-        match load_part(dir, fpart, loaded_id, &manifest, skip_ghosts, &remap) {
-            Ok(lp) => loaded.push(lp),
+    for &fpart in &assignments {
+        match load_part(&manifest, fpart, &DirSource(dir), skip_ghosts) {
+            Ok(mut lp) => {
+                lp.part.id = remap(fpart);
+                for (_, _, res) in &mut lp.res_rows {
+                    for q in res {
+                        *q = remap(*q);
+                    }
+                }
+                loaded.push(lp);
+            }
             Err(e) => {
                 local_err = Some(e);
                 break;
@@ -708,9 +794,9 @@ pub fn read_checkpoint_with(comm: &Comm, dir: &Path, opts: ReadOpts) -> Result<R
         // with the local graph partitioner.
         let d_elem = Dim::from_usize(elem_dim);
         let mut plans: FxHashMap<PartId, MigrationPlan> = FxHashMap::default();
-        for &(fpart, loaded_id) in &assignments {
-            let p = fpart as usize;
-            let k = ((p + 1) * m) / n - (p * m) / n;
+        for &fpart in &assignments {
+            let loaded_id = remap(fpart);
+            let k = balanced_block(fpart as usize, n, m).len();
             let part = dm.part(loaded_id);
             if k <= 1 || part.mesh.count(d_elem) == 0 {
                 continue;

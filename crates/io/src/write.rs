@@ -7,25 +7,24 @@
 //! allreduce) so every rank returns an `Err` together instead of leaving
 //! peers blocked in the manifest reduction.
 //!
-//! Two container versions share one set of section encoders (generic over
-//! [`SectionSink`]): v1 buffers each section in memory and writes a flat
-//! file; v2 (the default) streams LZ4-compressed, CRC'd chunks straight to
-//! disk, so peak memory is one chunk regardless of part size.
+//! One set of section encoders serves full snapshots and delta rounds
+//! alike — a delta passes its part's [`DirtyLog`] as a row filter — and
+//! every part file is streamed through [`ChunkWriter`]: LZ4-compressed,
+//! CRC'd chunks go straight to disk, so peak memory is one chunk regardless
+//! of part size.
 
 use crate::chunk::{ChunkWriter, SectionSink, DEFAULT_CHUNK_LEN};
 use crate::error::{IoError, Section};
 use crate::format::{
-    encode_header_v2, encode_manifest, encode_part_file, encode_table_v2, part_file_path,
-    FieldDesc, Manifest, SectionEntryV2, FORMAT_VERSION, FORMAT_VERSION_V2, HEADER_V2_LEN,
-    MANIFEST_FILE,
+    encode_header, encode_manifest, encode_table, part_file_path, FieldDesc, Manifest,
+    SectionEntry, FLAG_DELTA, HEADER_LEN, MANIFEST_FILE,
 };
 use crate::FIELD_TAG_PREFIX;
-use bytes::Bytes;
-use pumi_core::DistMesh;
+use pumi_core::{DirtyLog, DistMesh, Part};
 use pumi_field::{DistField, Field};
 use pumi_pcu::{Comm, MsgWriter};
 use pumi_util::tag::TagKind;
-use pumi_util::{Dim, MeshEnt, PartId};
+use pumi_util::{Dim, GlobalId, MeshEnt};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
@@ -43,28 +42,34 @@ pub struct WriteStats {
 /// Options for [`write_checkpoint_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct WriteOpts {
-    /// Container version: [`FORMAT_VERSION`] (flat, uncompressed) or
-    /// [`FORMAT_VERSION_V2`] (chunked, compressed, streaming).
-    pub version: u32,
-    /// Raw bytes per chunk for v2 (clamped to ≥ 4 KiB).
+    /// Raw bytes per chunk (clamped to ≥ 4 KiB).
     pub chunk_len: usize,
 }
 
 impl Default for WriteOpts {
     fn default() -> Self {
         WriteOpts {
-            version: FORMAT_VERSION_V2,
             chunk_len: DEFAULT_CHUNK_LEN,
         }
     }
 }
 
-fn encode_entities(part: &pumi_core::Part, w: &mut dyn SectionSink) {
+/// Whether `e`'s rows belong in a section: every entity in a full snapshot
+/// (`dirty == None`), only the logged ones in a delta round.
+fn keeps(part: &Part, dirty: Option<&DirtyLog>, e: MeshEnt) -> bool {
+    dirty.is_none_or(|log| log.dirty[e.dim().as_usize()].contains(&part.gid_of(e)))
+}
+
+fn encode_entities(part: &Part, dirty: Option<&DirtyLog>, w: &mut dyn SectionSink) {
     let elem_dim = part.mesh.elem_dim();
     for d in 0..=elem_dim {
-        let dim = Dim::from_usize(d);
-        w.put_u32(part.mesh.count(dim) as u32);
-        for e in part.mesh.iter(dim) {
+        let rows: Vec<MeshEnt> = part
+            .mesh
+            .iter(Dim::from_usize(d))
+            .filter(|&e| keeps(part, dirty, e))
+            .collect();
+        w.put_u32(rows.len() as u32);
+        for e in rows {
             w.put_u64(part.gid_of(e));
             w.put_u8(part.mesh.topo(e).to_u8());
             w.put_u32(part.mesh.class_of(e).0);
@@ -93,7 +98,9 @@ fn encode_entities(part: &pumi_core::Part, w: &mut dyn SectionSink) {
     }
 }
 
-fn encode_remotes(part: &pumi_core::Part, w: &mut dyn SectionSink) {
+/// Boundary links are global state and small next to the entities, so a
+/// delta round rewrites them whole.
+fn encode_remotes(part: &Part, w: &mut dyn SectionSink) {
     let shared = part.shared_entities();
     w.put_u32(shared.len() as u32);
     for (e, _) in shared {
@@ -103,7 +110,7 @@ fn encode_remotes(part: &pumi_core::Part, w: &mut dyn SectionSink) {
     }
 }
 
-fn encode_tags(part: &pumi_core::Part, w: &mut dyn SectionSink) {
+fn encode_tags(part: &Part, dirty: Option<&DirtyLog>, w: &mut dyn SectionSink) {
     let tm = part.mesh.tags();
     let elem_dim = part.mesh.elem_dim();
     // Collect rows first: the declared count can exceed the live-entity
@@ -116,7 +123,7 @@ fn encode_tags(part: &pumi_core::Part, w: &mut dyn SectionSink) {
         let mut rows = Vec::new();
         for d in 0..=elem_dim {
             let dim = Dim::from_usize(d);
-            for e in part.mesh.iter(dim) {
+            for e in part.mesh.iter(dim).filter(|&e| keeps(part, dirty, e)) {
                 if let Some(data) = tm.get(tid, e) {
                     rows.push((d as u8, part.gid_of(e), data));
                 }
@@ -147,7 +154,12 @@ fn encode_tags(part: &pumi_core::Part, w: &mut dyn SectionSink) {
     }
 }
 
-fn encode_fields(part: &pumi_core::Part, fields: &[&Field], w: &mut dyn SectionSink) {
+fn encode_fields(
+    part: &Part,
+    fields: &[&Field],
+    dirty: Option<&DirtyLog>,
+    w: &mut dyn SectionSink,
+) {
     let elem_dim = part.mesh.elem_dim();
     w.put_u32(fields.len() as u32);
     for f in fields {
@@ -156,7 +168,7 @@ fn encode_fields(part: &pumi_core::Part, fields: &[&Field], w: &mut dyn SectionS
         w.put_u32(f.ncomp as u32);
         let mut rows = Vec::new();
         for d in f.shape.node_dims(elem_dim) {
-            for e in part.mesh.iter(d) {
+            for e in part.mesh.iter(d).filter(|&e| keeps(part, dirty, e)) {
                 if let Some(v) = f.get(e) {
                     rows.push((d.as_usize() as u8, part.gid_of(e), v));
                 }
@@ -171,56 +183,26 @@ fn encode_fields(part: &pumi_core::Part, fields: &[&Field], w: &mut dyn SectionS
     }
 }
 
-fn finish_section_bytes(f: impl FnOnce(&mut dyn SectionSink)) -> Bytes {
-    let mut w = MsgWriter::new();
-    f(&mut w);
-    w.finish()
+/// Delta rounds only: the gids deleted since the last round, per dimension.
+fn encode_deleted(log: &DirtyLog, w: &mut dyn SectionSink) {
+    for d in 0..4 {
+        let mut gids: Vec<GlobalId> = log.deleted[d].iter().copied().collect();
+        gids.sort_unstable();
+        w.put_u64_slice(&gids);
+    }
 }
 
-/// Serialize one part (plus its slice of each field) to v1 `.pmb` file
-/// bytes (flat sections, whole image in memory).
-pub fn encode_part(part: &pumi_core::Part, fields: &[&Field]) -> Vec<u8> {
-    let sections = vec![
-        (
-            Section::Entities,
-            finish_section_bytes(|w| encode_entities(part, w)),
-        ),
-        (
-            Section::Remotes,
-            finish_section_bytes(|w| encode_remotes(part, w)),
-        ),
-        (
-            Section::Tags,
-            finish_section_bytes(|w| encode_tags(part, w)),
-        ),
-        (
-            Section::Fields,
-            finish_section_bytes(|w| encode_fields(part, fields, w)),
-        ),
-    ];
-    encode_part_file(
-        part.id,
-        part.mesh.elem_dim() as u32,
-        part.gid_counter(),
-        &sections,
-    )
-}
-
-/// A section's identity plus the encoder that produces its content.
-pub(crate) type SectionEnc<'a> = (Section, Box<dyn Fn(&mut dyn SectionSink) + 'a>);
-
-/// Stream a v2 part file to `path`: placeholder header, chunked sections
+/// Stream one part file to `path`: placeholder header, chunked sections
 /// (each encoder runs once, its output compressed and flushed chunk by
 /// chunk), the table, then a seek-back header rewrite with the table's
-/// landing spot. Returns total file bytes.
-pub(crate) fn write_part_file_v2(
+/// landing spot. With `dirty` the file is a delta round: the same sections
+/// filtered to the log's entities, plus Deleted. Returns total file bytes.
+fn write_part_file(
     path: &Path,
-    part_id: PartId,
-    elem_dim: u32,
-    gid_counter: u64,
-    flags: u32,
+    part: &Part,
+    fields: &[&Field],
+    dirty: Option<&DirtyLog>,
     chunk_len: usize,
-    sections: &[SectionEnc<'_>],
 ) -> Result<u64, IoError> {
     let io_err = |source: std::io::Error| IoError::Io {
         path: path.to_path_buf(),
@@ -228,28 +210,37 @@ pub(crate) fn write_part_file_v2(
     };
     let file = std::fs::File::create(path).map_err(io_err)?;
     let mut out = BufWriter::new(file);
-    out.write_all(&[0u8; HEADER_V2_LEN]).map_err(io_err)?;
-    let mut offset = HEADER_V2_LEN as u64;
-    let mut entries = Vec::with_capacity(sections.len());
-    for (section, enc) in sections {
+    out.write_all(&[0u8; HEADER_LEN]).map_err(io_err)?;
+    let mut offset = HEADER_LEN as u64;
+    let mut entries = Vec::with_capacity(Section::ALL.len() + 1);
+    let mut emit = |section, encode: &dyn Fn(&mut dyn SectionSink)| {
         let mut cw = ChunkWriter::new(&mut out, chunk_len);
-        enc(&mut cw);
-        let st = cw.finish_section().map_err(io_err)?;
-        entries.push(SectionEntryV2 {
-            section: *section,
+        encode(&mut cw);
+        let st = cw.finish_section()?;
+        entries.push(SectionEntry {
+            section,
             offset,
             disk_len: st.disk_len,
             raw_len: st.raw_len,
             nchunks: st.nchunks,
         });
         offset += st.disk_len;
+        Ok(())
+    };
+    emit(Section::Entities, &|w| encode_entities(part, dirty, w)).map_err(io_err)?;
+    emit(Section::Remotes, &|w| encode_remotes(part, w)).map_err(io_err)?;
+    emit(Section::Tags, &|w| encode_tags(part, dirty, w)).map_err(io_err)?;
+    emit(Section::Fields, &|w| encode_fields(part, fields, dirty, w)).map_err(io_err)?;
+    if let Some(log) = dirty {
+        emit(Section::Deleted, &|w| encode_deleted(log, w)).map_err(io_err)?;
     }
-    let table = encode_table_v2(&entries);
+    let table = encode_table(&entries);
     out.write_all(&table).map_err(io_err)?;
-    let hdr = encode_header_v2(
-        part_id,
-        elem_dim,
-        gid_counter,
+    let flags = if dirty.is_some() { FLAG_DELTA } else { 0 };
+    let hdr = encode_header(
+        part.id,
+        part.mesh.elem_dim() as u32,
+        part.gid_counter(),
         flags,
         offset,
         table.len() as u32,
@@ -260,26 +251,85 @@ pub(crate) fn write_part_file_v2(
     Ok(offset + table.len() as u64)
 }
 
-/// The four full-snapshot sections of one part, as v2 encoders.
-fn full_sections<'a>(part: &'a pumi_core::Part, pfields: &'a [&'a Field]) -> Vec<SectionEnc<'a>> {
-    vec![
-        (
-            Section::Entities,
-            Box::new(move |w: &mut dyn SectionSink| encode_entities(part, w)),
-        ),
-        (
-            Section::Remotes,
-            Box::new(move |w: &mut dyn SectionSink| encode_remotes(part, w)),
-        ),
-        (
-            Section::Tags,
-            Box::new(move |w: &mut dyn SectionSink| encode_tags(part, w)),
-        ),
-        (
-            Section::Fields,
-            Box::new(move |w: &mut dyn SectionSink| encode_fields(part, pfields, w)),
-        ),
-    ]
+/// Write one file per local part into `dir` (created if missing) — full
+/// snapshots, or delta rounds when `logs` holds each part's dirty log —
+/// then agree on failure: after this returns `Ok` no rank has failed. A
+/// caller that already failed locally passes its error as `local_err` and
+/// writes nothing. Returns this rank's bytes and part count.
+pub(crate) fn write_part_files(
+    comm: &Comm,
+    dm: &DistMesh,
+    fields: &[&DistField],
+    dir: &Path,
+    chunk_len: usize,
+    logs: Option<&[DirtyLog]>,
+    mut local_err: Option<IoError>,
+) -> Result<(u64, usize), IoError> {
+    if local_err.is_none() {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            local_err = Some(IoError::Io {
+                path: dir.to_path_buf(),
+                source: e,
+            });
+        }
+    }
+    let mut bytes_local = 0u64;
+    let mut parts_written = 0usize;
+    if local_err.is_none() {
+        for (slot, part) in dm.parts.iter().enumerate() {
+            let pfields: Vec<&Field> = fields.iter().map(|df| &df[slot]).collect();
+            let path = part_file_path(dir, part.id);
+            let dirty = logs.map(|l| &l[slot]);
+            match write_part_file(&path, part, &pfields, dirty, chunk_len) {
+                Ok(n) => {
+                    bytes_local += n;
+                    parts_written += 1;
+                }
+                Err(e) => {
+                    local_err = Some(e);
+                    break;
+                }
+            }
+        }
+    }
+    pumi_obs::metrics::counter_add("io.write.bytes", bytes_local);
+    let failures = comm.allreduce_sum_u64(local_err.is_some() as u64);
+    if failures > 0 {
+        return Err(local_err.unwrap_or(IoError::PeerFailed { failures }));
+    }
+    Ok((bytes_local, parts_written))
+}
+
+/// The commit point of a write: rank 0 (the only rank passing `Some`)
+/// writes the manifest, every rank agrees on the outcome, and the world's
+/// byte total is reduced into the returned statistics.
+pub(crate) fn commit_manifest(
+    comm: &Comm,
+    dir: &Path,
+    manifest: Option<Manifest>,
+    bytes_local: u64,
+    parts_written: usize,
+) -> Result<WriteStats, IoError> {
+    let mut manifest_err: Option<IoError> = None;
+    let mut manifest_bytes = 0u64;
+    if let Some(manifest) = manifest {
+        let data = encode_manifest(&manifest);
+        let path = dir.join(MANIFEST_FILE);
+        match std::fs::write(&path, &data) {
+            Ok(()) => manifest_bytes = data.len() as u64,
+            Err(e) => manifest_err = Some(IoError::Io { path, source: e }),
+        }
+    }
+    let failures = comm.allreduce_sum_u64(manifest_err.is_some() as u64);
+    if failures > 0 {
+        return Err(manifest_err.unwrap_or(IoError::PeerFailed { failures }));
+    }
+    let bytes_global = comm.allreduce_sum_u64(bytes_local + manifest_bytes);
+    Ok(WriteStats {
+        bytes_local,
+        bytes_global,
+        parts_written,
+    })
 }
 
 /// Write a checkpoint of `dm` (and the given fields, each aligned with
@@ -318,8 +368,8 @@ pub fn write_checkpoint(
     write_checkpoint_with(comm, dm, fields, dir, &WriteOpts::default())
 }
 
-/// [`write_checkpoint`] with explicit container options (format version,
-/// chunk size). `opts` must agree across ranks.
+/// [`write_checkpoint`] with an explicit chunk size. `opts` must agree
+/// across ranks.
 pub fn write_checkpoint_with(
     comm: &Comm,
     dm: &DistMesh,
@@ -328,63 +378,11 @@ pub fn write_checkpoint_with(
     opts: &WriteOpts,
 ) -> Result<WriteStats, IoError> {
     let _span = pumi_obs::span!("io.write");
-    assert!(
-        opts.version == FORMAT_VERSION || opts.version == FORMAT_VERSION_V2,
-        "unknown .pmb version {}",
-        opts.version
-    );
     for df in fields {
         assert_eq!(df.len(), dm.parts.len(), "field not aligned with dm.parts");
     }
-    let mut local_err: Option<IoError> = None;
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        local_err = Some(IoError::Io {
-            path: dir.to_path_buf(),
-            source: e,
-        });
-    }
-    let mut bytes_local = 0u64;
-    let mut parts_written = 0usize;
-    if local_err.is_none() {
-        for (slot, part) in dm.parts.iter().enumerate() {
-            let pfields: Vec<&Field> = fields.iter().map(|df| &df[slot]).collect();
-            let path = part_file_path(dir, part.id);
-            let wrote = if opts.version == FORMAT_VERSION {
-                let data = encode_part(part, &pfields);
-                std::fs::write(&path, &data)
-                    .map(|()| data.len() as u64)
-                    .map_err(|e| IoError::Io { path, source: e })
-            } else {
-                let sections = full_sections(part, &pfields);
-                write_part_file_v2(
-                    &path,
-                    part.id,
-                    part.mesh.elem_dim() as u32,
-                    part.gid_counter(),
-                    0,
-                    opts.chunk_len,
-                    &sections,
-                )
-            };
-            match wrote {
-                Ok(n) => {
-                    bytes_local += n;
-                    parts_written += 1;
-                }
-                Err(e) => {
-                    local_err = Some(e);
-                    break;
-                }
-            }
-        }
-    }
-    pumi_obs::metrics::counter_add("io.write.bytes", bytes_local);
-
-    // Agree on part-file failures before any further collective.
-    let failures = comm.allreduce_sum_u64(local_err.is_some() as u64);
-    if failures > 0 {
-        return Err(local_err.unwrap_or(IoError::PeerFailed { failures }));
-    }
+    let (bytes_local, parts_written) =
+        write_part_files(comm, dm, fields, dir, opts.chunk_len, None, None)?;
 
     // Manifest inputs: global owned counts, ghost presence, field
     // descriptors (identical on every rank by the SPMD contract).
@@ -424,9 +422,7 @@ pub fn write_checkpoint_with(
     }
     let gathered = comm.gather_bytes(0, dw.finish());
 
-    let mut manifest_err: Option<IoError> = None;
-    let mut manifest_bytes = 0u64;
-    if comm.rank() == 0 {
+    let manifest = (comm.rank() == 0).then(|| {
         let mut descs = local_descs;
         if descs.is_empty() {
             for blob in gathered.unwrap_or_default() {
@@ -450,8 +446,7 @@ pub fn write_checkpoint_with(
                 break;
             }
         }
-        let manifest = Manifest {
-            version: opts.version,
+        Manifest {
             nparts: dm.map.nparts() as u32,
             elem_dim,
             nranks_at_write: comm.nranks() as u32,
@@ -464,22 +459,7 @@ pub fn write_checkpoint_with(
             has_ghosts: any_ghosts,
             fields: descs,
             delta_count: 0,
-        };
-        let data = encode_manifest(&manifest);
-        let path = dir.join(MANIFEST_FILE);
-        match std::fs::write(&path, &data) {
-            Ok(()) => manifest_bytes = data.len() as u64,
-            Err(e) => manifest_err = Some(IoError::Io { path, source: e }),
         }
-    }
-    let failures = comm.allreduce_sum_u64(manifest_err.is_some() as u64);
-    if failures > 0 {
-        return Err(manifest_err.unwrap_or(IoError::PeerFailed { failures }));
-    }
-    let bytes_global = comm.allreduce_sum_u64(bytes_local + manifest_bytes);
-    Ok(WriteStats {
-        bytes_local,
-        bytes_global,
-        parts_written,
-    })
+    });
+    commit_manifest(comm, dir, manifest, bytes_local, parts_written)
 }

@@ -3,44 +3,31 @@
 //! never a panic, and never a deadlock (peers exit with `PeerFailed`).
 
 use pumi_core::{distribute, PartMap};
-use pumi_io::format::{find_section, parse_part_header, parse_part_header_v2, part_file_path};
-use pumi_io::{read_checkpoint, write_checkpoint_with, IoError, Section, WriteOpts};
+use pumi_io::chunk::{decode_chunk, section_raw_bytes, ChunkWriter, SectionSink};
+use pumi_io::format::{
+    encode_header, encode_table, parse_part_header, part_file_path, SectionEntry, HEADER_LEN,
+};
+use pumi_io::{read_checkpoint, write_checkpoint, IoError, Section};
 use pumi_meshgen::tri_rect;
 use pumi_partition::partition_mesh;
 use pumi_pcu::execute;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-fn write_small_with(name: &str, opts: WriteOpts) -> PathBuf {
+fn write_small(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pumi_io_fault_{}_{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let serial = tri_rect(8, 6, 1.0, 1.0);
     execute(2, |c| {
         let labels = partition_mesh(&serial, 2);
         let dm = distribute(c, PartMap::contiguous(2, 2), &serial, &labels);
-        write_checkpoint_with(c, &dm, &[], &dir, &opts).expect("write");
+        write_checkpoint(c, &dm, &[], &dir).expect("write");
     });
     dir
 }
 
-/// A v2 (default-format) checkpoint.
-fn write_small(name: &str) -> PathBuf {
-    write_small_with(name, WriteOpts::default())
-}
-
-/// A v1 (flat, uncompressed) checkpoint — the drills below that reseal or
-/// cut v1 byte layouts need it explicitly.
-fn write_small_v1(name: &str) -> PathBuf {
-    write_small_with(
-        name,
-        WriteOpts {
-            version: 1,
-            ..WriteOpts::default()
-        },
-    )
-}
-
 /// Read the checkpoint on 2 ranks; every rank must get an `Err`.
-fn read_errors(dir: &std::path::Path) -> Vec<IoError> {
+fn read_errors(dir: &Path) -> Vec<IoError> {
     execute(2, |c| {
         read_checkpoint(c, dir)
             .map(|_| ())
@@ -48,71 +35,64 @@ fn read_errors(dir: &std::path::Path) -> Vec<IoError> {
     })
 }
 
-#[test]
-fn flipped_payload_byte_names_part_and_section() {
-    let dir = write_small_v1("flip");
-    // Corrupt the middle of part 1's entities payload.
-    let path = part_file_path(&dir, 1);
-    let mut data = std::fs::read(&path).expect("read part file");
-    let header = parse_part_header(1, &data).expect("intact header");
-    let entry = find_section(&header, Section::Entities).expect("entities section");
-    data[(entry.offset + entry.len / 2) as usize] ^= 0x40;
-    std::fs::write(&path, &data).expect("write corrupted file");
-
-    let errs = read_errors(&dir);
-    assert!(
-        errs.iter().any(|e| matches!(
-            e,
-            IoError::BadChecksum {
-                part: 1,
-                section: Section::Entities
-            }
-        )),
-        "expected BadChecksum(part 1, entities), got: {errs:?}"
+/// Rewrite part `part`'s file with `edit` applied to one section's raw
+/// stream and every checksum re-sealed: the other sections' chunk streams
+/// are copied verbatim, the edited one is re-chunked, and the table and
+/// header are encoded afresh — so the edit reaches the section decoder.
+fn rewrite_section(path: &Path, part: u32, section: Section, edit: impl Fn(&mut Vec<u8>)) {
+    let data = std::fs::read(path).expect("read part file");
+    let h = parse_part_header(part, &data).expect("intact header");
+    let mut out = vec![0u8; HEADER_LEN];
+    let mut entries = Vec::new();
+    for e in &h.sections {
+        let offset = out.len() as u64;
+        if e.section != section {
+            out.extend_from_slice(&data[e.offset as usize..][..e.disk_len as usize]);
+            entries.push(SectionEntry { offset, ..*e });
+            continue;
+        }
+        let mut raw = section_raw_bytes(part, &data, e, |idx, hdr, payload| {
+            decode_chunk(part, section, idx, hdr, payload).map(Arc::new)
+        })
+        .expect("intact section");
+        edit(&mut raw);
+        let mut w = ChunkWriter::new(&mut out, pumi_io::chunk::DEFAULT_CHUNK_LEN);
+        w.put_raw(&raw);
+        let st = w.finish_section().expect("in-memory write");
+        entries.push(SectionEntry {
+            section,
+            offset,
+            disk_len: st.disk_len,
+            raw_len: st.raw_len,
+            nchunks: st.nchunks,
+        });
+    }
+    let table = encode_table(&entries);
+    let hdr = encode_header(
+        part,
+        h.elem_dim,
+        h.gid_counter,
+        h.flags,
+        out.len() as u64,
+        table.len() as u32,
     );
-    // The message identifies the damaged file for the operator.
-    let msg = errs
-        .iter()
-        .find(|e| matches!(e, IoError::BadChecksum { .. }))
-        .expect("typed checksum error")
-        .to_string();
-    assert!(msg.contains("part 1") && msg.contains("entities"), "{msg}");
-    // The other rank exits collectively instead of deadlocking.
-    assert!(
-        errs.iter().any(|e| matches!(e, IoError::PeerFailed { .. })),
-        "peer should report PeerFailed, got: {errs:?}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    out[..HEADER_LEN].copy_from_slice(&hdr);
+    out.extend_from_slice(&table);
+    std::fs::write(path, &out).expect("write rewritten file");
 }
 
-/// A byte that survives the CRC but decodes to an out-of-range enum (here a
-/// topology code) must surface as a typed `Decode` error, not a panic: the
-/// section checksum is repaired after the flip so only the enum guard can
-/// catch it.
+/// A byte that survives every CRC but decodes to an out-of-range enum (here
+/// a topology code) must surface as a typed `Decode` error, not a panic:
+/// the chunk, table and header checksums are re-sealed after the flip so
+/// only the enum guard can catch it.
 #[test]
 fn flipped_enum_byte_is_typed_decode_error() {
-    let dir = write_small_v1("enum");
-    let path = part_file_path(&dir, 1);
-    let mut data = std::fs::read(&path).expect("read part file");
-    let header = parse_part_header(1, &data).expect("intact header");
-    let i = header
-        .sections
-        .iter()
-        .position(|e| e.section == Section::Entities)
-        .expect("entities section");
-    let entry = header.sections[i];
+    let dir = write_small("enum");
     // First vertex record: [n u32][gid u64][topo u8]... — flip the topology
     // code to an undefined value.
-    let topo_at = entry.offset as usize + 12;
-    data[topo_at] = 0xFF;
-    // Re-seal both checksums so the corruption reaches the decoder.
-    let payload_crc = pumi_io::crc::crc32(&data[entry.offset as usize..][..entry.len as usize]);
-    let table_at = 28 + 21 * i + 17; // crc32 field of table row i
-    data[table_at..table_at + 4].copy_from_slice(&payload_crc.to_le_bytes());
-    let table_end = 28 + 21 * header.sections.len();
-    let hcrc = pumi_io::crc::crc32(&data[..table_end]);
-    data[table_end..table_end + 4].copy_from_slice(&hcrc.to_le_bytes());
-    std::fs::write(&path, &data).expect("write corrupted file");
+    rewrite_section(&part_file_path(&dir, 1), 1, Section::Entities, |raw| {
+        raw[12] = 0xFF
+    });
 
     let errs = read_errors(&dir);
     let detail = errs
@@ -137,23 +117,7 @@ fn flipped_enum_byte_is_typed_decode_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn truncated_part_file_is_typed() {
-    let dir = write_small_v1("trunc");
-    let path = part_file_path(&dir, 0);
-    let data = std::fs::read(&path).expect("read part file");
-    std::fs::write(&path, &data[..data.len() - 9]).expect("truncate");
-
-    let errs = read_errors(&dir);
-    assert!(
-        errs.iter()
-            .any(|e| matches!(e, IoError::Truncated { part: 0, .. })),
-        "expected Truncated(part 0), got: {errs:?}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Cutting the tail off a v2 part file destroys the end-of-file section
+/// Cutting the tail off a part file destroys the end-of-file section
 /// table; the reader must refuse at the header stage, not chase offsets.
 #[test]
 fn truncated_v2_tail_is_typed_header_error() {
@@ -171,10 +135,10 @@ fn truncated_v2_tail_is_typed_header_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Locate the first chunk of a section in a v2 part file: returns the
+/// Locate the first chunk of a section in a part file: returns the
 /// absolute offset of its 12-byte chunk header.
 fn first_chunk_at(data: &[u8], part: u32, section: Section) -> usize {
-    let h = parse_part_header_v2(part, data).expect("intact v2 header");
+    let h = parse_part_header(part, data).expect("intact header");
     h.find(section).expect("section present").offset as usize
 }
 
@@ -222,7 +186,8 @@ fn flipped_compressed_chunk_payload_is_bad_chunk() {
 
 /// A damaged decompressed-length header passes the payload CRC (which
 /// deliberately does not cover it) and must be caught by the
-/// decompressed-length comparison instead.
+/// decompressed-length comparison instead — or, when it promises more than
+/// the payload could ever expand to, before anything is allocated for it.
 #[test]
 fn wrong_chunk_raw_len_is_bad_chunk() {
     let dir = write_small("v2rawlen");
@@ -230,26 +195,28 @@ fn wrong_chunk_raw_len_is_bad_chunk() {
     let mut data = std::fs::read(&path).expect("read part file");
     let at = first_chunk_at(&data, 0, Section::Entities);
     let raw_len = u32::from_le_bytes(data[at..at + 4].try_into().unwrap());
-    data[at..at + 4].copy_from_slice(&(raw_len - 3).to_le_bytes());
-    std::fs::write(&path, &data).expect("write corrupted file");
+    for bogus in [raw_len - 3, 0xFFFF_FFF0] {
+        data[at..at + 4].copy_from_slice(&bogus.to_le_bytes());
+        std::fs::write(&path, &data).expect("write corrupted file");
 
-    let errs = read_errors(&dir);
-    assert!(
-        errs.iter().any(|e| matches!(
-            e,
-            IoError::BadChunk {
-                part: 0,
-                section: Section::Entities,
-                chunk: 0,
-                ..
-            }
-        )),
-        "expected BadChunk(part 0, entities, chunk 0), got: {errs:?}"
-    );
-    assert!(
-        errs.iter().any(|e| matches!(e, IoError::PeerFailed { .. })),
-        "peer should report PeerFailed, got: {errs:?}"
-    );
+        let errs = read_errors(&dir);
+        assert!(
+            errs.iter().any(|e| matches!(
+                e,
+                IoError::BadChunk {
+                    part: 0,
+                    section: Section::Entities,
+                    chunk: 0,
+                    ..
+                }
+            )),
+            "expected BadChunk(part 0, entities, chunk 0), got: {errs:?}"
+        );
+        assert!(
+            errs.iter().any(|e| matches!(e, IoError::PeerFailed { .. })),
+            "peer should report PeerFailed, got: {errs:?}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -361,6 +328,70 @@ fn corrupted_manifest_body_fails_cleanly() {
             matches!(e, IoError::Manifest { .. }),
             "expected Manifest, got: {e:?}"
         );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A version-1 part file (the flat container written before the chunked
+/// format; here just its 32-byte header, no sections) is refused at the
+/// header stage on the rank that meets it, and its peer exits with it.
+#[test]
+fn version_1_part_file_is_refused() {
+    let dir = write_small("v1part");
+    let mut v1 = Vec::new();
+    v1.extend_from_slice(b"PMBP");
+    v1.extend_from_slice(&1u32.to_le_bytes()); // format version
+    v1.extend_from_slice(&1u32.to_le_bytes()); // part id
+    v1.extend_from_slice(&2u32.to_le_bytes()); // element dimension
+    v1.extend_from_slice(&0u64.to_le_bytes()); // gid counter
+    v1.extend_from_slice(&0u32.to_le_bytes()); // section count
+    let crc = pumi_io::crc::crc32(&v1);
+    v1.extend_from_slice(&crc.to_le_bytes());
+    std::fs::write(part_file_path(&dir, 1), &v1).expect("write v1 part file");
+
+    let errs = read_errors(&dir);
+    let detail = errs
+        .iter()
+        .find_map(|e| match e {
+            IoError::Header { part: 1, detail } => Some(detail.clone()),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("expected Header(part 1), got: {errs:?}"));
+    assert!(detail.contains("version 1"), "{detail}");
+    assert!(
+        errs.iter().any(|e| matches!(e, IoError::PeerFailed { .. })),
+        "peer should report PeerFailed, got: {errs:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A version-1 manifest (same framing, no delta count in the body) is
+/// refused by every rank.
+#[test]
+fn version_1_manifest_is_refused() {
+    let dir = write_small("v1manifest");
+    let mut body = Vec::new();
+    for x in [2u32, 2, 2] {
+        body.extend_from_slice(&x.to_le_bytes()); // nparts, elem_dim, nranks
+    }
+    body.extend_from_slice(&[0u8; 32]); // owned counts
+    body.push(0); // no ghosts
+    body.extend_from_slice(&0u32.to_le_bytes()); // no fields
+    let mut v1 = Vec::new();
+    v1.extend_from_slice(b"PMBM");
+    v1.extend_from_slice(&1u32.to_le_bytes()); // format version
+    v1.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    v1.extend_from_slice(&body);
+    v1.extend_from_slice(&pumi_io::crc::crc32(&body).to_le_bytes());
+    std::fs::write(dir.join(pumi_io::MANIFEST_FILE), &v1).expect("write v1 manifest");
+
+    let errs = read_errors(&dir);
+    assert_eq!(errs.len(), 2);
+    for e in &errs {
+        match e {
+            IoError::Manifest { detail, .. } => assert!(detail.contains("version 1"), "{detail}"),
+            other => panic!("every rank reports Manifest, got: {other:?}"),
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,6 @@
 //! Full → delta → restore properties.
 //!
-//! After a base v2 snapshot, mutate the mesh under dirty tracking (move
+//! After a base snapshot, mutate the mesh under dirty tracking (move
 //! vertices, rewrite tags and fields, delete and create entities), append
 //! delta rounds, and restore on M ∈ {N/2, N, 2N} ranks. The replayed
 //! checkpoint must be indistinguishable from a *fresh full snapshot* of
@@ -11,10 +11,7 @@ use pumi_core::overlap::{grow_overlap, GhostOpts};
 use pumi_core::verify::assert_dist_valid;
 use pumi_core::{distribute, DistMesh, PartMap};
 use pumi_field::{DistField, Field, FieldShape};
-use pumi_io::{
-    read_checkpoint, struct_hash, write_checkpoint, write_checkpoint_with, write_delta_checkpoint,
-    IoError, WriteOpts,
-};
+use pumi_io::{read_checkpoint, struct_hash, write_checkpoint, write_delta_checkpoint, IoError};
 use pumi_mesh::{Mesh, Topology};
 use pumi_meshgen::{jitter, tet_box, tri_rect};
 use pumi_partition::partition_mesh;
@@ -304,37 +301,5 @@ fn delta_after_repartition_is_refused() {
             "typed refusal, got {err:?}"
         );
     });
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn v1_checkpoints_still_restore() {
-    // Version-gated read path: a v1 (flat, uncompressed) checkpoint written
-    // through the same API restores bit-for-bit on any rank count.
-    let mut serial = tri_rect(9, 7, 1.0, 1.0);
-    jitter(&mut serial, 0.1, 5);
-    let dir = scratch_dir("v1compat");
-    let write_out = execute(2, |c| {
-        let mut dm = build_dm(c, &serial);
-        set_tags(&mut dm);
-        let fields = make_field(&dm);
-        let opts = WriteOpts {
-            version: 1,
-            ..WriteOpts::default()
-        };
-        write_checkpoint_with(c, &dm, &[&fields], &dir, &opts).expect("v1 write");
-        struct_hash(c, &dm)
-    });
-    for m in [1, 2, 4] {
-        let hashes = execute(m, |c| {
-            let restored = read_checkpoint(c, &dir).expect("v1 restore");
-            assert_dist_valid(c, &restored.dm);
-            check_field(&restored.dm, &restored.fields);
-            struct_hash(c, &restored.dm)
-        });
-        for h in hashes {
-            assert_eq!(h, write_out[0], "v1 restore hash mismatch on {m} ranks");
-        }
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -26,7 +26,7 @@ use crate::multilevel::{partition_graph, GraphPartOpts};
 use pumi_core::dist::{DistMesh, PartMap};
 use pumi_mesh::Mesh;
 use pumi_pcu::{Comm, MachineModel};
-use pumi_util::PartId;
+use pumi_util::{Dim, PartId};
 
 /// Options for the hierarchical partitioners.
 #[derive(Debug, Clone, Copy, Default)]
@@ -107,6 +107,38 @@ pub fn partition_mesh_hier(
         labels[e.idx()] = node_labels[node];
     }
     split_labels(mesh, &labels, machine.nodes, nparts / machine.nodes)
+}
+
+/// Fraction of part-boundary entity copies of dimension `d` that cross
+/// nodes, for a labeling where part `p` lives on node `p / cores_per_node`.
+/// The quality measure a hybrid partition optimizes (lower is better).
+pub fn off_node_share(mesh: &Mesh, labels: &[PartId], cores_per_node: usize, d: Dim) -> f64 {
+    let elem_d = mesh.elem_dim_t();
+    let mut on = 0usize;
+    let mut off = 0usize;
+    for a in mesh.iter(d) {
+        let mut parts: Vec<PartId> = mesh
+            .adjacent(a, elem_d)
+            .iter()
+            .map(|e| labels[e.idx()])
+            .collect();
+        parts.sort_unstable();
+        parts.dedup();
+        if parts.len() < 2 {
+            continue;
+        }
+        let node0 = parts[0] as usize / cores_per_node;
+        if parts.iter().all(|&p| p as usize / cores_per_node == node0) {
+            on += parts.len();
+        } else {
+            off += parts.len();
+        }
+    }
+    if on + off == 0 {
+        0.0
+    } else {
+        off as f64 / (on + off) as f64
+    }
 }
 
 /// Distributed hierarchical placement: build the boundary-copy-weighted
@@ -262,11 +294,79 @@ pub fn partition_hier(
 mod tests {
     use super::*;
     use crate::partition_mesh;
-    use crate::twolevel::off_node_share;
     use pumi_core::dist::distribute;
     use pumi_meshgen::{tet_box, tri_rect};
     use pumi_util::stats::imbalance;
-    use pumi_util::Dim;
+
+    /// `nodes × cores` labels for the machine of that shape.
+    fn two_level(m: &Mesh, nodes: usize, cores: usize) -> Vec<PartId> {
+        let machine = MachineModel::new(nodes, cores);
+        partition_mesh_hier(m, nodes * cores, &machine, HierOpts::default())
+    }
+
+    #[test]
+    fn two_level_covers_all_parts_and_balances() {
+        let m = tri_rect(16, 16, 1.0, 1.0);
+        let labels = two_level(&m, 4, 4);
+        let mut loads = vec![0f64; 16];
+        for e in m.iter(m.elem_dim_t()) {
+            loads[labels[e.idx()] as usize] += 1.0;
+        }
+        assert!(loads.iter().all(|&l| l > 0.0), "{loads:?}");
+        assert!(imbalance(&loads) < 1.15, "{loads:?}");
+    }
+
+    #[test]
+    fn second_level_nests_in_first() {
+        let m = tri_rect(12, 12, 1.0, 1.0);
+        let nodes = 3;
+        let cores = 4;
+        let g = DualGraph::build(&m);
+        let node_labels = partition_graph(&g, nodes, GraphPartOpts::default());
+        let labels = two_level(&m, nodes, cores);
+        // The second level only cuts within a node's block, so a fine
+        // part's node is the first level's label for the element.
+        for (node, &e) in g.elems.iter().enumerate() {
+            assert_eq!(labels[e.idx()] as usize / cores, node_labels[node] as usize);
+        }
+    }
+
+    #[test]
+    fn hybrid_beats_machine_oblivious_assignment() {
+        // A machine-oblivious partitioner gives no guarantee about which
+        // part ids land on which node; model that by permuting the part ids
+        // of a flat partition. The two-level partition, whose numbering is
+        // node-aligned by construction, must have a lower off-node share.
+        let m = tet_box(10, 10, 10, 1.0, 1.0, 1.0);
+        let nodes = 4;
+        let cores = 4;
+        let nparts = (nodes * cores) as PartId;
+        let hybrid = two_level(&m, nodes, cores);
+        let flat = partition_mesh(&m, nodes * cores);
+        let oblivious: Vec<PartId> = flat.iter().map(|&p| (p * 7 + 3) % nparts).collect();
+        let sh = off_node_share(&m, &hybrid, cores, Dim::Vertex);
+        let so = off_node_share(&m, &oblivious, cores, Dim::Vertex);
+        assert!(
+            sh < so - 0.05,
+            "hybrid off-node share {sh:.3} should clearly beat oblivious {so:.3}"
+        );
+        // Most of the hybrid's boundary stays on-node.
+        assert!(sh < 0.75, "hybrid off-node share too high: {sh:.3}");
+    }
+
+    #[test]
+    fn degenerate_machine_shapes() {
+        let m = tri_rect(6, 6, 1.0, 1.0);
+        let flat = partition_mesh(&m, 4);
+        // 1 node × k cores: the flat k-way partition, all boundary on-node.
+        let labels = two_level(&m, 1, 4);
+        assert_eq!(labels, flat);
+        assert_eq!(off_node_share(&m, &labels, 4, Dim::Vertex), 0.0);
+        // k nodes × 1 core: the flat partition too; all boundary off-node.
+        let labels = two_level(&m, 4, 1);
+        assert_eq!(labels, flat);
+        assert_eq!(off_node_share(&m, &labels, 1, Dim::Vertex), 1.0);
+    }
 
     #[test]
     fn serial_hier_matches_flat_on_flat_machine() {

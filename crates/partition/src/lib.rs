@@ -13,9 +13,9 @@
 //!   bisection (geometric methods),
 //! * [`local`] — split every part independently into k subparts
 //!   (§III-A: 16,384 × 96 → 1.5M parts on Mira),
-//! * [`twolevel`] — the hybrid node-then-core partitioner of §II-D,
-//! * [`hier`] — hierarchy-aware two-level partitioning against a
-//!   `MachineModel` (node-level cut minimization, then core placement),
+//! * [`hier`] — the hybrid node-then-core partitioner of §II-D:
+//!   hierarchy-aware two-level partitioning against a `MachineModel`
+//!   (node-level cut minimization, then core placement),
 //! * [`quality`] — Table II's statistics: per-dimension means, imbalance
 //!   percentages, boundary-copy totals, edge cut.
 
@@ -27,15 +27,13 @@ pub mod local;
 pub mod multilevel;
 pub mod quality;
 pub mod rcb;
-pub mod twolevel;
 
 pub use graph::DualGraph;
-pub use hier::{partition_hier, partition_mesh_hier, HierOpts, HierPartition};
+pub use hier::{off_node_share, partition_hier, partition_mesh_hier, HierOpts, HierPartition};
 pub use local::split_labels;
 pub use multilevel::{partition_graph, GraphPartOpts};
 pub use quality::PartitionQuality;
 pub use rcb::{rcb, rib};
-pub use twolevel::{off_node_share, two_level_partition};
 
 use pumi_mesh::Mesh;
 use pumi_util::PartId;

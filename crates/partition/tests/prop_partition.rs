@@ -4,8 +4,9 @@
 use proptest::prelude::*;
 use pumi_meshgen::{jitter, tet_box, tri_rect};
 use pumi_partition::{
-    partition_mesh, rcb, rib, split_labels, two_level_partition, PartitionQuality,
+    partition_mesh, partition_mesh_hier, rcb, rib, split_labels, HierOpts, PartitionQuality,
 };
+use pumi_pcu::MachineModel;
 use pumi_util::stats::imbalance;
 use pumi_util::Dim;
 
@@ -55,7 +56,8 @@ proptest! {
     #[test]
     fn two_level_balance(nodes in 2usize..4, cores in 2usize..5) {
         let m = tet_box(5, 5, 5, 1.0, 1.0, 1.0);
-        let labels = two_level_partition(&m, nodes, cores);
+        let machine = MachineModel::new(nodes, cores);
+        let labels = partition_mesh_hier(&m, nodes * cores, &machine, HierOpts::default());
         let q = PartitionQuality::compute(&m, &labels, nodes * cores);
         prop_assert!(q.imbalance_pct(Dim::Region) < 35.0);
         prop_assert!(q.stats(Dim::Region).min > 0.0);

@@ -312,8 +312,13 @@ impl SenseBarrier {
             // so no increment can race the store until the generation
             // advances below.
             self.arrivals.store(0, Ordering::SeqCst);
-            self.generation.store(gen.wrapping_add(1), Ordering::SeqCst);
+            // Publish the new generation under the waiter lock, in the same
+            // critical section as the drain: a member can only register for
+            // the next generation after seeing this store, hence after the
+            // drain — which therefore never wakes (and so never loses) a
+            // next-generation waiter.
             let mut w = self.waiters.lock().unwrap();
+            self.generation.store(gen.wrapping_add(1), Ordering::SeqCst);
             for t in w.drain(..) {
                 t.unpark();
             }
@@ -327,8 +332,8 @@ impl SenseBarrier {
                 std::thread::yield_now();
             }
         }
-        // Slow path: register, then re-check under the lock — the release
-        // sequence bumps the generation *before* taking the lock, so a
+        // Slow path: re-check under the lock, then register — the releaser
+        // bumps the generation and drains while holding the same lock, so a
         // registration that observes the old generation here is guaranteed
         // to be seen (and unparked) by the releaser.
         let mut w = self.waiters.lock().unwrap();
@@ -423,5 +428,63 @@ impl Scheduler {
     pub(crate) fn force_wake(&self) {
         let _g = self.state.lock().unwrap();
         self.cv.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    /// Back-to-back barriers with more members than cores, under a
+    /// multiplexing scheduler so every non-last arriver registers and parks
+    /// (no yield-spin): a member released from generation G re-enters,
+    /// registers and parks for G+1 while G's releaser is still on its way
+    /// to the waiter list. If that releaser could drain the newcomer, it
+    /// would wake into an unchanged generation, park again unregistered,
+    /// and nobody would ever wake it. A watchdog turns that hang into a
+    /// failure.
+    #[test]
+    fn barrier_never_loses_a_wakeup_across_generations() {
+        const MEMBERS: usize = 4;
+        const ROUNDS: usize = 200_000;
+        let barrier = Arc::new(SenseBarrier::new(MEMBERS));
+        let exec = Arc::new(Scheduler::new(MEMBERS));
+        let poisoned = Arc::new(AtomicBool::new(false));
+        let (done_tx, done_rx) = mpsc::channel();
+        let members: Vec<_> = (0..MEMBERS)
+            .map(|_| {
+                let (barrier, exec, poisoned, done_tx) = (
+                    Arc::clone(&barrier),
+                    Arc::clone(&exec),
+                    Arc::clone(&poisoned),
+                    done_tx.clone(),
+                );
+                std::thread::spawn(move || {
+                    exec.acquire(&poisoned);
+                    for _ in 0..ROUNDS {
+                        barrier.wait(&exec, &poisoned);
+                    }
+                    exec.release();
+                    done_tx.send(()).expect("watchdog alive");
+                })
+            })
+            .collect();
+        let hung = (0..MEMBERS).any(|_| done_rx.recv_timeout(Duration::from_secs(30)).is_err());
+        if hung {
+            // Poison, then unpark every member directly: the lost one is in
+            // nobody's waiter list, so `force_wake` cannot reach it.
+            poisoned.store(true, Ordering::SeqCst);
+            for m in &members {
+                m.thread().unpark();
+            }
+        }
+        let panicked = members.into_iter().filter_map(|m| m.join().err()).count();
+        assert!(
+            !hung,
+            "barrier hung: a member parked with nobody left to wake it ({panicked} members had to be poisoned out)"
+        );
     }
 }

@@ -9,12 +9,15 @@
 //! [`CheckpointServer`] amortizes that: it opens a `.pmb` checkpoint once
 //! and serves any number of concurrent [`restore_slice`] calls through a
 //! shared, CRC-verified chunk cache. The first reader to touch a
-//! compressed v2 chunk pays for verification and decompression; everyone
+//! compressed chunk pays for verification and decompression; everyone
 //! else gets the cached raw bytes. Part files (base and delta rounds) are
 //! read from disk exactly once regardless of reader count.
 //!
-//! Slices follow the same balanced-block arithmetic as the collective
-//! reader: with N checkpoint parts and M slices,
+//! Slices follow the same balanced-block rule as the collective reader
+//! ([`pumi_io::balanced_block`]), and every part is rebuilt by the same
+//! loader ([`pumi_io::load_part`]) — the server only supplies its
+//! [`SectionSource`]: the resident files and the chunk cache. With N
+//! checkpoint parts and M slices,
 //!
 //! * **M ≤ N** — slice `s` is the part block `[s·N/M, (s+1)·N/M)`, one
 //!   loaded [`Part`] per file part;
@@ -42,12 +45,9 @@
 #![warn(missing_docs)]
 
 use pumi_core::Part;
-use pumi_io::chunk::{decode_chunk, parse_chunk_header, CHUNK_HEADER_LEN};
-use pumi_io::format::{
-    delta_dir, parse_manifest, parse_part_any, part_file_path, section_payload, AnyPartHeader,
-    Manifest, MANIFEST_FILE,
-};
-use pumi_io::{load_standalone_part, IoError, Section, SectionSource};
+use pumi_io::chunk::{decode_chunk, ChunkHeader};
+use pumi_io::format::{parse_manifest, MANIFEST_FILE};
+use pumi_io::{balanced_block, load_part, IoError, Manifest, PartFile, Section, SectionSource};
 use pumi_partition::partition_mesh;
 use pumi_util::{Dim, FxHashMap, FxHashSet, MeshEnt, PartId};
 use std::path::PathBuf;
@@ -117,18 +117,12 @@ pub struct Slice {
     pub fparts: Vec<PartId>,
 }
 
-/// A part file (base snapshot or delta round) held by the server: its
-/// compressed on-disk image and parsed header. The image is kept so chunk
-/// payloads can be re-verified against a byte range without re-reading;
-/// decompressed data lives in the shared chunk cache instead.
-struct PartFile {
-    data: Vec<u8>,
-    header: AnyPartHeader,
-}
+/// Part file key: (delta round or `None` for base, file part).
+type FileKey = (Option<u32>, PartId);
 
-/// Chunk cache key: (delta round or 0 for base, file part, section code,
-/// chunk index). v1 sections are cached whole under chunk index 0.
-type ChunkKey = (u32, PartId, u8, u32);
+/// Chunk cache key: (delta round or `None` for base, file part, section
+/// code, chunk index).
+type ChunkKey = (Option<u32>, PartId, u8, u32);
 
 /// The shared raw-chunk cache: a keyed map plus FIFO insertion order for
 /// capacity eviction. Keys appear in `order` exactly once — they are
@@ -162,7 +156,9 @@ impl ChunkCache {
 pub struct CheckpointServer {
     dir: PathBuf,
     manifest: Manifest,
-    files: Mutex<FxHashMap<(u32, PartId), Arc<PartFile>>>,
+    /// Resident part files, compressed as on disk (decompressed data lives
+    /// in `chunks`).
+    files: Mutex<FxHashMap<FileKey, Arc<PartFile>>>,
     chunks: Mutex<ChunkCache>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -234,82 +230,31 @@ impl CheckpointServer {
             "slice {slice} out of range (nslices = {nslices})"
         );
         let n = self.manifest.nparts as usize;
+        let load = |p: usize| Ok(load_part(&self.manifest, p as PartId, self, true)?.part);
         if nslices <= n {
-            let lo = slice * n / nslices;
-            let hi = (slice + 1) * n / nslices;
-            let mut parts = Vec::with_capacity(hi - lo);
-            for p in lo..hi {
-                parts.push(load_standalone_part(&self.manifest, p as PartId, self)?);
-            }
+            let block = balanced_block(slice, nslices, n);
             Ok(Slice {
-                parts,
-                fparts: (lo as PartId..hi as PartId).collect(),
+                parts: block.clone().map(load).collect::<Result<_, IoError>>()?,
+                fparts: block.map(|p| p as PartId).collect(),
             })
         } else {
-            // Inverse of the fan-out blocks [p·M/N, (p+1)·M/N).
-            let p = ((slice + 1) * n - 1) / nslices;
-            let lo = p * nslices / n;
-            let hi = (p + 1) * nslices / n;
-            assert!(
-                lo <= slice && slice < hi,
-                "slice block arithmetic: slice {slice} outside [{lo}, {hi}) of part {p}"
-            );
-            let full = load_standalone_part(&self.manifest, p as PartId, self)?;
-            let k = hi - lo;
-            let part = if k <= 1 {
+            // The one file part whose fan-out block holds this slice.
+            let (p, block) = (0..n)
+                .map(|p| (p, balanced_block(p, n, nslices)))
+                .find(|(_, block)| block.contains(&slice))
+                .expect("fan-out blocks tile the slices");
+            let full = load(p)?;
+            let part = if block.len() <= 1 {
                 full
             } else {
-                let labels = partition_mesh(&full.mesh, k);
-                extract_labeled(&full, &labels, (slice - lo) as PartId)
+                let labels = partition_mesh(&full.mesh, block.len());
+                extract_labeled(&full, &labels, (slice - block.start) as PartId)
             };
             Ok(Slice {
                 parts: vec![part],
                 fparts: vec![p as PartId],
             })
         }
-    }
-
-    /// Fetch (or lazily load) a part file. `delta == 0` is the base
-    /// snapshot; `delta == k` is round `k`'s file under `delta_<k:04>/`.
-    fn part_file(&self, delta: u32, fpart: PartId) -> Result<Arc<PartFile>, IoError> {
-        // The load happens under the map lock: concurrent first-touchers
-        // would otherwise stampede the same file and each pay the disk
-        // read. Serializing the one-time loads keeps "each part file is
-        // read from disk exactly once" an invariant the stats can assert.
-        let mut files = self.files.lock().expect("file map lock");
-        if let Some(pf) = files.get(&(delta, fpart)) {
-            return Ok(Arc::clone(pf));
-        }
-        let fdir = if delta == 0 {
-            self.dir.clone()
-        } else {
-            delta_dir(&self.dir, delta)
-        };
-        let path = part_file_path(&fdir, fpart);
-        let data = std::fs::read(&path).map_err(|e| IoError::Io {
-            path: path.clone(),
-            source: e,
-        })?;
-        let header = parse_part_any(fpart, &data)?;
-        let is_delta = matches!(&header, AnyPartHeader::V2(h) if h.is_delta());
-        if delta == 0 && is_delta {
-            return Err(IoError::Header {
-                part: fpart,
-                detail: "delta part file where a base snapshot was expected".into(),
-            });
-        }
-        if delta > 0 && !is_delta {
-            return Err(IoError::Header {
-                part: fpart,
-                detail: format!("delta round {delta}: not a v2 delta part file"),
-            });
-        }
-        self.disk_bytes
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        pumi_obs::metrics::counter_add("serve.bytes.disk", data.len() as u64);
-        let pf = Arc::new(PartFile { data, header });
-        files.insert((delta, fpart), Arc::clone(&pf));
-        Ok(pf)
     }
 
     /// One chunk's raw bytes through the shared cache. `decode` runs only
@@ -347,80 +292,38 @@ impl CheckpointServer {
 }
 
 impl SectionSource for CheckpointServer {
-    fn section(
+    fn part_file(&self, fpart: PartId, delta: Option<u32>) -> Result<Arc<PartFile>, IoError> {
+        // The load happens under the map lock: concurrent first-touchers
+        // would otherwise stampede the same file and each pay the disk
+        // read. Serializing the one-time loads keeps "each part file is
+        // read from disk exactly once" an invariant the stats can assert.
+        let mut files = self.files.lock().expect("file map lock");
+        if let Some(pf) = files.get(&(delta, fpart)) {
+            return Ok(Arc::clone(pf));
+        }
+        let pf = Arc::new(PartFile::read(&self.dir, fpart, delta)?);
+        self.disk_bytes
+            .fetch_add(pf.data.len() as u64, Ordering::Relaxed);
+        pumi_obs::metrics::counter_add("serve.bytes.disk", pf.data.len() as u64);
+        files.insert((delta, fpart), Arc::clone(&pf));
+        Ok(pf)
+    }
+
+    fn chunk(
         &self,
-        fpart: PartId,
-        delta: Option<u32>,
+        file: &PartFile,
         section: Section,
-    ) -> Result<Vec<u8>, IoError> {
-        let round = delta.unwrap_or(0);
-        let pf = self.part_file(round, fpart)?;
-        let missing = || IoError::Header {
-            part: fpart,
-            detail: format!("missing section '{}'", section.name()),
-        };
-        let out = match &pf.header {
-            AnyPartHeader::V1(h) => {
-                // v1 sections are flat; cache each whole under chunk 0.
-                let entry = pumi_io::format::find_section(h, section).ok_or_else(missing)?;
-                let raw = self.cached_chunk((round, fpart, section.to_u8(), 0), || {
-                    Ok(section_payload(fpart, &pf.data, &entry)?.to_vec())
-                })?;
-                raw.as_ref().clone()
-            }
-            AnyPartHeader::V2(h) => {
-                let entry = h.find(section).ok_or_else(missing)?;
-                let end = entry.offset.saturating_add(entry.disk_len);
-                if end > pf.data.len() as u64 {
-                    return Err(IoError::Truncated {
-                        part: fpart,
-                        section,
-                        needed: end,
-                        have: pf.data.len() as u64,
-                    });
-                }
-                let mut out = Vec::with_capacity(entry.raw_len as usize);
-                let mut at = entry.offset as usize;
-                let section_end = end as usize;
-                for idx in 0..entry.nchunks {
-                    let hdr = parse_chunk_header(fpart, section, idx, &pf.data[at..section_end])?;
-                    at += CHUNK_HEADER_LEN;
-                    let plen = hdr.disk_payload_len();
-                    if at + plen > section_end {
-                        return Err(IoError::BadChunk {
-                            part: fpart,
-                            section,
-                            chunk: idx,
-                            detail: format!(
-                                "chunk payload truncated: need {plen} bytes, have {}",
-                                section_end - at
-                            ),
-                        });
-                    }
-                    let raw = self.cached_chunk((round, fpart, section.to_u8(), idx), || {
-                        decode_chunk(fpart, section, idx, &hdr, &pf.data[at..at + plen])
-                    })?;
-                    out.extend_from_slice(&raw);
-                    at += plen;
-                }
-                if out.len() as u64 != entry.raw_len {
-                    return Err(IoError::Decode {
-                        part: fpart,
-                        section,
-                        detail: format!(
-                            "section reassembled to {} bytes, table promised {}",
-                            out.len(),
-                            entry.raw_len
-                        ),
-                    });
-                }
-                out
-            }
-        };
+        idx: u32,
+        hdr: &ChunkHeader,
+        payload: &[u8],
+    ) -> Result<Arc<Vec<u8>>, IoError> {
+        let fpart = file.header.part;
+        let key = (file.delta, fpart, section.to_u8(), idx);
+        let raw = self.cached_chunk(key, || decode_chunk(fpart, section, idx, hdr, payload))?;
         self.raw_bytes
-            .fetch_add(out.len() as u64, Ordering::Relaxed);
-        pumi_obs::metrics::counter_add("serve.bytes.raw", out.len() as u64);
-        Ok(out)
+            .fetch_add(raw.len() as u64, Ordering::Relaxed);
+        pumi_obs::metrics::counter_add("serve.bytes.raw", raw.len() as u64);
+        Ok(raw)
     }
 }
 

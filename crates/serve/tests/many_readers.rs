@@ -5,10 +5,7 @@
 
 use pumi_core::{distribute, PartMap};
 use pumi_io::format::part_file_path;
-use pumi_io::{
-    read_checkpoint, write_checkpoint, write_checkpoint_with, write_delta_checkpoint, IoError,
-    Section, WriteOpts,
-};
+use pumi_io::{read_checkpoint, write_checkpoint, write_delta_checkpoint, IoError, Section};
 use pumi_meshgen::tri_rect;
 use pumi_partition::partition_mesh;
 use pumi_pcu::execute;
@@ -24,7 +21,7 @@ fn tmp_dir(name: &str) -> PathBuf {
 
 /// Write an nparts-way checkpoint of a jagged tri mesh with one scalar
 /// tag (`t:gid`, value = gid as f64) so slices carry checkable payload.
-fn write_tagged(name: &str, nparts: usize, opts: WriteOpts) -> PathBuf {
+fn write_tagged(name: &str, nparts: usize) -> PathBuf {
     let dir = tmp_dir(name);
     let serial = tri_rect(16, 12, 2.0, 1.5);
     execute(nparts, |c| {
@@ -41,7 +38,7 @@ fn write_tagged(name: &str, nparts: usize, opts: WriteOpts) -> PathBuf {
                 part.mesh.tags_mut().set_dbl(tid, v, g);
             }
         }
-        write_checkpoint_with(c, &dm, &[], &dir, &opts).expect("write");
+        write_checkpoint(c, &dm, &[], &dir).expect("write");
     });
     dir
 }
@@ -101,7 +98,7 @@ fn full_restore_digest(dir: &Path, nranks: usize) -> (FxHashSet<GlobalId>, usize
 #[test]
 fn eight_clients_restore_disjoint_slices() {
     let nclients = 8;
-    let dir = write_tagged("eight", 2, WriteOpts::default());
+    let dir = write_tagged("eight", 2);
     let (truth, total) = full_restore_digest(&dir, 2);
 
     let server = CheckpointServer::open(&dir).expect("open");
@@ -151,7 +148,7 @@ fn eight_clients_restore_disjoint_slices() {
 #[test]
 fn capped_cache_serves_eight_clients_correctly() {
     let nclients = 8;
-    let dir = write_tagged("capped", 2, WriteOpts::default());
+    let dir = write_tagged("capped", 2);
     let (truth, total) = full_restore_digest(&dir, 2);
 
     // A few KB: far below the raw section bytes of even one part, so
@@ -196,7 +193,7 @@ fn capped_cache_serves_eight_clients_correctly() {
 /// M < N: each client gets a block of whole parts.
 #[test]
 fn fewer_clients_than_parts_get_part_blocks() {
-    let dir = write_tagged("blocks", 4, WriteOpts::default());
+    let dir = write_tagged("blocks", 4);
     let (truth, _) = full_restore_digest(&dir, 4);
     let server = CheckpointServer::open(&dir).expect("open");
     let elem_dim = server.manifest().elem_dim as usize;
@@ -214,37 +211,6 @@ fn fewer_clients_than_parts_get_part_blocks() {
     }
     assert_eq!(fparts_seen.len(), 4, "all file parts must be covered");
     assert_eq!(union, truth);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// v1 checkpoints serve through the same cache (sections cached whole).
-#[test]
-fn serves_v1_checkpoints() {
-    let dir = write_tagged(
-        "v1",
-        2,
-        WriteOpts {
-            version: 1,
-            ..WriteOpts::default()
-        },
-    );
-    let (truth, _) = full_restore_digest(&dir, 2);
-    let server = CheckpointServer::open(&dir).expect("open");
-    let elem_dim = server.manifest().elem_dim as usize;
-    let mut union = FxHashSet::default();
-    for s in 0..2 {
-        let slice = server.restore_slice(s, 2).expect("slice");
-        let (elems, tags) = slice_digest(&slice, elem_dim);
-        for g in elems {
-            union.insert(g);
-        }
-        for (&g, &x) in &tags {
-            assert_eq!(x, g as f64);
-        }
-    }
-    assert_eq!(union, truth);
-    let stats = server.stats();
-    assert!(stats.chunk_misses > 0, "{stats:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -311,10 +277,10 @@ fn slices_replay_delta_rounds() {
 /// chunk is not cached for later readers.
 #[test]
 fn corrupt_chunk_is_typed_through_serve_path() {
-    let dir = write_tagged("corrupt", 2, WriteOpts::default());
+    let dir = write_tagged("corrupt", 2);
     let path = part_file_path(&dir, 1);
     let mut data = std::fs::read(&path).expect("read part file");
-    let h = pumi_io::format::parse_part_header_v2(1, &data).expect("v2 header");
+    let h = pumi_io::format::parse_part_header(1, &data).expect("header");
     let entry = h.find(Section::Entities).expect("entities");
     data[entry.offset as usize + pumi_io::chunk::CHUNK_HEADER_LEN + 3] ^= 0x10;
     std::fs::write(&path, &data).expect("write corrupted");

@@ -55,17 +55,18 @@ if bad:
     sys.exit(f"smoke: non-positive medians: {bad}")
 print(f"smoke ok: {len(rows)} medians, 64-rank world sustained")
 EOF
-    # Checkpoint-service smoke: a tiny mesh through every leg — v1/v2/delta
-    # writes, compression win, and 8 clients through the shared chunk cache
-    # (the bin asserts v2 < v1 bytes and that the slices tile the mesh).
+    # Checkpoint-service smoke: a tiny mesh through every leg — base and
+    # delta writes, compression win, and 8 clients through the shared chunk
+    # cache (the bin asserts disk < raw section bytes and that the slices
+    # tile the mesh).
     cargo run --release -p pumi-bench --bin checkpoint_service --locked -- \
         --nx 40 --reps 2 --clients 8
     python3 - "$PUMI_RESULTS_DIR/io_checkpoint.json" <<'EOF'
 import json, sys
 
 rows = json.load(open(sys.argv[1])).get("medians", [])
-want = {"io_checkpoint/write_v1@smoke", "io_checkpoint/write_v2@smoke",
-        "io_checkpoint/delta@smoke", "io_checkpoint/serve8@smoke"}
+want = {"io_checkpoint/write_v2@smoke", "io_checkpoint/delta@smoke",
+        "io_checkpoint/serve8@smoke"}
 got = {r["bench"] for r in rows}
 missing = want - got
 if missing:

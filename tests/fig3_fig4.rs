@@ -8,9 +8,9 @@
 //! Fig 6: the P0–P1 boundary is on-node (implicit), the boundaries to P2
 //! are off-node (explicit).
 
-use pumi_core::twolevel::{boundary_split, two_level_map};
+use pumi_core::twolevel::boundary_split;
 use pumi_core::verify::assert_dist_valid;
-use pumi_core::{distribute, PtnModel};
+use pumi_core::{distribute, PartMap, PtnModel};
 use pumi_meshgen::tri_rect;
 use pumi_pcu::{execute_on, MachineModel};
 use pumi_util::{Dim, MeshEnt, PartId};
@@ -138,9 +138,9 @@ fn fig6_on_node_vs_off_node_boundaries() {
 }
 
 #[test]
-fn two_level_map_places_parts_node_major() {
+fn contiguous_map_places_parts_node_major() {
     let machine = MachineModel::new(3, 4);
-    let map = two_level_map(machine);
+    let map = PartMap::contiguous(machine.nranks(), machine.nranks());
     assert_eq!(map.nparts(), 12);
     for p in 0..12u32 {
         assert_eq!(map.rank_of(p), p as usize);
