@@ -19,8 +19,8 @@
 //! ([`Part::new_gid`]'s birth-part counters). Every copy of a split shared
 //! edge therefore derives the *same* gid for the mid-vertex and half-edges
 //! without being told — the owner's decision is reproduced rather than
-//! transmitted. One phased [`PartExchange`] round then relinks remote-copy
-//! local indices by gid, exactly like `distribute`'s bootstrap: each part
+//! transmitted. One [`stitch`] round then relinks remote-copy local indices
+//! by gid, the same exchange `distribute` bootstraps with: each part
 //! announces `(dim, gid, local index)` of its new boundary entities to the
 //! inherited residence set, and a failed gid lookup on the receiver is a
 //! protocol violation (diverged splits) that panics with the offending
@@ -44,11 +44,12 @@ use crate::refine::{oversized_len, split_edge, HeapItem};
 use crate::sizefield::SizeField;
 use pumi_check::CheckOpts;
 use pumi_core::overlap::{clear_overlap, grow_overlap, GhostOpts, Overlap, Reduction};
-use pumi_core::{DistMesh, Part, PartExchange, NO_GID};
+use pumi_core::wire::stitch;
+use pumi_core::{DistMesh, Part, NO_GID};
 use pumi_field::field::Field;
 use pumi_field::sync::{sync_fields, DistField};
 use pumi_geom::Model;
-use pumi_pcu::Comm;
+use pumi_pcu::{Comm, MsgError};
 use pumi_util::tag::TagKind;
 use pumi_util::{Dim, FxHashMap, GlobalId, MeshEnt, PartId};
 use std::collections::BinaryHeap;
@@ -381,52 +382,29 @@ fn refine_part(
 }
 
 /// Re-establish remote-copy links for the entities created by refinement:
-/// each part announces `(dim, gid, local index)` of its pending boundary
-/// entities to their inherited residence parts; receivers resolve by gid.
-/// Mirrors `distribute`'s bootstrap relink. Collective.
+/// each part announces its pending boundary entities to their inherited
+/// residence parts through the shared [`stitch`]. The receiver derived the
+/// same gids independently, so an announcement it cannot resolve means the
+/// parts disagreed about a boundary split. Collective.
 fn relink(comm: &Comm, dm: &mut DistMesh, pendings: &[Pending]) {
     let _span = pumi_obs::span!("adapt.relink");
-    let mut ex = PartExchange::new(comm, &dm.map);
-    for (slot, part) in dm.parts.iter().enumerate() {
-        let mut items: Vec<(MeshEnt, &Vec<PartId>)> =
-            pendings[slot].iter().map(|(&e, r)| (e, r)).collect();
-        items.sort_by_key(|&(e, _)| e);
-        for (e, res) in items {
-            let gid = part.gid_of(e);
-            debug_assert_ne!(gid, NO_GID, "pending entity without gid");
-            for &q in res {
-                let w = ex.to(part.id, q);
-                w.put_u8(e.dim().as_usize() as u8);
-                w.put_u64(gid);
-                w.put_u32(e.index());
-            }
-        }
-    }
-    let mut incoming: FxHashMap<PartId, FxHashMap<MeshEnt, Vec<(PartId, u32)>>> =
-        FxHashMap::default();
-    for (from, to, mut r) in ex.finish() {
-        let slot = incoming.entry(to).or_default();
-        while !r.is_done() {
-            let byte = r.get_u8();
-            let d = Dim::try_from_u8(byte)
-                .unwrap_or_else(|| panic!("corrupt relink frame {from}->{to}: dim {byte}"));
-            let gid = r.get_u64();
-            let ridx = r.get_u32();
-            // The receiver derived the same gid independently; failure to
-            // resolve it means the parts disagreed about a boundary split.
-            let local = dm.part(to).find_gid(d, gid).unwrap_or_else(|| {
-                panic!(
-                    "adapt_dist: part {to} has no copy of split entity {d:?} gid {gid:#x} \
-                     announced by part {from} — boundary splits diverged"
-                )
-            });
-            slot.entry(local).or_default().push((from, ridx));
-        }
-    }
-    for (to, ents) in incoming {
-        let part = dm.part_mut(to);
-        for (e, copies) in ents {
-            part.set_remotes(e, copies);
+    let announce: Vec<Vec<(MeshEnt, &Vec<PartId>)>> = pendings
+        .iter()
+        .map(|pending| {
+            let mut items: Vec<(MeshEnt, &Vec<PartId>)> =
+                pending.iter().map(|(&e, r)| (e, r)).collect();
+            items.sort_by_key(|&(e, _)| e);
+            items
+        })
+        .collect();
+    if let Some((from, to, err)) = stitch(comm, dm, &announce).into_iter().next() {
+        match err {
+            MsgError::Missing { dim, gid, .. } => panic!(
+                "adapt_dist: part {to} has no copy of split entity {:?} gid {gid:#x} \
+                 announced by part {from} — boundary splits diverged",
+                Dim::from_usize(dim as usize)
+            ),
+            err => panic!("corrupt relink frame {from}->{to}: {err}"),
         }
     }
 }

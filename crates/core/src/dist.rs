@@ -9,6 +9,7 @@
 //! parts never touch the network, mirroring the paper's on-node short-cut.
 
 use crate::part::{Part, NO_GID};
+use crate::wire::stitch;
 use pumi_mesh::Mesh;
 use pumi_pcu::phased::{Exchange, ExchangeOpts};
 use pumi_pcu::{ChaosRng, Comm, MsgReader, MsgWriter, SchedMode};
@@ -119,11 +120,6 @@ impl DistMesh {
             .position(|q| q.id == p)
             .unwrap_or_else(|| panic!("part {p} is not local"));
         &mut self.parts[i]
-    }
-
-    /// Ids of the local parts.
-    pub fn local_ids(&self) -> Vec<PartId> {
-        self.parts.iter().map(|p| p.id).collect()
     }
 
     /// Begin (or restart) dirty tracking on every local part — the
@@ -324,45 +320,26 @@ pub fn distribute(comm: &Comm, map: PartMap, serial: &Mesh, elem_part: &[PartId]
         }
     }
 
-    // 3. Exchange (gid, local index) among residence parts to set remotes.
-    let mut ex = PartExchange::new(comm, &dm.map);
-    for part in &dm.parts {
-        for (&sent, res) in &residence {
-            if !res.contains(&part.id) {
-                continue;
-            }
-            let local = part.find_gid(sent.dim(), sent.index() as u64);
-            let Some(local) = local else { continue };
-            for &q in res {
-                if q != part.id {
-                    let w = ex.to(part.id, q);
-                    w.put_u8(sent.dim().as_usize() as u8);
-                    w.put_u64(sent.index() as u64);
-                    w.put_u32(local.index());
-                }
-            }
-        }
-    }
-    let mut incoming: FxHashMap<PartId, FxHashMap<MeshEnt, Vec<(PartId, u32)>>> =
-        FxHashMap::default();
-    for (from, to, mut r) in ex.finish() {
-        let slot = incoming.entry(to).or_default();
-        while !r.is_done() {
-            let d = Dim::from_usize(r.get_u8() as usize);
-            let gid = r.get_u64();
-            let ridx = r.get_u32();
-            let part = dm.part(to);
-            if let Some(local) = part.find_gid(d, gid) {
-                slot.entry(local).or_default().push((from, ridx));
-            }
-        }
-    }
-    for (to, ents) in incoming {
-        let part = dm.part_mut(to);
-        for (e, copies) in ents {
-            part.set_remotes(e, copies);
-        }
-    }
+    // 3. Every part announces its local index of each boundary entity to
+    //    the entity's other residence parts.
+    let announce: Vec<Vec<(MeshEnt, &[PartId])>> = dm
+        .parts
+        .iter()
+        .map(|part| {
+            residence
+                .iter()
+                .filter(|(_, res)| res.contains(&part.id))
+                .filter_map(|(sent, res)| {
+                    let local = part.find_gid(sent.dim(), sent.index() as u64)?;
+                    Some((local, res.as_slice()))
+                })
+                .collect()
+        })
+        .collect();
+    let faults = stitch(comm, &mut dm, &announce);
+    // A residence part holds an element adjacent to the entity, so its
+    // closure — built in step 1 — holds the entity itself.
+    assert!(faults.is_empty(), "distribute: stitch failed: {faults:?}");
     dm
 }
 

@@ -20,7 +20,11 @@
 //! * [`twolevel`] — two-level architecture-aware partitioning support:
 //!   on-node vs off-node part boundaries (§II-D, Figs 5/6),
 //! * [`verify`] — distributed invariants (symmetric remotes, owner
-//!   consistency, global entity conservation).
+//!   consistency, global entity conservation),
+//! * [`wire`] — the entity transport under all of the above: the link row
+//!   and entity record codecs, create-by-gid, and the one remote-link
+//!   [`wire::stitch`] that `distribute`, `migrate`, adaptation and restore
+//!   all call.
 
 pub mod dist;
 pub mod migrate;
@@ -30,11 +34,10 @@ pub mod part;
 pub mod ptnmodel;
 pub mod twolevel;
 pub mod verify;
+pub mod wire;
 
 pub use dist::{distribute, DistMesh, PartExchange, PartMap};
 pub use migrate::{migrate, MigrationPlan};
-pub use overlap::{
-    clear_overlap, grow_overlap, migrate_preserving, GhostOpts, Overlap, Reduction, Scope, Share,
-};
+pub use overlap::{clear_overlap, grow_overlap, GhostOpts, Overlap, Reduction, Scope, Share};
 pub use part::{DirtyLog, Part, NO_GID};
 pub use ptnmodel::PtnModel;

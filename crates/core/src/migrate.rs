@@ -28,11 +28,9 @@
 
 use crate::dist::{DistMesh, PartExchange};
 use crate::part::{Part, NO_GID};
-use pumi_geom::GeomEnt;
-use pumi_mesh::Topology;
-use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
-use pumi_util::tag::{TagData, TagKind};
-use pumi_util::{Dim, FxHashMap, FxHashSet, GlobalId, MeshEnt, PartId};
+use crate::wire::{self, EntityRecord};
+use pumi_pcu::{Comm, MsgError, MsgReader};
+use pumi_util::{Dim, FxHashMap, FxHashSet, MeshEnt, PartId};
 
 /// A migration plan for one part: element → destination part. Elements not
 /// listed stay. Destinations equal to the owning part are allowed (no-ops).
@@ -73,82 +71,6 @@ pub struct MigrationStats {
     pub entities_sent: u64,
 }
 
-pub(crate) fn pack_tags(part: &Part, e: MeshEnt, w: &mut MsgWriter) {
-    let tags = part.mesh.tags().collect(e);
-    w.put_u32(tags.len() as u32);
-    let mut buf = Vec::new();
-    for (tid, data) in tags {
-        let tm = part.mesh.tags();
-        w.put_bytes(tm.name(tid).as_bytes());
-        w.put_u8(match tm.kind(tid) {
-            TagKind::Int => 0,
-            TagKind::Double => 1,
-            TagKind::Bytes => 2,
-        });
-        w.put_u32(tm.len_of(tid) as u32);
-        buf.clear();
-        data.encode(&mut buf);
-        w.put_bytes(&buf);
-    }
-}
-
-/// One decoded tag attachment, not yet applied to any entity.
-#[derive(Debug)]
-pub(crate) struct TagRecord {
-    /// Tag name bytes (validated UTF-8 at decode time).
-    name: bytes::Bytes,
-    kind: TagKind,
-    len: usize,
-    data: TagData,
-}
-
-/// Decode the tag block that follows an entity record. Every malformed
-/// input — non-UTF-8 name, unknown kind byte, undecodable value — surfaces
-/// as a typed [`MsgError`] instead of a panic.
-pub(crate) fn decode_tags(r: &mut MsgReader) -> Result<Vec<TagRecord>, MsgError> {
-    let n = r.try_get_u32()?;
-    let mut out = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        // Zero-copy sub-slices of the incoming message: tag names and
-        // payloads are borrowed, not copied into fresh Vecs.
-        let name = r.try_get_bytes_shared()?;
-        if std::str::from_utf8(&name).is_err() {
-            return Err(MsgError::corrupt("tag name (not UTF-8)"));
-        }
-        let kind = match r.try_get_u8()? {
-            0 => TagKind::Int,
-            1 => TagKind::Double,
-            2 => TagKind::Bytes,
-            b => return Err(MsgError::bad_enum("tag kind", b)),
-        };
-        let len = r.try_get_u32()? as usize;
-        let buf = r.try_get_bytes_shared()?;
-        let mut pos = 0;
-        let data = TagData::decode(&buf, &mut pos).ok_or(MsgError::corrupt("tag value"))?;
-        out.push(TagRecord {
-            name,
-            kind,
-            len,
-            data,
-        });
-    }
-    Ok(out)
-}
-
-pub(crate) fn apply_tags(part: &mut Part, e: MeshEnt, tags: Vec<TagRecord>) {
-    for t in tags {
-        let name = std::str::from_utf8(&t.name).expect("validated at decode");
-        let tid = part.mesh.tags_mut().declare(name, t.kind, t.len);
-        part.mesh.tags_mut().set(tid, e, t.data);
-    }
-}
-
-pub(crate) fn unpack_tags(part: &mut Part, e: MeshEnt, r: &mut MsgReader) -> Result<(), MsgError> {
-    let tags = decode_tags(r)?;
-    apply_tags(part, e, tags);
-    Ok(())
-}
-
 /// Unpack one phase-1 residence frame, unioning peer contributions into
 /// `res`. Frames are self-delimiting; any underrun names writer/reader
 /// disagreement.
@@ -158,8 +80,7 @@ fn unpack_residence(
     res: &mut FxHashMap<MeshEnt, Vec<PartId>>,
 ) -> Result<(), MsgError> {
     while !r.is_done() {
-        let db = r.try_get_u8()?;
-        let d = Dim::try_from_u8(db).ok_or(MsgError::bad_enum("dimension", db))?;
+        let d = wire::get_dim(r)?;
         let gid = r.try_get_u64()?;
         let parts = r.try_get_u32_slice()?;
         if let Some(e) = part.find_gid(d, gid) {
@@ -172,54 +93,6 @@ fn unpack_residence(
     Ok(())
 }
 
-/// One decoded phase-2 entity record, not yet applied to any part.
-#[derive(Debug)]
-struct EntRecord {
-    dim: Dim,
-    topo: Topology,
-    gid: GlobalId,
-    class: GeomEnt,
-    res: Vec<PartId>,
-    /// Vertex records only; zeroed for higher dimensions.
-    coords: [f64; 3],
-    /// Higher-dimension records only: global ids of the defining vertices.
-    vgids: Vec<GlobalId>,
-    tags: Vec<TagRecord>,
-}
-
-/// Decode one phase-2 entity frame without touching any part. Corrupt
-/// dimension/topology bytes surface as [`MsgError::BadEnum`].
-fn decode_entity_frame(r: &mut MsgReader) -> Result<Vec<EntRecord>, MsgError> {
-    let mut out = Vec::new();
-    while !r.is_done() {
-        let db = r.try_get_u8()?;
-        let dim = Dim::try_from_u8(db).ok_or(MsgError::bad_enum("dimension", db))?;
-        let tb = r.try_get_u8()?;
-        let topo = Topology::try_from_u8(tb).ok_or(MsgError::bad_enum("topology", tb))?;
-        let gid = r.try_get_u64()?;
-        let class = GeomEnt(r.try_get_u32()?);
-        let res: Vec<PartId> = r.try_get_u32_slice()?;
-        let (coords, vgids) = if dim == Dim::Vertex {
-            let x = [r.try_get_f64()?, r.try_get_f64()?, r.try_get_f64()?];
-            (x, Vec::new())
-        } else {
-            ([0.0; 3], r.try_get_u64_slice()?)
-        };
-        let tags = decode_tags(r)?;
-        out.push(EntRecord {
-            dim,
-            topo,
-            gid,
-            class,
-            res,
-            coords,
-            vgids,
-            tags,
-        });
-    }
-    Ok(out)
-}
-
 /// Second pass of the phase-2 unpack: create the entities this part lacks
 /// and record their residence. `records` holds the concatenation of *all*
 /// frames addressed to this part; a stable sort by dimension guarantees
@@ -229,49 +102,13 @@ fn decode_entity_frame(r: &mut MsgReader) -> Result<Vec<EntRecord>, MsgError> {
 /// — and thus local indices — stays canonical under the chaos scheduler.
 fn apply_entity_records(
     part: &mut Part,
-    mut records: Vec<EntRecord>,
+    mut records: Vec<EntityRecord<Vec<PartId>>>,
     res_out: &mut FxHashMap<MeshEnt, Vec<PartId>>,
 ) -> Result<(), MsgError> {
-    records.sort_by_key(|rec| rec.dim.as_usize());
+    records.sort_by_key(|rec| rec.dim().as_usize());
     for rec in records {
-        let e = match part.find_gid(rec.dim, rec.gid) {
-            Some(e) => e,
-            None if rec.dim == Dim::Vertex => part.add_vertex(rec.coords, rec.class, rec.gid),
-            None => {
-                let mut verts = Vec::with_capacity(rec.vgids.len());
-                for &g in &rec.vgids {
-                    let v = part.find_gid(Dim::Vertex, g).ok_or(MsgError::missing(
-                        "closure vertex",
-                        0,
-                        g,
-                    ))?;
-                    verts.push(v.index());
-                }
-                part.add_entity(rec.topo, &verts, rec.class, rec.gid)
-            }
-        };
-        apply_tags(part, e, rec.tags);
-        res_out.insert(e, rec.res);
-    }
-    Ok(())
-}
-
-/// Unpack one phase-3 stitch frame into `(peer part, remote index)` lists.
-fn unpack_stitch(
-    r: &mut MsgReader,
-    part: &Part,
-    from: PartId,
-    out: &mut FxHashMap<MeshEnt, Vec<(PartId, u32)>>,
-) -> Result<(), MsgError> {
-    while !r.is_done() {
-        let db = r.try_get_u8()?;
-        let d = Dim::try_from_u8(db).ok_or(MsgError::bad_enum("dimension", db))?;
-        let gid = r.try_get_u64()?;
-        let ridx = r.try_get_u32()?;
-        let e = part
-            .find_gid(d, gid)
-            .ok_or(MsgError::missing("stitch target", db, gid))?;
-        out.entry(e).or_default().push((from, ridx));
+        let (e, _, res) = rec.apply(part)?;
+        res_out.insert(e, res);
     }
     Ok(())
 }
@@ -409,48 +246,30 @@ pub fn migrate(
         dests.sort_by_key(|&(k, _)| *k);
         for (&to, by_dim) in dests {
             let w = ex.to(part.id, to);
-            for (d, by) in by_dim.iter().enumerate().take(elem_dim + 1) {
-                for &e in by {
-                    entities_sent += 1;
-                    w.put_u8(d as u8);
-                    w.put_u8(part.mesh.topo(e).to_u8());
-                    w.put_u64(part.gid_of(e));
-                    w.put_u32(part.mesh.class_of(e).0);
-                    let res = new_res[slot].get(&e).cloned().unwrap_or_else(|| vec![to]); // elements: dest only
-                    w.put_u32_slice(&res);
-                    if d == 0 {
-                        let x = part.mesh.coords(e);
-                        w.put_f64(x[0]);
-                        w.put_f64(x[1]);
-                        w.put_f64(x[2]);
-                    } else {
-                        let vgids: Vec<GlobalId> = part
-                            .mesh
-                            .verts_of(e)
-                            .iter()
-                            .map(|&v| part.gid_of(MeshEnt::vertex(v)))
-                            .collect();
-                        w.put_u64_slice(&vgids);
-                    }
-                    pack_tags(part, e, w);
-                }
+            for &e in by_dim.iter().take(elem_dim + 1).flatten() {
+                entities_sent += 1;
+                // The extra field is the new residence set (elements: the
+                // destination only).
+                let dest_only = [to];
+                let res = new_res[slot].get(&e).map_or(&dest_only[..], Vec::as_slice);
+                wire::put_entity(w, part, e, |w| w.put_u32_slice(res));
             }
         }
     }
     // Receive in two passes: decode *all* frames first — a closure vertex
     // may arrive only in another peer's frame under owner delegation — then
     // create missing entities bottom-up and record their residence sets.
-    let mut frames: Vec<Vec<(PartId, Vec<EntRecord>)>> = (0..nlocal).map(|_| Vec::new()).collect();
+    let mut frames: Vec<Vec<(PartId, Vec<_>)>> = (0..nlocal).map(|_| Vec::new()).collect();
     for (from, to, mut r) in ex.finish() {
         let slot = dm.map.slot_of(to);
-        let recs = decode_entity_frame(&mut r)
+        let recs = wire::decode_entity_frame(&mut r, MsgReader::try_get_u32_slice)
             .unwrap_or_else(|e| panic!("corrupt entity frame {from}->{to}: {e}"));
         frames[slot].push((from, recs));
     }
     for (slot, mut fs) in frames.into_iter().enumerate() {
         // Canonical application order regardless of arrival permutation.
         fs.sort_by_key(|&(from, _)| from);
-        let records: Vec<EntRecord> = fs.into_iter().flat_map(|(_, recs)| recs).collect();
+        let records = fs.into_iter().flat_map(|(_, recs)| recs).collect();
         let pid = dm.parts[slot].id;
         apply_entity_records(&mut dm.parts[slot], records, &mut new_res[slot])
             .unwrap_or_else(|e| panic!("incoherent entity frames for part {pid}: {e}"));
@@ -461,28 +280,8 @@ pub fn migrate(
     // Phase 3: stitch remote copies, then delete leavers.
     // ------------------------------------------------------------------
     let phase3 = pumi_obs::span!("migrate.stitch");
-    let mut ex = PartExchange::new(comm, &dm.map);
-    for (slot, part) in dm.parts.iter().enumerate() {
-        // Sorted by (dim, gid): frame bytes must not depend on hash-map
-        // iteration order, which phase 2's arrivals perturb under chaos.
-        let mut staying: Vec<(MeshEnt, &[PartId])> = new_res[slot]
-            .iter()
-            .filter(|&(_, res)| res.contains(&part.id) && res.len() >= 2)
-            .map(|(&e, res)| (e, res.as_slice()))
-            .collect();
-        staying.sort_by_key(|&(e, _)| (e.dim().as_usize(), part.gid_of(e)));
-        for (e, res) in staying {
-            for &q in res {
-                if q != part.id {
-                    let w = ex.to(part.id, q);
-                    w.put_u8(e.dim().as_usize() as u8);
-                    w.put_u64(part.gid_of(e));
-                    w.put_u32(e.index());
-                }
-            }
-        }
-    }
-    // Reset remotes for every touched entity that stays, then fill.
+    // Reset remotes for every touched entity that stays; the stitch fills
+    // them back in from what the other residence parts announce.
     for (slot, part) in dm.parts.iter_mut().enumerate() {
         for (&e, res) in &new_res[slot] {
             if res.contains(&part.id) {
@@ -490,19 +289,24 @@ pub fn migrate(
             }
         }
     }
-    let mut stitched: Vec<FxHashMap<MeshEnt, Vec<(PartId, u32)>>> =
-        vec![FxHashMap::default(); nlocal];
-    for (from, to, mut r) in ex.finish() {
-        let slot = dm.map.slot_of(to);
-        let part = &dm.parts[slot];
-        unpack_stitch(&mut r, part, from, &mut stitched[slot])
-            .unwrap_or_else(|e| panic!("corrupt stitch frame {from}->{to}: {e}"));
-    }
-    for (slot, map) in stitched.into_iter().enumerate() {
-        let part = &mut dm.parts[slot];
-        for (e, copies) in map {
-            part.set_remotes(e, copies);
-        }
+    let staying: Vec<Vec<(MeshEnt, &[PartId])>> = dm
+        .parts
+        .iter()
+        .zip(&new_res)
+        .map(|(part, res)| {
+            let mut staying: Vec<(MeshEnt, &[PartId])> = res
+                .iter()
+                .filter(|&(_, res)| res.contains(&part.id) && res.len() >= 2)
+                .map(|(&e, res)| (e, res.as_slice()))
+                .collect();
+            // Sorted by (dim, gid): frame bytes must not depend on hash-map
+            // iteration order, which phase 2's arrivals perturb under chaos.
+            staying.sort_by_key(|&(e, _)| (e.dim().as_usize(), part.gid_of(e)));
+            staying
+        })
+        .collect();
+    if let Some((from, to, e)) = wire::stitch(comm, dm, &staying).first() {
+        panic!("corrupt stitch frame {from}->{to}: {e}");
     }
     // Delete moved elements and entities whose residence excludes us,
     // top-down.
@@ -555,8 +359,11 @@ pub fn all_gids_present(part: &Part) -> bool {
 mod tests {
     use super::*;
     use crate::dist::{distribute, PartMap};
+    use pumi_geom::GeomEnt;
+    use pumi_mesh::Topology;
     use pumi_meshgen::tri_rect;
-    use pumi_pcu::execute;
+    use pumi_pcu::{execute, MsgWriter};
+    use pumi_util::tag::TagKind;
 
     /// 1D strip of triangles on 2 parts; move one element across and check
     /// counts, residence, and ownership.
@@ -722,28 +529,27 @@ mod tests {
         });
     }
 
-    /// Append one phase-2 vertex record to a frame under construction.
+    /// Append one phase-2 vertex record to a frame under construction,
+    /// through the shared encoder: a scratch part holds the vertex.
     fn vertex_rec(w: &mut MsgWriter, gid: u64, x: f64) {
-        w.put_u8(0); // dimension
-        w.put_u8(Topology::Vertex.to_u8());
-        w.put_u64(gid);
-        w.put_u32(0); // classification
-        w.put_u32_slice(&[0]); // residence: the receiving part
-        w.put_f64(x);
-        w.put_f64(0.0);
-        w.put_f64(0.0);
-        w.put_u32(0); // no tags
+        let mut src = Part::new(7, 2);
+        let v = src.add_vertex([x, 0.0, 0.0], GeomEnt(0), gid);
+        wire::put_entity(w, &src, v, |w| w.put_u32_slice(&[0])); // residence: the receiving part
     }
 
     /// Append one phase-2 edge record referencing vertices by gid.
     fn edge_rec(w: &mut MsgWriter, gid: u64, vgids: &[u64]) {
-        w.put_u8(1);
-        w.put_u8(Topology::Edge.to_u8());
-        w.put_u64(gid);
-        w.put_u32(0);
-        w.put_u32_slice(&[0]);
-        w.put_u64_slice(vgids);
-        w.put_u32(0);
+        let mut src = Part::new(7, 2);
+        let verts: Vec<u32> = vgids
+            .iter()
+            .map(|&g| src.add_vertex([0.0; 3], GeomEnt(0), g).index())
+            .collect();
+        let e = src.add_entity(Topology::Edge, &verts, GeomEnt(0), gid);
+        wire::put_entity(w, &src, e, |w| w.put_u32_slice(&[0]));
+    }
+
+    fn decode_entity_frame(r: &mut MsgReader) -> Result<Vec<EntityRecord<Vec<PartId>>>, MsgError> {
+        wire::decode_entity_frame(r, MsgReader::try_get_u32_slice)
     }
 
     /// Under owner delegation a frame is not self-contained: the edge from
@@ -770,7 +576,7 @@ mod tests {
             ),
         ];
         frames.sort_by_key(|&(from, _)| from); // part 5's frame applies first
-        let records: Vec<EntRecord> = frames.into_iter().flat_map(|(_, r)| r).collect();
+        let records = frames.into_iter().flat_map(|(_, r)| r).collect();
 
         let mut part = Part::new(0, 2);
         let mut res = FxHashMap::default();

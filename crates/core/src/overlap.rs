@@ -15,19 +15,15 @@
 //! elements adjacent (through a bridge dimension) to each part boundary
 //! onto the neighbouring parts, closure-complete and iterable to arbitrary
 //! depth — the paper's one-layer ghosting is exactly the `depth = 1`
-//! special case. Redistribution ([`migrate_preserving`]) re-derives an
-//! equivalent overlap after migration, so consumers can treat "migrate a
-//! ghosted mesh" as one operation.
+//! special case.
 //!
 //! Ghost copies keep the read-only contract: data flows root → ghost leaf
 //! only, unless a caller explicitly reduces with [`Scope::All`] over values
 //! it put on leaves itself (the FE-assembly pattern).
 
 use crate::dist::{DistMesh, PartExchange, PartMap};
-use crate::migrate::{migrate, pack_tags, unpack_tags, MigrationPlan, MigrationStats};
 use crate::part::Part;
-use pumi_geom::GeomEnt;
-use pumi_mesh::Topology;
+use crate::wire::{self, get_dim, pack_tags, unpack_tags};
 use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
 use pumi_util::{Dim, FxHashMap, FxHashSet, MeshEnt, PartId};
 
@@ -387,29 +383,9 @@ impl Overlap {
                         }
                     }
                     let w = ex.to(part.id, q);
-                    for (d, by) in by_dim.iter().enumerate().take(elem_dim + 1) {
-                        for &e in by {
-                            w.put_u8(d as u8);
-                            w.put_u8(part.mesh.topo(e).to_u8());
-                            w.put_u64(part.gid_of(e));
-                            w.put_u32(part.mesh.class_of(e).0);
-                            w.put_u32(e.index()); // sender-side index
-                            if d == 0 {
-                                let x = part.mesh.coords(e);
-                                w.put_f64(x[0]);
-                                w.put_f64(x[1]);
-                                w.put_f64(x[2]);
-                            } else {
-                                let vgids: Vec<u64> = part
-                                    .mesh
-                                    .verts_of(e)
-                                    .iter()
-                                    .map(|&v| part.gid_of(MeshEnt::vertex(v)))
-                                    .collect();
-                                w.put_u64_slice(&vgids);
-                            }
-                            pack_tags(part, e, w);
-                        }
+                    for &e in by_dim.iter().take(elem_dim + 1).flatten() {
+                        // The extra field is the sender-side index.
+                        wire::put_entity(w, part, e, |w| w.put_u32(e.index()));
                     }
                 }
             }
@@ -681,26 +657,6 @@ pub fn clear_overlap(dm: &mut DistMesh) {
     }
 }
 
-/// Migrate with overlap preservation: drop the ghost region (as [`migrate`]
-/// requires), move elements, then re-grow the overlap to the same bridge
-/// and depth on the new distribution. Consumes the stale handle and
-/// returns the re-derived one. Collective.
-pub fn migrate_preserving(
-    comm: &Comm,
-    dm: &mut DistMesh,
-    plans: &FxHashMap<PartId, MigrationPlan>,
-    ov: Overlap,
-) -> (Overlap, MigrationStats) {
-    let _span = pumi_obs::span!("overlap.migrate_preserving");
-    let (bridge, depth) = (ov.bridge(), ov.depth());
-    drop(ov);
-    clear_overlap(dm);
-    let stats = migrate(comm, dm, plans);
-    let mut ov = Overlap::from_dist(dm).with_bridge(bridge);
-    ov.grow(comm, dm, depth);
-    (ov, stats)
-}
-
 // ---------------------------------------------------------------------
 // Wire helpers
 // ---------------------------------------------------------------------
@@ -710,10 +666,7 @@ type Ack = (u8, u32, u32);
 
 /// Decode one `(dim, index)` record header of a bcast/reduce frame.
 fn decode_header(r: &mut MsgReader) -> Result<MeshEnt, MsgError> {
-    let db = r.try_get_u8()?;
-    let d = Dim::try_from_u8(db).ok_or(MsgError::bad_enum("dimension", db))?;
-    let idx = r.try_get_u32()?;
-    Ok(MeshEnt::new(d, idx))
+    Ok(MeshEnt::new(get_dim(r)?, r.try_get_u32()?))
 }
 
 /// Read one ack record, or `None` at end of frame.
@@ -721,11 +674,7 @@ fn read_ack(r: &mut MsgReader) -> Result<Option<(Dim, u32, u32)>, MsgError> {
     if r.is_done() {
         return Ok(None);
     }
-    let db = r.try_get_u8()?;
-    let d = Dim::try_from_u8(db).ok_or(MsgError::bad_enum("dimension", db))?;
-    let my_idx = r.try_get_u32()?;
-    let their_idx = r.try_get_u32()?;
-    Ok(Some((d, my_idx, their_idx)))
+    Ok(Some((get_dim(r)?, r.try_get_u32()?, r.try_get_u32()?)))
 }
 
 /// Where the root copy of `e` lives, from `part`'s perspective: `None` if
@@ -754,46 +703,15 @@ fn unpack_ghost_entities(
     total: &mut u64,
     ack: &mut Vec<Ack>,
 ) -> Result<(), MsgError> {
-    while !r.is_done() {
-        let db = r.try_get_u8()?;
-        let d = Dim::try_from_u8(db).ok_or(MsgError::bad_enum("dimension", db))?;
-        let tb = r.try_get_u8()?;
-        let topo = Topology::try_from_u8(tb).ok_or(MsgError::bad_enum("topology", tb))?;
-        let gid = r.try_get_u64()?;
-        let class = GeomEnt(r.try_get_u32()?);
-        let src_idx = r.try_get_u32()?;
-        let (e, fresh) = if d == Dim::Vertex {
-            let x = [r.try_get_f64()?, r.try_get_f64()?, r.try_get_f64()?];
-            match part.find_gid(d, gid) {
-                Some(e) => (e, false),
-                None => (part.add_vertex(x, class, gid), true),
-            }
-        } else {
-            let vgids = r.try_get_u64_slice()?;
-            match part.find_gid(d, gid) {
-                Some(e) => (e, false),
-                None => {
-                    let mut verts = Vec::with_capacity(vgids.len());
-                    for &g in &vgids {
-                        let v = part.find_gid(Dim::Vertex, g).ok_or(MsgError::missing(
-                            "ghost closure vertex",
-                            0,
-                            g,
-                        ))?;
-                        verts.push(v.index());
-                    }
-                    (part.add_entity(topo, &verts, class, gid), true)
-                }
-            }
-        };
+    for rec in wire::decode_entity_frame(r, MsgReader::try_get_u32)? {
+        let (e, fresh, src_idx) = rec.apply(part)?;
         if fresh {
             part.set_ghost(e, (from, src_idx));
-            ack.push((d.as_usize() as u8, src_idx, e.index()));
-            if d == Dim::from_usize(elem_dim) {
+            ack.push((e.dim().as_usize() as u8, src_idx, e.index()));
+            if e.dim().as_usize() == elem_dim {
                 *total += 1;
             }
         }
-        unpack_tags(part, e, r)?;
     }
     Ok(())
 }
@@ -803,8 +721,7 @@ fn unpack_ghost_entities(
 fn unpack_reroot(r: &mut MsgReader, part: &mut Part) -> Result<(), MsgError> {
     while !r.is_done() {
         let kind = r.try_get_u8()?;
-        let db = r.try_get_u8()?;
-        let d = Dim::try_from_u8(db).ok_or(MsgError::bad_enum("dimension", db))?;
+        let d = get_dim(r)?;
         let my_idx = r.try_get_u32()?;
         let other_part = r.try_get_u32()?;
         let other_idx = r.try_get_u32()?;
@@ -1094,36 +1011,6 @@ mod tests {
                     );
                 }
             }
-        });
-    }
-
-    #[test]
-    fn migrate_preserving_rederives_overlap() {
-        execute(2, |c| {
-            let mut dm = strip_two_parts(c);
-            let pid = c.rank() as PartId;
-            let ov = grow_overlap(c, &mut dm, GhostOpts::new().layers(2));
-            let depth_before = ov.depth();
-            // Shift one boundary element across the part line.
-            let mut plans: FxHashMap<PartId, MigrationPlan> = FxHashMap::default();
-            if pid == 0 {
-                let part = dm.part(pid);
-                let mut plan = MigrationPlan::new();
-                if let Some(el) = part
-                    .mesh
-                    .elems()
-                    .find(|&e| !part.is_ghost(e) && part.closure_touches_boundary(e))
-                {
-                    plan.send(el, 1);
-                }
-                plans.insert(pid, plan);
-            }
-            let (ov, stats) = migrate_preserving(c, &mut dm, &plans, ov);
-            assert_eq!(stats.elements_moved, 1);
-            assert_eq!(ov.depth(), depth_before);
-            let part = dm.part(pid);
-            assert!(part.num_ghosts() > 0, "overlap not re-derived");
-            part.mesh.assert_valid();
         });
     }
 }

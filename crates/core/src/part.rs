@@ -278,15 +278,6 @@ impl Part {
         self.remotes_of(e).iter().map(|&(p, _)| p).collect()
     }
 
-    /// Whether this part owns the part-boundary entity `e` *and* `e` is
-    /// actually shared — the "owner decides" predicate of collective
-    /// boundary operations (a part only initiates a boundary-entity update
-    /// when this is true; interior entities need no coordination).
-    #[inline]
-    pub fn is_owned_shared(&self, e: MeshEnt) -> bool {
-        self.is_shared(e) && self.is_owned(e)
-    }
-
     /// Whether the closure of `e` (the entity and all its downward
     /// adjacencies) touches the part boundary or a ghost copy. Collapse
     /// safety in distributed adaptation keys on this: a cavity whose
@@ -312,11 +303,6 @@ impl Part {
             .collect();
         v.sort_by_key(|(e, _)| *e);
         v
-    }
-
-    /// Drop every remote-copy record (migration rebuilds them from scratch).
-    pub fn clear_remotes(&mut self) {
-        self.remotes.clear();
     }
 
     // ------------------------------------------------------------------
@@ -627,13 +613,13 @@ mod tests {
     fn ownership_and_boundary_queries() {
         let mut p = Part::new(1, 2);
         let v = p.add_vertex([0.; 3], NO_GEOM, 5);
-        assert!(!p.is_owned_shared(v)); // interior: not shared
+        assert!(p.is_owned(v) && !p.is_shared(v)); // interior: not shared
         assert!(!p.closure_touches_boundary(v));
         p.set_remotes(v, vec![(3, 0)]);
-        assert!(p.is_owned_shared(v)); // shared, owner = min(1, 3) = 1
+        assert!(p.is_owned(v) && p.is_shared(v)); // shared, owner = min(1, 3) = 1
         assert_eq!(p.copy_parts(v), vec![3]);
         p.set_remotes(v, vec![(0, 0)]);
-        assert!(!p.is_owned_shared(v)); // part 0 owns it now
+        assert!(!p.is_owned(v)); // part 0 owns it now
         assert!(p.closure_touches_boundary(v));
     }
 

@@ -28,6 +28,7 @@ use crate::error::{IoError, Section};
 use crate::format::{parse_manifest, Manifest, PartFile, MANIFEST_FILE};
 use crate::FIELD_TAG_PREFIX;
 use pumi_core::verify::verify_dist;
+use pumi_core::wire::{get_dim, get_link, put_link, stitch};
 use pumi_core::{migrate, DistMesh, MigrationPlan, Part, PartExchange, PartMap};
 use pumi_field::{DistField, Field};
 use pumi_geom::GeomEnt;
@@ -215,25 +216,13 @@ fn decode_entities(
                     }
                 }
                 None if dropped => {}
-                None if d == 0 => {
-                    part.add_vertex(row.coords, row.class, row.gid);
-                }
                 None => {
-                    let mut verts = Vec::with_capacity(row.vgids.len());
-                    for g in row.vgids {
-                        let v = part
-                            .find_gid(Dim::Vertex, g)
-                            .ok_or_else(|| IoError::Decode {
-                                part: fpart,
-                                section: Section::Entities,
-                                detail: format!(
-                                    "entity gid {} references unknown vertex {g}",
-                                    row.gid
-                                ),
-                            })?;
-                        verts.push(v.index());
-                    }
-                    part.add_entity(row.topo, &verts, row.class, row.gid);
+                    part.create_by_gid(row.topo, row.gid, row.class, row.coords, &row.vgids)
+                        .map_err(|g| IoError::Decode {
+                            part: fpart,
+                            section: Section::Entities,
+                            detail: format!("entity gid {} references unknown vertex {g}", row.gid),
+                        })?;
                 }
             }
         }
@@ -284,10 +273,7 @@ fn decode_remotes(
     let n = r.try_get_u32().map_err(&e)?;
     let mut rows = Vec::with_capacity((n as usize).min(r.remaining() / MIN_ROW));
     for _ in 0..n {
-        let db = r.try_get_u8().map_err(&e)?;
-        let d = Dim::try_from_u8(db)
-            .ok_or(MsgError::bad_enum("dimension", db))
-            .map_err(&e)?;
+        let d = get_dim(&mut r).map_err(&e)?;
         let gid = r.try_get_u64().map_err(&e)?;
         rows.push((d, gid, r.try_get_u32_slice().map_err(&e)?));
     }
@@ -321,10 +307,7 @@ fn decode_tags(
         let nrows = r.try_get_u32().map_err(&e)?;
         let tid = part.mesh.tags_mut().declare(&name, kind, len);
         for _ in 0..nrows {
-            let db = r.try_get_u8().map_err(&e)?;
-            let d = Dim::try_from_u8(db)
-                .ok_or(MsgError::bad_enum("dimension", db))
-                .map_err(&e)?;
+            let d = get_dim(&mut r).map_err(&e)?;
             let gid = r.try_get_u64().map_err(&e)?;
             let buf = r.try_get_bytes().map_err(&e)?;
             let mut pos = 0;
@@ -379,10 +362,7 @@ fn decode_fields(
             ncomp,
         );
         for _ in 0..nrows {
-            let db = r.try_get_u8().map_err(&e)?;
-            let d = Dim::try_from_u8(db)
-                .ok_or(MsgError::bad_enum("dimension", db))
-                .map_err(&e)?;
+            let d = get_dim(&mut r).map_err(&e)?;
             let gid = r.try_get_u64().map_err(&e)?;
             let vals = r.try_get_f64_slice().map_err(&e)?;
             match part.find_gid(d, gid) {
@@ -632,26 +612,17 @@ pub fn read_checkpoint_with(comm: &Comm, dir: &Path, opts: ReadOpts) -> Result<R
     let mut res_rows: Vec<Vec<(Dim, GlobalId, Vec<PartId>)>> = Vec::new();
     let mut ghost_rows: Vec<Vec<(MeshEnt, PartId)>> = Vec::new();
     let mut parts: Vec<Part> = Vec::new();
-    if n >= m {
-        for lp in loaded {
-            parts.push(lp.part);
-            res_rows.push(lp.res_rows);
-            ghost_rows.push(lp.ghost_rows);
-        }
-    } else {
-        // Exactly one part per rank; ranks outside the start set begin empty.
-        match loaded.into_iter().next() {
-            Some(lp) => {
-                parts.push(lp.part);
-                res_rows.push(lp.res_rows);
-                ghost_rows.push(lp.ghost_rows);
-            }
-            None => {
-                parts.push(Part::new(rank as PartId, elem_dim));
-                res_rows.push(Vec::new());
-                ghost_rows.push(Vec::new());
-            }
-        }
+    for lp in loaded {
+        parts.push(lp.part);
+        res_rows.push(lp.res_rows);
+        ghost_rows.push(lp.ghost_rows);
+    }
+    if parts.is_empty() {
+        // N < M: exactly one part per rank; ranks outside the start set
+        // begin empty.
+        parts.push(Part::new(rank as PartId, elem_dim));
+        res_rows.push(Vec::new());
+        ghost_rows.push(Vec::new());
     }
     for p in &mut parts {
         p.bump_gid_counter(max_counter);
@@ -660,59 +631,35 @@ pub fn read_checkpoint_with(comm: &Comm, dir: &Path, opts: ReadOpts) -> Result<R
 
     // Stitch remote-copy links: each resident part announces its local
     // index for every boundary entity to the entity's other residence parts.
-    let mut ex = PartExchange::new(comm, &dm.map);
-    for (slot, part) in dm.parts.iter().enumerate() {
-        for (dim, gid, res) in &res_rows[slot] {
-            let Some(local) = part.find_gid(*dim, *gid) else {
-                continue;
-            };
-            for &q in res {
-                if q != part.id {
-                    let w = ex.to(part.id, q);
-                    w.put_u8(dim.as_usize() as u8);
-                    w.put_u64(*gid);
-                    w.put_u32(local.index());
-                }
-            }
-        }
-    }
-    let mut incoming: FxHashMap<PartId, FxHashMap<MeshEnt, Vec<(PartId, u32)>>> =
-        FxHashMap::default();
-    // Remote-copy lists must not depend on frame arrival order.
-    let mut frames = ex.finish();
-    frames.sort_by_key(|&(from, to, _)| (to, from));
-    for (from, to, mut r) in frames {
-        let slot = incoming.entry(to).or_default();
-        while !r.is_done() {
-            let row = || -> Result<(Dim, GlobalId, u32), MsgError> {
-                let db = r.try_get_u8()?;
-                let d = Dim::try_from_u8(db).ok_or(MsgError::bad_enum("dimension", db))?;
-                let gid = r.try_get_u64()?;
-                let idx = r.try_get_u32()?;
-                Ok((d, gid, idx))
-            }();
-            let Ok((d, gid, ridx)) = row else { break };
-            if let Some(local) = dm.part(to).find_gid(d, gid) {
-                slot.entry(local).or_default().push((from, ridx));
-            }
-        }
-    }
-    for (to, ents) in incoming {
-        let part = dm.part_mut(to);
-        for (e, copies) in ents {
-            part.set_remotes(e, copies);
-        }
-    }
+    // What the stitch (and the ghost relink below) cannot apply is kept, not
+    // acted on: a rank that stopped here would hang its peers in the next
+    // collective. The verification step at the end agrees on it.
+    let announce: Vec<Vec<(MeshEnt, &[PartId])>> = dm
+        .parts
+        .iter()
+        .zip(&res_rows)
+        .map(|(part, rows)| {
+            rows.iter()
+                .filter_map(|(dim, gid, res)| Some((part.find_gid(*dim, *gid)?, res.as_slice())))
+                .collect()
+        })
+        .collect();
+    let mut link_errs: Vec<String> = stitch(comm, &mut dm, &announce)
+        .into_iter()
+        .map(|(from, to, e)| format!("remote-copy stitch {from}->{to}: {e}"))
+        .collect();
 
     // Relink ghost layers (only on an N = N restore; dropped otherwise).
     if manifest.has_ghosts && !skip_ghosts {
         let mut ex = PartExchange::new(comm, &dm.map);
         for (slot, part) in dm.parts.iter().enumerate() {
             for &(ent, src) in &ghost_rows[slot] {
-                let w = ex.to(part.id, src);
-                w.put_u8(ent.dim().as_usize() as u8);
-                w.put_u64(part.gid_of(ent));
-                w.put_u32(ent.index());
+                put_link(
+                    ex.to(part.id, src),
+                    ent.dim(),
+                    part.gid_of(ent),
+                    ent.index(),
+                );
             }
         }
         // (owner part → holder part, dim, holder idx, owner idx)
@@ -720,19 +667,20 @@ pub fn read_checkpoint_with(comm: &Comm, dir: &Path, opts: ReadOpts) -> Result<R
         let mut frames = ex.finish();
         frames.sort_by_key(|&(from, to, _)| (to, from));
         for (from, to, mut r) in frames {
+            let part = dm.part_mut(to);
             while !r.is_done() {
-                let row = || -> Result<(Dim, GlobalId, u32), MsgError> {
-                    let db = r.try_get_u8()?;
-                    let d = Dim::try_from_u8(db).ok_or(MsgError::bad_enum("dimension", db))?;
-                    let gid = r.try_get_u64()?;
-                    let idx = r.try_get_u32()?;
-                    Ok((d, gid, idx))
-                }();
-                let Ok((d, gid, holder_idx)) = row else { break };
-                let part = dm.part_mut(to);
-                if let Some(owner_ent) = part.find_gid(d, gid) {
-                    part.record_ghost_holder(owner_ent, (from, holder_idx));
-                    replies.push((to, from, d.as_usize() as u8, holder_idx, owner_ent.index()));
+                match get_link(&mut r) {
+                    Ok((d, gid, holder_idx)) => {
+                        if let Some(owner_ent) = part.find_gid(d, gid) {
+                            part.record_ghost_holder(owner_ent, (from, holder_idx));
+                            let d = d.as_usize() as u8;
+                            replies.push((to, from, d, holder_idx, owner_ent.index()));
+                        }
+                    }
+                    Err(e) => {
+                        link_errs.push(format!("ghost announce {from}->{to}: {e}"));
+                        break;
+                    }
                 }
             }
         }
@@ -746,17 +694,17 @@ pub fn read_checkpoint_with(comm: &Comm, dir: &Path, opts: ReadOpts) -> Result<R
         let mut frames = ex.finish();
         frames.sort_by_key(|&(from, to, _)| (to, from));
         for (from, to, mut r) in frames {
+            let part = dm.part_mut(to);
             while !r.is_done() {
-                let row = || -> Result<(Dim, u32, u32), MsgError> {
-                    let db = r.try_get_u8()?;
-                    let d = Dim::try_from_u8(db).ok_or(MsgError::bad_enum("dimension", db))?;
-                    Ok((d, r.try_get_u32()?, r.try_get_u32()?))
-                }();
-                let Ok((d, holder_idx, owner_idx)) = row else {
-                    break;
-                };
-                let e = MeshEnt::new(d, holder_idx);
-                dm.part_mut(to).set_ghost(e, (from, owner_idx));
+                let row = get_dim(&mut r)
+                    .and_then(|d| Ok((MeshEnt::new(d, r.try_get_u32()?), r.try_get_u32()?)));
+                match row {
+                    Ok((e, owner_idx)) => part.set_ghost(e, (from, owner_idx)),
+                    Err(e) => {
+                        link_errs.push(format!("ghost reply {from}->{to}: {e}"));
+                        break;
+                    }
+                }
             }
         }
     }
@@ -837,8 +785,9 @@ pub fn read_checkpoint_with(comm: &Comm, dir: &Path, opts: ReadOpts) -> Result<R
         fields.push(df);
     }
 
+    let mut errs = link_errs;
     if opts.verify {
-        let errs = verify_dist(comm, &dm);
+        errs.extend(verify_dist(comm, &dm));
         let total = comm.allreduce_sum_u64(errs.len() as u64);
         if total > 0 {
             return Err(IoError::Verify { errors: errs });
@@ -850,6 +799,11 @@ pub fn read_checkpoint_with(comm: &Comm, dir: &Path, opts: ReadOpts) -> Result<R
                 errors: fail.errors.iter().map(|e| e.to_string()).collect(),
             });
         }
+    }
+    // With `verify` off no collective agreed on the link errors; the ranks
+    // that saw them still refuse the restore.
+    if !errs.is_empty() {
+        return Err(IoError::Verify { errors: errs });
     }
 
     Ok(Restored {

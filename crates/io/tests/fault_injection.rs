@@ -10,7 +10,7 @@ use pumi_io::format::{
 use pumi_io::{read_checkpoint, write_checkpoint, IoError, Section};
 use pumi_meshgen::tri_rect;
 use pumi_partition::partition_mesh;
-use pumi_pcu::execute;
+use pumi_pcu::{execute, execute_chaos, MsgReader, MsgWriter};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -391,6 +391,72 @@ fn version_1_manifest_is_refused() {
         match e {
             IoError::Manifest { detail, .. } => assert!(detail.contains("version 1"), "{detail}"),
             other => panic!("every rank reports Manifest, got: {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A Remotes row that names a part holding no copy: every checksum and
+/// every section decoder accepts it, and the mesh the honest rows describe
+/// is symmetric, so only the stitch notices — the named part receives an
+/// announcement it cannot resolve. That used to be dropped on the floor;
+/// it must be `IoError::Verify` on *every* rank, naming `from->to`, on the
+/// verbatim (4 ranks) and the merging (2 ranks) restore, under the
+/// deterministic and a chaos schedule alike, with no hang.
+#[test]
+fn remotes_row_naming_a_stranger_fails_on_every_rank() {
+    let dir = std::env::temp_dir().join(format!("pumi_io_fault_{}_stranger", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let serial = tri_rect(8, 6, 1.0, 1.0);
+    execute(2, |c| {
+        let labels = partition_mesh(&serial, 4);
+        let dm = distribute(c, PartMap::contiguous(4, 2), &serial, &labels);
+        write_checkpoint(c, &dm, &[], &dir).expect("write");
+    });
+    // Rows are `[dim u8][gid u64][residence u32 slice]` after a u32 count:
+    // add a stranger to the first two-part row of part 0.
+    let stranger = std::cell::Cell::new(None);
+    rewrite_section(&part_file_path(&dir, 0), 0, Section::Remotes, |raw| {
+        let mut r = MsgReader::from_vec(std::mem::take(raw));
+        let mut w = MsgWriter::new();
+        let n = r.get_u32();
+        w.put_u32(n);
+        for _ in 0..n {
+            w.put_u8(r.get_u8());
+            w.put_u64(r.get_u64());
+            let mut res = r.get_u32_slice();
+            if stranger.get().is_none() && res.len() == 2 {
+                let q = (1..4).find(|q| !res.contains(q)).expect("4 parts");
+                res.push(q);
+                stranger.set(Some(q));
+            }
+            w.put_u32_slice(&res);
+        }
+        *raw = w.finish().to_vec();
+    });
+    let stranger = stranger.get().expect("part 0 has a two-part boundary row");
+
+    for nranks in [2, 4] {
+        for chaos in [None, Some(1)] {
+            let body = |c: &pumi_pcu::Comm| {
+                read_checkpoint(c, &dir)
+                    .map(|_| ())
+                    .expect_err("a stranger in a Remotes row must not restore")
+            };
+            let errs = match chaos {
+                None => execute(nranks, body),
+                Some(seed) => execute_chaos(nranks, seed, body),
+            };
+            let mut named = false;
+            for e in &errs {
+                let IoError::Verify { errors } = e else {
+                    panic!("{nranks} ranks, chaos {chaos:?}: expected Verify, got {e:?}");
+                };
+                named |= errors
+                    .iter()
+                    .any(|m| m.contains(&format!("stitch 0->{stranger}")));
+            }
+            assert!(named, "no rank names the announcement: {errs:?}");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -9,7 +9,7 @@
 //! Components:
 //! * [`mod@span`] — scoped phase timers (`let _g = span!("migrate.pack");`) that
 //!   aggregate count + inclusive nanoseconds per slash-joined span path,
-//! * [`metrics`] — a per-thread registry of counters, gauges and histograms,
+//! * [`metrics`] — a per-thread registry of counters and histograms,
 //!   plus message-traffic accounting per `(span path, link class)` — the
 //!   per-phase extension of PCU's world-total `TrafficCounters`,
 //! * [`parma`] — the ParMA iteration recorder: imbalance trajectory,

@@ -1,4 +1,4 @@
-//! Per-thread metrics registry: counters, gauges, histograms, and message
+//! Per-thread metrics registry: counters, histograms, and message
 //! traffic accounted per `(span path, link class)`.
 //!
 //! This is the per-phase extension of PCU's world-total `TrafficCounters`:
@@ -131,7 +131,6 @@ impl Default for HistStat {
 #[derive(Default)]
 struct Registry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     hists: BTreeMap<String, HistStat>,
     /// phase path -> per-link totals.
     traffic: BTreeMap<String, [LinkTotals; 3]>,
@@ -162,15 +161,6 @@ pub fn counter_add(name: &str, v: u64) {
                     r.counters.insert(name.to_string(), v);
                 }
             }
-        });
-    }
-}
-
-/// Set the named gauge to `v` (last write wins).
-pub fn gauge_set(name: &str, v: f64) {
-    if cfg!(feature = "enabled") {
-        REG.with(|r| {
-            r.borrow_mut().gauges.insert(name.to_string(), v);
         });
     }
 }
@@ -238,19 +228,6 @@ pub fn take_counters() -> Vec<(String, u64)> {
     if cfg!(feature = "enabled") {
         REG.with(|r| {
             std::mem::take(&mut r.borrow_mut().counters)
-                .into_iter()
-                .collect()
-        })
-    } else {
-        Vec::new()
-    }
-}
-
-/// Drain this thread's gauges, sorted by name.
-pub fn take_gauges() -> Vec<(String, f64)> {
-    if cfg!(feature = "enabled") {
-        REG.with(|r| {
-            std::mem::take(&mut r.borrow_mut().gauges)
                 .into_iter()
                 .collect()
         })
@@ -331,16 +308,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_hists_roundtrip() {
-        let _ = (take_counters(), take_gauges(), take_hists());
+    fn counters_hists_roundtrip() {
+        let _ = (take_counters(), take_hists());
         counter_add("msgs", 2);
         counter_add("msgs", 3);
-        gauge_set("imb", 1.5);
-        gauge_set("imb", 1.2);
         hist_record("sz", 10.0);
         hist_record("sz", 30.0);
         assert_eq!(take_counters(), vec![("msgs".to_string(), 5)]);
-        assert_eq!(take_gauges(), vec![("imb".to_string(), 1.2)]);
         let hists = take_hists();
         assert_eq!(hists[0].0, "sz");
         let h = hists[0].1;

@@ -66,14 +66,6 @@ impl Priority {
             .flat_map(|(_, dims)| dims.iter().copied())
             .collect()
     }
-
-    /// Every dim mentioned anywhere in the list.
-    pub fn all_dims(&self) -> Vec<Dim> {
-        let mut v: Vec<Dim> = self.levels.iter().flatten().copied().collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
 }
 
 fn parse_dim(tok: &str) -> Result<Dim, String> {

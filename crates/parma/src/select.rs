@@ -200,11 +200,6 @@ impl<'p> Selector<'p> {
             .unwrap_or(1.0)
     }
 
-    /// Total elements selected so far.
-    pub fn selected_count(&self) -> usize {
-        self.selected.len()
-    }
-
     /// Run one selection request; returns the estimated number of target-dim
     /// entities removed from this part.
     pub fn select(

@@ -83,11 +83,6 @@ impl DualGraph {
             .zip(self.adjwgt[s..e].iter().copied())
     }
 
-    /// Total node weight.
-    pub fn total_weight(&self) -> f64 {
-        self.vwgt.iter().sum()
-    }
-
     /// The edge cut of a labeling: edges whose endpoints have different
     /// labels (each counted once).
     pub fn edge_cut(&self, labels: &[u32]) -> usize {
@@ -96,21 +91,6 @@ impl DualGraph {
             for &v in self.neighbors(u) {
                 if u < v && labels[u as usize] != labels[v as usize] {
                     cut += 1;
-                }
-            }
-        }
-        cut
-    }
-
-    /// The weighted edge cut of a labeling: sum of `adjwgt` over edges
-    /// whose endpoints have different labels (each edge counted once, using
-    /// the weight stored on its lower-endpoint direction).
-    pub fn edge_cut_weighted(&self, labels: &[u32]) -> f64 {
-        let mut cut = 0.0;
-        for u in 0..self.len() as u32 {
-            for (v, w) in self.edges(u) {
-                if u < v && labels[u as usize] != labels[v as usize] {
-                    cut += w;
                 }
             }
         }

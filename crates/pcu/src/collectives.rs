@@ -131,11 +131,6 @@ impl Comm {
         self.allgather_u64(x).into_iter().max().unwrap_or(0)
     }
 
-    /// Min-reduce a `u64` across all ranks.
-    pub fn allreduce_min_u64(&self, x: u64) -> u64 {
-        self.allgather_u64(x).into_iter().min().unwrap_or(0)
-    }
-
     /// Max-reduce an `f64` across all ranks.
     pub fn allreduce_max_f64(&self, x: f64) -> f64 {
         self.allgather_f64(x)
@@ -226,7 +221,6 @@ mod tests {
             assert_eq!(xs, (1..=n as u64).collect::<Vec<_>>());
             assert_eq!(c.allreduce_sum_u64(c.rank() as u64 + 1), 21);
             assert_eq!(c.allreduce_max_u64(c.rank() as u64), n as u64 - 1);
-            assert_eq!(c.allreduce_min_u64(c.rank() as u64 + 5), 5);
             let s = c.allreduce_sum_f64(0.5);
             assert!((s - 3.0).abs() < 1e-12);
             assert!((c.allreduce_max_f64(-(c.rank() as f64)) - 0.0).abs() < 1e-12);

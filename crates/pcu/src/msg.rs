@@ -271,11 +271,6 @@ impl MsgWriter {
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
     }
-
-    /// Finish as a plain `Vec<u8>`.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.buf.to_vec()
-    }
 }
 
 /// Sequential typed reader over a byte buffer.

@@ -5,7 +5,7 @@
 //! This module is the bridge: collectives that drain every rank's local
 //! store, gather to rank 0, and merge — giving the world view the paper's
 //! tables are written in (max-over-ranks phase times, summed per-link
-//! traffic).
+//! traffic, summed counters, merged histograms).
 //!
 //! All functions here are **collective**: every rank of the world must call
 //! them at the same point, and rank 0 gets `Some(..)`. They also work with
@@ -14,7 +14,7 @@
 use crate::comm::Comm;
 use crate::msg::{MsgReader, MsgWriter};
 use pumi_obs::json::Json;
-use pumi_obs::metrics::Link;
+use pumi_obs::metrics::{HistStat, Link};
 use std::collections::BTreeMap;
 
 /// One span path reduced across the world.
@@ -83,9 +83,29 @@ pub fn reduce_spans(comm: &Comm) -> Option<Vec<WorldSpan>> {
 }
 
 /// Drain every rank's per-phase traffic and reduce it to rank 0, sorted by
-/// `(phase, link)`. Collective; `Some` on rank 0 only.
+/// `(phase, link)`. Collective; `Some` on rank 0 only. Counters and
+/// histograms ride the same gather and are dropped here; [`world_report`]
+/// keeps them.
 pub fn reduce_traffic(comm: &Comm) -> Option<Vec<WorldTraffic>> {
+    reduce_metrics(comm).map(|m| m.traffic)
+}
+
+/// Everything `pumi_obs::metrics` records, reduced across the world.
+struct WorldMetrics {
+    traffic: Vec<WorldTraffic>,
+    /// Counters summed over all ranks, sorted by name.
+    counters: Vec<(String, u64)>,
+    /// Histograms merged over all ranks (count and sum added, min and max
+    /// widened), sorted by name.
+    hists: Vec<(String, HistStat)>,
+}
+
+/// Drain every rank's metrics registry — traffic, counters, histograms — and
+/// reduce it to rank 0 with one gather.
+fn reduce_metrics(comm: &Comm) -> Option<WorldMetrics> {
     let rows = pumi_obs::metrics::take_traffic();
+    let counters = pumi_obs::metrics::take_counters();
+    let hists = pumi_obs::metrics::take_hists();
     let mut w = MsgWriter::new();
     w.put_u32(rows.len() as u32);
     for row in &rows {
@@ -94,17 +114,32 @@ pub fn reduce_traffic(comm: &Comm) -> Option<Vec<WorldTraffic>> {
         w.put_u64(row.totals.msgs);
         w.put_u64(row.totals.bytes);
     }
+    w.put_u32(counters.len() as u32);
+    for (name, v) in &counters {
+        w.put_bytes(name.as_bytes());
+        w.put_u64(*v);
+    }
+    w.put_u32(hists.len() as u32);
+    for (name, h) in &hists {
+        w.put_bytes(name.as_bytes());
+        w.put_u64(h.count);
+        w.put_f64(h.sum);
+        w.put_f64(h.min);
+        w.put_f64(h.max);
+    }
     let gathered = comm.gather_bytes(0, w.finish())?;
-    let mut agg: BTreeMap<(String, u8), WorldTraffic> = BTreeMap::new();
+    let mut traffic: BTreeMap<(String, u8), WorldTraffic> = BTreeMap::new();
+    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
+    let mut hists: BTreeMap<String, HistStat> = BTreeMap::new();
     for b in gathered {
         let mut r = MsgReader::new(b);
-        let n = r.get_u32();
-        for _ in 0..n {
-            let phase = String::from_utf8(r.get_bytes()).expect("span paths are utf-8");
+        let name = |r: &mut MsgReader| String::from_utf8(r.get_bytes()).expect("names are utf-8");
+        for _ in 0..r.get_u32() {
+            let phase = name(&mut r);
             let code = r.get_u8();
             let msgs = r.get_u64();
             let bytes = r.get_u64();
-            let e = agg
+            let e = traffic
                 .entry((phase.clone(), code))
                 .or_insert_with(|| WorldTraffic {
                     phase,
@@ -115,8 +150,23 @@ pub fn reduce_traffic(comm: &Comm) -> Option<Vec<WorldTraffic>> {
             e.msgs += msgs;
             e.bytes += bytes;
         }
+        for _ in 0..r.get_u32() {
+            let counter = counters.entry(name(&mut r)).or_default();
+            *counter += r.get_u64();
+        }
+        for _ in 0..r.get_u32() {
+            let h = hists.entry(name(&mut r)).or_default();
+            h.count += r.get_u64();
+            h.sum += r.get_f64();
+            h.min = h.min.min(r.get_f64());
+            h.max = h.max.max(r.get_f64());
+        }
     }
-    Some(agg.into_values().collect())
+    Some(WorldMetrics {
+        traffic: traffic.into_values().collect(),
+        counters: counters.into_iter().collect(),
+        hists: hists.into_iter().collect(),
+    })
 }
 
 fn link_code(link: Link) -> u8 {
@@ -136,9 +186,11 @@ fn link_from_code(code: u8) -> Link {
     }
 }
 
-/// Reduce spans and traffic and render both as the standard report
-/// sections: `{"spans": [...], "traffic": [...]}`. Collective; `Some` on
-/// rank 0 only. The typical bench pattern:
+/// Reduce spans and metrics and render them as the standard report
+/// sections: `{"spans": [...], "traffic": [...], "counters": [...],
+/// "hists": [...]}` — so "how many migrations, how many entities" has an
+/// answer for any traced run. Collective; `Some` on rank 0 only. The
+/// typical bench pattern:
 ///
 /// ```ignore
 /// let out = execute(n, |c| {
@@ -149,9 +201,9 @@ fn link_from_code(code: u8) -> Link {
 /// ```
 pub fn world_report(comm: &Comm) -> Option<Json> {
     let spans = reduce_spans(comm);
-    let traffic = reduce_traffic(comm);
+    let metrics = reduce_metrics(comm);
     let spans = spans?;
-    let traffic = traffic.expect("rank 0 sees both reductions");
+    let m = metrics.expect("rank 0 sees both reductions");
     Some(Json::obj([
         (
             "spans",
@@ -167,7 +219,7 @@ pub fn world_report(comm: &Comm) -> Option<Json> {
         ),
         (
             "traffic",
-            Json::arr(traffic.iter().map(|t| {
+            Json::arr(m.traffic.iter().map(|t| {
                 Json::obj([
                     ("phase", Json::str(&t.phase)),
                     ("link", Json::str(t.link.name())),
@@ -176,6 +228,15 @@ pub fn world_report(comm: &Comm) -> Option<Json> {
                 ])
             })),
         ),
+        (
+            "counters",
+            Json::arr(
+                m.counters.iter().map(|(name, v)| {
+                    Json::obj([("name", Json::str(name)), ("value", Json::U64(*v))])
+                }),
+            ),
+        ),
+        ("hists", pumi_obs::report::hists_to_json(&m.hists)),
     ]))
 }
 
@@ -324,6 +385,39 @@ mod tests {
         assert!(!direct
             .iter()
             .any(|r| r.phase.contains(pumi_obs::metrics::RELAY_SPAN)));
+    }
+
+    /// Counters are summed and histograms merged across ranks, and both
+    /// land in the report beside spans and traffic.
+    #[test]
+    #[cfg(feature = "obs")]
+    fn counters_and_hists_reach_the_world_report() {
+        let out = execute(3, |c| {
+            let _ = pumi_obs::metrics::take_counters();
+            let _ = pumi_obs::metrics::take_hists();
+            pumi_obs::metrics::counter_add("migrate.calls", 2);
+            if c.rank() == 1 {
+                pumi_obs::metrics::counter_add("only.rank1", 7);
+            }
+            pumi_obs::metrics::hist_record("moved", 10.0 * (c.rank() + 1) as f64);
+            let m = reduce_metrics(c);
+            // A second report finds the registries drained.
+            (m, world_report(c).map(|j| j.render()))
+        });
+        let (m, again) = out.into_iter().next().unwrap();
+        let m = m.expect("rank 0 holds the reduction");
+        assert_eq!(
+            m.counters,
+            vec![
+                ("migrate.calls".to_string(), 6),
+                ("only.rank1".to_string(), 7)
+            ]
+        );
+        let (name, h) = &m.hists[0];
+        assert_eq!(name, "moved");
+        assert_eq!((h.count, h.sum, h.min, h.max), (3, 60.0, 10.0, 30.0));
+        let again = again.unwrap();
+        assert!(again.contains("\"counters\": []") && again.contains("\"hists\": []"));
     }
 
     #[test]

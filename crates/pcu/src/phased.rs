@@ -535,21 +535,6 @@ impl<'a> IntoIterator for &'a Received {
     }
 }
 
-/// One-shot helper: send `outgoing[rank] = bytes` and receive the peers'
-/// buffers. Empty buffers are not transmitted.
-pub fn exchange_bytes(comm: &Comm, outgoing: FxHashMap<usize, Vec<u8>>) -> Vec<(usize, Vec<u8>)> {
-    let mut ex = Exchange::new(comm);
-    for (dest, data) in outgoing {
-        if !data.is_empty() {
-            ex.to(dest).put_bytes(&data);
-        }
-    }
-    ex.finish()
-        .into_iter()
-        .map(|(from, mut r)| (from, r.get_bytes()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -837,19 +822,5 @@ mod tests {
             saw_unsorted |= *sources != sorted;
         }
         assert!(saw_unsorted, "chaos never permuted a fan-in of 7 sources");
-    }
-
-    #[test]
-    fn exchange_bytes_helper() {
-        execute(3, |c| {
-            let mut out: FxHashMap<usize, Vec<u8>> = FxHashMap::default();
-            out.insert((c.rank() + 1) % 3, vec![c.rank() as u8; 4]);
-            out.insert(c.rank(), vec![]); // empty: dropped
-            let got = exchange_bytes(c, out);
-            assert_eq!(got.len(), 1);
-            let (from, data) = &got[0];
-            assert_eq!(*from, (c.rank() + 2) % 3);
-            assert_eq!(data, &vec![*from as u8; 4]);
-        });
     }
 }

@@ -41,11 +41,6 @@ impl SchedMode {
             Err(_) => SchedMode::Deterministic,
         })
     }
-
-    /// Whether this mode perturbs delivery order.
-    pub fn is_chaos(&self) -> bool {
-        matches!(self, SchedMode::Chaos(_))
-    }
 }
 
 /// Seeded splitmix64 generator — small, fast, and good enough for shuffles;
@@ -125,8 +120,7 @@ mod tests {
 
     #[test]
     fn mode_queries() {
-        assert!(!SchedMode::Deterministic.is_chaos());
-        assert!(SchedMode::Chaos(7).is_chaos());
+        assert_ne!(SchedMode::Chaos(7), SchedMode::Deterministic);
         assert_eq!(SchedMode::default(), SchedMode::Deterministic);
     }
 }

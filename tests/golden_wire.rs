@@ -1,0 +1,201 @@
+//! Golden wire: every stage that ships entities or stitches remote-copy
+//! links — `distribute`, `migrate`, `Overlap::grow`, `adapt_dist`'s relink,
+//! checkpoint write and the 4→2 merging restore — pinned by world traffic
+//! totals, `struct_hash` and a local-index-sensitive link fingerprint.
+//!
+//! The constants were taken by running this file on the commit *before* the
+//! entity transport was unified in `pumi_core::wire`; they hold under the
+//! deterministic scheduler, `chaos:1`, `chaos:7` and `--no-default-features`
+//! alike. A change here means a byte moved on the wire or an entity was
+//! created in a different order — the way `golden_bytes.rs` pins the disk.
+
+use pumi_repro::adapt::{adapt_dist, AdaptOpts, SizeField};
+use pumi_repro::core::overlap::Overlap;
+use pumi_repro::core::{distribute, migrate, DistMesh, MigrationPlan, PartMap};
+use pumi_repro::io::{read_checkpoint, struct_hash, write_checkpoint};
+use pumi_repro::meshgen::tri_rect;
+use pumi_repro::partition::partition_mesh;
+use pumi_repro::pcu::{execute, execute_on, Comm, MachineModel};
+use pumi_repro::util::tag::TagKind;
+use pumi_repro::util::{Dim, FxHashMap, PartId};
+
+/// What one rank saw after a stage: world traffic `(on_node_msgs,
+/// on_node_bytes, off_node_msgs, off_node_bytes)`, the world `struct_hash`,
+/// and this rank's share of the link fingerprint.
+type Probe = ([u64; 4], u64, u64);
+
+/// FNV-1a over every local copy's `(part, dim, gid, local index, remote
+/// copies, ghost source)` in entity order: unlike `struct_hash` it moves
+/// when an entity lands at a different local index or a link differs.
+fn link_fingerprint(dm: &DistMesh) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for part in &dm.parts {
+        for d in Dim::ALL {
+            for e in part.mesh.iter(d) {
+                eat(part.id as u64);
+                eat(d.as_usize() as u64);
+                eat(part.gid_of(e));
+                eat(e.index() as u64);
+                for &(q, i) in part.remotes_of(e) {
+                    eat(q as u64);
+                    eat(i as u64);
+                }
+                if let Some((q, i)) = part.ghost_source(e) {
+                    eat(u64::MAX);
+                    eat(q as u64);
+                    eat(i as u64);
+                }
+            }
+        }
+    }
+    h
+}
+
+/// Read the world meters while no rank is sending, then hash.
+fn probe(c: &Comm, dm: &DistMesh) -> Probe {
+    c.barrier();
+    let t = c.traffic();
+    c.barrier();
+    (
+        [
+            t.on_node_msgs,
+            t.on_node_bytes,
+            t.off_node_msgs,
+            t.off_node_bytes,
+        ],
+        struct_hash(c, dm),
+        link_fingerprint(dm),
+    )
+}
+
+/// Every rank must agree on traffic and hash; fingerprints add up.
+fn fold(stage: &str, per_rank: Vec<Probe>) -> Probe {
+    let (traffic, hash, _) = per_rank[0];
+    let mut fp = 0u64;
+    for (rank, &(t, h, f)) in per_rank.iter().enumerate() {
+        assert_eq!((t, h), (traffic, hash), "{stage}: rank {rank} disagrees");
+        fp = fp.wrapping_add(f);
+    }
+    (traffic, hash, fp)
+}
+
+const STAGES: [&str; 6] = [
+    "distribute",
+    "migrate",
+    "grow",
+    "adapt",
+    "write",
+    "restore 4->2",
+];
+
+/// Taken on the parent commit; see the module docs.
+const GOLDEN: [Probe; 6] = [
+    (
+        [4, 1608, 4, 1036],
+        13137667257423266081,
+        10160132723677700142,
+    ),
+    (
+        [20, 19165, 25, 12983],
+        9318482711173829293,
+        4359406277625015817,
+    ),
+    (
+        [42, 69065, 43, 37955],
+        9318482711173829293,
+        1746323583155797509,
+    ),
+    (
+        [54, 69699, 61, 38605],
+        9973596129831006867,
+        15060360643896863560,
+    ),
+    (
+        [69, 70091, 91, 39389],
+        9973596129831006867,
+        15060360643896863560,
+    ),
+    ([0, 0, 39, 4934], 9973596129831006867, 2364599313142159352),
+];
+
+#[test]
+fn no_wire_byte_moved() {
+    let dir = std::env::temp_dir().join(format!("pumi_golden_wire_{}", std::process::id()));
+    let dir4 = dir.clone();
+    let per_rank: Vec<Vec<Probe>> = execute_on(MachineModel::new(2, 2), move |c| {
+        let mut out = Vec::new();
+        let serial = tri_rect(12, 12, 1.0, 1.0);
+        let labels = partition_mesh(&serial, 4);
+        let mut dm = distribute(c, PartMap::contiguous(4, 4), &serial, &labels);
+        out.push(probe(c, &dm));
+
+        // One tag value per element, so the record's tag block is non-empty.
+        for part in &mut dm.parts {
+            let tid = part.mesh.tags_mut().declare("w", TagKind::Double, 1);
+            for e in part.mesh.snapshot(Dim::Face) {
+                let w = part.gid_of(e) as f64 * 0.5;
+                part.mesh.tags_mut().set_dbl(tid, e, w);
+            }
+        }
+
+        // A 1-element-deep band: every element touching the part boundary
+        // moves to the highest-numbered part it touches.
+        let mut plans: FxHashMap<PartId, MigrationPlan> = FxHashMap::default();
+        for part in &dm.parts {
+            let mut plan = MigrationPlan::new();
+            for e in part.mesh.elems() {
+                let to = part
+                    .mesh
+                    .closure(e)
+                    .iter()
+                    .flat_map(|&s| part.copy_parts(s))
+                    .max();
+                if let Some(to) = to.filter(|&q| q > part.id) {
+                    plan.send(e, to);
+                }
+            }
+            plans.insert(part.id, plan);
+        }
+        let stats = migrate(c, &mut dm, &plans);
+        assert!(stats.elements_moved > 0);
+        out.push(probe(c, &dm));
+
+        let mut ov = Overlap::from_dist(&dm).with_bridge(Dim::Vertex);
+        assert!(ov.grow(c, &mut dm, 2) > 0);
+        out.push(probe(c, &dm));
+        ov.clear(&mut dm);
+
+        let size = SizeField::shock(|p| p[0] + 0.5 * p[1] - 0.7, 0.03, 0.2, 0.08);
+        let stats = adapt_dist(c, &mut dm, &size, AdaptOpts::new());
+        assert!(stats.boundary_splits > 0, "shock misses every boundary");
+        out.push(probe(c, &dm));
+
+        write_checkpoint(c, &dm, &[], &dir4).expect("write");
+        out.push(probe(c, &dm));
+        out
+    });
+    let dir2 = dir.clone();
+    let restored: Vec<Probe> = execute(2, move |c| {
+        let r = read_checkpoint(c, &dir2).expect("restore");
+        assert!(r.stats.redistributed && r.stats.elements_moved > 0);
+        probe(c, &r.dm)
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut seen: Vec<Probe> = (0..5)
+        .map(|s| fold(STAGES[s], per_rank.iter().map(|r| r[s]).collect()))
+        .collect();
+    seen.push(fold(STAGES[5], restored));
+    for (s, (got, want)) in seen.iter().zip(&GOLDEN).enumerate() {
+        assert_eq!(
+            got, want,
+            "stage '{}' moved; all stages: {seen:?}",
+            STAGES[s]
+        );
+    }
+}
