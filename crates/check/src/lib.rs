@@ -40,7 +40,7 @@
 
 #![warn(missing_docs)]
 
-use pumi_core::overlap::{Overlap, Share};
+use pumi_core::overlap::Overlap;
 use pumi_core::part::NO_GID;
 use pumi_core::{DistMesh, Part, PartExchange};
 use pumi_field::DistField;
@@ -915,14 +915,9 @@ pub fn check_overlap(comm: &Comm, dm: &DistMesh, ov: &Overlap) -> Result<u64, Ch
                             .iter()
                             .any(|s| s.part == from && s.index == their_idx && s.ghost == ghost),
                         // A root claims we hold a leaf of its entity.
-                        1 => {
-                            ov.leaf_root(slot, e)
-                                == Some(Share {
-                                    part: from,
-                                    index: their_idx,
-                                    ghost,
-                                })
-                        }
+                        1 => ov.leaf_root(slot, e).is_some_and(|s| {
+                            s.part == from && s.index == their_idx && s.ghost == ghost
+                        }),
                         b => return Err(MsgError::bad_enum("share check record", b)),
                     };
                 if !mirrored {
@@ -960,7 +955,7 @@ pub fn check_field_sync(
 ) -> Result<u64, CheckFailure> {
     let _span = pumi_obs::span!("check.field");
     assert_eq!(fields.len(), dm.parts.len());
-    let node_dims: Vec<Dim> = fields
+    let node_dims: &[Dim] = fields
         .first()
         .map(|f| f.shape.node_dims(dm.parts[0].mesh.elem_dim()))
         .unwrap_or_default();

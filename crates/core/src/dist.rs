@@ -188,6 +188,14 @@ impl<'c, 'm> PartExchange<'c, 'm> {
             .or_insert_with(MsgWriter::pooled)
     }
 
+    /// Adopt `w`, packed outside the exchange, as the whole `from` → `to`
+    /// buffer — for packers that hold one writer per destination at once.
+    pub fn put(&mut self, from: PartId, to: PartId, w: MsgWriter) {
+        debug_assert!((to as usize) < self.map.nparts(), "bad destination part");
+        let prev = self.bufs.insert((from, to), w);
+        debug_assert!(prev.is_none(), "buffer {from}->{to} already open");
+    }
+
     /// Send everything; returns `(from_part, to_part, reader)` triples.
     /// Under the deterministic scheduler they come sorted by (to, from);
     /// under chaos they come in a seeded permutation, so algorithms written

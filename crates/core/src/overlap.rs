@@ -117,25 +117,154 @@ pub struct Share {
     /// Whether the *leaf* side of this link is a ghost copy (false for
     /// part-boundary remotes).
     pub ghost: bool,
+    /// Position of `part` in the slot's ascending peer list, so a walk over
+    /// links indexes a per-peer table instead of hashing part ids.
+    peer: u16,
+}
+
+/// What [`Overlap::assert_describes`] compares: cheap per-part totals that
+/// every migration, adaptation or ghost deletion moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Stamp {
+    index_space: [usize; 4],
+    live: [usize; 4],
+    ghosts: usize,
+}
+
+impl Stamp {
+    fn of(part: &Part) -> Stamp {
+        Stamp {
+            index_space: Dim::ALL.map(|d| part.mesh.index_space(d)),
+            live: Dim::ALL.map(|d| part.mesh.count(d)),
+            ghosts: part.num_ghosts(),
+        }
+    }
+}
+
+/// One slot's share map, compiled: flat arrays sorted by entity handle,
+/// i.e. by `(dim, index)`, with the start of every dimension recorded so a
+/// walk can be restricted to the dimensions that carry data.
+#[derive(Debug, Clone, Default)]
+struct SlotShares {
+    /// Every part a link of this slot names, ascending.
+    peers: Vec<PartId>,
+    /// Root entities, ascending.
+    root_ents: Vec<MeshEnt>,
+    /// CSR: the leaves of `root_ents[i]` are
+    /// `root_links[root_offsets[i]..root_offsets[i + 1]]`, ascending.
+    root_offsets: Vec<u32>,
+    root_links: Vec<Share>,
+    /// `root_ents[root_dims[d]..root_dims[d + 1]]` have dimension `d`.
+    root_dims: [usize; 5],
+    /// Leaf entities, ascending.
+    leaf_ents: Vec<MeshEnt>,
+    /// The root copy of `leaf_ents[i]`.
+    leaf_roots: Vec<Share>,
+    /// `leaf_ents[leaf_dims[d]..leaf_dims[d + 1]]` have dimension `d`.
+    leaf_dims: [usize; 5],
+    stamp: Stamp,
+}
+
+/// Where each dimension starts in the ascending handle list `ents`.
+fn dim_starts(ents: &[MeshEnt]) -> [usize; 5] {
+    std::array::from_fn(|d| ents.partition_point(|e| e.dim().as_usize() < d))
+}
+
+impl SlotShares {
+    /// Compile `part`'s remote-copy lists and ghost records.
+    fn compile(part: &Part) -> SlotShares {
+        let link = |(p, index): (PartId, u32), ghost| Share {
+            part: p,
+            index,
+            ghost,
+            peer: 0,
+        };
+        let mut roots: Vec<(MeshEnt, Share)> = Vec::new();
+        let mut leaves: Vec<(MeshEnt, Share)> = Vec::new();
+        // Part-boundary copies: the minimum residence part is root.
+        for (e, remotes) in part.shared_entities() {
+            if part.is_owned(e) {
+                roots.extend(remotes.iter().map(|&r| (e, link(r, false))));
+            } else {
+                let owner = part.owner(e);
+                if let Some(&r) = remotes.iter().find(|&&(p, _)| p == owner) {
+                    leaves.push((e, link(r, false)));
+                }
+            }
+        }
+        // Ghost copies: the source (always the owner — growth re-roots
+        // holder records) is root, the ghost is a leaf.
+        for (e, holders) in part.ghost_entities_owner_side() {
+            roots.extend(holders.into_iter().map(|h| (e, link(h, true))));
+        }
+        for e in part.ghost_entities() {
+            let src = part.ghost_source(e).expect("ghost has a source");
+            leaves.push((e, link(src, true)));
+        }
+        // Canonical order, independent of ack arrival order.
+        roots.sort_unstable();
+        leaves.sort_unstable();
+        debug_assert!(
+            leaves.windows(2).all(|w| w[0].0 < w[1].0),
+            "an entity is a leaf twice on part {}",
+            part.id
+        );
+
+        let mut peers: Vec<PartId> = roots.iter().chain(&leaves).map(|l| l.1.part).collect();
+        peers.sort_unstable();
+        peers.dedup();
+        assert!(peers.len() <= usize::from(u16::MAX), "too many neighbours");
+        let peer_of = |s: &mut Share| {
+            s.peer = peers.binary_search(&s.part).expect("peer listed") as u16;
+        };
+
+        let mut sh = SlotShares {
+            stamp: Stamp::of(part),
+            ..SlotShares::default()
+        };
+        for (e, mut s) in roots {
+            if sh.root_ents.last() != Some(&e) {
+                sh.root_ents.push(e);
+                sh.root_offsets.push(sh.root_links.len() as u32);
+            }
+            peer_of(&mut s);
+            sh.root_links.push(s);
+        }
+        sh.root_offsets.push(sh.root_links.len() as u32);
+        for (e, mut s) in leaves {
+            peer_of(&mut s);
+            sh.leaf_ents.push(e);
+            sh.leaf_roots.push(s);
+        }
+        sh.root_dims = dim_starts(&sh.root_ents);
+        sh.leaf_dims = dim_starts(&sh.leaf_ents);
+        sh.peers = peers;
+        sh
+    }
+
+    /// The leaf list of the `i`-th root.
+    fn links_of(&self, i: usize) -> &[Share] {
+        &self.root_links[self.root_offsets[i] as usize..self.root_offsets[i + 1] as usize]
+    }
 }
 
 /// The star-forest share map of a [`DistMesh`]: for every local part slot,
 /// which entities are roots (with their leaf lists) and which are leaves
-/// (with their root reference).
+/// (with their root reference), compiled once into sorted flat arrays that
+/// every [`Overlap::bcast`] / [`Overlap::reduce`] walks without building
+/// anything.
 ///
 /// Built locally from part bookkeeping by [`Overlap::from_dist`] — remotes
 /// and ghost records already encode the forest; no communication needed.
-/// [`Overlap::grow`] deepens the ghost region and refreshes the maps.
+/// [`Overlap::grow`] deepens the ghost region and recompiles.
 #[derive(Debug, Clone)]
 pub struct Overlap {
     bridge: Dim,
     depth: usize,
     /// Local part ids, aligned with `DistMesh::parts`.
     part_ids: Vec<PartId>,
-    /// Per slot: root entity → its leaf copies, boundary and ghost.
-    roots: Vec<FxHashMap<MeshEnt, Vec<Share>>>,
-    /// Per slot: leaf entity → its root copy.
-    leaves: Vec<FxHashMap<MeshEnt, Share>>,
+    /// Per slot: the compiled share map.
+    shares: Vec<SlotShares>,
     /// Per slot: elements already shipped to each neighbour part, so
     /// repeated [`Overlap::grow`] calls never re-send (grow(1) twice ≡
     /// grow(2)).
@@ -152,17 +281,14 @@ impl Overlap {
     /// before growing.
     pub fn from_dist(dm: &DistMesh) -> Overlap {
         let nlocal = dm.parts.len();
-        let mut ov = Overlap {
+        Overlap {
             bridge: Dim::Vertex,
             depth: 0,
             part_ids: dm.parts.iter().map(|p| p.id).collect(),
-            roots: vec![FxHashMap::default(); nlocal],
-            leaves: vec![FxHashMap::default(); nlocal],
+            shares: dm.parts.iter().map(SlotShares::compile).collect(),
             sent: vec![FxHashMap::default(); nlocal],
             frontier: vec![FxHashMap::default(); nlocal],
-        };
-        ov.rebuild_shares(dm);
-        ov
+        }
     }
 
     /// Set the bridge dimension used by subsequent [`Overlap::grow`] calls.
@@ -194,110 +320,87 @@ impl Overlap {
 
     /// Number of root entities on slot `slot`.
     pub fn num_roots(&self, slot: usize) -> usize {
-        self.roots[slot].len()
+        self.shares[slot].root_ents.len()
     }
 
     /// Number of leaf entities on slot `slot`.
     pub fn num_leaves(&self, slot: usize) -> usize {
-        self.leaves[slot].len()
+        self.shares[slot].leaf_ents.len()
     }
 
     /// The leaf copies of root `e` on slot `slot` (empty if not a root).
     pub fn root_shares(&self, slot: usize, e: MeshEnt) -> &[Share] {
-        self.roots[slot]
-            .get(&e)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        let sh = &self.shares[slot];
+        match sh.root_ents.binary_search(&e) {
+            Ok(i) => sh.links_of(i),
+            Err(_) => &[],
+        }
     }
 
     /// The root copy of leaf `e` on slot `slot`, if `e` is a leaf there.
     pub fn leaf_root(&self, slot: usize, e: MeshEnt) -> Option<Share> {
-        self.leaves[slot].get(&e).copied()
+        let sh = &self.shares[slot];
+        let i = sh.leaf_ents.binary_search(&e).ok()?;
+        Some(sh.leaf_roots[i])
     }
 
-    /// All roots of slot `slot` with their leaf lists, sorted by handle.
-    pub fn roots_sorted(&self, slot: usize) -> Vec<(MeshEnt, &[Share])> {
-        let mut v: Vec<(MeshEnt, &[Share])> = self.roots[slot]
+    /// All roots of slot `slot` with their leaf lists, ascending by handle.
+    pub fn roots_sorted(&self, slot: usize) -> impl Iterator<Item = (MeshEnt, &[Share])> + '_ {
+        let sh = &self.shares[slot];
+        sh.root_ents
             .iter()
-            .map(|(&e, s)| (e, s.as_slice()))
-            .collect();
-        v.sort_by_key(|&(e, _)| e);
-        v
+            .enumerate()
+            .map(move |(i, &e)| (e, sh.links_of(i)))
     }
 
-    /// All leaves of slot `slot` with their root references, sorted by
+    /// All leaves of slot `slot` with their root references, ascending by
     /// handle.
-    pub fn leaves_sorted(&self, slot: usize) -> Vec<(MeshEnt, Share)> {
-        let mut v: Vec<(MeshEnt, Share)> =
-            self.leaves[slot].iter().map(|(&e, &s)| (e, s)).collect();
-        v.sort_by_key(|&(e, _)| e);
-        v
+    pub fn leaves_sorted(&self, slot: usize) -> impl Iterator<Item = (MeshEnt, Share)> + '_ {
+        let sh = &self.shares[slot];
+        sh.leaf_ents
+            .iter()
+            .copied()
+            .zip(sh.leaf_roots.iter().copied())
     }
 
-    /// Re-derive roots/leaves from `dm`'s part bookkeeping. Called after
-    /// every [`Overlap::grow`]; call it yourself if you mutate share
-    /// records through the raw [`Part`] API.
+    /// Recompile the share map from `dm`'s part bookkeeping. Called after
+    /// every [`Overlap::grow`] and [`Overlap::clear`]; call it yourself if
+    /// you mutate share records through the raw [`Part`] API.
     pub fn rebuild_shares(&mut self, dm: &DistMesh) {
+        assert_eq!(
+            self.num_slots(),
+            dm.parts.len(),
+            "overlap/mesh slot mismatch"
+        );
+        for (sh, part) in self.shares.iter_mut().zip(&dm.parts) {
+            *sh = SlotShares::compile(part);
+        }
+    }
+
+    /// Panic unless this share map was compiled from `dm` as it is now:
+    /// same slots, and on every slot the same per-dimension index space,
+    /// live entity counts and ghost count as at the last
+    /// [`Overlap::rebuild_shares`]. A handle kept across a `migrate`,
+    /// `adapt_dist` or `clear_overlap` names dead or reused indices; moving
+    /// data over it would write onto whatever lives there now.
+    ///
+    /// # Panics
+    /// Names the first slot that changed.
+    pub fn assert_describes(&self, dm: &DistMesh) {
+        assert_eq!(
+            self.num_slots(),
+            dm.parts.len(),
+            "overlap/mesh slot mismatch"
+        );
         for (slot, part) in dm.parts.iter().enumerate() {
-            let roots = &mut self.roots[slot];
-            let leaves = &mut self.leaves[slot];
-            roots.clear();
-            leaves.clear();
-            // Part-boundary copies: the minimum residence part is root.
-            for (e, remotes) in part.shared_entities() {
-                if part.is_owned(e) {
-                    roots.insert(
-                        e,
-                        remotes
-                            .iter()
-                            .map(|&(p, i)| Share {
-                                part: p,
-                                index: i,
-                                ghost: false,
-                            })
-                            .collect(),
-                    );
-                } else {
-                    let owner = part.owner(e);
-                    if let Some(&(p, i)) = remotes.iter().find(|&&(p, _)| p == owner) {
-                        leaves.insert(
-                            e,
-                            Share {
-                                part: p,
-                                index: i,
-                                ghost: false,
-                            },
-                        );
-                    }
-                }
-            }
-            // Ghost copies: the source (always the owner — growth re-roots
-            // holder records) is root, the ghost is a leaf.
-            for (e, holders) in part.ghost_entities_owner_side() {
-                let list = roots.entry(e).or_default();
-                for (p, i) in holders {
-                    list.push(Share {
-                        part: p,
-                        index: i,
-                        ghost: true,
-                    });
-                }
-            }
-            for e in part.ghost_entities() {
-                let (p, i) = part.ghost_source(e).expect("ghost has a source");
-                leaves.insert(
-                    e,
-                    Share {
-                        part: p,
-                        index: i,
-                        ghost: true,
-                    },
-                );
-            }
-            // Canonical leaf order, independent of ack arrival order.
-            for list in roots.values_mut() {
-                list.sort_unstable();
-            }
+            let (then, now) = (self.shares[slot].stamp, Stamp::of(part));
+            assert!(
+                self.part_ids[slot] == part.id && then == now,
+                "stale overlap: slot {slot} (part {}) changed since its share map was compiled \
+                 ({then:?} -> {now:?} on part {}); rebuild_shares or build a new Overlap",
+                self.part_ids[slot],
+                part.id
+            );
         }
     }
 
@@ -483,110 +586,105 @@ impl Overlap {
     // Data movement
     // -----------------------------------------------------------------
 
-    /// Push data root → leaves. For every root entity `e` on local slot
-    /// `s` with `has(data, s, e)` true, `pack` writes one self-contained
-    /// payload per leaf in `scope`; on the receiving side `apply` reads
-    /// exactly that payload for the leaf copy. Collective; applies frames
-    /// in canonical `(to, from)` order so results are deterministic under
-    /// any scheduler.
+    /// Push data root → leaves. For every root entity `e` of a dimension in
+    /// `dims` (ascending) on local slot `s` with `has(data, s, e)` true,
+    /// `pack` writes one self-contained payload per leaf in `scope`; on the
+    /// receiving side `apply` reads exactly that payload for the leaf copy.
+    /// Share links of other dimensions are not visited. Collective; applies
+    /// frames in canonical `(to, from)` order so results are deterministic
+    /// under any scheduler.
     #[allow(clippy::too_many_arguments)]
     pub fn bcast<D: ?Sized>(
         &self,
         comm: &Comm,
         map: &PartMap,
         scope: Scope,
+        dims: &[Dim],
         data: &mut D,
         has: impl Fn(&D, usize, MeshEnt) -> bool,
         pack: impl Fn(&D, usize, MeshEnt, &mut MsgWriter),
-        mut apply: impl FnMut(&mut D, usize, MeshEnt, &mut MsgReader) -> Result<(), MsgError>,
+        apply: impl FnMut(&mut D, usize, MeshEnt, &mut MsgReader) -> Result<(), MsgError>,
     ) {
         let _span = pumi_obs::span!("overlap.bcast");
+        debug_assert!(dims.windows(2).all(|w| w[0] < w[1]), "dims not ascending");
         let mut ex = PartExchange::new(comm, map);
-        for slot in 0..self.num_slots() {
-            let me = self.part_ids[slot];
-            for (e, shares) in self.roots_sorted(slot) {
-                if !has(data, slot, e) {
-                    continue;
-                }
-                for s in shares {
-                    if scope == Scope::Ghosts && !s.ghost {
+        for (slot, sh) in self.shares.iter().enumerate() {
+            let mut out = PeerWriters::new(&sh.peers);
+            for &d in dims {
+                for i in sh.root_dims[d.as_usize()]..sh.root_dims[d.as_usize() + 1] {
+                    let e = sh.root_ents[i];
+                    if !has(data, slot, e) {
                         continue;
                     }
-                    let w = ex.to(me, s.part);
-                    w.put_u8(e.dim().as_usize() as u8);
-                    w.put_u32(s.index);
-                    pack(data, slot, e, w);
+                    for s in sh.links_of(i) {
+                        if scope == Scope::Ghosts && !s.ghost {
+                            continue;
+                        }
+                        pack(data, slot, e, out.record(d, s));
+                    }
                 }
             }
+            out.hand_over(&mut ex, self.part_ids[slot]);
         }
-        let mut frames = ex.finish();
-        frames.sort_by_key(|&(from, to, _)| (to, from));
-        for (from, to, mut r) in frames {
-            let slot = map.slot_of(to);
-            while !r.is_done() {
-                decode_header(&mut r)
-                    .and_then(|e| apply(data, slot, e, &mut r))
-                    .unwrap_or_else(|e| panic!("corrupt overlap bcast frame {from}->{to}: {e}"));
-            }
-        }
+        apply_frames("bcast", ex, map, data, apply);
     }
 
     /// Pull data leaves → root. The mirror of [`Overlap::bcast`]: every
-    /// leaf in `scope` with `has` true packs one payload addressed to its
-    /// root copy; `apply` combines it there. Frames are applied in
-    /// canonical `(to, from)` order and leaves are packed in sorted entity
-    /// order, so a non-associative combine still yields scheduler-
-    /// independent results. Collective.
+    /// leaf of a dimension in `dims` (ascending) in `scope` with `has` true
+    /// packs one payload addressed to its root copy; `apply` combines it
+    /// there. Frames are applied in canonical `(to, from)` order and leaves
+    /// are packed in sorted entity order, so a non-associative combine still
+    /// yields scheduler-independent results. Collective.
     #[allow(clippy::too_many_arguments)]
     pub fn reduce<D: ?Sized>(
         &self,
         comm: &Comm,
         map: &PartMap,
         scope: Scope,
+        dims: &[Dim],
         data: &mut D,
         has: impl Fn(&D, usize, MeshEnt) -> bool,
         pack: impl Fn(&D, usize, MeshEnt, &mut MsgWriter),
-        mut apply: impl FnMut(&mut D, usize, MeshEnt, &mut MsgReader) -> Result<(), MsgError>,
+        apply: impl FnMut(&mut D, usize, MeshEnt, &mut MsgReader) -> Result<(), MsgError>,
     ) {
         let _span = pumi_obs::span!("overlap.reduce");
+        debug_assert!(dims.windows(2).all(|w| w[0] < w[1]), "dims not ascending");
         let mut ex = PartExchange::new(comm, map);
-        for slot in 0..self.num_slots() {
-            let me = self.part_ids[slot];
-            for (e, root) in self.leaves_sorted(slot) {
-                if scope == Scope::Ghosts && !root.ghost {
-                    continue;
+        for (slot, sh) in self.shares.iter().enumerate() {
+            let mut out = PeerWriters::new(&sh.peers);
+            for &d in dims {
+                for i in sh.leaf_dims[d.as_usize()]..sh.leaf_dims[d.as_usize() + 1] {
+                    let (e, root) = (sh.leaf_ents[i], &sh.leaf_roots[i]);
+                    if scope == Scope::Ghosts && !root.ghost {
+                        continue;
+                    }
+                    if !has(data, slot, e) {
+                        continue;
+                    }
+                    pack(data, slot, e, out.record(d, root));
                 }
-                if !has(data, slot, e) {
-                    continue;
-                }
-                let w = ex.to(me, root.part);
-                w.put_u8(e.dim().as_usize() as u8);
-                w.put_u32(root.index);
-                pack(data, slot, e, w);
             }
+            out.hand_over(&mut ex, self.part_ids[slot]);
         }
-        let mut frames = ex.finish();
-        frames.sort_by_key(|&(from, to, _)| (to, from));
-        for (from, to, mut r) in frames {
-            let slot = map.slot_of(to);
-            while !r.is_done() {
-                decode_header(&mut r)
-                    .and_then(|e| apply(data, slot, e, &mut r))
-                    .unwrap_or_else(|e| panic!("corrupt overlap reduce frame {from}->{to}: {e}"));
-            }
-        }
+        apply_frames("reduce", ex, map, data, apply);
     }
 
     /// Push tag data of root entities to their leaf copies in `scope`
     /// (with [`Scope::Ghosts`] this is the classic read-only ghost-tag
     /// sync). Syncs every tag present on each root. Collective.
+    ///
+    /// # Panics
+    /// Panics if this handle no longer describes `dm`
+    /// ([`Overlap::assert_describes`]).
     pub fn bcast_tags(&self, comm: &Comm, dm: &mut DistMesh, scope: Scope) {
         let _span = pumi_obs::span!("overlap.bcast_tags");
+        self.assert_describes(dm);
         let DistMesh { map, parts } = dm;
         self.bcast(
             comm,
             map,
             scope,
+            &Dim::ALL,
             parts.as_mut_slice(),
             |_, _, _| true,
             |parts: &[Part], slot, e, w| pack_tags(&parts[slot], e, w),
@@ -663,6 +761,59 @@ pub fn clear_overlap(dm: &mut DistMesh) {
 
 /// Ghost-creation acknowledgement: (dim, sender idx, holder idx).
 type Ack = (u8, u32, u32);
+
+/// One slot's outgoing bcast/reduce frames: a writer per peer, fetched by
+/// the link's peer position instead of by hashing `(from, to)` per record.
+struct PeerWriters<'a> {
+    peers: &'a [PartId],
+    writers: Vec<MsgWriter>,
+}
+
+impl<'a> PeerWriters<'a> {
+    fn new(peers: &'a [PartId]) -> Self {
+        PeerWriters {
+            peers,
+            writers: peers.iter().map(|_| MsgWriter::pooled()).collect(),
+        }
+    }
+
+    /// Write the `(dim, index)` record header addressed to the copy `to`
+    /// names; the caller appends the payload.
+    fn record(&mut self, d: Dim, to: &Share) -> &mut MsgWriter {
+        let w = &mut self.writers[usize::from(to.peer)];
+        w.put_u8(d.as_usize() as u8);
+        w.put_u32(to.index);
+        w
+    }
+
+    /// Give the frames to `ex` as part `from`'s.
+    fn hand_over(self, ex: &mut PartExchange, from: PartId) {
+        for (&to, w) in self.peers.iter().zip(self.writers) {
+            ex.put(from, to, w);
+        }
+    }
+}
+
+/// Finish `ex` and feed every record of every frame to `apply`, frames in
+/// canonical `(to, from)` order.
+fn apply_frames<D: ?Sized>(
+    what: &str,
+    ex: PartExchange,
+    map: &PartMap,
+    data: &mut D,
+    mut apply: impl FnMut(&mut D, usize, MeshEnt, &mut MsgReader) -> Result<(), MsgError>,
+) {
+    let mut frames = ex.finish();
+    frames.sort_by_key(|&(from, to, _)| (to, from));
+    for (from, to, mut r) in frames {
+        let slot = map.slot_of(to);
+        while !r.is_done() {
+            decode_header(&mut r)
+                .and_then(|e| apply(data, slot, e, &mut r))
+                .unwrap_or_else(|e| panic!("corrupt overlap {what} frame {from}->{to}: {e}"));
+        }
+    }
+}
 
 /// Decode one `(dim, index)` record header of a bcast/reduce frame.
 fn decode_header(r: &mut MsgReader) -> Result<MeshEnt, MsgError> {
@@ -808,7 +959,7 @@ mod tests {
             part.mesh.assert_valid();
             // The share map saw the ghosts: some ghost leaves exist.
             let slot = dm.map.slot_of(c.rank() as PartId);
-            assert!(ov.leaves_sorted(slot).iter().any(|&(_, s)| s.ghost));
+            assert!(ov.leaves_sorted(slot).any(|(_, s)| s.ghost));
         });
     }
 
@@ -928,8 +1079,9 @@ mod tests {
                 c,
                 &dm.map,
                 Scope::All,
+                &[Dim::Vertex],
                 &mut vals,
-                |_, _, e| e.dim() == Dim::Vertex,
+                |_, _, _| true,
                 |vals, slot, e, w| w.put_u64(vals[slot][&e]),
                 |vals, slot, e, r| {
                     let v = r.try_get_u64()?;
@@ -953,8 +1105,9 @@ mod tests {
                 c,
                 &dm.map,
                 Scope::All,
+                &[Dim::Vertex],
                 &mut ones,
-                |_, _, e| e.dim() == Dim::Vertex,
+                |_, _, _| true,
                 |ones, slot, e, w| w.put_u64(ones[slot][&e]),
                 |ones, slot, e, r| {
                     let v = r.try_get_u64()?;
@@ -975,6 +1128,18 @@ mod tests {
                     part.id
                 );
             }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "stale overlap: slot 0 (part 0)")]
+    fn bcast_tags_refuses_a_handle_from_before_a_clear() {
+        execute(1, |c| {
+            let mut dm = quadrants_one_rank(c);
+            let ov = grow_overlap(c, &mut dm, GhostOpts::new());
+            // Not `ov.clear`: the ghosts go, the handle still lists them.
+            clear_overlap(&mut dm);
+            ov.bcast_tags(c, &mut dm, Scope::Ghosts);
         });
     }
 

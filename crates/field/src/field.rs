@@ -8,7 +8,7 @@
 //! example in §I is exactly why vertex+edge balance matters).
 
 use pumi_mesh::Mesh;
-use pumi_util::{Dim, FxHashMap, MeshEnt};
+use pumi_util::{Dim, MeshEnt};
 
 /// The node distribution of a field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,13 +23,18 @@ pub enum FieldShape {
 }
 
 impl FieldShape {
-    /// Which entity dimensions hold nodes, for a mesh of element dimension
-    /// `elem_dim`.
-    pub fn node_dims(&self, elem_dim: usize) -> Vec<Dim> {
+    /// Which entity dimensions hold nodes, ascending, for a mesh of element
+    /// dimension `elem_dim`.
+    pub fn node_dims(&self, elem_dim: usize) -> &'static [Dim] {
         match self {
-            FieldShape::Linear => vec![Dim::Vertex],
-            FieldShape::Quadratic => vec![Dim::Vertex, Dim::Edge],
-            FieldShape::Constant => vec![Dim::from_usize(elem_dim)],
+            FieldShape::Linear => &[Dim::Vertex],
+            FieldShape::Quadratic => &[Dim::Vertex, Dim::Edge],
+            FieldShape::Constant => match Dim::from_usize(elem_dim) {
+                Dim::Vertex => &[Dim::Vertex],
+                Dim::Edge => &[Dim::Edge],
+                Dim::Face => &[Dim::Face],
+                Dim::Region => &[Dim::Region],
+            },
         }
     }
 
@@ -40,6 +45,10 @@ impl FieldShape {
 }
 
 /// A field over one mesh part.
+///
+/// Storage is dense per entity dimension: `ncomp` doubles per entity index
+/// plus one presence byte, grown on demand to the highest index ever set.
+/// A dimension that never held a value costs nothing.
 #[derive(Debug, Clone)]
 pub struct Field {
     /// Field name (used to pair fields across parts).
@@ -48,7 +57,12 @@ pub struct Field {
     pub shape: FieldShape,
     /// Components per node (1 = scalar, 3 = vector, 9 = matrix, ...).
     pub ncomp: usize,
-    data: FxHashMap<MeshEnt, Vec<f64>>,
+    /// Per dimension: `ncomp` values per entity index.
+    values: [Vec<f64>; 4],
+    /// Per dimension: whether the entity index holds a value.
+    present: [Vec<bool>; 4],
+    /// Number of indices holding a value, over all dimensions.
+    len: usize,
 }
 
 impl Field {
@@ -59,8 +73,23 @@ impl Field {
             name: name.to_string(),
             shape,
             ncomp,
-            data: FxHashMap::default(),
+            values: Default::default(),
+            present: Default::default(),
+            len: 0,
         }
+    }
+
+    /// The node storage of `e`, created zeroed if `e` held no value, and
+    /// whether it held one. The node holds a value afterwards.
+    pub(crate) fn node_mut(&mut self, e: MeshEnt) -> (&mut [f64], bool) {
+        let (d, i, n) = (e.dim().as_usize(), e.idx(), self.ncomp);
+        if i >= self.present[d].len() {
+            self.present[d].resize(i + 1, false);
+            self.values[d].resize((i + 1) * n, 0.0);
+        }
+        let had = std::mem::replace(&mut self.present[d][i], true);
+        self.len += usize::from(!had);
+        (&mut self.values[d][i * n..(i + 1) * n], had)
     }
 
     /// Set the node value on an entity.
@@ -69,7 +98,7 @@ impl Field {
     /// Panics if the component count mismatches.
     pub fn set(&mut self, e: MeshEnt, value: &[f64]) {
         assert_eq!(value.len(), self.ncomp, "component count mismatch");
-        self.data.insert(e, value.to_vec());
+        self.node_mut(e).0.copy_from_slice(value);
     }
 
     /// Set a scalar node value.
@@ -77,9 +106,24 @@ impl Field {
         self.set(e, &[x]);
     }
 
+    /// Where the value of `e` lives, if it holds one: dimension and range
+    /// in that dimension's value array.
+    #[inline]
+    fn node(&self, e: MeshEnt) -> Option<(usize, std::ops::Range<usize>)> {
+        let (d, i, n) = (e.dim().as_usize(), e.idx(), self.ncomp);
+        self.present[d].get(i)?.then_some((d, i * n..(i + 1) * n))
+    }
+
     /// The node value, if set.
+    #[inline]
     pub fn get(&self, e: MeshEnt) -> Option<&[f64]> {
-        self.data.get(&e).map(|v| v.as_slice())
+        self.node(e).map(|(d, at)| &self.values[d][at])
+    }
+
+    /// The node value for update in place, if set.
+    #[inline]
+    pub fn get_mut(&mut self, e: MeshEnt) -> Option<&mut [f64]> {
+        self.node(e).map(|(d, at)| &mut self.values[d][at])
     }
 
     /// The scalar node value, if set.
@@ -89,22 +133,25 @@ impl Field {
 
     /// Remove a node value (entity deleted).
     pub fn remove(&mut self, e: MeshEnt) -> Option<Vec<f64>> {
-        self.data.remove(&e)
+        let old = self.get(e)?.to_vec();
+        self.present[e.dim().as_usize()][e.idx()] = false;
+        self.len -= 1;
+        Some(old)
     }
 
     /// Number of set nodes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     /// Whether no node has a value.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
     /// Initialize every node entity of `mesh` with `value`.
     pub fn fill(&mut self, mesh: &Mesh, value: &[f64]) {
-        for d in self.shape.node_dims(mesh.elem_dim()) {
+        for &d in self.shape.node_dims(mesh.elem_dim()) {
             for e in mesh.iter(d) {
                 self.set(e, value);
             }
@@ -114,7 +161,7 @@ impl Field {
     /// Apply `f(coords) -> value` at every vertex node (Linear/Quadratic
     /// fields; edge nodes get the midpoint coordinates).
     pub fn set_from(&mut self, mesh: &Mesh, f: impl Fn([f64; 3]) -> Vec<f64>) {
-        for d in self.shape.node_dims(mesh.elem_dim()) {
+        for &d in self.shape.node_dims(mesh.elem_dim()) {
             for e in mesh.iter(d) {
                 let x = mesh.centroid(e);
                 let v = f(x);
@@ -210,6 +257,45 @@ mod tests {
         f.set_from(&m, |x| vec![x[0] + x[1]]);
         assert_eq!(f.get_scalar(MeshEnt::vertex(1)), Some(1.0));
         assert_eq!(f.get_scalar(MeshEnt::vertex(2)), Some(1.0));
+    }
+
+    #[test]
+    fn storage_grows_to_the_highest_index_set() {
+        let mut f = Field::new("u", FieldShape::Quadratic, 2);
+        f.set(MeshEnt::vertex(5), &[1.0, 2.0]);
+        assert_eq!(f.len(), 1);
+        // Below, at and beyond the grown range; another dimension untouched.
+        assert_eq!(f.get(MeshEnt::vertex(4)), None);
+        assert_eq!(f.get(MeshEnt::vertex(5)), Some(&[1.0, 2.0][..]));
+        assert_eq!(f.get(MeshEnt::vertex(6)), None);
+        assert_eq!(f.get(MeshEnt::vertex(1 << 20)), None);
+        assert_eq!(f.get(MeshEnt::edge(5)), None);
+        assert_eq!(f.get_mut(MeshEnt::edge(0)), None);
+        // Growing again keeps what was there.
+        f.set(MeshEnt::vertex(40), &[3.0, 4.0]);
+        f.set(MeshEnt::edge(2), &[5.0, 6.0]);
+        assert_eq!(f.len(), 3);
+        assert_eq!(f.get(MeshEnt::vertex(5)), Some(&[1.0, 2.0][..]));
+        assert_eq!(f.get(MeshEnt::vertex(39)), None);
+        assert_eq!(f.get(MeshEnt::edge(2)), Some(&[5.0, 6.0][..]));
+    }
+
+    #[test]
+    fn len_follows_set_remove_and_reset() {
+        let mut f = Field::new("u", FieldShape::Linear, 1);
+        assert!(f.is_empty());
+        let v = MeshEnt::vertex(3);
+        f.set_scalar(v, 1.0);
+        f.set_scalar(v, 2.0);
+        assert_eq!(f.len(), 1, "overwriting is not a new node");
+        f.get_mut(v).unwrap()[0] += 0.5;
+        assert_eq!(f.remove(v), Some(vec![2.5]));
+        assert_eq!(f.remove(v), None);
+        assert_eq!(f.remove(MeshEnt::vertex(99)), None);
+        assert!(f.is_empty());
+        assert_eq!(f.get(v), None);
+        f.set_scalar(v, 7.0);
+        assert_eq!((f.len(), f.get_scalar(v)), (1, Some(7.0)));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::field::Field;
 use pumi_core::overlap::{Overlap, Reduction, Scope};
 use pumi_core::DistMesh;
-use pumi_pcu::Comm;
+use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
 use pumi_util::{Dim, MeshEnt};
 
 /// One field per local part, aligned with `dm.parts`.
@@ -30,13 +30,37 @@ pub fn dist_field(dm: &DistMesh, template: &Field) -> DistField {
     dm.parts.iter().map(|_| template.clone()).collect()
 }
 
+/// Read one node payload (`len u32, len × f64`) onto `e`: `combine(current,
+/// incoming)` per component where `e` already holds a value, the incoming
+/// value where it does not.
+fn apply_node(
+    field: &mut Field,
+    e: MeshEnt,
+    r: &mut MsgReader,
+    combine: impl Fn(f64, f64) -> f64,
+) -> Result<(), MsgError> {
+    if r.try_get_u32()? as usize != field.ncomp {
+        return Err(MsgError::corrupt("field node (component count)"));
+    }
+    let (node, had) = field.node_mut(e);
+    for c in node {
+        let x = r.try_get_f64()?;
+        *c = if had { combine(*c, x) } else { x };
+    }
+    Ok(())
+}
+
 /// Synchronize `fields` over the share map `overlap` with reduction `red`.
 ///
 /// With [`Reduction::Insert`] this is a pure root→leaf broadcast. With any
 /// combining mode, leaf values are first reduced onto the root, then the
 /// combined value is broadcast back so every copy (boundary or ghost)
-/// agrees. Entities with no value on a copy simply don't contribute.
-/// Collective.
+/// agrees. Entities with no value on a copy simply don't contribute. Only
+/// the share links of the field's node dimensions are walked. Collective.
+///
+/// # Panics
+/// Panics if the local fields disagree on `(shape, ncomp)`, or if `overlap`
+/// no longer describes `dm` ([`Overlap::assert_describes`]).
 pub fn sync_fields(
     comm: &Comm,
     dm: &DistMesh,
@@ -46,14 +70,24 @@ pub fn sync_fields(
 ) {
     let _span = pumi_obs::span!("field.sync");
     assert_eq!(fields.len(), dm.parts.len());
-    let node_dims: Vec<Dim> = fields
-        .first()
-        .map(|f| f.shape.node_dims(dm.parts[0].mesh.elem_dim()))
-        .unwrap_or_default();
-    let has = |f: &DistField, slot: usize, e: MeshEnt| {
-        node_dims.contains(&e.dim()) && f[slot].get(e).is_some()
-    };
-    let pack = |f: &DistField, slot: usize, e: MeshEnt, w: &mut pumi_pcu::MsgWriter| {
+    overlap.assert_describes(dm);
+    let mut dims: &[Dim] = &[];
+    if let Some(first) = fields.first() {
+        for (slot, f) in fields.iter().enumerate() {
+            assert!(
+                (f.shape, f.ncomp) == (first.shape, first.ncomp),
+                "field '{}' on slot {slot} is {:?} x{}, slot 0 holds {:?} x{}",
+                f.name,
+                f.shape,
+                f.ncomp,
+                first.shape,
+                first.ncomp
+            );
+        }
+        dims = first.shape.node_dims(dm.parts[0].mesh.elem_dim());
+    }
+    let has = |f: &DistField, slot: usize, e: MeshEnt| f[slot].get(e).is_some();
+    let pack = |f: &DistField, slot: usize, e: MeshEnt, w: &mut MsgWriter| {
         w.put_f64_slice(f[slot].get(e).expect("packed entity has a value"));
     };
     if red != Reduction::Insert {
@@ -61,27 +95,17 @@ pub fn sync_fields(
             comm,
             &dm.map,
             Scope::All,
+            dims,
             fields,
             has,
             pack,
             |f, slot, e, r| {
-                let v = r.try_get_f64_slice()?;
-                match f[slot].get(e) {
-                    Some(cur) => {
-                        let mut cur = cur.to_vec();
-                        for (c, x) in cur.iter_mut().zip(&v) {
-                            match red {
-                                Reduction::Add => *c += x,
-                                Reduction::Min => *c = c.min(*x),
-                                Reduction::Max => *c = c.max(*x),
-                                Reduction::Insert => unreachable!(),
-                            }
-                        }
-                        f[slot].set(e, &cur);
-                    }
-                    None => f[slot].set(e, &v),
-                }
-                Ok(())
+                apply_node(&mut f[slot], e, r, |c, x| match red {
+                    Reduction::Add => c + x,
+                    Reduction::Min => c.min(x),
+                    Reduction::Max => c.max(x),
+                    Reduction::Insert => x,
+                })
             },
         );
     }
@@ -89,14 +113,11 @@ pub fn sync_fields(
         comm,
         &dm.map,
         Scope::All,
+        dims,
         fields,
         has,
         pack,
-        |f, slot, e, r| {
-            let v = r.try_get_f64_slice()?;
-            f[slot].set(e, &v);
-            Ok(())
-        },
+        |f, slot, e, r| apply_node(&mut f[slot], e, r, |_, x| x),
     );
 }
 
@@ -118,11 +139,12 @@ mod tests {
     use super::*;
     use crate::field::{Field, FieldShape};
     use pumi_core::overlap::{grow_overlap, GhostOpts};
-    use pumi_core::{distribute, PartMap};
+    use pumi_core::{distribute, migrate, MigrationPlan, PartMap};
     use pumi_meshgen::tri_rect;
     use pumi_pcu::execute;
     use pumi_util::PartId;
 
+    /// A strip cut in two; both parts land on rank 0 in a one-rank world.
     fn two_part_mesh(c: &Comm) -> DistMesh {
         let serial = tri_rect(4, 2, 2.0, 1.0);
         let d = serial.elem_dim_t();
@@ -130,7 +152,55 @@ mod tests {
         for e in serial.iter(d) {
             elem_part[e.idx()] = if serial.centroid(e)[0] < 1.0 { 0 } else { 1 };
         }
-        distribute(c, PartMap::contiguous(2, 2), &serial, &elem_part)
+        distribute(c, PartMap::contiguous(2, c.nranks()), &serial, &elem_part)
+    }
+
+    // One rank in the two tests below, so the panic the test sees is the
+    // guard's and not a peer's "world poisoned".
+    #[test]
+    #[should_panic(expected = "stale overlap: slot 0 (part 0)")]
+    fn overlap_built_before_a_migration_is_refused() {
+        execute(1, |c| {
+            let mut dm = two_part_mesh(c);
+            let ov = Overlap::from_dist(&dm);
+            let mut fields = dist_field(&dm, &Field::new("u", FieldShape::Linear, 1));
+            let mut plan = MigrationPlan::new();
+            plan.send(dm.parts[0].mesh.elems().next().unwrap(), 1);
+            let plans = [(0 as PartId, plan)].into_iter().collect();
+            migrate(c, &mut dm, &plans);
+            fields.sync(c, &dm, &ov, Reduction::Insert);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 0 holds Linear x1")]
+    fn mixed_local_fields_are_refused() {
+        execute(1, |c| {
+            let dm = two_part_mesh(c);
+            let ov = Overlap::from_dist(&dm);
+            let mut fields = vec![
+                Field::new("u", FieldShape::Linear, 1),
+                Field::new("u", FieldShape::Linear, 3),
+            ];
+            fields.sync(c, &dm, &ov, Reduction::Add);
+        });
+    }
+
+    /// Ranks that disagree on `ncomp` cannot be caught up front; the
+    /// receiver names the frame instead of tripping `Field::set`'s assert.
+    #[test]
+    #[should_panic(expected = "corrupt overlap reduce frame 1->0: undecodable field node")]
+    fn payload_of_the_wrong_length_names_its_frame() {
+        execute(2, |c| {
+            let dm = two_part_mesh(c);
+            let ov = Overlap::from_dist(&dm);
+            let ncomp = 1 + c.rank();
+            let mut fields = dist_field(&dm, &Field::new("u", FieldShape::Linear, ncomp));
+            for (slot, part) in dm.parts.iter().enumerate() {
+                fields[slot].fill(&part.mesh, &vec![1.0; ncomp]);
+            }
+            fields.sync(c, &dm, &ov, Reduction::Add);
+        });
     }
 
     #[test]

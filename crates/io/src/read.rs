@@ -771,7 +771,7 @@ pub fn read_checkpoint_with(comm: &Comm, dir: &Path, opts: ReadOpts) -> Result<R
         for part in &mut dm.parts {
             let mut f = Field::new(&desc.name, desc.shape, desc.ncomp as usize);
             if let Some(tid) = part.mesh.tags().find(&tag_name) {
-                for d in desc.shape.node_dims(elem_dim) {
+                for &d in desc.shape.node_dims(elem_dim) {
                     let ents: Vec<MeshEnt> = part.mesh.iter(d).collect();
                     for e in ents {
                         if let Some(TagData::Dbls(v)) = part.mesh.tags_mut().remove(tid, e) {

@@ -167,7 +167,7 @@ fn encode_fields(
         w.put_u8(crate::format::shape_to_u8(f.shape));
         w.put_u32(f.ncomp as u32);
         let mut rows = Vec::new();
-        for d in f.shape.node_dims(elem_dim) {
+        for &d in f.shape.node_dims(elem_dim) {
             for e in part.mesh.iter(d).filter(|&e| keeps(part, dirty, e)) {
                 if let Some(v) = f.get(e) {
                     rows.push((d.as_usize() as u8, part.gid_of(e), v));

@@ -10,10 +10,12 @@
 //! created in a different order — the way `golden_bytes.rs` pins the disk.
 
 use pumi_repro::adapt::{adapt_dist, AdaptOpts, SizeField};
-use pumi_repro::core::overlap::Overlap;
+use pumi_repro::core::overlap::{Overlap, Reduction};
 use pumi_repro::core::{distribute, migrate, DistMesh, MigrationPlan, PartMap};
+use pumi_repro::field::{dist_field, Field, FieldShape, FieldSync};
 use pumi_repro::io::{read_checkpoint, struct_hash, write_checkpoint};
 use pumi_repro::meshgen::tri_rect;
+use pumi_repro::obs::metrics::{take_digests, take_traffic};
 use pumi_repro::partition::partition_mesh;
 use pumi_repro::pcu::{execute, execute_on, Comm, MachineModel};
 use pumi_repro::util::tag::TagKind;
@@ -198,4 +200,79 @@ fn no_wire_byte_moved() {
             STAGES[s]
         );
     }
+}
+
+/// What the world sent in one halo sync: `Comm::traffic` deltas `(on_node_msgs,
+/// on_node_bytes, off_node_msgs, off_node_bytes)`, then per movement phase
+/// (`overlap.reduce`, `overlap.bcast`) the obs rows summed over ranks:
+/// `(frames received, order-free digest of them, bytes sent)`.
+type SyncProbe = ([u64; 4], [(u64, u64, u64); 2]);
+
+/// Taken on the commit *before* the share map was compiled into sorted
+/// arrays and `Field` went dense. The obs half is empty (all zero) under
+/// `--no-default-features`; the `Comm::traffic` half holds there too.
+const GOLDEN_SYNC: SyncProbe = (
+    [8, 9270, 12, 6810],
+    [
+        (10, 14894211904075380606, 8040),
+        (10, 1775441416287024949, 8040),
+    ],
+);
+
+/// One depth-2 `Reduction::Add` sync of a 3-component vertex field: the
+/// records of its reduce and bcast frames — `(dim u8, index u32, len u32,
+/// ncomp × f64)` in sorted-entity order per frame — must not move.
+#[test]
+fn halo_sync_frames_unmoved() {
+    let per_rank: Vec<SyncProbe> = execute_on(MachineModel::new(2, 2), |c| {
+        let serial = tri_rect(12, 12, 1.0, 1.0);
+        let labels = partition_mesh(&serial, 4);
+        let mut dm = distribute(c, PartMap::contiguous(4, 4), &serial, &labels);
+        let mut ov = Overlap::from_dist(&dm).with_bridge(Dim::Vertex);
+        assert!(ov.grow(c, &mut dm, 2) > 0);
+        let mut fields = dist_field(&dm, &Field::new("u", FieldShape::Linear, 3));
+        for (part, f) in dm.parts.iter().zip(&mut fields) {
+            for v in part.mesh.iter(Dim::Vertex) {
+                let x = (part.gid_of(v) % 29) as f64 * 0.25 + part.id as f64;
+                f.set(v, &[x, -x, 0.5 * x]);
+            }
+        }
+        c.barrier();
+        let before = c.traffic();
+        let _ = (take_traffic(), take_digests());
+        c.barrier();
+        fields.sync(c, &dm, &ov, Reduction::Add);
+        c.barrier();
+        let t = c.traffic();
+        let (sent, seen) = (take_traffic(), take_digests());
+        let phase = |name: &str| {
+            let rows = seen.iter().filter(|r| r.phase.contains(name));
+            let (frames, digest) = rows.fold((0u64, 0u64), |(n, h), r| {
+                (n + r.frames, h.wrapping_add(r.digest))
+            });
+            let sent = sent.iter().filter(|r| r.phase.contains(name));
+            (frames, digest, sent.map(|r| r.totals.bytes).sum())
+        };
+        (
+            [
+                t.on_node_msgs - before.on_node_msgs,
+                t.on_node_bytes - before.on_node_bytes,
+                t.off_node_msgs - before.off_node_msgs,
+                t.off_node_bytes - before.off_node_bytes,
+            ],
+            [phase("overlap.reduce"), phase("overlap.bcast")],
+        )
+    });
+    let mut got: SyncProbe = (per_rank[0].0, [(0, 0, 0); 2]);
+    for (rank, (traffic, phases)) in per_rank.iter().enumerate() {
+        assert_eq!(*traffic, got.0, "rank {rank} disagrees on world traffic");
+        for (sum, p) in got.1.iter_mut().zip(phases) {
+            *sum = (sum.0 + p.0, sum.1.wrapping_add(p.1), sum.2 + p.2);
+        }
+    }
+    let mut want = GOLDEN_SYNC;
+    if !cfg!(feature = "obs") {
+        want.1 = [(0, 0, 0); 2];
+    }
+    assert_eq!(got, want, "a halo sync frame moved");
 }
