@@ -6,10 +6,24 @@
 //!
 //! The algorithm is FMDB's (paper refs 9 and 10), expressed in three phased exchanges:
 //!
-//! 1. **Residence** — each part computes, for every entity touched by the
-//!    plan, the destination set of its adjacent elements; copies of shared
-//!    entities exchange these contributions so every copy agrees on the new
-//!    residence set.
+//! 1. **Residence** — the *touched* set of a part is exactly the closures
+//!    of the elements leaving it. For each touched entity the part computes
+//!    its contribution, the destination set of its adjacent elements, and
+//!    sends it to every remote copy; a receiver that did not touch the
+//!    entity itself starts from its own contribution `{self}`. One rule
+//!    closes the set: **a remote copy that sent no contribution keeps its
+//!    entity**, so new residence = own contribution ∪ received contributions
+//!    ∪ {silent remote copies}. Why: a copy is silent only if none of its
+//!    adjacent elements leaves, so its contribution would have been `{itself}`;
+//!    and every touching copy writes to *every* other copy, so all copies
+//!    hear the same speakers and close to the same set. The precondition is
+//!    the one migration relies on anyway — complete, symmetric remote-copy
+//!    lists (`check_dist`'s symmetry check); no extra round is needed, the
+//!    phased exchange has delivered every frame when `finish` returns.
+//!    Entities nobody touches are not looked at: they keep their remote-copy
+//!    lists, which stay valid because a surviving entity never changes its
+//!    local index. A migration therefore costs O(closure of what moves),
+//!    not O(part boundary).
 //! 2. **Entities** — each moved element's closure is packed bottom-up
 //!    (vertices first) with global ids, classification, coordinates, the
 //!    new residence set, and tag data. Shared entities are sent only by
@@ -19,9 +33,10 @@
 //!    carried only by another peer's frame. Receivers therefore decode
 //!    **all** incoming frames first, then create entities dimension-by-
 //!    dimension (two-pass unpack), matching by global id.
-//! 3. **Stitch** — every part holding a shared entity announces its local
-//!    index to the other residence parts; remote-copy lists are rebuilt and
-//!    ownership (minimum-part rule) follows.
+//! 3. **Stitch** — every part keeping an entity whose residence phase 1 or 2
+//!    recomputed announces its local index to the other residence parts;
+//!    those remote-copy lists are rebuilt and ownership (minimum-part rule)
+//!    follows.
 //!
 //! Finally, elements with non-local destinations and entities whose new
 //! residence excludes this part are deleted top-down.
@@ -71,24 +86,29 @@ pub struct MigrationStats {
     pub entities_sent: u64,
 }
 
-/// Unpack one phase-1 residence frame, unioning peer contributions into
-/// `res`. Frames are self-delimiting; any underrun names writer/reader
-/// disagreement.
+/// Unpack the phase-1 residence frame part `from` sent to `part`, unioning
+/// its contributions into `res` and noting in `heard` each entity `from`
+/// spoke for. An entity this part did not touch starts from its own
+/// contribution `{self}`: none of its adjacent elements moves. Frames are
+/// self-delimiting; any underrun names writer/reader disagreement, and a row
+/// for an entity this part does not hold is an error — dropped, it would read
+/// as "that copy stays".
 fn unpack_residence(
     r: &mut MsgReader,
+    from: PartId,
     part: &Part,
     res: &mut FxHashMap<MeshEnt, Vec<PartId>>,
+    heard: &mut Vec<(MeshEnt, PartId)>,
 ) -> Result<(), MsgError> {
     while !r.is_done() {
         let d = wire::get_dim(r)?;
         let gid = r.try_get_u64()?;
         let parts = r.try_get_u32_slice()?;
-        if let Some(e) = part.find_gid(d, gid) {
-            let entry = res.entry(e).or_default();
-            entry.extend(parts);
-            entry.sort_unstable();
-            entry.dedup();
-        }
+        let e = part
+            .find_gid(d, gid)
+            .ok_or_else(|| MsgError::missing("residence target", d.as_usize() as u8, gid))?;
+        res.entry(e).or_insert_with(|| vec![part.id]).extend(parts);
+        heard.push((e, from));
     }
     Ok(())
 }
@@ -113,12 +133,45 @@ fn apply_entity_records(
     Ok(())
 }
 
+/// Refuse a malformed plan before the first exchange, in O(plan): every plan
+/// must belong to a part this rank hosts, and every move must name a live
+/// element of that part and a destination inside the world. (A ghost handle
+/// cannot get here: `migrate` refuses parts with ghosts first.)
+fn validate_plans(
+    comm: &Comm,
+    dm: &DistMesh,
+    plans: &FxHashMap<PartId, MigrationPlan>,
+    d_elem: Dim,
+) {
+    let nparts = dm.map.nparts();
+    for (&pid, plan) in plans {
+        let Some(part) = dm.parts.iter().find(|p| p.id == pid) else {
+            let rank = comm.rank();
+            panic!("migration plan of part {pid}: part {pid} is not hosted on rank {rank}");
+        };
+        for (&e, &to) in &plan.dest {
+            assert!(
+                e.dim() == d_elem && part.mesh.is_live(e),
+                "migration plan of part {pid}: {e:?} is not a live element"
+            );
+            assert!(
+                (to as usize) < nparts,
+                "migration plan of part {pid}: {e:?} destination {to} outside 0..{nparts}"
+            );
+        }
+    }
+}
+
 /// Execute a migration across the whole world. Every rank passes the plans
 /// of its local parts (missing entries mean "no moves"). Collective: all
 /// ranks must call, even with empty plans.
 ///
+/// # Panics
 /// Ghost copies must be deleted before migrating (as in PUMI); this is
-/// asserted.
+/// asserted, and so is the plan: a plan for a part this rank does not host, a
+/// handle that is not a live element of its part, or a destination outside
+/// the world panics, naming part, handle and destination, before anything is
+/// sent.
 pub fn migrate(
     comm: &Comm,
     dm: &mut DistMesh,
@@ -131,6 +184,7 @@ pub fn migrate(
     for p in &dm.parts {
         assert_eq!(p.num_ghosts(), 0, "delete ghosts before migrating");
     }
+    validate_plans(comm, dm, plans, d_elem);
     let empty = MigrationPlan::new();
     let nlocal = dm.parts.len();
 
@@ -138,43 +192,33 @@ pub fn migrate(
     // Phase 1: residence.
     // ------------------------------------------------------------------
     let phase1 = pumi_obs::span!("migrate.residence");
-    // touched entities + local residence contributions, per local part slot.
-    let mut contrib: Vec<FxHashMap<MeshEnt, Vec<PartId>>> = vec![FxHashMap::default(); nlocal];
+    // Local residence contributions of the touched entities — the closures
+    // of the elements leaving — per local part slot.
+    let mut new_res: Vec<FxHashMap<MeshEnt, Vec<PartId>>> = vec![FxHashMap::default(); nlocal];
     for (slot, part) in dm.parts.iter().enumerate() {
         let plan = plans.get(&part.id).unwrap_or(&empty);
         let dest_of = |e: MeshEnt| -> PartId { plan.dest.get(&e).copied().unwrap_or(part.id) };
-        // Entities in closures of moved elements.
-        let mut touched: FxHashSet<MeshEnt> = FxHashSet::default();
         for (&elem, &to) in &plan.dest {
             if to == part.id {
                 continue;
             }
             for sub in part.mesh.closure(elem) {
                 if sub.dim() != d_elem {
-                    touched.insert(sub);
+                    new_res[slot].entry(sub).or_insert_with(|| {
+                        let adj = part.mesh.adjacent(sub, d_elem);
+                        let mut parts: Vec<PartId> = adj.iter().map(|&r| dest_of(r)).collect();
+                        parts.sort_unstable();
+                        parts.dedup();
+                        parts
+                    });
                 }
             }
         }
-        // Plus every currently shared entity.
-        for (e, _) in part.shared_entities() {
-            touched.insert(e);
-        }
-        for &e in &touched {
-            let mut parts: Vec<PartId> = part
-                .mesh
-                .adjacent(e, d_elem)
-                .iter()
-                .map(|&r| dest_of(r))
-                .collect();
-            parts.sort_unstable();
-            parts.dedup();
-            contrib[slot].insert(e, parts);
-        }
     }
-    // Exchange contributions among current residence parts.
+    // Every touched copy tells every other copy.
     let mut ex = PartExchange::new(comm, &dm.map);
     for (slot, part) in dm.parts.iter().enumerate() {
-        for (&e, parts) in &contrib[slot] {
+        for (&e, parts) in &new_res[slot] {
             for &(q, _) in part.remotes_of(e) {
                 let w = ex.to(part.id, q);
                 w.put_u8(e.dim().as_usize() as u8);
@@ -183,13 +227,27 @@ pub fn migrate(
             }
         }
     }
-    // new_res starts as the local contribution, then unions in peers'.
-    let mut new_res: Vec<FxHashMap<MeshEnt, Vec<PartId>>> = contrib;
+    let mut heard: Vec<Vec<(MeshEnt, PartId)>> = vec![Vec::new(); nlocal];
     for (from, to, mut r) in ex.finish() {
         let slot = dm.map.slot_of(to);
-        let part = &dm.parts[slot];
-        unpack_residence(&mut r, part, &mut new_res[slot])
-            .unwrap_or_else(|e| panic!("corrupt residence frame {from}->{to}: {e}"));
+        unpack_residence(
+            &mut r,
+            from,
+            &dm.parts[slot],
+            &mut new_res[slot],
+            &mut heard[slot],
+        )
+        .unwrap_or_else(|e| panic!("corrupt residence frame {from}->{to}: {e}"));
+    }
+    // A silent copy stays: none of its adjacent elements moves.
+    for ((part, res), heard) in dm.parts.iter().zip(&mut new_res).zip(&mut heard) {
+        heard.sort_unstable();
+        for (&e, parts) in res.iter_mut() {
+            let remotes = part.remotes_of(e).iter().map(|&(q, _)| q);
+            parts.extend(remotes.filter(|&q| heard.binary_search(&(e, q)).is_err()));
+            parts.sort_unstable();
+            parts.dedup();
+        }
     }
     drop(phase1);
 
@@ -339,9 +397,10 @@ pub fn migrate(
 
     drop(phase3);
 
+    let sums = comm.allreduce_sum_u64_vec(&[elements_moved, entities_sent]);
     let stats = MigrationStats {
-        elements_moved: comm.allreduce_sum_u64(elements_moved),
-        entities_sent: comm.allreduce_sum_u64(entities_sent),
+        elements_moved: sums[0],
+        entities_sent: sums[1],
     };
     pumi_obs::metrics::hist_record("migrate.elements_moved", stats.elements_moved as f64);
     pumi_obs::metrics::hist_record("migrate.entities_sent", stats.entities_sent as f64);
@@ -365,19 +424,24 @@ mod tests {
     use pumi_pcu::{execute, MsgWriter};
     use pumi_util::tag::TagKind;
 
+    /// `tri_rect(4, 1)` cut at x = 2: parts 0 and 1, one per rank.
+    fn two_part_strip(c: &Comm) -> DistMesh {
+        let serial = tri_rect(4, 1, 4.0, 1.0);
+        let d = serial.elem_dim_t();
+        let mut elem_part = vec![0 as PartId; serial.index_space(d)];
+        for e in serial.iter(d) {
+            elem_part[e.idx()] = if serial.centroid(e)[0] < 2.0 { 0 } else { 1 };
+        }
+        distribute(c, PartMap::contiguous(2, 2), &serial, &elem_part)
+    }
+
     /// 1D strip of triangles on 2 parts; move one element across and check
     /// counts, residence, and ownership.
     #[test]
     fn move_one_element() {
         execute(2, |c| {
-            let serial = tri_rect(4, 1, 4.0, 1.0);
-            let d = serial.elem_dim_t();
-            let mut elem_part = vec![0 as PartId; serial.index_space(d)];
-            for e in serial.iter(d) {
-                elem_part[e.idx()] = if serial.centroid(e)[0] < 2.0 { 0 } else { 1 };
-            }
-            let map = PartMap::contiguous(2, 2);
-            let mut dm = distribute(c, map, &serial, &elem_part);
+            let mut dm = two_part_strip(c);
+            let serial_verts = tri_rect(4, 1, 4.0, 1.0).count(Dim::Vertex);
 
             let before: u64 = dm.global_sum(c, |p| p.mesh.num_elems() as u64);
             assert_eq!(before, 8);
@@ -415,7 +479,7 @@ mod tests {
             let owned_v: u64 = dm.global_sum(c, |p| {
                 p.mesh.iter(Dim::Vertex).filter(|&v| p.is_owned(v)).count() as u64
             });
-            assert_eq!(owned_v, serial.count(Dim::Vertex) as u64);
+            assert_eq!(owned_v, serial_verts as u64);
         });
     }
 
@@ -448,7 +512,9 @@ mod tests {
                 let p = dm.part(0);
                 assert_eq!(p.mesh.num_elems(), serial.num_elems());
                 assert_eq!(p.mesh.count(Dim::Vertex), serial.count(Dim::Vertex));
-                assert_eq!(p.shared_entities().len(), 0);
+                assert!(Dim::ALL
+                    .iter()
+                    .all(|&d| p.mesh.iter(d).all(|e| !p.is_shared(e))));
                 p.mesh.assert_valid();
             } else {
                 let p = dm.part(1);
@@ -621,6 +687,85 @@ mod tests {
         w.put_u8(0xFE); // no such topology
         let err = decode_entity_frame(&mut MsgReader::new(w.finish())).unwrap_err();
         assert!(err.to_string().contains("topology code 0xfe"), "{err}");
+    }
+
+    /// The plan `{pid: {elem -> to}}` on the rank hosting `on`, none elsewhere.
+    fn one_move(
+        c: &Comm,
+        on: usize,
+        pid: PartId,
+        elem: MeshEnt,
+        to: PartId,
+    ) -> FxHashMap<PartId, MigrationPlan> {
+        let mut plans: FxHashMap<PartId, MigrationPlan> = FxHashMap::default();
+        if c.rank() == on {
+            plans.entry(pid).or_default().send(elem, to);
+        }
+        plans
+    }
+
+    /// Part 1 believes part 0 holds a copy of one of its interior vertices
+    /// (an asymmetric remote-copy list, the precondition broken) and moves
+    /// the element above it. Part 0 must refuse the residence row: skipped,
+    /// it would read as "part 0's copy stays".
+    #[test]
+    #[should_panic(
+        expected = "corrupt residence frame 1->0: residence target not held by this part (dim 0, gid"
+    )]
+    fn residence_row_for_a_stranger_names_its_frame() {
+        execute(2, |c| {
+            let mut dm = two_part_strip(c);
+            let mut plans: FxHashMap<PartId, MigrationPlan> = FxHashMap::default();
+            if c.rank() == 1 {
+                let part = dm.part_mut(1);
+                let (elem, v) = part
+                    .mesh
+                    .elems()
+                    .find_map(|e| {
+                        let subs = part.mesh.closure(e);
+                        let v = subs
+                            .iter()
+                            .find(|s| s.dim() == Dim::Vertex && !part.is_shared(**s));
+                        v.map(|&v| (e, v))
+                    })
+                    .expect("an element with an interior vertex");
+                part.set_remotes(v, vec![(0, 0)]);
+                plans.entry(1).or_default().send(elem, 0);
+            }
+            migrate(c, &mut dm, &plans);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "migration plan of part 1: part 1 is not hosted on rank 0")]
+    fn plan_for_a_part_hosted_elsewhere_is_refused() {
+        execute(2, |c| {
+            let mut dm = two_part_strip(c);
+            let elem = dm.parts[0].mesh.elems().next().unwrap();
+            migrate(c, &mut dm, &one_move(c, 0, 1, elem, 0));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "destination 2 outside 0..2")]
+    fn plan_destination_outside_the_world_is_refused() {
+        execute(2, |c| {
+            let mut dm = two_part_strip(c);
+            let elem = dm.parts[0].mesh.elems().next().unwrap();
+            migrate(c, &mut dm, &one_move(c, 0, 0, elem, 2));
+        });
+    }
+
+    /// A vertex handle where an element is expected; a deleted element or an
+    /// index past the end reads the same.
+    #[test]
+    #[should_panic(expected = "migration plan of part 0: M0_0 is not a live element")]
+    fn plan_handle_that_is_not_a_live_element_is_refused() {
+        execute(2, |c| {
+            let mut dm = two_part_strip(c);
+            let v = dm.parts[0].mesh.iter(Dim::Vertex).next().unwrap();
+            migrate(c, &mut dm, &one_move(c, 0, 0, v, 1));
+        });
     }
 
     /// The same migration under two chaos seeds (and the default schedule)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Snapshot the PCU hot-path benchmarks into a machine-readable baseline.
 #
-# Runs the `pcu_exchange` and `migration` criterion benches with
+# Runs the `pcu_exchange` criterion bench with
 # CRITERION_JSON pointing at a scratch file, plus the `checkpoint_restart`,
 # `checkpoint_service`, `halo_exchange`, `weak_scaling`,
 # `pcu_weak_scaling`, and `adaptive_loop` experiment binaries (whose
@@ -28,7 +28,6 @@ trap 'rm -f "$scratch"' EXIT
 export CRITERION_JSON="$scratch"
 export PUMI_RESULTS_DIR="$PWD/results"
 cargo bench -p pumi-bench --bench pcu_exchange
-cargo bench -p pumi-bench --bench migration
 cargo run --release -p pumi-bench --bin checkpoint_restart
 # --large adds the 10^7-element pass (~10 extra minutes): the scale the
 # streaming v2 writer exists for, and the rows EXPERIMENTS.md quotes.
