@@ -8,10 +8,13 @@
 //! put on disk; the write must put fewer bytes on disk than its sections
 //! hold raw (the section tables record both) or the bin aborts.
 //!
-//! Usage: `checkpoint_service [--parts N] [--reps N] [--clients N] [--large]
-//! [--nx N]` — `--nx` replaces the default ~10^6 pass with a small
-//! `smoke`-labelled mesh (CI uses this to prove the plumbing without the
-//! wall-clock). Emits `results/io_checkpoint.json`.
+//! Usage: `checkpoint_service [--parts N] [--reps N] [--clients N]
+//! [--large]`. Emits `results/io_checkpoint.json`.
+//!
+//! Not a paper table or figure: this binary stays only because it is the
+//! sole way to run the 10^7-element serve leg ROADMAP item 2 must re-take
+//! (`benchmark`'s `ckpt_write`/`ckpt_restore` run at 24 200 elements). The
+//! `benchmark` PR that adds `--scale large` deletes it.
 
 use pumi_bench::report::{f, print_table, table_to_json, write_report, Table};
 use pumi_core::{distribute, DistMesh, PartMap};
@@ -48,9 +51,8 @@ fn median_ns(mut xs: Vec<u64>) -> u64 {
     xs[xs.len() / 2]
 }
 
-fn parse_args() -> (usize, usize, usize, bool, Option<usize>) {
+fn parse_args() -> (usize, usize, usize, bool) {
     let (mut parts, mut reps, mut clients, mut large) = (4usize, 3usize, 8usize, false);
-    let mut nx = None;
     let args: Vec<String> = std::env::args().collect();
     let mut i = 1;
     while i < args.len() {
@@ -67,14 +69,13 @@ fn parse_args() -> (usize, usize, usize, bool, Option<usize>) {
                     "--parts" => parts = v.parse().expect("--parts"),
                     "--reps" => reps = v.parse().expect("--reps"),
                     "--clients" => clients = v.parse().expect("--clients"),
-                    "--nx" => nx = Some(v.parse().expect("--nx")),
                     other => panic!("unknown flag {other}"),
                 }
                 i += 2;
             }
         }
     }
-    (parts, reps, clients, large, nx)
+    (parts, reps, clients, large)
 }
 
 fn make_fields(dm: &DistMesh) -> DistField {
@@ -169,9 +170,7 @@ fn run_scale(
     );
 
     legs.push(Leg {
-        // "v2" is the row's name in BENCH_pcu.json since PR 8, kept so the
-        // history lines up; there is only one format.
-        name: format!("write_v2@{scale}"),
+        name: format!("write@{scale}"),
         median_ns: median_ns(write_ns),
         samples: reps as u64,
         bytes: disk_bytes,
@@ -230,24 +229,13 @@ fn run_scale(
 }
 
 fn main() {
-    let (parts, reps, clients, large, nx) = parse_args();
+    let (parts, reps, clients, large) = parse_args();
     assert!(clients >= 8, "the many-reader leg wants ≥8 clients");
     let mut legs: Vec<Leg> = Vec::new();
     let mut bytes_rows: Vec<ScaleBytes> = Vec::new();
 
     // 2 * 707^2 ≈ 1.0e6 triangles; 2 * 2236^2 ≈ 1.0e7.
-    match nx {
-        Some(nx) => run_scale(
-            "smoke",
-            nx,
-            parts,
-            reps,
-            clients,
-            &mut legs,
-            &mut bytes_rows,
-        ),
-        None => run_scale("1e6", 707, parts, reps, clients, &mut legs, &mut bytes_rows),
-    }
+    run_scale("1e6", 707, parts, reps, clients, &mut legs, &mut bytes_rows);
     if large {
         run_scale("1e7", 2236, parts, 1, clients, &mut legs, &mut bytes_rows);
     }
@@ -289,16 +277,6 @@ fn main() {
                     "disk_over_raw",
                     Json::str(format!("{:.3}", r.disk as f64 / r.raw as f64)),
                 ),
-            ])
-        })),
-    );
-    report.section(
-        "medians",
-        Json::arr(legs.iter().map(|leg| {
-            Json::obj([
-                ("bench", Json::str(format!("io_checkpoint/{}", leg.name))),
-                ("median_ns", Json::U64(leg.median_ns)),
-                ("samples", Json::U64(leg.samples)),
             ])
         })),
     );

@@ -12,9 +12,12 @@
 //!   frame batching and the sharded mailboxes.
 //!
 //! Usage: `pcu_weak_scaling [--bytes-per-rank B] [--reps R] [--max-ranks N]
-//! [--rounds K]`. Emits `results/pcu_weak_scaling.json`;
-//! `scripts/bench_snapshot.sh` folds the `pcu_weak_scaling/{ring,a2a}/<n>`
-//! medians into `BENCH_pcu.json`.
+//! [--rounds K]`. Emits `results/pcu_weak_scaling.json`.
+//!
+//! Not a paper table or figure: this binary stays only because it is the
+//! sole way to run the 512- and 1024-rank all-to-all that ROADMAP item 3
+//! starts from (`benchmark`'s `wide_exchange` stops at 256 ranks). The
+//! `benchmark` PR that adds `--scale large` deletes it.
 
 use pumi_bench::report::{f, print_table, table_to_json, write_report, Table};
 use pumi_obs::json::Json;
@@ -170,16 +173,6 @@ fn main() {
             ("rounds", Json::U64(rounds as u64)),
             ("max_ranks", Json::U64(max_ranks as u64)),
         ]),
-    );
-    report.section(
-        "medians",
-        Json::arr(runs.iter().map(|r| {
-            Json::obj([
-                ("bench", Json::str(r.bench.clone())),
-                ("median_ns", Json::U64(r.median_ns)),
-                ("samples", Json::U64(r.samples)),
-            ])
-        })),
     );
     report.section("table", table_to_json(&table));
     write_report(&report);

@@ -34,16 +34,6 @@ impl AaaScale {
         }
     }
 
-    /// A small scale for integration tests (~9k tets, 16 parts, 2 ranks).
-    pub fn test_scale() -> AaaScale {
-        AaaScale {
-            nr: 6,
-            nz: 42,
-            nparts: 16,
-            nranks: 2,
-        }
-    }
-
     /// Tet count of this scale.
     pub fn elements(&self) -> usize {
         6 * self.nr * self.nr * self.nz
@@ -82,18 +72,24 @@ pub fn distribute_labels(comm: &Comm, serial: &Mesh, labels: &[PartId], nparts: 
 mod tests {
     use super::*;
 
+    /// ~9k tets, 16 parts, 2 ranks.
+    const SMALL: AaaScale = AaaScale {
+        nr: 6,
+        nz: 42,
+        nparts: 16,
+        nranks: 2,
+    };
+
     #[test]
     fn scales_are_consistent() {
-        let s = AaaScale::test_scale();
-        assert_eq!(s.elements(), 6 * 6 * 6 * 42);
+        assert_eq!(SMALL.elements(), 6 * 6 * 6 * 42);
         assert!(AaaScale::default_scale().elements() > 100_000);
     }
 
     #[test]
     fn aaa_test_mesh_is_valid() {
-        let s = AaaScale::test_scale();
-        let m = aaa_scaled(s);
-        assert_eq!(m.num_elems(), s.elements());
+        let m = aaa_scaled(SMALL);
+        assert_eq!(m.num_elems(), SMALL.elements());
         m.assert_valid();
     }
 }

@@ -503,16 +503,6 @@ impl std::fmt::Debug for Part {
     }
 }
 
-/// The set of part ids a set of entities resides on — helper for residence
-/// computations.
-pub fn union_parts(sets: impl IntoIterator<Item = PartId>) -> Vec<PartId> {
-    let mut s: FxHashSet<PartId> = FxHashSet::default();
-    s.extend(sets);
-    let mut v: Vec<PartId> = s.into_iter().collect();
-    v.sort_unstable();
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,11 +641,5 @@ mod tests {
             other => other,
         });
         assert_eq!(p.remotes_of(v), &[(1, 3), (2, 9)]);
-    }
-
-    #[test]
-    fn union_parts_sorted_dedup() {
-        assert_eq!(union_parts([3, 1, 3, 2, 1]), vec![1, 2, 3]);
-        assert!(union_parts([]).is_empty());
     }
 }

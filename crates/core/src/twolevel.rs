@@ -16,7 +16,6 @@
 use crate::dist::{DistMesh, PartMap};
 use crate::part::Part;
 use pumi_pcu::MachineModel;
-use pumi_util::Dim;
 
 /// Per-dimension counts of part-boundary entity copies split by link class.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -71,20 +70,6 @@ pub fn boundary_traffic_split(dm: &DistMesh, machine: MachineModel) -> BoundaryS
         }
     }
     total
-}
-
-/// The fraction of a part's boundary vertices that are on-node — a quality
-/// measure for architecture-aware partitions (higher is better for hybrid
-/// execution).
-pub fn on_node_fraction(part: &Part, map: &PartMap, machine: MachineModel) -> f64 {
-    let s = boundary_split(part, map, machine);
-    let on = s.on_node[Dim::Vertex.as_usize()] as f64;
-    let off = s.off_node[Dim::Vertex.as_usize()] as f64;
-    if on + off == 0.0 {
-        1.0
-    } else {
-        on / (on + off)
-    }
 }
 
 #[cfg(test)]
@@ -145,23 +130,6 @@ mod tests {
                 })
                 .map(|v: MeshEnt| part.residence(v));
             assert_eq!(center.unwrap(), vec![0, 1, 2, 3]);
-        });
-    }
-
-    #[test]
-    fn on_node_fraction_bounds() {
-        let machine = MachineModel::new(1, 2);
-        execute_on(machine, |c| {
-            let serial = tri_rect(2, 2, 1.0, 1.0);
-            let d = serial.elem_dim_t();
-            let mut elem_part = vec![0 as PartId; serial.index_space(d)];
-            for e in serial.iter(d) {
-                elem_part[e.idx()] = if serial.centroid(e)[0] < 0.5 { 0 } else { 1 };
-            }
-            let dm = distribute(c, PartMap::contiguous(2, 2), &serial, &elem_part);
-            // Single node: everything is on-node.
-            let f = on_node_fraction(&dm.parts[0], &dm.map, machine);
-            assert_eq!(f, 1.0);
         });
     }
 }

@@ -6,7 +6,7 @@
 //! Ownership is unique across parts, so each entity contributes exactly
 //! once regardless of how the mesh is partitioned: a checkpoint written on
 //! N parts and restored on M ranks must hash identically. The roundtrip
-//! property test and the `checkpoint_restart` bench both key on this.
+//! property test and the `benchmark` checkpoint workloads both key on this.
 
 use pumi_core::DistMesh;
 use pumi_pcu::Comm;

@@ -15,8 +15,6 @@ pub enum Json {
     Bool(bool),
     /// An unsigned integer (kept exact; byte counts exceed f64 precision).
     U64(u64),
-    /// A signed integer.
-    I64(i64),
     /// A float. Non-finite values render as `null` (JSON has no NaN).
     F64(f64),
     /// A string.
@@ -56,7 +54,6 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::U64(x) => out.push_str(&x.to_string()),
-            Json::I64(x) => out.push_str(&x.to_string()),
             Json::F64(x) => {
                 if x.is_finite() {
                     // `{:?}` is the shortest round-trip form ("0.1", "1.5e30").
@@ -127,47 +124,6 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-impl From<bool> for Json {
-    fn from(b: bool) -> Json {
-        Json::Bool(b)
-    }
-}
-impl From<u64> for Json {
-    fn from(x: u64) -> Json {
-        Json::U64(x)
-    }
-}
-impl From<u32> for Json {
-    fn from(x: u32) -> Json {
-        Json::U64(x as u64)
-    }
-}
-impl From<usize> for Json {
-    fn from(x: usize) -> Json {
-        Json::U64(x as u64)
-    }
-}
-impl From<i64> for Json {
-    fn from(x: i64) -> Json {
-        Json::I64(x)
-    }
-}
-impl From<f64> for Json {
-    fn from(x: f64) -> Json {
-        Json::F64(x)
-    }
-}
-impl From<&str> for Json {
-    fn from(s: &str) -> Json {
-        Json::Str(s.to_string())
-    }
-}
-impl From<String> for Json {
-    fn from(s: String) -> Json {
-        Json::Str(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,7 +133,6 @@ mod tests {
         assert_eq!(Json::Null.render(), "null\n");
         assert_eq!(Json::Bool(true).render(), "true\n");
         assert_eq!(Json::U64(u64::MAX).render(), format!("{}\n", u64::MAX));
-        assert_eq!(Json::I64(-3).render(), "-3\n");
         assert_eq!(Json::F64(0.1).render(), "0.1\n");
         assert_eq!(Json::F64(f64::NAN).render(), "null\n");
         assert_eq!(Json::str("a\"b\nc").render(), "\"a\\\"b\\nc\"\n");

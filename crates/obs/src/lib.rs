@@ -14,8 +14,6 @@
 //!   per-phase extension of PCU's world-total `TrafficCounters`,
 //! * [`parma`] — the ParMA iteration recorder: imbalance trajectory,
 //!   migration sizes and stop reasons per balancing stage,
-//! * [`adapt`] — the adaptive-loop round recorder: predicted vs balanced vs
-//!   actual imbalance per adapt→predict→balance round (Fig. 13),
 //! * [`json`] — a dependency-free JSON value with a pretty renderer,
 //! * [`report`] — the `results/<name>.json` sink.
 //!
@@ -33,7 +31,6 @@
 //! functions still exist but compile to no-ops and the drain functions
 //! return empty collections, so hook call sites need no `cfg` attributes.
 
-pub mod adapt;
 pub mod json;
 pub mod metrics;
 pub mod parma;

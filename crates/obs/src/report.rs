@@ -67,9 +67,9 @@ impl Report {
 
     /// Write to `results/<name>.json`, creating the directory as needed.
     /// Returns the path written. The destination directory can be overridden
-    /// with the `PUMI_RESULTS_DIR` environment variable — cargo runs bench
-    /// binaries with the package directory as the working directory, so
-    /// snapshot scripts use this to collect reports at the workspace root.
+    /// with the `PUMI_RESULTS_DIR` environment variable — `cargo bench`
+    /// runs its targets with the package directory as the working
+    /// directory, so this is how their reports reach the workspace root.
     pub fn write(&self) -> std::io::Result<PathBuf> {
         match std::env::var("PUMI_RESULTS_DIR") {
             Ok(dir) if !dir.is_empty() => self.write_under(&dir),

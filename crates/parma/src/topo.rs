@@ -23,7 +23,7 @@
 //! are inert and diffusion is byte-identical to the topology-blind path.
 
 use pumi_core::{DistMesh, PartMap};
-use pumi_pcu::{Comm, LinkClass, MachineModel};
+use pumi_pcu::{Comm, MachineModel};
 use pumi_util::PartId;
 
 /// Machine awareness for ParMA diffusion.
@@ -128,11 +128,6 @@ pub fn off_node_boundary(comm: &Comm, dm: &DistMesh, machine: &MachineModel) -> 
     }
 }
 
-/// Classify the link between the ranks hosting two parts.
-pub fn link_of_parts(machine: &MachineModel, map: &PartMap, a: PartId, b: PartId) -> LinkClass {
-    machine.link(map.rank_of(a), map.rank_of(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,14 +171,5 @@ mod tests {
             assert_eq!(split.on_copies, 0);
             assert!(split.off_copies > 0);
         });
-    }
-
-    #[test]
-    fn link_classification_follows_placement() {
-        let machine = MachineModel::new(2, 2);
-        let map = PartMap::contiguous(4, 4);
-        assert_eq!(link_of_parts(&machine, &map, 0, 1), LinkClass::OnNode);
-        assert_eq!(link_of_parts(&machine, &map, 0, 2), LinkClass::OffNode);
-        assert_eq!(link_of_parts(&machine, &map, 3, 3), LinkClass::SelfLoop);
     }
 }

@@ -188,13 +188,6 @@ impl Comm {
         let all = self.bcast_bytes(0, packed);
         MsgReader::new(all).get_f64_slice()
     }
-
-    /// Exclusive prefix sum: rank r receives the sum of values on ranks
-    /// `0..r`. Used for parallel-consistent global numbering.
-    pub fn exscan_u64(&self, x: u64) -> u64 {
-        let all = self.allgather_u64(x);
-        all[..self.rank()].iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -236,14 +229,6 @@ mod tests {
             assert_eq!(sum, vec![6, 4, 40]);
             let fsum = c.allreduce_sum_f64_vec(&[0.25, c.rank() as f64]);
             assert_eq!(fsum, vec![1.0, 6.0]);
-        });
-    }
-
-    #[test]
-    fn exscan_is_exclusive() {
-        execute(5, |c| {
-            let p = c.exscan_u64(10);
-            assert_eq!(p, 10 * c.rank() as u64);
         });
     }
 

@@ -563,6 +563,48 @@ mod tests {
         });
     }
 
+    /// The widest world the suite runs, 4 nodes × 16 cores, so frames cross
+    /// both on- and off-node links: a ring phase and an all-to-all phase
+    /// must each deliver exactly one frame from every expected peer with
+    /// that pair's payload, and nothing else.
+    #[test]
+    fn ring_and_all_to_all_on_a_64_rank_world() {
+        use crate::comm::execute_on;
+        use crate::machine::MachineModel;
+        let n = 64;
+        // What `from` sends `to`: length and fill byte both depend on the pair.
+        let payload = |from: usize, to: usize| vec![(from ^ to) as u8; 1 + (from * 7 + to) % 13];
+        let check = |me: usize, mut got: Received, peers: &[usize]| {
+            let mut sources: Vec<usize> = got.sources().collect();
+            sources.sort_unstable();
+            assert_eq!(sources, peers, "rank {me}: one frame per expected peer");
+            let mut bytes = 0;
+            for &p in peers {
+                let r = got.from_mut(p).expect("source listed above");
+                let want = payload(p, me);
+                assert_eq!(r.get_bytes(), want, "payload {p} -> {me}");
+                assert!(r.is_done(), "trailing bytes {p} -> {me}");
+                bytes += 4 + want.len() as u64;
+            }
+            assert_eq!(got.total_bytes(), bytes);
+        };
+        execute_on(MachineModel::new(4, 16), |c| {
+            assert_eq!(c.nranks(), n);
+            let me = c.rank();
+            let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
+            let mut ring = Exchange::new(c);
+            ring.to(next).put_bytes(&payload(me, next));
+            check(me, ring.finish(), &[prev]);
+
+            let peers: Vec<usize> = (0..n).filter(|&p| p != me).collect();
+            let mut a2a = Exchange::new(c);
+            for &p in &peers {
+                a2a.to(p).put_bytes(&payload(me, p));
+            }
+            check(me, a2a.finish(), &peers);
+        });
+    }
+
     #[test]
     fn empty_exchange_terminates() {
         execute(5, |c| {

@@ -59,12 +59,24 @@ fn error_trajectory(seed: u64, c0: f64, calibrate: bool) -> Vec<f64> {
         for round in 0..ROUNDS {
             let size = shock(c0 + 0.18 * round as f64);
             stamp_weights(&mut dm, &size, &cal);
-            improve_weighted(
+            let report = improve_weighted(
                 c,
                 &mut dm,
                 &pri,
                 ImproveOpts::new().tol(0.05).max_iters(40),
                 WEIGHT_TAG,
+            );
+            // A ParMA step never increases the predicted imbalance.
+            let elems = report
+                .types
+                .iter()
+                .find(|t| t.dim == elem_d)
+                .expect("the element dimension is balanced");
+            assert!(
+                elems.final_pct <= elems.initial_pct + 1e-9,
+                "round {round}: predicted imbalance {:.3}% -> {:.3}%",
+                elems.initial_pct,
+                elems.final_pct
             );
             let branch_pred = gather_branch_loads(c, &dm);
             adapt_dist(
