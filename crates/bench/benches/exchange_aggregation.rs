@@ -3,19 +3,14 @@
 //! shapes — the same 32 ranks laid out from one fat node (1×32) to many thin
 //! nodes (8×4) — routed directly versus through node leaders.
 //!
-//! Besides the console medians, the bench writes
-//! `results/exchange_aggregation.json` with, per configuration, the median
-//! iteration time and the off-node envelope counts split into logical
-//! (rank-to-rank, at the exchange span) and physical relay traffic
-//! (super-messages, under the nested relay span) — the Figs 5/6-style view
-//! of what aggregation buys.
+//! Besides the console medians, the bench prints, per configuration, the
+//! off-node envelope counts split into logical (rank-to-rank, at the
+//! exchange span) and physical relay traffic (super-messages, under the
+//! nested relay span) — the Figs 5/6-style view of what aggregation buys.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pumi_obs::json::Json;
-use pumi_obs::report::Report;
 use pumi_pcu::phased::{Exchange, ExchangeOpts};
 use pumi_pcu::{execute_on, MachineModel};
-use std::time::Instant;
 
 const PAYLOAD: usize = 1024;
 const ROUNDS: usize = 4;
@@ -61,7 +56,6 @@ fn traffic_rows(m: MachineModel, opts: ExchangeOpts) -> Vec<pumi_pcu::obs::World
 fn aggregation(c: &mut Criterion) {
     let mut group = c.benchmark_group("exchange_aggregation");
     group.sample_size(10);
-    let mut configs = Vec::new();
     for &(nodes, cores) in &SHAPES {
         let m = MachineModel::new(nodes, cores);
         for (label, opts) in [
@@ -73,17 +67,6 @@ fn aggregation(c: &mut Criterion) {
                 &(m, opts),
                 |b, &(m, opts)| b.iter(|| all_to_all(m, opts)),
             );
-            // The criterion stand-in prints medians but does not expose
-            // them; re-measure for the machine-readable report.
-            let mut samples: Vec<u128> = (0..5)
-                .map(|_| {
-                    let t = Instant::now();
-                    all_to_all(m, opts);
-                    t.elapsed().as_nanos()
-                })
-                .collect();
-            samples.sort_unstable();
-            let median_ns = samples[samples.len() / 2];
             let traffic = traffic_rows(m, opts);
             let off_node = |suffix: &str| {
                 traffic
@@ -103,31 +86,13 @@ fn aggregation(c: &mut Criterion) {
             } else {
                 (logical_msgs, logical_bytes)
             };
-            configs.push(Json::obj([
-                ("nodes", Json::U64(nodes as u64)),
-                ("cores_per_node", Json::U64(cores as u64)),
-                ("route", Json::str(label)),
-                ("median_ns", Json::U64(median_ns as u64)),
-                ("off_node_logical_msgs", Json::U64(logical_msgs)),
-                ("off_node_logical_bytes", Json::U64(logical_bytes)),
-                ("off_node_wire_msgs", Json::U64(wire_msgs)),
-                ("off_node_wire_bytes", Json::U64(wire_bytes)),
-            ]));
+            println!(
+                "{label}/{nodes}x{cores}: off-node logical {logical_msgs} msgs / {logical_bytes} B, \
+                 wire {wire_msgs} msgs / {wire_bytes} B"
+            );
         }
     }
     group.finish();
-    let mut report = Report::new("exchange_aggregation");
-    report.section(
-        "params",
-        Json::obj([
-            ("payload_bytes", Json::U64(PAYLOAD as u64)),
-            ("rounds_per_iter", Json::U64(ROUNDS as u64)),
-        ]),
-    );
-    report.section("configs", Json::Arr(configs));
-    if let Some(path) = report.write_or_warn() {
-        println!("wrote {}", path.display());
-    }
 }
 
 criterion_group!(benches, aggregation);

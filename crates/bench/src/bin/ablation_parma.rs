@@ -1,4 +1,5 @@
-//! Ablation study of ParMA's design choices (DESIGN.md's ablation item).
+//! Ablation study of ParMA's design choices (DESIGN.md's ablation item) —
+//! the printer of `pumi_bench::workloads::ablation`.
 //!
 //! Re-runs the Table II T1 configuration (`Vtx > Rgn` on the AAA-proxy
 //! partition) with each mechanism disabled in turn:
@@ -12,53 +13,20 @@
 //! * **strict selection** — Fig 9 / small-cavity passes run before relaxed
 //!   ones; without them selection grabs arbitrary boundary elements.
 //!
-//! Usage: `ablation_parma [--nr N] [--nz N] [--parts N] [--ranks N]`
+//! Usage: `ablation_parma [--small]`
 
-use parma::{improve, EntityLoads, ImproveOpts, Priority};
-use pumi_bench::report::{f, print_table, table_to_json, write_report, Table};
-use pumi_bench::workloads::{aaa_scaled, distribute_labels, AaaScale};
-use pumi_obs::json::Json;
-use pumi_obs::report::Report;
-use pumi_partition::partition_mesh;
+use pumi_bench::report::{f, print_table, stage_table, Table};
+use pumi_bench::workloads::{ablation, no_inspect, AaaScale, ParmaRun};
 use pumi_util::Dim;
 
 fn main() {
-    let mut scale = AaaScale::default_scale();
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i + 1 < args.len() {
-        let v = &args[i + 1];
-        match args[i].as_str() {
-            "--nr" => scale.nr = v.parse().unwrap(),
-            "--nz" => scale.nz = v.parse().unwrap(),
-            "--parts" => scale.nparts = v.parse().unwrap(),
-            "--ranks" => scale.nranks = v.parse().unwrap(),
-            other => panic!("unknown flag {other}"),
-        }
-        i += 2;
-    }
+    let scale = pumi_bench::scale_arg("ablation_parma", AaaScale::paper, AaaScale::small);
     eprintln!(
         "ablation: {} tets, {} parts, ParMA T1 (Vtx > Rgn)",
         scale.elements(),
         scale.nparts
     );
-    let serial = aaa_scaled(scale);
-    let labels = partition_mesh(&serial, scale.nparts);
-    let pri: Priority = "Vtx > Rgn".parse().unwrap();
-    let tol = 0.05; // the paper's tolerance
-
-    let configs: Vec<(&str, ImproveOpts)> = vec![
-        ("full ParMA", ImproveOpts::new().tol(tol)),
-        (
-            "- admission handshake",
-            ImproveOpts::new().tol(tol).handshake(false),
-        ),
-        ("- peak caps", ImproveOpts::new().tol(tol).peak_caps(false)),
-        (
-            "- strict selection",
-            ImproveOpts::new().tol(tol).strict_selection(false),
-        ),
-    ];
+    let runs = ablation(scale, &no_inspect);
 
     let mut t = Table::new(
         "ParMA ablation (T1: Vtx > Rgn; lower is better everywhere)",
@@ -71,61 +39,20 @@ fn main() {
             "time (s)",
         ],
     );
-    let mut runs = Vec::new();
-    for (name, opts) in configs {
-        let out = pumi_pcu::execute(scale.nranks, |c| {
-            let mut dm = distribute_labels(c, &serial, &labels, scale.nparts);
-            let report = improve(c, &mut dm, &pri, opts);
-            let loads = EntityLoads::gather(c, &dm);
-            let bnd = dm.global_sum(c, |p| p.shared_entities().len() as u64);
-            let obs = pumi_pcu::obs::world_report(c);
-            let traces = pumi_obs::parma::take();
-            (c.rank() == 0).then(|| {
-                (
-                    loads.imbalance_pct(Dim::Vertex),
-                    loads.imbalance_pct(Dim::Region),
-                    report.elements_moved,
-                    bnd,
-                    report.seconds,
-                    obs,
-                    traces,
-                )
-            })
-        });
-        let (v, r, moved, bnd, secs, obs, traces) = out.into_iter().flatten().next().unwrap();
+    for (name, run) in &runs {
         t.row(vec![
             name.to_string(),
-            f(v, 2),
-            f(r, 2),
-            moved.to_string(),
-            bnd.to_string(),
-            f(secs, 2),
+            f(run.after.imbalance_pct(Dim::Vertex), 2),
+            f(run.after.imbalance_pct(Dim::Region), 2),
+            run.report.elements_moved.to_string(),
+            run.boundary_copies.to_string(),
+            f(run.report.seconds, 2),
         ]);
-        runs.push(Json::obj([
-            ("config", Json::str(name)),
-            ("vtx_imb_pct", Json::F64(v)),
-            ("rgn_imb_pct", Json::F64(r)),
-            ("elements_moved", Json::U64(moved)),
-            ("boundary_copies", Json::U64(bnd)),
-            ("seconds", Json::F64(secs)),
-            ("obs", obs.unwrap_or(Json::Null)),
-            ("parma", Json::arr(traces.iter().map(|tr| tr.to_json()))),
-        ]));
     }
     print_table(&t);
-    let mut report = Report::new("ablation_parma");
-    report.section(
-        "config",
-        Json::obj([
-            ("elements", Json::U64(scale.elements() as u64)),
-            ("parts", Json::U64(scale.nparts as u64)),
-            ("ranks", Json::U64(scale.nranks as u64)),
-            ("tol", Json::F64(tol)),
-        ]),
-    );
-    report.section("runs", Json::arr(runs));
-    report.section("tables", Json::arr([table_to_json(&t)]));
-    write_report(&report);
+    println!();
+    let by_ref: Vec<(&str, &ParmaRun)> = runs.iter().map(|(n, r)| (*n, r)).collect();
+    print_table(&stage_table("ParMA stages", &by_ref));
     println!();
     println!(
         "reading: the handshake is what keeps the lower-priority (rgn) balance intact — \

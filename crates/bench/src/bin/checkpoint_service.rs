@@ -9,20 +9,18 @@
 //! hold raw (the section tables record both) or the bin aborts.
 //!
 //! Usage: `checkpoint_service [--parts N] [--reps N] [--clients N]
-//! [--large]`. Emits `results/io_checkpoint.json`.
+//! [--large]`.
 //!
 //! Not a paper table or figure: this binary stays only because it is the
 //! sole way to run the 10^7-element serve leg ROADMAP item 2 must re-take
 //! (`benchmark`'s `ckpt_write`/`ckpt_restore` run at 24 200 elements). The
 //! `benchmark` PR that adds `--scale large` deletes it.
 
-use pumi_bench::report::{f, print_table, table_to_json, write_report, Table};
+use pumi_bench::report::{f, print_table, Table};
 use pumi_core::{distribute, DistMesh, PartMap};
 use pumi_field::{DistField, Field, FieldShape};
 use pumi_io::{write_checkpoint, write_delta_checkpoint, PartFile};
 use pumi_meshgen::{jitter, tri_rect};
-use pumi_obs::json::Json;
-use pumi_obs::report::Report;
 use pumi_partition::partition_mesh;
 use pumi_pcu::execute;
 use pumi_serve::CheckpointServer;
@@ -36,14 +34,6 @@ struct Leg {
     samples: u64,
     bytes: u64,
     detail: String,
-}
-
-struct ScaleBytes {
-    scale: String,
-    elements: u64,
-    raw: u64,
-    disk: u64,
-    delta: u64,
 }
 
 fn median_ns(mut xs: Vec<u64>) -> u64 {
@@ -111,7 +101,6 @@ fn run_scale(
     reps: usize,
     clients: usize,
     legs: &mut Vec<Leg>,
-    bytes_rows: &mut Vec<ScaleBytes>,
 ) {
     let mut serial = tri_rect(nx, nx, 1.0, 1.0);
     jitter(&mut serial, 0.15, 42);
@@ -183,13 +172,6 @@ fn run_scale(
         bytes: delta_bytes,
         detail: "~1% touched".into(),
     });
-    bytes_rows.push(ScaleBytes {
-        scale: scale.to_string(),
-        elements,
-        raw: raw_bytes,
-        disk: disk_bytes,
-        delta: delta_bytes,
-    });
 
     // Many-reader leg: fresh server each rep (cold cache), `clients`
     // concurrent PCU clients each restoring a disjoint slice.
@@ -232,12 +214,11 @@ fn main() {
     let (parts, reps, clients, large) = parse_args();
     assert!(clients >= 8, "the many-reader leg wants ≥8 clients");
     let mut legs: Vec<Leg> = Vec::new();
-    let mut bytes_rows: Vec<ScaleBytes> = Vec::new();
 
     // 2 * 707^2 ≈ 1.0e6 triangles; 2 * 2236^2 ≈ 1.0e7.
-    run_scale("1e6", 707, parts, reps, clients, &mut legs, &mut bytes_rows);
+    run_scale("1e6", 707, parts, reps, clients, &mut legs);
     if large {
-        run_scale("1e7", 2236, parts, 1, clients, &mut legs, &mut bytes_rows);
+        run_scale("1e7", 2236, parts, 1, clients, &mut legs);
     }
 
     let mut table = Table::new(
@@ -254,32 +235,4 @@ fn main() {
         ]);
     }
     print_table(&table);
-
-    let mut report = Report::new("io_checkpoint");
-    report.section(
-        "config",
-        Json::obj([
-            ("parts", Json::U64(parts as u64)),
-            ("reps", Json::U64(reps as u64)),
-            ("clients", Json::U64(clients as u64)),
-        ]),
-    );
-    report.section(
-        "bytes",
-        Json::arr(bytes_rows.iter().map(|r| {
-            Json::obj([
-                ("scale", Json::str(r.scale.clone())),
-                ("elements", Json::U64(r.elements)),
-                ("raw_bytes", Json::U64(r.raw)),
-                ("disk_bytes", Json::U64(r.disk)),
-                ("delta_bytes", Json::U64(r.delta)),
-                (
-                    "disk_over_raw",
-                    Json::str(format!("{:.3}", r.disk as f64 / r.raw as f64)),
-                ),
-            ])
-        })),
-    );
-    report.section("table", table_to_json(&table));
-    write_report(&report);
 }

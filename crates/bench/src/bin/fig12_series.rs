@@ -1,73 +1,30 @@
 //! Fig 12: normalized per-part vertex (a) and edge (b) counts before and
-//! after ParMA test T2 (`Vtx = Edge > Rgn`).
+//! after ParMA test T2 (`Vtx = Edge > Rgn`) — the printer of
+//! `pumi_bench::workloads::fig12`.
 //!
-//! Writes `fig12_vtx.csv` and `fig12_edge.csv` (part, before/avg, after/avg)
-//! and prints the min/max/imbalance summary of each series — the envelope
-//! the paper's scatter plots show tightening from [0.5, 1.3] to ~[0.7, 1.05].
+//! Prints the min/max/imbalance summary of each series — the envelope the
+//! paper's scatter plots show tightening from [0.5, 1.3] to ~[0.7, 1.05] —
+//! followed by the series themselves as CSV (part, before/avg, after/avg).
 //!
-//! Usage: `fig12_series [--nr N] [--nz N] [--parts N] [--ranks N]`
+//! Usage: `fig12_series [--small]`
 
-use parma::{improve, EntityLoads, ImproveOpts, Priority};
-use pumi_bench::report::write_report;
-use pumi_bench::workloads::{aaa_scaled, distribute_labels, AaaScale};
-use pumi_obs::json::Json;
-use pumi_obs::report::Report;
-use pumi_partition::partition_mesh;
-use pumi_util::stats::LoadStats;
+use pumi_bench::report::{print_table, stage_table};
+use pumi_bench::workloads::{fig12, no_inspect, AaaScale};
 use pumi_util::Dim;
-use std::io::Write;
 
 fn main() {
-    let mut scale = AaaScale::default_scale();
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i + 1 < args.len() {
-        let v = &args[i + 1];
-        match args[i].as_str() {
-            "--nr" => scale.nr = v.parse().unwrap(),
-            "--nz" => scale.nz = v.parse().unwrap(),
-            "--parts" => scale.nparts = v.parse().unwrap(),
-            "--ranks" => scale.nranks = v.parse().unwrap(),
-            other => panic!("unknown flag {other}"),
-        }
-        i += 2;
-    }
+    let scale = pumi_bench::scale_arg("fig12_series", AaaScale::paper, AaaScale::small);
     eprintln!(
         "fig12: {} tets, {} parts, ParMA T2 (Vtx = Edge > Rgn)",
         scale.elements(),
         scale.nparts
     );
-    let serial = aaa_scaled(scale);
-    let labels = partition_mesh(&serial, scale.nparts);
-    let pri: Priority = "Vtx = Edge > Rgn".parse().unwrap();
-
-    let out = pumi_pcu::execute(scale.nranks, |c| {
-        let mut dm = distribute_labels(c, &serial, &labels, scale.nparts);
-        let before = EntityLoads::gather(c, &dm);
-        improve(c, &mut dm, &pri, ImproveOpts::default());
-        let after = EntityLoads::gather(c, &dm);
-        let obs = pumi_pcu::obs::world_report(c);
-        let traces = pumi_obs::parma::take();
-        (c.rank() == 0).then_some((before, after, obs, traces))
-    });
-    let (before, after, obs, traces) = out.into_iter().flatten().next().unwrap();
-
-    let mut series = Vec::new();
-    for (d, name) in [(Dim::Vertex, "vtx"), (Dim::Edge, "edge")] {
-        let b = before.of(d);
-        let a = after.of(d);
-        let avg_b = LoadStats::of(b).mean;
-        let avg_a = LoadStats::of(a).mean;
-        let path = format!("fig12_{name}.csv");
-        let mut file = std::fs::File::create(&path).expect("create csv");
-        writeln!(file, "part,before_over_avg,after_over_avg").unwrap();
-        for p in 0..b.len() {
-            writeln!(file, "{},{:.6},{:.6}", p, b[p] / avg_b, a[p] / avg_a).unwrap();
-        }
-        let sb = LoadStats::of(b);
-        let sa = LoadStats::of(a);
+    let run = fig12(scale, &no_inspect);
+    let dims = [(Dim::Vertex, "vtx"), (Dim::Edge, "edge")];
+    for (d, name) in dims {
+        let (sb, sa) = (run.before.stats(d), run.after.stats(d));
         println!(
-            "fig12 ({name}): before [{:.3}, {:.3}] imb {:.2}%  ->  after [{:.3}, {:.3}] imb {:.2}%   (csv: {path})",
+            "fig12 ({name}): before [{:.3}, {:.3}] imb {:.2}%  ->  after [{:.3}, {:.3}] imb {:.2}%",
             sb.min / sb.mean,
             sb.max / sb.mean,
             sb.imbalance_pct(),
@@ -75,29 +32,16 @@ fn main() {
             sa.max / sa.mean,
             sa.imbalance_pct(),
         );
-        series.push(Json::obj([
-            ("dim", Json::str(name)),
-            ("csv", Json::str(&path)),
-            ("before_imb_pct", Json::F64(sb.imbalance_pct())),
-            ("after_imb_pct", Json::F64(sa.imbalance_pct())),
-            ("before_min_over_avg", Json::F64(sb.min / sb.mean)),
-            ("before_max_over_avg", Json::F64(sb.max / sb.mean)),
-            ("after_min_over_avg", Json::F64(sa.min / sa.mean)),
-            ("after_max_over_avg", Json::F64(sa.max / sa.mean)),
-        ]));
     }
-
-    let mut report = Report::new("fig12_series");
-    report.section(
-        "config",
-        Json::obj([
-            ("elements", Json::U64(scale.elements() as u64)),
-            ("parts", Json::U64(scale.nparts as u64)),
-            ("ranks", Json::U64(scale.nranks as u64)),
-        ]),
-    );
-    report.section("series", Json::arr(series));
-    report.section("obs", obs.unwrap_or(Json::Null));
-    report.section("parma", Json::arr(traces.iter().map(|t| t.to_json())));
-    write_report(&report);
+    println!();
+    print_table(&stage_table("ParMA stages", &[("T2", &run)]));
+    for (d, name) in dims {
+        let (b, a) = (run.before.of(d), run.after.of(d));
+        let (avg_b, avg_a) = (run.before.avg(d), run.after.avg(d));
+        println!();
+        println!("# fig12_{name}: part,before_over_avg,after_over_avg");
+        for p in 0..b.len() {
+            println!("{},{:.6},{:.6}", p, b[p] / avg_b, a[p] / avg_a);
+        }
+    }
 }

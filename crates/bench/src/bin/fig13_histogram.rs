@@ -1,6 +1,6 @@
 //! Fig 13: histogram of element imbalance (N_elements / avg) across parts
 //! of an adapted ONERA-M6-proxy mesh when **no load balancing is applied
-//! before adaptation**.
+//! before adaptation** — the printer of `pumi_bench::workloads::fig13`.
 //!
 //! Paper run: 1024-part mesh adapted 46M → 160M elements with a size field
 //! from the Mach-number hessian at the shock; peak imbalance > 400%, ~80
@@ -9,76 +9,37 @@
 //! Scaled run: the wing-box mesh is partitioned, then refined against the
 //! oblique-shock size field with every child staying on its parent's part
 //! (tag inheritance); the per-part element counts of the adapted mesh are
-//! then histogrammed.
+//! then histogrammed. The remedy §III-B motivates runs beside it:
+//! *predictive* load balancing — partition the initial mesh by estimated
+//! post-adaptation element counts, then adapt.
 //!
-//! Usage: `fig13_histogram [--n N] [--parts N] [--hmin F]`
+//! Usage: `fig13_histogram [--small]`
 
-use pumi_adapt::element_weight;
-use pumi_adapt::{refine, RefineOpts, SizeField};
-use pumi_bench::report::{f, print_table, table_to_json, write_report, Table};
-use pumi_bench::workloads::wing_mesh;
-use pumi_meshgen::shock_plane_distance;
-use pumi_obs::json::Json;
-use pumi_obs::report::Report;
-use pumi_partition::partition_mesh;
-use pumi_partition::partition_mesh_weighted;
-use pumi_util::stats::{histogram, imbalance};
-use pumi_util::tag::TagKind;
+use pumi_bench::report::{f, print_table, Table};
+use pumi_bench::workloads::{fig13, Fig13Params};
+use pumi_util::stats::histogram;
 
 fn main() {
-    let mut n = 24usize;
-    let mut nparts = 96usize;
-    let mut hmin = 0.016f64;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i + 1 < args.len() {
-        let v = &args[i + 1];
-        match args[i].as_str() {
-            "--n" => n = v.parse().unwrap(),
-            "--parts" => nparts = v.parse().unwrap(),
-            "--hmin" => hmin = v.parse().unwrap(),
-            other => panic!("unknown flag {other}"),
-        }
-        i += 2;
-    }
-
-    let mut mesh = wing_mesh(n);
-    let initial_elems = mesh.num_elems();
-    eprintln!("fig13: initial wing mesh {initial_elems} tets, {nparts} parts");
-
-    // Partition the initial mesh and stamp each element with its part.
-    let labels = partition_mesh(&mesh, nparts);
-    let tid = mesh.tags_mut().declare("part", TagKind::Int, 1);
-    for e in mesh.snapshot(mesh.elem_dim_t()) {
-        mesh.tags_mut().set_int(tid, e, labels[e.idx()] as i64);
-    }
-
-    // Adapt with the oblique-shock size field; children inherit the tag, so
-    // the partition is "frozen" through adaptation (no balancing).
-    let size = SizeField::shock(shock_plane_distance, hmin, 0.12, 0.015);
-    let stats = refine(&mut mesh, &size, None, RefineOpts::default());
+    let p = pumi_bench::scale_arg("fig13_histogram", Fig13Params::paper, Fig13Params::small);
+    let nparts = p.nparts;
+    let r = fig13(p);
+    eprintln!(
+        "fig13: initial wing mesh {} tets, {nparts} parts",
+        r.initial_elements
+    );
     eprintln!(
         "adapted {} -> {} elements ({} splits)",
-        initial_elems, stats.elements_after, stats.splits
+        r.initial_elements, r.refined.elements_after, r.refined.splits
     );
 
-    // Per-part adapted counts from the inherited tags.
-    let mut loads = vec![0f64; nparts];
-    for e in mesh.elems() {
-        let p = mesh.tags().get_int(tid, e).expect("untagged element") as usize;
-        loads[p] += 1.0;
-    }
-    let avg = loads.iter().sum::<f64>() / nparts as f64;
-    let ratios: Vec<f64> = loads.iter().map(|&l| l / avg).collect();
-
     // Histogram like Fig 13: bins of imbalance ratio.
+    let ratios = r.ratios();
     let max_ratio = ratios.iter().cloned().fold(0.0, f64::max);
-    let bins = 11usize;
-    let h = histogram(&ratios, 0.1, (max_ratio * 1.05).max(1.2), bins);
+    let h = histogram(&ratios, 0.1, (max_ratio * 1.05).max(1.2), 11);
     let mut t = Table::new(
         &format!(
             "Fig 13: element imbalance histogram, {} parts, adapted {} -> {} elements",
-            nparts, initial_elems, stats.elements_after
+            nparts, r.initial_elements, r.refined.elements_after
         ),
         &["ratio (N/avg)", "parts"],
     );
@@ -88,64 +49,20 @@ fn main() {
     print_table(&t);
 
     // The paper's three headline statistics.
-    let peak_pct = (imbalance(&loads) - 1.0) * 100.0;
-    let over_20 = ratios.iter().filter(|&&r| r > 1.2).count();
-    let under_half = ratios.iter().filter(|&&r| r < 0.5).count();
+    let peak_pct = r.peak_pct();
     println!();
     println!("peak element imbalance: {peak_pct:.0}%  (paper: >400%)");
-    println!("parts with imbalance > 20%: {over_20} of {nparts}  (paper: ~80 of 1024)");
-    println!("parts under 50% of average: {under_half} of {nparts}  (paper: >120 of 1024)");
-
-    // The remedy (§III-B): *predictive* load balancing — partition the
-    // initial mesh by estimated post-adaptation element counts, then adapt.
-    let mut mesh2 = wing_mesh(n);
-    let labels_pred = partition_mesh_weighted(&mesh2, nparts, |e| element_weight(&mesh2, e, &size));
-    let tid2 = mesh2.tags_mut().declare("part", TagKind::Int, 1);
-    for e in mesh2.snapshot(mesh2.elem_dim_t()) {
-        mesh2
-            .tags_mut()
-            .set_int(tid2, e, labels_pred[e.idx()] as i64);
-    }
-    refine(&mut mesh2, &size, None, RefineOpts::default());
-    let mut loads2 = vec![0f64; nparts];
-    for e in mesh2.elems() {
-        loads2[mesh2.tags().get_int(tid2, e).unwrap() as usize] += 1.0;
-    }
-    let pred_pct = (imbalance(&loads2) - 1.0) * 100.0;
+    println!(
+        "parts with imbalance > 20%: {} of {nparts}  (paper: ~80 of 1024)",
+        r.parts_over_20()
+    );
+    println!(
+        "parts under 50% of average: {} of {nparts}  (paper: >120 of 1024)",
+        r.parts_under_half()
+    );
     println!();
     println!(
-        "with predictive load balancing before adaptation: peak imbalance {pred_pct:.0}%          (vs {peak_pct:.0}% without — the remedy §III-B motivates)"
+        "with predictive load balancing before adaptation: peak imbalance {:.0}%          (vs {peak_pct:.0}% without — the remedy §III-B motivates)",
+        r.predictive_peak_pct()
     );
-
-    let mut report = Report::new("fig13_histogram");
-    report.section(
-        "config",
-        Json::obj([
-            ("n", Json::U64(n as u64)),
-            ("parts", Json::U64(nparts as u64)),
-            ("hmin", Json::F64(hmin)),
-            ("initial_elements", Json::U64(initial_elems as u64)),
-            ("adapted_elements", Json::U64(stats.elements_after as u64)),
-        ]),
-    );
-    report.section(
-        "histogram",
-        Json::arr(h.iter().map(|(center, count)| {
-            Json::obj([
-                ("ratio", Json::F64(*center)),
-                ("parts", Json::U64(*count as u64)),
-            ])
-        })),
-    );
-    report.section(
-        "headline",
-        Json::obj([
-            ("peak_imbalance_pct", Json::F64(peak_pct)),
-            ("parts_over_20pct", Json::U64(over_20 as u64)),
-            ("parts_under_half", Json::U64(under_half as u64)),
-            ("predictive_peak_pct", Json::F64(pred_pct)),
-        ]),
-    );
-    report.section("tables", Json::arr([table_to_json(&t)]));
-    write_report(&report);
 }

@@ -1,4 +1,5 @@
-//! §III-B: heavy part splitting versus diffusion on clustered spikes.
+//! §III-B: heavy part splitting versus diffusion on clustered spikes — the
+//! printer of `pumi_bench::workloads::heavy_split`.
 //!
 //! "The greedy iterative diffusive procedure ... is observed to not meet a
 //! target imbalance tolerance when the input partition is large and has
@@ -11,140 +12,52 @@
 //!   (a) diffusion only (`improve` on elements),
 //!   (b) heavy part splitting followed by diffusion.
 //!
-//! Usage: `heavy_split [--n N] [--parts N] [--ranks N] [--hmin F]`
+//! Usage: `heavy_split [--small]`
 
-use parma::{heavy_part_split, improve, EntityLoads, ImproveOpts, Priority, SplitOpts};
-use pumi_adapt::{refine, RefineOpts, SizeField};
-use pumi_bench::report::write_report;
-use pumi_bench::workloads::wing_mesh;
-use pumi_core::{distribute, PartMap};
-use pumi_meshgen::shock_plane_distance;
-use pumi_obs::json::Json;
-use pumi_obs::report::Report;
-use pumi_partition::partition_mesh;
-use pumi_util::tag::TagKind;
-use pumi_util::{Dim, PartId};
+use pumi_bench::workloads::{heavy_split, no_inspect, HeavySplitParams, Repair};
+
+/// Iterations and stop reason of the (single-stage) diffusion, `-` without
+/// the `obs` feature.
+fn diffusion_end(r: &Repair) -> String {
+    r.traces
+        .first()
+        .and_then(|t| t.stages.first())
+        .map_or("-".to_string(), |s| {
+            format!("{} iters, {}", s.iters.len(), s.stop.name())
+        })
+}
 
 fn main() {
-    let mut n = 16usize;
-    let mut nparts = 32usize;
-    let mut nranks = 4usize;
-    let mut hmin = 0.012f64;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i + 1 < args.len() {
-        let v = &args[i + 1];
-        match args[i].as_str() {
-            "--n" => n = v.parse().unwrap(),
-            "--parts" => nparts = v.parse().unwrap(),
-            "--ranks" => nranks = v.parse().unwrap(),
-            "--hmin" => hmin = v.parse().unwrap(),
-            other => panic!("unknown flag {other}"),
-        }
-        i += 2;
-    }
-
-    // Build the adapted, imbalanced mesh once (serial), with parts frozen
-    // through refinement.
-    let mut mesh = wing_mesh(n);
-    let labels0 = partition_mesh(&mesh, nparts);
-    let tid = mesh.tags_mut().declare("part", TagKind::Int, 1);
-    for e in mesh.snapshot(mesh.elem_dim_t()) {
-        mesh.tags_mut().set_int(tid, e, labels0[e.idx()] as i64);
-    }
-    let size = SizeField::shock(shock_plane_distance, hmin, 0.12, 0.02);
-    refine(&mut mesh, &size, None, RefineOpts::default());
-    let d = mesh.elem_dim_t();
-    let mut labels = vec![0 as PartId; mesh.index_space(d)];
-    for e in mesh.iter(d) {
-        labels[e.idx()] = mesh.tags().get_int(tid, e).unwrap() as PartId;
-    }
+    let p = pumi_bench::scale_arg(
+        "heavy_split",
+        HeavySplitParams::paper,
+        HeavySplitParams::small,
+    );
+    let r = heavy_split(p, &no_inspect);
     eprintln!(
-        "adapted mesh: {} tets on {nparts} parts (shock-front spike cluster)",
-        mesh.num_elems()
+        "adapted mesh: {} tets on {} parts (shock-front spike cluster)",
+        r.elements, p.nparts
     );
-
-    type RunResult = (
-        f64,
-        f64,
-        f64,
-        Option<Json>,
-        Vec<pumi_obs::parma::ParmaTrace>,
+    let (d, s) = (&r.diffusion, &r.split_diffusion);
+    println!("strategy            before      after     time  diffusion ended");
+    println!(
+        "diffusion only     {:7.1}%  {:8.1}%  {:6.2}s  {}",
+        d.before_pct,
+        d.after_pct,
+        d.seconds,
+        diffusion_end(d)
     );
-    let run = |strategy: &'static str| -> RunResult {
-        let out = pumi_pcu::execute(nranks, |c| {
-            let map = PartMap::contiguous(nparts, c.nranks());
-            let mut dm = distribute(c, map, &mesh, &labels);
-            let before = EntityLoads::gather(c, &dm).imbalance_pct(d);
-            let pri: Priority = match d {
-                Dim::Face => "Face".parse().unwrap(),
-                _ => "Rgn".parse().unwrap(),
-            };
-            let opts = ImproveOpts::new().max_iters(12);
-            let t = pumi_util::stats::Timer::start();
-            match strategy {
-                "diffusion" => {
-                    improve(c, &mut dm, &pri, opts);
-                }
-                "split+diffusion" => {
-                    heavy_part_split(c, &mut dm, SplitOpts::default());
-                    improve(c, &mut dm, &pri, opts);
-                }
-                _ => unreachable!(),
-            }
-            let secs = t.seconds();
-            let after = EntityLoads::gather(c, &dm).imbalance_pct(d);
-            pumi_core::verify::assert_dist_valid(c, &dm);
-            let obs = pumi_pcu::obs::world_report(c);
-            let traces = pumi_obs::parma::take();
-            (c.rank() == 0).then_some((before, after, secs, obs, traces))
-        });
-        out.into_iter().flatten().next().unwrap()
-    };
-
-    let (b1, a1, s1, obs1, tr1) = run("diffusion");
-    let (b2, a2, s2, obs2, tr2) = run("split+diffusion");
-    println!("strategy            before      after     time");
-    println!("diffusion only     {b1:7.1}%  {a1:8.1}%  {s1:6.2}s");
-    println!("split + diffusion  {b2:7.1}%  {a2:8.1}%  {s2:6.2}s");
+    println!(
+        "split + diffusion  {:7.1}%  {:8.1}%  {:6.2}s  {}",
+        s.before_pct,
+        s.after_pct,
+        s.seconds,
+        diffusion_end(s)
+    );
     println!();
     println!(
-        "check: splitting reaches {a2:.1}% where diffusion alone stalls at {a1:.1}% \
-         (paper: diffusion misses the tolerance on clustered spikes; splitting fixes it)"
+        "check: splitting reaches {:.1}% where diffusion alone stalls at {:.1}% \
+         (paper: diffusion misses the tolerance on clustered spikes; splitting fixes it)",
+        s.after_pct, d.after_pct
     );
-
-    let strategy_json = |name: &str,
-                         b: f64,
-                         a: f64,
-                         s: f64,
-                         obs: Option<Json>,
-                         tr: &[pumi_obs::parma::ParmaTrace]| {
-        Json::obj([
-            ("strategy", Json::str(name)),
-            ("before_imb_pct", Json::F64(b)),
-            ("after_imb_pct", Json::F64(a)),
-            ("seconds", Json::F64(s)),
-            ("obs", obs.unwrap_or(Json::Null)),
-            ("parma", Json::arr(tr.iter().map(|t| t.to_json()))),
-        ])
-    };
-    let mut report = Report::new("heavy_split");
-    report.section(
-        "config",
-        Json::obj([
-            ("n", Json::U64(n as u64)),
-            ("parts", Json::U64(nparts as u64)),
-            ("ranks", Json::U64(nranks as u64)),
-            ("hmin", Json::F64(hmin)),
-            ("elements", Json::U64(mesh.num_elems() as u64)),
-        ]),
-    );
-    report.section(
-        "strategies",
-        Json::arr([
-            strategy_json("diffusion", b1, a1, s1, obs1, &tr1),
-            strategy_json("split+diffusion", b2, a2, s2, obs2, &tr2),
-        ]),
-    );
-    write_report(&report);
 }

@@ -1,5 +1,6 @@
 //! §III-A's Mira experiment: local partitioning inflates the peak vertex
-//! imbalance; ParMA `Vtx > Rgn` then improves it.
+//! imbalance; ParMA `Vtx > Rgn` then improves it — the printer of
+//! `pumi_bench::workloads::mira_local_split`.
 //!
 //! Paper run: a 16,384-part mesh locally split ×96 to 1.5M parts for a 3B
 //! element PHASTA mesh; peak vertex imbalance rises 9% → 54%, and ParMA
@@ -9,109 +10,36 @@
 //! each part ×`k`, measure the peak vertex imbalance before/after the split,
 //! then run ParMA `Vtx > Rgn` on the split partition.
 //!
-//! Usage: `mira_local_split [--nr N] [--nz N] [--coarse N] [--k N] [--ranks N]`
+//! Usage: `mira_local_split [--small]`
 
-use parma::{improve, EntityLoads, ImproveOpts, Priority};
-use pumi_bench::report::write_report;
-use pumi_bench::workloads::{aaa_scaled, distribute_labels, AaaScale};
-use pumi_obs::json::Json;
-use pumi_obs::report::Report;
-use pumi_partition::{partition_mesh, split_labels, PartitionQuality};
+use pumi_bench::report::{print_table, stage_table};
+use pumi_bench::workloads::{mira_local_split, no_inspect, MiraParams};
 use pumi_util::Dim;
 
 fn main() {
-    let mut scale = AaaScale::default_scale();
-    let mut coarse = 16usize;
-    let mut k = 16usize;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i + 1 < args.len() {
-        let v = &args[i + 1];
-        match args[i].as_str() {
-            "--nr" => scale.nr = v.parse().unwrap(),
-            "--nz" => scale.nz = v.parse().unwrap(),
-            "--coarse" => coarse = v.parse().unwrap(),
-            "--k" => k = v.parse().unwrap(),
-            "--ranks" => scale.nranks = v.parse().unwrap(),
-            other => panic!("unknown flag {other}"),
-        }
-        i += 2;
-    }
-    let fine = coarse * k;
-    scale.nparts = fine;
+    let p = pumi_bench::scale_arg("mira_local_split", MiraParams::paper, MiraParams::small);
+    let (coarse, k, fine) = (p.coarse, p.k, p.fine().nparts);
     eprintln!(
         "mira: {} tets, {coarse} parts locally split x{k} -> {fine} parts",
-        scale.elements()
+        p.fine().elements()
     );
-    let serial = aaa_scaled(scale);
-
-    // Coarse global partition.
-    let coarse_labels = partition_mesh(&serial, coarse);
-    let qc = PartitionQuality::compute(&serial, &coarse_labels, coarse);
-    let coarse_vtx_imb = qc.imbalance_pct(Dim::Vertex);
-
-    // Local split: each part partitioned independently to k subparts.
-    let fine_labels = split_labels(&serial, &coarse_labels, coarse, k);
-    let qf = PartitionQuality::compute(&serial, &fine_labels, fine);
-    let split_vtx_imb = qf.imbalance_pct(Dim::Vertex);
-
+    let r = mira_local_split(p, &no_inspect);
     println!(
-        "peak vertex imbalance: coarse ({coarse} parts) = {coarse_vtx_imb:.1}%   \
-         after local split ({fine} parts) = {split_vtx_imb:.1}%   (paper: 9% -> 54%)"
+        "peak vertex imbalance: coarse ({coarse} parts) = {:.1}%   \
+         after local split ({fine} parts) = {:.1}%   (paper: 9% -> 54%)",
+        r.coarse_vtx_pct, r.split_vtx_pct
     );
-
-    // ParMA Vtx > Rgn on the fine partition.
-    let pri: Priority = "Vtx > Rgn".parse().unwrap();
-    let out = pumi_pcu::execute(scale.nranks, |c| {
-        let mut dm = distribute_labels(c, &serial, &fine_labels, fine);
-        let before = EntityLoads::gather(c, &dm).imbalance_pct(Dim::Vertex);
-        let report = improve(c, &mut dm, &pri, ImproveOpts::default());
-        let after = EntityLoads::gather(c, &dm);
-        let obs = pumi_pcu::obs::world_report(c);
-        let traces = pumi_obs::parma::take();
-        (c.rank() == 0).then(|| {
-            (
-                before,
-                after.imbalance_pct(Dim::Vertex),
-                after.imbalance_pct(Dim::Region),
-                report.seconds,
-                obs,
-                traces,
-            )
-        })
-    });
-    let (before, after, rgn_after, secs, obs, traces) = out.into_iter().flatten().next().unwrap();
     println!(
-        "ParMA Vtx > Rgn: vertex imbalance {before:.1}% -> {after:.1}% \
-         (region {rgn_after:.1}%), {secs:.2}s"
+        "ParMA Vtx > Rgn: vertex imbalance {:.1}% -> {:.1}% (region {:.1}%), {:.2}s",
+        r.run.before.imbalance_pct(Dim::Vertex),
+        r.run.after.imbalance_pct(Dim::Vertex),
+        r.run.after.imbalance_pct(Dim::Region),
+        r.run.report.seconds
     );
-    let gain = before - after;
-    println!("check: improvement = {gain:.1} percentage points (paper: > 10 points on 1.5M parts)");
-
-    let mut report = Report::new("mira_local_split");
-    report.section(
-        "config",
-        Json::obj([
-            ("elements", Json::U64(scale.elements() as u64)),
-            ("coarse_parts", Json::U64(coarse as u64)),
-            ("split_factor", Json::U64(k as u64)),
-            ("fine_parts", Json::U64(fine as u64)),
-            ("ranks", Json::U64(scale.nranks as u64)),
-        ]),
+    println!(
+        "check: improvement = {:.1} percentage points (paper: > 10 points on 1.5M parts)",
+        r.gain_points()
     );
-    report.section(
-        "results",
-        Json::obj([
-            ("coarse_vtx_imb_pct", Json::F64(coarse_vtx_imb)),
-            ("split_vtx_imb_pct", Json::F64(split_vtx_imb)),
-            ("parma_before_pct", Json::F64(before)),
-            ("parma_after_pct", Json::F64(after)),
-            ("parma_rgn_after_pct", Json::F64(rgn_after)),
-            ("parma_seconds", Json::F64(secs)),
-            ("gain_points", Json::F64(gain)),
-        ]),
-    );
-    report.section("obs", obs.unwrap_or(Json::Null));
-    report.section("parma", Json::arr(traces.iter().map(|t| t.to_json())));
-    write_report(&report);
+    println!();
+    print_table(&stage_table("ParMA stages", &[("Vtx > Rgn", &r.run)]));
 }

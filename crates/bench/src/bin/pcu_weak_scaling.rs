@@ -12,16 +12,14 @@
 //!   frame batching and the sharded mailboxes.
 //!
 //! Usage: `pcu_weak_scaling [--bytes-per-rank B] [--reps R] [--max-ranks N]
-//! [--rounds K]`. Emits `results/pcu_weak_scaling.json`.
+//! [--rounds K]`.
 //!
 //! Not a paper table or figure: this binary stays only because it is the
 //! sole way to run the 512- and 1024-rank all-to-all that ROADMAP item 3
 //! starts from (`benchmark`'s `wide_exchange` stops at 256 ranks). The
 //! `benchmark` PR that adds `--scale large` deletes it.
 
-use pumi_bench::report::{f, print_table, table_to_json, write_report, Table};
-use pumi_obs::json::Json;
-use pumi_obs::report::Report;
+use pumi_bench::report::{f, print_table, Table};
 use pumi_pcu::phased::Exchange;
 use pumi_pcu::{execute_opts, MachineModel, WorldOpts};
 use pumi_util::stats::Timer;
@@ -164,18 +162,6 @@ fn main() {
     }
     print_table(&table);
 
-    let mut report = Report::new("pcu_weak_scaling");
-    report.section(
-        "config",
-        Json::obj([
-            ("bytes_per_rank", Json::U64(bytes as u64)),
-            ("reps", Json::U64(reps as u64)),
-            ("rounds", Json::U64(rounds as u64)),
-            ("max_ranks", Json::U64(max_ranks as u64)),
-        ]),
-    );
-    report.section("table", table_to_json(&table));
-    write_report(&report);
     println!();
     println!(
         "check: ring cost per rank stays near-flat as the world widens; a2a \

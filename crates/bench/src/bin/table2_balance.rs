@@ -1,64 +1,19 @@
 //! Tables I, II and III: ParMA multi-criteria partition improvement on the
-//! AAA-proxy mesh.
+//! AAA-proxy mesh — the printer of `pumi_bench::workloads::table2`.
 //!
 //! Paper setup: 133M-tet abdominal-aortic-aneurysm mesh, Zoltan PHG to
 //! 16,384 parts (T0), then ParMA tests T1–T4 on 512 cores with 32 parts per
-//! process. Scaled setup (defaults): ~124k-tet vessel proxy, graph
-//! partitioner to 128 parts, 4 ranks × 32 parts/process, 5% tolerance.
+//! process. Scaled setup: 240k-tet vessel proxy, graph partitioner to 64
+//! parts, 4 ranks × 16 parts/process, 5% tolerance.
 //!
-//! Usage: `table2_balance [--nr N] [--nz N] [--parts N] [--ranks N] [--tol F]`
+//! Usage: `table2_balance [--small]`
 
-use parma::{improve, EntityLoads, ImproveOpts, Priority};
-use pumi_bench::report::{f, print_table, table_to_json, write_report, Table};
-use pumi_bench::workloads::{aaa_scaled, distribute_labels, AaaScale};
-use pumi_obs::json::Json;
-use pumi_obs::parma::ParmaTrace;
-use pumi_obs::report::Report;
-use pumi_partition::{partition_mesh, PartitionQuality};
-use pumi_util::stats::Timer;
+use pumi_bench::report::{f, print_table, stage_table, Table};
+use pumi_bench::workloads::{no_inspect, table2, AaaScale, ParmaRun, TOL};
 use pumi_util::Dim;
 
-struct TestResult {
-    name: &'static str,
-    method: String,
-    seconds: f64,
-    /// mean count per dim (this partition's own mean)
-    mean: [f64; 4],
-    /// max count per dim
-    max: [f64; 4],
-    boundary_copies: u64,
-    /// World-reduced spans + traffic (`None` for T0, which runs serially).
-    obs: Option<Json>,
-    /// ParMA iteration trajectory.
-    parma: Vec<ParmaTrace>,
-}
-
-fn parse_args() -> (AaaScale, f64, bool) {
-    let mut s = AaaScale::default_scale();
-    let mut tol = 0.05;
-    let mut verbose = false;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i + 1 < args.len() {
-        let v = &args[i + 1];
-        match args[i].as_str() {
-            "--nr" => s.nr = v.parse().expect("--nr"),
-            "--nz" => s.nz = v.parse().expect("--nz"),
-            "--parts" => s.nparts = v.parse().expect("--parts"),
-            "--ranks" => s.nranks = v.parse().expect("--ranks"),
-            "--tol" => tol = v.parse().expect("--tol"),
-            "--verbose" => {
-                verbose = v.parse().expect("--verbose");
-            }
-            other => panic!("unknown flag {other}"),
-        }
-        i += 2;
-    }
-    (s, tol, verbose)
-}
-
 fn main() {
-    let (scale, tol, verbose) = parse_args();
+    let scale = pumi_bench::scale_arg("table2_balance", AaaScale::paper, AaaScale::small);
     eprintln!(
         "generating AAA-proxy mesh: {} tets, {} parts on {} ranks ({} parts/process)",
         scale.elements(),
@@ -66,95 +21,15 @@ fn main() {
         scale.nranks,
         scale.nparts / scale.nranks
     );
-    let serial = aaa_scaled(scale);
+    let r = table2(scale, &no_inspect);
 
-    // ---- T0: the global graph partitioner (PHG stand-in) ----
-    let t0_timer = Timer::start();
-    let labels = partition_mesh(&serial, scale.nparts);
-    let t0_seconds = t0_timer.seconds();
-    let q0 = PartitionQuality::compute(&serial, &labels, scale.nparts);
-    let t0 = TestResult {
-        name: "T0",
-        method: "Graph (PHG stand-in)".to_string(),
-        seconds: t0_seconds,
-        mean: [
-            q0.mean(Dim::Vertex),
-            q0.mean(Dim::Edge),
-            q0.mean(Dim::Face),
-            q0.mean(Dim::Region),
-        ],
-        max: [
-            q0.stats(Dim::Vertex).max,
-            q0.stats(Dim::Edge).max,
-            q0.stats(Dim::Face).max,
-            q0.stats(Dim::Region).max,
-        ],
-        boundary_copies: q0.total_boundary_copies() as u64,
-        obs: None,
-        parma: Vec::new(),
-    };
-
-    // ---- T1..T4: ParMA on the T0 partition ----
-    let tests: Vec<(&'static str, &'static str)> = vec![
-        ("T1", "Vtx > Rgn"),
-        ("T2", "Vtx = Edge > Rgn"),
-        ("T3", "Edge > Rgn"),
-        ("T4", "Edge = Face > Rgn"),
-    ];
-    let mut results = vec![t0];
-    for (name, pri_str) in &tests {
-        let pri: Priority = pri_str.parse().unwrap();
-        eprintln!("running {name}: ParMA {pri_str}");
-        let out = pumi_pcu::execute(scale.nranks, |c| {
-            let mut dm = distribute_labels(c, &serial, &labels, scale.nparts);
-            let report = improve(
-                c,
-                &mut dm,
-                &pri,
-                ImproveOpts::new().tol(tol).verbose(verbose),
-            );
-            let loads = EntityLoads::gather(c, &dm);
-            let boundary = dm.global_sum(c, |p| p.shared_entities().len() as u64);
-            let obs = pumi_pcu::obs::world_report(c);
-            let traces = pumi_obs::parma::take();
-            if c.rank() == 0 {
-                let mut mean = [0f64; 4];
-                let mut max = [0f64; 4];
-                for d in Dim::ALL {
-                    let s = loads.stats(d);
-                    mean[d.as_usize()] = s.mean;
-                    max[d.as_usize()] = s.max;
-                }
-                Some((report.seconds, mean, max, boundary, obs, traces))
-            } else {
-                None
-            }
-        });
-        let (seconds, mean, max, boundary, obs, traces) = out.into_iter().flatten().next().unwrap();
-        results.push(TestResult {
-            name,
-            method: format!("ParMA {pri_str}"),
-            seconds,
-            mean,
-            max,
-            boundary_copies: boundary,
-            obs,
-            parma: traces,
-        });
-    }
-
-    // ---- Table I ----
     let mut t1 = Table::new("Table I: tests and parameters", &["Test", "Method"]);
-    for r in &results {
-        t1.row(vec![r.name.to_string(), r.method.clone()]);
+    for t in &r.tests {
+        t1.row(vec![t.name.to_string(), t.method.clone()]);
     }
     print_table(&t1);
     println!();
 
-    // ---- Table II ----
-    // As in the paper, imbalance ratios are computed against the mean values
-    // of the T0 partition.
-    let base_mean = results[0].mean;
     let mut t2 = Table::new(
         &format!(
             "Table II: ParMA on a {}-element AAA-proxy mesh, {} parts (imb% vs T0 means)",
@@ -163,96 +38,58 @@ fn main() {
         ),
         &["row", "T0", "T1", "T2", "T3", "T4"],
     );
-    let dims = [
+    for (d, label) in [
         (Dim::Region, "Rgn"),
         (Dim::Face, "Face"),
         (Dim::Edge, "Edge"),
         (Dim::Vertex, "Vtx"),
-    ];
-    for (d, label) in dims {
-        let di = d.as_usize();
+    ] {
         let mut mean_row = vec![format!("Mean{label}")];
         let mut imb_row = vec![format!("{label} Imb.%")];
-        for r in &results {
-            mean_row.push(f(r.mean[di], 0));
-            let imb = (r.max[di] / base_mean[di] - 1.0) * 100.0;
-            imb_row.push(f(imb, 2));
+        for (i, t) in r.tests.iter().enumerate() {
+            mean_row.push(f(t.stats[d.as_usize()].mean, 0));
+            imb_row.push(f(r.imb_pct(i, d), 2));
         }
         t2.row(mean_row);
         t2.row(imb_row);
     }
     let mut bnd_row = vec!["BndCopies".to_string()];
-    for r in &results {
-        bnd_row.push(r.boundary_copies.to_string());
-    }
+    bnd_row.extend(r.tests.iter().map(|t| t.boundary_copies.to_string()));
     t2.row(bnd_row);
     print_table(&t2);
     println!();
 
-    // ---- Table III ----
     let mut t3 = Table::new("Table III: time usage", &["Test", "Time (sec.)", "vs T0"]);
-    let t0s = results[0].seconds;
-    for r in &results {
+    let t0s = r.tests[0].seconds;
+    for t in &r.tests {
         t3.row(vec![
-            r.name.to_string(),
-            f(r.seconds, 2),
-            format!("{:.1}x", t0s / r.seconds.max(1e-9)),
+            t.name.to_string(),
+            f(t.seconds, 2),
+            format!("{:.1}x", t0s / t.seconds.max(1e-9)),
         ]);
     }
     print_table(&t3);
+    println!();
 
-    // Headline checks (the paper's qualitative claims).
-    let vtx_t0 = (results[0].max[0] / base_mean[0] - 1.0) * 100.0;
-    let vtx_t1 = (results[1].max[0] / base_mean[0] - 1.0) * 100.0;
+    let runs: Vec<(&str, &ParmaRun)> = r.tests[1..]
+        .iter()
+        .map(|t| (t.name, t.run.as_ref().expect("T1-T4 ran ParMA")))
+        .collect();
+    print_table(&stage_table("ParMA stages", &runs));
+
     println!();
     println!(
         "check: T1 vertex imbalance {:.2}% -> {:.2}% (target <= {:.1}%)",
-        vtx_t0,
-        vtx_t1,
-        tol * 100.0 + 1.0
+        r.imb_pct(0, Dim::Vertex),
+        r.imb_pct(1, Dim::Vertex),
+        TOL * 100.0 + 1.0
     );
     println!(
         "check: ParMA vs partitioner time: T1 is {:.1}x faster than T0",
-        t0s / results[1].seconds.max(1e-9)
+        t0s / r.tests[1].seconds.max(1e-9)
     );
-    let shrunk = results[1..]
-        .iter()
-        .filter(|r| r.boundary_copies <= results[0].boundary_copies)
-        .count();
     println!(
         "check: boundary entities reduced vs T0 in {}/4 ParMA tests",
-        shrunk
+        r.boundary_not_grown()
     );
-
-    // ---- Machine-readable report: results/table2_balance.json ----
-    let mut report = Report::new("table2_balance");
-    report.section(
-        "config",
-        Json::obj([
-            ("elements", Json::U64(scale.elements() as u64)),
-            ("parts", Json::U64(scale.nparts as u64)),
-            ("ranks", Json::U64(scale.nranks as u64)),
-            ("tol", Json::F64(tol)),
-        ]),
-    );
-    report.section(
-        "tests",
-        Json::arr(results.iter().map(|r| {
-            Json::obj([
-                ("name", Json::str(r.name)),
-                ("method", Json::str(&r.method)),
-                ("seconds", Json::F64(r.seconds)),
-                ("mean", Json::arr(r.mean.iter().map(|&x| Json::F64(x)))),
-                ("max", Json::arr(r.max.iter().map(|&x| Json::F64(x)))),
-                ("boundary_copies", Json::U64(r.boundary_copies)),
-                ("obs", r.obs.clone().unwrap_or(Json::Null)),
-                ("parma", Json::arr(r.parma.iter().map(|t| t.to_json()))),
-            ])
-        })),
-    );
-    report.section(
-        "tables",
-        Json::arr([table_to_json(&t1), table_to_json(&t2), table_to_json(&t3)]),
-    );
-    write_report(&report);
 }

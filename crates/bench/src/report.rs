@@ -1,10 +1,8 @@
 //! Plain-text table formatting for the experiment binaries — the output
 //! mirrors the rows the paper's tables report so EXPERIMENTS.md can place
-//! them side by side — plus the machine-readable twin: every binary also
-//! assembles a [`pumi_obs::report::Report`] and drops it in `results/`.
+//! them side by side.
 
-use pumi_obs::json::Json;
-use pumi_obs::report::Report;
+use crate::workloads::ParmaRun;
 
 /// A simple column-aligned table.
 #[derive(Debug, Default)]
@@ -68,29 +66,27 @@ pub fn print_table(t: &Table) {
     print!("{}", t.render());
 }
 
-/// Render a table as a JSON object (title, header, rows) for the report.
-pub fn table_to_json(t: &Table) -> Json {
-    Json::obj([
-        ("title", Json::str(&t.title)),
-        ("header", Json::arr(t.header.iter().map(Json::str))),
-        (
-            "rows",
-            Json::arr(
-                t.rows
-                    .iter()
-                    .map(|row| Json::arr(row.iter().map(Json::str))),
-            ),
-        ),
-    ])
-}
-
-/// Write `report` to `results/<name>.json`, logging the outcome to stderr.
-/// A bench run should not abort because the results directory is
-/// unwritable, so failures are reported and swallowed.
-pub fn write_report(report: &Report) {
-    if let Some(path) = report.write_or_warn() {
-        eprintln!("wrote {}", path.display());
+/// Per-stage rows of ParMA runs — what `improve` did for each entity type
+/// of the priority list: imbalance in and out, diffusion iterations and the
+/// recorded stop reason (`-` without the `obs` feature).
+pub fn stage_table(title: &str, runs: &[(&str, &ParmaRun)]) -> Table {
+    let mut t = Table::new(
+        title,
+        &["run", "stage", "imb% in", "imb% out", "iters", "stop"],
+    );
+    for (name, run) in runs {
+        for (i, ty) in run.report.types.iter().enumerate() {
+            t.row(vec![
+                name.to_string(),
+                ty.dim.to_string(),
+                f(ty.initial_pct, 2),
+                f(ty.final_pct, 2),
+                ty.iterations.to_string(),
+                run.stop_name(i).to_string(),
+            ]);
+        }
     }
+    t
 }
 
 /// Format a float with `prec` decimals.

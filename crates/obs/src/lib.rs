@@ -3,8 +3,9 @@
 //! The paper's performance story (Tables II/III, Figs 5/6/12/13) is told in
 //! three currencies: wall time per phase, message traffic per link class, and
 //! the per-iteration trajectory of the ParMA balancer. This crate records all
-//! three on the rank that produced them and renders them as machine-readable
-//! JSON, so every bench binary can emit a `results/*.json` next to its tables.
+//! three on the rank that produced them; `pumi_pcu::obs::world_report`
+//! reduces the first two across ranks into one JSON value, and the ParMA
+//! traces are read as plain structs (`pumi_bench::workloads`).
 //!
 //! Components:
 //! * [`mod@span`] — scoped phase timers (`let _g = span!("migrate.pack");`) that
@@ -14,8 +15,7 @@
 //!   per-phase extension of PCU's world-total `TrafficCounters`,
 //! * [`parma`] — the ParMA iteration recorder: imbalance trajectory,
 //!   migration sizes and stop reasons per balancing stage,
-//! * [`json`] — a dependency-free JSON value with a pretty renderer,
-//! * [`report`] — the `results/<name>.json` sink.
+//! * [`json`] — a dependency-free JSON value with a pretty renderer.
 //!
 //! # Threading model
 //!
@@ -34,7 +34,6 @@
 pub mod json;
 pub mod metrics;
 pub mod parma;
-pub mod report;
 pub mod span;
 
 pub use json::Json;

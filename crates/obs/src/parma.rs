@@ -12,7 +12,6 @@
 //! is canonical — [`take`] on rank 0 after the collective returns is the
 //! pattern the bench binaries use.
 
-use crate::json::Json;
 use std::cell::RefCell;
 
 /// One diffusion iteration of one balancing stage.
@@ -80,39 +79,6 @@ pub struct ParmaTrace {
     pub seconds: f64,
     /// Total elements migrated.
     pub elements_moved: u64,
-}
-
-impl ParmaTrace {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("label", Json::str(&self.label)),
-            ("seconds", Json::F64(self.seconds)),
-            ("elements_moved", Json::U64(self.elements_moved)),
-            (
-                "stages",
-                Json::arr(self.stages.iter().map(|s| {
-                    Json::obj([
-                        ("dim", Json::str(&s.dim)),
-                        ("initial_pct", Json::F64(s.initial_pct)),
-                        ("final_pct", Json::F64(s.final_pct)),
-                        ("stop", Json::str(s.stop.name())),
-                        (
-                            "iterations",
-                            Json::arr(s.iters.iter().map(|it| {
-                                Json::obj([
-                                    ("iter", Json::U64(it.iter as u64)),
-                                    ("imbalance_pct", Json::F64(it.imbalance_pct)),
-                                    ("planned", Json::U64(it.planned)),
-                                    ("moved", Json::U64(it.moved)),
-                                ])
-                            })),
-                        ),
-                    ])
-                })),
-            ),
-        ])
-    }
 }
 
 #[derive(Default)]
@@ -241,19 +207,5 @@ mod tests {
         assert_eq!(t.stages[1].stop, StopReason::NoCandidates);
         assert_eq!(t.elements_moved, 120);
         assert!(take().is_empty());
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let _ = take();
-        begin("j");
-        stage_begin("Edge", 10.0);
-        iter(10.0, 5, 5);
-        stage_end(2.0, StopReason::Stagnated);
-        end(0.5, 5);
-        let j = take()[0].to_json().render();
-        assert!(j.contains("\"label\": \"j\""));
-        assert!(j.contains("\"stop\": \"stagnated\""));
-        assert!(j.contains("\"planned\": 5"));
     }
 }

@@ -236,8 +236,22 @@ pub fn world_report(comm: &Comm) -> Option<Json> {
                 }),
             ),
         ),
-        ("hists", pumi_obs::report::hists_to_json(&m.hists)),
+        ("hists", hists_to_json(&m.hists)),
     ]))
+}
+
+/// Render world-merged histograms.
+fn hists_to_json(hists: &[(String, HistStat)]) -> Json {
+    Json::arr(hists.iter().map(|(name, h)| {
+        Json::obj([
+            ("name", Json::str(name)),
+            ("count", Json::U64(h.count)),
+            ("sum", Json::F64(h.sum)),
+            ("min", Json::F64(h.min)),
+            ("max", Json::F64(h.max)),
+            ("mean", Json::F64(h.mean())),
+        ])
+    }))
 }
 
 #[cfg(test)]
