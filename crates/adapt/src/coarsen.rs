@@ -7,7 +7,9 @@
 //! ([`crate::snap::collapse_allowed`]), and every re-connected element must
 //! keep a positive measure and distinct vertices.
 
+use crate::host::Host;
 use crate::quality::{mean_ratio_coords, tet_volume, tri_area};
+use crate::refine::{edge_length, midpoint};
 use crate::sizefield::SizeField;
 use crate::snap::collapse_allowed;
 use pumi_mesh::Mesh;
@@ -55,36 +57,18 @@ fn signed_measure(coords: &[[f64; 3]]) -> f64 {
 }
 
 /// Try to collapse `edge`, welding vertex `gone` onto vertex `kept`.
-/// Returns false (mesh untouched) if any safety check fails.
-pub fn try_collapse(
-    mesh: &mut Mesh,
-    edge: MeshEnt,
-    kept: u32,
-    gone: u32,
-    min_quality: f64,
-) -> bool {
-    let (mut deleted, mut created) = (Vec::new(), Vec::new());
-    try_collapse_collect(
-        mesh,
-        edge,
-        kept,
-        gone,
-        min_quality,
-        &mut deleted,
-        &mut created,
-    )
-}
-
-/// [`try_collapse`] variant that records every deleted and created handle.
+/// Returns false (mesh and both lists untouched) if any safety check fails;
+/// otherwise appends every deleted handle to `deleted` and every rebuilt
+/// element to `created`.
 ///
-/// The distributed driver needs this to keep `Part` bookkeeping coherent:
-/// handles in `deleted` must have their gid/remote records forgotten
-/// *before* new gids are assigned (created entities may reuse the freed
-/// slots), and handles in `created` (plus their closure) are the ones that
-/// need fresh gids. Handles in `deleted` may already be re-occupied by the
-/// time this returns — they identify *slots* whose old bookkeeping is
-/// stale, not live entities.
-pub(crate) fn try_collapse_collect(
+/// A host that keeps records per handle (a distributed part's gids and
+/// remote copies) needs the lists to stay coherent: records under `deleted`
+/// handles must be forgotten *before* new gids are assigned (created
+/// entities may reuse the freed slots), and handles in `created` (plus
+/// their closure) are the ones that need fresh gids. Handles in `deleted`
+/// may already be re-occupied by the time this returns — they identify
+/// *slots* whose old bookkeeping is stale, not live entities.
+pub fn try_collapse(
     mesh: &mut Mesh,
     edge: MeshEnt,
     kept: u32,
@@ -200,6 +184,80 @@ pub(crate) fn try_collapse_collect(
     true
 }
 
+/// The one coarsening sweep ([`coarsen`] on whatever owns the mesh).
+/// Returns the statistics of this mesh and the number of short edges left
+/// alone because the host refused their cavity
+/// ([`Host::may_modify_cavity`]) — those are not counted as rejected.
+pub(crate) fn sweep<H: Host>(
+    host: &mut H,
+    size: &SizeField,
+    opts: CoarsenOpts,
+) -> (CoarsenStats, usize) {
+    let mut stats = CoarsenStats::default();
+    let mut vetoed = 0usize;
+    let (mut deleted, mut created) = (Vec::new(), Vec::new());
+    for _ in 0..opts.passes {
+        let mut collapsed_this_pass = 0usize;
+        for e in host.mesh().snapshot(Dim::Edge) {
+            let mesh = host.mesh();
+            if !mesh.is_live(e) {
+                continue;
+            }
+            let verts = mesh.verts_of(e);
+            let verts = [verts[0], verts[1]];
+            if edge_length(mesh, &verts) >= opts.collapse_ratio * size.at(midpoint(mesh, &verts)) {
+                continue;
+            }
+            // Prefer to remove the more-interior vertex.
+            let (c0, c1) = (
+                mesh.class_of(MeshEnt::vertex(verts[0])),
+                mesh.class_of(MeshEnt::vertex(verts[1])),
+            );
+            let order = if c0.dim() >= c1.dim() {
+                [(verts[1], verts[0]), (verts[0], verts[1])]
+            } else {
+                [(verts[0], verts[1]), (verts[1], verts[0])]
+            };
+            let mut done = false;
+            let mut saw_veto = false;
+            for (kept, gone) in order {
+                if !host.may_modify_cavity(MeshEnt::vertex(gone)) {
+                    saw_veto = true;
+                    continue;
+                }
+                if try_collapse(
+                    host.mesh_mut(),
+                    e,
+                    kept,
+                    gone,
+                    opts.min_quality,
+                    &mut deleted,
+                    &mut created,
+                ) {
+                    host.after_collapse(&deleted, &created);
+                    deleted.clear();
+                    created.clear();
+                    done = true;
+                    break;
+                }
+            }
+            if done {
+                stats.collapses += 1;
+                collapsed_this_pass += 1;
+            } else if saw_veto {
+                vetoed += 1;
+            } else {
+                stats.rejected += 1;
+            }
+        }
+        if collapsed_this_pass == 0 {
+            break;
+        }
+    }
+    stats.elements_after = host.mesh().num_elems();
+    (stats, vetoed)
+}
+
 /// Collapse every edge shorter than the size field allows, in `passes`
 /// sweeps. Prefers welding the vertex with the higher-dimension (more
 /// interior) classification, which keeps boundary geometry intact.
@@ -216,56 +274,7 @@ pub(crate) fn try_collapse_collect(
 /// assert!(mesh.num_elems() < before);
 /// ```
 pub fn coarsen(mesh: &mut Mesh, size: &SizeField, opts: CoarsenOpts) -> CoarsenStats {
-    let mut stats = CoarsenStats::default();
-    for _ in 0..opts.passes {
-        let mut collapsed_this_pass = 0usize;
-        for e in mesh.snapshot(Dim::Edge) {
-            if !mesh.is_live(e) {
-                continue;
-            }
-            let verts = mesh.verts_of(e).to_vec();
-            let a = mesh.coords(MeshEnt::vertex(verts[0]));
-            let b = mesh.coords(MeshEnt::vertex(verts[1]));
-            let len =
-                ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)).sqrt();
-            let mid = [
-                0.5 * (a[0] + b[0]),
-                0.5 * (a[1] + b[1]),
-                0.5 * (a[2] + b[2]),
-            ];
-            if len >= opts.collapse_ratio * size.at(mid) {
-                continue;
-            }
-            // Prefer to remove the more-interior vertex.
-            let (c0, c1) = (
-                mesh.class_of(MeshEnt::vertex(verts[0])),
-                mesh.class_of(MeshEnt::vertex(verts[1])),
-            );
-            let order = if c0.dim() >= c1.dim() {
-                [(verts[1], verts[0]), (verts[0], verts[1])]
-            } else {
-                [(verts[0], verts[1]), (verts[1], verts[0])]
-            };
-            let mut done = false;
-            for (kept, gone) in order {
-                if try_collapse(mesh, e, kept, gone, opts.min_quality) {
-                    done = true;
-                    break;
-                }
-            }
-            if done {
-                stats.collapses += 1;
-                collapsed_this_pass += 1;
-            } else {
-                stats.rejected += 1;
-            }
-        }
-        if collapsed_this_pass == 0 {
-            break;
-        }
-    }
-    stats.elements_after = mesh.num_elems();
-    stats
+    sweep(mesh, size, opts).0
 }
 
 #[cfg(test)]

@@ -1,16 +1,22 @@
 //! Distributed mesh adaptation (§I, §III-B): conforming refinement and
 //! coarsening on a [`DistMesh`], keeping part boundaries consistent.
 //!
+//! There is no distributed split loop or collapse loop: every part runs
+//! the sweeps serial [`crate::refine()`] and [`crate::coarsen()`] run, as a
+//! `PartHost` whose hooks add the part-boundary bookkeeping described
+//! below. This module keeps only what is genuinely distributed — the
+//! content gids, the relink exchange, the world reductions.
+//!
 //! # Boundary-split protocol
 //!
 //! The split predicate (`length > split_ratio * h(midpoint)`) is purely
 //! geometric, and every copy of a shared edge has bit-identical endpoint
 //! coordinates — so every residence part *independently* marks the same
 //! shared edges for splitting, with no marking communication at all. Each
-//! part then runs the split loop locally in a canonical order (longest
+//! part then runs the split sweep locally in its canonical order (longest
 //! first, ties broken by endpoint coordinate bits — see
 //! [`mod@crate::refine`]'s heap), which makes the interleaving of interacting
-//! splits identical on every part *and* identical to the serial driver.
+//! splits identical on every part *and* identical to a serial mesh.
 //!
 //! New entities get **content-derived global ids**: a hash of the sorted
 //! gids of their vertices (the mid-vertex hashes its parent edge's
@@ -36,30 +42,28 @@
 //! the size field's refinement demand.
 //!
 //! Ghost copies are not adapted: [`adapt_dist`] strips ghost layers on
-//! entry and rebuilds them on request (`AdaptOpts::reghost`).
+//! entry; a caller that wants them back calls
+//! [`pumi_core::overlap::grow_overlap`] afterwards.
 
-use crate::coarsen::{try_collapse_collect, CoarsenOpts};
+use crate::coarsen::CoarsenOpts;
+use crate::host::Host;
 use crate::predict::{classify, element_weight, Branch, Calibration, BRANCH_TAG, WEIGHT_TAG};
-use crate::refine::{oversized_len, split_edge, HeapItem};
 use crate::sizefield::SizeField;
 use pumi_check::CheckOpts;
-use pumi_core::overlap::{clear_overlap, grow_overlap, GhostOpts, Overlap, Reduction};
+use pumi_core::overlap::{clear_overlap, Overlap, Reduction};
 use pumi_core::wire::stitch;
 use pumi_core::{DistMesh, Part, NO_GID};
 use pumi_field::field::Field;
 use pumi_field::sync::{sync_fields, DistField};
 use pumi_geom::Model;
+use pumi_mesh::Mesh;
 use pumi_pcu::{Comm, MsgError};
 use pumi_util::tag::TagKind;
 use pumi_util::{Dim, FxHashMap, GlobalId, MeshEnt, PartId};
-use std::collections::BinaryHeap;
 
 /// Options for [`adapt_dist`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AdaptOpts<'a> {
-    /// Split an edge when `length > split_ratio * h(midpoint)`; `0.0`
-    /// selects the serial default ([`crate::RefineOpts`]).
-    pub split_ratio: f64,
     /// Run edge-collapse coarsening after refinement (boundary-touching
     /// collapses are vetoed). `None` refines only.
     pub coarsen: Option<CoarsenOpts>,
@@ -68,20 +72,12 @@ pub struct AdaptOpts<'a> {
     /// Run `pumi_check::check_dist` after each phase (collective; panics on
     /// the first violated invariant, naming the entity).
     pub check: Option<CheckOpts>,
-    /// Re-grow a ghost overlap after adapting.
-    pub reghost: Option<GhostOpts>,
 }
 
 impl<'a> AdaptOpts<'a> {
     /// Refinement-only adaptation with the serial defaults.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Set the refinement split ratio.
-    pub fn split_ratio(mut self, r: f64) -> Self {
-        self.split_ratio = r;
-        self
     }
 
     /// Enable coarsening with the given options.
@@ -100,20 +96,6 @@ impl<'a> AdaptOpts<'a> {
     pub fn check(mut self, opts: CheckOpts) -> Self {
         self.check = Some(opts);
         self
-    }
-
-    /// Re-grow a ghost overlap after adapting.
-    pub fn reghost(mut self, opts: GhostOpts) -> Self {
-        self.reghost = Some(opts);
-        self
-    }
-
-    fn effective_split_ratio(&self) -> f64 {
-        if self.split_ratio > 0.0 {
-            self.split_ratio
-        } else {
-            crate::RefineOpts::default().split_ratio
-        }
     }
 }
 
@@ -220,115 +202,140 @@ fn content_gid(dim: Dim, mut vgids: Vec<GlobalId>) -> GlobalId {
 /// relink exchange.
 type Pending = FxHashMap<MeshEnt, Vec<PartId>>;
 
-fn residence_of(part: &Part, pending: &Pending, e: MeshEnt) -> Vec<PartId> {
-    pending
-        .get(&e)
-        .cloned()
-        .unwrap_or_else(|| part.copy_parts(e))
+/// One part as the [`Host`] of a cavity sweep: the hooks keep gids, remote
+/// copies, pending residence and the optional vertex field coherent with
+/// what the sweep does to `part.mesh`, and count the splits this part owns.
+struct PartHost<'a> {
+    part: &'a mut Part,
+    field: Option<&'a mut Field>,
+    pending: Pending,
+    /// Splits of edges this part owns — summed over parts, the serial count.
+    splits: u64,
+    /// The owned splits whose edge was shared.
+    boundary_splits: u64,
 }
 
-/// The local refinement pass of one part. Returns
-/// `(owned splits, owned boundary splits)`.
-fn refine_part(
-    part: &mut Part,
-    size: &SizeField,
-    model: Option<&Model>,
-    split_ratio: f64,
-    pending: &mut Pending,
-    mut field: Option<&mut Field>,
-) -> (u64, u64) {
-    let elem_dim = part.mesh.elem_dim();
-    let d_elem = part.mesh.elem_dim_t();
-    let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
-    for e in part.mesh.snapshot(Dim::Edge) {
-        if let Some(len) = oversized_len(&part.mesh, part.mesh.verts_of(e), size, split_ratio) {
-            heap.push(HeapItem::new(&part.mesh, e, len));
+/// What the children of a split inherit from the entities it deletes.
+struct SplitInherit {
+    /// Gids of the split edge's endpoints.
+    end_gids: [GlobalId; 2],
+    /// Residence of the split edge.
+    edge_res: Vec<PartId>,
+    /// 3D: `(opposite vertex, residence)` of each part-boundary face
+    /// around the edge — its children and median edge inherit it.
+    face_res: Vec<(u32, Vec<PartId>)>,
+}
+
+impl<'a> PartHost<'a> {
+    fn new(part: &'a mut Part, field: Option<&'a mut Field>) -> Self {
+        PartHost {
+            part,
+            field,
+            pending: Pending::default(),
+            splits: 0,
+            boundary_splits: 0,
         }
     }
-    let mut splits = 0u64;
-    let mut boundary_splits = 0u64;
-    while let Some(item) = heap.pop() {
-        // Lazy validation as in the serial driver: slots may be reused.
-        if !part.mesh.is_live(item.edge) {
-            continue;
+
+    /// Residence of `e`. An entity created earlier in this same pass is in
+    /// `pending` rather than the remote lists.
+    fn residence_of(&self, e: MeshEnt) -> Vec<PartId> {
+        self.pending
+            .get(&e)
+            .cloned()
+            .unwrap_or_else(|| self.part.copy_parts(e))
+    }
+
+    /// Drop every record kept under the handle `slot`.
+    fn forget(&mut self, slot: MeshEnt) {
+        self.pending.remove(&slot);
+        self.part.forget(slot);
+        if let Some(f) = self.field.as_deref_mut() {
+            f.remove(slot);
         }
-        let edge = item.edge;
-        let [a, b] = {
-            let verts = part.mesh.verts_of(edge);
-            if [verts[0], verts[1]] != item.verts && [verts[1], verts[0]] != item.verts {
-                continue;
-            }
-            [verts[0], verts[1]]
+    }
+
+    /// Give `e` its content-derived gid unless it already has one.
+    fn assign_gid(&mut self, e: MeshEnt) {
+        if self.part.gid_of(e) == NO_GID {
+            let vg: Vec<GlobalId> = self
+                .part
+                .mesh
+                .verts_of(e)
+                .iter()
+                .map(|&v| self.part.gid_of(MeshEnt::vertex(v)))
+                .collect();
+            self.part.set_gid(e, content_gid(e.dim(), vg));
+        }
+    }
+
+    fn find(&self, dim: Dim, verts: &[u32]) -> MeshEnt {
+        self.part
+            .mesh
+            .find_entity(dim, verts)
+            .expect("child entity missing after split")
+    }
+}
+
+impl Host for PartHost<'_> {
+    type Inherit = SplitInherit;
+
+    fn mesh(&self) -> &Mesh {
+        &self.part.mesh
+    }
+
+    fn mesh_mut(&mut self) -> &mut Mesh {
+        &mut self.part.mesh
+    }
+
+    fn before_split(&mut self, edge: MeshEnt, [a, b]: [u32; 2]) -> SplitInherit {
+        let mesh = &self.part.mesh;
+        let mut inherit = SplitInherit {
+            end_gids: [a, b].map(|v| self.part.gid_of(MeshEnt::vertex(v))),
+            edge_res: self.residence_of(edge),
+            face_res: Vec::new(),
         };
-        if oversized_len(&part.mesh, &[a, b], size, split_ratio).is_none() {
-            continue;
-        }
-        let (ga, gb) = (
-            part.gid_of(MeshEnt::vertex(a)),
-            part.gid_of(MeshEnt::vertex(b)),
-        );
-        // Residence the new entities inherit. An entity created earlier in
-        // this same pass is in `pending` rather than the remote lists.
-        let edge_res = residence_of(part, pending, edge);
-        // 3D: faces around the edge that live on a part boundary — their
-        // children and median edge inherit the face's residence.
-        let mut face_res: Vec<(u32, Vec<PartId>)> = Vec::new();
-        if elem_dim == 3 {
-            for f in part.mesh.up_ents(edge) {
-                let res = residence_of(part, pending, f);
-                if res.is_empty() {
-                    continue;
+        let mut doomed: Vec<MeshEnt> = mesh.adjacent(edge, mesh.elem_dim_t());
+        if mesh.elem_dim() == 3 {
+            for f in mesh.up_ents(edge) {
+                let res = self.residence_of(f);
+                if !res.is_empty() {
+                    let x = mesh
+                        .verts_of(f)
+                        .iter()
+                        .copied()
+                        .find(|&v| v != a && v != b)
+                        .expect("degenerate face");
+                    inherit.face_res.push((x, res));
                 }
-                let x = part
-                    .mesh
-                    .verts_of(f)
-                    .iter()
-                    .copied()
-                    .find(|&v| v != a && v != b)
-                    .expect("degenerate face");
-                face_res.push((x, res));
+                doomed.push(f);
             }
-        }
-        // Forget doomed bookkeeping (gids, remotes, pending rows) *before*
-        // the cavity operation can reuse the freed slots.
-        let mut doomed: Vec<MeshEnt> = part.mesh.adjacent(edge, d_elem);
-        if elem_dim == 3 {
-            doomed.extend(part.mesh.up_ents(edge));
         }
         doomed.push(edge);
         for d in doomed {
-            pending.remove(&d);
-            part.forget(d);
-            if let Some(f) = field.as_deref_mut() {
-                f.remove(d);
-            }
+            self.forget(d);
         }
+        inherit
+    }
 
-        let m = split_edge(&mut part.mesh, edge, model);
-        splits += u64::from(edge_res.is_empty() || part.id < edge_res[0]);
-
+    fn after_split(&mut self, inherit: SplitInherit, [a, b]: [u32; 2], m: MeshEnt) {
+        let edge_res = inherit.edge_res;
+        let owned = edge_res.first().is_none_or(|&p| self.part.id < p);
+        self.splits += u64::from(owned);
         // Content-derived gids: the mid-vertex from the parent endpoints,
         // everything else (all new entities contain the mid-vertex) from
         // its own vertices.
-        part.set_gid(m, content_gid(Dim::Vertex, vec![ga, gb]));
-        for d in 1..=elem_dim {
-            let dim = Dim::from_usize(d);
-            for e in part.mesh.adjacent(m, dim) {
-                if part.gid_of(e) == NO_GID {
-                    let vg: Vec<GlobalId> = part
-                        .mesh
-                        .verts_of(e)
-                        .iter()
-                        .map(|&v| part.gid_of(MeshEnt::vertex(v)))
-                        .collect();
-                    part.set_gid(e, content_gid(dim, vg));
-                }
+        self.part
+            .set_gid(m, content_gid(Dim::Vertex, inherit.end_gids.to_vec()));
+        for d in 1..=self.part.mesh.elem_dim() {
+            for e in self.part.mesh.adjacent(m, Dim::from_usize(d)) {
+                self.assign_gid(e);
             }
         }
         // Linear interpolation of vertex field values onto the mid-vertex.
         // Both copies of a shared split average the same operands, so the
         // result is bit-identical across parts.
-        if let Some(f) = field.as_deref_mut() {
+        if let Some(f) = self.field.as_deref_mut() {
             let avg: Option<Vec<f64>> = match (
                 f.get(MeshEnt::vertex(a)).map(<[f64]>::to_vec),
                 f.get(MeshEnt::vertex(b)),
@@ -345,40 +352,46 @@ fn refine_part(
         // Residence inheritance: new boundary entities go to `pending` for
         // the relink round (their remote indices are not yet known).
         if !edge_res.is_empty() {
-            if part.id < edge_res[0] {
-                boundary_splits += 1;
-            }
-            pending.insert(m, edge_res.clone());
+            self.boundary_splits += u64::from(owned);
+            self.pending.insert(m, edge_res.clone());
             for half in [[a, m.index()], [m.index(), b]] {
-                let he = part
-                    .mesh
-                    .find_entity(Dim::Edge, &half)
-                    .expect("half edge missing after split");
-                pending.insert(he, edge_res.clone());
+                let he = self.find(Dim::Edge, &half);
+                self.pending.insert(he, edge_res.clone());
             }
         }
-        for (x, res) in face_res {
+        for (x, res) in inherit.face_res {
             for tri in [[a, m.index(), x], [m.index(), b, x]] {
-                let f = part
-                    .mesh
-                    .find_entity(Dim::Face, &tri)
-                    .expect("child face missing after split");
-                pending.insert(f, res.clone());
+                let f = self.find(Dim::Face, &tri);
+                self.pending.insert(f, res.clone());
             }
-            let med = part
-                .mesh
-                .find_entity(Dim::Edge, &[m.index(), x])
-                .expect("median edge missing after split");
-            pending.insert(med, res);
+            let med = self.find(Dim::Edge, &[m.index(), x]);
+            self.pending.insert(med, res);
         }
-        // New candidates: every edge at the new vertex.
-        for e in part.mesh.adjacent(m, Dim::Edge) {
-            if let Some(len) = oversized_len(&part.mesh, part.mesh.verts_of(e), size, split_ratio) {
-                heap.push(HeapItem::new(&part.mesh, e, len));
+    }
+
+    /// The boundary veto: every entity a collapse deletes or creates lies
+    /// in the closure of the cavity around `gone`, so a fully interior
+    /// cavity can be modified without communication — and anything else
+    /// is refused.
+    fn may_modify_cavity(&self, gone: MeshEnt) -> bool {
+        let cavity = self.part.mesh.adjacent(gone, self.part.mesh.elem_dim_t());
+        !cavity
+            .iter()
+            .any(|&el| self.part.closure_touches_boundary(el))
+    }
+
+    fn after_collapse(&mut self, deleted: &[MeshEnt], created: &[MeshEnt]) {
+        // Stale bookkeeping first — created entities may have reused the
+        // freed slots.
+        for &d in deleted {
+            self.forget(d);
+        }
+        for &c in created {
+            for sub in self.part.mesh.closure(c) {
+                self.assign_gid(sub);
             }
         }
     }
-    (splits, boundary_splits)
 }
 
 /// Re-establish remote-copy links for the entities created by refinement:
@@ -409,112 +422,11 @@ fn relink(comm: &Comm, dm: &mut DistMesh, pendings: &[Pending]) {
     }
 }
 
-/// The local coarsening pass of one part. Returns `(collapses, vetoes)`.
-fn coarsen_part(
-    part: &mut Part,
-    size: &SizeField,
-    co: CoarsenOpts,
-    mut field: Option<&mut Field>,
-) -> (u64, u64) {
-    let d_elem = part.mesh.elem_dim_t();
-    let mut collapses = 0u64;
-    let mut vetoed = 0u64;
-    for _ in 0..co.passes {
-        let mut collapsed_this_pass = 0usize;
-        for e in part.mesh.snapshot(Dim::Edge) {
-            if !part.mesh.is_live(e) {
-                continue;
-            }
-            let verts = part.mesh.verts_of(e).to_vec();
-            let pa = part.mesh.coords(MeshEnt::vertex(verts[0]));
-            let pb = part.mesh.coords(MeshEnt::vertex(verts[1]));
-            let len = ((pa[0] - pb[0]).powi(2) + (pa[1] - pb[1]).powi(2) + (pa[2] - pb[2]).powi(2))
-                .sqrt();
-            let mid = [
-                0.5 * (pa[0] + pb[0]),
-                0.5 * (pa[1] + pb[1]),
-                0.5 * (pa[2] + pb[2]),
-            ];
-            if len >= co.collapse_ratio * size.at(mid) {
-                continue;
-            }
-            // Prefer to remove the more-interior vertex, as in the serial
-            // driver.
-            let (c0, c1) = (
-                part.mesh.class_of(MeshEnt::vertex(verts[0])),
-                part.mesh.class_of(MeshEnt::vertex(verts[1])),
-            );
-            let order = if c0.dim() >= c1.dim() {
-                [(verts[1], verts[0]), (verts[0], verts[1])]
-            } else {
-                [(verts[0], verts[1]), (verts[1], verts[0])]
-            };
-            let mut done = false;
-            let mut saw_veto = false;
-            for (kept, gone) in order {
-                // Distributed safety: every deleted or created entity lies
-                // in the closure of the cavity around `gone`, so a fully
-                // interior cavity can be modified without communication —
-                // and anything else is vetoed.
-                let cavity = part.mesh.adjacent(MeshEnt::vertex(gone), d_elem);
-                if cavity.iter().any(|&el| part.closure_touches_boundary(el)) {
-                    saw_veto = true;
-                    continue;
-                }
-                let (mut deleted, mut created) = (Vec::new(), Vec::new());
-                if try_collapse_collect(
-                    &mut part.mesh,
-                    e,
-                    kept,
-                    gone,
-                    co.min_quality,
-                    &mut deleted,
-                    &mut created,
-                ) {
-                    // Stale bookkeeping first — created entities may have
-                    // reused the freed slots.
-                    for d in deleted {
-                        part.forget(d);
-                        if let Some(f) = field.as_deref_mut() {
-                            f.remove(d);
-                        }
-                    }
-                    for c in created {
-                        for sub in part.mesh.closure(c) {
-                            if part.gid_of(sub) == NO_GID {
-                                let vg: Vec<GlobalId> = part
-                                    .mesh
-                                    .verts_of(sub)
-                                    .iter()
-                                    .map(|&v| part.gid_of(MeshEnt::vertex(v)))
-                                    .collect();
-                                part.set_gid(sub, content_gid(sub.dim(), vg));
-                            }
-                        }
-                    }
-                    done = true;
-                    break;
-                }
-            }
-            if done {
-                collapses += 1;
-                collapsed_this_pass += 1;
-            } else if saw_veto {
-                vetoed += 1;
-            }
-        }
-        if collapsed_this_pass == 0 {
-            break;
-        }
-    }
-    (collapses, vetoed)
-}
-
 /// Adapt a distributed mesh to `size`: conforming edge-split refinement
 /// (part boundaries split collectively via the content-gid protocol — see
-/// the module docs), then optional interior edge-collapse coarsening, then
-/// optional ghost-layer rebuild. Collective; every rank must pass the same
-/// options.
+/// the module docs), then optional interior edge-collapse coarsening.
+/// Ghost layers are stripped on entry and not rebuilt. Collective; every
+/// rank must pass the same options.
 ///
 /// Partition invariance: for the same initial mesh and size field, the
 /// refined distributed mesh is entity-for-entity identical to the serial
@@ -574,35 +486,36 @@ fn adapt_inner(
     opts: AdaptOpts,
 ) -> AdaptStats {
     let _span = pumi_obs::span!("adapt.dist");
-    // Ghost copies are not adapted (they are read-only mirrors); strip
-    // them and rebuild on request below.
+    // Ghost copies are not adapted (they are read-only mirrors).
     clear_overlap(dm);
-    let split_ratio = opts.effective_split_ratio();
+    let check = |dm: &DistMesh, phase: &str| {
+        if let Some(co) = opts.check {
+            pumi_check::check_dist(comm, dm, co)
+                .unwrap_or_else(|e| panic!("adapt_dist: invariants violated after {phase}: {e}"));
+        }
+    };
     let mut stats = AdaptStats::default();
 
-    // Refinement: communication-free consistent marking, local canonical
-    // split loops, one relink round.
+    // Refinement: communication-free consistent marking, the local
+    // canonical split sweep on every part, one relink round.
     {
         let _s = pumi_obs::span!("adapt.refine");
+        let split_ratio = crate::RefineOpts::default().split_ratio;
         let mut pendings: Vec<Pending> = Vec::with_capacity(dm.parts.len());
         let mut splits = 0u64;
         let mut boundary = 0u64;
         for (slot, part) in dm.parts.iter_mut().enumerate() {
-            let mut pending = Pending::default();
-            let f = field.as_deref_mut().map(|fs| &mut fs[slot]);
-            let (s, b) = refine_part(part, size, opts.model, split_ratio, &mut pending, f);
-            splits += s;
-            boundary += b;
-            pendings.push(pending);
+            let mut host = PartHost::new(part, field.as_deref_mut().map(|fs| &mut fs[slot]));
+            crate::refine::sweep(&mut host, size, opts.model, split_ratio);
+            splits += host.splits;
+            boundary += host.boundary_splits;
+            pendings.push(host.pending);
         }
         relink(comm, dm, &pendings);
         stats.splits = comm.allreduce_sum_u64(splits);
         stats.boundary_splits = comm.allreduce_sum_u64(boundary);
     }
-    if let Some(co) = opts.check {
-        pumi_check::check_dist(comm, dm, co)
-            .unwrap_or_else(|e| panic!("adapt_dist: invariants violated after refinement: {e}"));
-    }
+    check(dm, "refinement");
 
     // Coarsening: interior-only, no communication; boundary cavities are
     // vetoed and reported.
@@ -611,27 +524,14 @@ fn adapt_inner(
         let mut collapses = 0u64;
         let mut vetoed = 0u64;
         for (slot, part) in dm.parts.iter_mut().enumerate() {
-            let f = field.as_deref_mut().map(|fs| &mut fs[slot]);
-            let (c, v) = coarsen_part(part, size, co, f);
-            collapses += c;
-            vetoed += v;
+            let mut host = PartHost::new(part, field.as_deref_mut().map(|fs| &mut fs[slot]));
+            let (c, v) = crate::coarsen::sweep(&mut host, size, co);
+            collapses += c.collapses as u64;
+            vetoed += v as u64;
         }
         stats.collapses = comm.allreduce_sum_u64(collapses);
         stats.vetoed_collapses = comm.allreduce_sum_u64(vetoed);
-        if let Some(c) = opts.check {
-            pumi_check::check_dist(comm, dm, c).unwrap_or_else(|e| {
-                panic!("adapt_dist: invariants violated after coarsening: {e}")
-            });
-        }
-    }
-
-    if let Some(gopts) = opts.reghost {
-        grow_overlap(comm, dm, gopts);
-        if let Some(c) = opts.check {
-            pumi_check::check_dist(comm, dm, c).unwrap_or_else(|e| {
-                panic!("adapt_dist: invariants violated after reghosting: {e}")
-            });
-        }
+        check(dm, "coarsening");
     }
 
     stats.elements_after = dm.global_sum(comm, |p| {
@@ -644,6 +544,7 @@ fn adapt_inner(
 mod tests {
     use super::*;
     use crate::refine::all_positive;
+    use pumi_core::overlap::{grow_overlap, GhostOpts};
     use pumi_core::{distribute, PartMap};
     use pumi_meshgen::{tet_box, tri_rect};
     use pumi_pcu::execute;
@@ -776,10 +677,10 @@ mod tests {
             let mut dm = distribute(c, PartMap::contiguous(4, 2), &serial, &labels);
             grow_overlap(c, &mut dm, GhostOpts::new());
             let size = SizeField::uniform(0.2);
-            let opts = AdaptOpts::new()
-                .check(pumi_check::CheckOpts::all())
-                .reghost(GhostOpts::new());
+            let opts = AdaptOpts::new().check(pumi_check::CheckOpts::all());
             adapt_dist(c, &mut dm, &size, opts);
+            assert_eq!(dm.global_sum(c, |p| p.num_ghosts() as u64), 0);
+            grow_overlap(c, &mut dm, GhostOpts::new());
             let ghosts = dm.global_sum(c, |p| p.num_ghosts() as u64);
             assert!(ghosts > 0, "ghost layer not rebuilt");
             pumi_core::verify::assert_dist_valid(c, &dm);

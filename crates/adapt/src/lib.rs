@@ -11,12 +11,15 @@
 //! * [`predict`] — predictive post-adaptation load estimation with
 //!   per-branch empirical calibration (§III-B),
 //! * [`dist`] — distributed adaptation on a [`pumi_core::DistMesh`] with
-//!   boundary-consistent splits ([`adapt_dist`]).
+//!   boundary-consistent splits ([`adapt_dist`]): the same split and
+//!   collapse sweeps [`refine()`] and [`coarsen()`] run, hosted by a part
+//!   that adds the part-boundary bookkeeping.
 
 #![warn(missing_docs)]
 
 pub mod coarsen;
 pub mod dist;
+mod host;
 pub mod predict;
 pub mod quality;
 pub mod refine;

@@ -11,6 +11,7 @@
 //! Fig 13 experiment needs: adapt first, observe the inherited partition's
 //! imbalance).
 
+use crate::host::Host;
 use crate::quality::measure;
 use crate::sizefield::SizeField;
 use crate::snap::snap_to_model;
@@ -26,16 +27,11 @@ use std::collections::BinaryHeap;
 pub struct RefineOpts {
     /// Split an edge when `length > split_ratio * h(midpoint)`.
     pub split_ratio: f64,
-    /// Hard cap on the number of splits (safety valve; default is huge).
-    pub max_splits: usize,
 }
 
 impl Default for RefineOpts {
     fn default() -> Self {
-        RefineOpts {
-            split_ratio: 1.5,
-            max_splits: usize::MAX,
-        }
+        RefineOpts { split_ratio: 1.5 }
     }
 }
 
@@ -48,11 +44,11 @@ pub struct RefineStats {
     pub elements_after: usize,
 }
 
-pub(crate) struct HeapItem {
-    pub(crate) len: f64,
-    pub(crate) key: [u64; 6],
-    pub(crate) edge: MeshEnt,
-    pub(crate) verts: [u32; 2],
+struct HeapItem {
+    len: f64,
+    key: [u64; 6],
+    edge: MeshEnt,
+    verts: [u32; 2],
 }
 
 impl HeapItem {
@@ -63,7 +59,7 @@ impl HeapItem {
     /// length edges identically. That canonical order is what makes
     /// distributed refinement reproduce the serial bisection mesh bit for
     /// bit (see `dist.rs`).
-    pub(crate) fn new(mesh: &Mesh, edge: MeshEnt, len: f64) -> Self {
+    fn new(mesh: &Mesh, edge: MeshEnt, len: f64) -> Self {
         let verts = mesh.verts_of(edge);
         let a = mesh.coords(MeshEnt::vertex(verts[0]));
         let b = mesh.coords(MeshEnt::vertex(verts[1]));
@@ -168,15 +164,7 @@ pub fn split_edge(mesh: &mut Mesh, edge: MeshEnt, model: Option<&Model>) -> Mesh
     mesh.delete(edge);
 
     // New vertex at the (snapped) midpoint, classified like the edge was.
-    let mut p = {
-        let pa = mesh.coords(MeshEnt::vertex(a));
-        let pb = mesh.coords(MeshEnt::vertex(b));
-        [
-            0.5 * (pa[0] + pb[0]),
-            0.5 * (pa[1] + pb[1]),
-            0.5 * (pa[2] + pb[2]),
-        ]
-    };
+    let mut p = midpoint(mesh, &[a, b]);
     if let Some(model) = model {
         p = snap_to_model(model, class, elem_dim, p);
     }
@@ -230,19 +218,60 @@ pub fn split_edge(mesh: &mut Mesh, edge: MeshEnt, model: Option<&Model>) -> Mesh
 /// predicate). Purely geometric, so every copy of a shared edge evaluates
 /// it identically — the basis for communication-free consistent marking in
 /// distributed refinement.
-pub(crate) fn oversized_len(
-    mesh: &Mesh,
-    verts: &[u32],
-    size: &SizeField,
-    split_ratio: f64,
-) -> Option<f64> {
+fn oversized_len(mesh: &Mesh, verts: &[u32], size: &SizeField, split_ratio: f64) -> Option<f64> {
     let len = edge_length(mesh, verts);
     let h = size.at(midpoint(mesh, verts));
     (len > split_ratio * h).then_some(len)
 }
 
-/// Refine until every edge satisfies the size field (or the split cap is
-/// hit). Returns statistics.
+/// The one refinement sweep ([`refine`] on whatever owns the mesh): split
+/// oversized edges longest-first from a lazy priority queue until every
+/// edge satisfies `size`. Returns the number of splits performed on this
+/// mesh.
+pub(crate) fn sweep<H: Host>(
+    host: &mut H,
+    size: &SizeField,
+    model: Option<&Model>,
+    split_ratio: f64,
+) -> usize {
+    let mesh = host.mesh();
+    let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
+    for e in mesh.snapshot(Dim::Edge) {
+        if let Some(len) = oversized_len(mesh, mesh.verts_of(e), size, split_ratio) {
+            heap.push(HeapItem::new(mesh, e, len));
+        }
+    }
+    let mut splits = 0usize;
+    while let Some(item) = heap.pop() {
+        let mesh = host.mesh();
+        // Lazy validation: the slot may have been reused.
+        if !mesh.is_live(item.edge) {
+            continue;
+        }
+        let verts = mesh.verts_of(item.edge);
+        let ends = [verts[0], verts[1]];
+        if ends != item.verts && [ends[1], ends[0]] != item.verts {
+            continue;
+        }
+        if oversized_len(mesh, &ends, size, split_ratio).is_none() {
+            continue;
+        }
+        let inherit = host.before_split(item.edge, ends);
+        let m = split_edge(host.mesh_mut(), item.edge, model);
+        splits += 1;
+        host.after_split(inherit, ends, m);
+        // New candidates: every edge at the new vertex.
+        let mesh = host.mesh();
+        for e in mesh.adjacent(m, Dim::Edge) {
+            if let Some(len) = oversized_len(mesh, mesh.verts_of(e), size, split_ratio) {
+                heap.push(HeapItem::new(mesh, e, len));
+            }
+        }
+    }
+    splits
+}
+
+/// Refine until every edge satisfies the size field. Returns statistics.
 ///
 /// # Examples
 ///
@@ -260,39 +289,8 @@ pub fn refine(
     model: Option<&Model>,
     opts: RefineOpts,
 ) -> RefineStats {
-    let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
-    for e in mesh.snapshot(Dim::Edge) {
-        if let Some(len) = oversized_len(mesh, mesh.verts_of(e), size, opts.split_ratio) {
-            heap.push(HeapItem::new(mesh, e, len));
-        }
-    }
-    let mut splits = 0usize;
-    while let Some(item) = heap.pop() {
-        if splits >= opts.max_splits {
-            break;
-        }
-        // Lazy validation: the slot may have been reused.
-        if !mesh.is_live(item.edge) {
-            continue;
-        }
-        let verts = mesh.verts_of(item.edge);
-        if [verts[0], verts[1]] != item.verts && [verts[1], verts[0]] != item.verts {
-            continue;
-        }
-        if oversized_len(mesh, verts, size, opts.split_ratio).is_none() {
-            continue;
-        }
-        let m = split_edge(mesh, item.edge, model);
-        splits += 1;
-        // New candidates: every edge at the new vertex.
-        for e in mesh.adjacent(m, Dim::Edge) {
-            if let Some(len) = oversized_len(mesh, mesh.verts_of(e), size, opts.split_ratio) {
-                heap.push(HeapItem::new(mesh, e, len));
-            }
-        }
-    }
     RefineStats {
-        splits,
+        splits: sweep(mesh, size, model, opts.split_ratio),
         elements_after: mesh.num_elems(),
     }
 }

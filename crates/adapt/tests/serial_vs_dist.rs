@@ -4,127 +4,266 @@
 //! is *independent of how it is partitioned*: the 1-part result and the
 //! 4-rank result are entity-for-entity identical — same gids, same
 //! coordinates, same classification — so `pumi_io::struct_hash` must
-//! match exactly. The serial `refine()` driver is the third witness:
-//! split and element counts, total area, and the element-quality
-//! histogram must agree with both distributed runs. The 4-rank arm runs
-//! under the seeded chaos scheduler, so message reordering cannot change
-//! the result either.
+//! match exactly. The serial `refine()` / `coarsen()` drivers are the third
+//! witness: split, collapse and element counts, the element-quality
+//! histogram and the sorted vertex coordinates must agree with the
+//! distributed runs. The 4-rank arm runs under the seeded chaos scheduler,
+//! so message reordering cannot change the result either.
+//!
+//! Serial and distributed adaptation run the same two sweeps
+//! (`refine::sweep`, `coarsen::sweep`) with different hosts; this file is
+//! what says the part-side hooks change nothing the mesh can see — in 2-D
+//! and 3-D, with a geometric model, and through the collapse loop.
 
 use proptest::prelude::*;
 use pumi_adapt::dist::{adapt_dist, AdaptOpts};
-use pumi_adapt::{mean_ratio, refine, RefineOpts, SizeField};
+use pumi_adapt::{coarsen, mean_ratio, refine, CoarsenOpts, RefineOpts, SizeField};
 use pumi_check::CheckOpts;
-use pumi_core::{distribute, DistMesh, PartMap};
-use pumi_meshgen::tri_rect;
+use pumi_core::{distribute, PartMap};
+use pumi_geom::builders::{vessel, VesselSpec};
+use pumi_geom::Model;
+use pumi_mesh::Mesh;
+use pumi_meshgen::{tet_box, tri_rect, vessel_tet};
 use pumi_pcu::{execute, execute_chaos, Comm};
-use pumi_util::PartId;
+use pumi_util::{Dim, MeshEnt, PartId};
 
-const N: usize = 8;
 const QBINS: usize = 20;
 
-fn shock_size(c0: f64) -> SizeField {
-    SizeField::shock(move |p| p[0] + 0.4 * p[1] - c0, 0.06, 0.3, 0.05)
+/// One input of the oracle: what to adapt, to what, and how the many-part
+/// arm cuts it (always on 4 ranks).
+struct Case {
+    mesh: fn() -> Mesh,
+    size: SizeField,
+    model: Option<Model>,
+    /// `None` refines only. With coarsening the boundary veto makes the
+    /// result depend on the partition (ROADMAP item 1), so only the 1-part
+    /// arm is compared with the serial drivers.
+    coarsen: Option<CoarsenOpts>,
+    nparts: usize,
+    label: fn([f64; 3]) -> PartId,
 }
 
-/// Mean-ratio histogram of all local elements, allreduced to a global one.
-fn quality_histogram(comm: &Comm, dm: &DistMesh) -> Vec<u64> {
-    let mut bins = vec![0u64; QBINS];
-    for p in &dm.parts {
-        for e in p.mesh.elems() {
-            if p.is_ghost(e) {
-                continue;
+/// The 2-D standard: an oblique shock at offset `c0` across four quadrants.
+fn tri_case(c0: f64) -> Case {
+    Case {
+        mesh: || tri_rect(8, 8, 1.0, 1.0),
+        size: SizeField::shock(move |p| p[0] + 0.4 * p[1] - c0, 0.06, 0.3, 0.05),
+        model: None,
+        coarsen: None,
+        nparts: 4,
+        label: |x| PartId::from(x[1] >= 0.5) * 2 + PartId::from(x[0] >= 0.5),
+    }
+}
+
+/// 3-D: an oblique shock plane across the eight octants of a box, so
+/// shared faces, their median edges and child faces all relink.
+fn tet_case() -> Case {
+    Case {
+        mesh: || tet_box(4, 4, 4, 1.0, 1.0, 1.0),
+        size: SizeField::shock(|p| p[0] + 0.4 * p[1] + 0.2 * p[2] - 0.8, 0.1, 0.5, 0.08),
+        model: None,
+        coarsen: None,
+        nparts: 8,
+        label: |x| {
+            PartId::from(x[2] >= 0.5) * 4
+                + PartId::from(x[1] >= 0.5) * 2
+                + PartId::from(x[0] >= 0.5)
+        },
+    }
+}
+
+/// Refinement then the default coarsening of a mesh finer than the
+/// far-field size: both sweeps do work.
+fn coarsen_case() -> Case {
+    Case {
+        coarsen: Some(CoarsenOpts::default()),
+        ..tri_case(0.5)
+    }
+}
+
+/// A curved model: new wall vertices are snapped to the vessel wall, on
+/// four axial slabs.
+fn vessel_case() -> Case {
+    Case {
+        mesh: || vessel_tet(VesselSpec::aaa(), 3, 8),
+        size: SizeField::uniform(0.6),
+        model: Some(vessel(VesselSpec::aaa())),
+        coarsen: None,
+        nparts: 4,
+        label: |x| ((x[2] / 2.5) as PartId).min(3),
+    }
+}
+
+/// What an adapted mesh is reduced to for comparison.
+#[derive(Debug, PartialEq)]
+struct Facts {
+    splits: u64,
+    collapses: u64,
+    elements: u64,
+    /// Mean-ratio histogram of all elements.
+    hist: Vec<u64>,
+    /// Coordinates (bit patterns) of all vertices, sorted — the gid-free
+    /// witness that serial and distributed vertices coincide.
+    coords: Vec<[u64; 3]>,
+}
+
+/// Fold the elements and vertices of `mesh` selected by `mine` into `hist`
+/// and `coords`; with a model, every vertex classified on one of its
+/// boundary entities must lie on that entity's shape.
+fn observe(
+    mesh: &Mesh,
+    model: Option<&Model>,
+    mine: impl Fn(MeshEnt) -> bool,
+    hist: &mut [u64],
+    coords: &mut Vec<[u64; 3]>,
+) {
+    for e in mesh.elems().filter(|&e| mine(e)) {
+        let q = mean_ratio(mesh, e).clamp(0.0, 1.0);
+        hist[((q * QBINS as f64) as usize).min(QBINS - 1)] += 1;
+    }
+    for v in mesh.iter(Dim::Vertex).filter(|&v| mine(v)) {
+        let p = mesh.coords(v);
+        coords.push(p.map(f64::to_bits));
+        let class = mesh.class_of(v);
+        if let Some(model) = model {
+            if class.dim().as_usize() < mesh.elem_dim() && model.contains(class) {
+                let q = model.closest_point(class, p);
+                let d = (0..3).map(|i| (p[i] - q[i]).powi(2)).sum::<f64>().sqrt();
+                assert!(d < 1e-9, "vertex {p:?} is {d:e} off its model entity");
             }
-            let q = mean_ratio(&p.mesh, e).clamp(0.0, 1.0);
-            let b = ((q * QBINS as f64) as usize).min(QBINS - 1);
-            bins[b] += 1;
         }
     }
-    comm.allreduce_sum_u64_vec(&bins)
 }
 
-struct ArmResult {
-    hash: u64,
-    splits: u64,
-    elements: u64,
-    hist: Vec<u64>,
-}
-
-/// Adapt the standard mesh on `nparts` parts over `nranks` ranks and
-/// reduce it to comparable facts.
-fn run_arm(nranks: usize, nparts: usize, chaos_seed: Option<u64>, c0: f64) -> ArmResult {
-    let body = move |c: &Comm| {
-        let serial = tri_rect(N, N, 1.0, 1.0);
+/// `adapt_dist` on `nparts` parts over `nranks` ranks: the facts, the
+/// `struct_hash` and the veto count.
+fn run_arm(
+    case: &Case,
+    nranks: usize,
+    nparts: usize,
+    chaos_seed: Option<u64>,
+) -> (Facts, u64, u64) {
+    let body = |c: &Comm| {
+        let serial = (case.mesh)();
         let d = serial.elem_dim_t();
         let mut labels = vec![0 as PartId; serial.index_space(d)];
         if nparts > 1 {
             for e in serial.iter(d) {
-                let x = serial.centroid(e);
-                let px = u32::from(x[0] >= 0.5);
-                let py = u32::from(x[1] >= 0.5);
-                labels[e.idx()] = (py * 2 + px) as PartId;
+                labels[e.idx()] = (case.label)(serial.centroid(e));
             }
         }
         let mut dm = distribute(c, PartMap::contiguous(nparts, nranks), &serial, &labels);
-        let stats = adapt_dist(
-            c,
-            &mut dm,
-            &shock_size(c0),
-            AdaptOpts::new().check(CheckOpts::all()),
-        );
+        let mut opts = AdaptOpts::new().check(CheckOpts::all());
+        opts.model = case.model.as_ref();
+        opts.coarsen = case.coarsen;
+        let stats = adapt_dist(c, &mut dm, &case.size, opts);
         let hash = pumi_io::struct_hash(c, &dm);
-        let hist = quality_histogram(c, &dm);
-        (c.rank() == 0).then_some(ArmResult {
-            hash,
-            splits: stats.splits,
-            elements: stats.elements_after,
-            hist,
-        })
+        let mut hist = vec![0u64; QBINS];
+        let mut coords = Vec::new();
+        for p in &dm.parts {
+            let mine = |e| p.is_owned(e);
+            observe(&p.mesh, opts.model, mine, &mut hist, &mut coords);
+        }
+        (stats, hash, c.allreduce_sum_u64_vec(&hist), coords)
     };
     let out = match chaos_seed {
         Some(seed) => execute_chaos(nranks, seed, body),
         None => execute(nranks, body),
     };
-    out.into_iter().flatten().next().unwrap()
-}
-
-/// Plain serial `refine()` reduced to the same facts (no gids — the
-/// serial hash witness is the 1-part `adapt_dist` arm).
-fn run_serial(c0: f64) -> (u64, u64, Vec<u64>) {
-    let mut m = tri_rect(N, N, 1.0, 1.0);
-    let stats = refine(&mut m, &shock_size(c0), None, RefineOpts::default());
-    let mut bins = vec![0u64; QBINS];
-    for e in m.elems() {
-        let q = mean_ratio(&m, e).clamp(0.0, 1.0);
-        bins[((q * QBINS as f64) as usize).min(QBINS - 1)] += 1;
+    let mut coords = Vec::new();
+    let mut global = None;
+    for (stats, hash, hist, local) in out {
+        coords.extend(local);
+        global.get_or_insert((stats, hash, hist));
     }
-    (stats.splits as u64, stats.elements_after as u64, bins)
+    coords.sort_unstable();
+    let (stats, hash, hist) = global.expect("a world has at least one rank");
+    let facts = Facts {
+        splits: stats.splits,
+        collapses: stats.collapses,
+        elements: stats.elements_after,
+        hist,
+        coords,
+    };
+    (facts, hash, stats.vetoed_collapses)
 }
 
-fn check_invariance(c0: f64, seed: u64) {
-    let one = run_arm(1, 1, None, c0);
-    let four = run_arm(4, 4, Some(seed), c0);
-    let (s_splits, s_elements, s_hist) = run_serial(c0);
+/// Plain serial `refine()` (then `coarsen()`) reduced to the same facts
+/// (no gids — the serial hash witness is the 1-part `adapt_dist` arm).
+fn run_serial(case: &Case) -> Facts {
+    let mut m = (case.mesh)();
+    let model = case.model.as_ref();
+    let splits = refine(&mut m, &case.size, model, RefineOpts::default()).splits;
+    let collapses = case
+        .coarsen
+        .map_or(0, |co| coarsen(&mut m, &case.size, co).collapses);
+    let mut hist = vec![0u64; QBINS];
+    let mut coords = Vec::new();
+    observe(&m, model, |_| true, &mut hist, &mut coords);
+    coords.sort_unstable();
+    Facts {
+        splits: splits as u64,
+        collapses: collapses as u64,
+        elements: m.num_elems() as u64,
+        hist,
+        coords,
+    }
+}
 
+fn check_invariance(case: &Case, seed: u64) {
+    let serial = run_serial(case);
+    assert!(serial.splits > 0, "the case refines nothing");
+    let (one, one_hash, one_vetoed) = run_arm(case, 1, 1, None);
+    assert_eq!(one, serial, "1-part adapt_dist != serial drivers");
+    assert_eq!(one_vetoed, 0, "a part with no boundary vetoed a collapse");
+    if case.coarsen.is_some() {
+        assert!(serial.collapses > 0, "the case coarsens nothing");
+        return;
+    }
+    let (many, many_hash, _) = run_arm(case, 4, case.nparts, Some(seed));
     assert_eq!(
-        one.hash, four.hash,
-        "struct_hash differs between 1-part and 4-rank adaptation (seed {seed}, c0 {c0})"
+        many, serial,
+        "{}-part adapt_dist != serial (seed {seed})",
+        case.nparts
     );
-    for (arm, r) in [("1-part", &one), ("4-rank", &four)] {
-        assert_eq!(r.splits, s_splits, "{arm} split count != serial refine()");
-        assert_eq!(r.elements, s_elements, "{arm} element count != serial");
-        assert_eq!(r.hist, s_hist, "{arm} quality histogram != serial");
-    }
+    assert_eq!(
+        one_hash, many_hash,
+        "struct_hash differs between 1-part and {}-part adaptation (seed {seed})",
+        case.nparts
+    );
 }
 
 /// The fixed seeds the invariant must hold under (regression anchors).
 #[test]
 fn serial_vs_dist_chaos_seed_1() {
-    check_invariance(0.5, 1);
+    check_invariance(&tri_case(0.5), 1);
 }
 
 #[test]
 fn serial_vs_dist_chaos_seed_7() {
-    check_invariance(0.5, 7);
+    check_invariance(&tri_case(0.5), 7);
+}
+
+/// 3-D refinement: 1 part and 8 parts on 4 ranks reproduce serial
+/// `refine()` entity for entity.
+#[test]
+fn serial_vs_dist_3d() {
+    check_invariance(&tet_case(), 1);
+    check_invariance(&tet_case(), 7);
+}
+
+/// The collapse loop: 1-part `adapt_dist` with coarsening is serial
+/// `refine` + `coarsen`.
+#[test]
+fn serial_vs_dist_coarsening() {
+    check_invariance(&coarsen_case(), 1);
+}
+
+/// `AdaptOpts::model`: snapped wall vertices land on the geometry and where
+/// serial `refine(.., Some(&model), ..)` puts them.
+#[test]
+fn serial_vs_dist_model_snapping() {
+    check_invariance(&vessel_case(), 1);
 }
 
 proptest! {
@@ -134,7 +273,7 @@ proptest! {
     /// crossing one, two, or all four part boundaries.
     #[test]
     fn serial_vs_dist_any_shock_position(c0 in 0.2f64..1.1) {
-        check_invariance(c0, 1);
-        check_invariance(c0, 7);
+        check_invariance(&tri_case(c0), 1);
+        check_invariance(&tri_case(c0), 7);
     }
 }

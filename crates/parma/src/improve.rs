@@ -25,8 +25,6 @@ pub struct ImproveOpts {
     pub tol: f64,
     /// Maximum diffusion iterations per entity type.
     pub max_iters: usize,
-    /// Print per-iteration progress to stderr.
-    pub verbose: bool,
     /// Run the destination admission handshake (ablatable: without it,
     /// several heavy parts can overfill one destination in an iteration).
     pub handshake: bool,
@@ -52,7 +50,6 @@ impl Default for ImproveOpts {
         ImproveOpts {
             tol: 0.05,
             max_iters: 30,
-            verbose: false,
             handshake: true,
             peak_caps: true,
             strict_selection: true,
@@ -79,12 +76,6 @@ impl ImproveOpts {
     /// Set the per-type diffusion iteration cap.
     pub fn max_iters(mut self, n: usize) -> Self {
         self.max_iters = n;
-        self
-    }
-
-    /// Toggle per-iteration progress on stderr.
-    pub fn verbose(mut self, on: bool) -> Self {
-        self.verbose = on;
         self
     }
 
@@ -425,12 +416,6 @@ fn improve_inner(
             elements_moved += stats.elements_moved;
             iterations += 1;
             pumi_obs::parma::iter(final_pct, planned, stats.elements_moved);
-            if opts.verbose && comm.rank() == 0 {
-                eprintln!(
-                    "parma: {d} iter {iterations}: imb {:.2}% -> planned {planned}",
-                    final_pct
-                );
-            }
         }
         // Refresh after the last migration.
         final_pct = gather(comm, dm).imbalance_pct(d);

@@ -26,8 +26,6 @@ pub struct SplitOpts {
     /// Maximum merge+split rounds ("split as many times as required until
     /// there are either no heavy parts or empty parts remaining", §III-B).
     pub rounds: usize,
-    /// Print progress on rank 0.
-    pub verbose: bool,
 }
 
 impl Default for SplitOpts {
@@ -35,7 +33,6 @@ impl Default for SplitOpts {
         SplitOpts {
             tol: 0.05,
             rounds: 6,
-            verbose: false,
         }
     }
 }
@@ -237,11 +234,6 @@ fn split_round(comm: &Comm, dm: &mut DistMesh, opts: SplitOpts) -> SplitReport {
 
     let final_loads = element_loads(comm, dm);
     let final_pct = LoadStats::of(&final_loads).imbalance_pct();
-    if opts.verbose && comm.rank() == 0 {
-        eprintln!(
-            "parma split: {initial_pct:.1}% -> {final_pct:.1}% ({merges} merges, {splits} splits)"
-        );
-    }
     SplitReport {
         initial_pct,
         final_pct,

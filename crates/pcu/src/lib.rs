@@ -3,8 +3,8 @@
 //! The paper's PUMI runs on MPI with an emerging hybrid MPI/thread mode. This
 //! crate provides the equivalent substrate as a **simulated message-passing
 //! runtime**: N ranks execute as OS threads, and parts communicate *only*
-//! through serialized byte messages over channels — the same discipline as
-//! MPI, so every distributed algorithm above (migration, ghosting, ParMA)
+//! through serialized byte messages pushed into sharded lock-free mailboxes,
+//! fenced by shared-memory sense barriers — the same discipline as MPI, so every distributed algorithm above (migration, ghosting, ParMA)
 //! exercises true pack/route/unpack code paths.
 //!
 //! Components:

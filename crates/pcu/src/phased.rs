@@ -41,7 +41,6 @@ use crate::sched::{ChaosRng, SchedMode};
 use bytes::Bytes;
 use pumi_obs::metrics::Link;
 use pumi_util::FxHashMap;
-use std::sync::OnceLock;
 
 /// How [`Exchange::finish`] routes buffers whose destination lives on a
 /// different node.
@@ -59,23 +58,11 @@ pub enum RouteMode {
     TwoLevel,
 }
 
-impl RouteMode {
-    /// The process-wide default, read once from the `PUMI_PCU_ROUTE`
-    /// environment variable (`two-level` selects aggregation; anything else,
-    /// or unset, selects direct routing).
-    pub fn from_env() -> RouteMode {
-        static MODE: OnceLock<RouteMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("PUMI_PCU_ROUTE").as_deref() {
-            Ok("two-level") | Ok("twolevel") | Ok("two_level") => RouteMode::TwoLevel,
-            _ => RouteMode::Direct,
-        })
-    }
-}
-
-/// Per-exchange knobs. [`Default`] honours `PUMI_PCU_ROUTE` and the world's
-/// scheduler, so whole runs can be A/B-ed between routing strategies and
-/// chaos seeds without code changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Per-exchange knobs. [`Default`] routes directly and inherits the world's
+/// scheduler, so whole runs can be A/B-ed between chaos seeds without code
+/// changes; two-level routing is opted into per exchange
+/// ([`ExchangeOpts::two_level`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExchangeOpts {
     /// Off-node routing strategy. Must be SPMD-uniform: all ranks of one
     /// exchange phase must use the same mode.
@@ -85,22 +72,10 @@ pub struct ExchangeOpts {
     pub sched: Option<SchedMode>,
 }
 
-impl Default for ExchangeOpts {
-    fn default() -> ExchangeOpts {
-        ExchangeOpts {
-            route: RouteMode::from_env(),
-            sched: None,
-        }
-    }
-}
-
 impl ExchangeOpts {
-    /// Direct rank-to-rank routing.
+    /// Direct rank-to-rank routing (the default, spelled out).
     pub fn direct() -> ExchangeOpts {
-        ExchangeOpts {
-            route: RouteMode::Direct,
-            ..ExchangeOpts::default()
-        }
+        ExchangeOpts::default()
     }
 
     /// Node-aware two-level routing.
@@ -129,8 +104,8 @@ pub struct Exchange<'c> {
 }
 
 impl<'c> Exchange<'c> {
-    /// Begin an exchange phase on `comm` with the default (environment-
-    /// selected) routing. All ranks of the world must participate (SPMD),
+    /// Begin an exchange phase on `comm` with the default (direct)
+    /// routing. All ranks of the world must participate (SPMD),
     /// even those with nothing to send.
     pub fn new(comm: &'c Comm) -> Exchange<'c> {
         Exchange::with_opts(comm, ExchangeOpts::default())

@@ -122,12 +122,10 @@ fn routing_strategies_are_observationally_identical() {
     }
 }
 
-/// The environment knob must select the documented modes (exercised against
-/// whatever `PUMI_PCU_ROUTE` this test process inherited: unset or anything
-/// unrecognised means direct).
+/// No environment knob selects the routing: the default is direct whatever
+/// this test process inherited, and two-level is an explicit per-exchange
+/// choice.
 #[test]
 fn route_mode_env_default_is_direct() {
-    if std::env::var("PUMI_PCU_ROUTE").is_err() {
-        assert_eq!(ExchangeOpts::default().route, pumi_pcu::RouteMode::Direct);
-    }
+    assert_eq!(ExchangeOpts::default().route, pumi_pcu::RouteMode::Direct);
 }
