@@ -9,12 +9,11 @@
 
 use crate::host::Host;
 use crate::quality::{mean_ratio_coords, tet_volume, tri_area};
-use crate::refine::{edge_length, midpoint};
+use crate::refine::{edge_length, midpoint, Old};
 use crate::sizefield::SizeField;
 use crate::snap::collapse_allowed;
 use pumi_mesh::Mesh;
-use pumi_util::tag::TagData;
-use pumi_util::{Dim, FxHashSet, MeshEnt, TagId};
+use pumi_util::{Dim, MeshEnt, TagStash};
 
 /// Options for [`coarsen`].
 #[derive(Debug, Clone, Copy)]
@@ -56,6 +55,22 @@ fn signed_measure(coords: &[[f64; 3]]) -> f64 {
     }
 }
 
+/// Buffers a sweep's [`try_collapse`] calls share, so that an attempt
+/// allocates nothing once they have grown to the largest cavity.
+#[derive(Default)]
+pub(crate) struct CollapseScratch {
+    /// Every element touching the vanishing vertex.
+    cavity: Vec<MeshEnt>,
+    /// The elements on the collapsing edge, which vanish with it.
+    dying: Vec<MeshEnt>,
+    /// The surviving elements, re-connected to the kept vertex.
+    rebuilt: Vec<Old>,
+    /// Tags of `rebuilt`, row for row.
+    tags: TagStash,
+    /// The cavity's closure.
+    closure: Vec<MeshEnt>,
+}
+
 /// Try to collapse `edge`, welding vertex `gone` onto vertex `kept`.
 /// Returns false (mesh and both lists untouched) if any safety check fails;
 /// otherwise appends every deleted handle to `deleted` and every rebuilt
@@ -68,15 +83,24 @@ fn signed_measure(coords: &[[f64; 3]]) -> f64 {
 /// their closure) are the ones that need fresh gids. Handles in `deleted`
 /// may already be re-occupied by the time this returns — they identify
 /// *slots* whose old bookkeeping is stale, not live entities.
-pub fn try_collapse(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn try_collapse(
     mesh: &mut Mesh,
     edge: MeshEnt,
     kept: u32,
     gone: u32,
     min_quality: f64,
+    scratch: &mut CollapseScratch,
     deleted: &mut Vec<MeshEnt>,
     created: &mut Vec<MeshEnt>,
 ) -> bool {
+    let CollapseScratch {
+        cavity,
+        dying,
+        rebuilt,
+        tags,
+        closure,
+    } = scratch;
     let elem_dim = mesh.elem_dim();
     let d_elem = mesh.elem_dim_t();
     let vg = MeshEnt::vertex(gone);
@@ -85,88 +109,63 @@ pub fn try_collapse(
     if !collapse_allowed(mesh.class_of(vg), mesh.class_of(edge), elem_dim) {
         return false;
     }
-    // Cavity: every element touching `gone`.
-    let cavity = mesh.adjacent(vg, d_elem);
-    let dying: FxHashSet<MeshEnt> = mesh.adjacent(edge, d_elem).into_iter().collect();
+    mesh.adjacent_into(vg, d_elem, cavity);
+    mesh.adjacent_into(edge, d_elem, dying);
     // Validate survivors: replace gone→kept, check measure sign and
     // distinctness.
-    struct NewElem {
-        verts: Vec<u32>,
-        topo: pumi_mesh::Topology,
-        class: pumi_geom::GeomEnt,
-        tags: Vec<(TagId, TagData)>,
-    }
-    let mut rebuilt: Vec<NewElem> = Vec::new();
-    for &e in &cavity {
+    rebuilt.clear();
+    tags.clear();
+    for &e in cavity.iter() {
         if dying.contains(&e) {
             continue;
         }
-        let old_verts = mesh.verts_of(e).to_vec();
-        let verts: Vec<u32> = old_verts
-            .iter()
-            .map(|&v| if v == gone { kept } else { v })
-            .collect();
-        let mut sorted = verts.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != verts.len() {
+        let old = Old::of(mesh, e);
+        if old.verts().contains(&kept) {
             return false; // degenerate (kept already present)
         }
-        let old_coords: Vec<[f64; 3]> = old_verts
-            .iter()
-            .map(|&v| mesh.coords(MeshEnt::vertex(v)))
-            .collect();
-        let new_coords: Vec<[f64; 3]> = verts
-            .iter()
-            .map(|&v| mesh.coords(MeshEnt::vertex(v)))
-            .collect();
-        let old_m = signed_measure(&old_coords);
-        let new_m = signed_measure(&new_coords);
+        let new = old.with_vertex(gone, kept);
+        let n = new.verts().len();
+        let mut old_coords = [[0.0; 3]; 8];
+        let mut new_coords = [[0.0; 3]; 8];
+        for k in 0..n {
+            old_coords[k] = mesh.coords(MeshEnt::vertex(old.verts()[k]));
+            new_coords[k] = mesh.coords(MeshEnt::vertex(new.verts()[k]));
+        }
+        let old_m = signed_measure(&old_coords[..n]);
+        let new_m = signed_measure(&new_coords[..n]);
         if new_m * old_m <= 0.0 || new_m.abs() < 1e-14 {
             return false; // would invert or degenerate
         }
-        if mean_ratio_coords(&new_coords).abs() < min_quality {
+        if mean_ratio_coords(&new_coords[..n]).abs() < min_quality {
             return false; // would create a sliver
         }
-        rebuilt.push(NewElem {
-            verts,
-            topo: mesh.topo(e),
-            class: mesh.class_of(e),
-            tags: mesh.tags().collect(e),
-        });
+        rebuilt.push(new);
+        mesh.tags().save(e, tags);
     }
     if rebuilt.is_empty() {
         // The collapse would erase the whole patch (tiny mesh) — reject.
         return false;
     }
-    // Vertices the rebuilt elements still need; they may be transiently
-    // orphaned between deletion and re-creation and must not be cleaned up.
-    let mut protected: FxHashSet<u32> = FxHashSet::default();
-    for ne in &rebuilt {
-        protected.extend(ne.verts.iter().copied());
+    // Record the cavity closure before deleting (sorted: by dimension, then
+    // index), then delete elements and sweep orphans top-down.
+    closure.clear();
+    for &e in cavity.iter() {
+        mesh.closure_into(e, closure);
     }
-    // Record the cavity closure before deleting, then delete elements and
-    // sweep orphans top-down, keeping protected vertices.
-    let mut closure: FxHashSet<MeshEnt> = FxHashSet::default();
-    for &e in &cavity {
-        closure.extend(mesh.closure(e));
-    }
-    for &e in &cavity {
+    closure.sort_unstable();
+    closure.dedup();
+    for &e in cavity.iter() {
         mesh.delete(e);
         deleted.push(e);
     }
     for d in (0..elem_dim).rev() {
-        let mut doomed: Vec<MeshEnt> = closure
-            .iter()
-            .filter(|s| s.dim().as_usize() == d)
-            .copied()
-            .collect();
-        doomed.sort_unstable();
-        for s in doomed {
+        for &s in closure.iter().filter(|s| s.dim().as_usize() == d) {
             if !mesh.is_live(s) || mesh.up_count(s) > 0 {
                 continue;
             }
-            if d == 0 && protected.contains(&s.index()) {
+            // Vertices the rebuilt elements still need are transiently
+            // orphaned between deletion and re-creation: not cleaned up.
+            if d == 0 && rebuilt.iter().any(|ne| ne.verts().contains(&s.index())) {
                 continue;
             }
             mesh.delete(s);
@@ -174,11 +173,9 @@ pub fn try_collapse(
         }
     }
     debug_assert!(!mesh.is_live(vg), "gone vertex survived cavity deletion");
-    for ne in rebuilt {
-        let child = mesh.add_entity(ne.topo, &ne.verts, ne.class);
-        for (tid, data) in ne.tags {
-            mesh.tags_mut().set(tid, child, data);
-        }
+    for (row, ne) in rebuilt.iter().enumerate() {
+        let child = mesh.add_entity(ne.topo, ne.verts(), ne.class);
+        mesh.tags_mut().restore(tags, row, child);
         created.push(child);
     }
     true
@@ -196,6 +193,7 @@ pub(crate) fn sweep<H: Host>(
     let mut stats = CoarsenStats::default();
     let mut vetoed = 0usize;
     let (mut deleted, mut created) = (Vec::new(), Vec::new());
+    let mut scratch = CollapseScratch::default();
     for _ in 0..opts.passes {
         let mut collapsed_this_pass = 0usize;
         for e in host.mesh().snapshot(Dim::Edge) {
@@ -231,6 +229,7 @@ pub(crate) fn sweep<H: Host>(
                     kept,
                     gone,
                     opts.min_quality,
+                    &mut scratch,
                     &mut deleted,
                     &mut created,
                 ) {

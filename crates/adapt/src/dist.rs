@@ -41,6 +41,22 @@
 //! [`AdaptStats`]. Refinement runs first, so boundary regions still honor
 //! the size field's refinement demand.
 //!
+//! The veto is a table, not a walk. Before a part's coarsen sweep its host
+//! marks, working outward from the boundary (every entity with a remote or
+//! ghost record → the elements above it → their vertices, so the cost is
+//! the boundary's, not the part's), one bit per vertex: *some element
+//! around this vertex has a shared or ghost entity in its closure*. The
+//! sweep's question "may the cavity around `gone` be modified?" is then
+//! one load. The table is exact for the whole sweep, not just its first
+//! collapse: a collapse runs only where every cavity element is unmarked,
+//! so nothing it deletes carried a mark to any vertex; the elements it
+//! rebuilds are made of entities from that unmarked closure plus fresh
+//! ones no other part knows, so they carry none either; and a collapse
+//! creates no vertex, so no slot appears that the table does not cover.
+//! No vertex's answer changes while the sweep runs; the unit test
+//! `veto_table_is_the_closure_walk` executes that argument against the
+//! walk the table replaced.
+//!
 //! Ghost copies are not adapted: [`adapt_dist`] strips ghost layers on
 //! entry; a caller that wants them back calls
 //! [`pumi_core::overlap::grow_overlap`] afterwards.
@@ -59,7 +75,7 @@ use pumi_geom::Model;
 use pumi_mesh::Mesh;
 use pumi_pcu::{Comm, MsgError};
 use pumi_util::tag::TagKind;
-use pumi_util::{Dim, FxHashMap, GlobalId, MeshEnt, PartId};
+use pumi_util::{Dim, FxHashMap, GlobalId, InlineVec, MeshEnt, PartId};
 
 /// Options for [`adapt_dist`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -177,7 +193,7 @@ pub fn gather_branch_loads(comm: &Comm, dm: &DistMesh) -> Vec<[f64; 3]> {
 /// holding a copy of the same new entity computes the same id, so boundary
 /// splits need no gid communication; serial and distributed adaptation of
 /// the same mesh produce identical ids (and thus identical `struct_hash`).
-fn content_gid(dim: Dim, mut vgids: Vec<GlobalId>) -> GlobalId {
+fn content_gid(dim: Dim, vgids: &mut [GlobalId]) -> GlobalId {
     vgids.sort_unstable();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |b: u8| {
@@ -185,7 +201,7 @@ fn content_gid(dim: Dim, mut vgids: Vec<GlobalId>) -> GlobalId {
         h = h.wrapping_mul(0x0100_0000_01b3);
     };
     eat(dim.as_usize() as u8);
-    for g in vgids {
+    for g in vgids.iter() {
         for b in g.to_le_bytes() {
             eat(b);
         }
@@ -199,8 +215,8 @@ fn content_gid(dim: Dim, mut vgids: Vec<GlobalId>) -> GlobalId {
 /// Pending residence of entities created during the local refinement pass:
 /// the parts (other than this one) that hold — or are about to hold — a
 /// copy, inherited from the split parent. Filled per part, drained by the
-/// relink exchange.
-type Pending = FxHashMap<MeshEnt, Vec<PartId>>;
+/// relink exchange. Residence sets are a handful of part ids, held inline.
+type Pending = FxHashMap<MeshEnt, InlineVec>;
 
 /// One part as the [`Host`] of a cavity sweep: the hooks keep gids, remote
 /// copies, pending residence and the optional vertex field coherent with
@@ -213,6 +229,16 @@ struct PartHost<'a> {
     splits: u64,
     /// The owned splits whose edge was shared.
     boundary_splits: u64,
+    /// Per vertex index: some element around the vertex has a shared or
+    /// ghost entity in its closure (see "Coarsening at the boundary").
+    /// Empty until [`PartHost::for_coarsening`] builds it.
+    veto: Vec<bool>,
+    /// Result buffer of the hooks' adjacency queries.
+    ents: Vec<MeshEnt>,
+    /// 3D: `(opposite vertex, residence)` of each part-boundary face
+    /// around the edge being split — its children and median edge inherit
+    /// it. Filled by `before_split`, drained by `after_split`.
+    face_res: Vec<(u32, InlineVec)>,
 }
 
 /// What the children of a split inherit from the entities it deletes.
@@ -220,10 +246,7 @@ struct SplitInherit {
     /// Gids of the split edge's endpoints.
     end_gids: [GlobalId; 2],
     /// Residence of the split edge.
-    edge_res: Vec<PartId>,
-    /// 3D: `(opposite vertex, residence)` of each part-boundary face
-    /// around the edge — its children and median edge inherit it.
-    face_res: Vec<(u32, Vec<PartId>)>,
+    edge_res: InlineVec,
 }
 
 impl<'a> PartHost<'a> {
@@ -234,16 +257,43 @@ impl<'a> PartHost<'a> {
             pending: Pending::default(),
             splits: 0,
             boundary_splits: 0,
+            veto: Vec::new(),
+            ents: Vec::new(),
+            face_res: Vec::new(),
         }
+    }
+
+    /// The host of a coarsen sweep: [`PartHost::new`] plus the veto table,
+    /// built from the boundary outward.
+    fn for_coarsening(part: &'a mut Part, field: Option<&'a mut Field>) -> Self {
+        let mut host = PartHost::new(part, field);
+        let mesh = &host.part.mesh;
+        let d_elem = mesh.elem_dim_t();
+        host.veto = vec![false; mesh.index_space(Dim::Vertex)];
+        for b in host.part.boundary_entities() {
+            debug_assert!(mesh.is_live(b), "boundary record on dead {b:?}");
+            if b.dim() == d_elem {
+                host.ents.clear();
+                host.ents.push(b);
+            } else {
+                mesh.adjacent_into(b, d_elem, &mut host.ents);
+            }
+            for &el in &host.ents {
+                for &v in mesh.verts_of(el) {
+                    host.veto[v as usize] = true;
+                }
+            }
+        }
+        host
     }
 
     /// Residence of `e`. An entity created earlier in this same pass is in
     /// `pending` rather than the remote lists.
-    fn residence_of(&self, e: MeshEnt) -> Vec<PartId> {
-        self.pending
-            .get(&e)
-            .cloned()
-            .unwrap_or_else(|| self.part.copy_parts(e))
+    fn residence_of(&self, e: MeshEnt) -> InlineVec {
+        match self.pending.get(&e) {
+            Some(res) => res.clone(),
+            None => self.part.remotes_of(e).iter().map(|&(p, _)| p).collect(),
+        }
     }
 
     /// Drop every record kept under the handle `slot`.
@@ -254,27 +304,25 @@ impl<'a> PartHost<'a> {
             f.remove(slot);
         }
     }
+}
 
-    /// Give `e` its content-derived gid unless it already has one.
-    fn assign_gid(&mut self, e: MeshEnt) {
-        if self.part.gid_of(e) == NO_GID {
-            let vg: Vec<GlobalId> = self
-                .part
-                .mesh
-                .verts_of(e)
-                .iter()
-                .map(|&v| self.part.gid_of(MeshEnt::vertex(v)))
-                .collect();
-            self.part.set_gid(e, content_gid(e.dim(), vg));
+/// Give `e` its content-derived gid unless it already has one.
+fn assign_gid(part: &mut Part, e: MeshEnt) {
+    if part.gid_of(e) == NO_GID {
+        let verts = part.mesh.verts_of(e);
+        let mut vg = [NO_GID; 8];
+        for (g, &v) in vg.iter_mut().zip(verts) {
+            *g = part.gid_of(MeshEnt::vertex(v));
         }
+        let gid = content_gid(e.dim(), &mut vg[..verts.len()]);
+        part.set_gid(e, gid);
     }
+}
 
-    fn find(&self, dim: Dim, verts: &[u32]) -> MeshEnt {
-        self.part
-            .mesh
-            .find_entity(dim, verts)
-            .expect("child entity missing after split")
-    }
+/// The child entity a split just built over `verts`.
+fn child(mesh: &Mesh, dim: Dim, verts: &[u32]) -> MeshEnt {
+    mesh.find_entity(dim, verts)
+        .expect("child entity missing after split")
 }
 
 impl Host for PartHost<'_> {
@@ -289,15 +337,17 @@ impl Host for PartHost<'_> {
     }
 
     fn before_split(&mut self, edge: MeshEnt, [a, b]: [u32; 2]) -> SplitInherit {
-        let mesh = &self.part.mesh;
-        let mut inherit = SplitInherit {
+        let inherit = SplitInherit {
             end_gids: [a, b].map(|v| self.part.gid_of(MeshEnt::vertex(v))),
             edge_res: self.residence_of(edge),
-            face_res: Vec::new(),
         };
-        let mut doomed: Vec<MeshEnt> = mesh.adjacent(edge, mesh.elem_dim_t());
+        // Doomed: the elements, (3D) the faces around the edge, the edge.
+        let mut doomed = std::mem::take(&mut self.ents);
+        let mesh = &self.part.mesh;
+        mesh.adjacent_into(edge, mesh.elem_dim_t(), &mut doomed);
+        debug_assert!(self.face_res.is_empty());
         if mesh.elem_dim() == 3 {
-            for f in mesh.up_ents(edge) {
+            for f in mesh.up(edge) {
                 let res = self.residence_of(f);
                 if !res.is_empty() {
                     let x = mesh
@@ -306,30 +356,35 @@ impl Host for PartHost<'_> {
                         .copied()
                         .find(|&v| v != a && v != b)
                         .expect("degenerate face");
-                    inherit.face_res.push((x, res));
+                    self.face_res.push((x, res));
                 }
                 doomed.push(f);
             }
         }
         doomed.push(edge);
-        for d in doomed {
+        for &d in &doomed {
             self.forget(d);
         }
+        self.ents = doomed;
         inherit
     }
 
     fn after_split(&mut self, inherit: SplitInherit, [a, b]: [u32; 2], m: MeshEnt) {
         let edge_res = inherit.edge_res;
-        let owned = edge_res.first().is_none_or(|&p| self.part.id < p);
+        let owned = edge_res.iter().next().is_none_or(|&p| self.part.id < p);
         self.splits += u64::from(owned);
         // Content-derived gids: the mid-vertex from the parent endpoints,
         // everything else (all new entities contain the mid-vertex) from
         // its own vertices.
+        let mut end_gids = inherit.end_gids;
         self.part
-            .set_gid(m, content_gid(Dim::Vertex, inherit.end_gids.to_vec()));
+            .set_gid(m, content_gid(Dim::Vertex, &mut end_gids));
         for d in 1..=self.part.mesh.elem_dim() {
-            for e in self.part.mesh.adjacent(m, Dim::from_usize(d)) {
-                self.assign_gid(e);
+            self.part
+                .mesh
+                .adjacent_into(m, Dim::from_usize(d), &mut self.ents);
+            for &e in &self.ents {
+                assign_gid(self.part, e);
             }
         }
         // Linear interpolation of vertex field values onto the mid-vertex.
@@ -351,20 +406,21 @@ impl Host for PartHost<'_> {
         }
         // Residence inheritance: new boundary entities go to `pending` for
         // the relink round (their remote indices are not yet known).
+        let mesh = &self.part.mesh;
         if !edge_res.is_empty() {
             self.boundary_splits += u64::from(owned);
-            self.pending.insert(m, edge_res.clone());
             for half in [[a, m.index()], [m.index(), b]] {
-                let he = self.find(Dim::Edge, &half);
+                let he = child(mesh, Dim::Edge, &half);
                 self.pending.insert(he, edge_res.clone());
             }
+            self.pending.insert(m, edge_res);
         }
-        for (x, res) in inherit.face_res {
+        for (x, res) in self.face_res.drain(..) {
             for tri in [[a, m.index(), x], [m.index(), b, x]] {
-                let f = self.find(Dim::Face, &tri);
+                let f = child(mesh, Dim::Face, &tri);
                 self.pending.insert(f, res.clone());
             }
-            let med = self.find(Dim::Edge, &[m.index(), x]);
+            let med = child(mesh, Dim::Edge, &[m.index(), x]);
             self.pending.insert(med, res);
         }
     }
@@ -372,12 +428,9 @@ impl Host for PartHost<'_> {
     /// The boundary veto: every entity a collapse deletes or creates lies
     /// in the closure of the cavity around `gone`, so a fully interior
     /// cavity can be modified without communication — and anything else
-    /// is refused.
+    /// is refused. One load from the sweep's table.
     fn may_modify_cavity(&self, gone: MeshEnt) -> bool {
-        let cavity = self.part.mesh.adjacent(gone, self.part.mesh.elem_dim_t());
-        !cavity
-            .iter()
-            .any(|&el| self.part.closure_touches_boundary(el))
+        !self.veto[gone.idx()]
     }
 
     fn after_collapse(&mut self, deleted: &[MeshEnt], created: &[MeshEnt]) {
@@ -386,10 +439,12 @@ impl Host for PartHost<'_> {
         for &d in deleted {
             self.forget(d);
         }
+        self.ents.clear();
         for &c in created {
-            for sub in self.part.mesh.closure(c) {
-                self.assign_gid(sub);
-            }
+            self.part.mesh.closure_into(c, &mut self.ents);
+        }
+        for &sub in &self.ents {
+            assign_gid(self.part, sub);
         }
     }
 }
@@ -401,11 +456,11 @@ impl Host for PartHost<'_> {
 /// parts disagreed about a boundary split. Collective.
 fn relink(comm: &Comm, dm: &mut DistMesh, pendings: &[Pending]) {
     let _span = pumi_obs::span!("adapt.relink");
-    let announce: Vec<Vec<(MeshEnt, &Vec<PartId>)>> = pendings
+    let announce: Vec<Vec<(MeshEnt, &[PartId])>> = pendings
         .iter()
         .map(|pending| {
-            let mut items: Vec<(MeshEnt, &Vec<PartId>)> =
-                pending.iter().map(|(&e, r)| (e, r)).collect();
+            let mut items: Vec<(MeshEnt, &[PartId])> =
+                pending.iter().map(|(&e, r)| (e, r.as_slice())).collect();
             items.sort_by_key(|&(e, _)| e);
             items
         })
@@ -504,12 +559,15 @@ fn adapt_inner(
         let mut pendings: Vec<Pending> = Vec::with_capacity(dm.parts.len());
         let mut splits = 0u64;
         let mut boundary = 0u64;
-        for (slot, part) in dm.parts.iter_mut().enumerate() {
-            let mut host = PartHost::new(part, field.as_deref_mut().map(|fs| &mut fs[slot]));
-            crate::refine::sweep(&mut host, size, opts.model, split_ratio);
-            splits += host.splits;
-            boundary += host.boundary_splits;
-            pendings.push(host.pending);
+        {
+            let _s = pumi_obs::span!("adapt.refine.sweep");
+            for (slot, part) in dm.parts.iter_mut().enumerate() {
+                let mut host = PartHost::new(part, field.as_deref_mut().map(|fs| &mut fs[slot]));
+                crate::refine::sweep(&mut host, size, opts.model, split_ratio);
+                splits += host.splits;
+                boundary += host.boundary_splits;
+                pendings.push(host.pending);
+            }
         }
         relink(comm, dm, &pendings);
         stats.splits = comm.allreduce_sum_u64(splits);
@@ -523,11 +581,23 @@ fn adapt_inner(
         let _s = pumi_obs::span!("adapt.coarsen");
         let mut collapses = 0u64;
         let mut vetoed = 0u64;
-        for (slot, part) in dm.parts.iter_mut().enumerate() {
-            let mut host = PartHost::new(part, field.as_deref_mut().map(|fs| &mut fs[slot]));
-            let (c, v) = crate::coarsen::sweep(&mut host, size, co);
-            collapses += c.collapses as u64;
-            vetoed += v as u64;
+        let mut fields = field.map(|fs| fs.iter_mut());
+        let mut hosts: Vec<PartHost> = {
+            let _s = pumi_obs::span!("adapt.coarsen.table");
+            dm.parts
+                .iter_mut()
+                .map(|part| {
+                    PartHost::for_coarsening(part, fields.as_mut().and_then(Iterator::next))
+                })
+                .collect()
+        };
+        {
+            let _s = pumi_obs::span!("adapt.coarsen.sweep");
+            for host in &mut hosts {
+                let (c, v) = crate::coarsen::sweep(host, size, co);
+                collapses += c.collapses as u64;
+                vetoed += v as u64;
+            }
         }
         stats.collapses = comm.allreduce_sum_u64(collapses);
         stats.vetoed_collapses = comm.allreduce_sum_u64(vetoed);
@@ -634,6 +704,80 @@ mod tests {
                 assert!(all_positive(&p.mesh));
             }
             pumi_core::verify::assert_dist_valid(c, &dm);
+        });
+    }
+
+    /// The veto as it was computed before it became a table, kept as the
+    /// reference: walk the closure of every element around `gone`.
+    fn closure_walk_allows(part: &Part, gone: MeshEnt) -> bool {
+        let mesh = &part.mesh;
+        !mesh.adjacent(gone, mesh.elem_dim_t()).iter().any(|&el| {
+            mesh.closure(el)
+                .into_iter()
+                .any(|s| part.is_shared(s) || part.is_ghost(s))
+        })
+    }
+
+    fn assert_table_is_the_walk(host: &PartHost, when: &str) {
+        for v in host.part.mesh.iter(Dim::Vertex) {
+            assert_eq!(
+                host.may_modify_cavity(v),
+                closure_walk_allows(host.part, v),
+                "part {} {v:?} {when}",
+                host.part.id
+            );
+        }
+    }
+
+    /// Refine one round (so slots have been reused), then on every part
+    /// compare the table with the closure walk at every live vertex —
+    /// before the coarsen sweep and, the invariance argument executed,
+    /// after it. Returns the world's collapses and vetoes.
+    fn table_vs_walk(c: &Comm, dm: &mut DistMesh, size: &SizeField) -> (u64, u64) {
+        let stats = adapt_dist(c, dm, size, AdaptOpts::new());
+        assert!(stats.boundary_splits > 0, "{stats:?}");
+        let (mut collapses, mut vetoed) = (0, 0);
+        for part in dm.parts.iter_mut() {
+            let mut host = PartHost::for_coarsening(part, None);
+            assert_table_is_the_walk(&host, "before the sweep");
+            let (st, v) = crate::coarsen::sweep(&mut host, size, CoarsenOpts::default());
+            assert_table_is_the_walk(&host, "after the sweep");
+            collapses += st.collapses as u64;
+            vetoed += v as u64;
+        }
+        pumi_check::check_dist(c, dm, pumi_check::CheckOpts::all()).expect("after the sweep");
+        (c.allreduce_sum_u64(collapses), c.allreduce_sum_u64(vetoed))
+    }
+
+    #[test]
+    fn veto_table_is_the_closure_walk() {
+        execute(2, |c| {
+            let serial = tri_rect(8, 8, 1.0, 1.0);
+            let labels = quadrant_labels(&serial);
+            let mut dm = distribute(c, PartMap::contiguous(4, 2), &serial, &labels);
+            let size = SizeField::shock(|p| p[0] + 0.4 * p[1] - 0.5, 0.06, 0.6, 0.05);
+            let (collapses, vetoed) = table_vs_walk(c, &mut dm, &size);
+            assert!(collapses > 0 && vetoed > 0, "{collapses} / {vetoed}");
+            // Ghost records veto as remote copies do.
+            grow_overlap(c, &mut dm, GhostOpts::new());
+            for part in dm.parts.iter_mut() {
+                assert!(part.num_ghosts() > 0);
+                let host = PartHost::for_coarsening(part, None);
+                assert_table_is_the_walk(&host, "with a ghost layer");
+            }
+        });
+        execute(4, |c| {
+            let serial = tet_box(6, 6, 6, 1.0, 1.0, 1.0);
+            let d = serial.elem_dim_t();
+            let mut labels = vec![0 as PartId; serial.index_space(d)];
+            for e in serial.iter(d) {
+                let x = serial.centroid(e);
+                labels[e.idx()] = (0..3).map(|k| PartId::from(x[k] >= 0.5) << k).sum();
+            }
+            let mut dm = distribute(c, PartMap::contiguous(8, 4), &serial, &labels);
+            let size = SizeField::shock(|p| p[0] + 0.4 * p[1] + 0.2 * p[2] - 0.8, 0.1, 0.8, 0.08);
+            let (collapses, vetoed) = table_vs_walk(c, &mut dm, &size);
+            assert!(collapses > 0 && vetoed > 0, "{collapses} / {vetoed}");
         });
     }
 

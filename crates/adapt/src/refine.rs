@@ -17,8 +17,7 @@ use crate::sizefield::SizeField;
 use crate::snap::snap_to_model;
 use pumi_geom::Model;
 use pumi_mesh::Mesh;
-use pumi_util::tag::TagData;
-use pumi_util::{Dim, MeshEnt, TagId};
+use pumi_util::{Dim, MeshEnt, TagStash};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -113,51 +112,102 @@ pub(crate) fn midpoint(mesh: &Mesh, verts: &[u32]) -> [f64; 3] {
     ]
 }
 
+/// What a cavity operation remembers of an entity it deletes, for the
+/// entities built in its place. The tags of the `k`-th remembered entity
+/// are row `k` of the operation's [`TagStash`].
+#[derive(Clone, Copy)]
+pub(crate) struct Old {
+    /// The vertex list by value; the first `topo.num_verts()` count.
+    verts: [u32; 8],
+    pub(crate) topo: pumi_mesh::Topology,
+    pub(crate) class: pumi_geom::GeomEnt,
+}
+
+impl Old {
+    pub(crate) fn of(mesh: &Mesh, e: MeshEnt) -> Old {
+        let src = mesh.verts_of(e);
+        let mut verts = [0; 8];
+        verts[..src.len()].copy_from_slice(src);
+        Old {
+            verts,
+            topo: mesh.topo(e),
+            class: mesh.class_of(e),
+        }
+    }
+
+    pub(crate) fn verts(&self) -> &[u32] {
+        &self.verts[..self.topo.num_verts()]
+    }
+
+    /// The same entity with vertex `from` replaced by `to`.
+    pub(crate) fn with_vertex(mut self, from: u32, to: u32) -> Old {
+        let n = self.topo.num_verts();
+        for v in self.verts[..n].iter_mut().filter(|v| **v == from) {
+            *v = to;
+        }
+        self
+    }
+}
+
+/// Buffers a run of [`split_edge_in`] calls shares, so that a split
+/// allocates nothing once they have grown to the largest cavity.
+#[derive(Default)]
+pub(crate) struct SplitScratch {
+    /// Handles being deleted, or the result of an adjacency query.
+    ents: Vec<MeshEnt>,
+    /// The cavity's elements.
+    elems: Vec<Old>,
+    /// 3D: the faces around the split edge.
+    faces: Vec<Old>,
+    /// Tags of `elems`, row for row.
+    tags: TagStash,
+}
+
 /// Split one edge, bisecting every adjacent element. Returns the new vertex.
 /// `model` enables boundary snapping of the new vertex.
 pub fn split_edge(mesh: &mut Mesh, edge: MeshEnt, model: Option<&Model>) -> MeshEnt {
+    split_edge_in(mesh, edge, model, &mut SplitScratch::default())
+}
+
+/// [`split_edge`] on the caller's buffers.
+pub(crate) fn split_edge_in(
+    mesh: &mut Mesh,
+    edge: MeshEnt,
+    model: Option<&Model>,
+    scratch: &mut SplitScratch,
+) -> MeshEnt {
     debug_assert_eq!(edge.dim(), Dim::Edge);
+    let SplitScratch {
+        ents,
+        elems,
+        faces,
+        tags,
+    } = scratch;
     let elem_dim = mesh.elem_dim();
-    let d_elem = mesh.elem_dim_t();
     let [a, b] = [mesh.verts_of(edge)[0], mesh.verts_of(edge)[1]];
     let class = mesh.class_of(edge);
 
-    // Record the cavity.
-    struct OldElem {
-        verts: Vec<u32>,
-        topo: pumi_mesh::Topology,
-        class: pumi_geom::GeomEnt,
-        tags: Vec<(TagId, TagData)>,
+    // Record the cavity, then delete it top-down: elements, then (3D) the
+    // faces containing the edge, then the edge itself.
+    mesh.adjacent_into(edge, mesh.elem_dim_t(), ents);
+    debug_assert!(!ents.is_empty(), "split of orphan edge");
+    elems.clear();
+    tags.clear();
+    for &e in ents.iter() {
+        elems.push(Old::of(mesh, e));
+        mesh.tags().save(e, tags);
     }
-    let cavity: Vec<OldElem> = mesh
-        .adjacent(edge, d_elem)
-        .into_iter()
-        .map(|e| OldElem {
-            verts: mesh.verts_of(e).to_vec(),
-            topo: mesh.topo(e),
-            class: mesh.class_of(e),
-            tags: mesh.tags().collect(e),
-        })
-        .collect();
-    debug_assert!(!cavity.is_empty(), "split of orphan edge");
-    // Faces containing the edge (3D): their children and median edges must
-    // inherit their classification (a split boundary face stays boundary).
-    let split_faces: Vec<(Vec<u32>, pumi_geom::GeomEnt)> = if elem_dim == 3 {
-        mesh.up_ents(edge)
-            .into_iter()
-            .map(|f| (mesh.verts_of(f).to_vec(), mesh.class_of(f)))
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    // Delete top-down: elements, then (3D) the faces containing the edge,
-    // then the edge itself.
-    for e in mesh.adjacent(edge, d_elem) {
+    for &e in ents.iter() {
         mesh.delete(e);
     }
+    // Faces containing the edge (3D): their children and median edges must
+    // inherit their classification (a split boundary face stays boundary).
+    faces.clear();
     if elem_dim == 3 {
-        for f in mesh.up_ents(edge) {
+        ents.clear();
+        ents.extend(mesh.up(edge));
+        for &f in ents.iter() {
+            faces.push(Old::of(mesh, f));
             mesh.delete(f);
         }
     }
@@ -171,18 +221,11 @@ pub fn split_edge(mesh: &mut Mesh, edge: MeshEnt, model: Option<&Model>) -> Mesh
     let m = mesh.add_vertex(p, class);
 
     // Two children per cavity element: a→m and b→m.
-    for old in &cavity {
-        for (replace, keep) in [(a, b), (b, a)] {
-            let _ = keep;
-            let verts: Vec<u32> = old
-                .verts
-                .iter()
-                .map(|&v| if v == replace { m.index() } else { v })
-                .collect();
-            let child = mesh.add_entity(old.topo, &verts, old.class);
-            for (tid, data) in &old.tags {
-                mesh.tags_mut().set(*tid, child, data.clone());
-            }
+    for (row, old) in elems.iter().enumerate() {
+        for replace in [a, b] {
+            let new = old.with_vertex(replace, m.index());
+            let child = mesh.add_entity(new.topo, new.verts(), new.class);
+            mesh.tags_mut().restore(tags, row, child);
         }
     }
     // Restore classification of the bisected lower entities: implicit
@@ -195,19 +238,16 @@ pub fn split_edge(mesh: &mut Mesh, edge: MeshEnt, model: Option<&Model>) -> Mesh
         }
     }
     // Child faces and median edges lie inside the split faces (3D):
-    for (fverts, fclass) in &split_faces {
-        for (replace, _) in [(a, b), (b, a)] {
-            let child_verts: Vec<u32> = fverts
-                .iter()
-                .map(|&v| if v == replace { m.index() } else { v })
-                .collect();
-            if let Some(f) = mesh.find_entity(Dim::Face, &child_verts) {
-                mesh.set_class(f, *fclass);
+    for old in faces.iter() {
+        for replace in [a, b] {
+            let child = old.with_vertex(replace, m.index());
+            if let Some(f) = mesh.find_entity(Dim::Face, child.verts()) {
+                mesh.set_class(f, old.class);
             }
         }
-        for &x in fverts.iter().filter(|&&v| v != a && v != b) {
+        for &x in old.verts().iter().filter(|&&v| v != a && v != b) {
             if let Some(e) = mesh.find_entity(Dim::Edge, &[m.index(), x]) {
-                mesh.set_class(e, *fclass);
+                mesh.set_class(e, old.class);
             }
         }
     }
@@ -242,6 +282,8 @@ pub(crate) fn sweep<H: Host>(
         }
     }
     let mut splits = 0usize;
+    let mut scratch = SplitScratch::default();
+    let mut around = Vec::new();
     while let Some(item) = heap.pop() {
         let mesh = host.mesh();
         // Lazy validation: the slot may have been reused.
@@ -257,12 +299,13 @@ pub(crate) fn sweep<H: Host>(
             continue;
         }
         let inherit = host.before_split(item.edge, ends);
-        let m = split_edge(host.mesh_mut(), item.edge, model);
+        let m = split_edge_in(host.mesh_mut(), item.edge, model, &mut scratch);
         splits += 1;
         host.after_split(inherit, ends, m);
         // New candidates: every edge at the new vertex.
         let mesh = host.mesh();
-        for e in mesh.adjacent(m, Dim::Edge) {
+        mesh.adjacent_into(m, Dim::Edge, &mut around);
+        for &e in &around {
             if let Some(len) = oversized_len(mesh, mesh.verts_of(e), size, split_ratio) {
                 heap.push(HeapItem::new(mesh, e, len));
             }

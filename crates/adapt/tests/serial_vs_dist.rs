@@ -81,6 +81,18 @@ fn coarsen_case() -> Case {
     }
 }
 
+/// 3-D with the collapse loop: a coarse far field over a box fine enough
+/// that every octant keeps interior cavities, so the 8-part arm both
+/// collapses and vetoes.
+fn tet_coarsen_case() -> Case {
+    Case {
+        mesh: || tet_box(6, 6, 6, 1.0, 1.0, 1.0),
+        size: SizeField::shock(|p| p[0] + 0.4 * p[1] + 0.2 * p[2] - 0.8, 0.1, 0.8, 0.08),
+        coarsen: Some(CoarsenOpts::default()),
+        ..tet_case()
+    }
+}
+
 /// A curved model: new wall vertices are snapped to the vessel wall, on
 /// four axial slabs.
 fn vessel_case() -> Case {
@@ -257,6 +269,25 @@ fn serial_vs_dist_3d() {
 #[test]
 fn serial_vs_dist_coarsening() {
     check_invariance(&coarsen_case(), 1);
+}
+
+/// 3-D coarsening on 8 parts over 4 ranks: the veto makes the result
+/// depend on the partition, so the witness is not the serial mesh but the
+/// run itself — `check_dist(all)` after both phases (inside `run_arm`),
+/// the same mesh under either chaos seed, and the counts and
+/// `struct_hash` taken when the veto still walked every cavity's closure.
+#[test]
+fn dist_coarsening_3d_is_pinned() {
+    let case = tet_coarsen_case();
+    let (a, a_hash, a_vetoed) = run_arm(&case, 4, case.nparts, Some(1));
+    let (b, b_hash, b_vetoed) = run_arm(&case, 4, case.nparts, Some(7));
+    assert_eq!(
+        (&a, a_hash, a_vetoed),
+        (&b, b_hash, b_vetoed),
+        "seed 1 != seed 7"
+    );
+    assert_eq!((a.splits, a.collapses, a_vetoed), (302, 56, 3411));
+    assert_eq!(a_hash, 0xbca3_b2ad_80d5_08db);
 }
 
 /// `AdaptOpts::model`: snapped wall vertices land on the geometry and where

@@ -278,19 +278,16 @@ impl Part {
         self.remotes_of(e).iter().map(|&(p, _)| p).collect()
     }
 
-    /// Whether the closure of `e` (the entity and all its downward
-    /// adjacencies) touches the part boundary or a ghost copy. Collapse
-    /// safety in distributed adaptation keys on this: a cavity whose
-    /// closure is entirely interior can be modified without any
-    /// communication.
-    pub fn closure_touches_boundary(&self, e: MeshEnt) -> bool {
-        if self.is_shared(e) || self.is_ghost(e) {
-            return true;
-        }
-        self.mesh
-            .closure(e)
-            .into_iter()
-            .any(|s| self.is_shared(s) || self.is_ghost(s))
+    /// Every entity with a remote-copy or ghost record, in no particular
+    /// order and without the sort [`Part::shared_entities`] pays: what the
+    /// part cannot modify on its own. Distributed coarsening derives its
+    /// per-sweep veto table from these, so the table costs the boundary,
+    /// not the part.
+    pub fn boundary_entities(&self) -> impl Iterator<Item = MeshEnt> + '_ {
+        self.remotes
+            .keys()
+            .chain(self.ghosts.keys().filter(|e| !self.remotes.contains_key(e)))
+            .copied()
     }
 
     /// Iterate all shared (part-boundary) entities with their remote lists,
@@ -604,13 +601,14 @@ mod tests {
         let mut p = Part::new(1, 2);
         let v = p.add_vertex([0.; 3], NO_GEOM, 5);
         assert!(p.is_owned(v) && !p.is_shared(v)); // interior: not shared
-        assert!(!p.closure_touches_boundary(v));
+        assert_eq!(p.boundary_entities().count(), 0);
         p.set_remotes(v, vec![(3, 0)]);
         assert!(p.is_owned(v) && p.is_shared(v)); // shared, owner = min(1, 3) = 1
         assert_eq!(p.copy_parts(v), vec![3]);
         p.set_remotes(v, vec![(0, 0)]);
         assert!(!p.is_owned(v)); // part 0 owns it now
-        assert!(p.closure_touches_boundary(v));
+        p.set_ghost(v, (0, 0));
+        assert_eq!(p.boundary_entities().collect::<Vec<_>>(), vec![v]);
     }
 
     #[test]

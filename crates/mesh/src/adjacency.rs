@@ -23,71 +23,76 @@ impl Mesh {
     /// Results are deduplicated and returned in first-encountered order
     /// (deterministic given the mesh construction order).
     pub fn adjacent(&self, e: MeshEnt, target: Dim) -> Vec<MeshEnt> {
+        let mut out = Vec::new();
+        self.adjacent_into(e, target, &mut out);
+        out
+    }
+
+    /// [`Mesh::adjacent`] into a buffer the caller keeps: `out` is cleared
+    /// and filled, so a loop of queries allocates nothing once the buffer
+    /// has grown to the largest neighbourhood.
+    pub fn adjacent_into(&self, e: MeshEnt, target: Dim, out: &mut Vec<MeshEnt>) {
+        out.clear();
         let d = e.dim().as_usize();
         let t = target.as_usize();
         use std::cmp::Ordering;
         match t.cmp(&d) {
-            Ordering::Less => self.downward(e, target),
-            Ordering::Greater => self.upward(e, target),
+            Ordering::Less => self.downward(e, target, out),
+            Ordering::Greater => self.upward(e, target, out),
             Ordering::Equal => {
                 let bridge = if d == 0 {
                     Dim::Edge
                 } else {
                     Dim::from_usize(d - 1)
                 };
-                self.neighbors_via(e, bridge)
+                out.extend(self.neighbors_via(e, bridge));
             }
         }
     }
 
-    /// Downward adjacency to an arbitrary lower dimension.
-    fn downward(&self, e: MeshEnt, target: Dim) -> Vec<MeshEnt> {
+    /// Append the downward adjacency of `e` in a lower dimension to `out`.
+    fn downward(&self, e: MeshEnt, target: Dim, out: &mut Vec<MeshEnt>) {
         let d = e.dim().as_usize();
         let t = target.as_usize();
         debug_assert!(t < d);
         if t == 0 {
             // Fast path: vertex lists are stored directly.
-            return self
-                .verts_of(e)
-                .iter()
-                .map(|&v| MeshEnt::vertex(v))
-                .collect();
-        }
-        if t + 1 == d {
-            return self.down_ents(e);
-        }
-        // d=3, t=1: region → faces → edges with dedupe (≤ 12 edges for hex).
-        let mut out: Vec<MeshEnt> = Vec::with_capacity(12);
-        for f in self.down_ents(e) {
-            for sub in self.down_ents(f) {
-                if !out.contains(&sub) {
-                    out.push(sub);
-                }
-            }
-        }
-        out
-    }
-
-    /// Upward adjacency to an arbitrary higher dimension.
-    fn upward(&self, e: MeshEnt, target: Dim) -> Vec<MeshEnt> {
-        let d = e.dim().as_usize();
-        let t = target.as_usize();
-        debug_assert!(t > d);
-        let mut frontier: Vec<MeshEnt> = self.up_ents(e);
-        let mut level = d + 1;
-        while level < t {
-            let mut next: Vec<MeshEnt> = Vec::with_capacity(frontier.len() * 2);
-            for x in &frontier {
-                for u in self.up_ents(*x) {
-                    if !next.contains(&u) {
-                        next.push(u);
+            out.extend(self.verts_of(e).iter().map(|&v| MeshEnt::vertex(v)));
+        } else if t + 1 == d {
+            out.extend(self.down(e));
+        } else {
+            // d=3, t=1: region → faces → edges with dedupe (≤ 12 edges for hex).
+            let start = out.len();
+            for f in self.down(e) {
+                for sub in self.down(f) {
+                    if !out[start..].contains(&sub) {
+                        out.push(sub);
                     }
                 }
             }
-            frontier = next;
-            level += 1;
         }
-        frontier
+    }
+
+    /// Append the upward adjacency of `e` in a higher dimension to `out`
+    /// (`out` must be empty: each level is expanded in place).
+    fn upward(&self, e: MeshEnt, target: Dim, out: &mut Vec<MeshEnt>) {
+        let d = e.dim().as_usize();
+        let t = target.as_usize();
+        debug_assert!(t > d && out.is_empty());
+        out.extend(self.up(e));
+        for _ in d + 1..t {
+            // The next level goes behind the current one, which is then
+            // dropped from the front.
+            let frontier = out.len();
+            for k in 0..frontier {
+                for u in self.up(out[k]) {
+                    if !out[frontier..].contains(&u) {
+                        out.push(u);
+                    }
+                }
+            }
+            out.drain(..frontier);
+        }
     }
 
     /// Same-dimension neighbours of `e` bridged through `bridge` entities:
@@ -95,19 +100,23 @@ impl Mesh {
     /// with `e`. `e` itself is excluded.
     pub fn neighbors_via(&self, e: MeshEnt, bridge: Dim) -> Vec<MeshEnt> {
         let d = e.dim();
-        let bridges: Vec<MeshEnt> = if bridge.as_usize() < d.as_usize() {
-            self.downward(e, bridge)
+        let down = bridge.as_usize() < d.as_usize();
+        let mut bridges = Vec::new();
+        if down {
+            self.downward(e, bridge, &mut bridges);
         } else {
-            self.upward(e, bridge)
-        };
+            self.upward(e, bridge, &mut bridges);
+        }
         let mut out = Vec::new();
+        let mut peers = Vec::new();
         for b in bridges {
-            let peers = if bridge.as_usize() < d.as_usize() {
-                self.upward(b, d)
+            peers.clear();
+            if down {
+                self.upward(b, d, &mut peers);
             } else {
-                self.downward(b, d)
-            };
-            for p in peers {
+                self.downward(b, d, &mut peers);
+            }
+            for &p in &peers {
                 if p != e && !out.contains(&p) {
                     out.push(p);
                 }
@@ -121,11 +130,16 @@ impl Mesh {
     /// then edges, ...), which is the creation order migration needs.
     pub fn closure(&self, e: MeshEnt) -> Vec<MeshEnt> {
         let mut out = Vec::new();
+        self.closure_into(e, &mut out);
+        out
+    }
+
+    /// Append [`Mesh::closure`] of `e` to a buffer the caller keeps.
+    pub fn closure_into(&self, e: MeshEnt, out: &mut Vec<MeshEnt>) {
         for t in 0..e.dim().as_usize() {
-            out.extend(self.downward(e, Dim::from_usize(t)));
+            self.downward(e, Dim::from_usize(t), out);
         }
         out.push(e);
-        out
     }
 
     /// Whether the side `s` (dimension `elem_dim - 1`) lies on the mesh's

@@ -24,6 +24,9 @@ pub struct MeshMemory {
     pub classification: usize,
     /// Find-or-create indexes (edge/face lookups).
     pub lookups: usize,
+    /// Tag value arrays: per tag and dimension, slots × value width plus
+    /// the presence mask.
+    pub tags: usize,
 }
 
 impl MeshMemory {
@@ -35,6 +38,7 @@ impl MeshMemory {
             + self.upward
             + self.classification
             + self.lookups
+            + self.tags
     }
 }
 
@@ -74,6 +78,7 @@ impl Mesh {
         // Hash maps: entries ≈ live edges + faces, ~1.5x overhead factor.
         m.lookups += self.count(Dim::Edge) * (8 + 4) * 3 / 2;
         m.lookups += self.count(Dim::Face) * (16 + 4) * 3 / 2;
+        m.tags = self.tags().memory_bytes();
         m
     }
 }
@@ -135,5 +140,16 @@ mod tests {
         }
         let t2 = m.memory_usage().total();
         assert!(t2 > t1 * 3 / 2, "{t1} -> {t2}");
+
+        // A scalar Double tag on every face: 8 bytes + 1 presence byte per
+        // face slot, nothing for the dimensions it was never set on.
+        assert_eq!(m.memory_usage().tags, 0);
+        let w = m.tags_mut().declare("w", pumi_util::TagKind::Double, 1);
+        for f in m.snapshot(pumi_util::Dim::Face) {
+            m.tags_mut().set_dbl(w, f, 1.0);
+        }
+        let mem = m.memory_usage();
+        assert_eq!(mem.tags, 48 * 9);
+        assert_eq!(mem.total(), t2 + mem.tags);
     }
 }

@@ -273,8 +273,12 @@ impl Mesh {
                 // Edge downs are its vertices directly.
                 MeshEnt::vertex(everts[tpl[0]])
             } else {
-                let sub_verts: Vec<u32> = tpl.iter().map(|&li| everts[li]).collect();
-                self.add_entity(*sub, &sub_verts, class)
+                // A side has at most four vertices (quad).
+                let mut sub_verts = [PAD; 4];
+                for (sv, &li) in sub_verts.iter_mut().zip(*tpl) {
+                    *sv = everts[li];
+                }
+                self.add_entity(*sub, &sub_verts[..tpl.len()], class)
             };
             self.down[dd][i_us * ds + k] = sub_ent.index();
             self.up[dd - 1][sub_ent.idx()].push(i);
@@ -326,13 +330,13 @@ impl Mesh {
         if d > 0 {
             let vs = vstride(d);
             let nv = self.topo[d][i].num_verts();
-            let everts: Vec<u32> = self.verts[d][i * vs..i * vs + nv].to_vec();
+            let everts = &self.verts[d][i * vs..i * vs + nv];
             match d {
                 1 => {
                     self.edge_lookup.remove(&edge_key(everts[0], everts[1]));
                 }
                 2 => {
-                    self.face_lookup.remove(&face_key(&everts));
+                    self.face_lookup.remove(&face_key(everts));
                 }
                 _ => {}
             }
@@ -354,10 +358,13 @@ impl Mesh {
     /// Delete an entity and then every downward entity left with no upward
     /// adjacency (cascading closure deletion, used by coarsening/migration).
     pub fn delete_with_orphans(&mut self, e: MeshEnt) {
-        let d = e.dim().as_usize();
-        let downs: Vec<MeshEnt> = if d > 0 { self.down_ents(e) } else { Vec::new() };
+        let mut downs = [e; 6];
+        let nd = self.down(e).len();
+        for (slot, sub) in downs.iter_mut().zip(self.down(e)) {
+            *slot = sub;
+        }
         self.delete(e);
-        for sub in downs {
+        for &sub in &downs[..nd] {
             let sd = sub.dim().as_usize();
             if self.alive[sd][sub.idx()] && self.up[sd][sub.idx()].is_empty() {
                 self.delete_with_orphans(sub);
@@ -385,31 +392,47 @@ impl Mesh {
         &self.verts[d][e.idx() * vs..e.idx() * vs + nv]
     }
 
-    /// One-level-down entity handles of `e`.
-    pub fn down_ents(&self, e: MeshEnt) -> Vec<MeshEnt> {
+    /// One-level-down entity handles of `e`, straight from storage (none
+    /// for a vertex).
+    pub fn down(&self, e: MeshEnt) -> impl ExactSizeIterator<Item = MeshEnt> + '_ {
         let d = e.dim().as_usize();
-        assert!(d > 0, "vertices have no downward adjacency");
-        let sub_dim = Dim::from_usize(d - 1);
+        let sub_dim = Dim::from_usize(d.saturating_sub(1));
         let ds = dstride(d);
         let nd = self.topo[d][e.idx()].num_down();
-        self.down[d][e.idx() * ds..e.idx() * ds + nd]
-            .iter()
-            .map(|&i| MeshEnt::new(sub_dim, i))
-            .collect()
+        let stored = if d > 0 {
+            &self.down[d][e.idx() * ds..e.idx() * ds + nd]
+        } else {
+            &[]
+        };
+        stored.iter().map(move |&i| MeshEnt::new(sub_dim, i))
+    }
+
+    /// One-level-down entity handles of `e`.
+    pub fn down_ents(&self, e: MeshEnt) -> Vec<MeshEnt> {
+        assert!(
+            e.dim() != Dim::Vertex,
+            "vertices have no downward adjacency"
+        );
+        self.down(e).collect()
     }
 
     /// One-level-up entity handles of `e` (entities of dim d+1 bounded by
-    /// `e`), in adjacency-list order.
-    pub fn up_ents(&self, e: MeshEnt) -> Vec<MeshEnt> {
+    /// `e`), in adjacency-list order, straight from storage (none for a
+    /// region).
+    pub fn up(&self, e: MeshEnt) -> impl ExactSizeIterator<Item = MeshEnt> + '_ {
         let d = e.dim().as_usize();
-        if d >= 3 {
-            return Vec::new();
-        }
-        let up_dim = Dim::from_usize(d + 1);
-        self.up[d][e.idx()]
-            .iter()
-            .map(|&i| MeshEnt::new(up_dim, i))
-            .collect()
+        let up_dim = Dim::from_usize((d + 1).min(3));
+        let stored = if d < 3 {
+            self.up[d][e.idx()].as_slice()
+        } else {
+            &[]
+        };
+        stored.iter().map(move |&i| MeshEnt::new(up_dim, i))
+    }
+
+    /// One-level-up entity handles of `e`, collected.
+    pub fn up_ents(&self, e: MeshEnt) -> Vec<MeshEnt> {
+        self.up(e).collect()
     }
 
     /// Number of one-level-up adjacencies without allocating.

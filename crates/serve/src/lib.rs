@@ -387,7 +387,7 @@ fn extract_labeled(src: &Part, labels: &[PartId], want: PartId) -> Part {
             .declare(tm.name(tid), tm.kind(tid), tm.len_of(tid));
         for &(old, new) in &emap {
             if let Some(data) = tm.get(tid, old) {
-                out.mesh.tags_mut().set(ntid, new, data.clone());
+                out.mesh.tags_mut().set(ntid, new, data);
             }
         }
     }

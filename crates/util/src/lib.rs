@@ -28,4 +28,4 @@ pub use ids::{Dim, GlobalId, MeshEnt, PartId, INVALID_ENT};
 pub use inline::InlineVec;
 pub use set::EntSet;
 pub use stats::{imbalance, Counter, Timer};
-pub use tag::{TagData, TagId, TagKind, TagManager};
+pub use tag::{TagData, TagId, TagKind, TagManager, TagStash};

@@ -6,7 +6,9 @@
 //! [`TagId`]; values are then attached per entity. Tag data migrates with
 //! entities and is carried by ghost copies, so values must serialize — the
 //! supported kinds mirror MOAB's: integers, doubles, and opaque bytes, scalar
-//! or fixed-length array.
+//! or fixed-length array. Values live in per-dimension arrays indexed by the
+//! entity's slot (see [`TagManager`]); [`TagData`] is the form they are
+//! exchanged in.
 
 use crate::fxhash::FxHashMap;
 use crate::ids::MeshEnt;
@@ -110,23 +112,128 @@ impl TagData {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TagId(pub u32);
 
-#[derive(Debug, Clone)]
-struct TagDecl {
+/// One declared tag and its values: dense per entity dimension, in the
+/// manner of `pumi_field::Field`. A dimension the tag was never set on stays
+/// empty.
+#[derive(Debug)]
+struct Column {
     name: String,
     kind: TagKind,
+    /// The declared array length.
     len: usize,
+    /// Per dimension: whether the slot holds a value.
+    present: [Vec<bool>; 4],
+    /// `Int`/`Double` tags: `width` words per slot, each a value's bit
+    /// pattern.
+    words: [Vec<u64>; 4],
+    /// `Bytes` tags: one buffer per slot.
+    blobs: [Vec<Vec<u8>>; 4],
+    /// Slots holding a value, over all dimensions.
+    count: usize,
+}
+
+impl Column {
+    /// 8-byte words per slot: `len` for an `Int`/`Double` tag, none for a
+    /// `Bytes` tag.
+    #[inline]
+    fn width(&self) -> usize {
+        match self.kind {
+            TagKind::Int | TagKind::Double => self.len,
+            TagKind::Bytes => 0,
+        }
+    }
+
+    #[inline]
+    fn has(&self, ent: MeshEnt) -> bool {
+        self.present[ent.dim().as_usize()]
+            .get(ent.idx())
+            .copied()
+            .unwrap_or(false)
+    }
+
+    /// The fixed-width value of `ent` as stored, if it has one.
+    #[inline]
+    fn words_of(&self, ent: MeshEnt) -> Option<&[u64]> {
+        let (d, i, w) = (ent.dim().as_usize(), ent.idx(), self.width());
+        self.has(ent).then(|| &self.words[d][i * w..(i + 1) * w])
+    }
+
+    /// The slot of `ent`, grown to reach it and marked as holding a value:
+    /// `(dimension, index)`.
+    fn occupy(&mut self, ent: MeshEnt) -> (usize, usize) {
+        let (d, i) = (ent.dim().as_usize(), ent.idx());
+        if i >= self.present[d].len() {
+            self.present[d].resize(i + 1, false);
+            self.words[d].resize((i + 1) * self.width(), 0);
+            if self.kind == TagKind::Bytes {
+                self.blobs[d].resize(i + 1, Vec::new());
+            }
+        }
+        let had = std::mem::replace(&mut self.present[d][i], true);
+        self.count += usize::from(!had);
+        (d, i)
+    }
+
+    /// The words of slot `(d, i)`.
+    fn slot_mut(&mut self, (d, i): (usize, usize)) -> &mut [u64] {
+        let w = self.width();
+        &mut self.words[d][i * w..(i + 1) * w]
+    }
+
+    /// Empty the slot of `ent`.
+    fn vacate(&mut self, ent: MeshEnt) {
+        let (d, i) = (ent.dim().as_usize(), ent.idx());
+        if self.has(ent) {
+            self.present[d][i] = false;
+            self.count -= 1;
+            if let Some(blob) = self.blobs[d].get_mut(i) {
+                *blob = Vec::new();
+            }
+        }
+    }
 }
 
 /// Declares tags and stores per-entity values.
 ///
-/// One manager exists per mesh part. Storage is a sparse map per tag:
-/// most tags touch a subset of entities (e.g. a size field only on vertices).
+/// One manager exists per mesh part. Storage is slot-indexed: each tag keeps,
+/// per entity dimension, an array indexed by [`MeshEnt::idx`] plus a presence
+/// mask, grown lazily to the highest index ever set — how DMPlex attaches
+/// data to mesh points through a section rather than a map per label.
+/// Fixed-length `Int`/`Double` values sit in one flat column, so reading,
+/// writing, deleting an entity or handing a value on to its children costs
+/// an index, not a hash and not a heap value. [`TagData`] is the exchange
+/// form: what [`TagManager::set`] takes, what [`TagManager::get`] and
+/// [`TagManager::collect`] build, and what goes on the wire.
 #[derive(Debug, Default)]
 pub struct TagManager {
-    decls: Vec<TagDecl>,
     by_name: FxHashMap<String, TagId>,
-    /// values[tag.0][entity] -> data
-    values: Vec<FxHashMap<MeshEnt, TagData>>,
+    /// `columns[tag.0]`
+    columns: Vec<Column>,
+}
+
+/// Tag values saved from entities a cavity operation is about to delete, for
+/// the entities it creates in their place — possibly in the very same slots —
+/// to inherit ([`TagManager::save`], [`TagManager::restore`]). Meant to be
+/// kept and [cleared](TagStash::clear) between operations, so that saving
+/// and restoring fixed-length values allocates nothing once it has grown.
+#[derive(Debug, Default)]
+pub struct TagStash {
+    /// Row `r` is `vals[rows[r]..rows[r + 1]]` (the last row runs to the end).
+    rows: Vec<u32>,
+    /// `(tag, start, length)` in `words` (`Int`/`Double`) or `bytes`.
+    vals: Vec<(TagId, u32, u32)>,
+    words: Vec<u64>,
+    bytes: Vec<u8>,
+}
+
+impl TagStash {
+    /// Forget every saved row, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+        self.vals.clear();
+        self.words.clear();
+        self.bytes.clear();
+    }
 }
 
 impl TagManager {
@@ -143,21 +250,24 @@ impl TagManager {
     /// Panics if the name exists with a different kind or length.
     pub fn declare(&mut self, name: &str, kind: TagKind, len: usize) -> TagId {
         if let Some(&id) = self.by_name.get(name) {
-            let d = &self.decls[id.0 as usize];
+            let d = &self.columns[id.0 as usize];
             assert!(
                 d.kind == kind && d.len == len,
                 "tag '{name}' re-declared with different signature"
             );
             return id;
         }
-        let id = TagId(self.decls.len() as u32);
-        self.decls.push(TagDecl {
+        let id = TagId(self.columns.len() as u32);
+        self.by_name.insert(name.to_string(), id);
+        self.columns.push(Column {
             name: name.to_string(),
             kind,
             len,
+            present: Default::default(),
+            words: Default::default(),
+            blobs: Default::default(),
+            count: 0,
         });
-        self.by_name.insert(name.to_string(), id);
-        self.values.push(FxHashMap::default());
         id
     }
 
@@ -168,27 +278,27 @@ impl TagManager {
 
     /// The tag's name.
     pub fn name(&self, tag: TagId) -> &str {
-        &self.decls[tag.0 as usize].name
+        &self.columns[tag.0 as usize].name
     }
 
     /// The tag's kind.
     pub fn kind(&self, tag: TagId) -> TagKind {
-        self.decls[tag.0 as usize].kind
+        self.columns[tag.0 as usize].kind
     }
 
     /// The tag's declared array length.
     pub fn len_of(&self, tag: TagId) -> usize {
-        self.decls[tag.0 as usize].len
+        self.columns[tag.0 as usize].len
     }
 
     /// Number of declared tags.
     pub fn num_tags(&self) -> usize {
-        self.decls.len()
+        self.columns.len()
     }
 
     /// All declared tag ids.
     pub fn tags(&self) -> impl Iterator<Item = TagId> + '_ {
-        (0..self.decls.len() as u32).map(TagId)
+        (0..self.columns.len() as u32).map(TagId)
     }
 
     /// Attach a value to an entity.
@@ -196,88 +306,160 @@ impl TagManager {
     /// # Panics
     /// Panics (debug) if the value kind or length mismatches the declaration.
     pub fn set(&mut self, tag: TagId, ent: MeshEnt, data: TagData) {
-        debug_assert_eq!(data.kind(), self.decls[tag.0 as usize].kind);
-        match &data {
-            TagData::Ints(v) => debug_assert_eq!(v.len(), self.decls[tag.0 as usize].len),
-            TagData::Dbls(v) => debug_assert_eq!(v.len(), self.decls[tag.0 as usize].len),
-            TagData::Bytes(_) => {}
+        let col = &mut self.columns[tag.0 as usize];
+        debug_assert_eq!(data.kind(), col.kind);
+        let at = col.occupy(ent);
+        match data {
+            TagData::Ints(v) => {
+                debug_assert_eq!(v.len(), col.width());
+                for (slot, x) in col.slot_mut(at).iter_mut().zip(v) {
+                    *slot = x as u64;
+                }
+            }
+            TagData::Dbls(v) => {
+                debug_assert_eq!(v.len(), col.width());
+                for (slot, x) in col.slot_mut(at).iter_mut().zip(v) {
+                    *slot = x.to_bits();
+                }
+            }
+            TagData::Bytes(v) => col.blobs[at.0][at.1] = v,
         }
-        self.values[tag.0 as usize].insert(ent, data);
     }
 
     /// Convenience: attach a scalar double.
     pub fn set_dbl(&mut self, tag: TagId, ent: MeshEnt, x: f64) {
-        self.set(tag, ent, TagData::Dbls(vec![x]));
+        let col = &mut self.columns[tag.0 as usize];
+        debug_assert_eq!((col.kind, col.width()), (TagKind::Double, 1));
+        let at = col.occupy(ent);
+        col.slot_mut(at)[0] = x.to_bits();
     }
 
     /// Convenience: attach a scalar integer.
     pub fn set_int(&mut self, tag: TagId, ent: MeshEnt, x: i64) {
-        self.set(tag, ent, TagData::Ints(vec![x]));
+        let col = &mut self.columns[tag.0 as usize];
+        debug_assert_eq!((col.kind, col.width()), (TagKind::Int, 1));
+        let at = col.occupy(ent);
+        col.slot_mut(at)[0] = x as u64;
     }
 
-    /// Read a value.
-    pub fn get(&self, tag: TagId, ent: MeshEnt) -> Option<&TagData> {
-        self.values[tag.0 as usize].get(&ent)
+    /// Read a value, in its exchange form.
+    pub fn get(&self, tag: TagId, ent: MeshEnt) -> Option<TagData> {
+        let col = &self.columns[tag.0 as usize];
+        let words = col.words_of(ent)?;
+        Some(match col.kind {
+            TagKind::Int => TagData::Ints(words.iter().map(|&x| x as i64).collect()),
+            TagKind::Double => TagData::Dbls(words.iter().map(|&x| f64::from_bits(x)).collect()),
+            TagKind::Bytes => TagData::Bytes(col.blobs[ent.dim().as_usize()][ent.idx()].clone()),
+        })
     }
 
     /// Read a scalar double value.
+    #[inline]
     pub fn get_dbl(&self, tag: TagId, ent: MeshEnt) -> Option<f64> {
-        match self.get(tag, ent) {
-            Some(TagData::Dbls(v)) => v.first().copied(),
-            _ => None,
+        let col = &self.columns[tag.0 as usize];
+        if col.kind != TagKind::Double {
+            return None;
         }
+        col.words_of(ent)?.first().map(|&x| f64::from_bits(x))
     }
 
     /// Read a scalar integer value.
+    #[inline]
     pub fn get_int(&self, tag: TagId, ent: MeshEnt) -> Option<i64> {
-        match self.get(tag, ent) {
-            Some(TagData::Ints(v)) => v.first().copied(),
-            _ => None,
+        let col = &self.columns[tag.0 as usize];
+        if col.kind != TagKind::Int {
+            return None;
         }
+        col.words_of(ent)?.first().map(|&x| x as i64)
     }
 
     /// Whether the entity carries this tag.
+    #[inline]
     pub fn has(&self, tag: TagId, ent: MeshEnt) -> bool {
-        self.values[tag.0 as usize].contains_key(&ent)
+        self.columns[tag.0 as usize].has(ent)
     }
 
     /// Remove a tag value from an entity; returns the removed value.
     pub fn remove(&mut self, tag: TagId, ent: MeshEnt) -> Option<TagData> {
-        self.values[tag.0 as usize].remove(&ent)
+        let old = self.get(tag, ent);
+        self.columns[tag.0 as usize].vacate(ent);
+        old
     }
 
     /// Remove every tag value attached to `ent` (entity deletion).
     pub fn remove_all(&mut self, ent: MeshEnt) {
-        for m in &mut self.values {
-            m.remove(&ent);
+        for col in &mut self.columns {
+            col.vacate(ent);
         }
     }
 
-    /// Collect all (tag, value) pairs on an entity — used when packing an
-    /// entity for migration or ghosting.
+    /// Collect all (tag, value) pairs on an entity, in ascending tag order —
+    /// used when packing an entity for migration or ghosting.
     pub fn collect(&self, ent: MeshEnt) -> Vec<(TagId, TagData)> {
-        let mut out = Vec::new();
-        for (i, m) in self.values.iter().enumerate() {
-            if let Some(d) = m.get(&ent) {
-                out.push((TagId(i as u32), d.clone()));
-            }
-        }
-        out
+        self.tags()
+            .filter_map(|t| Some((t, self.get(t, ent)?)))
+            .collect()
     }
 
-    /// Re-key all values from `old` to `new` (entity renumbering during
-    /// migration rebuilds).
-    pub fn rekey(&mut self, old: MeshEnt, new: MeshEnt) {
-        for m in &mut self.values {
-            if let Some(d) = m.remove(&old) {
-                m.insert(new, d);
+    /// Save every value on `ent` as the next row of `stash`; returns the
+    /// row's number.
+    pub fn save(&self, ent: MeshEnt, stash: &mut TagStash) -> usize {
+        stash.rows.push(stash.vals.len() as u32);
+        for (t, col) in self.tags().zip(&self.columns) {
+            let (start, len) = match col.words_of(ent) {
+                None => continue,
+                Some(_) if col.kind == TagKind::Bytes => {
+                    let b = &col.blobs[ent.dim().as_usize()][ent.idx()];
+                    stash.bytes.extend_from_slice(b);
+                    (stash.bytes.len() - b.len(), b.len())
+                }
+                Some(words) => {
+                    stash.words.extend_from_slice(words);
+                    (stash.words.len() - words.len(), words.len())
+                }
+            };
+            stash.vals.push((t, start as u32, len as u32));
+        }
+        stash.rows.len() - 1
+    }
+
+    /// Attach the values of row `row` of `stash` to `ent`.
+    pub fn restore(&mut self, stash: &TagStash, row: usize, ent: MeshEnt) {
+        let end = stash
+            .rows
+            .get(row + 1)
+            .map_or(stash.vals.len(), |&e| e as usize);
+        for &(t, start, len) in &stash.vals[stash.rows[row] as usize..end] {
+            let col = &mut self.columns[t.0 as usize];
+            let at = col.occupy(ent);
+            let range = start as usize..(start + len) as usize;
+            if col.kind == TagKind::Bytes {
+                col.blobs[at.0][at.1] = stash.bytes[range].to_vec();
+            } else {
+                col.slot_mut(at).copy_from_slice(&stash.words[range]);
             }
         }
     }
 
     /// Number of entities carrying `tag`.
     pub fn count(&self, tag: TagId) -> usize {
-        self.values[tag.0 as usize].len()
+        self.columns[tag.0 as usize].count
+    }
+
+    /// Bytes held by the value arrays: per tag and dimension, slots times
+    /// the value width plus the presence mask (plus what `Bytes` values
+    /// hold).
+    pub fn memory_bytes(&self) -> usize {
+        self.columns
+            .iter()
+            .flat_map(|col| (0..4).map(move |d| (col, d)))
+            .map(|(col, d)| {
+                col.present[d].len()
+                    + col.words[d].len() * 8
+                    + col.blobs[d].len() * std::mem::size_of::<Vec<u8>>()
+                    + col.blobs[d].iter().map(Vec::len).sum::<usize>()
+            })
+            .sum()
     }
 }
 
@@ -330,17 +512,32 @@ mod tests {
     }
 
     #[test]
-    fn collect_and_rekey() {
+    fn stash_hands_values_to_a_reused_slot() {
         let mut tm = TagManager::new();
-        let a = tm.declare("a", TagKind::Int, 1);
-        let e = MeshEnt::edge(1);
-        let f = MeshEnt::edge(2);
-        tm.set_int(a, e, 9);
-        let c = tm.collect(e);
-        assert_eq!(c.len(), 1);
-        tm.rekey(e, f);
-        assert_eq!(tm.get_int(a, f), Some(9));
-        assert!(!tm.has(a, e));
+        let a = tm.declare("a", TagKind::Int, 2);
+        let b = tm.declare("b", TagKind::Bytes, 0);
+        let c = tm.declare("c", TagKind::Double, 1);
+        let (e, f) = (MeshEnt::edge(1), MeshEnt::edge(2));
+        tm.set(a, e, TagData::Ints(vec![9, -1]));
+        tm.set(b, e, TagData::Bytes(vec![7, 8]));
+        tm.set_dbl(c, f, 0.5);
+        let mut stash = TagStash::default();
+        let (re, rf) = (tm.save(e, &mut stash), tm.save(f, &mut stash));
+        tm.remove_all(e);
+        tm.remove_all(f);
+        assert_eq!(tm.collect(e), vec![]);
+        // The rows swap slots: each lands whole, and only where restored.
+        tm.restore(&stash, re, f);
+        tm.restore(&stash, rf, e);
+        assert_eq!(
+            tm.collect(f),
+            vec![
+                (a, TagData::Ints(vec![9, -1])),
+                (b, TagData::Bytes(vec![7, 8]))
+            ]
+        );
+        assert_eq!(tm.collect(e), vec![(c, TagData::Dbls(vec![0.5]))]);
+        assert_eq!((tm.count(a), tm.count(b), tm.count(c)), (1, 1, 1));
     }
 
     #[test]
