@@ -65,7 +65,6 @@ use crate::coarsen::CoarsenOpts;
 use crate::host::Host;
 use crate::predict::{classify, element_weight, Branch, Calibration, BRANCH_TAG, WEIGHT_TAG};
 use crate::sizefield::SizeField;
-use pumi_check::CheckOpts;
 use pumi_core::overlap::{clear_overlap, Overlap, Reduction};
 use pumi_core::wire::stitch;
 use pumi_core::{DistMesh, Part, NO_GID};
@@ -85,9 +84,6 @@ pub struct AdaptOpts<'a> {
     pub coarsen: Option<CoarsenOpts>,
     /// Geometric model for snapping new boundary vertices.
     pub model: Option<&'a Model>,
-    /// Run `pumi_check::check_dist` after each phase (collective; panics on
-    /// the first violated invariant, naming the entity).
-    pub check: Option<CheckOpts>,
 }
 
 impl<'a> AdaptOpts<'a> {
@@ -105,12 +101,6 @@ impl<'a> AdaptOpts<'a> {
     /// Snap new boundary vertices to `model`.
     pub fn model(mut self, model: &'a Model) -> Self {
         self.model = Some(model);
-        self
-    }
-
-    /// Verify distributed invariants after every phase.
-    pub fn check(mut self, opts: CheckOpts) -> Self {
-        self.check = Some(opts);
         self
     }
 }
@@ -505,9 +495,9 @@ fn relink(comm: &Comm, dm: &mut DistMesh, pendings: &[Pending]) {
 ///     }
 ///     let mut dm = distribute(c, PartMap::contiguous(2, 2), &serial, &labels);
 ///     let size = SizeField::uniform(0.15);
-///     let opts = AdaptOpts::new().check(pumi_check::CheckOpts::all());
-///     let stats = adapt_dist(c, &mut dm, &size, opts);
+///     let stats = adapt_dist(c, &mut dm, &size, AdaptOpts::new());
 ///     assert!(stats.splits > 0);
+///     pumi_check::check_dist(c, &dm, pumi_check::CheckOpts::all()).expect("valid after adapt");
 /// });
 /// ```
 pub fn adapt_dist(comm: &Comm, dm: &mut DistMesh, size: &SizeField, opts: AdaptOpts) -> AdaptStats {
@@ -543,12 +533,6 @@ fn adapt_inner(
     let _span = pumi_obs::span!("adapt.dist");
     // Ghost copies are not adapted (they are read-only mirrors).
     clear_overlap(dm);
-    let check = |dm: &DistMesh, phase: &str| {
-        if let Some(co) = opts.check {
-            pumi_check::check_dist(comm, dm, co)
-                .unwrap_or_else(|e| panic!("adapt_dist: invariants violated after {phase}: {e}"));
-        }
-    };
     let mut stats = AdaptStats::default();
 
     // Refinement: communication-free consistent marking, the local
@@ -573,7 +557,6 @@ fn adapt_inner(
         stats.splits = comm.allreduce_sum_u64(splits);
         stats.boundary_splits = comm.allreduce_sum_u64(boundary);
     }
-    check(dm, "refinement");
 
     // Coarsening: interior-only, no communication; boundary cavities are
     // vetoed and reported.
@@ -601,7 +584,6 @@ fn adapt_inner(
         }
         stats.collapses = comm.allreduce_sum_u64(collapses);
         stats.vetoed_collapses = comm.allreduce_sum_u64(vetoed);
-        check(dm, "coarsening");
     }
 
     stats.elements_after = dm.global_sum(comm, |p| {
@@ -614,6 +596,7 @@ fn adapt_inner(
 mod tests {
     use super::*;
     use crate::refine::all_positive;
+    use pumi_check::{check_dist, CheckOpts};
     use pumi_core::overlap::{grow_overlap, GhostOpts};
     use pumi_core::{distribute, PartMap};
     use pumi_meshgen::{tet_box, tri_rect};
@@ -641,12 +624,7 @@ mod tests {
             let rstats = crate::refine(&mut reference, &size, None, crate::RefineOpts::default());
             let labels = quadrant_labels(&serial);
             let mut dm = distribute(c, PartMap::contiguous(4, 2), &serial, &labels);
-            let stats = adapt_dist(
-                c,
-                &mut dm,
-                &size,
-                AdaptOpts::new().check(pumi_check::CheckOpts::all()),
-            );
+            let stats = adapt_dist(c, &mut dm, &size, AdaptOpts::new());
             assert_eq!(stats.splits as usize, rstats.splits, "split count differs");
             assert!(stats.boundary_splits > 0, "no boundary edge was split");
             assert_eq!(
@@ -656,9 +634,8 @@ mod tests {
             for p in &dm.parts {
                 p.mesh.assert_valid();
                 assert!(all_positive(&p.mesh));
-                assert!(pumi_core::dist::check_gids(p).is_empty());
             }
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            check_dist(c, &dm, CheckOpts::all()).expect("valid after refinement");
         });
     }
 
@@ -671,15 +648,10 @@ mod tests {
             let rstats = crate::refine(&mut reference, &size, None, crate::RefineOpts::default());
             let labels = quadrant_labels(&serial);
             let mut dm = distribute(c, PartMap::contiguous(4, 2), &serial, &labels);
-            let stats = adapt_dist(
-                c,
-                &mut dm,
-                &size,
-                AdaptOpts::new().check(pumi_check::CheckOpts::all()),
-            );
+            let stats = adapt_dist(c, &mut dm, &size, AdaptOpts::new());
             assert_eq!(stats.splits as usize, rstats.splits);
             assert_eq!(stats.elements_after as usize, rstats.elements_after);
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            check_dist(c, &dm, CheckOpts::all()).expect("valid after 3-D refinement");
         });
     }
 
@@ -692,9 +664,7 @@ mod tests {
             let before = dm.global_sum(c, |p| p.mesh.num_elems() as u64);
             // Coarsen hard: target much larger than the lattice spacing.
             let size = SizeField::uniform(0.6);
-            let opts = AdaptOpts::new()
-                .coarsen(CoarsenOpts::default())
-                .check(pumi_check::CheckOpts::all());
+            let opts = AdaptOpts::new().coarsen(CoarsenOpts::default());
             let stats = adapt_dist(c, &mut dm, &size, opts);
             assert!(stats.collapses > 0, "nothing collapsed");
             assert!(stats.vetoed_collapses > 0, "boundary veto never fired");
@@ -703,7 +673,7 @@ mod tests {
                 p.mesh.assert_valid();
                 assert!(all_positive(&p.mesh));
             }
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            check_dist(c, &dm, CheckOpts::all()).expect("valid after coarsening");
         });
     }
 
@@ -745,7 +715,7 @@ mod tests {
             collapses += st.collapses as u64;
             vetoed += v as u64;
         }
-        pumi_check::check_dist(c, dm, pumi_check::CheckOpts::all()).expect("after the sweep");
+        check_dist(c, dm, CheckOpts::all()).expect("after the sweep");
         (c.allreduce_sum_u64(collapses), c.allreduce_sum_u64(vetoed))
     }
 
@@ -794,9 +764,9 @@ mod tests {
                 f.set_from(mesh, |x| vec![x[0] + 2.0 * x[1]]);
             }
             let size = SizeField::uniform(0.15);
-            let opts = AdaptOpts::new().check(pumi_check::CheckOpts::all());
-            let stats = adapt_dist_with_field(c, &mut dm, &size, &mut field, opts);
+            let stats = adapt_dist_with_field(c, &mut dm, &size, &mut field, AdaptOpts::new());
             assert!(stats.splits > 0);
+            check_dist(c, &dm, CheckOpts::all()).expect("valid after adapt");
             // The field stayed linear: interpolation reproduces x + 2y at
             // every (new) vertex, and copies agree bit-for-bit.
             for (f, p) in field.iter().zip(&dm.parts) {
@@ -821,13 +791,13 @@ mod tests {
             let mut dm = distribute(c, PartMap::contiguous(4, 2), &serial, &labels);
             grow_overlap(c, &mut dm, GhostOpts::new());
             let size = SizeField::uniform(0.2);
-            let opts = AdaptOpts::new().check(pumi_check::CheckOpts::all());
-            adapt_dist(c, &mut dm, &size, opts);
+            adapt_dist(c, &mut dm, &size, AdaptOpts::new());
             assert_eq!(dm.global_sum(c, |p| p.num_ghosts() as u64), 0);
+            check_dist(c, &dm, CheckOpts::all()).expect("valid after adapt");
             grow_overlap(c, &mut dm, GhostOpts::new());
             let ghosts = dm.global_sum(c, |p| p.num_ghosts() as u64);
             assert!(ghosts > 0, "ghost layer not rebuilt");
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            check_dist(c, &dm, CheckOpts::all()).expect("valid after regrowing ghosts");
         });
     }
 }

@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 use pumi_adapt::dist::{adapt_dist, AdaptOpts};
 use pumi_adapt::{coarsen, mean_ratio, refine, CoarsenOpts, RefineOpts, SizeField};
-use pumi_check::CheckOpts;
+use pumi_check::{check_dist, CheckOpts};
 use pumi_core::{distribute, PartMap};
 use pumi_geom::builders::{vessel, VesselSpec};
 use pumi_geom::Model;
@@ -165,10 +165,12 @@ fn run_arm(
             }
         }
         let mut dm = distribute(c, PartMap::contiguous(nparts, nranks), &serial, &labels);
-        let mut opts = AdaptOpts::new().check(CheckOpts::all());
-        opts.model = case.model.as_ref();
-        opts.coarsen = case.coarsen;
+        let opts = AdaptOpts {
+            coarsen: case.coarsen,
+            model: case.model.as_ref(),
+        };
         let stats = adapt_dist(c, &mut dm, &case.size, opts);
+        check_dist(c, &dm, CheckOpts::all()).expect("valid after adapt_dist");
         let hash = pumi_io::struct_hash(c, &dm);
         let mut hist = vec![0u64; QBINS];
         let mut coords = Vec::new();
@@ -273,7 +275,7 @@ fn serial_vs_dist_coarsening() {
 
 /// 3-D coarsening on 8 parts over 4 ranks: the veto makes the result
 /// depend on the partition, so the witness is not the serial mesh but the
-/// run itself — `check_dist(all)` after both phases (inside `run_arm`),
+/// run itself — `check_dist(all)` after the adaptation (inside `run_arm`),
 /// the same mesh under either chaos seed, and the counts and
 /// `struct_hash` taken when the veto still walked every cavity's closure.
 #[test]

@@ -7,6 +7,11 @@
 //! [`check_dist`] verifies the full link structure collectively, via the
 //! same phased exchanges the algorithms themselves use:
 //!
+//! * **serial mesh validity** — every part's mesh passes
+//!   [`Mesh::verify`](pumi_mesh::Mesh::verify): live, reciprocal up/down
+//!   adjacency, lookup indexes that agree with storage, sides bounding at
+//!   most two elements, no repeated vertex in an entity (run on every call,
+//!   whatever the [`CheckOpts`]),
 //! * **remote-copy symmetry** — if part A lists `(B, i)` for an entity,
 //!   part B's entity at `i` is live, carries the same global id, and lists
 //!   A back with A's index,
@@ -288,6 +293,15 @@ pub enum CheckError {
         /// What is wrong.
         what: &'static str,
     },
+    /// A part's serial mesh fails [`Mesh::verify`](pumi_mesh::Mesh::verify)
+    /// (dead or one-way adjacency, broken lookup index, a side bounding more
+    /// than two elements, a repeated vertex).
+    MeshInvalid {
+        /// The part whose mesh is broken.
+        part: PartId,
+        /// The violation, as `Mesh::verify` words it.
+        what: String,
+    },
 }
 
 impl std::fmt::Display for CheckError {
@@ -349,6 +363,7 @@ impl std::fmt::Display for CheckError {
             LocalCorrupt { part, dim, gid, what } => {
                 write!(f, "part {part}: {what} (dim {dim}, gid {gid})")
             }
+            MeshInvalid { part, what } => write!(f, "part {part}: invalid mesh: {what}"),
         }
     }
 }
@@ -397,9 +412,16 @@ fn dim8(e: MeshEnt) -> u8 {
     e.dim().as_usize() as u8
 }
 
-/// Purely local structure checks: gid presence, gid-index coherence,
-/// self-free remote lists, unshared elements, ghosts outside residence.
+/// Purely local structure checks: serial mesh validity, gid presence,
+/// gid-index coherence, self-free remote lists, unshared elements, ghosts
+/// outside residence.
 fn check_local(part: &Part, elem_dim: usize, errs: &mut Vec<CheckError>, stats: &mut CheckStats) {
+    for what in part.mesh.verify() {
+        errs.push(CheckError::MeshInvalid {
+            part: part.id,
+            what,
+        });
+    }
     for d in Dim::ALL {
         for e in part.mesh.iter(d) {
             stats.entities += 1;

@@ -6,6 +6,7 @@ use pumi_core::overlap::{grow_overlap, GhostOpts, Overlap, Reduction};
 use pumi_core::{distribute, migrate, DistMesh, MigrationPlan, Part, PartMap};
 use pumi_field::{dist_field, Field, FieldShape, FieldSync};
 use pumi_geom::GeomEnt;
+use pumi_mesh::Topology;
 use pumi_meshgen::tri_rect;
 use pumi_pcu::{execute, Comm};
 use pumi_util::{Dim, FxHashMap, PartId};
@@ -106,6 +107,41 @@ fn corrupted_remote_fails_everywhere() {
                     CheckError::BadRemoteIndex { .. } | CheckError::AsymmetricRemote { .. }
                 )),
                 "rank 1 saw: {err}"
+            );
+        }
+    });
+}
+
+/// A non-manifold side: part 0 gains a third triangle on one of its
+/// interior edges. Every link stays intact, so only the serial mesh
+/// family catches it — on every rank, naming part 0.
+#[test]
+fn non_manifold_side_fails_everywhere() {
+    execute(2, |c| {
+        let mut dm = two_part_mesh(c);
+        if c.rank() == 0 {
+            let part = dm.part_mut(0);
+            let edge = part
+                .mesh
+                .iter(Dim::Edge)
+                .find(|&e| part.mesh.up_count(e) == 2)
+                .expect("part 0 has an interior edge");
+            let class = part.mesh.class_of(part.mesh.up_ents(edge)[0]);
+            let [a, b] = [0, 1].map(|i| part.mesh.verts_of(edge)[i]);
+            let gid = part.new_gid();
+            let v = part.add_vertex([2.0, 2.0, 0.0], class, gid);
+            let gid = part.new_gid();
+            part.add_entity(Topology::Triangle, &[a, b, v.index()], class, gid);
+        }
+        let err = check_dist(c, &dm, CheckOpts::all()).expect_err("non-manifold side undetected");
+        assert!(err.world_violations > 0);
+        if c.rank() == 0 {
+            assert!(
+                err.errors.iter().any(|e| matches!(
+                    e,
+                    CheckError::MeshInvalid { part: 0, what } if what.contains("non-manifold")
+                )),
+                "rank 0 saw: {err}"
             );
         }
     });

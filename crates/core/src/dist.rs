@@ -8,7 +8,7 @@
 //! distributed mesh algorithm is written in: messages between co-resident
 //! parts never touch the network, mirroring the paper's on-node short-cut.
 
-use crate::part::{Part, NO_GID};
+use crate::part::Part;
 use crate::wire::stitch;
 use pumi_mesh::Mesh;
 use pumi_pcu::phased::{Exchange, ExchangeOpts};
@@ -351,21 +351,6 @@ pub fn distribute(comm: &Comm, map: PartMap, serial: &Mesh, elem_part: &[PartId]
     dm
 }
 
-/// Convenience: check that every part's gid bookkeeping matches its mesh.
-pub fn check_gids(part: &Part) -> Vec<String> {
-    let mut errs = Vec::new();
-    for d in pumi_util::Dim::ALL {
-        for e in part.mesh.iter(d) {
-            if part.gid_of(e) == NO_GID {
-                errs.push(format!("part {}: {e:?} has no gid", part.id));
-            } else if part.find_gid(d, part.gid_of(e)) != Some(e) {
-                errs.push(format!("part {}: gid index broken for {e:?}", part.id));
-            }
-        }
-    }
-    errs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,7 +480,12 @@ mod tests {
             for p in &dm.parts {
                 assert_eq!(p.mesh.num_elems(), 8);
                 p.mesh.assert_valid();
-                assert!(check_gids(p).is_empty());
+                for d in Dim::ALL {
+                    assert!(p
+                        .mesh
+                        .iter(d)
+                        .all(|e| p.find_gid(d, p.gid_of(e)) == Some(e)));
+                }
             }
             // Total owned entities match the serial mesh.
             let serial_counts = [

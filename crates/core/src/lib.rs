@@ -19,8 +19,6 @@
 //! * [`numbering`] — parallel-consistent global numbering of owned entities,
 //! * [`twolevel`] — two-level architecture-aware partitioning support:
 //!   on-node vs off-node part boundaries (§II-D, Figs 5/6),
-//! * [`verify`] — distributed invariants (symmetric remotes, owner
-//!   consistency, global entity conservation),
 //! * [`wire`] — the entity transport under all of the above: the link row
 //!   and entity record codecs, create-by-gid, and the one remote-link
 //!   [`wire::stitch`] that `distribute`, `migrate`, adaptation and restore
@@ -33,7 +31,6 @@ pub mod overlap;
 pub mod part;
 pub mod ptnmodel;
 pub mod twolevel;
-pub mod verify;
 pub mod wire;
 
 pub use dist::{distribute, DistMesh, PartExchange, PartMap};

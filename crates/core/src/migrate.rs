@@ -42,7 +42,7 @@
 //! residence excludes this part are deleted top-down.
 
 use crate::dist::{DistMesh, PartExchange};
-use crate::part::{Part, NO_GID};
+use crate::part::Part;
 use crate::wire::{self, EntityRecord};
 use pumi_pcu::{Comm, MsgError, MsgReader};
 use pumi_util::{Dim, FxHashMap, FxHashSet, MeshEnt, PartId};
@@ -407,13 +407,6 @@ pub fn migrate(
     stats
 }
 
-/// Sanity helper used by tests: every live entity has a gid.
-pub fn all_gids_present(part: &Part) -> bool {
-    Dim::ALL
-        .iter()
-        .all(|&d| part.mesh.iter(d).all(|e| part.gid_of(e) != NO_GID))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,7 +466,12 @@ mod tests {
 
             for p in &dm.parts {
                 p.mesh.assert_valid();
-                assert!(all_gids_present(p));
+                for d in Dim::ALL {
+                    assert!(p
+                        .mesh
+                        .iter(d)
+                        .all(|e| p.find_gid(d, p.gid_of(e)) == Some(e)));
+                }
             }
             // Owned vertices still total the serial count.
             let owned_v: u64 = dm.global_sum(c, |p| {

@@ -58,7 +58,7 @@ pub use error::{IoError, Section};
 pub use format::{FieldDesc, Manifest, PartFile, FORMAT_VERSION, MANIFEST_FILE};
 pub use hash::struct_hash;
 pub use read::{
-    balanced_block, load_part, read_checkpoint, read_checkpoint_with, DirSource, LoadedPart,
-    ReadOpts, ReadStats, Restored, SectionSource,
+    balanced_block, load_part, read_checkpoint, DirSource, LoadedPart, ReadStats, Restored,
+    SectionSource,
 };
 pub use write::{write_checkpoint, write_checkpoint_with, WriteOpts, WriteStats};

@@ -7,8 +7,8 @@
 //! the final state: same structural hash (entities, tags, overlaps), same
 //! bit-exact field values, on every rank count.
 
+use pumi_check::{check_dist, CheckOpts};
 use pumi_core::overlap::{grow_overlap, GhostOpts};
-use pumi_core::verify::assert_dist_valid;
 use pumi_core::{distribute, DistMesh, PartMap};
 use pumi_field::{DistField, Field, FieldShape};
 use pumi_io::{read_checkpoint, struct_hash, write_checkpoint, write_delta_checkpoint, IoError};
@@ -227,7 +227,7 @@ fn delta_roundtrip(name: &str, serial: &Mesh, nwrite: usize, rounds: usize, ghos
         for (dir, label) in [(&dir_delta, "base+delta"), (&dir_full, "fresh full")] {
             let hashes = execute(m, |c| {
                 let restored = read_checkpoint(c, dir).expect("restore");
-                assert_dist_valid(c, &restored.dm);
+                check_dist(c, &restored.dm, CheckOpts::all()).expect("valid restored mesh");
                 check_field(&restored.dm, &restored.fields);
                 struct_hash(c, &restored.dm)
             });

@@ -7,8 +7,8 @@
 //! (entities + tags) must match the written mesh exactly, and field
 //! values must roundtrip bit-for-bit.
 
+use pumi_check::{check_dist, CheckOpts};
 use pumi_core::overlap::{grow_overlap, GhostOpts};
-use pumi_core::verify::assert_dist_valid;
 use pumi_core::{distribute, DistMesh, PartMap};
 use pumi_field::{DistField, Field, FieldShape};
 use pumi_io::{read_checkpoint, struct_hash, write_checkpoint};
@@ -121,8 +121,7 @@ fn roundtrip(name: &str, serial: &Mesh, nwrite: usize, ghosts: bool) {
     for m in [nwrite.div_ceil(2), nwrite, nwrite * 2] {
         let hashes = execute(m, |c| {
             let restored = read_checkpoint(c, &dir).expect("read_checkpoint");
-            // read_checkpoint already verified; assert again to be loud.
-            assert_dist_valid(c, &restored.dm);
+            check_dist(c, &restored.dm, CheckOpts::all()).expect("valid restored mesh");
             assert_eq!(restored.stats.nparts_in, nwrite);
             assert_eq!(restored.stats.redistributed, m != nwrite);
             check_field(&restored.dm, &restored.fields);

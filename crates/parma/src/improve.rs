@@ -12,7 +12,6 @@ use crate::candidates::{candidates_topo, schedule};
 use crate::priority::Priority;
 use crate::select::{HarmGuard, SelectRequest, Selector, TopoGate};
 use crate::topo::TopologyOpts;
-use pumi_check::CheckOpts;
 use pumi_core::{migrate, DistMesh, MigrationPlan};
 use pumi_pcu::Comm;
 use pumi_util::stats::Timer;
@@ -36,9 +35,6 @@ pub struct ImproveOpts {
     /// relaxed ones (ablatable: without them, selection takes arbitrary
     /// boundary elements and roughens part boundaries).
     pub strict_selection: bool,
-    /// Run `pumi_check::check_dist` after every migration (collective;
-    /// panics on the first violated invariant, naming the entity).
-    pub check: Option<CheckOpts>,
     /// Topology awareness: prefer on-node candidates and gate migrations
     /// that create off-node boundary (see [`crate::topo`]). `None` (and any
     /// flat machine) keeps diffusion byte-identical to the blind path.
@@ -53,7 +49,6 @@ impl Default for ImproveOpts {
             handshake: true,
             peak_caps: true,
             strict_selection: true,
-            check: None,
             topo: None,
         }
     }
@@ -94,12 +89,6 @@ impl ImproveOpts {
     /// Toggle the strict Fig 9 selection passes.
     pub fn strict_selection(mut self, on: bool) -> Self {
         self.strict_selection = on;
-        self
-    }
-
-    /// Verify distributed invariants after every migration.
-    pub fn check(mut self, opts: CheckOpts) -> Self {
-        self.check = Some(opts);
         self
     }
 
@@ -408,11 +397,6 @@ fn improve_inner(
                 break;
             }
             let stats = migrate(comm, dm, &plans);
-            if let Some(co) = opts.check {
-                pumi_check::check_dist(comm, dm, co).unwrap_or_else(|e| {
-                    panic!("parma: invariants violated after {d} iteration {iterations}: {e}")
-                });
-            }
             elements_moved += stats.elements_moved;
             iterations += 1;
             pumi_obs::parma::iter(final_pct, planned, stats.elements_moved);
@@ -443,6 +427,7 @@ fn improve_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pumi_check::{check_dist, CheckOpts};
     use pumi_core::{distribute, PartMap};
     use pumi_meshgen::tri_rect;
     use pumi_pcu::execute;
@@ -464,18 +449,14 @@ mod tests {
             assert!(before > 30.0, "setup not skewed: {before}%");
 
             let pr: Priority = "Face".parse().unwrap();
-            let opts = ImproveOpts::default().check(CheckOpts::all());
-            let report = improve(c, &mut dm, &pr, opts);
+            let report = improve(c, &mut dm, &pr, ImproveOpts::default());
             let after = EntityLoads::gather(c, &dm).imbalance_pct(Dim::Face);
             assert!(
                 after <= 5.5,
                 "element imbalance not reduced: {before}% -> {after}%"
             );
             assert!(report.elements_moved > 0);
-            for p in &dm.parts {
-                p.mesh.assert_valid();
-            }
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            check_dist(c, &dm, CheckOpts::all()).expect("valid after improve");
         });
     }
 
@@ -509,7 +490,7 @@ mod tests {
                 after.imbalance_pct(Dim::Face)
             );
             assert_eq!(report.types.len(), 2);
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            check_dist(c, &dm, CheckOpts::all()).expect("valid after improve");
         });
     }
 
@@ -540,7 +521,7 @@ mod tests {
             let before = EntityLoads::gather_weighted(c, &dm, "parma:weight");
             assert_eq!(before.imbalance_pct(Dim::Face).round(), 50.0);
             let pr: Priority = "Face".parse().unwrap();
-            let opts = ImproveOpts::default().tol(0.1).check(CheckOpts::all());
+            let opts = ImproveOpts::default().tol(0.1);
             let report = improve_weighted(c, &mut dm, &pr, opts, "parma:weight");
             let after = EntityLoads::gather_weighted(c, &dm, "parma:weight");
             assert!(
@@ -550,7 +531,7 @@ mod tests {
                 after.imbalance_pct(Dim::Face)
             );
             assert!(report.elements_moved > 0, "no elements moved");
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            check_dist(c, &dm, CheckOpts::all()).expect("valid after weighted improve");
         });
     }
 
@@ -620,7 +601,7 @@ mod tests {
             let topo_split = off_node_boundary(c, &topo, &machine);
             let topo_pct = EntityLoads::gather(c, &topo).imbalance_pct(Dim::Face);
 
-            pumi_core::verify::assert_dist_valid(c, &topo);
+            check_dist(c, &topo, CheckOpts::all()).expect("valid after topo-aware improve");
             (blind_split, blind_pct, topo_split, topo_pct)
         });
         let (blind_split, blind_pct, topo_split, topo_pct) = results[0];

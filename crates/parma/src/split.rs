@@ -281,10 +281,8 @@ mod tests {
             );
             assert!(report.merges >= 1);
             assert!(report.splits >= 1);
-            for p in &dm.parts {
-                p.mesh.assert_valid();
-            }
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            pumi_check::check_dist(c, &dm, pumi_check::CheckOpts::all())
+                .expect("valid after split");
         });
     }
 

@@ -9,7 +9,7 @@
 //! Run: `cargo run --release --example checkpoint_restart`
 
 use parma::{improve, ImproveOpts, Priority};
-use pumi_core::verify::assert_dist_valid;
+use pumi_check::{check_dist, CheckOpts};
 use pumi_core::{distribute, PartMap};
 use pumi_field::{DistField, Field, FieldShape};
 use pumi_io::{read_checkpoint, struct_hash, write_checkpoint};
@@ -32,7 +32,7 @@ fn main() {
     let out = execute(3, |c| {
         let mut dm = distribute(c, PartMap::contiguous(nparts, 3), &serial, &labels);
         improve(c, &mut dm, &pri, ImproveOpts::new().tol(0.05));
-        assert_dist_valid(c, &dm);
+        check_dist(c, &dm, CheckOpts::all()).expect("valid after ParMA");
         let mut fields: DistField = Vec::new();
         for part in &dm.parts {
             let mut f = Field::new("temp", FieldShape::Linear, 1);
@@ -50,7 +50,7 @@ fn main() {
     // Restore A: 6 parts onto 2 ranks — blocks of 3 parts merge per rank.
     let hashes = execute(2, |c| {
         let restored = read_checkpoint(c, &dir).expect("restore on 2");
-        assert_dist_valid(c, &restored.dm);
+        check_dist(c, &restored.dm, CheckOpts::all()).expect("valid after merge");
         assert_eq!(restored.fields.len(), 1);
         struct_hash(c, &restored.dm)
     });
@@ -61,7 +61,7 @@ fn main() {
     // partitioner and migrate out.
     let hashes = execute(8, |c| {
         let restored = read_checkpoint(c, &dir).expect("restore on 8");
-        assert_dist_valid(c, &restored.dm);
+        check_dist(c, &restored.dm, CheckOpts::all()).expect("valid after split");
         let moved = restored.stats.elements_moved;
         let h = struct_hash(c, &restored.dm);
         (c.rank() == 0).then(|| println!("  split moved {moved} elements"));

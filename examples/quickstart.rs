@@ -6,9 +6,9 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
+use pumi_check::{check_dist, CheckOpts};
 use pumi_core::numbering::number_owned;
 use pumi_core::overlap::{clear_overlap, grow_overlap, GhostOpts, Overlap, Reduction};
-use pumi_core::verify::assert_dist_valid;
 use pumi_core::{distribute, migrate, MigrationPlan, PartMap, PtnModel};
 use pumi_field::{dist_field, Field, FieldShape, FieldSync};
 use pumi_meshgen::tet_box;
@@ -29,7 +29,7 @@ fn main() {
 
     let reports = execute(2, |c| {
         let mut dm = distribute(c, PartMap::contiguous(nparts, 2), &serial, &labels);
-        assert_dist_valid(c, &dm);
+        check_dist(c, &dm, CheckOpts::all()).expect("valid after distribute");
 
         // Inspect the partition model of the first local part (Fig 4).
         let part = &dm.parts[0];
@@ -62,7 +62,7 @@ fn main() {
             }
         }
         let stats = migrate(c, &mut dm, &plans);
-        assert_dist_valid(c, &dm);
+        check_dist(c, &dm, CheckOpts::all()).expect("valid after migrate");
         lines.push(format!(
             "migrated {} elements ({} entity records)",
             stats.elements_moved, stats.entities_sent

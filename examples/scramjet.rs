@@ -11,7 +11,7 @@
 
 use parma::{improve, EntityLoads, ImproveOpts, Priority};
 use pumi_adapt::{coarsen, quality_stats, refine, CoarsenOpts, RefineOpts, SizeField};
-use pumi_core::verify::assert_dist_valid;
+use pumi_check::{check_dist, CheckOpts};
 use pumi_core::{distribute, PartMap};
 use pumi_meshgen::{jitter, tri_rect};
 use pumi_partition::partition_mesh;
@@ -61,7 +61,7 @@ fn main() {
         let before = EntityLoads::gather(c, &dm);
         let pri: Priority = "Vtx > Face".parse().unwrap();
         let report = improve(c, &mut dm, &pri, ImproveOpts::default());
-        assert_dist_valid(c, &dm);
+        check_dist(c, &dm, CheckOpts::all()).expect("valid after ParMA");
         let after = EntityLoads::gather(c, &dm);
         (c.rank() == 0).then(|| {
             (

@@ -4,7 +4,7 @@
 
 use parma::{heavy_part_split, EntityLoads, SplitOpts};
 use pumi_adapt::{predicted_loads, refine, RefineOpts, SizeField};
-use pumi_core::verify::assert_dist_valid;
+use pumi_check::{check_dist, CheckOpts};
 use pumi_core::{distribute, PartMap};
 use pumi_field::{transfer_linear, Field, FieldShape};
 use pumi_meshgen::{tri_rect, wing_tet};
@@ -74,7 +74,7 @@ fn heavy_split_repairs_adapted_partition() {
         let mut dm = distribute(c, PartMap::contiguous(nparts, 2), &mesh, &labels);
         let before = EntityLoads::gather(c, &dm).imbalance_pct(d);
         let report = heavy_part_split(c, &mut dm, SplitOpts::default());
-        assert_dist_valid(c, &dm);
+        check_dist(c, &dm, CheckOpts::all()).expect("valid after heavy part split");
         let after = EntityLoads::gather(c, &dm).imbalance_pct(d);
         assert!(before > 30.0, "setup spike too small: {before:.1}%");
         assert!(

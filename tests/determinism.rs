@@ -9,7 +9,7 @@ use pumi_repro::check::{check_dist, CheckOpts};
 use pumi_repro::core::overlap::{grow_overlap, GhostOpts, Overlap, Reduction};
 use pumi_repro::core::{distribute, migrate, DistMesh, MigrationPlan, PartMap};
 use pumi_repro::field::{dist_field, Field, FieldShape, FieldSync};
-use pumi_repro::io::{read_checkpoint_with, struct_hash, write_checkpoint, ReadOpts};
+use pumi_repro::io::{read_checkpoint, struct_hash, write_checkpoint};
 use pumi_repro::meshgen::tri_rect;
 use pumi_repro::obs::metrics::{take_digests, take_traffic};
 use pumi_repro::partition::partition_mesh;
@@ -87,8 +87,8 @@ fn scenario(c: &Comm, label: &str) -> RankTrace {
     fields.sync(c, &dm, &ov, Reduction::Insert);
     field_bits(&dm, &fields, &mut bits);
 
-    // Stage 3: ParMA diffusion on a skewed strip, invariants checked every
-    // iteration.
+    // Stage 3: ParMA diffusion on a skewed strip, invariants checked on the
+    // result.
     let serial = tri_rect(10, 4, 10.0, 4.0);
     let mut elem_part = vec![0 as PartId; serial.index_space(d)];
     for e in serial.iter(d) {
@@ -96,12 +96,8 @@ fn scenario(c: &Comm, label: &str) -> RankTrace {
     }
     let mut dm = distribute(c, PartMap::contiguous(2, 2), &serial, &elem_part);
     let pr: Priority = "Face".parse().unwrap();
-    improve(
-        c,
-        &mut dm,
-        &pr,
-        ImproveOpts::default().check(CheckOpts::all()),
-    );
+    improve(c, &mut dm, &pr, ImproveOpts::default());
+    check_dist(c, &dm, CheckOpts::all()).expect("stage 3 invariants");
     hashes.push(struct_hash(c, &dm));
 
     // Stage 4: write a 4-part checkpoint from 2 ranks (with a field) and
@@ -118,14 +114,11 @@ fn scenario(c: &Comm, label: &str) -> RankTrace {
     }
     let dir = std::env::temp_dir().join(format!("pumi_determinism_{}_{label}", std::process::id()));
     write_checkpoint(c, &dm, &[&fields], &dir).expect("write");
-    let opts = ReadOpts {
-        verify: true,
-        check: true,
-    };
-    let restored = read_checkpoint_with(c, &dir, opts).expect("restore");
+    let restored = read_checkpoint(c, &dir).expect("restore");
     if c.rank() == 0 {
         let _ = std::fs::remove_dir_all(&dir);
     }
+    check_dist(c, &restored.dm, CheckOpts::all()).expect("stage 4 invariants");
     hashes.push(struct_hash(c, &restored.dm));
     field_bits(&restored.dm, &restored.fields[0], &mut bits);
 

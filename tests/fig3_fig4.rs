@@ -8,8 +8,8 @@
 //! Fig 6: the P0–P1 boundary is on-node (implicit), the boundaries to P2
 //! are off-node (explicit).
 
+use pumi_check::{check_dist, CheckOpts};
 use pumi_core::twolevel::boundary_split;
-use pumi_core::verify::assert_dist_valid;
 use pumi_core::{distribute, PartMap, PtnModel};
 use pumi_meshgen::tri_rect;
 use pumi_pcu::{execute_on, MachineModel};
@@ -45,7 +45,7 @@ fn fig3_residence_and_fig4_partition_model() {
         // parts 0,1 -> ranks 0,1 (node 0); part 2 -> rank 2 (node 1).
         let map = pumi_core::PartMap::from_ranks(vec![0, 1, 2], 4);
         let dm = distribute(c, map, &serial, &labels);
-        assert_dist_valid(c, &dm);
+        check_dist(c, &dm, CheckOpts::all()).expect("valid three-part layout");
         let Some(part) = dm.parts.first() else {
             return; // rank 3 hosts no part
         };

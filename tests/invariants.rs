@@ -7,7 +7,7 @@ use parma::{improve, ImproveOpts, Priority};
 use pumi_repro::check::{check_dist, CheckOpts};
 use pumi_repro::core::overlap::{grow_overlap, GhostOpts};
 use pumi_repro::core::{distribute, migrate, DistMesh, MigrationPlan, PartMap};
-use pumi_repro::io::{read_checkpoint_with, write_checkpoint, ReadOpts};
+use pumi_repro::io::{read_checkpoint, write_checkpoint};
 use pumi_repro::meshgen::tri_rect;
 use pumi_repro::pcu::{execute, Comm};
 use pumi_repro::util::{Dim, FxHashMap, PartId};
@@ -54,12 +54,20 @@ fn invariants_hold_through_improve() {
         // 70/30 skew so diffusion actually migrates.
         let mut dm = strip_mesh(c, 10, 0.7);
         let pr: Priority = "Face".parse().unwrap();
-        // check_dist runs inside every improve iteration (panics on the
-        // first violation), and once more on the converged mesh.
-        let opts = ImproveOpts::default().check(CheckOpts::all());
-        let report = improve(c, &mut dm, &pr, opts);
-        assert!(report.elements_moved > 0, "no migration exercised");
-        check_dist(c, &dm, CheckOpts::all()).expect("post-improve");
+        // One diffusion iteration per call, so check_dist sees the mesh
+        // after every ParMA migration, until an iteration moves nothing.
+        let mut moved = 0;
+        for call in 0.. {
+            assert!(call < 100, "diffusion did not settle");
+            let report = improve(c, &mut dm, &pr, ImproveOpts::default().max_iters(1));
+            check_dist(c, &dm, CheckOpts::all())
+                .unwrap_or_else(|f| panic!("after improve iteration {call}: {f}"));
+            if report.elements_moved == 0 {
+                break;
+            }
+            moved += report.elements_moved;
+        }
+        assert!(moved > 0, "no migration exercised");
     });
 }
 
@@ -70,11 +78,7 @@ fn invariants_hold_through_checkpoint_restore() {
     execute(2, |c| {
         let dm = strip_mesh(c, 6, 0.5);
         write_checkpoint(c, &dm, &[], &dir).expect("write");
-        let opts = ReadOpts {
-            verify: true,
-            check: true, // restore runs check_dist itself
-        };
-        let restored = read_checkpoint_with(c, &dir, opts).expect("restore");
+        let restored = read_checkpoint(c, &dir).expect("restore");
         check_dist(c, &restored.dm, CheckOpts::all()).expect("post-restore");
     });
     let _ = std::fs::remove_dir_all(&dir);

@@ -3,8 +3,8 @@
 //! simplices do (§II's "general unstructured mesh representation").
 
 use parma::{improve, EntityLoads, ImproveOpts, Priority};
+use pumi_check::{check_dist, CheckOpts};
 use pumi_core::overlap::{clear_overlap, grow_overlap, GhostOpts};
-use pumi_core::verify::assert_dist_valid;
 use pumi_core::{distribute, migrate, MigrationPlan, PartMap};
 use pumi_meshgen::{hex_box, quad_rect};
 use pumi_pcu::execute;
@@ -22,7 +22,7 @@ fn hex_mesh_distributes_migrates_and_ghosts() {
 
     execute(2, |c| {
         let mut dm = distribute(c, PartMap::contiguous(2, 2), &serial, &labels);
-        assert_dist_valid(c, &dm);
+        check_dist(c, &dm, CheckOpts::all()).expect("post-distribute");
 
         // Migrate a layer of hexes across.
         let mut plans: FxHashMap<PartId, MigrationPlan> = FxHashMap::default();
@@ -38,7 +38,7 @@ fn hex_mesh_distributes_migrates_and_ghosts() {
         }
         let stats = migrate(c, &mut dm, &plans);
         assert!(stats.elements_moved > 0);
-        assert_dist_valid(c, &dm);
+        check_dist(c, &dm, CheckOpts::all()).expect("post-migrate");
         let total = dm.global_sum(c, |p| p.mesh.num_elems() as u64);
         assert_eq!(total, nregions);
 
@@ -47,7 +47,7 @@ fn hex_mesh_distributes_migrates_and_ghosts() {
         assert!(ov.depth() == 1);
         assert!(dm.global_sum(c, |p| p.num_ghosts() as u64) > 0);
         clear_overlap(&mut dm);
-        assert_dist_valid(c, &dm);
+        check_dist(c, &dm, CheckOpts::all()).expect("post-clear");
     });
 }
 
@@ -68,6 +68,6 @@ fn quad_mesh_parma_balances() {
         improve(c, &mut dm, &pri, ImproveOpts::default());
         let after = EntityLoads::gather(c, &dm).imbalance_pct(Dim::Face);
         assert!(after <= 6.0, "quad balance failed: {before}% -> {after}%");
-        assert_dist_valid(c, &dm);
+        check_dist(c, &dm, CheckOpts::all()).expect("post-improve");
     });
 }

@@ -4,7 +4,6 @@
 //! completeness. This is the migration algorithm's contract under §II-C.
 
 use pumi_check::{check_dist, CheckOpts};
-use pumi_core::verify::verify_dist;
 use pumi_core::{distribute, migrate, DistMesh, MigrationPlan, Part, PartMap};
 use pumi_io::struct_hash;
 use pumi_meshgen::{tet_box, tri_rect};
@@ -48,11 +47,7 @@ fn run_random_migrations(seed: u64, rounds: usize) {
                 plans.insert(part.id, plan);
             }
             migrate(c, &mut dm, &plans);
-            let errs = verify_dist(c, &dm);
-            assert!(errs.is_empty(), "round {round}: {errs:?}");
-            for p in &dm.parts {
-                p.mesh.assert_valid();
-            }
+            check_dist(c, &dm, CheckOpts::all()).unwrap_or_else(|f| panic!("round {round}: {f}"));
             for (di, &want) in counts.iter().enumerate() {
                 let dd = Dim::from_usize(di);
                 let owned = dm.global_sum(c, |p| {
@@ -106,8 +101,7 @@ fn full_scatter_migration() {
             plans.insert(part.id, plan);
         }
         migrate(c, &mut dm, &plans);
-        let errs = verify_dist(c, &dm);
-        assert!(errs.is_empty(), "{errs:?}");
+        check_dist(c, &dm, CheckOpts::all()).expect("valid after full scatter");
         let elems = dm.global_sum(c, |p| p.mesh.num_elems() as u64);
         assert_eq!(elems, nelems);
         // All 6 parts now populated (overwhelmingly likely with 72 elements).

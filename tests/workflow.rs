@@ -4,9 +4,9 @@
 //! at every stage.
 
 use parma::{improve, EntityLoads, ImproveOpts, Priority};
+use pumi_check::{check_dist, CheckOpts};
 use pumi_core::numbering::number_owned;
 use pumi_core::overlap::{clear_overlap, Overlap, Reduction, Scope};
-use pumi_core::verify::assert_dist_valid;
 use pumi_core::{distribute, PartMap};
 use pumi_field::{dist_field, Field, FieldShape, FieldSync};
 use pumi_geom::builders::VesselSpec;
@@ -42,7 +42,7 @@ fn aaa_pipeline_balances_and_conserves() {
 
     execute(2, |c| {
         let mut dm = distribute(c, PartMap::contiguous(nparts, 2), &serial, &labels);
-        assert_dist_valid(c, &dm);
+        check_dist(c, &dm, CheckOpts::all()).expect("post-distribute");
 
         // Conservation after distribution.
         for d in Dim::ALL {
@@ -57,7 +57,7 @@ fn aaa_pipeline_balances_and_conserves() {
         let pri: Priority = "Vtx > Rgn".parse().unwrap();
         improve(c, &mut dm, &pri, ImproveOpts::default());
         let after = EntityLoads::gather(c, &dm);
-        assert_dist_valid(c, &dm);
+        check_dist(c, &dm, CheckOpts::all()).expect("post-ParMA");
         assert!(
             after.imbalance_pct(Dim::Vertex) <= before.imbalance_pct(Dim::Vertex) + 1e-9,
             "vertex imbalance must not grow: {:.1}% -> {:.1}%",
@@ -88,9 +88,8 @@ fn aaa_pipeline_balances_and_conserves() {
         clear_overlap(&mut dm);
         for p in &dm.parts {
             assert_eq!(p.num_ghosts(), 0);
-            p.mesh.assert_valid();
         }
-        assert_dist_valid(c, &dm);
+        check_dist(c, &dm, CheckOpts::all()).expect("post-ghost round trip");
 
         // Numbering + a P1 assembly that must conserve the vertex count.
         let n = number_owned(c, &mut dm, Dim::Vertex, "gvn");
