@@ -16,8 +16,7 @@
 
 use pumi_bench::workloads::{heavy_split, no_inspect, HeavySplitParams, Repair};
 
-/// Iterations and stop reason of the (single-stage) diffusion, `-` without
-/// the `obs` feature.
+/// Iterations and stop reason of the (single-stage) diffusion.
 fn diffusion_end(r: &Repair) -> String {
     r.traces
         .first()

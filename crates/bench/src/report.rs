@@ -68,7 +68,7 @@ pub fn print_table(t: &Table) {
 
 /// Per-stage rows of ParMA runs — what `improve` did for each entity type
 /// of the priority list: imbalance in and out, diffusion iterations and the
-/// recorded stop reason (`-` without the `obs` feature).
+/// recorded stop reason.
 pub fn stage_table(title: &str, runs: &[(&str, &ParmaRun)]) -> Table {
     let mut t = Table::new(
         title,

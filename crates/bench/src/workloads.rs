@@ -3,9 +3,8 @@
 //! Each scenario takes a parameter struct with exactly two constructors —
 //! `paper()`, the scale EXPERIMENTS.md reports, and `small()`, seconds in a
 //! debug build — and returns the numbers it produced (plus the
-//! [`ParmaTrace`]s where ParMA ran; empty when `pumi_obs::enabled()` is
-//! false). The binaries in `src/bin/` print those structs;
-//! `tests/paper_shapes.rs` asserts every `check:` line on them at
+//! [`ParmaTrace`]s where ParMA ran). The binaries in `src/bin/` print those
+//! structs; `tests/paper_shapes.rs` asserts every `check:` line on them at
 //! `small()`. Wall-clock fields are reported, never asserted.
 //!
 //! Scenarios that leave a distributed mesh behind call their `inspect`
@@ -121,7 +120,7 @@ pub struct ParmaRun {
     pub boundary_copies: u64,
     /// Per-stage outcome, seconds and elements moved.
     pub report: ImproveReport,
-    /// The iteration trajectory; empty without the `obs` feature.
+    /// The iteration trajectory.
     pub traces: Vec<ParmaTrace>,
 }
 
@@ -561,7 +560,7 @@ pub struct Repair {
     pub after_pct: f64,
     /// Wall-clock seconds of the repair.
     pub seconds: f64,
-    /// The diffusion trajectory; empty without the `obs` feature.
+    /// The diffusion trajectory.
     pub traces: Vec<ParmaTrace>,
 }
 

@@ -27,10 +27,6 @@ fn check(c: &Comm, dm: &DistMesh) {
 /// The recorder and the report describe the same run: one trace, labelled
 /// with the priority list, one stage per balanced type.
 fn assert_trace_matches(run: &ParmaRun, priority: &str) {
-    if !pumi_obs::enabled() {
-        assert!(run.traces.is_empty());
-        return;
-    }
     assert_eq!(run.traces.len(), 1);
     let trace = &run.traces[0];
     assert_eq!(
@@ -108,9 +104,7 @@ fn table2_shapes() {
     let face = run(4).report.types[1];
     assert!(face.initial_pct <= TOL_PCT && face.iterations == 0);
     assert_eq!(face.initial_pct, face.final_pct);
-    if pumi_obs::enabled() {
-        assert_eq!(run(4).traces[0].stages[1].stop, StopReason::Converged);
-    }
+    assert_eq!(run(4).traces[0].stages[1].stop, StopReason::Converged);
     assert_eq!(run(3).report.types.len(), 2);
     assert_eq!(r.tests[3].stats, r.tests[4].stats);
     assert_eq!(r.tests[3].boundary_copies, r.tests[4].boundary_copies);
@@ -175,10 +169,8 @@ fn heavy_split_shapes() {
     assert!(d.before_pct > 400.0);
     // check: diffusion alone stalls on the spike cluster ...
     assert!(d.after_pct > 0.9 * d.before_pct);
-    if pumi_obs::enabled() {
-        assert_eq!(d.traces.len(), 1);
-        assert_eq!(d.traces[0].stages[0].stop, StopReason::Stagnated);
-    }
+    assert_eq!(d.traces.len(), 1);
+    assert_eq!(d.traces[0].stages[0].stop, StopReason::Stagnated);
     // ... where splitting the heavy parts first reaches under 35 %.
     assert!(s.after_pct < 35.0, "split + diffusion {:.1}%", s.after_pct);
 }

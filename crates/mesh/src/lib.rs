@@ -6,7 +6,7 @@
 //! the one-level adjacency storage of FMDB (refs 9, 10), giving O(1)-in-mesh-size
 //! adjacency interrogation (the completeness requirement of ref. 2), geometric
 //! classification against a [`pumi_geom::Model`], dynamic modification, and
-//! the Iterator/Set/Tag utility components.
+//! the Iterator/Tag utility components.
 //!
 //! Modules:
 //! * [`topology`] — entity topologies (tri/quad/tet/hex/prism/pyramid) and

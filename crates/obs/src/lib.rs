@@ -24,12 +24,13 @@
 //! aggregation is a collective concern and lives where the communicator
 //! lives (`pumi_pcu::obs`), not here.
 //!
-//! # Disabling
+//! # Cost
 //!
-//! Everything is gated on the `enabled` feature (re-exported by dependents
-//! as their default-on `obs` feature). With the feature off, the recording
-//! functions still exist but compile to no-ops and the drain functions
-//! return empty collections, so hook call sites need no `cfg` attributes.
+//! Recording is always compiled in. Each thread interns a span path into a
+//! slot on its first entry ([`mod@span`]), and every later span drop,
+//! traffic record and frame digest indexes that slot: no string compare and
+//! no allocation per message (`tests/record_cost.rs` counts the allocator
+//! calls).
 
 pub mod json;
 pub mod metrics;
@@ -38,8 +39,3 @@ pub mod span;
 
 pub use json::Json;
 pub use span::{SpanGuard, SpanStat};
-
-/// Whether recording is compiled in (the `enabled` feature).
-pub const fn enabled() -> bool {
-    cfg!(feature = "enabled")
-}

@@ -128,22 +128,12 @@ impl Default for HistStat {
     }
 }
 
+/// Counters and histograms; per-phase traffic and digests live in the span
+/// path's slot (`crate::span`).
 #[derive(Default)]
 struct Registry {
     counters: BTreeMap<String, u64>,
     hists: BTreeMap<String, HistStat>,
-    /// phase path -> per-link totals.
-    traffic: BTreeMap<String, [LinkTotals; 3]>,
-    /// phase path -> per-link (frame count, digest fold).
-    digests: BTreeMap<String, [(u64, u64); 3]>,
-}
-
-/// Whether metric recording is compiled in. Callers with per-record setup
-/// cost (e.g. hashing a payload before [`record_frame_digest`]) can skip the
-/// work entirely when this is `false`.
-#[inline]
-pub fn enabled() -> bool {
-    cfg!(feature = "enabled")
 }
 
 thread_local! {
@@ -152,53 +142,40 @@ thread_local! {
 
 /// Add `v` to the named monotonic counter.
 pub fn counter_add(name: &str, v: u64) {
-    if cfg!(feature = "enabled") {
-        REG.with(|r| {
-            let mut r = r.borrow_mut();
-            match r.counters.get_mut(name) {
-                Some(c) => *c += v,
-                None => {
-                    r.counters.insert(name.to_string(), v);
-                }
+    REG.with(|r| {
+        let mut r = r.borrow_mut();
+        match r.counters.get_mut(name) {
+            Some(c) => *c += v,
+            None => {
+                r.counters.insert(name.to_string(), v);
             }
-        });
-    }
+        }
+    });
 }
 
 /// Record one sample into the named histogram.
 pub fn hist_record(name: &str, v: f64) {
-    if cfg!(feature = "enabled") {
-        REG.with(|r| {
-            let mut r = r.borrow_mut();
-            match r.hists.get_mut(name) {
-                Some(h) => h.record(v),
-                None => {
-                    let mut h = HistStat::default();
-                    h.record(v);
-                    r.hists.insert(name.to_string(), h);
-                }
+    REG.with(|r| {
+        let mut r = r.borrow_mut();
+        match r.hists.get_mut(name) {
+            Some(h) => h.record(v),
+            None => {
+                let mut h = HistStat::default();
+                h.record(v);
+                r.hists.insert(name.to_string(), h);
             }
-        });
-    }
+        }
+    });
 }
 
 /// Record one message of `bytes` over `link`, attributed to the calling
 /// thread's current span path. Called by the runtime's send path.
 pub fn record_traffic(link: Link, bytes: u64) {
-    if cfg!(feature = "enabled") {
-        crate::span::with_path(|path| {
-            REG.with(|r| {
-                let mut r = r.borrow_mut();
-                if !r.traffic.contains_key(path) {
-                    r.traffic.insert(path.to_string(), Default::default());
-                }
-                let cells = r.traffic.get_mut(path).expect("just inserted");
-                let cell = &mut cells[link.index()];
-                cell.msgs += 1;
-                cell.bytes += bytes;
-            });
-        });
-    }
+    crate::span::with_slot(|slot| {
+        let cell = &mut slot.traffic[link.index()];
+        cell.msgs += 1;
+        cell.bytes += bytes;
+    });
 }
 
 /// Fold one received logical frame's `hash` into the calling thread's
@@ -207,103 +184,67 @@ pub fn record_traffic(link: Link, bytes: u64) {
 /// runs under different chaos schedules be compared. Called by the
 /// runtime's exchange collection path.
 pub fn record_frame_digest(link: Link, hash: u64) {
-    if cfg!(feature = "enabled") {
-        crate::span::with_path(|path| {
-            REG.with(|r| {
-                let mut r = r.borrow_mut();
-                if !r.digests.contains_key(path) {
-                    r.digests.insert(path.to_string(), Default::default());
-                }
-                let cells = r.digests.get_mut(path).expect("just inserted");
-                let cell = &mut cells[link.index()];
-                cell.0 += 1;
-                cell.1 = cell.1.wrapping_add(hash);
-            });
-        });
-    }
+    crate::span::with_slot(|slot| {
+        let cell = &mut slot.digests[link.index()];
+        cell.0 += 1;
+        cell.1 = cell.1.wrapping_add(hash);
+    });
 }
 
 /// Drain this thread's counters, sorted by name.
 pub fn take_counters() -> Vec<(String, u64)> {
-    if cfg!(feature = "enabled") {
-        REG.with(|r| {
-            std::mem::take(&mut r.borrow_mut().counters)
-                .into_iter()
-                .collect()
-        })
-    } else {
-        Vec::new()
-    }
+    REG.with(|r| {
+        std::mem::take(&mut r.borrow_mut().counters)
+            .into_iter()
+            .collect()
+    })
 }
 
 /// Drain this thread's histograms, sorted by name.
 pub fn take_hists() -> Vec<(String, HistStat)> {
-    if cfg!(feature = "enabled") {
-        REG.with(|r| {
-            std::mem::take(&mut r.borrow_mut().hists)
-                .into_iter()
-                .collect()
-        })
-    } else {
-        Vec::new()
-    }
+    REG.with(|r| {
+        std::mem::take(&mut r.borrow_mut().hists)
+            .into_iter()
+            .collect()
+    })
 }
 
 /// Drain this thread's per-phase traffic, sorted by phase path then link.
 /// Rows with zero messages are omitted.
 pub fn take_traffic() -> Vec<TrafficRow> {
-    if cfg!(feature = "enabled") {
-        REG.with(|r| {
-            let traffic = std::mem::take(&mut r.borrow_mut().traffic);
-            let mut rows = Vec::new();
-            for (phase, cells) in traffic {
-                for link in Link::ALL {
-                    let totals = cells[link.index()];
-                    if totals.msgs > 0 {
-                        rows.push(TrafficRow {
-                            phase: phase.clone(),
-                            link,
-                            totals,
-                        });
-                    }
-                }
+    crate::span::drain(|slot, rows| {
+        for link in Link::ALL {
+            let totals = std::mem::take(&mut slot.traffic[link.index()]);
+            if totals.msgs > 0 {
+                rows.push(TrafficRow {
+                    phase: slot.path.clone(),
+                    link,
+                    totals,
+                });
             }
-            rows
-        })
-    } else {
-        Vec::new()
-    }
+        }
+    })
 }
 
 /// Drain this thread's per-phase frame digests, sorted by phase path then
 /// link. Rows with zero frames are omitted.
 pub fn take_digests() -> Vec<DigestRow> {
-    if cfg!(feature = "enabled") {
-        REG.with(|r| {
-            let digests = std::mem::take(&mut r.borrow_mut().digests);
-            let mut rows = Vec::new();
-            for (phase, cells) in digests {
-                for link in Link::ALL {
-                    let (frames, digest) = cells[link.index()];
-                    if frames > 0 {
-                        rows.push(DigestRow {
-                            phase: phase.clone(),
-                            link,
-                            frames,
-                            digest,
-                        });
-                    }
-                }
+    crate::span::drain(|slot, rows| {
+        for link in Link::ALL {
+            let (frames, digest) = std::mem::take(&mut slot.digests[link.index()]);
+            if frames > 0 {
+                rows.push(DigestRow {
+                    phase: slot.path.clone(),
+                    link,
+                    frames,
+                    digest,
+                });
             }
-            rows
-        })
-    } else {
-        Vec::new()
-    }
+        }
+    })
 }
 
 #[cfg(test)]
-#[cfg(feature = "enabled")]
 mod tests {
     use super::*;
 

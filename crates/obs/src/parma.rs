@@ -94,94 +94,79 @@ thread_local! {
 
 /// Begin recording an `improve` run. An unfinished previous run is dropped.
 pub fn begin(label: &str) {
-    if cfg!(feature = "enabled") {
-        REC.with(|r| {
-            let mut r = r.borrow_mut();
-            r.stage = None;
-            r.current = Some(ParmaTrace {
-                label: label.to_string(),
-                stages: Vec::new(),
-                seconds: 0.0,
-                elements_moved: 0,
-            });
+    REC.with(|r| {
+        let mut r = r.borrow_mut();
+        r.stage = None;
+        r.current = Some(ParmaTrace {
+            label: label.to_string(),
+            stages: Vec::new(),
+            seconds: 0.0,
+            elements_moved: 0,
         });
-    }
+    });
 }
 
 /// Begin a balancing stage for entity type `dim`.
 pub fn stage_begin(dim: &str, initial_pct: f64) {
-    if cfg!(feature = "enabled") {
-        REC.with(|r| {
-            r.borrow_mut().stage = Some(StageTrace {
-                dim: dim.to_string(),
-                initial_pct,
-                final_pct: initial_pct,
-                stop: StopReason::Converged,
-                iters: Vec::new(),
-            });
+    REC.with(|r| {
+        r.borrow_mut().stage = Some(StageTrace {
+            dim: dim.to_string(),
+            initial_pct,
+            final_pct: initial_pct,
+            stop: StopReason::Converged,
+            iters: Vec::new(),
         });
-    }
+    });
 }
 
 /// Record one diffusion iteration of the current stage.
 pub fn iter(imbalance_pct: f64, planned: u64, moved: u64) {
-    if cfg!(feature = "enabled") {
-        REC.with(|r| {
-            if let Some(stage) = r.borrow_mut().stage.as_mut() {
-                let iter = stage.iters.len() as u32 + 1;
-                stage.iters.push(IterSample {
-                    iter,
-                    imbalance_pct,
-                    planned,
-                    moved,
-                });
-            }
-        });
-    }
+    REC.with(|r| {
+        if let Some(stage) = r.borrow_mut().stage.as_mut() {
+            let iter = stage.iters.len() as u32 + 1;
+            stage.iters.push(IterSample {
+                iter,
+                imbalance_pct,
+                planned,
+                moved,
+            });
+        }
+    });
 }
 
 /// End the current stage.
 pub fn stage_end(final_pct: f64, stop: StopReason) {
-    if cfg!(feature = "enabled") {
-        REC.with(|r| {
-            let mut r = r.borrow_mut();
-            if let Some(mut stage) = r.stage.take() {
-                stage.final_pct = final_pct;
-                stage.stop = stop;
-                if let Some(cur) = r.current.as_mut() {
-                    cur.stages.push(stage);
-                }
+    REC.with(|r| {
+        let mut r = r.borrow_mut();
+        if let Some(mut stage) = r.stage.take() {
+            stage.final_pct = final_pct;
+            stage.stop = stop;
+            if let Some(cur) = r.current.as_mut() {
+                cur.stages.push(stage);
             }
-        });
-    }
+        }
+    });
 }
 
 /// End the run begun by [`begin`], moving it to the completed list.
 pub fn end(seconds: f64, elements_moved: u64) {
-    if cfg!(feature = "enabled") {
-        REC.with(|r| {
-            let mut r = r.borrow_mut();
-            r.stage = None;
-            if let Some(mut cur) = r.current.take() {
-                cur.seconds = seconds;
-                cur.elements_moved = elements_moved;
-                r.done.push(cur);
-            }
-        });
-    }
+    REC.with(|r| {
+        let mut r = r.borrow_mut();
+        r.stage = None;
+        if let Some(mut cur) = r.current.take() {
+            cur.seconds = seconds;
+            cur.elements_moved = elements_moved;
+            r.done.push(cur);
+        }
+    });
 }
 
 /// Drain this thread's completed traces.
 pub fn take() -> Vec<ParmaTrace> {
-    if cfg!(feature = "enabled") {
-        REC.with(|r| std::mem::take(&mut r.borrow_mut().done))
-    } else {
-        Vec::new()
-    }
+    REC.with(|r| std::mem::take(&mut r.borrow_mut().done))
 }
 
 #[cfg(test)]
-#[cfg(feature = "enabled")]
 mod tests {
     use super::*;
 

@@ -18,9 +18,17 @@
 //! ```
 //!
 //! Times are *inclusive*: a parent's total contains its children's.
+//!
+//! Each thread interns every distinct path into a *slot* the first time it
+//! is entered, and all per-path aggregates (this module's [`SpanStat`], the
+//! traffic and frame-digest cells of [`metrics`](crate::metrics)) live in
+//! that slot. Entering finds the slot among its parent's few children;
+//! dropping and recording index the top frame's slot. After a path's first
+//! entry none of them allocates, and dropping and recording compare no
+//! strings. The drains map slots back to paths.
 
+use crate::metrics::LinkTotals;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Aggregate for one span path on one thread.
@@ -32,22 +40,71 @@ pub struct SpanStat {
     pub nanos: u64,
 }
 
-struct Frame {
-    start: Option<Instant>,
-    /// Length of the joined path before this frame was pushed.
-    path_len: usize,
+/// Slot of the empty path: where recording outside any span lands.
+const ROOT: usize = 0;
+
+/// Everything recorded under one span path on one thread.
+#[derive(Default)]
+pub(crate) struct Slot {
+    /// Slash-joined span names (`""` for [`ROOT`]).
+    pub(crate) path: String,
+    /// `(name, slot)` of each span entered directly under this path.
+    children: Vec<(String, usize)>,
+    stat: SpanStat,
+    /// Messages sent under this path, per [`Link`](crate::metrics::Link) index.
+    pub(crate) traffic: [LinkTotals; 3],
+    /// (frames, wrapping hash sum) received under this path, per link.
+    pub(crate) digests: [(u64, u64); 3],
 }
 
-#[derive(Default)]
+struct Frame {
+    start: Instant,
+    slot: usize,
+}
+
 struct SpanState {
     stack: Vec<Frame>,
-    /// Slash-joined names of the active stack.
-    path: String,
-    agg: BTreeMap<String, SpanStat>,
+    slots: Vec<Slot>,
+}
+
+impl SpanState {
+    fn top(&self) -> usize {
+        self.stack.last().map_or(ROOT, |f| f.slot)
+    }
+
+    /// The slot of span `name` entered under `parent`, interned on first use.
+    fn child(&mut self, parent: usize, name: &str) -> usize {
+        let known = self.slots[parent].children.iter().find(|(n, _)| n == name);
+        if let Some(&(_, slot)) = known {
+            return slot;
+        }
+        let path = if parent == ROOT {
+            name.to_string()
+        } else {
+            format!("{}/{name}", self.slots[parent].path)
+        };
+        // A name holding '/' can join to a path reached another way; both
+        // routes share one slot, so each path is one drained row.
+        let slot = match self.slots.iter().position(|s| s.path == path) {
+            Some(slot) => slot,
+            None => {
+                self.slots.push(Slot {
+                    path,
+                    ..Slot::default()
+                });
+                self.slots.len() - 1
+            }
+        };
+        self.slots[parent].children.push((name.to_string(), slot));
+        slot
+    }
 }
 
 thread_local! {
-    static STATE: RefCell<SpanState> = RefCell::new(SpanState::default());
+    static STATE: RefCell<SpanState> = RefCell::new(SpanState {
+        stack: Vec::new(),
+        slots: vec![Slot::default()],
+    });
 }
 
 /// Guard returned by [`enter`]; records the elapsed time when dropped.
@@ -58,64 +115,64 @@ pub struct SpanGuard {
 
 /// Enter a span named `name`. Prefer the [`span!`](crate::span!) macro.
 pub fn enter(name: &str) -> SpanGuard {
-    if cfg!(feature = "enabled") {
-        STATE.with(|s| {
-            let mut s = s.borrow_mut();
-            let path_len = s.path.len();
-            if path_len > 0 {
-                s.path.push('/');
-            }
-            s.path.push_str(name);
-            s.stack.push(Frame {
-                start: Some(Instant::now()),
-                path_len,
-            });
+    STATE.with(|s| {
+        let mut s = s.borrow_mut();
+        let parent = s.top();
+        let slot = s.child(parent, name);
+        s.stack.push(Frame {
+            start: Instant::now(),
+            slot,
         });
-    }
+    });
     SpanGuard { _priv: () }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if cfg!(feature = "enabled") {
-            STATE.with(|s| {
-                let mut s = s.borrow_mut();
-                let frame = s.stack.pop().expect("span guard dropped twice");
-                let nanos = frame
-                    .start
-                    .map(|t| t.elapsed().as_nanos() as u64)
-                    .unwrap_or(0);
-                let path = s.path.clone();
-                let stat = s.agg.entry(path).or_default();
-                stat.count += 1;
-                stat.nanos += nanos;
-                s.path.truncate(frame.path_len);
-            });
-        }
+        STATE.with(|s| {
+            let mut s = s.borrow_mut();
+            let frame = s.stack.pop().expect("span guard dropped twice");
+            let stat = &mut s.slots[frame.slot].stat;
+            stat.count += 1;
+            stat.nanos += frame.start.elapsed().as_nanos() as u64;
+        });
     }
 }
 
-/// Run `f` with the current span path (`""` outside any span).
-pub fn with_path<R>(f: impl FnOnce(&str) -> R) -> R {
-    if cfg!(feature = "enabled") {
-        STATE.with(|s| f(&s.borrow().path))
-    } else {
-        f("")
-    }
+/// Run `f` on the slot of the current span path.
+pub(crate) fn with_slot<R>(f: impl FnOnce(&mut Slot) -> R) -> R {
+    STATE.with(|s| {
+        let mut s = s.borrow_mut();
+        let top = s.top();
+        f(&mut s.slots[top])
+    })
+}
+
+/// Drain one aggregate of every slot into rows sorted by path: `row` takes
+/// what it reports out of the slot and pushes it. Slots stay interned, so
+/// active spans keep aggregating into them.
+pub(crate) fn drain<R>(mut row: impl FnMut(&mut Slot, &mut Vec<R>)) -> Vec<R> {
+    STATE.with(|s| {
+        let mut s = s.borrow_mut();
+        let mut order: Vec<usize> = (0..s.slots.len()).collect();
+        order.sort_unstable_by(|&a, &b| s.slots[a].path.cmp(&s.slots[b].path));
+        let mut rows = Vec::new();
+        for slot in order {
+            row(&mut s.slots[slot], &mut rows);
+        }
+        rows
+    })
 }
 
 /// Drain this thread's aggregated spans, sorted by path. Active (not yet
-/// dropped) spans are unaffected and will aggregate into the fresh map.
+/// dropped) spans are unaffected and will aggregate afresh.
 pub fn take() -> Vec<(String, SpanStat)> {
-    if cfg!(feature = "enabled") {
-        STATE.with(|s| {
-            std::mem::take(&mut s.borrow_mut().agg)
-                .into_iter()
-                .collect()
-        })
-    } else {
-        Vec::new()
-    }
+    drain(|slot, rows| {
+        let stat = std::mem::take(&mut slot.stat);
+        if stat.count > 0 {
+            rows.push((slot.path.clone(), stat));
+        }
+    })
 }
 
 /// Enter a span scope: `let _g = pumi_obs::span!("migrate.pack");`.
@@ -127,7 +184,6 @@ macro_rules! span {
 }
 
 #[cfg(test)]
-#[cfg(feature = "enabled")]
 mod tests {
     use super::*;
 
@@ -136,16 +192,13 @@ mod tests {
         let _ = take();
         {
             let _a = enter("outer");
-            with_path(|p| assert_eq!(p, "outer"));
             {
                 let _b = enter("inner");
-                with_path(|p| assert_eq!(p, "outer/inner"));
             }
             {
                 let _b = enter("inner");
             }
         }
-        with_path(|p| assert_eq!(p, ""));
         let spans = take();
         let paths: Vec<&str> = spans.iter().map(|(p, _)| p.as_str()).collect();
         assert_eq!(paths, vec!["outer", "outer/inner"]);
@@ -154,6 +207,27 @@ mod tests {
         assert!(
             spans[0].1.nanos >= spans[1].1.nanos,
             "parent time is inclusive"
+        );
+    }
+
+    #[test]
+    fn a_slash_in_a_name_joins_the_same_path() {
+        let _ = take();
+        {
+            let _a = enter("a");
+            drop(enter("b"));
+        }
+        drop(enter("a/b"));
+        let spans = take();
+        assert_eq!(
+            spans[1],
+            (
+                "a/b".to_string(),
+                SpanStat {
+                    count: 2,
+                    ..spans[1].1
+                }
+            )
         );
     }
 

@@ -34,6 +34,9 @@ pub(crate) struct Envelope {
     pub from: usize,
     pub tag: u32,
     pub data: Bytes,
+    /// `phased::frame_hash` of an exchange frame, taken by the rank that
+    /// last framed it; 0 on every other message.
+    pub hash: u64,
 }
 
 /// Per-source FIFO within one tag's stash. `stale` counts arrival-order
@@ -41,7 +44,8 @@ pub(crate) struct Envelope {
 /// path can skip them and still return messages in true arrival order.
 #[derive(Debug, Default)]
 struct SrcQueue {
-    q: VecDeque<Bytes>,
+    /// `(data, hash)` per message.
+    q: VecDeque<(Bytes, u64)>,
     stale: usize,
 }
 
@@ -58,30 +62,34 @@ struct TagQueue {
 }
 
 impl TagQueue {
-    fn push(&mut self, from: usize, data: Bytes) {
-        self.by_src.entry(from).or_default().q.push_back(data);
+    fn push(&mut self, from: usize, data: Bytes, hash: u64) {
+        self.by_src
+            .entry(from)
+            .or_default()
+            .q
+            .push_back((data, hash));
         self.order.push_back(from);
         self.len += 1;
     }
 
-    fn pop_src(&mut self, from: usize) -> Option<Bytes> {
+    fn pop_src(&mut self, from: usize) -> Option<(Bytes, u64)> {
         let sq = self.by_src.get_mut(&from)?;
-        let data = sq.q.pop_front()?;
+        let msg = sq.q.pop_front()?;
         sq.stale += 1;
         self.len -= 1;
-        Some(data)
+        Some(msg)
     }
 
-    fn pop_any(&mut self) -> Option<(usize, Bytes)> {
+    fn pop_any(&mut self) -> Option<(usize, Bytes, u64)> {
         while let Some(src) = self.order.pop_front() {
             let sq = self.by_src.get_mut(&src).expect("stash index out of sync");
             if sq.stale > 0 {
                 sq.stale -= 1;
                 continue;
             }
-            let data = sq.q.pop_front().expect("stash index out of sync");
+            let (data, hash) = sq.q.pop_front().expect("stash index out of sync");
             self.len -= 1;
-            return Some((src, data));
+            return Some((src, data, hash));
         }
         None
     }
@@ -105,15 +113,18 @@ struct Stash {
 
 impl Stash {
     fn push(&mut self, e: Envelope) {
-        self.queues.entry(e.tag).or_default().push(e.from, e.data);
+        self.queues
+            .entry(e.tag)
+            .or_default()
+            .push(e.from, e.data, e.hash);
     }
 
     /// Pop the first stashed message matching `(from, tag)` — O(1).
     fn pop(&mut self, from: Option<usize>, tag: u32) -> Option<(usize, Bytes)> {
         let q = self.queues.get_mut(&tag)?;
         let msg = match from {
-            None => q.pop_any(),
-            Some(f) => q.pop_src(f).map(|d| (f, d)),
+            None => q.pop_any().map(|(f, d, _)| (f, d)),
+            Some(f) => q.pop_src(f).map(|(d, _)| (f, d)),
         }?;
         if q.len == 0 {
             self.queues.remove(&tag);
@@ -125,8 +136,9 @@ impl Stash {
         self.queues.get(&tag).is_some_and(|q| q.has(from))
     }
 
-    /// Remove and return the whole queue for `tag` (arrival order).
-    fn take_tag(&mut self, tag: u32) -> VecDeque<(usize, Bytes)> {
+    /// Remove and return the whole queue for `tag` (arrival order) as
+    /// `(from, data, hash)`.
+    fn take_tag(&mut self, tag: u32) -> VecDeque<(usize, Bytes, u64)> {
         let Some(mut q) = self.queues.remove(&tag) else {
             return VecDeque::new();
         };
@@ -339,32 +351,42 @@ impl Comm {
     }
 
     pub(crate) fn send_raw(&self, to: usize, tag: u32, data: Bytes) {
-        self.forward_raw(self.rank, to, tag, data);
+        self.send_frame(to, tag, data, 0);
     }
 
-    /// Send on behalf of `origin`: the receiver sees the envelope as coming
-    /// from `origin`, not from this rank. Used by the two-level exchange
-    /// relay to re-deliver sub-buffers transparently; traffic is metered on
-    /// the physical link (this rank → `to`).
-    pub(crate) fn forward_raw(&self, origin: usize, to: usize, tag: u32, data: Bytes) {
+    /// [`Comm::send_raw`] of an exchange frame, with its `hash` riding in
+    /// the envelope beside the payload.
+    pub(crate) fn send_frame(&self, to: usize, tag: u32, data: Bytes, hash: u64) {
         self.meter(to, data.len());
         self.world.mailboxes[to].push(Envelope {
-            from: origin,
+            from: self.rank,
             tag,
             data,
+            hash,
         });
     }
 
-    /// [`Comm::forward_raw`] without the destination wakeup. Callers
-    /// delivering a batch of envelopes to one destination push them all
-    /// quietly and then issue a single [`Comm::notify`] — one wake per link
-    /// per phase instead of one per envelope.
-    pub(crate) fn forward_raw_quiet(&self, origin: usize, to: usize, tag: u32, data: Bytes) {
+    /// Send an exchange frame on behalf of `origin`, without the destination
+    /// wakeup: the receiver sees the envelope as coming from `origin`, not
+    /// from this rank. The two-level exchange relay re-delivers sub-buffers
+    /// this way, pushing a batch to one destination quietly and then issuing
+    /// a single [`Comm::notify`] — one wake per link per phase instead of one
+    /// per envelope. Traffic is metered on the physical link (this rank →
+    /// `to`).
+    pub(crate) fn forward_raw_quiet(
+        &self,
+        origin: usize,
+        to: usize,
+        tag: u32,
+        data: Bytes,
+        hash: u64,
+    ) {
         self.meter(to, data.len());
         self.world.mailboxes[to].push_quiet(Envelope {
             from: origin,
             tag,
             data,
+            hash,
         });
     }
 
@@ -378,7 +400,7 @@ impl Comm {
         let link = self.world.machine.link(self.rank, to);
         self.world.counters.record(link, bytes);
         // Per-phase metering: the same message lands in the obs registry
-        // under the sender's current span path (no-op without `obs`).
+        // under the sender's current span path.
         pumi_obs::metrics::record_traffic(link.to_obs(), bytes as u64);
     }
 
@@ -429,9 +451,10 @@ impl Comm {
     }
 
     /// Remove and return every stashed message with `tag`, in arrival
-    /// order. Callers must have established (e.g. via a barrier) that no
-    /// more messages with this tag are in flight, and drained the wire.
-    pub(crate) fn take_tag(&self, tag: u32) -> VecDeque<(usize, Bytes)> {
+    /// order, as `(from, data, hash)`. Callers must have established (e.g.
+    /// via a barrier) that no more messages with this tag are in flight, and
+    /// drained the wire.
+    pub(crate) fn take_tag(&self, tag: u32) -> VecDeque<(usize, Bytes, u64)> {
         self.stash.borrow_mut().take_tag(tag)
     }
 

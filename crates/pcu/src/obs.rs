@@ -8,8 +8,7 @@
 //! traffic, summed counters, merged histograms).
 //!
 //! All functions here are **collective**: every rank of the world must call
-//! them at the same point, and rank 0 gets `Some(..)`. They also work with
-//! the `obs` feature off — every rank simply contributes empty stores.
+//! them at the same point, and rank 0 gets `Some(..)`.
 
 use crate::comm::Comm;
 use crate::msg::{MsgReader, MsgWriter};
@@ -274,7 +273,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn spans_reduce_with_max_and_sum() {
         let out = execute(4, |c| {
             let _ = pumi_obs::span::take();
@@ -298,7 +296,6 @@ mod tests {
     /// Buffers crossing node boundaries on a multi-node machine: per-phase
     /// traffic must split between on-node and off-node link classes.
     #[test]
-    #[cfg(feature = "obs")]
     fn traffic_reduces_per_phase_and_link() {
         let m = MachineModel::new(2, 2); // ranks 0,1 on node 0; 2,3 on node 1
         let out = execute_on(m, |c| {
@@ -337,14 +334,13 @@ mod tests {
 
     /// Under two-level routing the exchange-path rows stay identical to
     /// direct routing (logical rank-to-rank traffic), while the physical
-    /// off-node envelopes land under the nested relay span and are bounded
-    /// by one super-message per ordered node pair.
+    /// off-node envelopes land under the nested relay span: one
+    /// super-message per ordered node pair. The same 32 ranks are also laid
+    /// out from one fat node (1×32) to many thin ones (8×4).
     #[test]
-    #[cfg(feature = "obs")]
     fn relay_span_shows_off_node_envelope_reduction() {
         use crate::phased::{Exchange, ExchangeOpts};
-        let m = MachineModel::new(4, 2);
-        let run = |opts: ExchangeOpts| {
+        let run = |m: MachineModel, opts: ExchangeOpts| {
             execute_on(m, move |c| {
                 let _ = pumi_obs::span::take();
                 let _ = pumi_obs::metrics::take_traffic();
@@ -365,46 +361,45 @@ mod tests {
             .next()
             .unwrap()
         };
-        let direct = run(ExchangeOpts::direct());
-        let agg = run(ExchangeOpts::two_level());
         let exchange_rows = |t: &[WorldTraffic]| {
             t.iter()
                 .filter(|r| r.phase.ends_with("halo/pcu.exchange"))
                 .cloned()
                 .collect::<Vec<_>>()
         };
-        // Logical per-phase accounting is routing-invariant.
-        assert_eq!(exchange_rows(&direct), exchange_rows(&agg));
-        // Physically, 8 ranks × 6 off-node peers = 48 direct envelopes
-        // collapse to one super-message per ordered node pair: 4×3 = 12,
-        // within the nodes² bound.
-        let direct_off = exchange_rows(&direct)
-            .iter()
-            .find(|r| r.link == Link::OffNode)
-            .unwrap()
-            .msgs;
-        assert_eq!(direct_off, 48);
-        let relay_off = agg
-            .iter()
-            .find(|r| {
-                r.phase.ends_with(&format!(
-                    "halo/pcu.exchange/{}",
-                    pumi_obs::metrics::RELAY_SPAN
-                )) && r.link == Link::OffNode
-            })
-            .expect("relay span records off-node supers");
-        assert_eq!(relay_off.msgs, (m.nodes * (m.nodes - 1)) as u64);
-        assert!(relay_off.msgs <= (m.nodes * m.nodes) as u64);
-        // Direct mode never enters the relay span.
-        assert!(!direct
-            .iter()
-            .any(|r| r.phase.contains(pumi_obs::metrics::RELAY_SPAN)));
+        let off_node_msgs = |t: &[WorldTraffic], suffix: &str| {
+            t.iter()
+                .find(|r| r.phase.ends_with(suffix) && r.link == Link::OffNode)
+                .map_or(0, |r| r.msgs)
+        };
+        let relay = format!("halo/pcu.exchange/{}", pumi_obs::metrics::RELAY_SPAN);
+        for (nodes, cores) in [(4, 2), (1, 32), (2, 16), (4, 8), (8, 4)] {
+            let m = MachineModel::new(nodes, cores);
+            let direct = run(m, ExchangeOpts::direct());
+            let agg = run(m, ExchangeOpts::two_level());
+            let shape = format!("{nodes}x{cores}");
+            // Logical per-phase accounting is routing-invariant.
+            assert_eq!(exchange_rows(&direct), exchange_rows(&agg), "{shape}");
+            // Directly, every rank sends one envelope to each off-node rank;
+            // relayed, those collapse to one per ordered node pair.
+            let ranks = nodes * cores;
+            let direct_off = off_node_msgs(&direct, "halo/pcu.exchange");
+            assert_eq!(direct_off, (ranks * (ranks - cores)) as u64, "{shape}");
+            let relay_off = off_node_msgs(&agg, &relay);
+            assert_eq!(relay_off, (nodes * (nodes - 1)) as u64, "{shape}");
+            // Direct mode never enters the relay span.
+            assert!(
+                !direct
+                    .iter()
+                    .any(|r| r.phase.contains(pumi_obs::metrics::RELAY_SPAN)),
+                "{shape}"
+            );
+        }
     }
 
     /// Counters are summed and histograms merged across ranks, and both
     /// land in the report beside spans and traffic.
     #[test]
-    #[cfg(feature = "obs")]
     fn counters_and_hists_reach_the_world_report() {
         let out = execute(3, |c| {
             let _ = pumi_obs::metrics::take_counters();
@@ -448,7 +443,6 @@ mod tests {
         let j = out.into_iter().flatten().next().unwrap();
         assert!(j.contains("\"spans\""));
         assert!(j.contains("\"traffic\""));
-        #[cfg(feature = "obs")]
         assert!(j.contains("\"path\": \"phase/pcu.barrier\""));
     }
 }

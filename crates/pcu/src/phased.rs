@@ -183,21 +183,22 @@ impl<'c> Exchange<'c> {
     }
 }
 
-/// Fold one received logical frame into the obs digest sink: an FNV-style
-/// hash of (origin rank, payload bytes), attributed to the origin→receiver
-/// link class. Routing-invariant — relayed frames hash identically to
-/// direct ones — so digest rows can be compared across routes and chaos
-/// seeds. The fold consumes 8-byte words per multiply (with the length
-/// mixed in to disambiguate tail padding): a pure function of the same
-/// inputs as byte-at-a-time FNV-1a, at an eighth of the dependent-multiply
-/// chain — fingerprinting is on every frame of every exchange, so it must
-/// not dominate the phase.
-fn digest_frame(comm: &Comm, from: usize, data: &[u8]) {
-    if !pumi_obs::metrics::enabled() {
-        return;
-    }
+/// The fingerprint of one logical frame that the obs digest sink folds: an
+/// FNV-style hash of (origin rank, payload bytes). Routing-invariant —
+/// relayed frames hash identically to direct ones — so digest rows can be
+/// compared across routes and chaos seeds. The fold consumes 8-byte words
+/// per multiply (with the length mixed in to disambiguate tail padding): a
+/// pure function of the same inputs as byte-at-a-time FNV-1a, at an eighth
+/// of the dependent-multiply chain — fingerprinting is on every frame of
+/// every exchange, so it must not dominate the phase.
+///
+/// A frame is hashed by the rank that frames it, while its bytes are still
+/// in that rank's cache, and the hash rides in the envelope beside the
+/// payload; hashing on receipt would make every receiver read every payload
+/// inside the exchange.
+fn frame_hash(origin: usize, data: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (from as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (origin as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {
         h = (h ^ u64::from_le_bytes(c.try_into().unwrap())).wrapping_mul(PRIME);
@@ -206,13 +207,13 @@ fn digest_frame(comm: &Comm, from: usize, data: &[u8]) {
     for (i, &b) in chunks.remainder().iter().enumerate() {
         tail |= (b as u64) << (8 * i);
     }
-    h = (h ^ tail).wrapping_mul(PRIME);
-    let link = if from == comm.rank() {
-        Link::SelfLoop
-    } else {
-        comm.link_to(from).to_obs()
-    };
-    pumi_obs::metrics::record_frame_digest(link, h);
+    (h ^ tail).wrapping_mul(PRIME)
+}
+
+/// Fold one received frame's [`frame_hash`] into the obs digest sink,
+/// attributed to the origin→receiver link class.
+fn digest_frame(comm: &Comm, from: usize, hash: u64) {
+    pumi_obs::metrics::record_frame_digest(comm.link_to(from).to_obs(), hash);
 }
 
 /// Direct routing: send each buffer to its destination, then run the
@@ -232,10 +233,12 @@ fn finish_direct(
             // per-phase traffic still accounts for the pack volume.
             pumi_obs::metrics::record_traffic(Link::SelfLoop, w.len() as u64);
             let data = w.finish();
-            digest_frame(comm, comm.rank(), &data);
+            digest_frame(comm, comm.rank(), frame_hash(comm.rank(), &data));
             local = Some(MsgReader::new(data));
         } else {
-            comm.send_raw(dest, tag, w.finish());
+            let data = w.finish();
+            let hash = frame_hash(comm.rank(), &data);
+            comm.send_frame(dest, tag, data, hash);
         }
         if let Some(rng) = chaos.as_mut() {
             rng.maybe_yield();
@@ -250,9 +253,9 @@ fn finish_direct(
     comm.drain_wire();
     let mut total_bytes = 0u64;
     let mut msgs: Vec<(usize, MsgReader)> = Vec::new();
-    for (from, data) in comm.take_tag(tag) {
+    for (from, data, hash) in comm.take_tag(tag) {
         total_bytes += data.len() as u64;
-        digest_frame(comm, from, &data);
+        digest_frame(comm, from, hash);
         msgs.push((from, MsgReader::new(data)));
     }
     if let Some(r) = local {
@@ -295,12 +298,16 @@ fn finish_two_level(
             LinkClass::SelfLoop => {
                 pumi_obs::metrics::record_traffic(Link::SelfLoop, w.len() as u64);
                 let data = w.finish();
-                digest_frame(comm, me, &data);
+                digest_frame(comm, me, frame_hash(me, &data));
                 local = Some(MsgReader::new(data));
             }
             // Shared-memory links are exactly what aggregation is meant to
             // spare: on-node buffers go direct.
-            LinkClass::OnNode => comm.send_raw(dest, tag_data, w.finish()),
+            LinkClass::OnNode => {
+                let data = w.finish();
+                let hash = frame_hash(me, &data);
+                comm.send_frame(dest, tag_data, data, hash);
+            }
             LinkClass::OffNode => {
                 // Record the logical rank-to-rank message at the exchange
                 // span path, exactly as direct routing would; the physical
@@ -328,11 +335,11 @@ fn finish_two_level(
         // Under chaos, process uplink bundles in a shuffled order; the
         // staged list is re-sorted below, so super-message bytes stay
         // canonical regardless.
-        let mut bundles: Vec<(usize, Bytes)> = comm.take_tag(tag_up).into_iter().collect();
+        let mut bundles: Vec<(usize, Bytes, u64)> = comm.take_tag(tag_up).into_iter().collect();
         if let Some(rng) = chaos.as_mut() {
             rng.shuffle(&mut bundles);
         }
-        for (_, bundle) in bundles {
+        for (_, bundle, _) in bundles {
             let mut r = MsgReader::new(bundle);
             while !r.is_done() {
                 let (dest, origin, payload) = take_relay_frame(&mut r)
@@ -378,7 +385,7 @@ fn finish_two_level(
     let mut msgs: Vec<(usize, MsgReader)> = Vec::new();
     if is_leader {
         comm.drain_wire();
-        let mut bundles: Vec<(usize, Bytes)> = comm.take_tag(tag_super).into_iter().collect();
+        let mut bundles: Vec<(usize, Bytes, u64)> = comm.take_tag(tag_super).into_iter().collect();
         if let Some(rng) = chaos.as_mut() {
             rng.shuffle(&mut bundles);
         }
@@ -387,21 +394,24 @@ fn finish_two_level(
         // on-node link for the whole phase, however many origins relayed
         // through this leader.
         let mut pending_notify: Vec<usize> = Vec::new();
-        for (_, bundle) in bundles {
+        for (_, bundle, _) in bundles {
             let mut r = MsgReader::new(bundle);
             while !r.is_done() {
                 let (dest, origin, payload) = take_relay_frame(&mut r)
                     .unwrap_or_else(|e| panic!("corrupt relay super-frame: {e}"));
+                // The receiving leader re-frames a relayed frame, so it
+                // hashes it here.
+                let hash = frame_hash(origin as usize, &payload);
                 if dest as usize == me {
                     total_bytes += payload.len() as u64;
-                    digest_frame(comm, origin as usize, &payload);
+                    digest_frame(comm, origin as usize, hash);
                     msgs.push((origin as usize, MsgReader::new(payload)));
                 } else {
                     // Re-deliver on-node with the envelope showing the true
                     // origin; the payload is a zero-copy slice of the
                     // super-message.
                     let _relay = pumi_obs::span!(pumi_obs::metrics::RELAY_SPAN);
-                    comm.forward_raw_quiet(origin as usize, dest as usize, tag_data, payload);
+                    comm.forward_raw_quiet(origin as usize, dest as usize, tag_data, payload, hash);
                     if !pending_notify.contains(&(dest as usize)) {
                         pending_notify.push(dest as usize);
                     }
@@ -416,9 +426,9 @@ fn finish_two_level(
     // destinations; tag_data is now quiescent everywhere.
     comm.node_barrier();
     comm.drain_wire();
-    for (from, data) in comm.take_tag(tag_data) {
+    for (from, data, hash) in comm.take_tag(tag_data) {
         total_bytes += data.len() as u64;
-        digest_frame(comm, from, &data);
+        digest_frame(comm, from, hash);
         msgs.push((from, MsgReader::new(data)));
     }
     if let Some(r) = local {

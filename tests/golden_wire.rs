@@ -5,9 +5,9 @@
 //!
 //! The constants were taken by running this file on the commit *before* the
 //! entity transport was unified in `pumi_core::wire`; they hold under the
-//! deterministic scheduler, `chaos:1`, `chaos:7` and `--no-default-features`
-//! alike. A change here means a byte moved on the wire or an entity was
-//! created in a different order — the way `golden_bytes.rs` pins the disk.
+//! deterministic scheduler, `chaos:1` and `chaos:7` alike. A change here
+//! means a byte moved on the wire or an entity was created in a different
+//! order — the way `golden_bytes.rs` pins the disk.
 //!
 //! One re-take since: when `migrate` stopped recomputing the residence of
 //! every part-boundary entity and kept to the closures of the elements that
@@ -235,8 +235,7 @@ fn no_wire_byte_moved() {
 type SyncProbe = ([u64; 4], [(u64, u64, u64); 2]);
 
 /// Taken on the commit *before* the share map was compiled into sorted
-/// arrays and `Field` went dense. The obs half is empty (all zero) under
-/// `--no-default-features`; the `Comm::traffic` half holds there too.
+/// arrays and `Field` went dense.
 const GOLDEN_SYNC: SyncProbe = (
     [8, 9270, 12, 6810],
     [
@@ -296,9 +295,5 @@ fn halo_sync_frames_unmoved() {
             *sum = (sum.0 + p.0, sum.1.wrapping_add(p.1), sum.2 + p.2);
         }
     }
-    let mut want = GOLDEN_SYNC;
-    if !cfg!(feature = "obs") {
-        want.1 = [(0, 0, 0); 2];
-    }
-    assert_eq!(got, want, "a halo sync frame moved");
+    assert_eq!(got, GOLDEN_SYNC, "a halo sync frame moved");
 }
