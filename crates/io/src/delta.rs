@@ -12,11 +12,11 @@
 //! manifest's `delta_count` is bumped last, so a crash mid-delta leaves the
 //! previous restore point intact.
 //!
-//! Restore ([`crate::read::load_part`]) replays deltas per part *before*
-//! the N→M stitching, so a checkpoint with deltas restores onto any rank
-//! count exactly like a fresh full snapshot: deletions first (high
-//! dimension to low), then entity upserts (vertices to elements), then
-//! tag/field value upserts by gid, then wholesale remote-link replacement.
+//! Restore ([`crate::PartRows::read`]) replays deltas on each part's rows
+//! *before* any part is built, so a checkpoint with deltas restores onto
+//! any rank count exactly like a fresh full snapshot: deletions first, then
+//! entity upserts (vertices to elements), then tag/field values by gid,
+//! then wholesale remote-link replacement.
 
 use crate::chunk::DEFAULT_CHUNK_LEN;
 use crate::error::IoError;

@@ -17,19 +17,22 @@
 //!
 //! There is one format ([`mod@format`]), one set of section encoders
 //! ([`mod@write`], which [`delta`] reuses with a dirty-entity filter) and one
-//! part loader ([`read::load_part`]) that both the collective reader and
-//! the `pumi-serve` slice service drive through a [`SectionSource`].
+//! part loader ([`mod@load`]: a file part decodes into rows, and each
+//! restored part is built once from the rows it needs) that both the
+//! collective reader and the `pumi-serve` slice service drive through a
+//! [`SectionSource`].
 //!
 //! The reader restores an N-part checkpoint onto **any** M ranks:
-//! remote-copy links are rebuilt from global ids with one phased
-//! exchange, and when N ≠ M the mesh is redistributed through the
-//! migration path (merging part blocks when N > M, splitting with the
-//! local graph partitioner when N < M). Corruption anywhere — a flipped
-//! bit, a truncated file, a damaged header — surfaces as a typed
-//! [`IoError`] naming the part and section, never a panic.
+//! remote-copy links are rebuilt from global ids with one phased exchange.
+//! When N > M each rank builds one part from the union of its block of
+//! file parts; when N < M each file part is cut along a Morton curve and
+//! the pieces migrate out. Corruption anywhere — a flipped bit, a truncated
+//! file, a damaged header — surfaces as a typed [`IoError`] naming the part
+//! and section, never a panic.
 //!
-//! Write and read are collective; `io.write` / `io.read` /
-//! `io.redistribute` spans and byte counters thread through `pumi-obs`.
+//! Write and read are collective; `io.write` / `io.read` (with `io.rows`,
+//! `io.build`, `io.link` and, for a split, `io.redistribute` under it)
+//! spans and byte counters thread through `pumi-obs`.
 
 #![warn(missing_docs)]
 
@@ -39,6 +42,7 @@ pub mod delta;
 pub mod error;
 pub mod format;
 pub mod hash;
+pub mod load;
 pub mod read;
 pub mod write;
 
@@ -47,7 +51,7 @@ pub mod write;
 pub(crate) const FIELD_TAG_PREFIX: &str = "__io:f:";
 
 /// Name of the staging tag that carries field `name`'s node values during
-/// restore. [`load_part`] leaves field data under this tag; `pumi-serve`
+/// restore. [`build_part`] leaves field data under this tag; `pumi-serve`
 /// and the collective reader both recover fields from it.
 pub fn staged_field_tag(name: &str) -> String {
     format!("{FIELD_TAG_PREFIX}{name}")
@@ -57,8 +61,6 @@ pub use delta::write_delta_checkpoint;
 pub use error::{IoError, Section};
 pub use format::{FieldDesc, Manifest, PartFile, FORMAT_VERSION, MANIFEST_FILE};
 pub use hash::struct_hash;
-pub use read::{
-    balanced_block, load_part, read_checkpoint, DirSource, LoadedPart, ReadStats, Restored,
-    SectionSource,
-};
+pub use load::{build_part, Built, DirSource, PartRows, Pick, SectionSource};
+pub use read::{balanced_block, read_checkpoint, ReadStats, Restored};
 pub use write::{write_checkpoint, write_checkpoint_with, WriteOpts, WriteStats};

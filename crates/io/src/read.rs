@@ -1,52 +1,48 @@
 //! Parallel checkpoint reader with N→M repartition-on-load.
 //!
-//! A checkpoint written from N parts can be restored onto any M ranks:
+//! A checkpoint written from N parts can be restored onto any M ranks; rank
+//! `r` always ends with one part, numbered `r`:
 //!
-//! * **M = N** — each rank loads its parts verbatim, including ghost
-//!   layers; remote-copy links are rebuilt by one phased exchange of
-//!   (dimension, global id, local index) keys.
-//! * **M < N** — rank `r` loads the part block `[r·N/M, (r+1)·N/M)` and
-//!   merges it into a single part through the migration path.
-//! * **M > N** — file part `p` loads onto rank `p·M/N` and is split across
-//!   the block `[p·M/N, (p+1)·M/N)` with the local graph partitioner,
-//!   again through migration.
+//! * **M = N** — each rank builds its part verbatim, including ghost
+//!   layers.
+//! * **M < N** — rank `r` builds one part from the rows of the file-part
+//!   block `[r·N/M, (r+1)·N/M)` (their union; no migration).
+//! * **M > N** — file part `p` is built on rank `p·M/N` and split across
+//!   the block `[p·M/N, (p+1)·M/N)` along the Morton cut the slice service
+//!   uses, through one `migrate`.
+//!
+//! Every part comes from the one loader in [`crate::load`]: rows decoded
+//! from the files ([`PartRows::read`]), then one build
+//! ([`build_part`]). Remote-copy links between ranks are rebuilt by one
+//! phased exchange of (dimension, global id, local index) keys over the
+//! residence sets the files record, each file part mapped to the rank that
+//! builds it.
 //!
 //! Ghost layers are dropped when N ≠ M (re-grow with
 //! `pumi_core::overlap::grow_overlap` after the restore); global-id
-//! counters are
-//! floored at the global maximum so ids minted after a restore never
-//! collide with checkpointed ones. Every entry point is collective and
-//! returns `Err` on *every* rank when any rank fails.
+//! counters are floored at the global maximum so ids minted after a restore
+//! never collide with checkpointed ones. Every entry point is collective
+//! and returns `Err` on *every* rank when any rank fails.
 //!
-//! Parts are rebuilt from their files (base snapshot, then delta rounds)
-//! by [`load_part`], the loader `pumi-serve` uses too; the two differ only
-//! in the [`SectionSource`] they hand it. The block arithmetic above is
-//! [`balanced_block`], shared the same way.
-//!
-//! Input is checked where it is decoded: [`load_part`] refuses
-//! ([`IoError::Decode`]) an Entities row without its topology's number of
-//! distinct vertex gids, an element that makes a side bound a third element,
-//! and a Remotes row for an element; [`read_checkpoint`] compares each
-//! Remotes row with the links the stitch delivered and, in one exchange,
-//! each copy's residence set with its peers', and one allreduce makes a
-//! mismatch [`IoError::Verify`] on every rank.
+//! Input is checked where it is decoded ([`crate::load`]'s refusals are
+//! [`IoError::Decode`]); the Remotes rows are checked against each other:
+//! within a merged block locally, row against row, and across ranks by
+//! comparing each row with the links the stitch delivered and, in one
+//! exchange, each copy's residence set with its peers'. One allreduce makes
+//! a mismatch [`IoError::Verify`] on every rank.
 
-use crate::chunk::{decode_chunk, section_raw_bytes, ChunkHeader};
-use crate::error::{IoError, Section};
-use crate::format::{parse_manifest, Manifest, PartFile, MANIFEST_FILE};
+use crate::error::IoError;
+use crate::format::{parse_manifest, Manifest, MANIFEST_FILE};
+use crate::load::{build_part, morton_pieces, Built, DirSource, PartRows, Pick};
 use crate::FIELD_TAG_PREFIX;
 use pumi_core::wire::{get_dim, get_link, put_link, stitch};
 use pumi_core::{migrate, DistMesh, MigrationPlan, Part, PartExchange, PartMap};
 use pumi_field::{DistField, Field};
-use pumi_geom::GeomEnt;
-use pumi_mesh::Topology;
-use pumi_partition::partition_mesh;
 use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
-use pumi_util::tag::{TagData, TagKind};
+use pumi_util::tag::TagData;
 use pumi_util::{Dim, FxHashMap, FxHashSet, GlobalId, MeshEnt, PartId};
 use std::ops::Range;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Statistics from a completed restore.
 #[derive(Debug, Clone, Copy, Default)]
@@ -55,9 +51,10 @@ pub struct ReadStats {
     pub nparts_in: usize,
     /// Bytes read across the world.
     pub bytes_global: u64,
-    /// Whether an N→M redistribution ran.
+    /// Whether the restore repartitioned (N ≠ M).
     pub redistributed: bool,
-    /// Elements moved by the redistribution (global).
+    /// Elements moved between ranks (global): the split's migration; a
+    /// merge moves none.
     pub elements_moved: u64,
 }
 
@@ -70,238 +67,6 @@ pub struct Restored {
     pub fields: Vec<DistField>,
     /// Restore statistics.
     pub stats: ReadStats,
-}
-
-fn bad(part: PartId, section: Section, detail: String) -> IoError {
-    IoError::Decode {
-        part,
-        section,
-        detail,
-    }
-}
-
-fn derr(part: PartId, section: Section) -> impl Fn(MsgError) -> IoError {
-    move |e| IoError::Decode {
-        part,
-        section,
-        detail: e.to_string(),
-    }
-}
-
-/// One part as [`load_part`] rebuilt it, with the per-part data that feeds
-/// the collective reader's post-load stitching exchanges.
-pub struct LoadedPart {
-    /// The part: entities, tags, and field values staged as tags.
-    pub part: Part,
-    /// Part-boundary rows: (dim, gid, residence parts as written).
-    pub res_rows: Vec<(Dim, GlobalId, Vec<PartId>)>,
-    /// Ghost-holder rows: (local ghost entity, source part), in entity
-    /// order. Empty when ghosts were skipped.
-    pub ghost_rows: Vec<(MeshEnt, PartId)>,
-    /// The highest fresh-gid counter any of the part's files recorded.
-    pub gid_counter: u64,
-    /// Bytes of the part files read (base plus delta rounds).
-    pub bytes: u64,
-}
-
-/// Ghost provenance while a part loads, keyed by gid: local handles can be
-/// invalidated by slot reuse across a delta round's deletions, gids cannot.
-type GhostMap = FxHashMap<(Dim, GlobalId), PartId>;
-
-/// One row of an Entities section.
-struct EntityRow {
-    gid: GlobalId,
-    topo: Topology,
-    class: GeomEnt,
-    /// The source part, for a ghost copy.
-    ghost_src: Option<PartId>,
-    /// Vertex coordinates (dimension 0; zeros otherwise).
-    coords: [f64; 3],
-    /// Bounding vertex gids (dimensions ≥ 1; empty for a vertex).
-    vgids: Vec<GlobalId>,
-}
-
-/// Parse and validate one Entities row of the dimension-`d` block — the
-/// one place that knows the row layout. A row must name exactly its
-/// topology's number of distinct vertices.
-fn read_entity_row(fpart: PartId, r: &mut MsgReader, d: usize) -> Result<EntityRow, IoError> {
-    let sec = Section::Entities;
-    let e = &derr(fpart, sec);
-    let gid = r.try_get_u64().map_err(e)?;
-    let topo_code = r.try_get_u8().map_err(e)?;
-    let class = GeomEnt(r.try_get_u32().map_err(e)?);
-    let ghost_src = match r.try_get_u8().map_err(e)? {
-        0 => None,
-        _ => Some(r.try_get_u32().map_err(e)?),
-    };
-    let topo = Topology::try_from_u8(topo_code)
-        .ok_or(MsgError::bad_enum("topology", topo_code))
-        .map_err(e)?;
-    if topo.dim().as_usize() != d {
-        return Err(IoError::Decode {
-            part: fpart,
-            section: Section::Entities,
-            detail: format!("topology {topo:?} in dimension-{d} block"),
-        });
-    }
-    let (mut coords, mut vgids) = ([0.0; 3], Vec::new());
-    if d == 0 {
-        for x in &mut coords {
-            *x = r.try_get_f64().map_err(e)?;
-        }
-    } else {
-        vgids = r.try_get_u64_slice().map_err(e)?;
-        let n = vgids.len();
-        if n != topo.num_verts() {
-            let detail = format!("entity gid {gid}: {n} vertex gids for a {topo:?}");
-            return Err(bad(fpart, sec, detail));
-        }
-        if (1..n).any(|i| vgids[..i].contains(&vgids[i])) {
-            let detail = format!("entity gid {gid}: repeated vertex gid in {vgids:?}");
-            return Err(bad(fpart, sec, detail));
-        }
-    }
-    Ok(EntityRow {
-        gid,
-        topo,
-        class,
-        ghost_src,
-        coords,
-        vgids,
-    })
-}
-
-/// Decode an Entities section into the part. A base snapshot's rows are
-/// all new and are inserted; a delta round's rows (`upsert`) update the
-/// entity with the same gid in place when there is one. Ghost provenance
-/// lands in `ghosts`; with `skip_ghosts`, ghost copies are dropped instead
-/// (not created, or demoted top-down after the scan when a delta turns an
-/// existing entity into one). An element whose insertion leaves one of its
-/// sides bounding a third element is refused.
-fn decode_entities(
-    fpart: PartId,
-    part: &mut Part,
-    payload: Vec<u8>,
-    upsert: bool,
-    skip_ghosts: bool,
-    ghosts: &mut GhostMap,
-) -> Result<(), IoError> {
-    let sec = Section::Entities;
-    let e = derr(fpart, sec);
-    let mut r = MsgReader::from_vec(payload);
-    // Entities a delta turned into ghosts while ghosts are being skipped.
-    let mut demote: Vec<MeshEnt> = Vec::new();
-    let elem_dim = part.mesh.elem_dim();
-    for d in 0..=elem_dim {
-        let dim = Dim::from_usize(d);
-        let n = r.try_get_u32().map_err(&e)?;
-        for _ in 0..n {
-            let row = read_entity_row(fpart, &mut r, d)?;
-            let key = (dim, row.gid);
-            let dropped = row.ghost_src.is_some() && skip_ghosts;
-            match row.ghost_src {
-                Some(src) if !skip_ghosts => {
-                    ghosts.insert(key, src);
-                }
-                _ if upsert => {
-                    ghosts.remove(&key);
-                }
-                _ => {}
-            }
-            // Only a delta row can name an entity the part already holds.
-            let existing = if upsert {
-                part.find_gid(dim, row.gid)
-            } else {
-                None
-            };
-            match existing {
-                Some(ent) => {
-                    if d == 0 {
-                        part.mesh.set_coords(ent, row.coords);
-                    }
-                    part.mesh.set_class(ent, row.class);
-                    if dropped {
-                        demote.push(ent);
-                    }
-                }
-                None if dropped => {}
-                None => {
-                    let (ent, fresh) = part
-                        .create_by_gid(row.topo, row.gid, row.class, row.coords, &row.vgids)
-                        .map_err(|g| IoError::Decode {
-                            part: fpart,
-                            section: Section::Entities,
-                            detail: format!("entity gid {} references unknown vertex {g}", row.gid),
-                        })?;
-                    let (mesh, elem) = (&part.mesh, fresh && d == elem_dim);
-                    if let Some(side) = mesh.down(ent).find(|&s| elem && mesh.up_count(s) > 2) {
-                        let (gid, side) = (row.gid, part.gid_of(side));
-                        let detail = format!("element gid {gid} is a third element on side {side}");
-                        return Err(bad(fpart, sec, detail));
-                    }
-                }
-            }
-        }
-    }
-    demote.sort_by_key(|ent| std::cmp::Reverse(ent.dim().as_usize()));
-    for ent in demote {
-        if part.mesh.is_live(ent) {
-            part.delete_entity(ent);
-        }
-    }
-    Ok(())
-}
-
-/// Apply a delta round's Deleted section: per-dimension gid lists, removed
-/// elements down to vertices.
-fn apply_deleted(
-    fpart: PartId,
-    part: &mut Part,
-    payload: Vec<u8>,
-    ghosts: &mut GhostMap,
-) -> Result<(), IoError> {
-    let e = derr(fpart, Section::Deleted);
-    let mut r = MsgReader::from_vec(payload);
-    let mut deleted: [Vec<GlobalId>; 4] = Default::default();
-    for slot in &mut deleted {
-        *slot = r.try_get_u64_slice().map_err(&e)?;
-    }
-    for d in (0..4).rev() {
-        let dim = Dim::from_usize(d);
-        for &gid in &deleted[d] {
-            ghosts.remove(&(dim, gid));
-            if let Some(ent) = part.find_gid(dim, gid) {
-                part.delete_entity(ent);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Decode a Remotes section. Elements are never shared, so a row at the
-/// element dimension is refused.
-fn decode_remotes(
-    fpart: PartId,
-    elem_dim: usize,
-    payload: Vec<u8>,
-) -> Result<Vec<(Dim, GlobalId, Vec<PartId>)>, IoError> {
-    /// Dimension byte, gid, residence-list length: the least a row takes.
-    const MIN_ROW: usize = 1 + 8 + 4;
-    let sec = Section::Remotes;
-    let e = derr(fpart, sec);
-    let mut r = MsgReader::from_vec(payload);
-    let n = r.try_get_u32().map_err(&e)?;
-    let mut rows = Vec::with_capacity((n as usize).min(r.remaining() / MIN_ROW));
-    for _ in 0..n {
-        let d = get_dim(&mut r).map_err(&e)?;
-        let gid = r.try_get_u64().map_err(&e)?;
-        if d.as_usize() == elem_dim {
-            let detail = format!("row for element gid {gid}: elements are never shared");
-            return Err(bad(fpart, sec, detail));
-        }
-        rows.push((d, gid, r.try_get_u32_slice().map_err(&e)?));
-    }
-    Ok(rows)
 }
 
 /// Compare part `part`'s Remotes rows with the links the stitch built: the
@@ -374,218 +139,6 @@ fn split_residences(comm: &Comm, dm: &DistMesh) -> Vec<String> {
     errs
 }
 
-fn decode_tags(
-    fpart: PartId,
-    part: &mut Part,
-    payload: Vec<u8>,
-    skip_ghosts: bool,
-) -> Result<(), IoError> {
-    let sec = Section::Tags;
-    let e = derr(fpart, sec);
-    let mut r = MsgReader::from_vec(payload);
-    let ntags = r.try_get_u32().map_err(&e)?;
-    for _ in 0..ntags {
-        let name = r.try_get_bytes().map_err(&e)?;
-        let name = String::from_utf8(name).map_err(|_| IoError::Decode {
-            part: fpart,
-            section: sec,
-            detail: "tag name is not UTF-8".into(),
-        })?;
-        let kind = match r.try_get_u8().map_err(&e)? {
-            0 => TagKind::Int,
-            1 => TagKind::Double,
-            2 => TagKind::Bytes,
-            k => return Err(e(MsgError::bad_enum("tag kind", k))),
-        };
-        let len = r.try_get_u32().map_err(&e)? as usize;
-        let nrows = r.try_get_u32().map_err(&e)?;
-        let tid = part.mesh.tags_mut().declare(&name, kind, len);
-        for _ in 0..nrows {
-            let d = get_dim(&mut r).map_err(&e)?;
-            let gid = r.try_get_u64().map_err(&e)?;
-            let buf = r.try_get_bytes().map_err(&e)?;
-            let mut pos = 0;
-            let data = TagData::decode(&buf, &mut pos).ok_or_else(|| IoError::Decode {
-                part: fpart,
-                section: sec,
-                detail: format!("undecodable value for tag '{name}'"),
-            })?;
-            match part.find_gid(d, gid) {
-                Some(ent) => part.mesh.tags_mut().set(tid, ent, data),
-                // Ghost entities are dropped on N≠M restores; their rows
-                // are skipped with them.
-                None if skip_ghosts => {}
-                None => {
-                    return Err(IoError::Decode {
-                        part: fpart,
-                        section: sec,
-                        detail: format!("tag '{name}' row references unknown gid {gid}"),
-                    })
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn decode_fields(
-    fpart: PartId,
-    part: &mut Part,
-    payload: Vec<u8>,
-    skip_ghosts: bool,
-) -> Result<(), IoError> {
-    let sec = Section::Fields;
-    let e = derr(fpart, sec);
-    let mut r = MsgReader::from_vec(payload);
-    let nfields = r.try_get_u32().map_err(&e)?;
-    for _ in 0..nfields {
-        let name = r.try_get_bytes().map_err(&e)?;
-        let name = String::from_utf8(name).map_err(|_| IoError::Decode {
-            part: fpart,
-            section: sec,
-            detail: "field name is not UTF-8".into(),
-        })?;
-        let _shape = r.try_get_u8().map_err(&e)?;
-        let ncomp = r.try_get_u32().map_err(&e)? as usize;
-        let nrows = r.try_get_u32().map_err(&e)?;
-        // Stage node values in a tag: tags ride migration automatically, so
-        // redistribution carries field data with no extra machinery.
-        let tid = part.mesh.tags_mut().declare(
-            &format!("{FIELD_TAG_PREFIX}{name}"),
-            TagKind::Double,
-            ncomp,
-        );
-        for _ in 0..nrows {
-            let d = get_dim(&mut r).map_err(&e)?;
-            let gid = r.try_get_u64().map_err(&e)?;
-            let vals = r.try_get_f64_slice().map_err(&e)?;
-            match part.find_gid(d, gid) {
-                Some(ent) => part.mesh.tags_mut().set(tid, ent, TagData::Dbls(vals)),
-                None if skip_ghosts => {}
-                None => {
-                    return Err(IoError::Decode {
-                        part: fpart,
-                        section: sec,
-                        detail: format!("field '{name}' row references unknown gid {gid}"),
-                    })
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Where [`load_part`] gets a checkpoint's part files and decoded chunks.
-/// The collective reader reads each file from disk and decodes every chunk
-/// ([`DirSource`]); a restore service (`pumi-serve`) keeps the files and a
-/// shared chunk cache between the disk and the decoders.
-pub trait SectionSource {
-    /// Part `fpart`'s file: the base snapshot's for `delta == None`, delta
-    /// round `k`'s for `Some(k)`.
-    fn part_file(&self, fpart: PartId, delta: Option<u32>) -> Result<Arc<PartFile>, IoError>;
-
-    /// The raw bytes of chunk `idx` of `section` in `file`, given the
-    /// chunk's header and stored payload. The default verifies and
-    /// decompresses it ([`decode_chunk`]).
-    fn chunk(
-        &self,
-        file: &PartFile,
-        section: Section,
-        idx: u32,
-        hdr: &ChunkHeader,
-        payload: &[u8],
-    ) -> Result<Arc<Vec<u8>>, IoError> {
-        decode_chunk(file.header.part, section, idx, hdr, payload).map(Arc::new)
-    }
-}
-
-/// The plain [`SectionSource`]: part files read from a checkpoint
-/// directory on every request, nothing cached.
-pub struct DirSource<'a>(pub &'a Path);
-
-impl SectionSource for DirSource<'_> {
-    fn part_file(&self, fpart: PartId, delta: Option<u32>) -> Result<Arc<PartFile>, IoError> {
-        PartFile::read(self.0, fpart, delta).map(Arc::new)
-    }
-}
-
-/// Rebuild one part of a checkpoint from its files: the base snapshot, then
-/// every delta round in order — deletions, entity upserts, tag and field
-/// values by gid, and the boundary rows replaced wholesale. No remote-copy
-/// stitching happens here ([`read_checkpoint`] does it from the returned
-/// rows); with `skip_ghosts` ghost copies are dropped on decode. Field
-/// values stay staged as `__io:f:<name>` double tags, which is how they ride
-/// migration during a collective restore. This is the one part loader: the
-/// collective reader calls it over a [`DirSource`], `pumi-serve` over its
-/// chunk cache.
-pub fn load_part(
-    manifest: &Manifest,
-    fpart: PartId,
-    src: &dyn SectionSource,
-    skip_ghosts: bool,
-) -> Result<LoadedPart, IoError> {
-    let mut lp = LoadedPart {
-        part: Part::new(fpart, manifest.elem_dim as usize),
-        res_rows: Vec::new(),
-        ghost_rows: Vec::new(),
-        gid_counter: 0,
-        bytes: 0,
-    };
-    let mut ghosts = GhostMap::default();
-    for delta in std::iter::once(None).chain((1..=manifest.delta_count).map(Some)) {
-        let file = src.part_file(fpart, delta)?;
-        let h = &file.header;
-        let header_err = |detail: String| IoError::Header {
-            part: fpart,
-            detail,
-        };
-        if h.is_delta() != delta.is_some() {
-            return Err(header_err(match delta {
-                None => "delta part file where a base snapshot was expected".into(),
-                Some(k) => format!("delta round {k}: not a delta part file"),
-            }));
-        }
-        if h.elem_dim != manifest.elem_dim {
-            return Err(header_err(format!(
-                "element dimension {} disagrees with manifest ({})",
-                h.elem_dim, manifest.elem_dim
-            )));
-        }
-        let fetch = |section: Section| {
-            let entry = h
-                .find(section)
-                .ok_or_else(|| header_err(format!("missing section '{}'", section.name())))?;
-            section_raw_bytes(fpart, &file.data, &entry, |idx, hdr, payload| {
-                src.chunk(&file, section, idx, hdr, payload)
-            })
-        };
-        if delta.is_some() {
-            apply_deleted(fpart, &mut lp.part, fetch(Section::Deleted)?, &mut ghosts)?;
-        }
-        let (payload, upsert) = (fetch(Section::Entities)?, delta.is_some());
-        decode_entities(
-            fpart,
-            &mut lp.part,
-            payload,
-            upsert,
-            skip_ghosts,
-            &mut ghosts,
-        )?;
-        let remotes = fetch(Section::Remotes)?;
-        lp.res_rows = decode_remotes(fpart, manifest.elem_dim as usize, remotes)?;
-        decode_tags(fpart, &mut lp.part, fetch(Section::Tags)?, skip_ghosts)?;
-        decode_fields(fpart, &mut lp.part, fetch(Section::Fields)?, skip_ghosts)?;
-        lp.gid_counter = lp.gid_counter.max(h.gid_counter);
-        lp.bytes += file.data.len() as u64;
-    }
-    lp.ghost_rows = ghosts
-        .into_iter()
-        .filter_map(|((dim, gid), src)| lp.part.find_gid(dim, gid).map(|e| (e, src)))
-        .collect();
-    lp.ghost_rows.sort_by_key(|&(e, _)| e);
-    Ok(lp)
-}
-
 /// The balanced-block rule every restore path shares: item `i` of `of`
 /// covers `[i·over/of, (i+1)·over/of)` of `over`. With N file parts and M
 /// readers, reader `r` takes whole parts `balanced_block(r, M, N)` when
@@ -628,12 +181,94 @@ pub(crate) fn manifest_bcast(comm: &Comm, dir: &Path) -> Result<Manifest, IoErro
     parse_manifest(&path, &body)
 }
 
+/// Compare the Remotes rows of the file parts one rank merges, row against
+/// row, as the stitch, [`unmatched_rows`] and [`split_residences`] compare
+/// them across ranks. For file parts `p` and `q` of the block: a row of
+/// `p` naming `q` needs `q` to hold the entity (else the stitch could not
+/// have resolved it), to have a row for it, and that row to name `p` back;
+/// two rows naming each other must be the same set. A row for an entity
+/// its part does not hold must name no other part. Local; returns one line
+/// per disagreement.
+fn block_row_errors(block: &[PartRows]) -> Vec<String> {
+    let mut errs = Vec::new();
+    let [head, _, ..] = block else {
+        return errs; // one part: nothing to compare locally
+    };
+    let first = head.fpart();
+    let member = |q: PartId| block.get(q.checked_sub(first)? as usize);
+    let row_of: Vec<FxHashMap<(Dim, GlobalId), &[PartId]>> = block
+        .iter()
+        .map(|rows| {
+            rows.remotes
+                .iter()
+                .map(|(d, g, res)| ((*d, *g), res.as_slice()))
+                .collect()
+        })
+        .collect();
+    for rows in block {
+        let p = rows.fpart();
+        for (dim, gid, res) in &rows.remotes {
+            let (dim, gid) = (*dim, *gid);
+            if !rows.holds(dim, gid) {
+                if res.iter().any(|&q| q != p) {
+                    errs.push(format!("part {p}: {dim} gid {gid}: row {res:?}, links []"));
+                }
+                continue;
+            }
+            for &q in res.iter().filter(|&&q| q != p) {
+                let Some(peer) = member(q) else { continue };
+                if !peer.holds(dim, gid) {
+                    let missing = MsgError::missing("stitch target", dim.as_usize() as u8, gid);
+                    errs.push(format!("remote-copy stitch {p}->{q}: {missing}"));
+                    continue;
+                }
+                match row_of[(q - first) as usize].get(&(dim, gid)) {
+                    None => errs.push(format!("part {q}: {dim} gid {gid}: linked, no Remotes row")),
+                    Some(theirs) if !theirs.contains(&p) => errs.push(format!(
+                        "part {p}: {dim} gid {gid}: row {res:?}, part {q}'s row {theirs:?} omits it"
+                    )),
+                    Some(theirs) if theirs != res => errs.push(format!(
+                        "part {p}: {dim} gid {gid}: residence {res:?}, {theirs:?} on part {q}"
+                    )),
+                    Some(_) => {}
+                }
+            }
+        }
+    }
+    errs
+}
+
+/// The block's Remotes rows as rows of the part rank `rank` builds: each
+/// entity once, from the lowest file part with a row for it, its residence
+/// mapped through `home` (file part → rank). Rows whose residence is this
+/// rank alone describe entities interior to the merged part and are
+/// dropped.
+fn rank_rows(block: &[PartRows], home: &[usize], rank: usize) -> Vec<(Dim, GlobalId, Vec<PartId>)> {
+    let mut seen: FxHashSet<(Dim, GlobalId)> = FxHashSet::default();
+    let mut out = Vec::new();
+    for rows in block {
+        for (dim, gid, res) in &rows.remotes {
+            if !seen.insert((*dim, *gid)) {
+                continue;
+            }
+            let mut ranks: Vec<PartId> = res.iter().map(|&q| home[q as usize] as PartId).collect();
+            ranks.sort_unstable();
+            ranks.dedup();
+            if ranks.iter().any(|&r| r as usize != rank) {
+                out.push((*dim, *gid, ranks));
+            }
+        }
+    }
+    out
+}
+
 /// Restore a checkpoint from `dir` onto `comm.nranks()` ranks, regardless
 /// of how many parts it was written from. See the module docs for the
 /// N→M policy. Collective; on failure every rank returns an error: a
 /// part file that does not load is the loading rank's error and
-/// [`IoError::PeerFailed`] elsewhere; boundary rows that disagree with the
-/// links they produce are [`IoError::Verify`] on every rank.
+/// [`IoError::PeerFailed`] elsewhere; boundary rows that disagree with each
+/// other or with the links they produce are [`IoError::Verify`] on every
+/// rank.
 pub fn read_checkpoint(comm: &Comm, dir: &Path) -> Result<Restored, IoError> {
     let _span = pumi_obs::span!("io.read");
     let manifest = manifest_bcast(comm, dir)?;
@@ -643,119 +278,89 @@ pub fn read_checkpoint(comm: &Comm, dir: &Path) -> Result<Restored, IoError> {
     let elem_dim = manifest.elem_dim as usize;
     let skip_ghosts = n != m;
 
-    // Part assignment and id remapping (old part id → loaded part id).
-    // N ≥ M: ids are unchanged, rank r hosts a contiguous block.
-    // N < M: file part p becomes the first part of its fan-out block, on
-    // the rank of the same number; the other ranks start empty and receive
-    // elements in the split phase.
-    let map = if n >= m {
-        PartMap::balanced_blocks(n, m)
-    } else {
-        PartMap::contiguous(m, m)
-    };
-    let remap = |p: PartId| -> PartId {
-        if n >= m {
-            p
-        } else {
-            balanced_block(p as usize, n, m).start as PartId
+    // The rank that builds each file part: the owner of its block when
+    // N ≥ M, the first rank of its fan-out block when N < M.
+    let mut home = vec![0usize; n];
+    if n >= m {
+        for r in 0..m {
+            balanced_block(r, m, n).for_each(|p| home[p] = r);
         }
-    };
-    let assignments: Vec<PartId> = if n >= m {
-        map.parts_on(rank).to_vec()
     } else {
-        (0..n as PartId)
-            .filter(|&p| remap(p) as usize == rank)
-            .collect()
-    };
+        for (p, h) in home.iter_mut().enumerate() {
+            *h = balanced_block(p, n, m).start;
+        }
+    }
 
-    let mut loaded: Vec<LoadedPart> = Vec::new();
+    let mut block: Vec<PartRows> = Vec::new();
     let mut local_err: Option<IoError> = None;
-    for &fpart in &assignments {
-        match load_part(&manifest, fpart, &DirSource(dir), skip_ghosts) {
-            Ok(mut lp) => {
-                lp.part.id = remap(fpart);
-                for (_, _, res) in &mut lp.res_rows {
-                    for q in res {
-                        *q = remap(*q);
-                    }
-                }
-                loaded.push(lp);
-            }
+    for fpart in (0..n).filter(|&p| home[p] == rank) {
+        match PartRows::read(&manifest, fpart as PartId, &DirSource(dir)) {
+            Ok(rows) => block.push(rows),
             Err(e) => {
                 local_err = Some(e);
                 break;
             }
         }
     }
-    let bytes_local: u64 = loaded.iter().map(|lp| lp.bytes).sum();
-    pumi_obs::metrics::counter_add("io.read.bytes", bytes_local);
-    let failures = comm.allreduce_sum_u64(local_err.is_some() as u64);
-    if failures > 0 {
-        return Err(local_err.unwrap_or(IoError::PeerFailed { failures }));
+    let mut built = None;
+    if local_err.is_none() && !block.is_empty() {
+        match build_part(rank as PartId, &block, Pick::Whole, skip_ghosts) {
+            Ok(b) => built = Some(b),
+            Err(e) => local_err = Some(e),
+        }
     }
-    let bytes_global = comm.allreduce_sum_u64(bytes_local);
+    let bytes_local: u64 = block.iter().map(PartRows::bytes).sum();
+    pumi_obs::metrics::counter_add("io.read.bytes", bytes_local);
+    let sums = comm.allreduce_sum_u64_vec(&[local_err.is_some() as u64, bytes_local]);
+    if sums[0] > 0 {
+        return Err(local_err.unwrap_or(IoError::PeerFailed { failures: sums[0] }));
+    }
+    let bytes_global = sums[1];
+    // A rank outside every fan-out block (N < M) starts empty.
+    let Built { mut part, ghosts } = built.unwrap_or_else(|| Built {
+        part: Part::new(rank as PartId, elem_dim),
+        ghosts: Vec::new(),
+    });
 
     // Floor every gid counter at the global max so ids minted after the
     // restore stay disjoint from every checkpointed id.
-    let max_counter =
-        comm.allreduce_max_u64(loaded.iter().map(|lp| lp.gid_counter).max().unwrap_or(0));
+    let counter = block.iter().map(PartRows::gid_counter).max().unwrap_or(0);
+    part.bump_gid_counter(comm.allreduce_max_u64(counter));
 
-    let mut res_rows: Vec<Vec<(Dim, GlobalId, Vec<PartId>)>> = Vec::new();
-    let mut ghost_rows: Vec<Vec<(MeshEnt, PartId)>> = Vec::new();
-    let mut parts: Vec<Part> = Vec::new();
-    for lp in loaded {
-        parts.push(lp.part);
-        res_rows.push(lp.res_rows);
-        ghost_rows.push(lp.ghost_rows);
-    }
-    if parts.is_empty() {
-        // N < M: exactly one part per rank; ranks outside the start set
-        // begin empty.
-        parts.push(Part::new(rank as PartId, elem_dim));
-        res_rows.push(Vec::new());
-        ghost_rows.push(Vec::new());
-    }
-    for p in &mut parts {
-        p.bump_gid_counter(max_counter);
-    }
-    let mut dm = DistMesh { map, parts };
-
-    // Stitch remote-copy links: each resident part announces its local
-    // index for every boundary entity to the entity's other residence parts.
-    // What the stitch (and the ghost relink below) cannot apply is kept, not
-    // acted on: a rank that stopped here would hang its peers in the next
-    // collective. One allreduce after the relink agrees on it.
-    let announce: Vec<Vec<(MeshEnt, &[PartId])>> = dm
-        .parts
+    // Link the ranks. What the checks and the stitch (and the ghost relink
+    // below) cannot apply is kept, not acted on: a rank that stopped here
+    // would hang its peers in the next collective. One allreduce after the
+    // relink agrees on it.
+    let link = pumi_obs::span!("io.link");
+    let mut link_errs = block_row_errors(&block);
+    let rows = rank_rows(&block, &home, rank);
+    let announce: Vec<(MeshEnt, &[PartId])> = rows
         .iter()
-        .zip(&res_rows)
-        .map(|(part, rows)| {
-            rows.iter()
-                .filter_map(|(dim, gid, res)| Some((part.find_gid(*dim, *gid)?, res.as_slice())))
-                .collect()
-        })
+        .filter_map(|(dim, gid, res)| Some((part.find_gid(*dim, *gid)?, res.as_slice())))
         .collect();
-    let mut link_errs: Vec<String> = stitch(comm, &mut dm, &announce)
-        .into_iter()
-        .map(|(from, to, e)| format!("remote-copy stitch {from}->{to}: {e}"))
-        .collect();
-    for (part, rows) in dm.parts.iter().zip(&res_rows) {
-        link_errs.extend(unmatched_rows(part, rows));
-    }
+    let mut dm = DistMesh {
+        map: PartMap::contiguous(m, m),
+        parts: vec![part],
+    };
+    link_errs.extend(
+        stitch(comm, &mut dm, &[announce])
+            .into_iter()
+            .map(|(from, to, e)| format!("remote-copy stitch {from}->{to}: {e}")),
+    );
+    link_errs.extend(unmatched_rows(&dm.parts[0], &rows));
     link_errs.extend(split_residences(comm, &dm));
 
     // Relink ghost layers (only on an N = N restore; dropped otherwise).
     if manifest.has_ghosts && !skip_ghosts {
         let mut ex = PartExchange::new(comm, &dm.map);
-        for (slot, part) in dm.parts.iter().enumerate() {
-            for &(ent, src) in &ghost_rows[slot] {
-                put_link(
-                    ex.to(part.id, src),
-                    ent.dim(),
-                    part.gid_of(ent),
-                    ent.index(),
-                );
-            }
+        let part = &dm.parts[0];
+        for &(ent, src) in &ghosts {
+            put_link(
+                ex.to(part.id, src),
+                ent.dim(),
+                part.gid_of(ent),
+                ent.index(),
+            );
         }
         // (owner part → holder part, dim, holder idx, owner idx)
         let mut replies: Vec<(PartId, PartId, u8, u32, u32)> = Vec::new();
@@ -807,58 +412,32 @@ pub fn read_checkpoint(comm: &Comm, dir: &Path) -> Result<Restored, IoError> {
         return Err(IoError::Verify { errors: link_errs });
     }
 
-    // N → M redistribution through the migration path.
+    drop(link);
+
+    // N < M: each built file part fans out over its block along the Morton
+    // cut `pumi-serve` slices with, through one migration.
     let mut elements_moved = 0u64;
-    if n > m {
+    if n < m {
         let _span = pumi_obs::span!("io.redistribute");
-        // Merge: every non-first local part sends all elements to the
-        // rank's first part, then parts are renumbered 0..M.
         let d_elem = Dim::from_usize(elem_dim);
-        let first = dm.map.parts_on(rank)[0];
         let mut plans: FxHashMap<PartId, MigrationPlan> = FxHashMap::default();
-        for part in &dm.parts {
-            if part.id == first {
-                continue;
-            }
+        let part = &dm.parts[0];
+        let k = block
+            .first()
+            .map_or(0, |rows| balanced_block(rows.fpart() as usize, n, m).len());
+        if k > 1 {
+            let elems: Vec<MeshEnt> = part.mesh.iter(d_elem).collect();
+            let centroids: Vec<[f64; 3]> = elems.iter().map(|&e| part.mesh.centroid(e)).collect();
+            let gids: Vec<GlobalId> = elems.iter().map(|&e| part.gid_of(e)).collect();
             let mut plan = MigrationPlan::new();
-            for e in part.mesh.iter(d_elem) {
-                plan.dest.insert(e, first);
+            for (&e, j) in elems.iter().zip(morton_pieces(&centroids, &gids, k)) {
+                if j > 0 {
+                    plan.send(e, part.id + j as PartId);
+                }
             }
             plans.insert(part.id, plan);
         }
-        let stats = migrate(comm, &mut dm, &plans);
-        elements_moved = stats.elements_moved;
-        dm.parts.retain(|p| p.id == first);
-        let old_map = std::mem::replace(&mut dm.map, PartMap::contiguous(m, m));
-        for p in &mut dm.parts {
-            p.id = old_map.rank_of(p.id) as PartId;
-            p.remap_remote_parts(|q| old_map.rank_of(q) as PartId);
-        }
-    } else if n < m {
-        let _span = pumi_obs::span!("io.redistribute");
-        // Split: a loaded part fans its elements out over its target block
-        // with the local graph partitioner.
-        let d_elem = Dim::from_usize(elem_dim);
-        let mut plans: FxHashMap<PartId, MigrationPlan> = FxHashMap::default();
-        for &fpart in &assignments {
-            let loaded_id = remap(fpart);
-            let k = balanced_block(fpart as usize, n, m).len();
-            let part = dm.part(loaded_id);
-            if k <= 1 || part.mesh.count(d_elem) == 0 {
-                continue;
-            }
-            let labels = partition_mesh(&part.mesh, k);
-            let mut plan = MigrationPlan::new();
-            for e in part.mesh.iter(d_elem) {
-                let j = labels[e.idx()] as usize;
-                if j > 0 {
-                    plan.dest.insert(e, loaded_id + j as PartId);
-                }
-            }
-            plans.insert(loaded_id, plan);
-        }
-        let stats = migrate(comm, &mut dm, &plans);
-        elements_moved = stats.elements_moved;
+        elements_moved = migrate(comm, &mut dm, &plans).elements_moved;
     }
 
     // Recover staged fields, in manifest order.

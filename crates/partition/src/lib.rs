@@ -9,8 +9,8 @@
 //! * [`multilevel`] — recursive greedy-growing + FM-refined graph
 //!   partitioner (the T0 baseline; see DESIGN.md for why this reproduces
 //!   the PHG-relevant behaviour),
-//! * [`rcb()`] — recursive coordinate bisection and recursive inertial
-//!   bisection (geometric methods),
+//! * [`sfc`] — Morton-curve order cut into contiguous weighted ranges (the
+//!   geometric method; the checkpoint restore's sub-part cut),
 //! * [`local`] — split every part independently into k subparts
 //!   (§III-A: 16,384 × 96 → 1.5M parts on Mira),
 //! * [`hier`] — the hybrid node-then-core partitioner of §II-D:
@@ -26,14 +26,14 @@ pub mod hier;
 pub mod local;
 pub mod multilevel;
 pub mod quality;
-pub mod rcb;
+pub mod sfc;
 
 pub use graph::DualGraph;
 pub use hier::{off_node_share, partition_hier, partition_mesh_hier, HierOpts, HierPartition};
 pub use local::split_labels;
 pub use multilevel::{partition_graph, GraphPartOpts};
 pub use quality::PartitionQuality;
-pub use rcb::{rcb, rib};
+pub use sfc::sfc_partition;
 
 use pumi_mesh::Mesh;
 use pumi_util::PartId;

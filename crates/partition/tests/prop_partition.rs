@@ -1,10 +1,12 @@
 //! Property tests for the partitioners: total coverage, label ranges,
-//! balance bounds, and nesting of local splits, over randomized domains.
+//! balance bounds, nesting of local splits, and the curve cut's contiguity,
+//! over randomized domains.
 
 use proptest::prelude::*;
 use pumi_meshgen::{jitter, tet_box, tri_rect};
+use pumi_partition::sfc::morton_keys;
 use pumi_partition::{
-    partition_mesh, partition_mesh_hier, rcb, rib, split_labels, HierOpts, PartitionQuality,
+    partition_mesh, partition_mesh_hier, sfc_partition, split_labels, HierOpts, PartitionQuality,
 };
 use pumi_pcu::MachineModel;
 use pumi_util::stats::imbalance;
@@ -24,7 +26,7 @@ proptest! {
     ) {
         let mut m = tri_rect(nx, ny, 1.0, 1.0);
         jitter(&mut m, 0.2, seed);
-        for labels in [partition_mesh(&m, k), rcb(&m, k), rib(&m, k)] {
+        for labels in [partition_mesh(&m, k), sfc_partition(&m, k, |_| 1.0)] {
             let mut loads = vec![0f64; k];
             for e in m.iter(m.elem_dim_t()) {
                 let l = labels[e.idx()] as usize;
@@ -34,6 +36,42 @@ proptest! {
             prop_assert!(loads.iter().all(|&l| l > 0.0), "empty part: {loads:?}");
             prop_assert!(imbalance(&loads) < 1.35, "imbalance {loads:?}");
         }
+    }
+
+    /// The curve cut under random element weights: labels never decrease
+    /// along the Morton order of the centroids (each part is one contiguous
+    /// range), every part's weight is within one element's weight of the
+    /// mean, and a second call returns the same labels.
+    #[test]
+    fn sfc_ranges_are_contiguous_balanced_and_deterministic(
+        nx in 4usize..12,
+        k in 1usize..9,
+        seed in 0u64..1000,
+    ) {
+        let mut m = tet_box(nx, 4, 3, 1.0, 0.7, 0.5);
+        jitter(&mut m, 0.2, seed);
+        let weight = |e: pumi_util::MeshEnt| 1.0 + ((e.index() as u64 * 7919 + seed) % 5) as f64;
+        let labels = sfc_partition(&m, k, weight);
+        prop_assert_eq!(&labels, &sfc_partition(&m, k, weight));
+
+        let elems: Vec<_> = m.iter(m.elem_dim_t()).collect();
+        let centroids: Vec<[f64; 3]> = elems.iter().map(|&e| m.centroid(e)).collect();
+        let keys = morton_keys(&centroids);
+        let mut order: Vec<usize> = (0..elems.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        let along: Vec<u32> = order.iter().map(|&i| labels[elems[i].idx()]).collect();
+        prop_assert!(along.windows(2).all(|w| w[0] <= w[1]), "not contiguous: {along:?}");
+
+        let mut loads = vec![0f64; k];
+        for &e in &elems {
+            loads[labels[e.idx()] as usize] += weight(e);
+        }
+        let mean = loads.iter().sum::<f64>() / k as f64;
+        let heaviest = elems.iter().map(|&e| weight(e)).fold(0.0, f64::max);
+        prop_assert!(
+            loads.iter().all(|&l| (l - mean).abs() <= heaviest),
+            "loads {loads:?} around {mean} with elements up to {heaviest}"
+        );
     }
 
     /// Local splitting nests: fine label / k == coarse label, and every

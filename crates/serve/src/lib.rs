@@ -9,29 +9,35 @@
 //! [`CheckpointServer`] amortizes that: it opens a `.pmb` checkpoint once
 //! and serves any number of concurrent [`restore_slice`] calls through a
 //! shared, CRC-verified chunk cache. The first reader to touch a
-//! compressed chunk pays for verification and decompression; everyone
-//! else gets the cached raw bytes. Part files (base and delta rounds) are
-//! read from disk exactly once regardless of reader count.
+//! compressed chunk pays for verification and decompression; a reader that
+//! touches it while that decode is under way waits for it instead of
+//! decoding it again, and everyone later gets the cached raw bytes. Part
+//! files (base and delta rounds) are read from disk exactly once regardless
+//! of reader count.
 //!
 //! Slices follow the same balanced-block rule as the collective reader
-//! ([`pumi_io::balanced_block`]), and every part is rebuilt by the same
-//! loader ([`pumi_io::load_part`]) — the server only supplies its
+//! ([`pumi_io::balanced_block`]), and every part comes from the same loader
+//! ([`PartRows::read`], then [`build_part`]) — the server only supplies its
 //! [`SectionSource`]: the resident files and the chunk cache. With N
 //! checkpoint parts and M slices,
 //!
 //! * **M ≤ N** — slice `s` is the part block `[s·N/M, (s+1)·N/M)`, one
-//!   loaded [`Part`] per file part;
+//!   built [`Part`] per file part;
 //! * **M > N** — file part `p` fans out over the slice block
-//!   `[p·M/N, (p+1)·M/N)`: each reader loads `p` (through the shared
-//!   cache, so the load is paid once in decompression terms) and keeps
-//!   only its sub-partition, computed with the local graph partitioner.
+//!   `[p·M/N, (p+1)·M/N)`: each reader decodes `p`'s rows (through the
+//!   shared cache, so the decompression is paid once) and builds only its
+//!   sub-part ([`Pick::Piece`]): a contiguous range of `p`'s elements in
+//!   Morton order, and their closure — the cut the collective reader splits
+//!   with, so slice `s` holds the elements rank `s` holds after
+//!   `read_checkpoint` on M ranks.
 //!
 //! Slices are standalone: ghost copies are dropped, remote-copy links are
 //! not stitched, and field values stay staged under `__io:f:<name>` tags
 //! (see [`pumi_io::staged_field_tag`]). Element sets of distinct slices
 //! are disjoint and their union is the whole mesh.
 //!
-//! Every slice restore runs under a `serve.slice` span; cache traffic is
+//! Every slice restore runs under a `serve.slice` span (with the loader's
+//! `io.rows` and `io.build` under it); cache traffic is
 //! metered through the `serve.chunk.hit` / `serve.chunk.miss` /
 //! `serve.chunk.evict` / `serve.bytes.disk` / `serve.bytes.raw` counters
 //! and the per-server [`ServeStats`] snapshot. By default the chunk cache
@@ -47,12 +53,13 @@
 use pumi_core::Part;
 use pumi_io::chunk::{decode_chunk, ChunkHeader};
 use pumi_io::format::{parse_manifest, MANIFEST_FILE};
-use pumi_io::{balanced_block, load_part, IoError, Manifest, PartFile, Section, SectionSource};
-use pumi_partition::partition_mesh;
-use pumi_util::{Dim, FxHashMap, FxHashSet, MeshEnt, PartId};
+use pumi_io::{
+    balanced_block, build_part, IoError, Manifest, PartFile, PartRows, Pick, Section, SectionSource,
+};
+use pumi_util::{FxHashMap, PartId};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Cache traffic counters, readable at any time with
 /// [`CheckpointServer::stats`].
@@ -124,12 +131,48 @@ type FileKey = (Option<u32>, PartId);
 /// code, chunk index).
 type ChunkKey = (Option<u32>, PartId, u8, u32);
 
+/// A chunk decode under way. The decoding reader publishes its outcome
+/// here — the raw bytes, or `None` when the decode failed — and wakes the
+/// readers waiting for it.
+#[derive(Default)]
+struct Flight {
+    outcome: Mutex<Option<Option<Arc<Vec<u8>>>>>,
+    done: Condvar,
+}
+
+impl Flight {
+    /// Never panics, so [`Claim`]'s `Drop` can call it: the outcome is one
+    /// store, valid whatever a panicking holder left behind.
+    fn publish(&self, raw: Option<Arc<Vec<u8>>>) {
+        let mut outcome = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
+        *outcome = Some(raw);
+        self.done.notify_all();
+    }
+
+    fn wait(&self) -> Option<Arc<Vec<u8>>> {
+        let mut outcome = self.outcome.lock().expect("flight lock");
+        loop {
+            match &*outcome {
+                Some(raw) => return raw.clone(),
+                None => outcome = self.done.wait(outcome).expect("flight lock"),
+            }
+        }
+    }
+}
+
+/// A cache entry: decoded bytes, or a decode another reader has under way.
+enum Slot {
+    Ready(Arc<Vec<u8>>),
+    Decoding(Arc<Flight>),
+}
+
 /// The shared raw-chunk cache: a keyed map plus FIFO insertion order for
 /// capacity eviction. Keys appear in `order` exactly once — they are
-/// pushed only on a fresh insert and removed only by eviction.
+/// pushed when a decode lands and removed only by eviction; a decode under
+/// way is in `map` but not in `order`.
 #[derive(Default)]
 struct ChunkCache {
-    map: FxHashMap<ChunkKey, Arc<Vec<u8>>>,
+    map: FxHashMap<ChunkKey, Slot>,
     order: std::collections::VecDeque<ChunkKey>,
     bytes: u64,
     cap: Option<u64>,
@@ -143,11 +186,54 @@ impl ChunkCache {
         let mut evicted = 0;
         while self.bytes > cap && self.order.len() > 1 {
             let key = self.order.pop_front().expect("non-empty order");
-            let raw = self.map.remove(&key).expect("order/map out of sync");
+            let Some(Slot::Ready(raw)) = self.map.remove(&key) else {
+                unreachable!("order lists landed chunks only");
+            };
             self.bytes -= raw.len() as u64;
             evicted += 1;
         }
         evicted
+    }
+}
+
+/// The decoding reader's claim on a [`Flight`]. Dropped without
+/// [`Claim::land`] — the decode failed or panicked — it withdraws the
+/// flight, so the failure is never cached and a waiting reader decodes the
+/// chunk itself.
+struct Claim<'a> {
+    server: &'a CheckpointServer,
+    key: ChunkKey,
+    flight: Arc<Flight>,
+    landed: bool,
+}
+
+impl Claim<'_> {
+    /// Cache the decoded bytes and hand them to every waiting reader.
+    fn land(mut self, raw: &Arc<Vec<u8>>) {
+        let mut chunks = self.server.chunks.lock().expect("chunk cache lock");
+        chunks.map.insert(self.key, Slot::Ready(Arc::clone(raw)));
+        chunks.order.push_back(self.key);
+        chunks.bytes += raw.len() as u64;
+        let evicted = chunks.evict_over_cap();
+        drop(chunks);
+        if evicted > 0 {
+            self.server.evictions.fetch_add(evicted, Ordering::Relaxed);
+            pumi_obs::metrics::counter_add("serve.chunk.evict", evicted);
+        }
+        self.flight.publish(Some(Arc::clone(raw)));
+        self.landed = true;
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if self.landed {
+            return;
+        }
+        if let Ok(mut chunks) = self.server.chunks.lock() {
+            chunks.map.remove(&self.key);
+        }
+        self.flight.publish(None);
     }
 }
 
@@ -230,64 +316,80 @@ impl CheckpointServer {
             "slice {slice} out of range (nslices = {nslices})"
         );
         let n = self.manifest.nparts as usize;
-        let load = |p: usize| Ok(load_part(&self.manifest, p as PartId, self, true)?.part);
-        if nslices <= n {
+        let load = |p: usize, pick: Pick| {
+            let rows = PartRows::read(&self.manifest, p as PartId, self)?;
+            Ok(build_part(p as PartId, &[rows], pick, true)?.part)
+        };
+        let (fparts, parts) = if nslices <= n {
             let block = balanced_block(slice, nslices, n);
-            Ok(Slice {
-                parts: block.clone().map(load).collect::<Result<_, IoError>>()?,
-                fparts: block.map(|p| p as PartId).collect(),
-            })
+            let parts = block.clone().map(|p| load(p, Pick::Whole));
+            (block, parts.collect::<Result<_, IoError>>()?)
         } else {
             // The one file part whose fan-out block holds this slice.
             let (p, block) = (0..n)
                 .map(|p| (p, balanced_block(p, n, nslices)))
                 .find(|(_, block)| block.contains(&slice))
                 .expect("fan-out blocks tile the slices");
-            let full = load(p)?;
-            let part = if block.len() <= 1 {
-                full
-            } else {
-                let labels = partition_mesh(&full.mesh, block.len());
-                extract_labeled(&full, &labels, (slice - block.start) as PartId)
+            let pick = match block.len() {
+                1 => Pick::Whole,
+                k => Pick::Piece(slice - block.start, k),
             };
-            Ok(Slice {
-                parts: vec![part],
-                fparts: vec![p as PartId],
-            })
-        }
+            (p..p + 1, vec![load(p, pick)?])
+        };
+        Ok(Slice {
+            parts,
+            fparts: fparts.map(|p| p as PartId).collect(),
+        })
     }
 
-    /// One chunk's raw bytes through the shared cache. `decode` runs only
-    /// on a miss (CRC check + decompression).
+    /// One chunk's raw bytes through the shared cache. `decode` (CRC check
+    /// and decompression) runs only on a miss; a reader that misses while
+    /// another reader's decode of the same chunk is under way waits for it
+    /// and counts a hit. A failed decode is never cached: its waiting
+    /// readers decode the chunk themselves.
     fn cached_chunk(
         &self,
         key: ChunkKey,
         decode: impl FnOnce() -> Result<Vec<u8>, IoError>,
     ) -> Result<Arc<Vec<u8>>, IoError> {
-        if let Some(raw) = self.chunks.lock().expect("chunk cache lock").map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            pumi_obs::metrics::counter_add("serve.chunk.hit", 1);
-            return Ok(Arc::clone(raw));
+        loop {
+            let mut chunks = self.chunks.lock().expect("chunk cache lock");
+            let flight = match chunks.map.get(&key) {
+                Some(Slot::Ready(raw)) => {
+                    let raw = Arc::clone(raw);
+                    drop(chunks);
+                    self.hit();
+                    return Ok(raw);
+                }
+                Some(Slot::Decoding(flight)) => Arc::clone(flight),
+                None => {
+                    let flight = Arc::new(Flight::default());
+                    chunks.map.insert(key, Slot::Decoding(Arc::clone(&flight)));
+                    drop(chunks);
+                    let claim = Claim {
+                        server: self,
+                        key,
+                        flight,
+                        landed: false,
+                    };
+                    let raw = Arc::new(decode()?);
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    pumi_obs::metrics::counter_add("serve.chunk.miss", 1);
+                    claim.land(&raw);
+                    return Ok(raw);
+                }
+            };
+            drop(chunks);
+            if let Some(raw) = flight.wait() {
+                self.hit();
+                return Ok(raw);
+            }
         }
-        // Decode outside the lock; concurrent first-touchers of the same
-        // chunk may both decode, but only one copy is kept.
-        let raw = Arc::new(decode()?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        pumi_obs::metrics::counter_add("serve.chunk.miss", 1);
-        let mut chunks = self.chunks.lock().expect("chunk cache lock");
-        if let Some(existing) = chunks.map.get(&key) {
-            return Ok(Arc::clone(existing));
-        }
-        chunks.map.insert(key, Arc::clone(&raw));
-        chunks.order.push_back(key);
-        chunks.bytes += raw.len() as u64;
-        let evicted = chunks.evict_over_cap();
-        drop(chunks);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            pumi_obs::metrics::counter_add("serve.chunk.evict", evicted);
-        }
-        Ok(raw)
+    }
+
+    fn hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        pumi_obs::metrics::counter_add("serve.chunk.hit", 1);
     }
 }
 
@@ -325,71 +427,4 @@ impl SectionSource for CheckpointServer {
         pumi_obs::metrics::counter_add("serve.bytes.raw", raw.len() as u64);
         Ok(raw)
     }
-}
-
-/// Build a standalone sub-part from the elements of `src` labeled `want`.
-/// Vertices referenced by a kept element come along; intermediate entities
-/// come along when all their vertices did (boundary edges/faces shared
-/// with a neighboring slice are duplicated, like part-boundary copies).
-/// Tag rows — including staged `__io:f:` field values — ride with their
-/// entities; global ids are preserved so slices stay globally consistent.
-fn extract_labeled(src: &Part, labels: &[PartId], want: PartId) -> Part {
-    let elem_dim = src.mesh.elem_dim();
-    let d_elem = Dim::from_usize(elem_dim);
-    let mut out = Part::new(src.id, elem_dim);
-    let mut vwant: FxHashSet<u32> = FxHashSet::default();
-    for e in src.mesh.iter(d_elem) {
-        if labels[e.idx()] == want {
-            vwant.extend(src.mesh.verts_of(e).iter().copied());
-        }
-    }
-    // Old local index → new local index (vertices), old → new handles (all
-    // dimensions, for the tag pass).
-    let mut vmap: FxHashMap<u32, u32> = FxHashMap::default();
-    let mut emap: Vec<(MeshEnt, MeshEnt)> = Vec::new();
-    for v in src.mesh.iter(Dim::Vertex) {
-        if !vwant.contains(&v.index()) {
-            continue;
-        }
-        let nv = out.add_vertex(src.mesh.coords(v), src.mesh.class_of(v), src.gid_of(v));
-        vmap.insert(v.index(), nv.index());
-        emap.push((v, nv));
-    }
-    for d in 1..=elem_dim {
-        let dim = Dim::from_usize(d);
-        for e in src.mesh.iter(dim) {
-            let keep = if d == elem_dim {
-                labels[e.idx()] == want
-            } else {
-                src.mesh.verts_of(e).iter().all(|v| vmap.contains_key(v))
-            };
-            if !keep {
-                continue;
-            }
-            let verts: Vec<u32> = src.mesh.verts_of(e).iter().map(|v| vmap[v]).collect();
-            let ne = out.add_entity(
-                src.mesh.topo(e),
-                &verts,
-                src.mesh.class_of(e),
-                src.gid_of(e),
-            );
-            emap.push((e, ne));
-        }
-    }
-    let tm = src.mesh.tags();
-    for tid in tm.tags() {
-        if tm.count(tid) == 0 {
-            continue;
-        }
-        let ntid = out
-            .mesh
-            .tags_mut()
-            .declare(tm.name(tid), tm.kind(tid), tm.len_of(tid));
-        for &(old, new) in &emap {
-            if let Some(data) = tm.get(tid, old) {
-                out.mesh.tags_mut().set(ntid, new, data);
-            }
-        }
-    }
-    out
 }

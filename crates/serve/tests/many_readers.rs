@@ -1,14 +1,15 @@
 //! Many-reader restore drills: concurrent PCU-simulated clients each pull
 //! a different slice of one checkpoint through the shared chunk cache;
 //! the slices must tile the mesh exactly and the cache must do real work
-//! (hits > 0 once readers outnumber unique chunks' first touches).
+//! (hits > 0 once readers outnumber unique chunks' first touches), decoding
+//! each chunk once however the clients interleave.
 
 use pumi_core::{distribute, PartMap};
-use pumi_io::format::part_file_path;
+use pumi_io::format::{delta_dir, parse_part_header, part_file_path};
 use pumi_io::{read_checkpoint, write_checkpoint, write_delta_checkpoint, IoError, Section};
 use pumi_meshgen::tri_rect;
 use pumi_partition::partition_mesh;
-use pumi_pcu::execute;
+use pumi_pcu::{execute, execute_chaos, Comm};
 use pumi_serve::CheckpointServer;
 use pumi_util::{Dim, FxHashMap, FxHashSet, GlobalId};
 use std::path::{Path, PathBuf};
@@ -41,6 +42,19 @@ fn write_tagged(name: &str, nparts: usize) -> PathBuf {
         write_checkpoint(c, &dm, &[], &dir).expect("write");
     });
     dir
+}
+
+/// The chunks a restore of every slice touches: every chunk of every
+/// section of every part file, base and delta rounds.
+fn chunk_count(dir: &Path, nparts: u32, deltas: u32) -> u64 {
+    let dirs = std::iter::once(dir.to_path_buf()).chain((1..=deltas).map(|k| delta_dir(dir, k)));
+    dirs.flat_map(|d| (0..nparts).map(move |p| (p, part_file_path(&d, p))))
+        .map(|(p, path)| {
+            let data = std::fs::read(path).expect("part file");
+            let h = parse_part_header(p, &data).expect("intact header");
+            h.sections.iter().map(|s| s.nchunks as u64).sum::<u64>()
+        })
+        .sum()
 }
 
 /// Element gids of every part in a slice, plus the vertex tag rows.
@@ -187,6 +201,56 @@ fn capped_cache_serves_eight_clients_correctly() {
         stats.chunk_misses > stats.chunk_evictions,
         "misses include at least one first touch per resident chunk: {stats:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Single flight: 2 and 8 clients each restore every slice, starting at
+/// their own rank, so they race for the same chunks. Under the
+/// deterministic scheduler and two chaos seeds alike, a chunk another
+/// client is decoding is awaited, not decoded again: the misses equal the
+/// distinct (delta round, part, section, chunk) keys the slices touch.
+#[test]
+fn each_chunk_is_decoded_once() {
+    let dir = write_tagged("flight", 2);
+    execute(2, |c| {
+        let serial = tri_rect(16, 12, 2.0, 1.5);
+        let labels = partition_mesh(&serial, 2);
+        let mut dm = distribute(c, PartMap::contiguous(2, 2), &serial, &labels);
+        dm.start_dirty_tracking();
+        for part in &mut dm.parts {
+            let vs: Vec<_> = part.mesh.iter(Dim::Vertex).step_by(5).collect();
+            for v in vs {
+                let mut x = part.mesh.coords(v);
+                x[1] += 0.01;
+                part.mesh.set_coords(v, x);
+                part.mark_dirty(v);
+            }
+        }
+        write_delta_checkpoint(c, &mut dm, &[], &dir).expect("delta write");
+    });
+    let chunks = chunk_count(&dir, 2, 1);
+    for nclients in [2, 8] {
+        for seed in [None, Some(1), Some(7)] {
+            let server = CheckpointServer::open(&dir).expect("open");
+            let client = |c: &Comm| {
+                for k in 0..nclients {
+                    let s = (c.rank() + k) % nclients;
+                    server.restore_slice(s, nclients).expect("slice restore");
+                }
+                c.barrier();
+            };
+            match seed {
+                None => execute(nclients, client),
+                Some(seed) => execute_chaos(nclients, seed, client),
+            };
+            let stats = server.stats();
+            assert_eq!(
+                stats.chunk_misses, chunks,
+                "{nclients} clients, chaos {seed:?}: {stats:?}"
+            );
+            assert!(stats.chunk_hits > 0, "{stats:?}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
