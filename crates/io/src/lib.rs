@@ -22,17 +22,17 @@
 //! collective reader and the `pumi-serve` slice service drive through a
 //! [`SectionSource`].
 //!
-//! The reader restores an N-part checkpoint onto **any** M ranks:
-//! remote-copy links are rebuilt from global ids with one phased exchange.
-//! When N > M each rank builds one part from the union of its block of
-//! file parts; when N < M each file part is cut along a Morton curve and
-//! the pieces migrate out. Corruption anywhere — a flipped bit, a truncated
-//! file, a damaged header — surfaces as a typed [`IoError`] naming the part
-//! and section, never a panic.
+//! The reader restores an N-part checkpoint onto **any** M ranks, and
+//! every rank builds its own part: the union of its block of file parts
+//! when N ≥ M, its piece of one file part, cut along a Morton curve, when
+//! N < M ([`slice_of`]). No element moves; remote-copy links are rebuilt
+//! from global ids with one phased exchange. Corruption anywhere — a
+//! flipped bit, a truncated file, a damaged header — surfaces as a typed
+//! [`IoError`] naming the part and section, never a panic.
 //!
 //! Write and read are collective; `io.write` / `io.read` (with `io.rows`,
-//! `io.build`, `io.link` and, for a split, `io.redistribute` under it)
-//! spans and byte counters thread through `pumi-obs`.
+//! `io.build` and `io.link` under it) spans and byte counters thread
+//! through `pumi-obs`.
 
 #![warn(missing_docs)]
 
@@ -46,8 +46,9 @@ pub mod load;
 pub mod read;
 pub mod write;
 
-/// Tag-name prefix for internal staging tags (field values ride migration
-/// as tags during an N→M restore). Never written to disk.
+/// Tag-name prefix for internal staging tags (field values ride as tags
+/// from the build to the field recovery of a restore). Never written to
+/// disk.
 pub(crate) const FIELD_TAG_PREFIX: &str = "__io:f:";
 
 /// Name of the staging tag that carries field `name`'s node values during
@@ -62,5 +63,5 @@ pub use error::{IoError, Section};
 pub use format::{FieldDesc, Manifest, PartFile, FORMAT_VERSION, MANIFEST_FILE};
 pub use hash::struct_hash;
 pub use load::{build_part, Built, DirSource, PartRows, Pick, SectionSource};
-pub use read::{balanced_block, read_checkpoint, ReadStats, Restored};
+pub use read::{balanced_block, read_checkpoint, slice_of, ReadStats, Restored};
 pub use write::{write_checkpoint, write_checkpoint_with, WriteOpts, WriteStats};

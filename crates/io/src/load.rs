@@ -13,8 +13,9 @@
 //! in a single pass, dimension by dimension. When two file parts of the
 //! block hold a shared entity, the lower part's row wins: the owner's copy,
 //! the one `struct_hash` reads. A [`Pick::Piece`] builds only one sub-part of
-//! a file part — its elements and their closure — cut along a Morton curve
-//! by the rule the collective reader's split shares.
+//! a file part — its elements and their closure, cut along a Morton curve —
+//! and reports which of its entities other sub-parts hold too.
+//! [`crate::slice_of`] decides what a rank or slice builds.
 //!
 //! Input is checked where it is decoded, so both restore paths refuse the
 //! same input with [`IoError::Decode`]: an Entities row without its
@@ -519,67 +520,117 @@ impl PartRows {
         Ok(())
     }
 
-    /// The rows sub-part `j` of `k` keeps, per dimension: the elements
-    /// [`morton_pieces`] assigns to `j`, their vertices, and the
-    /// intermediate entities whose vertices all stay. Every element row is
-    /// looked at — for its centroid, and because a side bounding a third
-    /// element is refused however the part is cut.
-    fn piece(&self, j: usize, k: usize) -> Result<[Vec<bool>; 4], IoError> {
+    /// Which of the `k` sub-parts [`morton_pieces`] cuts the part into
+    /// hold each row: an element its own, any other row those of the
+    /// elements over all its vertices (in a conforming mesh, whose closure
+    /// holds it). An element naming a vertex the part lacks, and a side row
+    /// under a third element, are refused however the part is cut.
+    fn holders(&self, k: usize) -> Result<Holders, IoError> {
         let (ed, fpart, sec) = (self.elem_dim, self.fpart, Section::Entities);
         let (vrows, erows) = (&self.dims[0], &self.dims[ed]);
-        let mut elems = Vec::new();
-        let (mut centroids, mut gids) = (Vec::new(), Vec::new());
-        let mut sides: FxHashMap<[u32; 4], u8> = FxHashMap::default();
-        sides.reserve(2 * erows.len());
-        for r in (0..erows.len()).filter(|&r| erows.owns(r)) {
-            let (vs, gid) = (erows.verts_of(r), erows.gid[r]);
+        let elems: Vec<usize> = (0..erows.len()).filter(|&r| erows.owns(r)).collect();
+        let mut centroids = Vec::with_capacity(elems.len());
+        // The elements on vertex row `v`, in row order, will be
+        // `on_vert[first[v]..first[v + 1]]`.
+        let mut first = vec![0u32; vrows.len() + 1];
+        for &r in &elems {
+            let vs = erows.verts_of(r);
             let mut c = [0.0; 3];
             for &v in vs {
                 if !vrows.owns(v as usize) {
-                    let g = vrows.gid[v as usize];
+                    let (gid, g) = (erows.gid[r], vrows.gid[v as usize]);
                     let detail = format!("entity gid {gid} references unknown vertex {g}");
                     return Err(bad(fpart, sec, detail));
                 }
                 let x = vrows.coords[v as usize];
                 (0..3).for_each(|a| c[a] += x[a]);
+                first[v as usize + 1] += 1;
             }
             let n = vs.len() as f64;
-            for (tpl, _) in erows.topo[r].down_templates() {
-                let mut key = [NONE; 4];
-                for (slot, &i) in key.iter_mut().zip(*tpl) {
-                    *slot = vs[i];
-                }
-                key.sort_unstable();
-                let count = sides.entry(key).or_insert(0);
-                *count += 1;
-                if *count > 2 {
-                    let side: Vec<GlobalId> =
-                        tpl.iter().map(|&i| vrows.gid[vs[i] as usize]).collect();
-                    let detail =
-                        format!("element gid {gid} is a third element on the side over {side:?}");
-                    return Err(bad(fpart, sec, detail));
-                }
-            }
-            elems.push(r);
             centroids.push([c[0] / n, c[1] / n, c[2] / n]);
-            gids.push(gid);
         }
-        let mut keep: [Vec<bool>; 4] = std::array::from_fn(|d| vec![false; self.dims[d].len()]);
-        for (&r, p) in elems.iter().zip(morton_pieces(&centroids, &gids, k)) {
-            if p == j {
-                keep[ed][r] = true;
-                for &v in erows.verts_of(r) {
-                    keep[0][v as usize] = true;
-                }
+        for v in 1..first.len() {
+            first[v] += first[v - 1];
+        }
+        let gids: Vec<GlobalId> = elems.iter().map(|&r| erows.gid[r]).collect();
+        let piece = morton_pieces(&centroids, &gids, k);
+        let mut out = Holders {
+            one: std::array::from_fn(|d| vec![NONE; self.dims[d].len()]),
+            many: FxHashMap::default(),
+        };
+        let (mut on_vert, mut next) = (vec![0u32; first[vrows.len()] as usize], first.clone());
+        for (i, (&r, &j)) in elems.iter().zip(&piece).enumerate() {
+            out.add(ed, r as u32, j as u32);
+            for &v in erows.verts_of(r) {
+                out.add(0, v, j as u32);
+                on_vert[next[v as usize] as usize] = i as u32;
+                next[v as usize] += 1;
             }
         }
+        // An intermediate row is held by the elements over all its
+        // vertices; a side row held by a third element is refused.
         for d in 1..ed {
             let rows = &self.dims[d];
             for r in (0..rows.len()).filter(|&r| rows.owns(r)) {
-                keep[d][r] = rows.verts_of(r).iter().all(|&v| keep[0][v as usize]);
+                let vs = rows.verts_of(r);
+                let v0 = vs[0] as usize;
+                let mut count = 0;
+                for &i in &on_vert[first[v0] as usize..first[v0 + 1] as usize] {
+                    let e = elems[i as usize];
+                    if !vs[1..].iter().all(|v| erows.verts_of(e).contains(v)) {
+                        continue;
+                    }
+                    count += 1;
+                    if count > 2 && d + 1 == ed {
+                        let side: Vec<GlobalId> =
+                            vs.iter().map(|&v| vrows.gid[v as usize]).collect();
+                        let gid = erows.gid[e];
+                        let detail = format!(
+                            "element gid {gid} is a third element on the side over {side:?}"
+                        );
+                        return Err(bad(fpart, sec, detail));
+                    }
+                    out.add(d, r as u32, piece[i as usize] as u32);
+                }
             }
         }
-        Ok(keep)
+        Ok(out)
+    }
+}
+
+/// A row held by several sub-parts (see [`Holders`]).
+const MANY: u32 = NONE - 1;
+
+/// Which sub-parts of a cut hold each row of a file part: per dimension
+/// and row the one holding it, `NONE` for none, or `MANY`, listed
+/// (ascending) in `many`.
+struct Holders {
+    one: [Vec<u32>; 4],
+    many: FxHashMap<(usize, u32), Vec<u32>>,
+}
+
+impl Holders {
+    /// Record that sub-part `j` holds row `r` of dimension `d`.
+    fn add(&mut self, d: usize, r: u32, j: u32) {
+        let one = &mut self.one[d][r as usize];
+        if *one == NONE {
+            *one = j;
+        } else if *one != j {
+            let js = self.many.entry((d, r)).or_insert_with(|| vec![*one]);
+            *one = MANY;
+            if let Err(at) = js.binary_search(&j) {
+                js.insert(at, j);
+            }
+        }
+    }
+
+    /// The sub-parts holding row `r` of dimension `d`, ascending.
+    fn of(&self, d: usize, r: usize) -> &[u32] {
+        match &self.one[d][r] {
+            &NONE => &[],
+            &MANY => &self.many[&(d, r as u32)],
+            j => std::slice::from_ref(j),
+        }
     }
 }
 
@@ -588,7 +639,7 @@ impl PartRows {
 /// elements in the Morton order of their centroids
 /// ([`sfc::morton_keys`], [`sfc::weighted_cut`]), gid breaking ties.
 /// Returns each element's sub-part, in input order.
-pub(crate) fn morton_pieces(centroids: &[[f64; 3]], gids: &[GlobalId], k: usize) -> Vec<usize> {
+fn morton_pieces(centroids: &[[f64; 3]], gids: &[GlobalId], k: usize) -> Vec<usize> {
     let keys = sfc::morton_keys(centroids);
     let mut order: Vec<usize> = (0..keys.len()).collect();
     order.sort_unstable_by_key(|&i| (keys[i], gids[i]));
@@ -622,6 +673,10 @@ pub struct Built {
     /// Ghost copies: (local entity, source part), in entity order. Empty
     /// when ghosts were skipped.
     pub ghosts: Vec<(MeshEnt, PartId)>,
+    /// For a [`Pick::Piece`] build, each built entity other sub-parts also
+    /// hold, with their part ids, ascending (sub-part `j'` of part `id` built
+    /// as sub-part `j` is `id - j + j'`). Empty for [`Pick::Whole`].
+    pub siblings: Vec<(MeshEnt, Vec<PartId>)>,
 }
 
 /// Declare a tag on `part`, refusing a name the part already has with
@@ -654,7 +709,7 @@ fn declare(
 /// is the one loader every restored part comes from.
 ///
 /// # Panics
-/// Panics on an empty block.
+/// Panics on an empty block, and on a `Pick::Piece(j, _)` with `id < j`.
 pub fn build_part(
     id: PartId,
     block: &[PartRows],
@@ -664,14 +719,15 @@ pub fn build_part(
     let _span = pumi_obs::span!("io.build");
     let elem_dim = block.first().expect("a block to build").elem_dim;
     let mut part = Part::new(id, elem_dim);
-    let mut ghosts = Vec::new();
-    let keep = block
-        .iter()
-        .map(|rows| match pick {
-            Pick::Whole => Ok(None),
-            Pick::Piece(j, k) => rows.piece(j, k).map(Some),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let (mut ghosts, mut siblings) = (Vec::new(), Vec::new());
+    let (me, holders) = match pick {
+        Pick::Whole => (0, Vec::new()),
+        Pick::Piece(j, k) => {
+            let holders = block.iter().map(|rows| rows.holders(k));
+            (j as u32, holders.collect::<Result<Vec<_>, _>>()?)
+        }
+    };
+    let whole = [me];
     // Per block part and dimension: the local index each row built or
     // found (`DUP`-marked), `NONE` for a row left out.
     let mut loc: Vec<[Vec<u32>; 4]> = block.iter().map(|_| Default::default()).collect();
@@ -680,9 +736,9 @@ pub fn build_part(
         for (m, rows) in block.iter().enumerate() {
             let (fpart, dr) = (rows.fpart, &rows.dims[d]);
             let mut at = vec![NONE; dr.len()];
-            for r in 0..dr.len() {
-                let kept = keep[m].as_ref().is_none_or(|k| k[d][r]);
-                if !kept || !dr.live[r] || (skip_ghosts && dr.ghost[r] != NONE) {
+            for (r, slot) in at.iter_mut().enumerate() {
+                let held = holders.get(m).map_or(&whole[..], |h| h.of(d, r));
+                if !held.contains(&me) || !dr.live[r] || (skip_ghosts && dr.ghost[r] != NONE) {
                     continue;
                 }
                 let gid = dr.gid[r];
@@ -694,7 +750,7 @@ pub fn build_part(
                         let detail = format!("element gid {gid} is also held by part {p}");
                         return Err(bad(fpart, Section::Entities, detail));
                     }
-                    at[r] = e.index() | DUP;
+                    *slot = e.index() | DUP;
                     continue;
                 }
                 let e = if d == 0 {
@@ -702,7 +758,7 @@ pub fn build_part(
                 } else {
                     let mut vs = [0u32; 8];
                     let nv = dr.topo[r].num_verts();
-                    for (slot, &v) in vs.iter_mut().zip(dr.verts_of(r)) {
+                    for (v_slot, &v) in vs.iter_mut().zip(dr.verts_of(r)) {
                         match loc[m][0][v as usize] {
                             NONE => {
                                 let g = rows.dims[0].gid[v as usize];
@@ -710,7 +766,7 @@ pub fn build_part(
                                     format!("entity gid {gid} references unknown vertex {g}");
                                 return Err(bad(fpart, Section::Entities, detail));
                             }
-                            l => *slot = l & !DUP,
+                            l => *v_slot = l & !DUP,
                         }
                     }
                     let e = part.add_entity(dr.topo[r], &vs[..nv], dr.class[r], gid);
@@ -728,7 +784,11 @@ pub fn build_part(
                 if dr.ghost[r] != NONE {
                     ghosts.push((e, dr.ghost[r]));
                 }
-                at[r] = e.index();
+                if held.len() > 1 {
+                    let others = held.iter().filter(|&&j| j != me);
+                    siblings.push((e, others.map(|&j| id - me + j).collect()));
+                }
+                *slot = e.index();
             }
             loc[m][d] = at;
         }
@@ -764,5 +824,9 @@ pub fn build_part(
             }
         }
     }
-    Ok(Built { part, ghosts })
+    Ok(Built {
+        part,
+        ghosts,
+        siblings,
+    })
 }

@@ -1,22 +1,19 @@
 //! Parallel checkpoint reader with N→M repartition-on-load.
 //!
 //! A checkpoint written from N parts can be restored onto any M ranks; rank
-//! `r` always ends with one part, numbered `r`:
+//! `r` always ends with one part, numbered `r`, which it builds itself —
+//! exactly slice `r` of `M` as `pumi-serve` restores it ([`slice_of`], then
+//! [`PartRows::read`] and [`build_part`]); no element moves between ranks:
 //!
-//! * **M = N** — each rank builds its part verbatim, including ghost
-//!   layers.
-//! * **M < N** — rank `r` builds one part from the rows of the file-part
-//!   block `[r·N/M, (r+1)·N/M)` (their union; no migration).
-//! * **M > N** — file part `p` is built on rank `p·M/N` and split across
-//!   the block `[p·M/N, (p+1)·M/N)` along the Morton cut the slice service
-//!   uses, through one `migrate`.
+//! * **M ≤ N** — the union of the file-part block `[r·N/M, (r+1)·N/M)`;
+//!   when M = N its own part verbatim, ghost layers included.
+//! * **M > N** — file part `p` fans out over the ranks `[p·M/N, (p+1)·M/N)`,
+//!   each of which reads `p`'s rows and builds its piece ([`Pick::Piece`]).
 //!
-//! Every part comes from the one loader in [`crate::load`]: rows decoded
-//! from the files ([`PartRows::read`]), then one build
-//! ([`build_part`]). Remote-copy links between ranks are rebuilt by one
-//! phased exchange of (dimension, global id, local index) keys over the
-//! residence sets the files record, each file part mapped to the rank that
-//! builds it.
+//! One [`stitch`] of (dimension, global id, local index) keys links the
+//! parts. An entity is announced to the other pieces of its file part that
+//! hold it (the cut says which) and, for each other file part its Remotes
+//! row names, to every rank building from it; a non-holder drops those.
 //!
 //! Ghost layers are dropped when N ≠ M (re-grow with
 //! `pumi_core::overlap::grow_overlap` after the restore); global-id
@@ -27,16 +24,18 @@
 //! Input is checked where it is decoded ([`crate::load`]'s refusals are
 //! [`IoError::Decode`]); the Remotes rows are checked against each other:
 //! within a merged block locally, row against row, and across ranks by
-//! comparing each row with the links the stitch delivered and, in one
+//! comparing each row with the links the stitch delivered — exactly the
+//! file part's other pieces that hold the entity, at least one rank of
+//! every other part the row names, none from anywhere else — and, in one
 //! exchange, each copy's residence set with its peers'. One allreduce makes
 //! a mismatch [`IoError::Verify`] on every rank.
 
 use crate::error::IoError;
 use crate::format::{parse_manifest, Manifest, MANIFEST_FILE};
-use crate::load::{build_part, morton_pieces, Built, DirSource, PartRows, Pick};
+use crate::load::{build_part, Built, DirSource, PartRows, Pick};
 use crate::FIELD_TAG_PREFIX;
 use pumi_core::wire::{get_dim, get_link, put_link, stitch};
-use pumi_core::{migrate, DistMesh, MigrationPlan, Part, PartExchange, PartMap};
+use pumi_core::{DistMesh, Part, PartExchange, PartMap};
 use pumi_field::{DistField, Field};
 use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
 use pumi_util::tag::TagData;
@@ -49,12 +48,12 @@ use std::path::Path;
 pub struct ReadStats {
     /// Parts in the checkpoint (N).
     pub nparts_in: usize,
-    /// Bytes read across the world.
+    /// Bytes read across the world (a part fanned out over k ranks: k times).
     pub bytes_global: u64,
     /// Whether the restore repartitioned (N ≠ M).
     pub redistributed: bool,
-    /// Elements moved between ranks (global): the split's migration; a
-    /// merge moves none.
+    /// Elements moved between ranks: always 0, since every rank builds its
+    /// own part. Kept only because `benchmark/src/calls.rs` reads it.
     pub elements_moved: u64,
 }
 
@@ -69,25 +68,101 @@ pub struct Restored {
     pub stats: ReadStats,
 }
 
-/// Compare part `part`'s Remotes rows with the links the stitch built: the
-/// peers a row names must be exactly the parts that announced the entity,
-/// and an entity that received links must have a row. Local (no message);
-/// returns one line per disagreement.
-fn unmatched_rows(part: &Part, rows: &[(Dim, GlobalId, Vec<PartId>)]) -> Vec<String> {
+/// One entity the rank's part announces, from its Remotes row (`row`,
+/// empty for none) and the cut.
+struct Expected<'a> {
+    dim: Dim,
+    gid: GlobalId,
+    /// `None` for a Remotes row naming an entity its file part lacks.
+    ent: Option<MeshEnt>,
+    row: &'a [PartId],
+    /// The ranks it is announced to, ascending: the other pieces of its
+    /// file part that hold it, and every rank in `named`.
+    targets: Vec<PartId>,
+    /// For each other file part the row names, the ranks building from it.
+    named: Vec<Range<usize>>,
+}
+
+/// What rank `part.id` announces: each entity of its block's Remotes rows
+/// once (the lowest file part's row), then each other entity other pieces
+/// of its file part hold (`siblings`). Rows naming only file parts the rank
+/// builds from (interior entities) and rows for entities another piece
+/// builds are dropped.
+fn expected<'a>(
+    block: &'a [PartRows],
+    fparts: &Range<usize>,
+    part: &Part,
+    siblings: &[(MeshEnt, Vec<PartId>)],
+    builders: &[Range<usize>],
+) -> Vec<Expected<'a>> {
+    let sibs: FxHashMap<MeshEnt, &[PartId]> = siblings.iter().map(|(e, s)| (*e, &s[..])).collect();
+    let rows = block.iter().flat_map(|rows| {
+        let remotes = rows.remotes.iter();
+        remotes.map(move |(dim, gid, row)| (rows, *dim, *gid, &row[..]))
+    });
+    // A sibling's row check never runs: the entity is built.
+    let rest = siblings
+        .iter()
+        .map(|(e, _)| (&block[0], e.dim(), part.gid_of(*e), &[][..]));
+    let mut seen: FxHashSet<(Dim, GlobalId)> = FxHashSet::default();
+    let mut out = Vec::new();
+    for (rows, dim, gid, row) in rows.chain(rest) {
+        let ent = part.find_gid(dim, gid);
+        if !seen.insert((dim, gid)) || (ent.is_none() && rows.holds(dim, gid)) {
+            continue;
+        }
+        let mut named: Vec<Range<usize>> = row
+            .iter()
+            .filter(|&&q| !fparts.contains(&(q as usize)))
+            .map(|&q| builders[q as usize].clone())
+            .collect();
+        named.dedup();
+        let mut targets = ent
+            .and_then(|e| sibs.get(&e))
+            .map_or(vec![], |s| s.to_vec());
+        targets.extend(named.iter().flat_map(|rs| rs.clone().map(|r| r as PartId)));
+        targets.sort_unstable();
+        if !targets.is_empty() {
+            out.push(Expected {
+                dim,
+                gid,
+                ent,
+                row,
+                targets,
+                named,
+            });
+        }
+    }
+    out
+}
+
+/// Compare what part `part` expected with the links the stitch built: every
+/// link must come from a target, every target in the part's own block
+/// (`own`, the ranks building from its file parts) must link, and so must
+/// at least one rank of each named file part; an entity that received links
+/// must be expected. Local (no message); returns one line per disagreement.
+fn unmatched_links(part: &Part, own: &Range<usize>, expected: &[Expected]) -> Vec<String> {
     let p = part.id;
     let mut errs = Vec::new();
     let mut rowed = FxHashSet::default();
-    for (dim, gid, res) in rows {
-        // Residence is written sorted, with this part in it.
-        let peers = res.iter().copied().filter(|&q| q != p);
-        let ent = part.find_gid(*dim, *gid);
-        let links = ent.map_or(&[][..], |e| part.remotes_of(e));
-        if !peers.eq(links.iter().map(|&(q, _)| q)) {
+    for x in expected {
+        let (dim, gid, row) = (x.dim, x.gid, x.row);
+        let links = x.ent.map_or(&[][..], |e| part.remotes_of(e));
+        let linked = |r: usize| links.iter().any(|&(q, _)| q as usize == r);
+        for rs in x.named.iter().filter(|&rs| !rs.clone().any(linked)) {
             errs.push(format!(
-                "part {p}: {dim} gid {gid}: row {res:?}, links {links:?}"
+                "part {p}: {dim} gid {gid}: row {row:?}, no link from ranks {rs:?}"
             ));
         }
-        rowed.extend(ent);
+        let targeted = |q: &PartId| x.targets.binary_search(q).is_ok();
+        let stray = links.iter().any(|(q, _)| !targeted(q));
+        let mut own_targets = x.targets.iter().filter(|&&r| own.contains(&(r as usize)));
+        if stray || own_targets.any(|&r| !linked(r as usize)) {
+            errs.push(format!(
+                "part {p}: {dim} gid {gid}: row {row:?}, links {links:?}"
+            ));
+        }
+        rowed.extend(x.ent);
     }
     for (e, _) in part.shared_entities() {
         if !rowed.contains(&e) {
@@ -101,7 +176,7 @@ fn unmatched_rows(part: &Part, rows: &[(Dim, GlobalId, Vec<PartId>)]) -> Vec<Str
 /// Send each copy's residence set over every link and compare it with the
 /// receiver's. Rows can match their links pair by pair and still disagree
 /// as sets (part 1 `[1,2]`, part 2 `[1,2,3]`, part 3 `[2,3]`), and then the
-/// copies pick different owners. Where [`unmatched_rows`] finds nothing the
+/// copies pick different owners. Where [`unmatched_links`] finds nothing the
 /// links are symmetric, and two linked copies with one link each agree, so
 /// only copies with two or more links send.
 /// Collective (one exchange); returns one line per disagreement.
@@ -148,6 +223,40 @@ pub fn balanced_block(i: usize, of: usize, over: usize) -> Range<usize> {
     i * over / of..(i + 1) * over / of
 }
 
+/// What rank (or slice) `i` of `m` reads and builds from an `n`-part
+/// checkpoint, for [`read_checkpoint`] and `pumi-serve` alike: the whole
+/// file-part block `balanced_block(i, m, n)` when M ≤ N; when M > N, the
+/// file part `p` whose fan-out block `balanced_block(p, n, m)` holds `i`,
+/// and of it piece `i − start` of the block's length (all of it for one).
+pub fn slice_of(i: usize, m: usize, n: usize) -> (Range<usize>, Pick) {
+    if m <= n {
+        return (balanced_block(i, m, n), Pick::Whole);
+    }
+    let p = ((i + 1) * n - 1) / m; // the last part whose block starts at or before `i`
+    let ranks = balanced_block(p, n, m);
+    let pick = match ranks.len() {
+        1 => Pick::Whole,
+        k => Pick::Piece(i - ranks.start, k),
+    };
+    (p..p + 1, pick)
+}
+
+/// The ranks that build from each of `n` file parts on `m` ranks, by
+/// [`slice_of`]: one per part when M ≤ N, its fan-out block when M > N.
+fn builders(m: usize, n: usize) -> Vec<Range<usize>> {
+    let mut out: Vec<Range<usize>> = Vec::with_capacity(n);
+    for i in 0..m {
+        for q in slice_of(i, m, n).0 {
+            // Ranks take file parts in ascending order.
+            match out.get_mut(q) {
+                Some(ranks) => ranks.end = i + 1,
+                None => out.push(i..i + 1),
+            }
+        }
+    }
+    out
+}
+
 /// Read the manifest on rank 0 and broadcast it.
 pub(crate) fn manifest_bcast(comm: &Comm, dir: &Path) -> Result<Manifest, IoError> {
     let path = dir.join(MANIFEST_FILE);
@@ -182,7 +291,7 @@ pub(crate) fn manifest_bcast(comm: &Comm, dir: &Path) -> Result<Manifest, IoErro
 }
 
 /// Compare the Remotes rows of the file parts one rank merges, row against
-/// row, as the stitch, [`unmatched_rows`] and [`split_residences`] compare
+/// row, as the stitch, [`unmatched_links`] and [`split_residences`] compare
 /// them across ranks. For file parts `p` and `q` of the block: a row of
 /// `p` naming `q` needs `q` to hold the entity (else the stitch could not
 /// have resolved it), to have a row for it, and that row to name `p` back;
@@ -238,30 +347,6 @@ fn block_row_errors(block: &[PartRows]) -> Vec<String> {
     errs
 }
 
-/// The block's Remotes rows as rows of the part rank `rank` builds: each
-/// entity once, from the lowest file part with a row for it, its residence
-/// mapped through `home` (file part → rank). Rows whose residence is this
-/// rank alone describe entities interior to the merged part and are
-/// dropped.
-fn rank_rows(block: &[PartRows], home: &[usize], rank: usize) -> Vec<(Dim, GlobalId, Vec<PartId>)> {
-    let mut seen: FxHashSet<(Dim, GlobalId)> = FxHashSet::default();
-    let mut out = Vec::new();
-    for rows in block {
-        for (dim, gid, res) in &rows.remotes {
-            if !seen.insert((*dim, *gid)) {
-                continue;
-            }
-            let mut ranks: Vec<PartId> = res.iter().map(|&q| home[q as usize] as PartId).collect();
-            ranks.sort_unstable();
-            ranks.dedup();
-            if ranks.iter().any(|&r| r as usize != rank) {
-                out.push((*dim, *gid, ranks));
-            }
-        }
-    }
-    out
-}
-
 /// Restore a checkpoint from `dir` onto `comm.nranks()` ranks, regardless
 /// of how many parts it was written from. See the module docs for the
 /// N→M policy. Collective; on failure every rank returns an error: a
@@ -277,50 +362,28 @@ pub fn read_checkpoint(comm: &Comm, dir: &Path) -> Result<Restored, IoError> {
     let rank = comm.rank();
     let elem_dim = manifest.elem_dim as usize;
     let skip_ghosts = n != m;
-
-    // The rank that builds each file part: the owner of its block when
-    // N ≥ M, the first rank of its fan-out block when N < M.
-    let mut home = vec![0usize; n];
-    if n >= m {
-        for r in 0..m {
-            balanced_block(r, m, n).for_each(|p| home[p] = r);
-        }
-    } else {
-        for (p, h) in home.iter_mut().enumerate() {
-            *h = balanced_block(p, n, m).start;
-        }
-    }
+    let (fparts, pick) = slice_of(rank, m, n);
 
     let mut block: Vec<PartRows> = Vec::new();
-    let mut local_err: Option<IoError> = None;
-    for fpart in (0..n).filter(|&p| home[p] == rank) {
-        match PartRows::read(&manifest, fpart as PartId, &DirSource(dir)) {
-            Ok(rows) => block.push(rows),
-            Err(e) => {
-                local_err = Some(e);
-                break;
-            }
-        }
-    }
-    let mut built = None;
-    if local_err.is_none() && !block.is_empty() {
-        match build_part(rank as PartId, &block, Pick::Whole, skip_ghosts) {
-            Ok(b) => built = Some(b),
-            Err(e) => local_err = Some(e),
-        }
-    }
+    let built = fparts
+        .clone()
+        .try_for_each(|p| {
+            block.push(PartRows::read(&manifest, p as PartId, &DirSource(dir))?);
+            Ok(())
+        })
+        .and_then(|()| build_part(rank as PartId, &block, pick, skip_ghosts));
     let bytes_local: u64 = block.iter().map(PartRows::bytes).sum();
     pumi_obs::metrics::counter_add("io.read.bytes", bytes_local);
-    let sums = comm.allreduce_sum_u64_vec(&[local_err.is_some() as u64, bytes_local]);
-    if sums[0] > 0 {
-        return Err(local_err.unwrap_or(IoError::PeerFailed { failures: sums[0] }));
-    }
+    let sums = comm.allreduce_sum_u64_vec(&[built.is_err() as u64, bytes_local]);
+    let Built {
+        mut part,
+        ghosts,
+        siblings,
+    } = match built {
+        Ok(_) if sums[0] > 0 => return Err(IoError::PeerFailed { failures: sums[0] }),
+        built => built?,
+    };
     let bytes_global = sums[1];
-    // A rank outside every fan-out block (N < M) starts empty.
-    let Built { mut part, ghosts } = built.unwrap_or_else(|| Built {
-        part: Part::new(rank as PartId, elem_dim),
-        ghosts: Vec::new(),
-    });
 
     // Floor every gid counter at the global max so ids minted after the
     // restore stay disjoint from every checkpointed id.
@@ -332,11 +395,13 @@ pub fn read_checkpoint(comm: &Comm, dir: &Path) -> Result<Restored, IoError> {
     // would hang its peers in the next collective. One allreduce after the
     // relink agrees on it.
     let link = pumi_obs::span!("io.link");
+    let builders = builders(m, n);
+    let own = builders[fparts.start].clone();
     let mut link_errs = block_row_errors(&block);
-    let rows = rank_rows(&block, &home, rank);
-    let announce: Vec<(MeshEnt, &[PartId])> = rows
+    let expected = expected(&block, &fparts, &part, &siblings, &builders);
+    let announce: Vec<(MeshEnt, &[PartId])> = expected
         .iter()
-        .filter_map(|(dim, gid, res)| Some((part.find_gid(*dim, *gid)?, res.as_slice())))
+        .filter_map(|x| Some((x.ent?, &x.targets[..])))
         .collect();
     let mut dm = DistMesh {
         map: PartMap::contiguous(m, m),
@@ -345,9 +410,16 @@ pub fn read_checkpoint(comm: &Comm, dir: &Path) -> Result<Restored, IoError> {
     link_errs.extend(
         stitch(comm, &mut dm, &[announce])
             .into_iter()
+            // An announcement from another file part's ranks to a block of
+            // several is a candidate: a rank that lacks the entity drops it.
+            .filter(|(from, _, e)| {
+                own.len() == 1
+                    || own.contains(&(*from as usize))
+                    || !matches!(e, MsgError::Missing { .. })
+            })
             .map(|(from, to, e)| format!("remote-copy stitch {from}->{to}: {e}")),
     );
-    link_errs.extend(unmatched_rows(&dm.parts[0], &rows));
+    link_errs.extend(unmatched_links(&dm.parts[0], &own, &expected));
     link_errs.extend(split_residences(comm, &dm));
 
     // Relink ghost layers (only on an N = N restore; dropped otherwise).
@@ -414,32 +486,6 @@ pub fn read_checkpoint(comm: &Comm, dir: &Path) -> Result<Restored, IoError> {
 
     drop(link);
 
-    // N < M: each built file part fans out over its block along the Morton
-    // cut `pumi-serve` slices with, through one migration.
-    let mut elements_moved = 0u64;
-    if n < m {
-        let _span = pumi_obs::span!("io.redistribute");
-        let d_elem = Dim::from_usize(elem_dim);
-        let mut plans: FxHashMap<PartId, MigrationPlan> = FxHashMap::default();
-        let part = &dm.parts[0];
-        let k = block
-            .first()
-            .map_or(0, |rows| balanced_block(rows.fpart() as usize, n, m).len());
-        if k > 1 {
-            let elems: Vec<MeshEnt> = part.mesh.iter(d_elem).collect();
-            let centroids: Vec<[f64; 3]> = elems.iter().map(|&e| part.mesh.centroid(e)).collect();
-            let gids: Vec<GlobalId> = elems.iter().map(|&e| part.gid_of(e)).collect();
-            let mut plan = MigrationPlan::new();
-            for (&e, j) in elems.iter().zip(morton_pieces(&centroids, &gids, k)) {
-                if j > 0 {
-                    plan.send(e, part.id + j as PartId);
-                }
-            }
-            plans.insert(part.id, plan);
-        }
-        elements_moved = migrate(comm, &mut dm, &plans).elements_moved;
-    }
-
     // Recover staged fields, in manifest order.
     let mut fields: Vec<DistField> = Vec::new();
     for desc in &manifest.fields {
@@ -469,7 +515,7 @@ pub fn read_checkpoint(comm: &Comm, dir: &Path) -> Result<Restored, IoError> {
             nparts_in: n,
             bytes_global,
             redistributed: n != m,
-            elements_moved,
+            elements_moved: 0,
         },
     })
 }

@@ -527,12 +527,13 @@ fn edit_entities(dir: &Path, part: u32, mut edit: impl FnMut(&mut [Vec<EntityRow
     });
 }
 
-/// Restore `dir` on 2 ranks (merging) and on 4 (verbatim), under the
-/// deterministic scheduler and `chaos:1`: every rank of every world must
-/// return `Err`, and none may hang. Returns each world's errors, labelled.
-fn refusals(dir: &Path) -> Vec<(String, Vec<IoError>)> {
+/// Restore `dir` on 2 ranks (merging), on 4 (verbatim) and on 8 (each
+/// part split in two), under the deterministic scheduler and `chaos:1`:
+/// every rank of every world must return `Err`, and none may hang. Returns
+/// each world's rank count and errors, labelled.
+fn refusals(dir: &Path) -> Vec<(usize, String, Vec<IoError>)> {
     let mut out = Vec::new();
-    for nranks in [2, 4] {
+    for nranks in [2, 4, 8] {
         for chaos in [None, Some(1)] {
             let body = |c: &Comm| {
                 read_checkpoint(c, dir)
@@ -543,7 +544,7 @@ fn refusals(dir: &Path) -> Vec<(String, Vec<IoError>)> {
                 None => execute(nranks, body),
                 Some(seed) => execute_chaos(nranks, seed, body),
             };
-            out.push((format!("{nranks} ranks, chaos {chaos:?}"), errs));
+            out.push((nranks, format!("{nranks} ranks, chaos {chaos:?}"), errs));
         }
     }
     out
@@ -551,9 +552,10 @@ fn refusals(dir: &Path) -> Vec<(String, Vec<IoError>)> {
 
 /// A link-level refusal: `Verify` on every rank of every world (empty on
 /// ranks whose parts were clean), some rank's violations containing
-/// `needle`.
-fn assert_verify_refusal(dir: &Path, needle: &str) {
-    for (run, errs) in refusals(dir) {
+/// `needle(nranks)`.
+fn assert_verify_refusal(dir: &Path, needle: impl Fn(usize) -> String) {
+    for (nranks, run, errs) in refusals(dir) {
+        let needle = &needle(nranks);
         let mut named = false;
         for e in &errs {
             let IoError::Verify { errors } = e else {
@@ -582,7 +584,7 @@ fn assert_refused_on_load(dir: &Path, parts: &[u32], section: Section, needle: &
         matches!(e, IoError::Decode { part, section: s, detail }
             if parts.contains(part) && *s == section && detail.contains(needle))
     };
-    for (run, errs) in refusals(dir) {
+    for (_, run, errs) in refusals(dir) {
         assert!(
             errs.iter().any(at_origin),
             "{run}: no rank reports it: {errs:?}"
@@ -610,7 +612,10 @@ fn assert_refused_on_load(dir: &Path, parts: &[u32], section: Section, needle: &
 /// announcement it cannot resolve. That used to be dropped on the floor;
 /// it must be `IoError::Verify` on *every* rank, naming `from->to`, on the
 /// verbatim (4 ranks) and the merging (2 ranks) restore, under the
-/// deterministic and a chaos schedule alike, with no hang.
+/// deterministic and a chaos schedule alike, with no hang. On 8 ranks each
+/// part fans out over two, and an announcement to another part's two ranks
+/// is a candidate a rank without the entity drops; there the refusal is
+/// part 0's row check, "no link from ranks {2·stranger..2·stranger + 2}".
 #[test]
 fn remotes_row_naming_a_stranger_fails_on_every_rank() {
     let dir = write_four("stranger");
@@ -626,7 +631,10 @@ fn remotes_row_naming_a_stranger_fails_on_every_rank() {
         stranger = Some(q);
     });
     let stranger = stranger.expect("row edited");
-    assert_verify_refusal(&dir, &format!("stitch 0->{stranger}"));
+    assert_verify_refusal(&dir, |nranks| match nranks {
+        8 => format!("no link from ranks {:?}", 2 * stranger..2 * stranger + 2),
+        _ => format!("stitch 0->{stranger}"),
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -648,7 +656,7 @@ fn one_sided_remotes_row_fails_on_every_rank() {
         rows.retain(|&(d, g, _)| (d, g) != (dim, gid));
         assert_eq!(rows.len(), n - 1, "part 1 lists the entity back");
     });
-    assert_verify_refusal(&dir, &format!("gid {gid}:"));
+    assert_verify_refusal(&dir, |_| format!("gid {gid}:"));
     for slice in serve_slices(&dir, 1) {
         slice.expect("slices are not stitched");
     }
@@ -679,7 +687,7 @@ fn remotes_rows_disagreeing_as_a_set_fail_on_every_rank() {
             res.retain(|&q| q != gone);
         });
     }
-    assert_verify_refusal(&dir, &format!("gid {gid}: residence"));
+    assert_verify_refusal(&dir, |_| format!("gid {gid}: residence"));
     for part in [a, c] {
         for slice in serve_slices(&dir, part) {
             slice.expect("slices are not stitched");

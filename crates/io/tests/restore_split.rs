@@ -1,19 +1,20 @@
-//! The two restore paths cut a checkpoint the same way, and a merge
-//! migrates nothing: slice `i` of `M` from the slice service holds exactly
-//! the elements rank `i` holds after `read_checkpoint` on `M` ranks, for
-//! merges (M ≤ N) and splits (M > N) alike, and every split piece is within
-//! one element of its share; a 4→2 merge enters no `migrate` span and moves
-//! no element. Two drills: an element gid held by two file parts of one
-//! merge block is refused instead of hidden by the union, and a side
-//! bounding a third element is refused by every piece of its part.
+//! The two restore paths build the same parts, and nothing moves: slice
+//! `i` of `M` from the slice service holds exactly the entities — every
+//! dimension, by gid — rank `i` holds after `read_checkpoint` on `M` ranks,
+//! for merges (M ≤ N) and splits (M > N) alike, in 2-D and 3-D; no part or
+//! slice holds an entity no element bounds, and every split piece is within
+//! one element of its share. No restore enters a `migrate` span or moves an
+//! element. Two drills: an element gid held by two file parts of one merge
+//! block is refused instead of hidden by the union, and a side bounding a
+//! third element is refused by every piece of its part.
 
-use pumi_core::{distribute, DistMesh, PartMap};
+use pumi_core::{distribute, DistMesh, Part, PartMap};
 use pumi_field::{DistField, Field, FieldShape};
 use pumi_io::{
     balanced_block, read_checkpoint, write_checkpoint, write_delta_checkpoint, IoError, Section,
 };
 use pumi_mesh::Topology;
-use pumi_meshgen::{jitter, tri_rect};
+use pumi_meshgen::{jitter, tet_box, tri_rect};
 use pumi_partition::partition_mesh;
 use pumi_pcu::execute;
 use pumi_serve::CheckpointServer;
@@ -67,74 +68,121 @@ fn write_four(name: &str, edit: impl Fn(&mut DistMesh) + Sync) -> PathBuf {
     dir
 }
 
-fn sorted(mut gids: Vec<GlobalId>) -> Vec<GlobalId> {
-    gids.sort_unstable();
-    gids
+/// A 2-part checkpoint of a jittered `tet_box(6, 6, 6)` written from 2
+/// ranks: cut 4 ways, each part's pieces share faces, edges and vertices.
+fn write_tets(name: &str) -> PathBuf {
+    let dir = scratch_dir(name);
+    let mut serial = tet_box(6, 6, 6, 1.0, 1.0, 1.0);
+    jitter(&mut serial, 0.15, 9);
+    execute(2, |c| {
+        let labels = partition_mesh(&serial, 2);
+        let dm = distribute(c, PartMap::contiguous(2, 2), &serial, &labels);
+        write_checkpoint(c, &dm, &[], &dir).expect("write");
+    });
+    dir
+}
+
+/// A part's gids, per dimension, sorted.
+fn gid_sets(part: &Part) -> Vec<Vec<GlobalId>> {
+    (0..=part.mesh.elem_dim())
+        .map(|d| {
+            let mut gids: Vec<GlobalId> = part
+                .mesh
+                .iter(Dim::from_usize(d))
+                .map(|e| part.gid_of(e))
+                .collect();
+            gids.sort_unstable();
+            gids
+        })
+        .collect()
+}
+
+/// Entities below the element dimension that bound no element.
+fn orphans(part: &Part) -> Vec<(Dim, GlobalId)> {
+    let top = part.mesh.elem_dim_t();
+    (0..part.mesh.elem_dim())
+        .flat_map(|d| part.mesh.iter(Dim::from_usize(d)))
+        .filter(|&e| part.mesh.adjacent(e, top).is_empty())
+        .map(|e| (e.dim(), part.gid_of(e)))
+        .collect()
 }
 
 #[test]
 fn slices_are_the_collective_parts() {
-    let dir = write_four("slices", |_| {});
-    let server = CheckpointServer::open(&dir).expect("open");
-    let part_elems: Vec<usize> = (0..4)
-        .map(|p| {
-            server.restore_slice(p, 4).expect("part").parts[0]
-                .mesh
-                .num_elems()
-        })
-        .collect();
-    for m in [1, 2, 3, 4, 6, 8] {
-        let ranks: Vec<Vec<GlobalId>> = execute(m, |c| {
-            let r = read_checkpoint(c, &dir).expect("collective restore");
-            let part = &r.dm.parts[0];
-            sorted(part.mesh.elems().map(|e| part.gid_of(e)).collect())
-        });
-        for (i, want) in ranks.iter().enumerate() {
-            let slice = server.restore_slice(i, m).expect("slice");
-            let got = slice
-                .parts
-                .iter()
-                .flat_map(|p| p.mesh.elems().map(|e| p.gid_of(e)))
-                .collect();
-            assert_eq!(
-                &sorted(got),
-                want,
-                "M = {m}: slice {i} is not rank {i}'s part"
-            );
-            if m > 4 {
-                let p = slice.fparts[0] as usize;
-                let share = part_elems[p] as f64 / balanced_block(p, 4, m).len() as f64;
-                let n = want.len() as f64;
+    for (dir, n) in [
+        (write_four("slices", |_| {}), 4),
+        (write_tets("slices3d"), 2),
+    ] {
+        let server = CheckpointServer::open(&dir).expect("open");
+        let part_elems: Vec<usize> = (0..n)
+            .map(|p| {
+                server.restore_slice(p, n).expect("part").parts[0]
+                    .mesh
+                    .num_elems()
+            })
+            .collect();
+        for m in [1, 2, 3, 4, 6, 8] {
+            let ranks = execute(m, |c| {
+                let r = read_checkpoint(c, &dir).expect("collective restore");
+                let part = &r.dm.parts[0];
+                (gid_sets(part), orphans(part))
+            });
+            for (i, (want, orphaned)) in ranks.iter().enumerate() {
                 assert!(
-                    (n - share).abs() < 1.0,
-                    "M = {m}: piece {i} holds {n} of {share}"
+                    orphaned.is_empty(),
+                    "N = {n}, M = {m}: rank {i} holds {orphaned:?}"
                 );
+                let slice = server.restore_slice(i, m).expect("slice");
+                let [part] = &slice.parts[..] else {
+                    panic!("N = {n}, M = {m}: slice {i} is {} parts", slice.parts.len());
+                };
+                let orphaned = orphans(part);
+                assert!(
+                    orphaned.is_empty(),
+                    "N = {n}, M = {m}: slice {i} holds {orphaned:?}"
+                );
+                assert_eq!(
+                    &gid_sets(part),
+                    want,
+                    "N = {n}, M = {m}: slice {i} is not rank {i}'s part"
+                );
+                if m > n {
+                    let p = slice.fparts[0] as usize;
+                    let share = part_elems[p] as f64 / balanced_block(p, n, m).len() as f64;
+                    let got = part.mesh.num_elems() as f64;
+                    assert!(
+                        (got - share).abs() < 1.0,
+                        "N = {n}, M = {m}: piece {i} holds {got} of {share}"
+                    );
+                }
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Clock-free: the merge enters no `migrate` span and moves no element,
-/// and the loader's phases show under `io.read`.
+/// Clock-free: no restore, merge or split, enters a `migrate` span or moves
+/// an element, and the loader's phases show under `io.read`.
 #[test]
 fn merge_migrates_nothing() {
     let dir = write_four("merge", |_| {});
-    let per_rank = execute(2, |c| {
-        let r = read_checkpoint(c, &dir).expect("collective restore");
-        (r.stats.elements_moved, pumi_obs::span::take())
-    });
-    for (moved, spans) in per_rank {
-        assert_eq!(moved, 0, "a merge moves no element");
-        let paths: Vec<&str> = spans.iter().map(|(path, _)| path.as_str()).collect();
-        assert!(
-            paths
-                .iter()
-                .all(|p| !p.contains("migrate") && !p.contains("io.redistribute")),
-            "{paths:?}"
-        );
-        for want in ["io.read/io.rows", "io.read/io.build", "io.read/io.link"] {
-            assert!(paths.contains(&want), "no {want} in {paths:?}");
+    for m in [1, 2, 3, 4, 6, 8] {
+        let per_rank = execute(m, |c| {
+            let r = read_checkpoint(c, &dir).expect("collective restore");
+            (r.stats.elements_moved, pumi_obs::span::take())
+        });
+        for (moved, spans) in per_rank {
+            assert_eq!(moved, 0, "M = {m}: a restore moves no element");
+            let paths: Vec<&str> = spans.iter().map(|(path, _)| path.as_str()).collect();
+            assert!(
+                paths
+                    .iter()
+                    .all(|p| !p.contains("migrate") && !p.contains("io.redistribute")),
+                "M = {m}: {paths:?}"
+            );
+            for want in ["io.read/io.rows", "io.read/io.build", "io.read/io.link"] {
+                assert!(paths.contains(&want), "M = {m}: no {want} in {paths:?}");
+            }
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -144,6 +192,7 @@ fn merge_migrates_nothing() {
 /// and edges part 1 lacks). Restored on 4 ranks each part stands alone,
 /// but merging parts 0 and 1 would fold the two copies into one; the merge
 /// refuses it on the rank that builds them, and the others exit with it.
+/// The slice that merges them refuses it the same way.
 #[test]
 fn element_in_two_parts_of_a_block_is_refused() {
     let dir = write_four("twice", |dm| {
@@ -170,16 +219,21 @@ fn element_in_two_parts_of_a_block_is_refused() {
                 .expect("closure copied bottom up");
         }
     });
+    let at_origin = |e: &IoError| {
+        matches!(e, IoError::Decode { part: 1, section: Section::Entities, detail }
+            if detail.contains("also held by part 0"))
+    };
+    let server = CheckpointServer::open(&dir).expect("open");
     for m in [1, 2] {
+        match server.restore_slice(0, m) {
+            Err(e) if at_origin(&e) => {}
+            other => panic!("slice 0 of {m}: expected the element refused, got {other:?}"),
+        }
         let errs = execute(m, |c| {
             read_checkpoint(c, &dir)
                 .map(|_| ())
                 .expect_err("a doubly held element must not merge")
         });
-        let at_origin = |e: &IoError| {
-            matches!(e, IoError::Decode { part: 1, section: Section::Entities, detail }
-                if detail.contains("also held by part 0"))
-        };
         assert!(errs.iter().any(at_origin), "M = {m}: {errs:?}");
         for e in &errs {
             assert!(

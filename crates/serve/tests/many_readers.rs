@@ -156,54 +156,6 @@ fn eight_clients_restore_disjoint_slices() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A capacity-capped cache must evict (and recompute) under pressure but
-/// never change what readers see: 8 clients through a cache far smaller
-/// than the checkpoint still tile the mesh exactly.
-#[test]
-fn capped_cache_serves_eight_clients_correctly() {
-    let nclients = 8;
-    let dir = write_tagged("capped", 2);
-    let (truth, total) = full_restore_digest(&dir, 2);
-
-    // A few KB: far below the raw section bytes of even one part, so
-    // every restore cycles the cache.
-    let server =
-        CheckpointServer::open_with(&dir, pumi_serve::ServeOpts::new().chunk_cache_bytes(4096))
-            .expect("open");
-    let elem_dim = server.manifest().elem_dim as usize;
-    let slices = execute(nclients, |c| {
-        let s = server
-            .restore_slice(c.rank(), c.nranks())
-            .expect("slice restore");
-        let (elems, tags) = slice_digest(&s, elem_dim);
-        let agreed = c.allreduce_sum_u64(elems.len() as u64);
-        assert_eq!(agreed as usize, total, "slices must tile the mesh");
-        (elems, tags)
-    });
-
-    let mut union = FxHashSet::default();
-    for (elems, tags) in &slices {
-        for &g in elems {
-            assert!(union.insert(g), "element gid {g} appears in two slices");
-        }
-        for (&g, &x) in tags {
-            assert_eq!(x, g as f64, "tag row corrupted for vertex gid {g}");
-        }
-    }
-    assert_eq!(union, truth, "slice union differs from collective restore");
-
-    let stats = server.stats();
-    assert!(
-        stats.chunk_evictions > 0,
-        "a 4 KB cap under 8 readers must evict: {stats:?}"
-    );
-    assert!(
-        stats.chunk_misses > stats.chunk_evictions,
-        "misses include at least one first touch per resident chunk: {stats:?}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Single flight: 2 and 8 clients each restore every slice, starting at
 /// their own rank, so they race for the same chunks. Under the
 /// deterministic scheduler and two chaos seeds alike, a chunk another
@@ -254,7 +206,7 @@ fn each_chunk_is_decoded_once() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// M < N: each client gets a block of whole parts.
+/// M < N: each client gets one part merged from a block of file parts.
 #[test]
 fn fewer_clients_than_parts_get_part_blocks() {
     let dir = write_tagged("blocks", 4);

@@ -57,15 +57,12 @@ fn main() {
     assert!(hashes.iter().all(|&h| h == want));
     println!("restored 6 -> 2 ranks (merge): hash matches, verify clean");
 
-    // Restore B: 6 parts onto 8 ranks — parts split via the local graph
-    // partitioner and migrate out.
+    // Restore B: 6 parts onto 8 ranks — each rank a part fans out over
+    // builds its own Morton piece of it; nothing migrates.
     let hashes = execute(8, |c| {
         let restored = read_checkpoint(c, &dir).expect("restore on 8");
         check_dist(c, &restored.dm, CheckOpts::all()).expect("valid after split");
-        let moved = restored.stats.elements_moved;
-        let h = struct_hash(c, &restored.dm);
-        (c.rank() == 0).then(|| println!("  split moved {moved} elements"));
-        h
+        struct_hash(c, &restored.dm)
     });
     assert!(hashes.iter().all(|&h| h == want));
     println!("restored 6 -> 8 ranks (split): hash matches, verify clean");
