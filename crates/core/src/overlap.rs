@@ -271,7 +271,7 @@ pub struct Overlap {
     sent: Vec<FxHashMap<PartId, FxHashSet<MeshEnt>>>,
     /// Per slot: the elements shipped to each neighbour in the most recent
     /// layer — the seeds the next layer grows outward from.
-    frontier: Vec<FxHashMap<PartId, Vec<MeshEnt>>>,
+    frontier: Vec<Layer>,
 }
 
 impl Overlap {
@@ -413,75 +413,71 @@ impl Overlap {
     /// `grow(1)` twice reaches exactly the entities `grow(2)` does.
     /// Collective. Returns the world-total number of ghost element copies
     /// created by this call.
+    ///
+    /// What a part ships to a neighbour `q`: layer 1 is its elements
+    /// sharing a bridge entity with `q` (a bridge entity with a remote copy
+    /// on `q`); layer k + 1 is its elements sharing a bridge entity with
+    /// its layer-k shipments to `q`, minus everything already shipped there.
+    ///
+    /// # Panics
+    /// Panics if this handle no longer describes `dm`
+    /// ([`Overlap::assert_describes`]): its record of what was shipped
+    /// would name dead or reused elements.
     pub fn grow(&mut self, comm: &Comm, dm: &mut DistMesh, layers: usize) -> u64 {
         let _span = pumi_obs::span!("overlap.grow");
         pumi_obs::metrics::counter_add("overlap.grow.calls", 1);
+        self.assert_describes(dm);
         let elem_dim = dm.parts.first().map(|p| p.mesh.elem_dim()).unwrap_or(2);
-        let d_elem = Dim::from_usize(elem_dim);
         assert!(
             self.bridge.as_usize() < elem_dim,
             "bridge must be below elements"
         );
-        let nlocal = dm.parts.len();
         let mut total = 0u64;
+        // Non-ghost elements do not change while the call runs, so one star
+        // table per part serves every layer.
+        let stars: Vec<Stars> = dm.parts.iter().map(|p| Stars::of(p, self.bridge)).collect();
+        let mut seen = Marks::default();
+        let mut packed: [Marks; 4] = Default::default();
+        let mut by_dim: [Vec<MeshEnt>; 4] = Default::default();
+        let mut buf = Vec::new();
 
         for _ in 0..layers {
-            // 1. Determine which elements to send where. The first layer
-            //    seeds from boundary bridge entities; later layers grow
-            //    outward from what each part already shipped.
-            let mut to_send: Vec<FxHashMap<PartId, Vec<MeshEnt>>> =
-                vec![FxHashMap::default(); nlocal];
-            for (slot, part) in dm.parts.iter().enumerate() {
-                if self.depth == 0 && self.frontier[slot].is_empty() {
-                    for (e, remotes) in part.shared_entities() {
-                        if e.dim() != self.bridge {
-                            continue;
-                        }
-                        let elems = part.mesh.adjacent(e, d_elem);
-                        for &(q, _) in remotes {
-                            for &el in &elems {
-                                if part.is_ghost(el) {
-                                    continue;
-                                }
-                                if self.sent[slot].entry(q).or_default().insert(el) {
-                                    to_send[slot].entry(q).or_default().push(el);
-                                }
-                            }
-                        }
+            // 1. Determine which elements to send where.
+            let select = pumi_obs::span!("overlap.grow.select");
+            let to_send: Vec<Layer> = dm
+                .parts
+                .iter()
+                .zip(&stars)
+                .zip(&mut self.sent)
+                .zip(&self.frontier)
+                .map(|(((part, table), sent), frontier)| {
+                    if self.depth == 0 {
+                        first_layer(part, table, sent)
+                    } else {
+                        next_layer(part, table, frontier, sent, &mut seen, &mut buf)
                     }
-                } else {
-                    for (&q, seeds) in &self.frontier[slot] {
-                        for &g in seeds {
-                            for el in part.mesh.neighbors_via(g, self.bridge) {
-                                if part.is_ghost(el) {
-                                    continue;
-                                }
-                                if self.sent[slot].entry(q).or_default().insert(el) {
-                                    to_send[slot].entry(q).or_default().push(el);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            for (frontier, sends) in self.frontier.iter_mut().zip(&to_send) {
-                *frontier = sends.iter().map(|(&q, v)| (q, v.clone())).collect();
-            }
+                })
+                .collect();
+            drop(select);
 
-            // 2. Pack closures (bottom-up) and send.
+            // 2. Pack closures (bottom-up, elements ascending) and send.
+            let pack = pumi_obs::span!("overlap.grow.pack");
             let mut ex = PartExchange::new(comm, &dm.map);
-            for (slot, part) in dm.parts.iter().enumerate() {
-                let mut dests: Vec<(&PartId, &Vec<MeshEnt>)> = to_send[slot].iter().collect();
+            for (part, sends) in dm.parts.iter().zip(&to_send) {
+                let mut dests: Vec<(&PartId, &Vec<MeshEnt>)> = sends.iter().collect();
                 dests.sort_by_key(|&(q, _)| *q);
                 for (&q, elems) in dests {
-                    let mut packed: FxHashSet<MeshEnt> = FxHashSet::default();
-                    let mut by_dim: [Vec<MeshEnt>; 4] = Default::default();
-                    let mut elems = elems.clone();
-                    elems.sort_unstable();
-                    for &el in &elems {
-                        for sub in part.mesh.closure(el) {
-                            if packed.insert(sub) {
-                                by_dim[sub.dim().as_usize()].push(sub);
+                    for (d, m) in packed.iter_mut().enumerate() {
+                        m.reset(part.mesh.index_space(Dim::from_usize(d)));
+                    }
+                    by_dim.iter_mut().for_each(Vec::clear);
+                    for &el in elems {
+                        buf.clear();
+                        part.mesh.closure_into(el, &mut buf);
+                        for &sub in &buf {
+                            let d = sub.dim().as_usize();
+                            if packed[d].insert(sub.idx()) {
+                                by_dim[d].push(sub);
                             }
                         }
                     }
@@ -492,9 +488,12 @@ impl Overlap {
                     }
                 }
             }
+            self.frontier = to_send;
+            drop(pack);
 
             // 3. Receive: create missing entities as ghosts; reply with
             //    local indices so the sender can route holder records.
+            let unpack = pumi_obs::span!("overlap.grow.unpack");
             let mut replies: Vec<(PartId, PartId, Vec<Ack>)> = Vec::new();
             // Canonical unpack order: ghost creation order (local indices,
             // and which sender a doubly-shipped entity first arrives from)
@@ -517,12 +516,14 @@ impl Overlap {
                     replies.push((to, from, ack));
                 }
             }
+            drop(unpack);
 
             // 4. Acknowledge to the sender. If the sender owns the entity
             //    it records the holder directly; otherwise it re-roots:
             //    forwards the holder record to the owner and tells the
             //    holder the canonical root, so ghost links always point at
             //    owners no matter which part shipped the copy.
+            let _ack = pumi_obs::span!("overlap.grow.ack");
             let mut ex = PartExchange::new(comm, &dm.map);
             for (me, sender, ack) in replies {
                 let w = ex.to(me, sender);
@@ -756,6 +757,145 @@ pub fn clear_overlap(dm: &mut DistMesh) {
 }
 
 // ---------------------------------------------------------------------
+// Growth helpers
+// ---------------------------------------------------------------------
+
+/// One part's bridge → element star table: for every bridge entity, the
+/// part's non-ghost elements it bounds, ascending. CSR over the bridge
+/// dimension's index space, filled in one pass over the elements.
+struct Stars {
+    bridge: Dim,
+    offsets: Vec<u32>,
+    elems: Vec<MeshEnt>,
+}
+
+impl Stars {
+    fn of(part: &Part, bridge: Dim) -> Stars {
+        let mesh = &part.mesh;
+        let mut offsets = vec![0u32; mesh.index_space(bridge) + 1];
+        let mut pairs: Vec<(MeshEnt, MeshEnt)> = Vec::new();
+        let mut buf = Vec::new();
+        for el in mesh.elems().filter(|&el| !part.is_ghost(el)) {
+            mesh.adjacent_into(el, bridge, &mut buf);
+            for &b in &buf {
+                offsets[b.idx() + 1] += 1;
+                pairs.push((b, el));
+            }
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        // A stable counting sort by bridge entity keeps each star ascending.
+        let mut at = offsets.clone();
+        let mut elems = vec![MeshEnt(0); pairs.len()];
+        for (b, el) in pairs {
+            elems[at[b.idx()] as usize] = el;
+            at[b.idx()] += 1;
+        }
+        Stars {
+            bridge,
+            offsets,
+            elems,
+        }
+    }
+
+    /// The non-ghost elements bounded by bridge entity `b`.
+    fn star(&self, b: MeshEnt) -> &[MeshEnt] {
+        &self.elems[self.offsets[b.idx()] as usize..self.offsets[b.idx() + 1] as usize]
+    }
+}
+
+/// Visited marks over an index space, all cleared at once by moving to a
+/// new stamp.
+#[derive(Default)]
+struct Marks {
+    stamp: u32,
+    at: Vec<u32>,
+}
+
+impl Marks {
+    /// Unmark everything and cover the indices `0..n`.
+    fn reset(&mut self, n: usize) {
+        if self.stamp == u32::MAX {
+            self.at.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        if self.at.len() < n {
+            self.at.resize(n, 0);
+        }
+    }
+
+    /// Mark `i`; whether it was unmarked.
+    fn insert(&mut self, i: usize) -> bool {
+        let fresh = self.at[i] != self.stamp;
+        self.at[i] = self.stamp;
+        fresh
+    }
+}
+
+/// Per neighbour part: the elements a part ships to it in one layer.
+type Layer = FxHashMap<PartId, Vec<MeshEnt>>;
+
+/// Add the elements of `star` not yet in `sent` to both.
+fn ship(star: &[MeshEnt], sent: &mut FxHashSet<MeshEnt>, out: &mut Vec<MeshEnt>) {
+    out.extend(star.iter().filter(|&&el| sent.insert(el)));
+}
+
+/// Drop the neighbours nothing new goes to and sort each one's shipments.
+fn finish(mut layer: Layer) -> Layer {
+    layer.retain(|_, elems| !elems.is_empty());
+    layer.values_mut().for_each(|elems| elems.sort_unstable());
+    layer
+}
+
+/// Layer 1 of `part`: the star of every bridge entity with a remote copy on
+/// a part `q`, to `q`.
+fn first_layer(
+    part: &Part,
+    stars: &Stars,
+    sent: &mut FxHashMap<PartId, FxHashSet<MeshEnt>>,
+) -> Layer {
+    let mut layer = Layer::default();
+    for (e, remotes) in part.shared_entities() {
+        if e.dim() != stars.bridge {
+            continue;
+        }
+        for &(q, _) in remotes {
+            let out = layer.entry(q).or_default();
+            ship(stars.star(e), sent.entry(q).or_default(), out);
+        }
+    }
+    finish(layer)
+}
+
+/// Layer k + 1 of `part`: per neighbour `q`, the star of every distinct
+/// bridge entity of the layer-k shipments to `q`, read once each.
+fn next_layer(
+    part: &Part,
+    stars: &Stars,
+    frontier: &Layer,
+    sent: &mut FxHashMap<PartId, FxHashSet<MeshEnt>>,
+    seen: &mut Marks,
+    buf: &mut Vec<MeshEnt>,
+) -> Layer {
+    let mut layer = Layer::default();
+    for (&q, seeds) in frontier {
+        seen.reset(part.mesh.index_space(stars.bridge));
+        let (sent, out) = (sent.entry(q).or_default(), layer.entry(q).or_default());
+        for &g in seeds {
+            part.mesh.adjacent_into(g, stars.bridge, buf);
+            for &b in buf.iter() {
+                if seen.insert(b.idx()) {
+                    ship(stars.star(b), sent, out);
+                }
+            }
+        }
+    }
+    finish(layer)
+}
+
+// ---------------------------------------------------------------------
 // Wire helpers
 // ---------------------------------------------------------------------
 
@@ -894,6 +1034,7 @@ fn unpack_reroot(r: &mut MsgReader, part: &mut Part) -> Result<(), MsgError> {
 mod tests {
     use super::*;
     use crate::dist::{distribute, PartMap};
+    use crate::migrate::{migrate, MigrationPlan};
     use pumi_meshgen::tri_rect;
     use pumi_pcu::execute;
     use pumi_util::tag::TagKind;
@@ -994,6 +1135,25 @@ mod tests {
             let pid = c.rank() as PartId;
             assert_eq!(dm1.part(pid).entity_counts(), dm2.part(pid).entity_counts());
             assert!(b > 0, "second layer added nothing");
+        });
+    }
+
+    #[test]
+    fn grow_reports_its_phases_as_spans() {
+        execute(1, |c| {
+            let mut dm = quadrants_one_rank(c);
+            pumi_obs::span::take();
+            grow_overlap(c, &mut dm, GhostOpts::new().layers(2));
+            let spans = pumi_obs::span::take();
+            for phase in ["select", "pack", "unpack", "ack"] {
+                let path = format!("overlap.grow/overlap.grow.{phase}");
+                let stat = spans.iter().find(|(p, _)| *p == path);
+                assert_eq!(
+                    stat.map(|(_, s)| s.count),
+                    Some(2),
+                    "{path}: once per layer"
+                );
+            }
         });
     }
 
@@ -1140,6 +1300,34 @@ mod tests {
             // Not `ov.clear`: the ghosts go, the handle still lists them.
             clear_overlap(&mut dm);
             ov.bcast_tags(c, &mut dm, Scope::Ghosts);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "stale overlap")]
+    fn grow_refuses_a_handle_from_before_a_clear() {
+        execute(2, |c| {
+            let mut dm = strip_two_parts(c);
+            let mut ov = Overlap::from_dist(&dm);
+            ov.grow(c, &mut dm, 1);
+            // Not `ov.clear`: layer 1 is gone, the handle still has it
+            // shipped and would grow layer 2 around a gap.
+            clear_overlap(&mut dm);
+            ov.grow(c, &mut dm, 1);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "stale overlap")]
+    fn grow_refuses_a_handle_from_before_a_migrate() {
+        execute(1, |c| {
+            let mut dm = quadrants_one_rank(c);
+            let mut ov = Overlap::from_dist(&dm);
+            let el = dm.part(0).mesh.elems().next().expect("part 0 has elements");
+            let mut plans: FxHashMap<PartId, MigrationPlan> = FxHashMap::default();
+            plans.entry(0).or_default().send(el, 1);
+            migrate(c, &mut dm, &plans);
+            ov.grow(c, &mut dm, 1);
         });
     }
 

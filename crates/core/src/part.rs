@@ -339,19 +339,16 @@ impl Part {
     }
 
     /// Owner-side view of ghost holders: entity → (holder part, holder-local
-    /// index) list, sorted by entity handle.
+    /// index) list, sorted by entity handle. Costs the holder records, not
+    /// the part.
     pub fn ghost_entities_owner_side(&self) -> Vec<(MeshEnt, Vec<(PartId, u32)>)> {
-        let mut v: Vec<(MeshEnt, Vec<(PartId, u32)>)> = Dim::ALL
+        let mut v: Vec<(MeshEnt, Vec<(PartId, u32)>)> = self
+            .ghosted_to
             .iter()
-            .flat_map(|&d| {
-                self.mesh
-                    .iter(d)
-                    .filter(|&e| !self.ghosted_to(e).is_empty())
-                    .map(|e| (e, self.ghosted_to(e).to_vec()))
-                    .collect::<Vec<_>>()
-            })
+            .filter(|&(&e, holders)| !holders.is_empty() && self.mesh.is_live(e))
+            .map(|(&e, holders)| (e, holders.clone()))
             .collect();
-        v.sort_by_key(|(e, _)| *e);
+        v.sort_unstable_by_key(|(e, _)| *e);
         v
     }
 

@@ -1,0 +1,105 @@
+//! Cost shape of `Overlap::grow`, without a clock: a grow costs what it
+//! ships. A depth-2 vertex-bridged grow on a tet box cut in two is made at
+//! two mesh sizes, and the allocator calls it makes per ghost entity it
+//! creates must stay under one bound at both. Counted, not timed, so it
+//! holds on any machine.
+//!
+//! Measured (release and debug builds alike): 6.46 allocator calls per
+//! ghost entity at `6³` cells (26 080 for 4 040 ghosts) and 6.34 at `12³`
+//! (98 612 for 15 560). Nearly all of them are the unpack's, shared with
+//! `migrate`. Before the selection read one star table per part, layer 2
+//! rebuilt the vertex-bridged neighbourhood of every layer-1 element with
+//! several fresh `Vec`s each, and the pack cloned a hash set and an element
+//! list per destination: 8.30 (33 512) and 8.26 (128 538).
+
+use pumi_core::overlap::Overlap;
+use pumi_core::{distribute, PartMap};
+use pumi_meshgen::tet_box;
+use pumi_pcu::execute;
+use pumi_util::{Dim, PartId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Calls to `alloc` and `realloc`, on every thread of the process.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// What one depth-2 grow cost the world.
+#[derive(Debug)]
+struct Cost {
+    /// Ghost entities (every dimension) the grow created, all parts.
+    ghosts: u64,
+    /// Allocator calls during the grow, all ranks.
+    allocs: u64,
+}
+
+impl Cost {
+    fn per_ghost(&self) -> f64 {
+        self.allocs as f64 / self.ghosts as f64
+    }
+}
+
+/// An `n³`-cell tet box cut at x = 0.5 into parts 0 and 1 on two ranks,
+/// grown two vertex-bridged layers deep.
+fn grow_two(n: usize) -> Cost {
+    let out = execute(2, move |c| {
+        let serial = tet_box(n, n, n, 1.0, 1.0, 1.0);
+        let d = serial.elem_dim_t();
+        let mut labels = vec![0 as PartId; serial.index_space(d)];
+        for e in serial.iter(d) {
+            labels[e.idx()] = (serial.centroid(e)[0] >= 0.5) as PartId;
+        }
+        let mut dm = distribute(c, PartMap::contiguous(2, 2), &serial, &labels);
+        let mut ov = Overlap::from_dist(&dm).with_bridge(Dim::Vertex);
+        c.barrier();
+        let before = ALLOCS.load(Ordering::Relaxed);
+        c.barrier();
+        ov.grow(c, &mut dm, 2);
+        c.barrier();
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        let ghosts = dm.global_sum(c, |p| p.num_ghosts() as u64);
+        Cost { ghosts, allocs }
+    });
+    out.into_iter().next().expect("rank 0")
+}
+
+#[test]
+fn a_grow_allocates_per_ghost_not_per_neighbourhood() {
+    let (small, big) = (grow_two(6), grow_two(12));
+    println!(
+        "{small:?} {:.2}/ghost -> {big:?} {:.2}/ghost", // shown with --nocapture
+        small.per_ghost(),
+        big.per_ghost()
+    );
+    assert!(
+        big.ghosts >= 3 * small.ghosts,
+        "{small:?} -> {big:?}: the halo did not grow"
+    );
+    for cost in [&small, &big] {
+        assert!(
+            cost.per_ghost() <= 7.0,
+            "{:.2} allocations per ghost entity: {cost:?}",
+            cost.per_ghost()
+        );
+    }
+}
