@@ -9,6 +9,7 @@
 //! parts never touch the network, mirroring the paper's on-node short-cut.
 
 use crate::part::Part;
+use crate::rows::{Placed, Rows};
 use crate::wire::stitch;
 use pumi_mesh::Mesh;
 use pumi_pcu::phased::{Exchange, ExchangeOpts};
@@ -269,41 +270,48 @@ pub fn distribute(comm: &Comm, map: PartMap, serial: &Mesh, elem_part: &[PartId]
     assert_eq!(elem_part.len(), serial.index_space(d_elem));
     let rank = comm.rank();
 
-    // 1. Build local parts: closure of owned elements, gid = serial index.
+    // 1. Build local parts: each element's closure, bottom-up, as rows with
+    //    gid = serial index, a chunk of elements per build. A row the part
+    //    already holds is found, so every entity is created where it first
+    //    appears in the walk.
     let mut parts: Vec<Part> = Vec::new();
+    let (mut at, mut buf) = (Placed::default(), Vec::new());
     for &pid in map.parts_on(rank) {
         let mut part = Part::new(pid, elem_dim);
-        // serial-local vertex index -> part-local vertex index
-        let mut vmap: FxHashMap<u32, u32> = FxHashMap::default();
-        for e in serial.iter(d_elem) {
-            if elem_part[e.idx()] != pid {
-                continue;
-            }
-            // Create closure bottom-up with serial gids.
-            for sub in serial.closure(e) {
-                match sub.dim() {
-                    Dim::Vertex => {
-                        vmap.entry(sub.index()).or_insert_with(|| {
-                            let v = part.add_vertex(
-                                serial.coords(sub),
-                                serial.class_of(sub),
-                                sub.index() as u64,
-                            );
-                            v.index()
-                        });
+        let elems: Vec<MeshEnt> = serial
+            .iter(d_elem)
+            .filter(|e| elem_part[e.idx()] == pid)
+            .collect();
+        for chunk in elems.chunks(256) {
+            let mut rows = Rows::default();
+            for &e in chunk {
+                buf.clear();
+                serial.closure_into(e, &mut buf);
+                let (first, nv) = (
+                    rows.dim(Dim::Vertex).len() as u32,
+                    serial.topo(e).num_verts(),
+                );
+                for &sub in &buf {
+                    let (gid, class) = (sub.index() as u64, serial.class_of(sub));
+                    if sub.dim() == Dim::Vertex {
+                        rows.push_vertex(gid, class, serial.coords(sub), ());
+                        continue;
                     }
-                    _ => {
-                        let verts: Vec<u32> =
-                            serial.verts_of(sub).iter().map(|v| vmap[v]).collect();
-                        part.add_entity(
-                            serial.topo(sub),
-                            &verts,
-                            serial.class_of(sub),
-                            sub.index() as u64,
-                        );
+                    // The closure starts with the element's vertices.
+                    let (sv, mut vs) = (serial.verts_of(sub), [0u32; 8]);
+                    for (v, &s) in vs.iter_mut().zip(sv) {
+                        *v = first
+                            + buf[..nv]
+                                .iter()
+                                .position(|x| x.index() == s)
+                                .expect("closure vertex") as u32;
                     }
+                    rows.push_entity(serial.topo(sub), gid, class, &vs[..sv.len()], ())
+                        .expect("a serial mesh entity has distinct vertices");
                 }
             }
+            part.build(&rows, &mut at, |_, _| true)
+                .expect("a serial mesh's closures build");
         }
         parts.push(part);
     }

@@ -19,10 +19,12 @@
 //! * [`numbering`] — parallel-consistent global numbering of owned entities,
 //! * [`twolevel`] — two-level architecture-aware partitioning support:
 //!   on-node vs off-node part boundaries (§II-D, Figs 5/6),
+//! * [`rows`] — entities from rows: the row block and the one builder
+//!   ([`Part::build`]) that `distribute`, `migrate`, overlap growth and
+//!   checkpoint restore create entities through,
 //! * [`wire`] — the entity transport under all of the above: the link row
-//!   and entity record codecs, create-by-gid, and the one remote-link
-//!   [`wire::stitch`] that `distribute`, `migrate`, adaptation and restore
-//!   all call.
+//!   and entity record codecs, and the one remote-link [`wire::stitch`]
+//!   that `distribute`, `migrate`, adaptation and restore all call.
 
 pub mod dist;
 pub mod migrate;
@@ -30,6 +32,7 @@ pub mod numbering;
 pub mod overlap;
 pub mod part;
 pub mod ptnmodel;
+pub mod rows;
 pub mod twolevel;
 pub mod wire;
 
@@ -38,3 +41,4 @@ pub use migrate::{migrate, MigrationPlan};
 pub use overlap::{clear_overlap, grow_overlap, GhostOpts, Overlap, Reduction, Scope, Share};
 pub use part::{DirtyLog, Part, NO_GID};
 pub use ptnmodel::PtnModel;
+pub use rows::{Placed, RowError, Rows};

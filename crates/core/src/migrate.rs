@@ -31,8 +31,10 @@
 //!    so no destination receives duplicate copies — but a frame is then no
 //!    longer self-contained: an edge from one peer may reference a vertex
 //!    carried only by another peer's frame. Receivers therefore decode
-//!    **all** incoming frames first, then create entities dimension-by-
-//!    dimension (two-pass unpack), matching by global id.
+//!    **all** incoming frames into one row block ([`Rows`]) first, then
+//!    build it with [`Part::build`], the builder every entity-creating path
+//!    shares: dimension by dimension, matching by global id, refusing a
+//!    malformed record with a typed error.
 //! 3. **Stitch** — every part keeping an entity whose residence phase 1 or 2
 //!    recomputed announces its local index to the other residence parts;
 //!    those remote-copy lists are rebuilt and ownership (minimum-part rule)
@@ -43,7 +45,8 @@
 
 use crate::dist::{DistMesh, PartExchange};
 use crate::part::Part;
-use crate::wire::{self, EntityRecord};
+use crate::rows::{Placed, Rows};
+use crate::wire;
 use pumi_pcu::{Comm, MsgError, MsgReader};
 use pumi_util::{Dim, FxHashMap, FxHashSet, MeshEnt, PartId};
 
@@ -109,26 +112,6 @@ fn unpack_residence(
             .ok_or_else(|| MsgError::missing("residence target", d.as_usize() as u8, gid))?;
         res.entry(e).or_insert_with(|| vec![part.id]).extend(parts);
         heard.push((e, from));
-    }
-    Ok(())
-}
-
-/// Second pass of the phase-2 unpack: create the entities this part lacks
-/// and record their residence. `records` holds the concatenation of *all*
-/// frames addressed to this part; a stable sort by dimension guarantees
-/// every closure vertex exists before any higher-dimension record that
-/// references it, no matter which peer's frame carried the vertex. Within
-/// a dimension the (frame, position) order is preserved, so creation order
-/// — and thus local indices — stays canonical under the chaos scheduler.
-fn apply_entity_records(
-    part: &mut Part,
-    mut records: Vec<EntityRecord<Vec<PartId>>>,
-    res_out: &mut FxHashMap<MeshEnt, Vec<PartId>>,
-) -> Result<(), MsgError> {
-    records.sort_by_key(|rec| rec.dim().as_usize());
-    for rec in records {
-        let (e, _, res) = rec.apply(part)?;
-        res_out.insert(e, res);
     }
     Ok(())
 }
@@ -314,23 +297,36 @@ pub fn migrate(
             }
         }
     }
-    // Receive in two passes: decode *all* frames first — a closure vertex
-    // may arrive only in another peer's frame under owner delegation — then
-    // create missing entities bottom-up and record their residence sets.
-    let mut frames: Vec<Vec<(PartId, Vec<_>)>> = (0..nlocal).map(|_| Vec::new()).collect();
-    for (from, to, mut r) in ex.finish() {
-        let slot = dm.map.slot_of(to);
-        let recs = wire::decode_entity_frame(&mut r, MsgReader::try_get_u32_slice)
-            .unwrap_or_else(|e| panic!("corrupt entity frame {from}->{to}: {e}"));
-        frames[slot].push((from, recs));
+    // Receive in two passes: decode *all* frames of a part into one block
+    // first — a closure vertex may arrive only in another peer's frame under
+    // owner delegation — then build it and record each row's residence. In
+    // the block a dimension's rows keep (frame, position) order, so creation
+    // order, and thus local indices, stay canonical under the chaos
+    // scheduler.
+    let mut frames: Vec<Vec<(PartId, MsgReader)>> = (0..nlocal).map(|_| Vec::new()).collect();
+    for (from, to, r) in ex.finish() {
+        frames[dm.map.slot_of(to)].push((from, r));
     }
+    let mut at = Placed::default();
     for (slot, mut fs) in frames.into_iter().enumerate() {
         // Canonical application order regardless of arrival permutation.
         fs.sort_by_key(|&(from, _)| from);
-        let records = fs.into_iter().flat_map(|(_, recs)| recs).collect();
-        let pid = dm.parts[slot].id;
-        apply_entity_records(&mut dm.parts[slot], records, &mut new_res[slot])
+        let part = &mut dm.parts[slot];
+        let pid = part.id;
+        let mut rows = Rows::default();
+        for (from, mut r) in fs {
+            wire::decode_entity_frame(&mut r, &mut rows, MsgReader::try_get_u32_slice)
+                .unwrap_or_else(|e| panic!("corrupt entity frame {from}->{pid}: {e}"));
+        }
+        part.build(&rows, &mut at, |_, _| true)
             .unwrap_or_else(|e| panic!("incoherent entity frames for part {pid}: {e}"));
+        for d in Dim::ALL {
+            let res = std::mem::take(&mut rows.dim_mut(d).extra);
+            for (r, res) in res.into_iter().enumerate() {
+                let (e, _) = at.get(d, r).expect("every row is built");
+                new_res[slot].insert(e, res);
+            }
+        }
     }
     drop(phase2);
 
@@ -415,7 +411,7 @@ mod tests {
     use pumi_mesh::Topology;
     use pumi_meshgen::tri_rect;
     use pumi_pcu::{execute, MsgWriter};
-    use pumi_util::tag::TagKind;
+    use pumi_util::tag::{TagData, TagKind};
 
     /// `tri_rect(4, 1)` cut at x = 2: parts 0 and 1, one per rank.
     fn two_part_strip(c: &Comm) -> DistMesh {
@@ -612,8 +608,54 @@ mod tests {
         wire::put_entity(w, &src, e, |w| w.put_u32_slice(&[0]));
     }
 
-    fn decode_entity_frame(r: &mut MsgReader) -> Result<Vec<EntityRecord<Vec<PartId>>>, MsgError> {
-        wire::decode_entity_frame(r, MsgReader::try_get_u32_slice)
+    /// Append a hand-written phase-2 record no part could have packed: any
+    /// vertex list, and a tag `w` given as `(kind code, len, value)`.
+    fn raw_rec(
+        w: &mut MsgWriter,
+        topo: Topology,
+        gid: u64,
+        vgids: &[u64],
+        tag: Option<(u8, u32, TagData)>,
+    ) {
+        w.put_u8(topo.dim().as_usize() as u8);
+        w.put_u8(topo.to_u8());
+        w.put_u64(gid);
+        w.put_u32(0);
+        w.put_u32_slice(&[0]);
+        match topo {
+            Topology::Vertex => (0..3).for_each(|_| w.put_f64(0.0)),
+            _ => w.put_u64_slice(vgids),
+        }
+        w.put_u32(tag.is_some() as u32);
+        if let Some((kind, len, value)) = tag {
+            w.put_bytes(b"w");
+            w.put_u8(kind);
+            w.put_u32(len);
+            let mut buf = Vec::new();
+            value.encode(&mut buf);
+            w.put_bytes(&buf);
+        }
+    }
+
+    /// Decode `frames` into one block, in order, and build it on `part`, as
+    /// phase 2 does.
+    fn unpack(part: &mut Part, frames: Vec<MsgWriter>) -> Result<(), MsgError> {
+        let mut rows = Rows::default();
+        for w in frames {
+            let r = &mut MsgReader::new(w.finish());
+            wire::decode_entity_frame(r, &mut rows, MsgReader::try_get_u32_slice)?;
+        }
+        part.build(&rows, &mut Placed::default(), |_, _| true)
+            .map_err(|e| e.err)
+    }
+
+    /// A part holding vertices 1 and 2 and edge 100 over them.
+    fn holding_an_edge() -> Part {
+        let mut part = Part::new(0, 2);
+        let a = part.add_vertex([0.0; 3], GeomEnt(0), 1).index();
+        let b = part.add_vertex([1.0, 0.0, 0.0], GeomEnt(0), 2).index();
+        part.add_entity(Topology::Edge, &[a, b], GeomEnt(0), 100);
+        part
     }
 
     /// Under owner delegation a frame is not self-contained: the edge from
@@ -629,22 +671,8 @@ mod tests {
         let mut high = MsgWriter::new();
         vertex_rec(&mut high, 2, 1.0);
 
-        let mut frames = vec![
-            (
-                5 as PartId,
-                decode_entity_frame(&mut MsgReader::new(low.finish())).unwrap(),
-            ),
-            (
-                9,
-                decode_entity_frame(&mut MsgReader::new(high.finish())).unwrap(),
-            ),
-        ];
-        frames.sort_by_key(|&(from, _)| from); // part 5's frame applies first
-        let records = frames.into_iter().flat_map(|(_, r)| r).collect();
-
         let mut part = Part::new(0, 2);
-        let mut res = FxHashMap::default();
-        apply_entity_records(&mut part, records, &mut res).expect("two-pass unpack");
+        unpack(&mut part, vec![low, high]).expect("two-pass unpack"); // part 5's frame first
         let e = part.find_gid(Dim::Edge, 100).expect("edge created");
         let mut got: Vec<u64> = part
             .mesh
@@ -662,9 +690,7 @@ mod tests {
     fn missing_closure_vertex_is_typed_error() {
         let mut w = MsgWriter::new();
         edge_rec(&mut w, 100, &[7, 77]);
-        let recs = decode_entity_frame(&mut MsgReader::new(w.finish())).unwrap();
-        let mut part = Part::new(0, 2);
-        let err = apply_entity_records(&mut part, recs, &mut FxHashMap::default()).unwrap_err();
+        let err = unpack(&mut Part::new(0, 2), vec![w]).unwrap_err();
         let msg = err.to_string();
         assert!(
             msg.contains("closure vertex") && msg.contains("gid 7)"),
@@ -672,18 +698,100 @@ mod tests {
         );
     }
 
+    /// An edge record naming three vertices: `Mesh::add_entity` asserted on
+    /// the count.
+    #[test]
+    fn edge_record_with_three_vertices_is_typed_error() {
+        let mut w = MsgWriter::new();
+        (1..=3).for_each(|g| vertex_rec(&mut w, g, g as f64));
+        raw_rec(&mut w, Topology::Edge, 100, &[1, 2, 3], None);
+        let err = unpack(&mut Part::new(0, 2), vec![w]).unwrap_err();
+        assert!(err.to_string().contains("vertex count differs"), "{err}");
+    }
+
+    /// An edge record over `[1, 1]` would build a degenerate edge.
+    #[test]
+    fn edge_record_repeating_a_vertex_is_typed_error() {
+        let mut w = MsgWriter::new();
+        vertex_rec(&mut w, 1, 0.0);
+        raw_rec(&mut w, Topology::Edge, 100, &[1, 1], None);
+        let mut part = Part::new(0, 2);
+        let err = unpack(&mut part, vec![w]).unwrap_err();
+        assert!(err.to_string().contains("repeated vertex"), "{err}");
+        assert_eq!(part.mesh.count(Dim::Edge), 0);
+    }
+
+    /// An edge record over the vertices of an existing edge under another
+    /// gid: debug builds panicked on the gid mismatch, release builds kept
+    /// the old edge and never recorded gid 200.
+    #[test]
+    fn edge_record_over_an_existing_edge_is_typed_error() {
+        let mut w = MsgWriter::new();
+        edge_rec(&mut w, 200, &[1, 2]);
+        let mut part = holding_an_edge();
+        let err = unpack(&mut part, vec![w]).unwrap_err();
+        assert_eq!(err, MsgError::conflict(crate::rows::TWIN, 1, 100));
+        assert_eq!(part.find_gid(Dim::Edge, 200), None);
+    }
+
+    /// A tag the part declares `Double × 1` arriving as `Int × 1`: the tag
+    /// manager panicked on the re-declaration.
+    #[test]
+    fn tag_declared_otherwise_on_the_part_is_typed_error() {
+        let mut w = MsgWriter::new();
+        raw_rec(
+            &mut w,
+            Topology::Vertex,
+            1,
+            &[],
+            Some((0, 1, TagData::Ints(vec![7]))),
+        );
+        let mut part = Part::new(0, 2);
+        part.mesh.tags_mut().declare("w", TagKind::Double, 1);
+        let err = unpack(&mut part, vec![w]).unwrap_err();
+        assert!(err.to_string().contains("differs from the part's"), "{err}");
+    }
+
+    /// A `Double × 1` tag carrying `Ints([7, 8])`: debug builds failed the
+    /// tag manager's kind assertion, release builds wrote integer bits into
+    /// the double column.
+    #[test]
+    fn tag_value_unlike_its_declaration_is_typed_error() {
+        let mut w = MsgWriter::new();
+        raw_rec(
+            &mut w,
+            Topology::Vertex,
+            1,
+            &[],
+            Some((1, 1, TagData::Ints(vec![7, 8]))),
+        );
+        let mut rows = Rows::default();
+        let r = &mut MsgReader::new(w.finish());
+        let err =
+            wire::decode_entity_frame(r, &mut rows, MsgReader::try_get_u32_slice).unwrap_err();
+        assert!(
+            err.to_string().contains("differs from its declaration"),
+            "{err}"
+        );
+    }
+
     /// Flipped dimension/topology bytes decode to [`MsgError::BadEnum`].
     #[test]
     fn corrupt_enum_bytes_are_typed_errors() {
+        let decode = |w: MsgWriter| {
+            let mut rows: Rows<Vec<PartId>> = Rows::default();
+            let r = &mut MsgReader::new(w.finish());
+            wire::decode_entity_frame(r, &mut rows, MsgReader::try_get_u32_slice).unwrap_err()
+        };
         let mut w = MsgWriter::new();
         w.put_u8(9); // no such dimension
-        let err = decode_entity_frame(&mut MsgReader::new(w.finish())).unwrap_err();
+        let err = decode(w);
         assert!(err.to_string().contains("dimension code 0x09"), "{err}");
 
         let mut w = MsgWriter::new();
         w.put_u8(1);
         w.put_u8(0xFE); // no such topology
-        let err = decode_entity_frame(&mut MsgReader::new(w.finish())).unwrap_err();
+        let err = decode(w);
         assert!(err.to_string().contains("topology code 0xfe"), "{err}");
     }
 

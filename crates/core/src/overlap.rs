@@ -23,7 +23,8 @@
 
 use crate::dist::{DistMesh, PartExchange, PartMap};
 use crate::part::Part;
-use crate::wire::{self, get_dim, pack_tags, unpack_tags};
+use crate::rows::{unpack_tags, Placed, Rows};
+use crate::wire::{self, get_dim, pack_tags};
 use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
 use pumi_util::{Dim, FxHashMap, FxHashSet, MeshEnt, PartId};
 
@@ -440,6 +441,7 @@ impl Overlap {
         let mut packed: [Marks; 4] = Default::default();
         let mut by_dim: [Vec<MeshEnt>; 4] = Default::default();
         let mut buf = Vec::new();
+        let mut at = Placed::default();
 
         for _ in 0..layers {
             // 1. Determine which elements to send where.
@@ -491,8 +493,9 @@ impl Overlap {
             self.frontier = to_send;
             drop(pack);
 
-            // 3. Receive: create missing entities as ghosts; reply with
-            //    local indices so the sender can route holder records.
+            // 3. Receive: build each frame's rows, marking the created ones
+            //    ghosts; reply with local indices, in row order, so the
+            //    sender can route holder records.
             let unpack = pumi_obs::span!("overlap.grow.unpack");
             let mut replies: Vec<(PartId, PartId, Vec<Ack>)> = Vec::new();
             // Canonical unpack order: ghost creation order (local indices,
@@ -501,17 +504,25 @@ impl Overlap {
             let mut frames = ex.finish();
             frames.sort_by_key(|&(from, to, _)| (to, from));
             for (from, to, mut r) in frames {
-                let slot = dm.map.slot_of(to);
+                let part = &mut dm.parts[dm.map.slot_of(to)];
+                let mut rows = Rows::default();
+                wire::decode_entity_frame(&mut r, &mut rows, MsgReader::try_get_u32)
+                    .map_err(|e| e.to_string())
+                    .and_then(|()| {
+                        part.build(&rows, &mut at, |_, _| true)
+                            .map_err(|e| e.to_string())
+                    })
+                    .unwrap_or_else(|e| panic!("corrupt overlap frame {from}->{to}: {e}"));
                 let mut ack: Vec<Ack> = Vec::new();
-                unpack_ghost_entities(
-                    &mut r,
-                    &mut dm.parts[slot],
-                    from,
-                    elem_dim,
-                    &mut total,
-                    &mut ack,
-                )
-                .unwrap_or_else(|e| panic!("corrupt overlap frame {from}->{to}: {e}"));
+                for d in Dim::ALL {
+                    for (r, &src_idx) in rows.dim(d).extra.iter().enumerate() {
+                        if let Some((e, true)) = at.get(d, r) {
+                            part.set_ghost(e, (from, src_idx));
+                            ack.push((d.as_usize() as u8, src_idx, e.index()));
+                            total += u64::from(d.as_usize() == elem_dim);
+                        }
+                    }
+                }
                 if !ack.is_empty() {
                     replies.push((to, from, ack));
                 }
@@ -984,29 +995,6 @@ fn root_ref(part: &Part, e: MeshEnt) -> Option<(PartId, u32)> {
         .copied()
 }
 
-/// Unpack one buffer of ghost-entity frames into `part`, creating missing
-/// entities as ghost copies and collecting acks for the sender.
-fn unpack_ghost_entities(
-    r: &mut MsgReader,
-    part: &mut Part,
-    from: PartId,
-    elem_dim: usize,
-    total: &mut u64,
-    ack: &mut Vec<Ack>,
-) -> Result<(), MsgError> {
-    for rec in wire::decode_entity_frame(r, MsgReader::try_get_u32)? {
-        let (e, fresh, src_idx) = rec.apply(part)?;
-        if fresh {
-            part.set_ghost(e, (from, src_idx));
-            ack.push((e.dim().as_usize() as u8, src_idx, e.index()));
-            if e.dim().as_usize() == elem_dim {
-                *total += 1;
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Unpack re-root records: kind 0 installs a holder record at the owner,
 /// kind 1 repoints a holder's ghost link at the owner.
 fn unpack_reroot(r: &mut MsgReader, part: &mut Part) -> Result<(), MsgError> {
@@ -1154,6 +1142,9 @@ mod tests {
                     "{path}: once per layer"
                 );
             }
+            // The builder reports under the unpack, once per frame.
+            let build = "overlap.grow/overlap.grow.unpack/core.build";
+            assert!(spans.iter().any(|(p, _)| *p == build), "no {build}");
         });
     }
 

@@ -102,7 +102,7 @@ impl Part {
         g
     }
 
-    fn record_gid(&mut self, e: MeshEnt, gid: GlobalId) {
+    pub(crate) fn record_gid(&mut self, e: MeshEnt, gid: GlobalId) {
         let d = e.dim().as_usize();
         if self.gids[d].len() <= e.idx() {
             self.gids[d].resize(e.idx() + 1, NO_GID);

@@ -4,10 +4,10 @@
 //!
 //! §II-B/C's machinery is two ideas, each spelled once here:
 //!
-//! * **ship an entity** — the `put_entity`/`decode_entity_frame` record
-//!   (`dim, topo, gid, class, <caller's extra field>, coords | vertex gids,
-//!   tags`) and [`Part::create_by_gid`], which finds the entity by gid or
-//!   builds it from its vertex gids;
+//! * **ship an entity** — the [`put_entity`] record (`dim, topo, gid,
+//!   class, <caller's extra field>, coords | vertex gids, tags`), which
+//!   [`decode_entity_frame`] appends to a [`Rows`] block for
+//!   [`Part::build`] to find or create;
 //! * **link the copies** — [`stitch`]: every part tells the other residence
 //!   parts its local index with one [`put_link`] row `(dim, gid, index)`
 //!   per (entity, peer), and receivers resolve the rows by gid.
@@ -19,10 +19,9 @@
 
 use crate::dist::{DistMesh, PartExchange};
 use crate::part::{Part, NO_GID};
-use pumi_geom::GeomEnt;
-use pumi_mesh::Topology;
+use crate::rows::Rows;
 use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
-use pumi_util::tag::{TagData, TagKind};
+use pumi_util::tag::TagKind;
 use pumi_util::{Dim, FxHashMap, GlobalId, MeshEnt, PartId};
 
 /// Decode a dimension byte; anything outside `0..=3` is a
@@ -131,91 +130,13 @@ pub(crate) fn pack_tags(part: &Part, e: MeshEnt, w: &mut MsgWriter) {
     }
 }
 
-/// One decoded tag attachment, not yet applied to any entity.
-#[derive(Debug)]
-pub(crate) struct TagRecord {
-    /// Tag name bytes (validated UTF-8 at decode time).
-    name: bytes::Bytes,
-    kind: TagKind,
-    len: usize,
-    data: TagData,
-}
-
-/// Decode a tag block. Every malformed input — non-UTF-8 name, unknown kind
-/// byte, undecodable value — surfaces as a typed [`MsgError`], not a panic.
-pub(crate) fn decode_tags(r: &mut MsgReader) -> Result<Vec<TagRecord>, MsgError> {
-    let n = r.try_get_u32()?;
-    let mut out = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        // Zero-copy sub-slices of the incoming message: tag names and
-        // payloads are borrowed, not copied into fresh Vecs.
-        let name = r.try_get_bytes_shared()?;
-        if std::str::from_utf8(&name).is_err() {
-            return Err(MsgError::corrupt("tag name (not UTF-8)"));
-        }
-        let kind = match r.try_get_u8()? {
-            0 => TagKind::Int,
-            1 => TagKind::Double,
-            2 => TagKind::Bytes,
-            b => return Err(MsgError::bad_enum("tag kind", b)),
-        };
-        let len = r.try_get_u32()? as usize;
-        let buf = r.try_get_bytes_shared()?;
-        let mut pos = 0;
-        let data = TagData::decode(&buf, &mut pos).ok_or(MsgError::corrupt("tag value"))?;
-        out.push(TagRecord {
-            name,
-            kind,
-            len,
-            data,
-        });
-    }
-    Ok(out)
-}
-
-pub(crate) fn apply_tags(part: &mut Part, e: MeshEnt, tags: Vec<TagRecord>) {
-    for t in tags {
-        let name = std::str::from_utf8(&t.name).expect("validated at decode");
-        let tid = part.mesh.tags_mut().declare(name, t.kind, t.len);
-        part.mesh.tags_mut().set(tid, e, t.data);
-    }
-}
-
-pub(crate) fn unpack_tags(part: &mut Part, e: MeshEnt, r: &mut MsgReader) -> Result<(), MsgError> {
-    let tags = decode_tags(r)?;
-    apply_tags(part, e, tags);
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // Entity records
 // ---------------------------------------------------------------------
 
-/// One decoded entity record, not yet applied to any part. `X` is the
-/// caller's extra field: the new residence list for `migrate`, the sender's
-/// local index for `Overlap::grow`.
-#[derive(Debug)]
-pub(crate) struct EntityRecord<X> {
-    /// Fixes the dimension too: decode rejects a disagreeing dimension byte.
-    topo: Topology,
-    gid: GlobalId,
-    class: GeomEnt,
-    extra: X,
-    /// Vertex records only; zeroed for higher dimensions.
-    coords: [f64; 3],
-    /// Higher-dimension records only: global ids of the defining vertices.
-    vgids: Vec<GlobalId>,
-    tags: Vec<TagRecord>,
-}
-
 /// Append the record of `e`: header, the caller's `extra` field, geometry
 /// (coordinates for a vertex, vertex gids otherwise), tags.
-pub(crate) fn put_entity(
-    w: &mut MsgWriter,
-    part: &Part,
-    e: MeshEnt,
-    extra: impl FnOnce(&mut MsgWriter),
-) {
+pub fn put_entity(w: &mut MsgWriter, part: &Part, e: MeshEnt, extra: impl FnOnce(&mut MsgWriter)) {
     w.put_u8(e.dim().as_usize() as u8);
     w.put_u8(part.mesh.topo(e).to_u8());
     w.put_u64(part.gid_of(e));
@@ -226,97 +147,26 @@ pub(crate) fn put_entity(
             w.put_f64(x);
         }
     } else {
-        let vgids: Vec<GlobalId> = part
-            .mesh
-            .verts_of(e)
-            .iter()
-            .map(|&v| part.gid_of(MeshEnt::vertex(v)))
-            .collect();
-        w.put_u64_slice(&vgids);
+        // `put_u64_slice`'s layout, without collecting the gids first.
+        let verts = part.mesh.verts_of(e);
+        w.put_u32(verts.len() as u32);
+        for &v in verts {
+            w.put_u64(part.gid_of(MeshEnt::vertex(v)));
+        }
     }
     pack_tags(part, e, w);
 }
 
-/// Decode a frame of [`put_entity`] records without touching any part;
-/// `extra` reads the caller's field. Corrupt dimension/topology bytes
-/// surface as [`MsgError::BadEnum`].
-pub(crate) fn decode_entity_frame<X>(
+/// Append every [`put_entity`] record of a frame to `rows`, without
+/// touching any part; `extra` reads the caller's field. The [`crate::rows`]
+/// module docs list what a malformed record is refused with.
+pub fn decode_entity_frame<X>(
     r: &mut MsgReader,
-    extra: impl Fn(&mut MsgReader) -> Result<X, MsgError>,
-) -> Result<Vec<EntityRecord<X>>, MsgError> {
-    let mut out = Vec::new();
+    rows: &mut Rows<X>,
+    mut extra: impl FnMut(&mut MsgReader) -> Result<X, MsgError>,
+) -> Result<(), MsgError> {
     while !r.is_done() {
-        let dim = get_dim(r)?;
-        let tb = r.try_get_u8()?;
-        let topo = Topology::try_from_u8(tb).ok_or(MsgError::bad_enum("topology", tb))?;
-        if topo.dim() != dim {
-            return Err(MsgError::corrupt(
-                "entity record (topology/dimension mismatch)",
-            ));
-        }
-        let gid = r.try_get_u64()?;
-        let class = GeomEnt(r.try_get_u32()?);
-        let extra = extra(r)?;
-        let (coords, vgids) = if dim == Dim::Vertex {
-            let x = [r.try_get_f64()?, r.try_get_f64()?, r.try_get_f64()?];
-            (x, Vec::new())
-        } else {
-            ([0.0; 3], r.try_get_u64_slice()?)
-        };
-        let tags = decode_tags(r)?;
-        out.push(EntityRecord {
-            topo,
-            gid,
-            class,
-            extra,
-            coords,
-            vgids,
-            tags,
-        });
+        rows.decode_record(r, &mut extra)?;
     }
-    Ok(out)
-}
-
-impl<X> EntityRecord<X> {
-    pub(crate) fn dim(&self) -> Dim {
-        self.topo.dim()
-    }
-
-    /// Find or create the entity on `part` and attach the record's tags.
-    /// Returns the entity, whether it was created, and the extra field. A
-    /// closure vertex `part` lacks is a [`MsgError::Missing`] naming it.
-    pub(crate) fn apply(self, part: &mut Part) -> Result<(MeshEnt, bool, X), MsgError> {
-        let (e, fresh) = part
-            .create_by_gid(self.topo, self.gid, self.class, self.coords, &self.vgids)
-            .map_err(|g| MsgError::missing("closure vertex", 0, g))?;
-        apply_tags(part, e, self.tags);
-        Ok((e, fresh, self.extra))
-    }
-}
-
-impl Part {
-    /// Find the entity of `topo`'s dimension with global id `gid`, or
-    /// create it: a vertex at `coords`, anything else over the vertices
-    /// named by `vgids`. Returns the entity and whether it was created;
-    /// `Err` carries the first vertex gid this part does not hold.
-    pub fn create_by_gid(
-        &mut self,
-        topo: Topology,
-        gid: GlobalId,
-        class: GeomEnt,
-        coords: [f64; 3],
-        vgids: &[GlobalId],
-    ) -> Result<(MeshEnt, bool), GlobalId> {
-        if let Some(e) = self.find_gid(topo.dim(), gid) {
-            return Ok((e, false));
-        }
-        if topo.dim() == Dim::Vertex {
-            return Ok((self.add_vertex(coords, class, gid), true));
-        }
-        let mut verts = Vec::with_capacity(vgids.len());
-        for &g in vgids {
-            verts.push(self.find_gid(Dim::Vertex, g).ok_or(g)?.index());
-        }
-        Ok((self.add_entity(topo, &verts, class, gid), true))
-    }
+    Ok(())
 }

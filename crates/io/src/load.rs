@@ -6,15 +6,17 @@
 //! replays each round on the part's own rows: Deleted retires rows,
 //! Entities appends new rows and updates the rows it names by gid, Tags and
 //! Fields attach values to rows, and Remotes is replaced whole. The rows are
-//! flat per-dimension arrays with a gid index; an entity row names its
-//! vertices by row, resolved once, when it is decoded.
+//! a [`Rows`] block, core's flat per-dimension columns, with a gid index;
+//! an entity row names its vertices by row, resolved once, when it is
+//! decoded.
 //!
 //! [`build_part`] turns the rows of a block of file parts into one [`Part`]
-//! in a single pass, dimension by dimension. When two file parts of the
-//! block hold a shared entity, the lower part's row wins: the owner's copy,
-//! the one `struct_hash` reads. A [`Pick::Piece`] builds only one sub-part of
-//! a file part — its elements and their closure, cut along a Morton curve —
-//! and reports which of its entities other sub-parts hold too.
+//! with core's builder ([`Part::build`]), each file part's rows in turn.
+//! When two file parts of the block hold a shared entity, the lower part's
+//! row wins: the owner's copy, the one `struct_hash` reads. A
+//! [`Pick::Piece`] builds only one sub-part of a file part — its elements
+//! and their closure, cut along a Morton curve — and reports which of its
+//! entities other sub-parts hold too.
 //! [`crate::slice_of`] decides what a rank or slice builds.
 //!
 //! Input is checked where it is decoded, so both restore paths refuse the
@@ -23,14 +25,16 @@
 //! lacks, a Tags or Fields row naming an entity the part lacks or holding a
 //! value of the wrong size, a Remotes row for an element or naming a part
 //! outside the checkpoint, an element whose sides would bound a third
-//! element, and an element gid held by two file parts of one block.
+//! element, an entity row over the vertices of another entity, and an
+//! element gid held by two file parts of one block.
 
 use crate::chunk::{decode_chunk, section_raw_bytes, ChunkHeader};
 use crate::error::{IoError, Section};
 use crate::format::{Manifest, PartFile};
 use crate::staged_field_tag;
+use pumi_core::rows::THIRD_ELEMENT;
 use pumi_core::wire::get_dim;
-use pumi_core::Part;
+use pumi_core::{Part, Placed, RowError, Rows};
 use pumi_geom::GeomEnt;
 use pumi_mesh::Topology;
 use pumi_partition::sfc;
@@ -74,12 +78,10 @@ impl SectionSource for DirSource<'_> {
     }
 }
 
-/// No row, no local entity, no ghost source.
+/// No ghost source, no holder. A row's extra column is its ghost source:
+/// `NONE` for the part's own copy, `RETIRED` once a delta round deletes it.
 const NONE: u32 = u32::MAX;
-
-/// Marks a row another part of the block already built: it resolves vertex
-/// references but carries no tags.
-const DUP: u32 = 1 << 31;
+const RETIRED: u32 = NONE - 1;
 
 fn bad(part: PartId, section: Section, detail: String) -> IoError {
     IoError::Decode {
@@ -91,43 +93,6 @@ fn bad(part: PartId, section: Section, detail: String) -> IoError {
 
 fn derr(part: PartId, section: Section) -> impl Fn(MsgError) -> IoError {
     move |e| bad(part, section, e.to_string())
-}
-
-/// One dimension's rows.
-#[derive(Default)]
-struct DimRows {
-    gid: Vec<GlobalId>,
-    topo: Vec<Topology>,
-    class: Vec<GeomEnt>,
-    /// Source part of a ghost copy; `NONE` for the part's own copy.
-    ghost: Vec<PartId>,
-    /// Cleared when a delta round deletes the row.
-    live: Vec<bool>,
-    /// Vertex coordinates (dimension 0).
-    coords: Vec<[f64; 3]>,
-    /// Dimensions ≥ 1: row `r`'s vertices, as dimension-0 rows, start at
-    /// `first[r]`; its topology says how many.
-    verts: Vec<u32>,
-    first: Vec<u32>,
-    /// Live rows by gid. Fx-hashed like the gid index of the `Part` the
-    /// rows are built into, which hashes the same gids.
-    index: FxHashMap<GlobalId, u32>,
-}
-
-impl DimRows {
-    fn len(&self) -> usize {
-        self.gid.len()
-    }
-
-    fn verts_of(&self, r: usize) -> &[u32] {
-        let at = self.first[r] as usize;
-        &self.verts[at..at + self.topo[r].num_verts()]
-    }
-
-    /// A live row for the part's own copy (not a ghost).
-    fn owns(&self, r: usize) -> bool {
-        self.live[r] && self.ghost[r] == NONE
-    }
 }
 
 /// One tag's values, in file order: a later round's value for a row
@@ -153,7 +118,10 @@ struct FieldRows {
 pub struct PartRows {
     fpart: PartId,
     elem_dim: usize,
-    dims: [DimRows; 4],
+    rows: Rows<PartId>,
+    /// Live rows by gid, per dimension. Fx-hashed like the gid index of the
+    /// `Part` the rows are built into, which hashes the same gids.
+    index: [FxHashMap<GlobalId, u32>; 4],
     /// Part-boundary rows: (dim, gid, residence parts, sorted).
     pub(crate) remotes: Vec<(Dim, GlobalId, Vec<PartId>)>,
     tags: Vec<TagRows>,
@@ -238,7 +206,8 @@ impl PartRows {
         let mut rows = PartRows {
             fpart,
             elem_dim: manifest.elem_dim as usize,
-            dims: Default::default(),
+            rows: Rows::default(),
+            index: Default::default(),
             remotes: Vec::new(),
             tags: Vec::new(),
             fields: Vec::new(),
@@ -303,20 +272,42 @@ impl PartRows {
 
     /// Whether the part holds its own (non-ghost) copy of `(dim, gid)`.
     pub(crate) fn holds(&self, dim: Dim, gid: GlobalId) -> bool {
-        let rows = &self.dims[dim.as_usize()];
-        rows.index
+        let ghost = &self.rows.dim(dim).extra;
+        self.index[dim.as_usize()]
             .get(&gid)
-            .is_some_and(|&r| rows.ghost[r as usize] == NONE)
+            .is_some_and(|&r| ghost[r as usize] == NONE)
+    }
+
+    /// The error a row the builder refused is reported with.
+    fn refused(&self, e: RowError) -> IoError {
+        let gid = self.rows.dim(e.dim).gid[e.row];
+        let detail = match e.err {
+            MsgError::Missing { gid: g, .. } => {
+                format!("entity gid {gid} references unknown vertex {g}")
+            }
+            MsgError::Conflict {
+                what, gid: side, ..
+            } if what == THIRD_ELEMENT => {
+                format!("element gid {gid} is a third element on side {side}")
+            }
+            err => format!("entity gid {gid}: {err}"),
+        };
+        bad(self.fpart, Section::Entities, detail)
+    }
+
+    /// Whether row `r` of dimension `d` is live and the part's own copy.
+    fn owns(&self, d: usize, r: usize) -> bool {
+        self.rows.dim(Dim::from_usize(d)).extra[r] == NONE
     }
 
     /// A delta round's Deleted section: per-dimension gid lists whose rows
     /// are retired.
     fn decode_deleted(&mut self, mut r: MsgReader) -> Result<(), IoError> {
         let e = derr(self.fpart, Section::Deleted);
-        for rows in &mut self.dims {
+        for (d, index) in Dim::ALL.into_iter().zip(&mut self.index) {
             for gid in r.try_get_u64_slice().map_err(&e)? {
-                if let Some(at) = rows.index.remove(&gid) {
-                    rows.live[at as usize] = false;
+                if let Some(at) = index.remove(&gid) {
+                    self.rows.dim_mut(d).extra[at as usize] = RETIRED;
                 }
             }
         }
@@ -334,11 +325,9 @@ impl PartRows {
         /// Gid, topology, classification, ghost flag: the least a row takes.
         const MIN_ROW: usize = 8 + 1 + 4 + 1;
         for d in 0..=self.elem_dim {
-            let (below, here) = self.dims.split_at_mut(d);
-            let rows = &mut here[0];
+            let dim = Dim::from_usize(d);
             let n = r.try_get_u32().map_err(&e)?;
-            rows.index
-                .reserve((n as usize).min(r.remaining() / MIN_ROW));
+            self.index[d].reserve((n as usize).min(r.remaining() / MIN_ROW));
             for _ in 0..n {
                 let row = read_entity_row(fpart, &mut r, d)?;
                 let ghost = row.ghost_src.unwrap_or(NONE);
@@ -347,34 +336,33 @@ impl PartRows {
                         format!("entity gid {}: ghost of part {ghost} of {nparts}", row.gid);
                     return Err(bad(fpart, sec, detail));
                 }
-                if let Some(&at) = rows.index.get(&row.gid) {
-                    let at = at as usize;
+                if let Some(&at) = self.index[d].get(&row.gid) {
+                    let (at, rows) = (at as usize, self.rows.dim_mut(dim));
                     rows.class[at] = row.class;
-                    rows.ghost[at] = ghost;
+                    rows.extra[at] = ghost;
                     if d == 0 {
                         rows.coords[at] = row.coords;
                     }
                     continue;
                 }
-                if d == 0 {
-                    rows.coords.push(row.coords);
+                let at = if d == 0 {
+                    self.rows.push_vertex(row.gid, row.class, row.coords, ghost)
                 } else {
-                    rows.first.push(rows.verts.len() as u32);
-                    for &g in &row.vgids[..row.topo.num_verts()] {
-                        let v = below[0].index.get(&g).ok_or_else(|| {
+                    let (nv, mut vs) = (row.topo.num_verts(), [0u32; 8]);
+                    for (v, &g) in vs.iter_mut().zip(&row.vgids[..nv]) {
+                        *v = *self.index[0].get(&g).ok_or_else(|| {
                             let detail =
                                 format!("entity gid {} references unknown vertex {g}", row.gid);
                             bad(fpart, sec, detail)
                         })?;
-                        rows.verts.push(*v);
                     }
-                }
-                rows.index.insert(row.gid, rows.len() as u32);
-                rows.gid.push(row.gid);
-                rows.topo.push(row.topo);
-                rows.class.push(row.class);
-                rows.ghost.push(ghost);
-                rows.live.push(true);
+                    let vs = &vs[..nv];
+                    let pushed = self
+                        .rows
+                        .push_entity(row.topo, row.gid, row.class, vs, ghost);
+                    pushed.map_err(&e)?
+                };
+                self.index[d].insert(row.gid, at);
             }
         }
         Ok(())
@@ -420,7 +408,7 @@ impl PartRows {
         dim: Dim,
         gid: GlobalId,
     ) -> Result<u32, IoError> {
-        let found = self.dims[dim.as_usize()].index.get(&gid).copied();
+        let found = self.index[dim.as_usize()].get(&gid).copied();
         found.ok_or_else(|| {
             let detail = format!("{what} '{name}' row references unknown gid {gid}");
             bad(self.fpart, section, detail)
@@ -527,8 +515,11 @@ impl PartRows {
     /// under a third element, are refused however the part is cut.
     fn holders(&self, k: usize) -> Result<Holders, IoError> {
         let (ed, fpart, sec) = (self.elem_dim, self.fpart, Section::Entities);
-        let (vrows, erows) = (&self.dims[0], &self.dims[ed]);
-        let elems: Vec<usize> = (0..erows.len()).filter(|&r| erows.owns(r)).collect();
+        let (vrows, erows) = (
+            self.rows.dim(Dim::Vertex),
+            self.rows.dim(Dim::from_usize(ed)),
+        );
+        let elems: Vec<usize> = (0..erows.len()).filter(|&r| self.owns(ed, r)).collect();
         let mut centroids = Vec::with_capacity(elems.len());
         // The elements on vertex row `v`, in row order, will be
         // `on_vert[first[v]..first[v + 1]]`.
@@ -537,7 +528,7 @@ impl PartRows {
             let vs = erows.verts_of(r);
             let mut c = [0.0; 3];
             for &v in vs {
-                if !vrows.owns(v as usize) {
+                if !self.owns(0, v as usize) {
                     let (gid, g) = (erows.gid[r], vrows.gid[v as usize]);
                     let detail = format!("entity gid {gid} references unknown vertex {g}");
                     return Err(bad(fpart, sec, detail));
@@ -555,7 +546,7 @@ impl PartRows {
         let gids: Vec<GlobalId> = elems.iter().map(|&r| erows.gid[r]).collect();
         let piece = morton_pieces(&centroids, &gids, k);
         let mut out = Holders {
-            one: std::array::from_fn(|d| vec![NONE; self.dims[d].len()]),
+            one: Dim::ALL.map(|d| vec![NONE; self.rows.dim(d).len()]),
             many: FxHashMap::default(),
         };
         let (mut on_vert, mut next) = (vec![0u32; first[vrows.len()] as usize], first.clone());
@@ -570,8 +561,8 @@ impl PartRows {
         // An intermediate row is held by the elements over all its
         // vertices; a side row held by a third element is refused.
         for d in 1..ed {
-            let rows = &self.dims[d];
-            for r in (0..rows.len()).filter(|&r| rows.owns(r)) {
+            let rows = self.rows.dim(Dim::from_usize(d));
+            for r in (0..rows.len()).filter(|&r| self.owns(d, r)) {
                 let vs = rows.verts_of(r);
                 let v0 = vs[0] as usize;
                 let mut count = 0;
@@ -701,12 +692,14 @@ fn declare(
 
 /// Build part `id` from the rows of a block of file parts, in ascending
 /// file-part order, keeping `pick` of each; with `skip_ghosts` ghost rows
-/// are dropped. Entities are created dimension by dimension, each file
-/// part's rows in order; a shared entity another part of the block already
-/// built is not built again (the lower part's row wins), but an element
-/// held by two of them is refused. Tags and staged field values attach to
-/// the rows that were built. The part's gid counter is left at zero. This
-/// is the one loader every restored part comes from.
+/// are dropped. Each file part's rows are built in turn with core's builder
+/// ([`Part::build`]); as every dimension has its own index space, that
+/// creates each dimension's entities in the order building dimension by
+/// dimension across the block would. A shared entity another part of the
+/// block already built is found, not built again (the lower part's row
+/// wins), but an element held by two of them is refused. Tags and staged
+/// field values attach to the rows that were built. The part's gid counter
+/// is left at zero. This is the one loader every restored part comes from.
 ///
 /// # Panics
 /// Panics on an empty block, and on a `Pick::Piece(j, _)` with `id < j`.
@@ -718,8 +711,8 @@ pub fn build_part(
 ) -> Result<Built, IoError> {
     let _span = pumi_obs::span!("io.build");
     let elem_dim = block.first().expect("a block to build").elem_dim;
+    let ed = Dim::from_usize(elem_dim);
     let mut part = Part::new(id, elem_dim);
-    let (mut ghosts, mut siblings) = (Vec::new(), Vec::new());
     let (me, holders) = match pick {
         Pick::Whole => (0, Vec::new()),
         Pick::Piece(j, k) => {
@@ -728,81 +721,60 @@ pub fn build_part(
         }
     };
     let whole = [me];
-    // Per block part and dimension: the local index each row built or
-    // found (`DUP`-marked), `NONE` for a row left out.
-    let mut loc: Vec<[Vec<u32>; 4]> = block.iter().map(|_| Default::default()).collect();
-    for d in 0..=elem_dim {
-        let dim = Dim::from_usize(d);
-        for (m, rows) in block.iter().enumerate() {
-            let (fpart, dr) = (rows.fpart, &rows.dims[d]);
-            let mut at = vec![NONE; dr.len()];
-            for (r, slot) in at.iter_mut().enumerate() {
-                let held = holders.get(m).map_or(&whole[..], |h| h.of(d, r));
-                if !held.contains(&me) || !dr.live[r] || (skip_ghosts && dr.ghost[r] != NONE) {
+    let held =
+        |m: usize, d: Dim, r: usize| holders.get(m).map_or(&whole[..], |h| h.of(d.as_usize(), r));
+    let mut placed: Vec<Placed> = Vec::with_capacity(block.len());
+    for (m, rows) in block.iter().enumerate() {
+        let mut at = Placed::default();
+        let keep = |d: Dim, r: usize| {
+            let src = rows.rows.dim(d).extra[r];
+            src != RETIRED && !(skip_ghosts && src != NONE) && held(m, d, r).contains(&me)
+        };
+        part.build(&rows.rows, &mut at, keep)
+            .map_err(|e| rows.refused(e))?;
+        // Only a later part of the block can meet an element again.
+        let gids = &rows.rows.dim(ed).gid;
+        let found = |&r: &usize| at.get(ed, r).is_some_and(|(_, new)| !new);
+        let met = (m > 0).then(|| (0..gids.len()).find(found)).flatten();
+        if let Some(gid) = met.map(|r| gids[r]) {
+            let p = block[..m]
+                .iter()
+                .find(|o| o.holds(ed, gid))
+                .map_or(rows.fpart, |o| o.fpart);
+            let detail = format!("element gid {gid} is also held by part {p}");
+            return Err(bad(rows.fpart, Section::Entities, detail));
+        }
+        placed.push(at);
+    }
+    // What each built row is besides an entity, in the order of building
+    // dimension by dimension across the block.
+    let (mut ghosts, mut siblings) = (Vec::new(), Vec::new());
+    for d in (0..=elem_dim).map(Dim::from_usize) {
+        for (m, (rows, at)) in block.iter().zip(&placed).enumerate() {
+            for (r, &src) in rows.rows.dim(d).extra.iter().enumerate() {
+                let Some((e, true)) = at.get(d, r) else {
                     continue;
-                }
-                let gid = dr.gid[r];
-                // Only a later part of the block can meet an entity again.
-                if let Some(e) = (m > 0).then(|| part.find_gid(dim, gid)).flatten() {
-                    if d == elem_dim {
-                        let first = block[..m].iter().find(|o| o.holds(dim, gid));
-                        let p = first.map_or(fpart, |o| o.fpart);
-                        let detail = format!("element gid {gid} is also held by part {p}");
-                        return Err(bad(fpart, Section::Entities, detail));
-                    }
-                    *slot = e.index() | DUP;
-                    continue;
-                }
-                let e = if d == 0 {
-                    part.add_vertex(dr.coords[r], dr.class[r], gid)
-                } else {
-                    let mut vs = [0u32; 8];
-                    let nv = dr.topo[r].num_verts();
-                    for (v_slot, &v) in vs.iter_mut().zip(dr.verts_of(r)) {
-                        match loc[m][0][v as usize] {
-                            NONE => {
-                                let g = rows.dims[0].gid[v as usize];
-                                let detail =
-                                    format!("entity gid {gid} references unknown vertex {g}");
-                                return Err(bad(fpart, Section::Entities, detail));
-                            }
-                            l => *v_slot = l & !DUP,
-                        }
-                    }
-                    let e = part.add_entity(dr.topo[r], &vs[..nv], dr.class[r], gid);
-                    let mesh = &part.mesh;
-                    let third = (d == elem_dim)
-                        .then(|| mesh.down(e).find(|&s| mesh.up_count(s) > 2))
-                        .flatten();
-                    if let Some(s) = third {
-                        let side = part.gid_of(s);
-                        let detail = format!("element gid {gid} is a third element on side {side}");
-                        return Err(bad(fpart, Section::Entities, detail));
-                    }
-                    e
                 };
-                if dr.ghost[r] != NONE {
-                    ghosts.push((e, dr.ghost[r]));
+                if src != NONE {
+                    ghosts.push((e, src));
                 }
-                if held.len() > 1 {
+                if let held @ [_, _, ..] = held(m, d, r) {
                     let others = held.iter().filter(|&&j| j != me);
                     siblings.push((e, others.map(|&j| id - me + j).collect()));
                 }
-                *slot = e.index();
             }
-            loc[m][d] = at;
         }
     }
-    // `NONE` carries the `DUP` bit too: neither row built an entity.
-    let built = |loc: &[Vec<u32>; 4], dim: Dim, r: u32| {
-        let l = *loc[dim.as_usize()].get(r as usize)?;
-        (l & DUP == 0).then(|| MeshEnt::new(dim, l))
+    // A row another part of the block built carries no tags.
+    let built = |at: &Placed, dim: Dim, r: u32| match at.get(dim, r as usize) {
+        Some((e, true)) => Some(e),
+        _ => None,
     };
-    for (rows, loc) in block.iter().zip(&loc) {
+    for (rows, at) in block.iter().zip(&placed) {
         for t in &rows.tags {
             let tid = declare(&mut part, rows.fpart, Section::Tags, &t.name, t.kind, t.len)?;
             for (dim, r, val) in &t.vals {
-                if let Some(e) = built(loc, *dim, *r) {
+                if let Some(e) = built(at, *dim, *r) {
                     part.mesh.tags_mut().set(tid, e, val.clone());
                 }
             }
@@ -818,7 +790,7 @@ pub fn build_part(
                 f.ncomp,
             )?;
             for (&(dim, r), v) in f.at.iter().zip(f.vals.chunks_exact(f.ncomp.max(1))) {
-                if let Some(e) = built(loc, dim, r) {
+                if let Some(e) = built(at, dim, r) {
                     part.mesh.tags_mut().set_dbls(tid, e, v);
                 }
             }

@@ -769,6 +769,29 @@ fn entity_row_short_of_vertices_is_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A twin of part 2's first edge row under an unused gid: the same two
+/// vertices, so the row would land on the existing edge. Debug builds
+/// panicked on the gid mismatch; release builds restored with the row
+/// silently dropped.
+#[test]
+fn entity_row_over_an_existing_entity_is_refused() {
+    let dir = write_four("twin");
+    edit_entities(&dir, 2, |blocks| {
+        let twin = EntityRow {
+            gid: 1 << 60,
+            ..blocks[1][0].clone()
+        };
+        blocks[1].push(twin);
+    });
+    assert_refused_on_load(
+        &dir,
+        &[2],
+        Section::Entities,
+        "over the vertices of an existing one",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A third triangle on an interior edge of part 3: a new vertex, two new
 /// edges and a triangle over the edge, every gid unused, every vertex
 /// known. Each row is well formed; the edge would bound three elements.

@@ -205,18 +205,22 @@ fn element_in_two_parts_of_a_block_is_refused() {
         // The triangle and its closure, bottom up, under part 0's gids.
         let tri = p0.mesh.elems().next().expect("part 0 has a triangle");
         for e in p0.mesh.closure(tri) {
-            let (topo, class) = (p0.mesh.topo(e), p0.mesh.class_of(e));
-            let (x, vgids) = if e.dim() == Dim::Vertex {
-                (p0.mesh.coords(e), Vec::new())
-            } else {
-                let vs = p0.mesh.verts_of(e).iter();
-                (
-                    [0.0; 3],
-                    vs.map(|&v| p0.gid_of(MeshEnt::vertex(v))).collect(),
-                )
-            };
-            p1.create_by_gid(topo, p0.gid_of(e), class, x, &vgids)
-                .expect("closure copied bottom up");
+            let (gid, class) = (p0.gid_of(e), p0.mesh.class_of(e));
+            if p1.find_gid(e.dim(), gid).is_some() {
+                continue;
+            }
+            if e.dim() == Dim::Vertex {
+                p1.add_vertex(p0.mesh.coords(e), class, gid);
+                continue;
+            }
+            let vs = p0.mesh.verts_of(e).iter().map(|&v| {
+                let g = p0.gid_of(MeshEnt::vertex(v));
+                p1.find_gid(Dim::Vertex, g)
+                    .expect("closure copied bottom up")
+                    .index()
+            });
+            let vs: Vec<u32> = vs.collect();
+            p1.add_entity(p0.mesh.topo(e), &vs, class, gid);
         }
     });
     let at_origin = |e: &IoError| {

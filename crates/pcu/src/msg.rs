@@ -118,6 +118,17 @@ pub enum MsgError {
         /// What was being decoded.
         what: &'static str,
     },
+    /// A record decodes but contradicts what the receiving part holds: it
+    /// would land on an existing entity, or make a side bound a third
+    /// element.
+    Conflict {
+        /// What the record would do.
+        what: &'static str,
+        /// Dimension (`0..=3`) of the entity it conflicts with.
+        dim: u8,
+        /// Global id of the entity it conflicts with.
+        gid: u64,
+    },
 }
 
 impl MsgError {
@@ -140,6 +151,11 @@ impl MsgError {
     pub fn corrupt(what: &'static str) -> MsgError {
         MsgError::Corrupt { what }
     }
+
+    /// An [`MsgError::Conflict`].
+    pub fn conflict(what: &'static str, dim: u8, gid: u64) -> MsgError {
+        MsgError::Conflict { what, dim, gid }
+    }
 }
 
 impl std::fmt::Display for MsgError {
@@ -155,6 +171,7 @@ impl std::fmt::Display for MsgError {
                 write!(f, "{what} not held by this part (dim {dim}, gid {gid})")
             }
             MsgError::Corrupt { what } => write!(f, "undecodable {what}"),
+            MsgError::Conflict { what, dim, gid } => write!(f, "{what} (dim {dim}, gid {gid})"),
         }
     }
 }

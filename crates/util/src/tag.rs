@@ -78,8 +78,10 @@ impl TagData {
         let n = u32::from_le_bytes(buf.get(*pos..*pos + 4)?.try_into().ok()?) as usize;
         *pos += 4;
         match kind {
+            // Capacity capped by what the buffer can hold: a corrupt count
+            // must not allocate for values that are not there.
             0 => {
-                let mut v = Vec::with_capacity(n);
+                let mut v = Vec::with_capacity(n.min(buf.len() / 8));
                 for _ in 0..n {
                     v.push(i64::from_le_bytes(
                         buf.get(*pos..*pos + 8)?.try_into().ok()?,
@@ -89,7 +91,7 @@ impl TagData {
                 Some(TagData::Ints(v))
             }
             1 => {
-                let mut v = Vec::with_capacity(n);
+                let mut v = Vec::with_capacity(n.min(buf.len() / 8));
                 for _ in 0..n {
                     v.push(f64::from_le_bytes(
                         buf.get(*pos..*pos + 8)?.try_into().ok()?,
@@ -343,6 +345,23 @@ impl TagManager {
         for (slot, v) in col.slot_mut(at).iter_mut().zip(x) {
             *slot = v.to_bits();
         }
+    }
+
+    /// Attach an `Int`/`Double` value from the bit patterns it is stored
+    /// as (`i64 as u64`, `f64::to_bits`), without building a [`TagData`].
+    pub fn set_words(&mut self, tag: TagId, ent: MeshEnt, words: &[u64]) {
+        let col = &mut self.columns[tag.0 as usize];
+        debug_assert!(col.kind != TagKind::Bytes && col.width() == words.len());
+        let at = col.occupy(ent);
+        col.slot_mut(at).copy_from_slice(words);
+    }
+
+    /// Attach a `Bytes` value from a slice.
+    pub fn set_bytes(&mut self, tag: TagId, ent: MeshEnt, bytes: &[u8]) {
+        let col = &mut self.columns[tag.0 as usize];
+        debug_assert_eq!(col.kind, TagKind::Bytes);
+        let at = col.occupy(ent);
+        col.blobs[at.0][at.1] = bytes.to_vec();
     }
 
     /// Convenience: attach a scalar integer.
