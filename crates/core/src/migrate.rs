@@ -42,13 +42,31 @@
 //!
 //! Finally, elements with non-local destinations and entities whose new
 //! residence excludes this part are deleted top-down.
+//!
+//! **Working set.** Nothing on this path hashes an entity handle. Each plan
+//! is read once into a move list sorted by element, and an element →
+//! destination table answers the residence walk, which climbs the one-level
+//! up links from each touched entity and collects distinct destinations.
+//! The touched entities live in a list in first-touch order, found through
+//! a slot table, with their residence sets as ranges of one pool; each
+//! entry carries the last destination frame it was packed into, which
+//! deduplicates a frame's closures. Both tables belong to a per-part
+//! scratch the rank's thread keeps between calls: they only grow, and a
+//! call clears just the entries the previous call set, so a warm call still
+//! costs the closure of what moves, not the part (`tests/migrate_cost.rs`
+//! counts the bytes). The lists are freed after each call. Phase spans
+//! (`migrate.residence.{walk,pack,unpack}`,
+//! `migrate.entities.{pack,decode}`, `migrate.stitch.{reset,delete}`)
+//! give each step's self time in the world report.
 
 use crate::dist::{DistMesh, PartExchange};
 use crate::part::Part;
 use crate::rows::{Placed, Rows};
 use crate::wire;
+use pumi_mesh::Mesh;
 use pumi_pcu::{Comm, MsgError, MsgReader};
-use pumi_util::{Dim, FxHashMap, FxHashSet, MeshEnt, PartId};
+use pumi_util::{Dim, FxHashMap, GlobalId, MeshEnt, PartId};
+use std::cell::RefCell;
 
 /// A migration plan for one part: element → destination part. Elements not
 /// listed stay. Destinations equal to the owning part are allowed (no-ops).
@@ -89,49 +107,226 @@ pub struct MigrationStats {
     pub entities_sent: u64,
 }
 
-/// Unpack the phase-1 residence frame part `from` sent to `part`, unioning
-/// its contributions into `res` and noting in `heard` each entity `from`
-/// spoke for. An entity this part did not touch starts from its own
-/// contribution `{self}`: none of its adjacent elements moves. Frames are
-/// self-delimiting; any underrun names writer/reader disagreement, and a row
-/// for an entity this part does not hold is an error — dropped, it would read
-/// as "that copy stays".
+/// No entry in a scratch table.
+const NONE: u32 = u32::MAX;
+
+/// A touched entity: where its new residence set lies in the scratch's
+/// pool, and the last destination frame it was packed into.
+#[derive(Debug)]
+struct Touch {
+    e: MeshEnt,
+    /// `(start, len)` in [`Scratch::pool`].
+    res: (u32, u32),
+    frame: u32,
+}
+
+impl Touch {
+    /// The new residence set, read from the scratch's `pool`.
+    fn res<'a>(&self, pool: &'a [PartId]) -> &'a [PartId] {
+        &pool[self.res.0 as usize..][..self.res.1 as usize]
+    }
+}
+
+/// Split off the leading `(t, _)` pairs of a list sorted by entry.
+fn take_entry<'a>(list: &mut &'a [(u32, PartId)], t: usize) -> &'a [(u32, PartId)] {
+    let n = list.iter().take_while(|&&(u, _)| u as usize == t).count();
+    let (mine, rest) = list.split_at(n);
+    *list = rest;
+    mine
+}
+
+/// What `migrate` keeps per local part between calls. The two tables are
+/// indexed by slot and only grow; a call clears the entries the previous
+/// call set and no others, so it costs what it touches. The working lists
+/// are freed after each call ([`Scratch::shed`]).
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The plan read once: moves off the part, sorted by element.
+    moves: Vec<(MeshEnt, PartId)>,
+    /// The same moves sorted by (destination, element): packing order.
+    by_dest: Vec<(PartId, MeshEnt)>,
+    /// Element slot → destination, [`NONE`] for an element that stays.
+    dest: Vec<PartId>,
+    /// Slot of an entity below the elements → its entry of `touched`,
+    /// [`NONE`] if untouched.
+    at: [Vec<u32>; 3],
+    /// Touched entities in first-touch order.
+    touched: Vec<Touch>,
+    /// The residence sets of `touched`, each a range.
+    pool: Vec<PartId>,
+    /// `(entry, part)`: a residence contribution received in phase 1.
+    got: Vec<(u32, PartId)>,
+    /// `(entry, part)`: the remote copy on `part` spoke in phase 1.
+    heard: Vec<(u32, PartId)>,
+    /// `(part, dim, gid, entity)`: a shared entity this part owns, bound
+    /// for a residence part that holds no copy of it.
+    owed: Vec<(PartId, usize, GlobalId, MeshEnt)>,
+    closure: Vec<MeshEnt>,
+    by_dim: [Vec<MeshEnt>; 4],
+    /// One residence row's parts, then one entity's merged residence.
+    parts: Vec<PartId>,
+    /// The pool being rebuilt by the silent-copy merge.
+    merged: Vec<PartId>,
+}
+
+thread_local! {
+    /// One [`Scratch`] per local part slot of the rank running on this
+    /// thread.
+    static SCRATCH: RefCell<Vec<Scratch>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Grow a slot table to cover `n` slots, new slots set to `fill`. The
+/// capacity grows by half again, so a part that gains a few entities per
+/// call does not reallocate the table on every call.
+fn fit<T: Copy>(table: &mut Vec<T>, n: usize, fill: T) {
+    if table.len() < n {
+        if table.capacity() < n {
+            table.reserve(n + n / 2 - table.len());
+        }
+        table.resize(n, fill);
+    }
+}
+
+impl Scratch {
+    /// Clear what the previous call set and cover every slot of `mesh`.
+    fn begin(&mut self, mesh: &Mesh) {
+        for t in &self.touched {
+            self.at[t.e.dim().as_usize()][t.e.idx()] = NONE;
+        }
+        for &(el, _) in &self.moves {
+            self.dest[el.idx()] = NONE;
+        }
+        self.touched.clear();
+        self.moves.clear();
+        self.shed(); // a call that panicked did not
+        self.cover(mesh);
+        fit(&mut self.dest, mesh.index_space(mesh.elem_dim_t()), NONE);
+    }
+
+    /// Free the working lists. The slot tables stay, and so do the moves
+    /// and touched entities that clear them next call: a call's lists cost
+    /// what it moves, and are not kept beside the rest of the program.
+    fn shed(&mut self) {
+        (self.by_dest, self.owed, self.closure, self.by_dim) = Default::default();
+        (self.pool, self.got, self.heard, self.parts, self.merged) = Default::default();
+    }
+
+    /// Grow `at` to the slots of `mesh` below its elements.
+    fn cover(&mut self, mesh: &Mesh) {
+        for d in 0..mesh.elem_dim() {
+            fit(&mut self.at[d], mesh.index_space(Dim::from_usize(d)), NONE);
+        }
+    }
+
+    /// The entry of `e` in `touched`, and whether this call just made it.
+    fn touch(&mut self, e: MeshEnt) -> (usize, bool) {
+        let at = &mut self.at[e.dim().as_usize()][e.idx()];
+        if *at != NONE {
+            return (*at as usize, false);
+        }
+        *at = self.touched.len() as u32;
+        self.touched.push(Touch {
+            e,
+            res: (0, 0),
+            frame: 0,
+        });
+        (self.touched.len() - 1, true)
+    }
+
+    /// Whether `e` joins destination frame `frame` (from 1 up): an element
+    /// always (it moves once), an entity below it the first time it is
+    /// offered.
+    fn joins_frame(&mut self, e: MeshEnt, d_elem: Dim, frame: u32) -> bool {
+        if e.dim() == d_elem {
+            return true;
+        }
+        let t = &mut self.touched[self.at[e.dim().as_usize()][e.idx()] as usize];
+        std::mem::replace(&mut t.frame, frame) != frame
+    }
+}
+
+/// Append to `out` the destination of every element above `e` that
+/// `out[from..]` does not hold yet, walking the one-level up links. An
+/// element's destination is its move's, or `stay`.
+fn dests_above(
+    mesh: &Mesh,
+    e: MeshEnt,
+    (d_elem, dest, stay): (Dim, &[PartId], PartId),
+    out: &mut Vec<PartId>,
+    from: usize,
+) {
+    for u in mesh.up(e) {
+        if u.dim() == d_elem {
+            let p = match dest[u.idx()] {
+                NONE => stay,
+                p => p,
+            };
+            if !out[from..].contains(&p) {
+                out.push(p);
+            }
+        } else {
+            dests_above(mesh, u, (d_elem, dest, stay), out, from);
+        }
+    }
+}
+
+/// Unpack the phase-1 residence frame part `from` sent to `part`, noting
+/// each contribution and that `from` spoke for its entity. An entity this
+/// part did not touch starts from its own contribution `{self}`: none of
+/// its adjacent elements moves. Frames are self-delimiting; any underrun
+/// names writer/reader disagreement, and a row for an entity this part does
+/// not hold is an error — dropped, it would read as "that copy stays".
 fn unpack_residence(
     r: &mut MsgReader,
     from: PartId,
     part: &Part,
-    res: &mut FxHashMap<MeshEnt, Vec<PartId>>,
-    heard: &mut Vec<(MeshEnt, PartId)>,
+    nparts: usize,
+    sc: &mut Scratch,
 ) -> Result<(), MsgError> {
     while !r.is_done() {
-        let d = wire::get_dim(r)?;
-        let gid = r.try_get_u64()?;
-        let parts = r.try_get_u32_slice()?;
+        sc.parts.clear();
+        let (d, gid) = wire::get_residence(r, nparts, &mut sc.parts)?;
+        if d.as_usize() >= part.mesh.elem_dim() {
+            return Err(MsgError::corrupt("residence row for an element"));
+        }
         let e = part
             .find_gid(d, gid)
             .ok_or_else(|| MsgError::missing("residence target", d.as_usize() as u8, gid))?;
-        res.entry(e).or_insert_with(|| vec![part.id]).extend(parts);
-        heard.push((e, from));
+        let (t, new) = sc.touch(e);
+        let t = t as u32;
+        if new {
+            sc.got.push((t, part.id));
+        }
+        sc.got.extend(sc.parts.iter().map(|&p| (t, p)));
+        sc.heard.push((t, from));
     }
     Ok(())
 }
 
-/// Refuse a malformed plan before the first exchange, in O(plan): every plan
-/// must belong to a part this rank hosts, and every move must name a live
-/// element of that part and a destination inside the world. (A ghost handle
-/// cannot get here: `migrate` refuses parts with ghosts first.)
-fn validate_plans(
+/// Read every plan once into its part's sorted move list, refusing a
+/// malformed plan before the first exchange, in O(plan): every plan must
+/// belong to a part this rank hosts, and every move must name a live element
+/// of that part and a destination inside the world. (A ghost handle cannot
+/// get here: `migrate` refuses parts with ghosts first.)
+fn read_plans(
     comm: &Comm,
     dm: &DistMesh,
     plans: &FxHashMap<PartId, MigrationPlan>,
-    d_elem: Dim,
+    scratch: &mut [Scratch],
 ) {
     let nparts = dm.map.nparts();
-    for (&pid, plan) in plans {
-        let Some(part) = dm.parts.iter().find(|p| p.id == pid) else {
+    for &pid in plans.keys() {
+        if !dm.parts.iter().any(|p| p.id == pid) {
             let rank = comm.rank();
             panic!("migration plan of part {pid}: part {pid} is not hosted on rank {rank}");
+        }
+    }
+    for (part, sc) in dm.parts.iter().zip(scratch) {
+        sc.begin(&part.mesh);
+        let Some(plan) = plans.get(&part.id) else {
+            continue;
         };
+        let (pid, d_elem) = (part.id, part.mesh.elem_dim_t());
         for (&e, &to) in &plan.dest {
             assert!(
                 e.dim() == d_elem && part.mesh.is_live(e),
@@ -141,7 +336,14 @@ fn validate_plans(
                 (to as usize) < nparts,
                 "migration plan of part {pid}: {e:?} destination {to} outside 0..{nparts}"
             );
+            if to != pid {
+                sc.moves.push((e, to));
+                sc.by_dest.push((to, e));
+                sc.dest[e.idx()] = to;
+            }
         }
+        sc.moves.sort_unstable();
+        sc.by_dest.sort_unstable();
     }
 }
 
@@ -162,169 +364,212 @@ pub fn migrate(
 ) -> MigrationStats {
     let _span = pumi_obs::span!("migrate");
     pumi_obs::metrics::counter_add("migrate.calls", 1);
-    let elem_dim = dm.parts.first().map(|p| p.mesh.elem_dim()).unwrap_or(2);
-    let d_elem = Dim::from_usize(elem_dim);
     for p in &dm.parts {
         assert_eq!(p.num_ghosts(), 0, "delete ghosts before migrating");
     }
-    validate_plans(comm, dm, plans, d_elem);
-    let empty = MigrationPlan::new();
-    let nlocal = dm.parts.len();
+    SCRATCH.with_borrow_mut(|scratch| {
+        if scratch.len() < dm.parts.len() {
+            scratch.resize_with(dm.parts.len(), Scratch::default);
+        }
+        let scratch = &mut scratch[..dm.parts.len()];
+        read_plans(comm, dm, plans, scratch);
+        let stats = run(comm, dm, scratch);
+        scratch.iter_mut().for_each(Scratch::shed);
+        stats
+    })
+}
+
+/// The three phases of [`migrate`] on plans [`read_plans`] has read.
+fn run(comm: &Comm, dm: &mut DistMesh, scratch: &mut [Scratch]) -> MigrationStats {
+    let elem_dim = dm.parts.first().map(|p| p.mesh.elem_dim()).unwrap_or(2);
+    let d_elem = Dim::from_usize(elem_dim);
+    let nparts = dm.map.nparts();
 
     // ------------------------------------------------------------------
     // Phase 1: residence.
     // ------------------------------------------------------------------
     let phase1 = pumi_obs::span!("migrate.residence");
     // Local residence contributions of the touched entities — the closures
-    // of the elements leaving — per local part slot.
-    let mut new_res: Vec<FxHashMap<MeshEnt, Vec<PartId>>> = vec![FxHashMap::default(); nlocal];
-    for (slot, part) in dm.parts.iter().enumerate() {
-        let plan = plans.get(&part.id).unwrap_or(&empty);
-        let dest_of = |e: MeshEnt| -> PartId { plan.dest.get(&e).copied().unwrap_or(part.id) };
-        for (&elem, &to) in &plan.dest {
-            if to == part.id {
-                continue;
-            }
-            for sub in part.mesh.closure(elem) {
-                if sub.dim() != d_elem {
-                    new_res[slot].entry(sub).or_insert_with(|| {
-                        let adj = part.mesh.adjacent(sub, d_elem);
-                        let mut parts: Vec<PartId> = adj.iter().map(|&r| dest_of(r)).collect();
-                        parts.sort_unstable();
-                        parts.dedup();
-                        parts
-                    });
+    // of the elements leaving.
+    let walk = pumi_obs::span!("migrate.residence.walk");
+    for (sc, part) in scratch.iter_mut().zip(&dm.parts) {
+        for k in 0..sc.moves.len() {
+            sc.closure.clear();
+            part.mesh.closure_into(sc.moves[k].0, &mut sc.closure);
+            for j in 0..sc.closure.len() {
+                let sub = sc.closure[j];
+                if sub.dim() == d_elem {
+                    continue;
+                }
+                let (t, new) = sc.touch(sub);
+                if new {
+                    let start = sc.pool.len();
+                    let walk = (d_elem, &sc.dest[..], part.id);
+                    dests_above(&part.mesh, sub, walk, &mut sc.pool, start);
+                    sc.pool[start..].sort_unstable();
+                    sc.touched[t].res = (start as u32, (sc.pool.len() - start) as u32);
                 }
             }
         }
     }
+    drop(walk);
     // Every touched copy tells every other copy.
+    let pack = pumi_obs::span!("migrate.residence.pack");
     let mut ex = PartExchange::new(comm, &dm.map);
-    for (slot, part) in dm.parts.iter().enumerate() {
-        for (&e, parts) in &new_res[slot] {
-            for &(q, _) in part.remotes_of(e) {
-                let w = ex.to(part.id, q);
-                w.put_u8(e.dim().as_usize() as u8);
-                w.put_u64(part.gid_of(e));
-                w.put_u32_slice(parts);
+    for (sc, part) in scratch.iter().zip(&dm.parts) {
+        for t in &sc.touched {
+            let gid = part.gid_of(t.e);
+            for &(q, _) in part.remotes_of(t.e) {
+                wire::put_residence(ex.to(part.id, q), t.e.dim(), gid, t.res(&sc.pool));
             }
         }
     }
-    let mut heard: Vec<Vec<(MeshEnt, PartId)>> = vec![Vec::new(); nlocal];
+    drop(pack);
+    let unpack = pumi_obs::span!("migrate.residence.unpack");
     for (from, to, mut r) in ex.finish() {
         let slot = dm.map.slot_of(to);
-        unpack_residence(
-            &mut r,
-            from,
-            &dm.parts[slot],
-            &mut new_res[slot],
-            &mut heard[slot],
-        )
-        .unwrap_or_else(|e| panic!("corrupt residence frame {from}->{to}: {e}"));
+        unpack_residence(&mut r, from, &dm.parts[slot], nparts, &mut scratch[slot])
+            .unwrap_or_else(|e| panic!("corrupt residence frame {from}->{to}: {e}"));
     }
-    // A silent copy stays: none of its adjacent elements moves.
-    for ((part, res), heard) in dm.parts.iter().zip(&mut new_res).zip(&mut heard) {
-        heard.sort_unstable();
-        for (&e, parts) in res.iter_mut() {
-            let remotes = part.remotes_of(e).iter().map(|&(q, _)| q);
-            parts.extend(remotes.filter(|&q| heard.binary_search(&(e, q)).is_err()));
-            parts.sort_unstable();
-            parts.dedup();
+    // New residence = own contribution ∪ received contributions ∪ the
+    // silent remote copies, which stay: none of their adjacent elements
+    // moves.
+    for (sc, part) in scratch.iter_mut().zip(&dm.parts) {
+        sc.got.sort_unstable();
+        sc.heard.sort_unstable();
+        let (mut got, mut heard) = (&sc.got[..], &sc.heard[..]);
+        sc.merged.clear();
+        for (t, touch) in sc.touched.iter_mut().enumerate() {
+            let (got_t, heard_t) = (take_entry(&mut got, t), take_entry(&mut heard, t));
+            let res = &mut sc.parts;
+            res.clear();
+            res.extend_from_slice(touch.res(&sc.pool));
+            res.extend(got_t.iter().map(|&(_, p)| p));
+            let remotes = part.remotes_of(touch.e).iter().map(|&(q, _)| q);
+            res.extend(remotes.filter(|&q| heard_t.iter().all(|&(_, p)| p != q)));
+            res.sort_unstable();
+            res.dedup();
+            touch.res = (sc.merged.len() as u32, res.len() as u32);
+            sc.merged.extend_from_slice(res);
         }
+        std::mem::swap(&mut sc.pool, &mut sc.merged);
     }
+    drop(unpack);
     drop(phase1);
 
     // ------------------------------------------------------------------
     // Phase 2: entities.
     // ------------------------------------------------------------------
     let phase2 = pumi_obs::span!("migrate.entities");
+    let pack = pumi_obs::span!("migrate.entities.pack");
     let mut entities_sent = 0u64;
     let mut elements_moved = 0u64;
     let mut ex = PartExchange::new(comm, &dm.map);
-    for (slot, part) in dm.parts.iter().enumerate() {
-        let plan = plans.get(&part.id).unwrap_or(&empty);
-        // Collect which entities go to which destination, deduplicated,
-        // grouped by dimension so receivers can create bottom-up.
-        let mut send_sets: FxHashMap<PartId, [Vec<MeshEnt>; 4]> = FxHashMap::default();
-        let mut sent_to: FxHashSet<(PartId, MeshEnt)> = FxHashSet::default();
-        let mut moves: Vec<(&MeshEnt, &PartId)> = plan.dest.iter().collect();
-        moves.sort_unstable(); // deterministic packing order
-        for (&elem, &to) in moves {
-            if to == part.id {
-                continue;
-            }
-            elements_moved += 1;
-            for sub in part.mesh.closure(elem) {
-                if part.is_shared(sub) && !part.is_owned(sub) {
-                    continue; // its owner packs it (below), avoiding duplicates
-                }
-                if sent_to.insert((to, sub)) {
-                    send_sets.entry(to).or_default()[sub.dim().as_usize()].push(sub);
-                }
-            }
-        }
+    for (sc, part) in scratch.iter_mut().zip(&dm.parts) {
+        elements_moved += sc.moves.len() as u64;
         // Owner delegation: a shared entity is packed only by its owner,
         // which learned the full new residence set in phase 1 — including
-        // destinations fed by *other* parts' moved elements. Send one copy
-        // to each new residence part that does not already hold one.
-        // Sorted by (dim, gid): frame bytes must not depend on hash-map
-        // iteration order, which differs across chaos schedules.
-        let mut owned_shared: Vec<(MeshEnt, &[PartId])> = new_res[slot]
-            .iter()
-            .filter(|&(&e, _)| part.is_shared(e) && part.is_owned(e))
-            .map(|(&e, res)| (e, res.as_slice()))
-            .collect();
-        owned_shared.sort_by_key(|&(e, _)| (e.dim().as_usize(), part.gid_of(e)));
-        for (e, res) in owned_shared {
-            for &q in res {
-                let holds = q == part.id || part.remotes_of(e).iter().any(|&(p, _)| p == q);
-                if !holds && sent_to.insert((q, e)) {
-                    send_sets.entry(q).or_default()[e.dim().as_usize()].push(e);
+        // destinations fed by *other* parts' moved elements. It owes one
+        // copy to each new residence part that does not already hold one,
+        // packed after the closures, in (dim, gid) order.
+        for t in &sc.touched {
+            if !(part.is_shared(t.e) && part.is_owned(t.e)) {
+                continue;
+            }
+            let remotes = part.remotes_of(t.e);
+            for &q in t.res(&sc.pool) {
+                if q != part.id && remotes.iter().all(|&(p, _)| p != q) {
+                    let key = (t.e.dim().as_usize(), part.gid_of(t.e));
+                    sc.owed.push((q, key.0, key.1, t.e));
                 }
             }
         }
-        let mut dests: Vec<(&PartId, &[Vec<MeshEnt>; 4])> = send_sets.iter().collect();
-        dests.sort_by_key(|&(k, _)| *k);
-        for (&to, by_dim) in dests {
+        sc.owed.sort_unstable();
+        // One frame per destination: the closures of the elements moving
+        // there (a shared entity only from its owner), then what is owed,
+        // grouped by dimension so receivers can create bottom-up.
+        let (mut i, mut j, mut frame) = (0, 0, 0);
+        while i < sc.by_dest.len() || j < sc.owed.len() {
+            let to = match (sc.by_dest.get(i), sc.owed.get(j)) {
+                (Some(m), Some(o)) => m.0.min(o.0),
+                (Some(m), None) => m.0,
+                (None, Some(o)) => o.0,
+                (None, None) => unreachable!(),
+            };
+            frame += 1;
+            sc.by_dim.iter_mut().for_each(Vec::clear);
+            while let Some(&(_, el)) = sc.by_dest.get(i).filter(|m| m.0 == to) {
+                sc.closure.clear();
+                part.mesh.closure_into(el, &mut sc.closure);
+                for k in 0..sc.closure.len() {
+                    let sub = sc.closure[k];
+                    if part.is_shared(sub) && !part.is_owned(sub) {
+                        continue; // its owner packs it
+                    }
+                    if sc.joins_frame(sub, d_elem, frame) {
+                        sc.by_dim[sub.dim().as_usize()].push(sub);
+                    }
+                }
+                i += 1;
+            }
+            while let Some(&(_, d, _, e)) = sc.owed.get(j).filter(|o| o.0 == to) {
+                if sc.joins_frame(e, d_elem, frame) {
+                    sc.by_dim[d].push(e);
+                }
+                j += 1;
+            }
             let w = ex.to(part.id, to);
-            for &e in by_dim.iter().take(elem_dim + 1).flatten() {
+            for &e in sc.by_dim.iter().take(elem_dim + 1).flatten() {
                 entities_sent += 1;
                 // The extra field is the new residence set (elements: the
                 // destination only).
-                let dest_only = [to];
-                let res = new_res[slot].get(&e).map_or(&dest_only[..], Vec::as_slice);
+                let res = match e.dim() == d_elem {
+                    true => &[to][..],
+                    false => sc.touched[sc.at[e.dim().as_usize()][e.idx()] as usize].res(&sc.pool),
+                };
                 wire::put_entity(w, part, e, |w| w.put_u32_slice(res));
             }
         }
     }
+    drop(pack);
     // Receive in two passes: decode *all* frames of a part into one block
     // first — a closure vertex may arrive only in another peer's frame under
     // owner delegation — then build it and record each row's residence. In
     // the block a dimension's rows keep (frame, position) order, so creation
     // order, and thus local indices, stay canonical under the chaos
     // scheduler.
-    let mut frames: Vec<Vec<(PartId, MsgReader)>> = (0..nlocal).map(|_| Vec::new()).collect();
+    let mut frames: Vec<Vec<(PartId, MsgReader)>> =
+        (0..dm.parts.len()).map(|_| Vec::new()).collect();
     for (from, to, r) in ex.finish() {
         frames[dm.map.slot_of(to)].push((from, r));
     }
     let mut at = Placed::default();
-    for (slot, mut fs) in frames.into_iter().enumerate() {
+    for ((sc, part), mut fs) in scratch.iter_mut().zip(&mut dm.parts).zip(frames) {
         // Canonical application order regardless of arrival permutation.
         fs.sort_by_key(|&(from, _)| from);
-        let part = &mut dm.parts[slot];
         let pid = part.id;
-        let mut rows = Rows::default();
+        // A row's residence is decoded onto the pool, as a range.
+        let decode = pumi_obs::span!("migrate.entities.decode");
+        let mut rows: Rows<(u32, u32)> = Rows::default();
         for (from, mut r) in fs {
-            wire::decode_entity_frame(&mut r, &mut rows, MsgReader::try_get_u32_slice)
-                .unwrap_or_else(|e| panic!("corrupt entity frame {from}->{pid}: {e}"));
+            let pool = &mut sc.pool;
+            wire::decode_entity_frame(&mut r, &mut rows, |r| {
+                let start = pool.len();
+                wire::get_parts(r, nparts, pool)?;
+                Ok((start as u32, (pool.len() - start) as u32))
+            })
+            .unwrap_or_else(|e| panic!("corrupt entity frame {from}->{pid}: {e}"));
         }
+        drop(decode);
         part.build(&rows, &mut at, |_, _| true)
             .unwrap_or_else(|e| panic!("incoherent entity frames for part {pid}: {e}"));
-        for d in Dim::ALL {
-            let res = std::mem::take(&mut rows.dim_mut(d).extra);
-            for (r, res) in res.into_iter().enumerate() {
+        // Elements arrive to stay: only their closures need a residence.
+        sc.cover(&part.mesh);
+        for d in Dim::ALL.into_iter().take(elem_dim) {
+            for (r, &res) in rows.dim(d).extra.iter().enumerate() {
                 let (e, _) = at.get(d, r).expect("every row is built");
-                new_res[slot].insert(e, res);
+                let (t, _) = sc.touch(e);
+                sc.touched[t].res = res;
             }
         }
     }
@@ -336,61 +581,51 @@ pub fn migrate(
     let phase3 = pumi_obs::span!("migrate.stitch");
     // Reset remotes for every touched entity that stays; the stitch fills
     // them back in from what the other residence parts announce.
-    for (slot, part) in dm.parts.iter_mut().enumerate() {
-        for (&e, res) in &new_res[slot] {
+    let reset = pumi_obs::span!("migrate.stitch.reset");
+    let mut staying: Vec<Vec<(MeshEnt, &[PartId])>> = Vec::with_capacity(dm.parts.len());
+    for (sc, part) in scratch.iter().zip(&mut dm.parts) {
+        let mut ents = Vec::new();
+        for t in &sc.touched {
+            let res = t.res(&sc.pool);
             if res.contains(&part.id) {
-                part.set_remotes(e, Vec::new());
-            }
-        }
-    }
-    let staying: Vec<Vec<(MeshEnt, &[PartId])>> = dm
-        .parts
-        .iter()
-        .zip(&new_res)
-        .map(|(part, res)| {
-            let mut staying: Vec<(MeshEnt, &[PartId])> = res
-                .iter()
-                .filter(|&(_, res)| res.contains(&part.id) && res.len() >= 2)
-                .map(|(&e, res)| (e, res.as_slice()))
-                .collect();
-            // Sorted by (dim, gid): frame bytes must not depend on hash-map
-            // iteration order, which phase 2's arrivals perturb under chaos.
-            staying.sort_by_key(|&(e, _)| (e.dim().as_usize(), part.gid_of(e)));
-            staying
-        })
-        .collect();
-    if let Some((from, to, e)) = wire::stitch(comm, dm, &staying).first() {
-        panic!("corrupt stitch frame {from}->{to}: {e}");
-    }
-    // Delete moved elements and entities whose residence excludes us,
-    // top-down.
-    for (slot, part) in dm.parts.iter_mut().enumerate() {
-        let plan = plans.get(&part.id).unwrap_or(&empty);
-        let mut leaving: Vec<MeshEnt> = plan
-            .dest
-            .iter()
-            .filter(|&(_, &to)| to != part.id)
-            .map(|(&e, _)| e)
-            .collect();
-        leaving.sort_unstable();
-        for e in leaving {
-            part.delete_entity(e);
-        }
-        for d in (0..elem_dim).rev() {
-            let mut goers: Vec<MeshEnt> = new_res[slot]
-                .iter()
-                .filter(|(e, res)| e.dim().as_usize() == d && !res.contains(&part.id))
-                .map(|(&e, _)| e)
-                .collect();
-            goers.sort_unstable();
-            for e in goers {
-                if part.mesh.is_live(e) {
-                    part.delete_entity(e);
+                part.link_copies(t.e, &[]);
+                if res.len() >= 2 {
+                    ents.push((t.e, res));
                 }
             }
         }
+        // Sorted by (dim, gid): frame bytes follow the entities, not the
+        // order the calls touched them.
+        ents.sort_unstable_by_key(|&(e, _)| (e.dim().as_usize(), part.gid_of(e)));
+        staying.push(ents);
     }
-
+    drop(reset);
+    if let Some((from, to, e)) = wire::stitch(comm, dm, &staying).first() {
+        panic!("corrupt stitch frame {from}->{to}: {e}");
+    }
+    drop(staying);
+    // Delete moved elements, then, top-down, entities whose residence
+    // excludes us.
+    let delete = pumi_obs::span!("migrate.stitch.delete");
+    for (sc, part) in scratch.iter_mut().zip(&mut dm.parts) {
+        for &(el, _) in &sc.moves {
+            part.delete_entity(el);
+        }
+        let goers = &mut sc.closure;
+        goers.clear();
+        let leaving = sc
+            .touched
+            .iter()
+            .filter(|t| !t.res(&sc.pool).contains(&part.id));
+        goers.extend(leaving.map(|t| t.e));
+        goers.sort_unstable_by_key(|&e| (std::cmp::Reverse(e.dim().as_usize()), e));
+        for &e in goers.iter() {
+            if part.mesh.is_live(e) {
+                part.delete_entity(e);
+            }
+        }
+    }
+    drop(delete);
     drop(phase3);
 
     let sums = comm.allreduce_sum_u64_vec(&[elements_moved, entities_sent]);

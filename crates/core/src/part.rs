@@ -14,6 +14,15 @@ use pumi_mesh::{Mesh, Topology};
 use pumi_util::ids::make_global_id;
 use pumi_util::{Dim, FxHashMap, FxHashSet, GlobalId, MeshEnt, PartId};
 
+/// No record on a slot; no list on a record.
+const NONE: u32 = u32::MAX;
+
+/// Remote copies a record holds in place; a longer list spills to the pool.
+const INLINE_COPIES: usize = 2;
+
+/// The ghost source of an entity that is not a ghost.
+const NO_SOURCE: (PartId, u32) = (PartId::MAX, u32::MAX);
+
 /// Sentinel for "no global id assigned".
 pub const NO_GID: GlobalId = u64::MAX;
 
@@ -52,6 +61,235 @@ impl DirtyLog {
     }
 }
 
+/// The copy links of one entity (§II-B): its remote copies, and its ghost
+/// source or ghost holders (§II-C). 40 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    /// The entity, for iterating the store.
+    ent: MeshEnt,
+    /// Number of remote copies: in `inline` up to [`INLINE_COPIES`], in
+    /// the pooled list `spill` beyond.
+    ncopies: u32,
+    inline: [(PartId, u32); INLINE_COPIES],
+    spill: u32,
+    /// (owner part, owner local index) of a ghost copy, else [`NO_SOURCE`].
+    source: (PartId, u32),
+    /// Pooled list of the parts holding ghost copies, or [`NONE`].
+    holders: u32,
+}
+
+impl Record {
+    const FREE: Record = Record {
+        ent: MeshEnt(u32::MAX),
+        ncopies: 0,
+        inline: [(0, 0); INLINE_COPIES],
+        spill: NONE,
+        source: NO_SOURCE,
+        holders: NONE,
+    };
+
+    /// Whether the record holds no link: a free record is one.
+    fn is_empty(&self) -> bool {
+        self.ncopies == 0 && self.source == NO_SOURCE && self.holders == NONE
+    }
+}
+
+/// Copy links as slot-indexed data: per dimension one `u32` per entity slot
+/// indexes a pooled [`Record`] store; a record is taken when an entity
+/// gains its first link and freed when it loses its last, so the store
+/// holds the part boundary and the ghosts, not the part. Lists longer than
+/// a record holds in place live in a second pool.
+#[derive(Debug, Default)]
+struct Links {
+    /// Record index per entity slot, [`NONE`] without links; grown on
+    /// demand, so a part that never links pays nothing.
+    slot: [Vec<u32>; 4],
+    recs: Vec<Record>,
+    free_recs: Vec<u32>,
+    /// Spilled remote-copy lists and ghost-holder lists.
+    lists: Vec<Vec<(PartId, u32)>>,
+    free_lists: Vec<u32>,
+    /// Records with remote copies.
+    nshared: usize,
+    /// Records with a ghost source.
+    nghosts: usize,
+}
+
+impl Links {
+    fn index(&self, e: MeshEnt) -> u32 {
+        let slot = &self.slot[e.dim().as_usize()];
+        slot.get(e.idx()).copied().unwrap_or(NONE)
+    }
+
+    fn get(&self, e: MeshEnt) -> Option<&Record> {
+        self.recs.get(self.index(e) as usize)
+    }
+
+    /// The records holding links, in store order.
+    fn records(&self) -> impl Iterator<Item = &Record> + '_ {
+        self.recs.iter().filter(|rec| !rec.is_empty())
+    }
+
+    fn copies<'a>(&'a self, rec: &'a Record) -> &'a [(PartId, u32)] {
+        let n = rec.ncopies as usize;
+        match n <= INLINE_COPIES {
+            true => &rec.inline[..n],
+            false => &self.lists[rec.spill as usize],
+        }
+    }
+
+    fn holders<'a>(&'a self, rec: &'a Record) -> &'a [(PartId, u32)] {
+        match rec.holders {
+            NONE => &[],
+            i => &self.lists[i as usize],
+        }
+    }
+
+    /// The record of `e`, taken from the store if `e` has none.
+    fn entry(&mut self, e: MeshEnt) -> usize {
+        let r = self.index(e);
+        if r != NONE {
+            return r as usize;
+        }
+        let r = match self.free_recs.pop() {
+            Some(r) => r,
+            None => {
+                self.recs.push(Record::FREE);
+                (self.recs.len() - 1) as u32
+            }
+        };
+        self.recs[r as usize].ent = e;
+        let slot = &mut self.slot[e.dim().as_usize()];
+        if slot.len() <= e.idx() {
+            slot.resize(e.idx() + 1, NONE);
+        }
+        slot[e.idx()] = r;
+        r as usize
+    }
+
+    /// Free record `r` if it holds no link any more.
+    fn release_if_empty(&mut self, r: usize) {
+        let rec = self.recs[r];
+        if rec.is_empty() {
+            self.slot[rec.ent.dim().as_usize()][rec.ent.idx()] = NONE;
+            self.recs[r] = Record::FREE;
+            self.free_recs.push(r as u32);
+        }
+    }
+
+    fn new_list(&mut self, list: Vec<(PartId, u32)>) -> u32 {
+        match self.free_lists.pop() {
+            Some(i) => {
+                self.lists[i as usize] = list;
+                i
+            }
+            None => {
+                self.lists.push(list);
+                (self.lists.len() - 1) as u32
+            }
+        }
+    }
+
+    fn free_list(&mut self, i: u32) {
+        if i != NONE {
+            self.lists[i as usize] = Vec::new();
+            self.free_lists.push(i);
+        }
+    }
+
+    /// Replace the remote copies of `e` with `copies` (sorted, distinct).
+    fn set_copies(&mut self, e: MeshEnt, copies: &[(PartId, u32)]) {
+        if copies.is_empty() && self.index(e) == NONE {
+            return;
+        }
+        let r = self.entry(e);
+        let rec = self.recs[r];
+        let spill = rec.spill;
+        self.nshared += (!copies.is_empty()) as usize;
+        self.nshared -= (rec.ncopies > 0) as usize;
+        let rec = &mut self.recs[r];
+        rec.ncopies = copies.len() as u32;
+        if copies.len() <= INLINE_COPIES {
+            rec.inline[..copies.len()].copy_from_slice(copies);
+            rec.spill = NONE;
+            self.free_list(spill);
+            self.release_if_empty(r);
+        } else if spill != NONE {
+            let list = &mut self.lists[spill as usize];
+            list.clear();
+            list.extend_from_slice(copies);
+        } else {
+            let spill = self.new_list(copies.to_vec());
+            self.recs[r].spill = spill;
+        }
+    }
+
+    fn set_source(&mut self, e: MeshEnt, src: (PartId, u32)) {
+        let r = self.entry(e);
+        self.nghosts += (self.recs[r].source == NO_SOURCE) as usize;
+        self.recs[r].source = src;
+    }
+
+    fn clear_source(&mut self, e: MeshEnt) {
+        let r = self.index(e);
+        if r != NONE && self.recs[r as usize].source != NO_SOURCE {
+            self.nghosts -= 1;
+            self.recs[r as usize].source = NO_SOURCE;
+            self.release_if_empty(r as usize);
+        }
+    }
+
+    /// Insert `to` into the sorted holder list of `e`, once.
+    fn add_holder(&mut self, e: MeshEnt, to: (PartId, u32)) {
+        let r = self.entry(e);
+        let list = match self.recs[r].holders {
+            NONE => {
+                let i = self.new_list(Vec::new());
+                self.recs[r].holders = i;
+                i
+            }
+            i => i,
+        };
+        let holders = &mut self.lists[list as usize];
+        if let Err(at) = holders.binary_search(&to) {
+            holders.insert(at, to);
+        }
+    }
+
+    /// Drop every ghost source and holder list, keeping remote copies.
+    fn clear_ghosts(&mut self) {
+        for r in 0..self.recs.len() {
+            let rec = self.recs[r];
+            if rec.source == NO_SOURCE && rec.holders == NONE {
+                continue;
+            }
+            self.free_list(rec.holders);
+            self.recs[r].source = NO_SOURCE;
+            self.recs[r].holders = NONE;
+            self.release_if_empty(r);
+        }
+        self.nghosts = 0;
+    }
+
+    /// Drop every link of `e`.
+    fn drop_entity(&mut self, e: MeshEnt) {
+        let r = self.index(e);
+        if r == NONE {
+            return;
+        }
+        let rec = self.recs[r as usize];
+        self.nshared -= (rec.ncopies > 0) as usize;
+        self.nghosts -= (rec.source != NO_SOURCE) as usize;
+        self.free_list(rec.spill);
+        self.free_list(rec.holders);
+        self.recs[r as usize] = Record {
+            ent: e,
+            ..Record::FREE
+        };
+        self.release_if_empty(r as usize);
+    }
+}
+
 /// One part of a distributed mesh.
 pub struct Part {
     /// The part id `P_i`, unique across the whole partition.
@@ -63,14 +301,9 @@ pub struct Part {
     gids: [Vec<GlobalId>; 4],
     /// Reverse index: global id → local index, per dimension.
     gid_index: [FxHashMap<GlobalId, u32>; 4],
-    /// Remote copies of part-boundary entities: (remote part, remote local
-    /// index). Sorted by part id. Ghost copies are *not* listed here.
-    remotes: FxHashMap<MeshEnt, Vec<(PartId, u32)>>,
-    /// Entities that are read-only ghost copies on this part, mapped to
-    /// their (owner part, owner local index).
-    ghosts: FxHashMap<MeshEnt, (PartId, u32)>,
-    /// Owner-side record of which parts hold ghost copies of an entity.
-    ghosted_to: FxHashMap<MeshEnt, Vec<(PartId, u32)>>,
+    /// Copy links per entity slot: remote copies of part-boundary entities,
+    /// ghost sources and ghost holders.
+    links: Links,
     /// Counter feeding [`Part::new_gid`].
     gid_counter: u64,
     /// Mutation log for delta checkpoints; `None` when tracking is off.
@@ -85,9 +318,7 @@ impl Part {
             mesh: Mesh::new(elem_dim),
             gids: Default::default(),
             gid_index: Default::default(),
-            remotes: FxHashMap::default(),
-            ghosts: FxHashMap::default(),
-            ghosted_to: FxHashMap::default(),
+            links: Links::default(),
             gid_counter: 0,
             dirty: None,
         }
@@ -195,9 +426,7 @@ impl Part {
                 log.erase(d, gid);
             }
         }
-        self.remotes.remove(&e);
-        self.ghosts.remove(&e);
-        self.ghosted_to.remove(&e);
+        self.links.drop_entity(e);
     }
 
     /// The global id of a live entity.
@@ -223,23 +452,27 @@ impl Part {
     pub fn set_remotes(&mut self, e: MeshEnt, mut copies: Vec<(PartId, u32)>) {
         copies.sort_unstable();
         copies.dedup();
+        self.link_copies(e, &copies);
+    }
+
+    /// [`Part::set_remotes`] for a list that is already sorted and
+    /// distinct: no `Vec` changes hands, and a list short enough to sit in
+    /// the record allocates nothing.
+    pub(crate) fn link_copies(&mut self, e: MeshEnt, copies: &[(PartId, u32)]) {
+        debug_assert!(copies.windows(2).all(|w| w[0] < w[1]), "unsorted copies");
         debug_assert!(copies.iter().all(|&(p, _)| p != self.id));
-        if copies.is_empty() {
-            self.remotes.remove(&e);
-        } else {
-            self.remotes.insert(e, copies);
-        }
+        self.links.set_copies(e, copies);
     }
 
     /// The remote copies of `e`: (part, remote local index), sorted by part.
     pub fn remotes_of(&self, e: MeshEnt) -> &[(PartId, u32)] {
-        self.remotes.get(&e).map(|v| v.as_slice()).unwrap_or(&[])
+        self.links.get(e).map_or(&[], |rec| self.links.copies(rec))
     }
 
     /// Whether `e` lies on a part boundary (has remote copies).
     #[inline]
     pub fn is_shared(&self, e: MeshEnt) -> bool {
-        self.remotes.contains_key(&e)
+        self.links.get(e).is_some_and(|rec| rec.ncopies > 0)
     }
 
     /// The residence parts of `e`: this part plus all remote parts, sorted.
@@ -257,7 +490,7 @@ impl Part {
     /// designated as owning part and ... imbues the right to modify").
     /// Ghost copies are owned by their source part.
     pub fn owner(&self, e: MeshEnt) -> PartId {
-        if let Some(&(p, _)) = self.ghosts.get(&e) {
+        if let Some((p, _)) = self.ghost_source(e) {
             return p;
         }
         self.remotes_of(e)
@@ -279,26 +512,30 @@ impl Part {
     }
 
     /// Every entity with a remote-copy or ghost record, in no particular
-    /// order and without the sort [`Part::shared_entities`] pays: what the
-    /// part cannot modify on its own. Distributed coarsening derives its
-    /// per-sweep veto table from these, so the table costs the boundary,
-    /// not the part.
+    /// order: what the part cannot modify on its own. Distributed
+    /// coarsening derives its per-sweep veto table from these; they are
+    /// read off the record store, so the table costs the boundary, not the
+    /// part.
     pub fn boundary_entities(&self) -> impl Iterator<Item = MeshEnt> + '_ {
-        self.remotes
-            .keys()
-            .chain(self.ghosts.keys().filter(|e| !self.remotes.contains_key(e)))
-            .copied()
+        self.links
+            .records()
+            .filter(|rec| rec.ncopies > 0 || rec.source != NO_SOURCE)
+            .map(|rec| rec.ent)
     }
 
-    /// Iterate all shared (part-boundary) entities with their remote lists,
-    /// sorted by handle for determinism.
+    /// All shared (part-boundary) entities with their remote lists, in slot
+    /// order — which is handle order, so the result is deterministic.
     pub fn shared_entities(&self) -> Vec<(MeshEnt, &[(PartId, u32)])> {
-        let mut v: Vec<_> = self
-            .remotes
-            .iter()
-            .map(|(&e, r)| (e, r.as_slice()))
-            .collect();
-        v.sort_by_key(|(e, _)| *e);
+        let mut v = Vec::with_capacity(self.links.nshared);
+        for d in Dim::ALL {
+            for (i, &r) in self.links.slot[d.as_usize()].iter().enumerate() {
+                if let Some(rec) = self.links.recs.get(r as usize) {
+                    if rec.ncopies > 0 {
+                        v.push((MeshEnt::new(d, i as u32), self.links.copies(rec)));
+                    }
+                }
+            }
+        }
         v
     }
 
@@ -308,34 +545,34 @@ impl Part {
 
     /// Mark `e` as a ghost copy of `(owner part, owner local index)`.
     pub fn set_ghost(&mut self, e: MeshEnt, src: (PartId, u32)) {
-        self.ghosts.insert(e, src);
+        self.links.set_source(e, src);
         self.mark_dirty(e);
     }
 
     /// Whether `e` is a read-only ghost copy on this part.
     #[inline]
     pub fn is_ghost(&self, e: MeshEnt) -> bool {
-        self.ghosts.contains_key(&e)
+        self.ghost_source(e).is_some()
     }
 
     /// The ghost's source (owner part, owner local index).
     pub fn ghost_source(&self, e: MeshEnt) -> Option<(PartId, u32)> {
-        self.ghosts.get(&e).copied()
+        self.links
+            .get(e)
+            .map(|rec| rec.source)
+            .filter(|&src| src != NO_SOURCE)
     }
 
     /// Owner side: record that `to` holds a ghost copy of `e`. The holder
     /// list stays sorted so its order is independent of ack arrival order.
     /// Idempotent — recording the same holder twice keeps one entry.
     pub fn record_ghost_holder(&mut self, e: MeshEnt, to: (PartId, u32)) {
-        let v = self.ghosted_to.entry(e).or_default();
-        if let Err(at) = v.binary_search(&to) {
-            v.insert(at, to);
-        }
+        self.links.add_holder(e, to);
     }
 
     /// Owner side: the parts holding ghost copies of `e`.
     pub fn ghosted_to(&self, e: MeshEnt) -> &[(PartId, u32)] {
-        self.ghosted_to.get(&e).map(|v| v.as_slice()).unwrap_or(&[])
+        self.links.get(e).map_or(&[], |rec| self.links.holders(rec))
     }
 
     /// Owner-side view of ghost holders: entity → (holder part, holder-local
@@ -343,10 +580,10 @@ impl Part {
     /// the part.
     pub fn ghost_entities_owner_side(&self) -> Vec<(MeshEnt, Vec<(PartId, u32)>)> {
         let mut v: Vec<(MeshEnt, Vec<(PartId, u32)>)> = self
-            .ghosted_to
-            .iter()
-            .filter(|&(&e, holders)| !holders.is_empty() && self.mesh.is_live(e))
-            .map(|(&e, holders)| (e, holders.clone()))
+            .links
+            .records()
+            .filter(|rec| rec.holders != NONE && self.mesh.is_live(rec.ent))
+            .map(|rec| (rec.ent, self.links.holders(rec).to_vec()))
             .collect();
         v.sort_unstable_by_key(|(e, _)| *e);
         v
@@ -354,26 +591,31 @@ impl Part {
 
     /// Iterate ghost entities (sorted by handle).
     pub fn ghost_entities(&self) -> Vec<MeshEnt> {
-        let mut v: Vec<MeshEnt> = self.ghosts.keys().copied().collect();
+        let mut v: Vec<MeshEnt> = self
+            .links
+            .records()
+            .filter(|rec| rec.source != NO_SOURCE)
+            .map(|rec| rec.ent)
+            .collect();
         v.sort_unstable();
         v
     }
 
     /// Number of ghost copies on this part.
     pub fn num_ghosts(&self) -> usize {
-        self.ghosts.len()
+        self.links.nghosts
     }
 
     /// Remove all ghost bookkeeping (entities must be deleted separately by
     /// the ghosting module, which knows the deletion order).
     pub fn clear_ghost_records(&mut self) {
-        self.ghosts.clear();
-        self.ghosted_to.clear();
+        self.links.clear_ghosts();
     }
 
     /// Remove one ghost record.
     pub fn remove_ghost_record(&mut self, e: MeshEnt) {
-        if self.ghosts.remove(&e).is_some() {
+        if self.ghost_source(e).is_some() {
+            self.links.clear_source(e);
             self.mark_dirty(e);
         }
     }
@@ -390,9 +632,7 @@ impl Part {
                 log.erase(d, gid);
             }
         }
-        self.remotes.remove(&e);
-        self.ghosts.remove(&e);
-        self.ghosted_to.remove(&e);
+        self.links.drop_entity(e);
         self.mesh.delete(e);
     }
 
@@ -464,9 +704,9 @@ impl Part {
     /// the caller updates [`Part::id`] itself. `f` must be injective over
     /// the referenced part ids and `f(p)` must never equal the new local id.
     pub fn remap_remote_parts(&mut self, f: impl Fn(PartId) -> PartId) {
-        let old = std::mem::take(&mut self.remotes);
-        for (e, copies) in old {
-            let mapped: Vec<(PartId, u32)> = copies.into_iter().map(|(p, i)| (f(p), i)).collect();
+        let shared: Vec<MeshEnt> = self.shared_entities().iter().map(|&(e, _)| e).collect();
+        for e in shared {
+            let mapped = self.remotes_of(e).iter().map(|&(p, i)| (f(p), i)).collect();
             self.set_remotes(e, mapped);
         }
     }
@@ -489,10 +729,7 @@ impl std::fmt::Debug for Part {
         write!(
             f,
             "Part{{id:{}, {:?}, shared:{}, ghosts:{}}}",
-            self.id,
-            self.mesh,
-            self.remotes.len(),
-            self.ghosts.len()
+            self.id, self.mesh, self.links.nshared, self.links.nghosts
         )
     }
 }
@@ -622,6 +859,212 @@ mod tests {
         // Flooring never lowers the counter.
         q.bump_gid_counter(0);
         assert_eq!(q.gid_counter(), 3);
+    }
+
+    /// A vertex `v` with every kind of copy link: three remote copies (one
+    /// spilled past the inline ones), a ghost source and two holders.
+    fn fully_linked(p: &mut Part, gid: GlobalId) -> MeshEnt {
+        let v = p.add_vertex([0.; 3], NO_GEOM, gid);
+        p.set_remotes(v, vec![(3, 1), (1, 2), (2, 3)]);
+        p.set_ghost(v, (4, 5));
+        p.record_ghost_holder(v, (6, 7));
+        p.record_ghost_holder(v, (5, 8));
+        v
+    }
+
+    /// The entity created in `v`'s freed slot carries no link of `v`'s.
+    fn reuse_is_clean(p: &mut Part, v: MeshEnt) {
+        let w = p.add_vertex([1.; 3], NO_GEOM, 1000);
+        assert_eq!(w, v, "the freed slot is reused");
+        assert_eq!(p.remotes_of(w), &[]);
+        assert!(!p.is_shared(w) && !p.is_ghost(w));
+        assert_eq!(p.ghost_source(w), None);
+        assert_eq!(p.ghosted_to(w), &[]);
+        assert_eq!(p.owner(w), p.id);
+        assert_eq!(p.boundary_entities().count(), 0);
+        assert!(p.shared_entities().is_empty() && p.ghost_entities().is_empty());
+        assert!(p.ghost_entities_owner_side().is_empty());
+        assert_eq!(p.num_ghosts(), 0);
+    }
+
+    #[test]
+    fn slot_reuse_after_delete_entity_inherits_no_link() {
+        let mut p = Part::new(0, 2);
+        let v = fully_linked(&mut p, 5);
+        p.delete_entity(v);
+        reuse_is_clean(&mut p, v);
+    }
+
+    #[test]
+    fn slot_reuse_after_forget_inherits_no_link() {
+        let mut p = Part::new(0, 2);
+        let v = fully_linked(&mut p, 5);
+        p.forget(v);
+        p.mesh.delete(v);
+        reuse_is_clean(&mut p, v);
+    }
+
+    /// Delete `v`'s mesh entity with its gid but none of its links, the
+    /// way a mesh-level cavity operator would after [`Part::forget`] of the
+    /// gid alone: a record the ghost edit left behind would survive.
+    fn delete_keeping_links(p: &mut Part, v: MeshEnt) {
+        let gid = p.gid_of(v);
+        p.gid_index[0].remove(&gid);
+        p.gids[0][v.idx()] = NO_GID;
+        p.mesh.delete(v);
+    }
+
+    #[test]
+    fn slot_reuse_after_remove_ghost_record_inherits_no_link() {
+        let mut p = Part::new(0, 2);
+        let v = p.add_vertex([0.; 3], NO_GEOM, 5);
+        p.set_ghost(v, (4, 5));
+        p.remove_ghost_record(v);
+        delete_keeping_links(&mut p, v);
+        reuse_is_clean(&mut p, v);
+    }
+
+    #[test]
+    fn slot_reuse_after_clear_ghost_records_inherits_no_link() {
+        let mut p = Part::new(0, 2);
+        let v = p.add_vertex([0.; 3], NO_GEOM, 5);
+        let w = p.add_vertex([0.; 3], NO_GEOM, 6);
+        p.set_ghost(v, (4, 5));
+        p.record_ghost_holder(w, (6, 7));
+        p.clear_ghost_records();
+        delete_keeping_links(&mut p, w);
+        delete_keeping_links(&mut p, v);
+        reuse_is_clean(&mut p, v);
+    }
+
+    /// What one entity's links should read, per the reference model.
+    type Model = std::collections::BTreeMap<
+        MeshEnt,
+        (
+            Vec<(PartId, u32)>,
+            Option<(PartId, u32)>,
+            Vec<(PartId, u32)>,
+        ),
+    >;
+
+    /// Every query of the part agrees with the model.
+    fn agrees(p: &Part, model: &Model) {
+        let live: Vec<MeshEnt> = p.mesh.iter(Dim::Vertex).collect();
+        for &v in &live {
+            let (copies, src, holders) = model.get(&v).cloned().unwrap_or_default();
+            assert_eq!(p.remotes_of(v), copies.as_slice(), "{v:?}");
+            assert_eq!(p.is_shared(v), !copies.is_empty());
+            assert_eq!(p.ghost_source(v), src);
+            assert_eq!(p.ghosted_to(v), holders.as_slice());
+        }
+        let shared: Vec<(MeshEnt, Vec<(PartId, u32)>)> = model
+            .iter()
+            .filter(|(_, l)| !l.0.is_empty())
+            .map(|(&e, l)| (e, l.0.clone()))
+            .collect();
+        let got: Vec<(MeshEnt, Vec<(PartId, u32)>)> = p
+            .shared_entities()
+            .into_iter()
+            .map(|(e, c)| (e, c.to_vec()))
+            .collect();
+        assert_eq!(got, shared);
+        let ghosts: Vec<MeshEnt> = model
+            .iter()
+            .filter(|(_, l)| l.1.is_some())
+            .map(|(&e, _)| e)
+            .collect();
+        assert_eq!(p.ghost_entities(), ghosts);
+        assert_eq!(p.num_ghosts(), ghosts.len());
+        let owners: Vec<(MeshEnt, Vec<(PartId, u32)>)> = model
+            .iter()
+            .filter(|(_, l)| !l.2.is_empty())
+            .map(|(&e, l)| (e, l.2.clone()))
+            .collect();
+        assert_eq!(p.ghost_entities_owner_side(), owners);
+        let mut boundary: Vec<MeshEnt> = p.boundary_entities().collect();
+        boundary.sort_unstable();
+        let want: Vec<MeshEnt> = model
+            .iter()
+            .filter(|(_, l)| !l.0.is_empty() || l.1.is_some())
+            .map(|(&e, _)| e)
+            .collect();
+        assert_eq!(boundary, want);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random link edits, deletions, forgets and slot reuse on eight
+        /// vertex slots, checked after every step against a `BTreeMap`.
+        #[test]
+        fn links_match_a_reference_model(
+            ops in proptest::collection::vec((0u8..8, 0usize..8, 1u32..6, 0u32..4), 1..80)
+        ) {
+            let mut p = Part::new(0, 2);
+            let mut model = Model::new();
+            let mut gid = 0;
+            let verts: Vec<MeshEnt> = (0..8)
+                .map(|_| {
+                    gid += 1;
+                    p.add_vertex([0.; 3], NO_GEOM, gid)
+                })
+                .collect();
+            for (op, k, a, b) in ops {
+                let v = verts[k];
+                if !p.mesh.is_live(v) {
+                    // Reuse: the most recently freed slot comes back empty.
+                    gid += 1;
+                    let w = p.add_vertex([0.; 3], NO_GEOM, gid);
+                    proptest::prop_assert!(verts.contains(&w), "{w:?} is a fresh slot");
+                    agrees(&p, &model);
+                    continue;
+                }
+                match op {
+                    0 | 1 => {
+                        // 0..=3 copies on parts 1..=5; part 0 is this one.
+                        let mut copies: Vec<(PartId, u32)> =
+                            (0..(a + b) % 5).map(|i| (1 + (a * 7 + i * 3) % 5, i)).collect();
+                        p.set_remotes(v, copies.clone());
+                        copies.sort_unstable();
+                        copies.dedup();
+                        model.entry(v).or_default().0 = copies;
+                    }
+                    2 => {
+                        p.set_ghost(v, (a, b));
+                        model.entry(v).or_default().1 = Some((a, b));
+                    }
+                    3 => {
+                        p.record_ghost_holder(v, (a, b));
+                        let holders = &mut model.entry(v).or_default().2;
+                        if let Err(at) = holders.binary_search(&(a, b)) {
+                            holders.insert(at, (a, b));
+                        }
+                    }
+                    4 => {
+                        p.delete_entity(v);
+                        model.remove(&v);
+                    }
+                    5 => {
+                        p.forget(v);
+                        p.mesh.delete(v);
+                        model.remove(&v);
+                    }
+                    6 => {
+                        p.remove_ghost_record(v);
+                        model.entry(v).or_default().1 = None;
+                    }
+                    _ => {
+                        p.clear_ghost_records();
+                        for l in model.values_mut() {
+                            l.1 = None;
+                            l.2.clear();
+                        }
+                    }
+                }
+                model.retain(|_, l| !l.0.is_empty() || l.1.is_some() || !l.2.is_empty());
+                agrees(&p, &model);
+            }
+        }
     }
 
     #[test]

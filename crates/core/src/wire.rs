@@ -10,7 +10,9 @@
 //!   [`Part::build`] to find or create;
 //! * **link the copies** — [`stitch`]: every part tells the other residence
 //!   parts its local index with one [`put_link`] row `(dim, gid, index)`
-//!   per (entity, peer), and receivers resolve the rows by gid.
+//!   per (entity, peer), and receivers resolve the rows by gid. Before
+//!   `migrate` links, its copies agree on where an entity will live with
+//!   one [`put_residence`] row `(dim, gid, parts)` per (entity, peer).
 //!
 //! Nothing here decides what a bad frame means: decoders return
 //! [`MsgError`]s and [`stitch`] returns the frames and announcements it
@@ -22,7 +24,7 @@ use crate::part::{Part, NO_GID};
 use crate::rows::Rows;
 use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
 use pumi_util::tag::TagKind;
-use pumi_util::{Dim, FxHashMap, GlobalId, MeshEnt, PartId};
+use pumi_util::{Dim, GlobalId, MeshEnt, PartId};
 
 /// Decode a dimension byte; anything outside `0..=3` is a
 /// [`MsgError::BadEnum`].
@@ -45,6 +47,46 @@ pub fn put_link(w: &mut MsgWriter, dim: Dim, gid: GlobalId, index: u32) {
 /// Decode one link row written by [`put_link`].
 pub fn get_link(r: &mut MsgReader) -> Result<(Dim, GlobalId, u32), MsgError> {
     Ok((get_dim(r)?, r.try_get_u64()?, r.try_get_u32()?))
+}
+
+/// Append one residence row: `dim u8, gid u64, parts` — the parts a
+/// length-prefixed `u32` list, as [`get_parts`] reads it.
+pub fn put_residence(w: &mut MsgWriter, dim: Dim, gid: GlobalId, parts: &[PartId]) {
+    w.put_u8(dim.as_usize() as u8);
+    w.put_u64(gid);
+    w.put_u32_slice(parts);
+}
+
+/// Decode one residence row written by [`put_residence`], appending its
+/// parts to `parts`.
+pub fn get_residence(
+    r: &mut MsgReader,
+    nparts: usize,
+    parts: &mut Vec<PartId>,
+) -> Result<(Dim, GlobalId), MsgError> {
+    let d = get_dim(r)?;
+    let gid = r.try_get_u64()?;
+    get_parts(r, nparts, parts)?;
+    Ok((d, gid))
+}
+
+/// Decode a length-prefixed part list onto `out`. A length longer than
+/// the frame is an underrun before anything is reserved, and a part
+/// outside `0..nparts` is [`MsgError::Corrupt`].
+pub fn get_parts(r: &mut MsgReader, nparts: usize, out: &mut Vec<PartId>) -> Result<(), MsgError> {
+    let n = r.try_get_u32()? as usize;
+    if r.remaining() / 4 < n {
+        return Err(MsgError::underrun(n.saturating_mul(4), r.remaining()));
+    }
+    out.reserve(n);
+    for _ in 0..n {
+        let p = r.try_get_u32()?;
+        if p as usize >= nparts {
+            return Err(MsgError::corrupt("part outside the world"));
+        }
+        out.push(p);
+    }
+    Ok(())
 }
 
 /// Rebuild remote-copy links. `announce[slot]` lists, in wire order, the
@@ -78,14 +120,13 @@ pub fn stitch<P: AsRef<[PartId]>>(
     let mut frames = ex.finish();
     frames.sort_by_key(|&(from, to, _)| (to, from));
     let mut faults = Vec::new();
-    let mut incoming: Vec<FxHashMap<MeshEnt, Vec<(PartId, u32)>>> =
-        vec![FxHashMap::default(); dm.parts.len()];
+    let mut incoming: Vec<Vec<(MeshEnt, PartId, u32)>> = vec![Vec::new(); dm.parts.len()];
     for (from, to, mut r) in frames {
         let slot = dm.map.slot_of(to);
         while !r.is_done() {
             match get_link(&mut r) {
                 Ok((d, gid, ridx)) => match dm.parts[slot].find_gid(d, gid) {
-                    Some(e) => incoming[slot].entry(e).or_default().push((from, ridx)),
+                    Some(e) => incoming[slot].push((e, from, ridx)),
                     None => {
                         let dim = d.as_usize() as u8;
                         faults.push((from, to, MsgError::missing("stitch target", dim, gid)));
@@ -98,9 +139,14 @@ pub fn stitch<P: AsRef<[PartId]>>(
             }
         }
     }
-    for (part, ents) in dm.parts.iter_mut().zip(incoming) {
-        for (e, copies) in ents {
-            part.set_remotes(e, copies);
+    let mut copies = Vec::new();
+    for (part, mut links) in dm.parts.iter_mut().zip(incoming) {
+        links.sort_unstable();
+        links.dedup();
+        for ent in links.chunk_by(|a, b| a.0 == b.0) {
+            copies.clear();
+            copies.extend(ent.iter().map(|&(_, q, i)| (q, i)));
+            part.link_copies(ent[0].0, &copies);
         }
     }
     faults

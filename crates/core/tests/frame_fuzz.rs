@@ -4,14 +4,53 @@
 //! never a panic. Each damaged frame is built twice: into an empty part, and
 //! into a part that already holds the frame's vertices. A build that
 //! succeeds must have created nothing without a gid.
+//!
+//! The same damage applied to a frame of `migrate`'s residence rows or of
+//! the stitch's link rows must decode to valid rows or stop at a typed
+//! error, and no allocation made while decoding may be larger than the
+//! frame: a length read off the wire sizes nothing.
 
 use proptest::prelude::*;
-use pumi_core::wire::{decode_entity_frame, put_entity};
+use pumi_core::wire::{
+    decode_entity_frame, get_link, get_residence, put_entity, put_link, put_residence,
+};
 use pumi_core::{distribute, Part, PartMap, Placed, Rows, NO_GID};
 use pumi_meshgen::tet_box;
 use pumi_pcu::{execute, MsgError, MsgReader, MsgWriter};
 use pumi_util::tag::{TagData, TagKind};
 use pumi_util::{Dim, MeshEnt, PartId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// The largest allocation or reallocation this thread asked for.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Largest;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the thread-local is a const-initialised
+// `Cell`, which neither allocates nor panics.
+unsafe impl GlobalAlloc for Largest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = LARGEST.try_with(|m| m.set(m.get().max(layout.size())));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = LARGEST.try_with(|m| m.set(m.get().max(new_size)));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Largest = Largest;
+
+/// Parts in the world the residence rows are decoded for.
+const NPARTS: usize = 4;
 
 /// A frame's bytes and where its length prefixes sit.
 struct Frame {
@@ -130,6 +169,51 @@ fn all_named(part: &Part) -> bool {
         .all(|&d| part.mesh.iter(d).all(|e| part.gid_of(e) != NO_GID))
 }
 
+/// Residence rows (`residence == true`) or link rows for every vertex and
+/// edge of the source, as `migrate`'s phase 1 and the stitch pack them.
+fn row_frame(part: &Part, residence: bool) -> Frame {
+    let (mut w, mut prefixes) = (MsgWriter::new(), Vec::new());
+    let mut at = 0;
+    for d in [Dim::Vertex, Dim::Edge] {
+        for (k, e) in part.mesh.iter(d).enumerate() {
+            let gid = part.gid_of(e);
+            if residence {
+                let parts: Vec<PartId> = (0..1 + k % 3).map(|p| p as PartId).collect();
+                put_residence(&mut w, d, gid, &parts);
+                prefixes.push(at + 1 + 8);
+                at += 1 + 8 + 4 + 4 * parts.len();
+            } else {
+                put_link(&mut w, d, gid, e.index());
+                at += 1 + 8 + 4;
+            }
+        }
+    }
+    if prefixes.is_empty() {
+        prefixes.push(0);
+    }
+    Frame {
+        bytes: w.finish().to_vec(),
+        prefixes,
+    }
+}
+
+/// Decode every row of `bytes`; the rows before a typed error are valid.
+fn decode_rows(bytes: &[u8], residence: bool) -> Result<usize, MsgError> {
+    let r = &mut MsgReader::from_vec(bytes.to_vec());
+    let (mut rows, mut parts) = (0, Vec::new());
+    while !r.is_done() {
+        if residence {
+            parts.clear();
+            get_residence(r, NPARTS, &mut parts)?;
+            assert!(parts.iter().all(|&p| (p as usize) < NPARTS), "{parts:?}");
+        } else {
+            get_link(r)?;
+        }
+        rows += 1;
+    }
+    Ok(rows)
+}
+
 #[test]
 fn undamaged_frames_build() {
     let src = source();
@@ -174,5 +258,35 @@ proptest! {
                 prop_assert!(all_named(&part), "an entity built without a gid");
             }
         }
+    }
+
+    #[test]
+    fn damaged_row_frames_decode_or_refuse(
+        residence in proptest::bool::ANY,
+        how in 0u32..3,
+        at in 0.0f64..1.0,
+        bit in 0u32..8,
+        value in 0u32..6,
+    ) {
+        let f = row_frame(&source(), residence);
+        let whole = decode_rows(&f.bytes, residence).expect("an undamaged frame decodes");
+        prop_assert!(whole > 0);
+        let mut bytes = f.bytes.clone();
+        let i = ((bytes.len() as f64 * at) as usize).min(bytes.len() - 1);
+        match how {
+            0 => bytes[i] ^= 1 << bit,
+            1 => bytes.truncate(i),
+            _ => {
+                let p = f.prefixes[(f.prefixes.len() as f64 * at) as usize % f.prefixes.len()];
+                let n = u32::from_le_bytes(bytes[p..p + 4].try_into().unwrap());
+                let edited = [0, 1, n + 1, n.wrapping_sub(1), 0x7fff_ffff, u32::MAX][value as usize];
+                bytes[p..p + 4].copy_from_slice(&edited.to_le_bytes());
+            }
+        }
+        LARGEST.with(|m| m.set(0));
+        let _ = decode_rows(&bytes, residence);
+        let largest = LARGEST.with(Cell::get);
+        // The reader's copy of the frame is the largest thing decoding needs.
+        prop_assert!(largest <= bytes.len().max(64), "{largest} B for a {} B frame", bytes.len());
     }
 }

@@ -17,7 +17,10 @@
 //! } // elapsed time recorded here
 //! ```
 //!
-//! Times are *inclusive*: a parent's total contains its children's.
+//! Times are *inclusive*: a parent's total contains its children's. The
+//! drain also reports each path's *self* time — its inclusive time less
+//! that of the spans entered directly under it — computed from the
+//! recorded tree, so it costs nothing while recording.
 //!
 //! Each thread interns every distinct path into a *slot* the first time it
 //! is entered, and all per-path aggregates (this module's [`SpanStat`], the
@@ -38,6 +41,10 @@ pub struct SpanStat {
     pub count: u64,
     /// Total inclusive nanoseconds across entries.
     pub nanos: u64,
+    /// Exclusive nanoseconds: `nanos` less the `nanos` of every span path
+    /// entered directly under this one. Filled in by [`take`]; recording
+    /// leaves it alone.
+    pub self_nanos: u64,
 }
 
 /// Slot of the empty path: where recording outside any span lands.
@@ -68,6 +75,20 @@ struct SpanState {
 }
 
 impl SpanState {
+    /// Set every slot's self time from the inclusive times of its children.
+    fn settle_self_time(&mut self) {
+        for i in 0..self.slots.len() {
+            let slots = &self.slots;
+            let children: u64 = slots[i]
+                .children
+                .iter()
+                .map(|&(_, c)| slots[c].stat.nanos)
+                .sum();
+            let stat = &mut self.slots[i].stat;
+            stat.self_nanos = stat.nanos.saturating_sub(children);
+        }
+    }
+
     fn top(&self) -> usize {
         self.stack.last().map_or(ROOT, |f| f.slot)
     }
@@ -164,9 +185,12 @@ pub(crate) fn drain<R>(mut row: impl FnMut(&mut Slot, &mut Vec<R>)) -> Vec<R> {
     })
 }
 
-/// Drain this thread's aggregated spans, sorted by path. Active (not yet
-/// dropped) spans are unaffected and will aggregate afresh.
+/// Drain this thread's aggregated spans, sorted by path, each with its
+/// self time. Active (not yet dropped) spans are unaffected and will
+/// aggregate afresh; a drain inside an active span can see its children's
+/// time without its own, and reports its self time as zero, not negative.
 pub fn take() -> Vec<(String, SpanStat)> {
+    STATE.with(|s| s.borrow_mut().settle_self_time());
     drain(|slot, rows| {
         let stat = std::mem::take(&mut slot.stat);
         if stat.count > 0 {
@@ -208,6 +232,38 @@ mod tests {
             spans[0].1.nanos >= spans[1].1.nanos,
             "parent time is inclusive"
         );
+    }
+
+    /// Self time is inclusive time less the direct children's, to the
+    /// nanosecond: children plus self add up to the parent exactly, and a
+    /// grandchild counts only against its own parent.
+    #[test]
+    fn children_plus_self_equal_inclusive() {
+        let _ = take();
+        let spin = || {
+            let t = std::time::Instant::now();
+            while t.elapsed().as_micros() < 50 {}
+        };
+        for _ in 0..3 {
+            let _a = enter("outer");
+            spin();
+            {
+                let _b = enter("left");
+                spin();
+                drop(enter("leaf"));
+            }
+            drop(enter("right"));
+        }
+        let spans: std::collections::BTreeMap<String, SpanStat> = take().into_iter().collect();
+        let [outer, left, leaf, right] =
+            ["outer", "outer/left", "outer/left/leaf", "outer/right"].map(|p| spans[p]);
+        assert_eq!(outer.self_nanos + left.nanos + right.nanos, outer.nanos);
+        assert_eq!(left.self_nanos + leaf.nanos, left.nanos);
+        assert_eq!(
+            (leaf.self_nanos, right.self_nanos),
+            (leaf.nanos, right.nanos)
+        );
+        assert!(outer.self_nanos > 0 && left.self_nanos > 0);
     }
 
     #[test]

@@ -28,6 +28,9 @@ pub struct WorldSpan {
     /// Largest single rank's inclusive seconds (wall-time-like; the
     /// critical-path view used for phase timings).
     pub max_rank_seconds: f64,
+    /// Self seconds summed over all ranks: inclusive time less the spans
+    /// entered directly under this one (`SpanStat::self_nanos`).
+    pub self_seconds: f64,
     /// Ranks that entered this span at least once.
     pub ranks: u32,
 }
@@ -55,6 +58,7 @@ pub fn reduce_spans(comm: &Comm) -> Option<Vec<WorldSpan>> {
         w.put_bytes(path.as_bytes());
         w.put_u64(s.count);
         w.put_u64(s.nanos);
+        w.put_u64(s.self_nanos);
     }
     let gathered = comm.gather_bytes(0, w.finish())?;
     let mut agg: BTreeMap<String, WorldSpan> = BTreeMap::new();
@@ -65,15 +69,18 @@ pub fn reduce_spans(comm: &Comm) -> Option<Vec<WorldSpan>> {
             let path = String::from_utf8(r.get_bytes()).expect("span paths are utf-8");
             let count = r.get_u64();
             let seconds = r.get_u64() as f64 * 1e-9;
+            let self_seconds = r.get_u64() as f64 * 1e-9;
             let e = agg.entry(path.clone()).or_insert_with(|| WorldSpan {
                 path,
                 count: 0,
                 total_seconds: 0.0,
                 max_rank_seconds: 0.0,
+                self_seconds: 0.0,
                 ranks: 0,
             });
             e.count += count;
             e.total_seconds += seconds;
+            e.self_seconds += self_seconds;
             e.max_rank_seconds = e.max_rank_seconds.max(seconds);
             e.ranks += 1;
         }
@@ -212,6 +219,7 @@ pub fn world_report(comm: &Comm) -> Option<Json> {
                     ("count", Json::U64(s.count)),
                     ("total_seconds", Json::F64(s.total_seconds)),
                     ("max_rank_seconds", Json::F64(s.max_rank_seconds)),
+                    ("self_seconds", Json::F64(s.self_seconds)),
                     ("ranks", Json::U64(s.ranks as u64)),
                 ])
             })),
@@ -288,6 +296,8 @@ mod tests {
         assert_eq!(row.ranks, 4);
         assert!(row.max_rank_seconds >= 0.001);
         assert!(row.total_seconds >= row.max_rank_seconds);
+        // No span under it: all of its time is its own.
+        assert_eq!(row.self_seconds, row.total_seconds);
         // The reduction's own gather also ran under no span on each rank —
         // it must not pollute the reduced set (it was drained before).
         assert!(spans.iter().all(|s| !s.path.contains("pcu.gather")));
@@ -444,5 +454,6 @@ mod tests {
         assert!(j.contains("\"spans\""));
         assert!(j.contains("\"traffic\""));
         assert!(j.contains("\"path\": \"phase/pcu.barrier\""));
+        assert!(j.contains("\"self_seconds\""));
     }
 }
