@@ -59,7 +59,7 @@
 //!
 //! Ghost copies are not adapted: [`adapt_dist`] strips ghost layers on
 //! entry; a caller that wants them back calls
-//! [`pumi_core::overlap::grow_overlap`] afterwards.
+//! [`Overlap::grow`] afterwards.
 
 use crate::coarsen::CoarsenOpts;
 use crate::host::Host;
@@ -597,7 +597,6 @@ mod tests {
     use super::*;
     use crate::refine::all_positive;
     use pumi_check::{check_dist, CheckOpts};
-    use pumi_core::overlap::{grow_overlap, GhostOpts};
     use pumi_core::{distribute, PartMap};
     use pumi_meshgen::{tet_box, tri_rect};
     use pumi_pcu::execute;
@@ -729,7 +728,7 @@ mod tests {
             let (collapses, vetoed) = table_vs_walk(c, &mut dm, &size);
             assert!(collapses > 0 && vetoed > 0, "{collapses} / {vetoed}");
             // Ghost records veto as remote copies do.
-            grow_overlap(c, &mut dm, GhostOpts::new());
+            Overlap::from_dist(&dm).grow(c, &mut dm, 1);
             for part in dm.parts.iter_mut() {
                 assert!(part.num_ghosts() > 0);
                 let host = PartHost::for_coarsening(part, None);
@@ -789,12 +788,12 @@ mod tests {
             let serial = tri_rect(4, 4, 1.0, 1.0);
             let labels = quadrant_labels(&serial);
             let mut dm = distribute(c, PartMap::contiguous(4, 2), &serial, &labels);
-            grow_overlap(c, &mut dm, GhostOpts::new());
+            Overlap::from_dist(&dm).grow(c, &mut dm, 1);
             let size = SizeField::uniform(0.2);
             adapt_dist(c, &mut dm, &size, AdaptOpts::new());
             assert_eq!(dm.global_sum(c, |p| p.num_ghosts() as u64), 0);
             check_dist(c, &dm, CheckOpts::all()).expect("valid after adapt");
-            grow_overlap(c, &mut dm, GhostOpts::new());
+            Overlap::from_dist(&dm).grow(c, &mut dm, 1);
             let ghosts = dm.global_sum(c, |p| p.num_ghosts() as u64);
             assert!(ghosts > 0, "ghost layer not rebuilt");
             check_dist(c, &dm, CheckOpts::all()).expect("valid after regrowing ghosts");

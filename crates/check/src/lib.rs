@@ -863,7 +863,7 @@ pub fn check_dist(comm: &Comm, dm: &DistMesh, opts: CheckOpts) -> Result<CheckSt
 ///
 /// ```
 /// use pumi_check::check_overlap;
-/// use pumi_core::overlap::{grow_overlap, GhostOpts};
+/// use pumi_core::overlap::Overlap;
 /// use pumi_core::{distribute, PartMap};
 /// use pumi_util::PartId;
 ///
@@ -875,7 +875,8 @@ pub fn check_dist(comm: &Comm, dm: &DistMesh, opts: CheckOpts) -> Result<CheckSt
 ///         labels[e.idx()] = u32::from(serial.centroid(e)[0] >= 0.5) as PartId;
 ///     }
 ///     let mut dm = distribute(c, PartMap::contiguous(2, 2), &serial, &labels);
-///     let ov = grow_overlap(c, &mut dm, GhostOpts::new());
+///     let mut ov = Overlap::from_dist(&dm);
+///     ov.grow(c, &mut dm, 1);
 ///     let links = check_overlap(c, &dm, &ov).expect("grown overlap is symmetric");
 ///     assert!(links > 0);
 /// });

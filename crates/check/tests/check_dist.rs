@@ -2,7 +2,7 @@
 //! detected collectively, and option gates skip exactly their family.
 
 use pumi_check::{check_dist, check_field_sync, check_overlap, CheckError, CheckOpts};
-use pumi_core::overlap::{grow_overlap, GhostOpts, Overlap, Reduction};
+use pumi_core::overlap::{Overlap, Reduction};
 use pumi_core::{distribute, migrate, DistMesh, MigrationPlan, Part, PartMap};
 use pumi_field::{dist_field, Field, FieldShape, FieldSync};
 use pumi_geom::GeomEnt;
@@ -50,7 +50,7 @@ fn passes_after_migrate_and_ghosting() {
         migrate(c, &mut dm, &plans);
         check_dist(c, &dm, CheckOpts::all()).expect("post-migrate mesh");
 
-        grow_overlap(c, &mut dm, GhostOpts::new());
+        Overlap::from_dist(&dm).grow(c, &mut dm, 1);
         check_dist(c, &dm, CheckOpts::all()).expect("post-ghost mesh");
     });
 }
@@ -182,7 +182,7 @@ fn duplicate_gid_detected_and_gateable() {
 fn broken_ghost_record_detected() {
     execute(2, |c| {
         let mut dm = two_part_mesh(c);
-        grow_overlap(c, &mut dm, GhostOpts::new());
+        Overlap::from_dist(&dm).grow(c, &mut dm, 1);
         check_dist(c, &dm, CheckOpts::all()).expect("clean ghosts");
         let part = &mut dm.parts[0];
         let victim = part.ghost_entities()[0];
@@ -215,7 +215,7 @@ fn broken_ghost_record_detected() {
 fn broken_overlap_closure_detected() {
     execute(2, |c| {
         let mut dm = two_part_mesh(c);
-        grow_overlap(c, &mut dm, GhostOpts::new());
+        Overlap::from_dist(&dm).grow(c, &mut dm, 1);
         check_dist(c, &dm, CheckOpts::all()).expect("clean overlap");
         let part = &mut dm.parts[0];
         let elem_dim = part.mesh.elem_dim();

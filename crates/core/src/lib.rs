@@ -38,7 +38,7 @@ pub mod wire;
 
 pub use dist::{distribute, DistMesh, PartExchange, PartMap};
 pub use migrate::{migrate, MigrationPlan};
-pub use overlap::{clear_overlap, grow_overlap, GhostOpts, Overlap, Reduction, Scope, Share};
+pub use overlap::{clear_overlap, Overlap, Reduction, Scope, Share};
 pub use part::{DirtyLog, Part, NO_GID};
 pub use ptnmodel::PtnModel;
 pub use rows::{Placed, RowError, Rows};

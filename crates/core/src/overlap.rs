@@ -11,11 +11,12 @@
 //! * [`Overlap::bcast`] — root → leaves (owner pushes authoritative data),
 //! * [`Overlap::reduce`] — leaves → root, combined with a [`Reduction`].
 //!
-//! Overlap *growth* ([`grow_overlap`], [`Overlap::grow`]) copies layers of
-//! elements adjacent (through a bridge dimension) to each part boundary
-//! onto the neighbouring parts, closure-complete and iterable to arbitrary
-//! depth — the paper's one-layer ghosting is exactly the `depth = 1`
-//! special case.
+//! Overlap *growth* ([`Overlap::grow`]) copies layers of elements adjacent
+//! (through a bridge dimension) to each part boundary onto the neighbouring
+//! parts, closure-complete and iterable to arbitrary depth — the paper's
+//! one-layer ghosting is exactly the `depth = 1` special case. Each ghost is
+//! rooted when it is shipped: the sender writes the entity's root copy into
+//! the record, and the holder acknowledges straight to that root.
 //!
 //! Ghost copies keep the read-only contract: data flows root → ghost leaf
 //! only, unless a caller explicitly reduces with [`Scope::All`] over values
@@ -29,7 +30,7 @@ use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
 use pumi_util::{Dim, FxHashMap, FxHashSet, MeshEnt, PartId};
 
 // ---------------------------------------------------------------------
-// Options and modes
+// Modes
 // ---------------------------------------------------------------------
 
 /// How [`Overlap::reduce`]-style synchronization combines multiple copies
@@ -53,53 +54,6 @@ pub enum Scope {
     All,
     /// Ghost leaves only (e.g. tag pushes under the read-only contract).
     Ghosts,
-}
-
-/// Options for [`grow_overlap`], builder-style like `ImproveOpts`:
-///
-/// ```
-/// use pumi_core::overlap::GhostOpts;
-/// use pumi_util::Dim;
-/// let opts = GhostOpts::new().bridge(Dim::Vertex).layers(2);
-/// assert_eq!(opts.layers, 2);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GhostOpts {
-    /// Bridge dimension: an element joins the next layer when it shares a
-    /// `bridge`-dimensional entity with the previous one. `Dim::Vertex`
-    /// gives the widest stencil; `Dim::Face` in 3D gives face-neighbour
-    /// stencils.
-    pub bridge: Dim,
-    /// Number of element layers to copy around every part boundary.
-    pub layers: usize,
-}
-
-impl Default for GhostOpts {
-    fn default() -> Self {
-        GhostOpts {
-            bridge: Dim::Vertex,
-            layers: 1,
-        }
-    }
-}
-
-impl GhostOpts {
-    /// Default options: one layer bridged through vertices.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the bridge dimension.
-    pub fn bridge(mut self, d: Dim) -> Self {
-        self.bridge = d;
-        self
-    }
-
-    /// Set the number of layers.
-    pub fn layers(mut self, n: usize) -> Self {
-        self.layers = n;
-        self
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -193,8 +147,8 @@ impl SlotShares {
                 }
             }
         }
-        // Ghost copies: the source (always the owner — growth re-roots
-        // holder records) is root, the ghost is a leaf.
+        // Ghost copies: the source (always the owner — growth ships each
+        // ghost with its root) is root, the ghost is a leaf.
         for (e, holders) in part.ghost_entities_owner_side() {
             roots.extend(holders.into_iter().map(|h| (e, link(h, true))));
         }
@@ -317,16 +271,6 @@ impl Overlap {
     /// The part id of local slot `slot`.
     pub fn part_id(&self, slot: usize) -> PartId {
         self.part_ids[slot]
-    }
-
-    /// Number of root entities on slot `slot`.
-    pub fn num_roots(&self, slot: usize) -> usize {
-        self.shares[slot].root_ents.len()
-    }
-
-    /// Number of leaf entities on slot `slot`.
-    pub fn num_leaves(&self, slot: usize) -> usize {
-        self.shares[slot].leaf_ents.len()
     }
 
     /// The leaf copies of root `e` on slot `slot` (empty if not a root).
@@ -485,8 +429,7 @@ impl Overlap {
                     }
                     let w = ex.to(part.id, q);
                     for &e in by_dim.iter().take(elem_dim + 1).flatten() {
-                        // The extra field is the sender-side index.
-                        wire::put_entity(w, part, e, |w| w.put_u32(e.index()));
+                        wire::put_entity(w, part, e, |w| wire::put_share(w, root_of(part, e)));
                     }
                 }
             }
@@ -494,10 +437,11 @@ impl Overlap {
             drop(pack);
 
             // 3. Receive: build each frame's rows, marking the created ones
-            //    ghosts; reply with local indices, in row order, so the
-            //    sender can route holder records.
+            //    ghosts of the root each row carries, and ack each created
+            //    row straight to its root with the holder's local index.
             let unpack = pumi_obs::span!("overlap.grow.unpack");
-            let mut replies: Vec<(PartId, PartId, Vec<Ack>)> = Vec::new();
+            let nparts = dm.map.nparts();
+            let mut acks = PartExchange::new(comm, &dm.map);
             // Canonical unpack order: ghost creation order (local indices,
             // and which sender a doubly-shipped entity first arrives from)
             // must not depend on the chaos scheduler's arrival order.
@@ -506,86 +450,40 @@ impl Overlap {
             for (from, to, mut r) in frames {
                 let part = &mut dm.parts[dm.map.slot_of(to)];
                 let mut rows = Rows::default();
-                wire::decode_entity_frame(&mut r, &mut rows, MsgReader::try_get_u32)
+                wire::decode_entity_frame(&mut r, &mut rows, |r| wire::get_share(r, nparts))
                     .map_err(|e| e.to_string())
                     .and_then(|()| {
                         part.build(&rows, &mut at, |_, _| true)
                             .map_err(|e| e.to_string())
                     })
                     .unwrap_or_else(|e| panic!("corrupt overlap frame {from}->{to}: {e}"));
-                let mut ack: Vec<Ack> = Vec::new();
                 for d in Dim::ALL {
-                    for (r, &src_idx) in rows.dim(d).extra.iter().enumerate() {
+                    for (r, &(root, root_idx)) in rows.dim(d).extra.iter().enumerate() {
                         if let Some((e, true)) = at.get(d, r) {
-                            part.set_ghost(e, (from, src_idx));
-                            ack.push((d.as_usize() as u8, src_idx, e.index()));
+                            part.set_ghost(e, (root, root_idx));
+                            let w = acks.to(to, root);
+                            w.put_u8(d.as_usize() as u8);
+                            w.put_u32(root_idx);
+                            w.put_u32(e.index());
                             total += u64::from(d.as_usize() == elem_dim);
                         }
                     }
                 }
-                if !ack.is_empty() {
-                    replies.push((to, from, ack));
-                }
             }
             drop(unpack);
 
-            // 4. Acknowledge to the sender. If the sender owns the entity
-            //    it records the holder directly; otherwise it re-roots:
-            //    forwards the holder record to the owner and tells the
-            //    holder the canonical root, so ghost links always point at
-            //    owners no matter which part shipped the copy.
+            // 4. The root records each holder.
             let _ack = pumi_obs::span!("overlap.grow.ack");
-            let mut ex = PartExchange::new(comm, &dm.map);
-            for (me, sender, ack) in replies {
-                let w = ex.to(me, sender);
-                for (d, src_idx, my_idx) in ack {
-                    w.put_u8(d);
-                    w.put_u32(src_idx);
-                    w.put_u32(my_idx);
-                }
-            }
-            let mut frames = ex.finish();
-            frames.sort_by_key(|&(from, to, _)| (to, from));
-            // Re-root records: (sender part, dest part, payload).
-            let mut reroot = PartExchange::new(comm, &dm.map);
-            for (from, to, mut r) in frames {
-                let slot = dm.map.slot_of(to);
-                loop {
-                    let part = &mut dm.parts[slot];
-                    match read_ack(&mut r) {
-                        Ok(None) => break,
-                        Ok(Some((d, my_idx, holder_idx))) => {
-                            let e = MeshEnt::new(d, my_idx);
-                            match root_ref(part, e) {
-                                None => part.record_ghost_holder(e, (from, holder_idx)),
-                                Some((owner, oidx)) => {
-                                    // Tell the owner about its new holder…
-                                    let w = reroot.to(to, owner);
-                                    w.put_u8(0);
-                                    w.put_u8(d.as_usize() as u8);
-                                    w.put_u32(oidx);
-                                    w.put_u32(from);
-                                    w.put_u32(holder_idx);
-                                    // …and the holder about its real root.
-                                    let w = reroot.to(to, from);
-                                    w.put_u8(1);
-                                    w.put_u8(d.as_usize() as u8);
-                                    w.put_u32(holder_idx);
-                                    w.put_u32(owner);
-                                    w.put_u32(oidx);
-                                }
-                            }
-                        }
-                        Err(e) => panic!("corrupt overlap ack frame {from}->{to}: {e}"),
-                    }
-                }
-            }
-            let mut frames = reroot.finish();
+            let mut frames = acks.finish();
             frames.sort_by_key(|&(from, to, _)| (to, from));
             for (from, to, mut r) in frames {
-                let slot = dm.map.slot_of(to);
-                unpack_reroot(&mut r, &mut dm.parts[slot])
-                    .unwrap_or_else(|e| panic!("corrupt overlap re-root frame {from}->{to}: {e}"));
+                let part = &mut dm.parts[dm.map.slot_of(to)];
+                while !r.is_done() {
+                    let (e, holder_idx) = decode_header(&mut r)
+                        .and_then(|e| Ok((e, r.try_get_u32()?)))
+                        .unwrap_or_else(|e| panic!("corrupt overlap ack frame {from}->{to}: {e}"));
+                    part.record_ghost_holder(e, (from, holder_idx));
+                }
             }
 
             self.depth += 1;
@@ -720,25 +618,6 @@ impl Overlap {
 // ---------------------------------------------------------------------
 // Free functions
 // ---------------------------------------------------------------------
-
-/// Grow a ghost overlap around every part boundary and return its share
-/// map. The one-call form of [`Overlap::from_dist`] + [`Overlap::grow`]:
-///
-/// ```no_run
-/// # use pumi_core::overlap::{grow_overlap, GhostOpts};
-/// # use pumi_util::Dim;
-/// # fn demo(c: &pumi_pcu::Comm, dm: &mut pumi_core::DistMesh) {
-/// let ov = grow_overlap(c, dm, GhostOpts::new().bridge(Dim::Vertex).layers(2));
-/// assert_eq!(ov.depth(), 2);
-/// # }
-/// ```
-///
-/// Collective.
-pub fn grow_overlap(comm: &Comm, dm: &mut DistMesh, opts: GhostOpts) -> Overlap {
-    let mut ov = Overlap::from_dist(dm).with_bridge(opts.bridge);
-    ov.grow(comm, dm, opts.layers);
-    ov
-}
 
 /// Delete every ghost copy on every local part. Locally destructive only —
 /// no communication needed; owner-side holder records are cleared too.
@@ -910,9 +789,6 @@ fn next_layer(
 // Wire helpers
 // ---------------------------------------------------------------------
 
-/// Ghost-creation acknowledgement: (dim, sender idx, holder idx).
-type Ack = (u8, u32, u32);
-
 /// One slot's outgoing bcast/reduce frames: a writer per peer, fetched by
 /// the link's peer position instead of by hashing `(from, to)` per record.
 struct PeerWriters<'a> {
@@ -971,51 +847,18 @@ fn decode_header(r: &mut MsgReader) -> Result<MeshEnt, MsgError> {
     Ok(MeshEnt::new(get_dim(r)?, r.try_get_u32()?))
 }
 
-/// Read one ack record, or `None` at end of frame.
-fn read_ack(r: &mut MsgReader) -> Result<Option<(Dim, u32, u32)>, MsgError> {
-    if r.is_done() {
-        return Ok(None);
-    }
-    Ok(Some((get_dim(r)?, r.try_get_u32()?, r.try_get_u32()?)))
-}
-
-/// Where the root copy of `e` lives, from `part`'s perspective: `None` if
-/// `part` owns `e` itself, else the owning part and `e`'s index there.
-fn root_ref(part: &Part, e: MeshEnt) -> Option<(PartId, u32)> {
+/// The root copy of `e` as `part` knows it: its ghost source, else its
+/// owner's copy from the remote-copy list, else `part`'s own.
+fn root_of(part: &Part, e: MeshEnt) -> (PartId, u32) {
     if let Some(src) = part.ghost_source(e) {
-        return Some(src);
+        return src;
     }
     let owner = part.owner(e);
-    if owner == part.id {
-        return None;
-    }
     part.remotes_of(e)
         .iter()
         .find(|&&(q, _)| q == owner)
         .copied()
-}
-
-/// Unpack re-root records: kind 0 installs a holder record at the owner,
-/// kind 1 repoints a holder's ghost link at the owner.
-fn unpack_reroot(r: &mut MsgReader, part: &mut Part) -> Result<(), MsgError> {
-    while !r.is_done() {
-        let kind = r.try_get_u8()?;
-        let d = get_dim(r)?;
-        let my_idx = r.try_get_u32()?;
-        let other_part = r.try_get_u32()?;
-        let other_idx = r.try_get_u32()?;
-        let e = MeshEnt::new(d, my_idx);
-        match kind {
-            0 => part.record_ghost_holder(e, (other_part, other_idx)),
-            1 => {
-                if part.is_ghost(e) {
-                    part.set_ghost(e, (other_part, other_idx));
-                }
-            }
-            k => return Err(MsgError::bad_enum("re-root kind", k)),
-        }
-    }
-    Ok(())
+        .unwrap_or((part.id, e.index()))
 }
 
 #[cfg(test)]
@@ -1079,7 +922,8 @@ mod tests {
         execute(2, |c| {
             let mut dm = strip_two_parts(c);
             let before = dm.part(c.rank() as PartId).mesh.num_elems();
-            let ov = grow_overlap(c, &mut dm, GhostOpts::new());
+            let mut ov = Overlap::from_dist(&dm);
+            ov.grow(c, &mut dm, 1);
             assert_eq!(ov.depth(), 1);
             let part = dm.part(c.rank() as PartId);
             assert!(part.mesh.num_elems() > before);
@@ -1096,7 +940,9 @@ mod tests {
     fn owner_side_ghost_view_after_grow() {
         execute(2, |c| {
             let mut dm = strip_two_parts(c);
-            grow_overlap(c, &mut dm, GhostOpts::new().bridge(Dim::Vertex));
+            Overlap::from_dist(&dm)
+                .with_bridge(Dim::Vertex)
+                .grow(c, &mut dm, 1);
             let part = dm.part(c.rank() as PartId);
             let view = part.ghost_entities_owner_side();
             assert!(!view.is_empty(), "owner-side ghost records missing");
@@ -1131,7 +977,10 @@ mod tests {
         execute(1, |c| {
             let mut dm = quadrants_one_rank(c);
             pumi_obs::span::take();
-            grow_overlap(c, &mut dm, GhostOpts::new().layers(2));
+            let before = c.exchanges_completed();
+            Overlap::from_dist(&dm).grow(c, &mut dm, 2);
+            // Per layer: ship the closures, ack each ghost to its root.
+            assert_eq!(c.exchanges_completed() - before, 4, "exchanges");
             let spans = pumi_obs::span::take();
             for phase in ["select", "pack", "unpack", "ack"] {
                 let path = format!("overlap.grow/overlap.grow.{phase}");
@@ -1154,7 +1003,8 @@ mod tests {
             let mut dm = strip_two_parts(c);
             let pid = c.rank() as PartId;
             let counts_before = dm.part(pid).entity_counts();
-            let mut ov = grow_overlap(c, &mut dm, GhostOpts::new());
+            let mut ov = Overlap::from_dist(&dm);
+            ov.grow(c, &mut dm, 1);
             assert!(dm.part(pid).num_ghosts() > 0);
             ov.clear(&mut dm);
             assert_eq!(ov.depth(), 0);
@@ -1172,10 +1022,11 @@ mod tests {
     fn ghost_sources_are_owners() {
         execute(1, |c| {
             let mut dm = quadrants_one_rank(c);
-            grow_overlap(c, &mut dm, GhostOpts::new().layers(2));
+            Overlap::from_dist(&dm).grow(c, &mut dm, 2);
             // With 4 parts meeting at the domain centre, parts ship
-            // closures containing entities they do not own; re-rooting
-            // must still leave every ghost pointing at its owner.
+            // closures containing entities they do not own; the root each
+            // record carries must still be the owner, and the owner must
+            // hold the holder record.
             let mut checked = 0;
             for part in &dm.parts {
                 for g in part.ghost_entities() {
@@ -1205,7 +1056,8 @@ mod tests {
     fn bcast_and_reduce_roundtrip() {
         execute(2, |c| {
             let mut dm = strip_two_parts(c);
-            let ov = grow_overlap(c, &mut dm, GhostOpts::new());
+            let mut ov = Overlap::from_dist(&dm);
+            ov.grow(c, &mut dm, 1);
             // One value per vertex: gid at roots, 0 elsewhere.
             let mut vals: Vec<FxHashMap<MeshEnt, u64>> = dm
                 .parts
@@ -1287,7 +1139,8 @@ mod tests {
     fn bcast_tags_refuses_a_handle_from_before_a_clear() {
         execute(1, |c| {
             let mut dm = quadrants_one_rank(c);
-            let ov = grow_overlap(c, &mut dm, GhostOpts::new());
+            let mut ov = Overlap::from_dist(&dm);
+            ov.grow(c, &mut dm, 1);
             // Not `ov.clear`: the ghosts go, the handle still lists them.
             clear_overlap(&mut dm);
             ov.bcast_tags(c, &mut dm, Scope::Ghosts);
@@ -1334,7 +1187,8 @@ mod tests {
                     part.mesh.tags_mut().set_int(tid, e, pid as i64);
                 }
             }
-            let ov = grow_overlap(c, &mut dm, GhostOpts::new());
+            let mut ov = Overlap::from_dist(&dm);
+            ov.grow(c, &mut dm, 1);
             {
                 let part = dm.part_mut(pid);
                 let tid = part.mesh.tags().find("load").unwrap();

@@ -7,7 +7,8 @@
 //! * **ship an entity** — the [`put_entity`] record (`dim, topo, gid,
 //!   class, <caller's extra field>, coords | vertex gids, tags`), which
 //!   [`decode_entity_frame`] appends to a [`Rows`] block for
-//!   [`Part::build`] to find or create;
+//!   [`Part::build`] to find or create; `Overlap::grow`'s extra field is
+//!   the entity's root copy, one [`put_share`] `(part, index)`;
 //! * **link the copies** — [`stitch`]: every part tells the other residence
 //!   parts its local index with one [`put_link`] row `(dim, gid, index)`
 //!   per (entity, peer), and receivers resolve the rows by gid. Before
@@ -80,13 +81,30 @@ pub fn get_parts(r: &mut MsgReader, nparts: usize, out: &mut Vec<PartId>) -> Res
     }
     out.reserve(n);
     for _ in 0..n {
-        let p = r.try_get_u32()?;
-        if p as usize >= nparts {
-            return Err(MsgError::corrupt("part outside the world"));
-        }
-        out.push(p);
+        out.push(get_part(r, nparts)?);
     }
     Ok(())
+}
+
+/// Decode one part id; a part outside `0..nparts` is [`MsgError::Corrupt`].
+fn get_part(r: &mut MsgReader, nparts: usize) -> Result<PartId, MsgError> {
+    let p = r.try_get_u32()?;
+    if p as usize >= nparts {
+        return Err(MsgError::corrupt("part outside the world"));
+    }
+    Ok(p)
+}
+
+/// Append one copy of an entity: `part u32, index u32`.
+pub fn put_share(w: &mut MsgWriter, (part, index): (PartId, u32)) {
+    w.put_u32(part);
+    w.put_u32(index);
+}
+
+/// Decode one copy written by [`put_share`]; a part outside `0..nparts` is
+/// [`MsgError::Corrupt`].
+pub fn get_share(r: &mut MsgReader, nparts: usize) -> Result<(PartId, u32), MsgError> {
+    Ok((get_part(r, nparts)?, r.try_get_u32()?))
 }
 
 /// Rebuild remote-copy links. `announce[slot]` lists, in wire order, the

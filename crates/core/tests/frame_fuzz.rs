@@ -12,7 +12,8 @@
 
 use proptest::prelude::*;
 use pumi_core::wire::{
-    decode_entity_frame, get_link, get_residence, put_entity, put_link, put_residence,
+    decode_entity_frame, get_link, get_residence, get_share, put_entity, put_link, put_residence,
+    put_share,
 };
 use pumi_core::{distribute, Part, PartMap, Placed, Rows, NO_GID};
 use pumi_meshgen::tet_box;
@@ -49,7 +50,7 @@ unsafe impl GlobalAlloc for Largest {
 #[global_allocator]
 static GLOBAL: Largest = Largest;
 
-/// Parts in the world the residence rows are decoded for.
+/// Parts in the world the residence rows and grow roots are decoded for.
 const NPARTS: usize = 4;
 
 /// A frame's bytes and where its length prefixes sit.
@@ -91,8 +92,8 @@ fn source() -> Part {
 }
 
 /// The closure of the first six elements, bottom up, packed as a grow
-/// (`residence == false`: the sender's index) or a migrate (the new
-/// residence set) frame would pack it.
+/// (`residence == false`: the entity's root copy, here on part 0) or a
+/// migrate (the new residence set) frame would pack it.
 fn frame(part: &Part, residence: bool) -> Frame {
     let mut by_dim: [Vec<MeshEnt>; 4] = Default::default();
     for el in part.mesh.elems().take(6) {
@@ -107,7 +108,7 @@ fn frame(part: &Part, residence: bool) -> Frame {
         let mut w = MsgWriter::new();
         put_entity(&mut w, part, e, |w| match residence {
             true => w.put_u32_slice(&[0, 1]),
-            false => w.put_u32(e.index()),
+            false => put_share(w, (0, e.index())),
         });
         // Header: dim, topology, gid, class; then the caller's field.
         let mut at = bytes.len() + 1 + 1 + 8 + 4;
@@ -115,7 +116,7 @@ fn frame(part: &Part, residence: bool) -> Frame {
             prefixes.push(at);
             at += 4 + 2 * 4;
         } else {
-            at += 4;
+            at += 4 + 4;
         }
         if e.dim() == Dim::Vertex {
             at += 3 * 8;
@@ -134,7 +135,7 @@ fn unpack(part: &mut Part, bytes: &[u8], residence: bool) -> Result<(), String> 
     let r = &mut MsgReader::from_vec(bytes.to_vec());
     match residence {
         true => build(part, r, MsgReader::try_get_u32_slice),
-        false => build(part, r, MsgReader::try_get_u32),
+        false => build(part, r, |r| get_share(r, NPARTS)),
     }
 }
 
@@ -155,7 +156,7 @@ fn holding_vertices(bytes: &[u8]) -> Part {
     let mut part = Part::new(1, 3);
     let mut rows = Rows::default();
     let r = &mut MsgReader::from_vec(bytes.to_vec());
-    decode_entity_frame(r, &mut rows, MsgReader::try_get_u32).expect("grow frame decodes");
+    decode_entity_frame(r, &mut rows, |r| get_share(r, NPARTS)).expect("grow frame decodes");
     let at = &mut Placed::default();
     part.build(&rows, at, |d, _| d == Dim::Vertex)
         .expect("vertices build");

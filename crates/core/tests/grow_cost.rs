@@ -4,15 +4,17 @@
 //! creates must stay under one bound at both. Counted, not timed, so it
 //! holds on any machine.
 //!
-//! Measured: 2.45 allocator calls per ghost entity at `6³` cells (9 888 for
-//! 4 040 ghosts) and 2.19 at `12³` (34 036 for 15 560) in a release build,
-//! 2.36 and 2.16 in a debug build. What is left is mostly the mesh's own
-//! storage: vertex up-adjacency lists outgrowing their six inline slots, and
-//! arrays and hash tables growing. While the unpack decoded one record with
-//! two heap `Vec`s per entity, resolved its vertices into a third and walked
-//! each new entity's closure for entities without a gid (a fourth), a grow
-//! made 6.46 (26 080) and 6.34 (98 612); before the selection read one star
-//! table per part, 8.30 (33 512) and 8.26 (128 538).
+//! Measured: 2.44 allocator calls per ghost entity at `6³` cells (9 855 for
+//! 4 040 ghosts) and 2.18 at `12³` (33 993 for 15 560), in a release and in
+//! a debug build alike. What is left is mostly the mesh's own storage:
+//! vertex up-adjacency lists outgrowing their six inline slots, and arrays
+//! and hash tables growing. While a third exchange per layer re-rooted the
+//! ghosts a non-owner had shipped, a grow made 2.45 (9 888) and 2.19
+//! (34 036). While the unpack decoded one record with two heap `Vec`s per
+//! entity, resolved its vertices into a third and walked each new entity's
+//! closure for entities without a gid (a fourth), a grow made 6.46 (26 080)
+//! and 6.34 (98 612); before the selection read one star table per part,
+//! 8.30 (33 512) and 8.26 (128 538).
 
 use pumi_core::overlap::Overlap;
 use pumi_core::{distribute, PartMap};

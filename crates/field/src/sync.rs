@@ -138,7 +138,6 @@ impl FieldSync for DistField {
 mod tests {
     use super::*;
     use crate::field::{Field, FieldShape};
-    use pumi_core::overlap::{grow_overlap, GhostOpts};
     use pumi_core::{distribute, migrate, MigrationPlan, PartMap};
     use pumi_meshgen::tri_rect;
     use pumi_pcu::execute;
@@ -288,7 +287,8 @@ mod tests {
     fn sync_reaches_ghost_copies() {
         execute(2, |c| {
             let mut dm = two_part_mesh(c);
-            let ov = grow_overlap(c, &mut dm, GhostOpts::new());
+            let mut ov = Overlap::from_dist(&dm);
+            ov.grow(c, &mut dm, 1);
             let template = Field::new("u", FieldShape::Linear, 1);
             let mut fields = dist_field(&dm, &template);
             // Values only on owned, non-ghost vertices: their gid.

@@ -16,7 +16,7 @@
 //! row names, to every rank building from it; a non-holder drops those.
 //!
 //! Ghost layers are dropped when N ≠ M (re-grow with
-//! `pumi_core::overlap::grow_overlap` after the restore); global-id
+//! `pumi_core::overlap::Overlap::grow` after the restore); global-id
 //! counters are floored at the global maximum so ids minted after a restore
 //! never collide with checkpointed ones. Every entry point is collective
 //! and returns `Err` on *every* rank when any rank fails.

@@ -8,7 +8,7 @@
 //! bit-exact field values, on every rank count.
 
 use pumi_check::{check_dist, CheckOpts};
-use pumi_core::overlap::{grow_overlap, GhostOpts};
+use pumi_core::overlap::Overlap;
 use pumi_core::{distribute, DistMesh, PartMap};
 use pumi_field::{DistField, Field, FieldShape};
 use pumi_io::{read_checkpoint, struct_hash, write_checkpoint, write_delta_checkpoint, IoError};
@@ -206,7 +206,9 @@ fn delta_roundtrip(name: &str, serial: &Mesh, nwrite: usize, rounds: usize, ghos
         let mut dm = build_dm(c, serial);
         set_tags(&mut dm);
         if ghosts {
-            grow_overlap(c, &mut dm, GhostOpts::new().bridge(Dim::Vertex).layers(1));
+            Overlap::from_dist(&dm)
+                .with_bridge(Dim::Vertex)
+                .grow(c, &mut dm, 1);
         }
         let mut fields = make_field(&dm);
         write_checkpoint(c, &dm, &[&fields], &dir_delta).expect("base write");

@@ -8,7 +8,7 @@
 
 use pumi_check::{check_dist, CheckOpts};
 use pumi_core::numbering::number_owned;
-use pumi_core::overlap::{clear_overlap, grow_overlap, GhostOpts, Overlap, Reduction};
+use pumi_core::overlap::{clear_overlap, Overlap, Reduction};
 use pumi_core::{distribute, migrate, MigrationPlan, PartMap, PtnModel};
 use pumi_field::{dist_field, Field, FieldShape, FieldSync};
 use pumi_meshgen::tet_box;
@@ -70,7 +70,8 @@ fn main() {
 
         // One ghost layer bridged through vertices (read-only copies),
         // grown through the star-forest overlap.
-        let ov = grow_overlap(c, &mut dm, GhostOpts::new().bridge(Dim::Vertex).layers(1));
+        let mut ov = Overlap::from_dist(&dm).with_bridge(Dim::Vertex);
+        ov.grow(c, &mut dm, 1);
         let ghosts = dm.global_sum(c, |p| p.num_ghosts() as u64);
         lines.push(format!(
             "grew a depth-{} overlap: {ghosts} ghost entity copies",

@@ -6,7 +6,7 @@
 
 use parma::{improve, ImproveOpts, Priority};
 use pumi_repro::check::{check_dist, CheckOpts};
-use pumi_repro::core::overlap::{grow_overlap, GhostOpts, Overlap, Reduction};
+use pumi_repro::core::overlap::{Overlap, Reduction};
 use pumi_repro::core::{distribute, migrate, DistMesh, MigrationPlan, PartMap};
 use pumi_repro::field::{dist_field, Field, FieldShape, FieldSync};
 use pumi_repro::io::{read_checkpoint, struct_hash, write_checkpoint};
@@ -69,7 +69,9 @@ fn scenario(c: &Comm, label: &str) -> RankTrace {
         plans.insert(0, plan);
     }
     migrate(c, &mut dm, &plans);
-    grow_overlap(c, &mut dm, GhostOpts::new().bridge(Dim::Vertex).layers(1));
+    Overlap::from_dist(&dm)
+        .with_bridge(Dim::Vertex)
+        .grow(c, &mut dm, 1);
     check_dist(c, &dm, CheckOpts::all()).expect("stage 1 invariants");
     hashes.push(struct_hash(c, &dm));
 

@@ -1,11 +1,11 @@
 //! The typed invariant checker passes after every mutating collective in
-//! the stack: distribute, migrate, grow_overlap, parma improve, and a
+//! the stack: distribute, migrate, overlap growth, parma improve, and a
 //! checkpoint restore. `pumi-check`'s own tests prove the checker *detects*
 //! corruption; this suite proves the operations *preserve* the invariants.
 
 use parma::{improve, ImproveOpts, Priority};
 use pumi_repro::check::{check_dist, CheckOpts};
-use pumi_repro::core::overlap::{grow_overlap, GhostOpts};
+use pumi_repro::core::overlap::Overlap;
 use pumi_repro::core::{distribute, migrate, DistMesh, MigrationPlan, PartMap};
 use pumi_repro::io::{read_checkpoint, write_checkpoint};
 use pumi_repro::meshgen::tri_rect;
@@ -43,7 +43,9 @@ fn invariants_hold_through_migrate_and_ghosting() {
         migrate(c, &mut dm, &plans);
         check_dist(c, &dm, CheckOpts::all()).expect("post-migrate");
 
-        grow_overlap(c, &mut dm, GhostOpts::new().bridge(Dim::Vertex).layers(1));
+        Overlap::from_dist(&dm)
+            .with_bridge(Dim::Vertex)
+            .grow(c, &mut dm, 1);
         check_dist(c, &dm, CheckOpts::all()).expect("post-ghost");
     });
 }

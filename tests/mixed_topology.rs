@@ -4,7 +4,7 @@
 
 use parma::{improve, EntityLoads, ImproveOpts, Priority};
 use pumi_check::{check_dist, CheckOpts};
-use pumi_core::overlap::{clear_overlap, grow_overlap, GhostOpts};
+use pumi_core::overlap::{clear_overlap, Overlap};
 use pumi_core::{distribute, migrate, MigrationPlan, PartMap};
 use pumi_meshgen::{hex_box, quad_rect};
 use pumi_pcu::execute;
@@ -43,7 +43,8 @@ fn hex_mesh_distributes_migrates_and_ghosts() {
         assert_eq!(total, nregions);
 
         // Ghost a layer of hexes through face bridges.
-        let ov = grow_overlap(c, &mut dm, GhostOpts::new().bridge(Dim::Face).layers(1));
+        let mut ov = Overlap::from_dist(&dm).with_bridge(Dim::Face);
+        ov.grow(c, &mut dm, 1);
         assert!(ov.depth() == 1);
         assert!(dm.global_sum(c, |p| p.num_ghosts() as u64) > 0);
         clear_overlap(&mut dm);
