@@ -24,7 +24,7 @@ use pumi_geom::builders::{vessel, VesselSpec};
 use pumi_geom::Model;
 use pumi_mesh::Mesh;
 use pumi_meshgen::{tet_box, tri_rect, vessel_tet};
-use pumi_pcu::{execute, execute_chaos, Comm};
+use pumi_pcu::{execute, execute_opts, Comm, MachineModel, SchedMode, WorldOpts};
 use pumi_util::{Dim, MeshEnt, PartId};
 
 const QBINS: usize = 20;
@@ -181,7 +181,11 @@ fn run_arm(
         (stats, hash, c.allreduce_sum_u64_vec(&hist), coords)
     };
     let out = match chaos_seed {
-        Some(seed) => execute_chaos(nranks, seed, body),
+        Some(seed) => execute_opts(
+            MachineModel::flat(nranks),
+            WorldOpts::default().sched(SchedMode::Chaos(seed)),
+            body,
+        ),
         None => execute(nranks, body),
     };
     let mut coords = Vec::new();

@@ -27,7 +27,7 @@ use pumi_partition::{
     HierOpts, PartitionQuality,
 };
 use pumi_pcu::phased::Exchange;
-use pumi_pcu::{execute_on, Comm, MachineModel, TrafficReport};
+use pumi_pcu::{execute_opts, Comm, MachineModel, TrafficReport, WorldOpts};
 use pumi_util::stats::{imbalance, LoadStats, Timer};
 use pumi_util::tag::TagKind;
 use pumi_util::{Dim, PartId};
@@ -700,7 +700,8 @@ pub fn hybrid_comm(p: HybridParams, inspect: Inspect) -> Hybrid {
         .map(|threads| {
             let rounds = 64usize;
             let payload = 4096usize;
-            rank0(execute_on(MachineModel::new(1, threads), |c| {
+            let machine = MachineModel::new(1, threads);
+            rank0(execute_opts(machine, WorldOpts::default(), |c| {
                 c.reset_traffic();
                 c.barrier();
                 let timer = Timer::start();
@@ -740,7 +741,7 @@ pub fn hybrid_comm(p: HybridParams, inspect: Inspect) -> Hybrid {
         ),
     ]
     .map(|(name, machine)| {
-        rank0(execute_on(machine, |c| {
+        rank0(execute_opts(machine, WorldOpts::default(), |c| {
             let map = PartMap::contiguous(p.nparts, p.nparts);
             let dm = distribute(c, map, &serial, &labels);
             let split = boundary_traffic_split(&dm, machine);

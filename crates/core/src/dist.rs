@@ -12,7 +12,7 @@ use crate::part::Part;
 use crate::rows::{Placed, Rows};
 use crate::wire::stitch;
 use pumi_mesh::Mesh;
-use pumi_pcu::phased::{Exchange, ExchangeOpts};
+use pumi_pcu::phased::Exchange;
 use pumi_pcu::{ChaosRng, Comm, MsgReader, MsgWriter, SchedMode};
 use pumi_util::{Dim, FxHashMap, MeshEnt, PartId};
 
@@ -162,22 +162,15 @@ pub struct PartExchange<'c, 'm> {
     comm: &'c Comm,
     map: &'m PartMap,
     bufs: FxHashMap<(PartId, PartId), MsgWriter>,
-    opts: ExchangeOpts,
 }
 
 impl<'c, 'm> PartExchange<'c, 'm> {
     /// Begin an exchange. All ranks must participate.
     pub fn new(comm: &'c Comm, map: &'m PartMap) -> Self {
-        PartExchange::with_opts(comm, map, ExchangeOpts::default())
-    }
-
-    /// Begin an exchange with explicit routing/scheduling options.
-    pub fn with_opts(comm: &'c Comm, map: &'m PartMap, opts: ExchangeOpts) -> Self {
         PartExchange {
             comm,
             map,
             bufs: FxHashMap::default(),
-            opts,
         }
     }
 
@@ -206,7 +199,7 @@ impl<'c, 'm> PartExchange<'c, 'm> {
         // rank-level shuffle is undone by the canonical (to, from) sort
         // below, which would otherwise hide order-dependence bugs in
         // part-addressed algorithms.
-        let chaos = match self.opts.sched.unwrap_or_else(|| self.comm.sched()) {
+        let chaos = match self.comm.sched() {
             SchedMode::Chaos(seed) => Some(ChaosRng::for_phase(
                 seed ^ 0x9A87_F00D,
                 self.comm.exchanges_completed(),
@@ -214,7 +207,7 @@ impl<'c, 'm> PartExchange<'c, 'm> {
             )),
             SchedMode::Deterministic => None,
         };
-        let mut ex = Exchange::with_opts(self.comm, self.opts);
+        let mut ex = Exchange::new(self.comm);
         // Deterministic packing order.
         let mut items: Vec<((PartId, PartId), MsgWriter)> = self.bufs.into_iter().collect();
         items.sort_by_key(|&(k, _)| k);
@@ -363,7 +356,7 @@ pub fn distribute(comm: &Comm, map: PartMap, serial: &Mesh, elem_part: &[PartId]
 mod tests {
     use super::*;
     use pumi_meshgen::tri_rect;
-    use pumi_pcu::execute;
+    use pumi_pcu::{execute, execute_opts, MachineModel, WorldOpts};
 
     #[test]
     fn partmap_contiguous() {
@@ -396,15 +389,12 @@ mod tests {
 
     #[test]
     fn part_exchange_routes_by_part() {
-        execute(2, |c| {
+        // Pinned deterministic: the sortedness assertion below is about the
+        // deterministic scheduler's contract.
+        let opts = WorldOpts::default().sched(SchedMode::Deterministic);
+        execute_opts(MachineModel::flat(2), opts, |c| {
             let map = PartMap::contiguous(4, 2); // rank0: parts 0,1; rank1: 2,3
-                                                 // Pinned deterministic: the sortedness assertion below is about
-                                                 // the deterministic scheduler's contract.
-            let mut ex = PartExchange::with_opts(
-                c,
-                &map,
-                ExchangeOpts::default().with_sched(SchedMode::Deterministic),
-            );
+            let mut ex = PartExchange::new(c, &map);
             // Each local part sends its id+100 to every other part.
             for &from in map.parts_on(c.rank()) {
                 for to in 0..4u32 {
@@ -431,10 +421,10 @@ mod tests {
     /// permutation that actually differs from sorted order for some seed.
     #[test]
     fn part_exchange_chaos_same_set_any_order() {
-        use pumi_pcu::execute_chaos;
         let mut permuted = false;
         for seed in 1..=4u64 {
-            let rows = execute_chaos(2, seed, |c| {
+            let opts = WorldOpts::default().sched(SchedMode::Chaos(seed));
+            let rows = execute_opts(MachineModel::flat(2), opts, |c| {
                 let map = PartMap::contiguous(4, 2);
                 let mut ex = PartExchange::new(c, &map);
                 for &from in map.parts_on(c.rank()) {

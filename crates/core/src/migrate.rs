@@ -645,7 +645,7 @@ mod tests {
     use pumi_geom::GeomEnt;
     use pumi_mesh::Topology;
     use pumi_meshgen::tri_rect;
-    use pumi_pcu::{execute, MsgWriter};
+    use pumi_pcu::{execute, execute_opts, MachineModel, MsgWriter, SchedMode, WorldOpts};
     use pumi_util::tag::{TagData, TagKind};
 
     /// `tri_rect(4, 1)` cut at x = 2: parts 0 and 1, one per rank.
@@ -1164,7 +1164,11 @@ mod tests {
             };
             match seed {
                 None => execute(2, body),
-                Some(s) => pumi_pcu::execute_chaos(2, s, body),
+                Some(s) => execute_opts(
+                    MachineModel::flat(2),
+                    WorldOpts::default().sched(SchedMode::Chaos(s)),
+                    body,
+                ),
             }
         };
         let base = run(None);

@@ -77,7 +77,7 @@ mod tests {
     use super::*;
     use crate::dist::distribute;
     use pumi_meshgen::tri_rect;
-    use pumi_pcu::{execute_on, MachineModel};
+    use pumi_pcu::{execute_opts, MachineModel, WorldOpts};
     use pumi_util::{MeshEnt, PartId};
 
     /// 4 parts on a 2-node × 2-core machine, partitioned as quadrants:
@@ -86,7 +86,7 @@ mod tests {
     #[test]
     fn fig6_on_vs_off_node_boundaries() {
         let machine = MachineModel::new(2, 2);
-        execute_on(machine, |c| {
+        execute_opts(machine, WorldOpts::default(), |c| {
             let serial = tri_rect(4, 4, 1.0, 1.0);
             let d = serial.elem_dim_t();
             let mut elem_part = vec![0 as PartId; serial.index_space(d)];

@@ -10,7 +10,9 @@ use pumi_io::format::{
 use pumi_io::{read_checkpoint, write_checkpoint, IoError, Section};
 use pumi_meshgen::tri_rect;
 use pumi_partition::partition_mesh;
-use pumi_pcu::{execute, execute_chaos, Comm, MsgReader, MsgWriter};
+use pumi_pcu::{
+    execute, execute_opts, Comm, MachineModel, MsgReader, MsgWriter, SchedMode, WorldOpts,
+};
 use pumi_serve::{CheckpointServer, Slice};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -542,7 +544,11 @@ fn refusals(dir: &Path) -> Vec<(usize, String, Vec<IoError>)> {
             };
             let errs = match chaos {
                 None => execute(nranks, body),
-                Some(seed) => execute_chaos(nranks, seed, body),
+                Some(seed) => execute_opts(
+                    MachineModel::flat(nranks),
+                    WorldOpts::default().sched(SchedMode::Chaos(seed)),
+                    body,
+                ),
             };
             out.push((nranks, format!("{nranks} ranks, chaos {chaos:?}"), errs));
         }

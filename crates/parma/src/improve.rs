@@ -571,7 +571,7 @@ mod tests {
     fn topo_aware_improve_limits_off_node_boundary() {
         use crate::topo::{off_node_boundary, TopologyOpts};
         let machine = pumi_pcu::MachineModel::new(2, 2);
-        let results = pumi_pcu::execute_on(machine, |c| {
+        let results = pumi_pcu::execute_opts(machine, pumi_pcu::WorldOpts::default(), |c| {
             let serial = tri_rect(16, 8, 4.0, 2.0);
             let d = serial.elem_dim_t();
             let mut elem_part = vec![0 as PartId; serial.index_space(d)];

@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn boundary_split_counts_match_total_surface() {
         let machine = MachineModel::new(2, 2);
-        pumi_pcu::execute_on(machine, |c| {
+        pumi_pcu::execute_opts(machine, pumi_pcu::WorldOpts::default(), |c| {
             let m = tri_rect(8, 8, 1.0, 1.0);
             let labels = partition_mesh(&m, 4);
             let dm = distribute(c, PartMap::contiguous(4, 4), &m, &labels);

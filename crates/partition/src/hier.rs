@@ -160,10 +160,10 @@ pub fn off_node_share(mesh: &Mesh, labels: &[PartId], cores_per_node: usize, d: 
 /// use pumi_meshgen::tri_rect;
 /// use pumi_partition::hier::{partition_hier, HierOpts};
 /// use pumi_partition::partition_mesh;
-/// use pumi_pcu::{execute_on, MachineModel};
+/// use pumi_pcu::{execute_opts, MachineModel, WorldOpts};
 ///
 /// let machine = MachineModel::new(2, 2); // 2 nodes × 2 cores
-/// execute_on(machine, |c| {
+/// execute_opts(machine, WorldOpts::default(), |c| {
 ///     let m = tri_rect(8, 8, 1.0, 1.0);
 ///     let labels = partition_mesh(&m, 8);
 ///     let dm = distribute(c, PartMap::contiguous(8, c.nranks()), &m, &labels);
@@ -412,7 +412,7 @@ mod tests {
     #[test]
     fn distributed_hier_places_every_part_on_its_node() {
         let machine = MachineModel::new(2, 2);
-        pumi_pcu::execute_on(machine, |c| {
+        pumi_pcu::execute_opts(machine, pumi_pcu::WorldOpts::default(), |c| {
             let m = tri_rect(10, 10, 1.0, 1.0);
             let labels = partition_mesh(&m, 8);
             let dm = distribute(c, PartMap::contiguous(8, c.nranks()), &m, &labels);
@@ -441,7 +441,7 @@ mod tests {
         // of an adversarial (reversed-contiguous) placement of the same
         // parts.
         let machine = MachineModel::new(2, 4);
-        pumi_pcu::execute_on(machine, |c| {
+        pumi_pcu::execute_opts(machine, pumi_pcu::WorldOpts::default(), |c| {
             let m = tet_box(8, 8, 8, 1.0, 1.0, 1.0);
             let labels = partition_mesh(&m, 16);
             let dm = distribute(c, PartMap::contiguous(16, c.nranks()), &m, &labels);

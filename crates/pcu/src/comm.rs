@@ -25,10 +25,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Highest tag value available to users; larger tags are reserved for
-/// collectives.
-pub const MAX_USER_TAG: u32 = 0x7FFF_FFFF;
-
 #[derive(Debug)]
 pub(crate) struct Envelope {
     pub from: usize,
@@ -39,119 +35,17 @@ pub(crate) struct Envelope {
     pub hash: u64,
 }
 
-/// Per-source FIFO within one tag's stash. `stale` counts arrival-order
-/// entries already consumed by a source-addressed pop, so the any-source
-/// path can skip them and still return messages in true arrival order.
-#[derive(Debug, Default)]
-struct SrcQueue {
-    /// `(data, hash)` per message.
-    q: VecDeque<(Bytes, u64)>,
-    stale: usize,
-}
+/// Messages drained off the wire but not yet consumed: one arrival-order
+/// queue of `(from, data, hash)` per tag. Every tag belongs to one
+/// collective or exchange phase, whose consumer either pops its messages
+/// in any order (a gather indexes them by source, a broadcast's tag carries
+/// only the root's message) or takes the whole queue at once (an
+/// exchange). An emptied tag's entry is removed immediately: tags are never
+/// reused, so stale entries would otherwise accumulate forever.
+type Stash = FxHashMap<u32, VecDeque<(usize, Bytes, u64)>>;
 
-/// All stashed messages of one tag: per-source queues for O(1)
-/// source-addressed pops plus an arrival-order index for any-source pops
-/// and whole-tag takes. Every operation is O(1) amortized — the old
-/// single-queue stash paid a linear `position` scan per `(from, tag)` pop,
-/// which at 256+ ranks is O(N) work per receive.
-#[derive(Debug, Default)]
-struct TagQueue {
-    by_src: FxHashMap<usize, SrcQueue>,
-    order: VecDeque<usize>,
-    len: usize,
-}
-
-impl TagQueue {
-    fn push(&mut self, from: usize, data: Bytes, hash: u64) {
-        self.by_src
-            .entry(from)
-            .or_default()
-            .q
-            .push_back((data, hash));
-        self.order.push_back(from);
-        self.len += 1;
-    }
-
-    fn pop_src(&mut self, from: usize) -> Option<(Bytes, u64)> {
-        let sq = self.by_src.get_mut(&from)?;
-        let msg = sq.q.pop_front()?;
-        sq.stale += 1;
-        self.len -= 1;
-        Some(msg)
-    }
-
-    fn pop_any(&mut self) -> Option<(usize, Bytes, u64)> {
-        while let Some(src) = self.order.pop_front() {
-            let sq = self.by_src.get_mut(&src).expect("stash index out of sync");
-            if sq.stale > 0 {
-                sq.stale -= 1;
-                continue;
-            }
-            let (data, hash) = sq.q.pop_front().expect("stash index out of sync");
-            self.len -= 1;
-            return Some((src, data, hash));
-        }
-        None
-    }
-
-    fn has(&self, from: Option<usize>) -> bool {
-        match from {
-            None => self.len > 0,
-            Some(f) => self.by_src.get(&f).is_some_and(|sq| !sq.q.is_empty()),
-        }
-    }
-}
-
-/// Out-of-order messages awaiting a matching recv, indexed by tag so the
-/// receive path never re-scans unrelated stashed traffic. An emptied tag's
-/// entry is removed immediately (collective tags are never reused, so stale
-/// entries would otherwise accumulate forever).
-#[derive(Debug, Default)]
-struct Stash {
-    queues: FxHashMap<u32, TagQueue>,
-}
-
-impl Stash {
-    fn push(&mut self, e: Envelope) {
-        self.queues
-            .entry(e.tag)
-            .or_default()
-            .push(e.from, e.data, e.hash);
-    }
-
-    /// Pop the first stashed message matching `(from, tag)` — O(1).
-    fn pop(&mut self, from: Option<usize>, tag: u32) -> Option<(usize, Bytes)> {
-        let q = self.queues.get_mut(&tag)?;
-        let msg = match from {
-            None => q.pop_any().map(|(f, d, _)| (f, d)),
-            Some(f) => q.pop_src(f).map(|(d, _)| (f, d)),
-        }?;
-        if q.len == 0 {
-            self.queues.remove(&tag);
-        }
-        Some(msg)
-    }
-
-    fn has(&self, from: Option<usize>, tag: u32) -> bool {
-        self.queues.get(&tag).is_some_and(|q| q.has(from))
-    }
-
-    /// Remove and return the whole queue for `tag` (arrival order) as
-    /// `(from, data, hash)`.
-    fn take_tag(&mut self, tag: u32) -> VecDeque<(usize, Bytes, u64)> {
-        let Some(mut q) = self.queues.remove(&tag) else {
-            return VecDeque::new();
-        };
-        let mut out = VecDeque::with_capacity(q.len);
-        while let Some(msg) = q.pop_any() {
-            out.push_back(msg);
-        }
-        out
-    }
-}
-
-/// Options for building a simulated world — the executor knobs that
-/// [`execute_on`] defaults from the environment.
+/// Options for building a simulated world with [`execute_opts`]; the
+/// default reads each knob from the environment, as [`execute`] does.
 ///
 /// ```
 /// use pumi_pcu::{execute_opts, MachineModel, WorldOpts};
@@ -282,7 +176,7 @@ impl WorldCore {
 pub struct Comm {
     rank: usize,
     world: Arc<WorldCore>,
-    /// Out-of-order messages awaiting a matching recv.
+    /// Drained messages awaiting their collective or exchange.
     stash: RefCell<Stash>,
     /// Monotonic collective sequence number; identical across ranks because
     /// collectives are called in SPMD order.
@@ -315,13 +209,13 @@ impl Comm {
 
     /// The node hosting this rank.
     #[inline]
-    pub fn node(&self) -> usize {
+    pub(crate) fn node(&self) -> usize {
         self.world.machine.node_of(self.rank)
     }
 
     /// Classify the link from this rank to `other`.
     #[inline]
-    pub fn link_to(&self, other: usize) -> LinkClass {
+    pub(crate) fn link_to(&self, other: usize) -> LinkClass {
         self.world.machine.link(self.rank, other)
     }
 
@@ -339,15 +233,6 @@ impl Comm {
     #[inline]
     pub fn exchanges_completed(&self) -> u32 {
         self.exchange_seq.get()
-    }
-
-    /// Send `data` to rank `to` with a user `tag`.
-    ///
-    /// # Panics
-    /// Panics if `tag` exceeds [`MAX_USER_TAG`] or `to` is out of range.
-    pub fn send(&self, to: usize, tag: u32, data: Bytes) {
-        assert!(tag <= MAX_USER_TAG, "tag {tag:#x} is reserved");
-        self.send_raw(to, tag, data);
     }
 
     pub(crate) fn send_raw(&self, to: usize, tag: u32, data: Bytes) {
@@ -404,58 +289,53 @@ impl Comm {
         pumi_obs::metrics::record_traffic(link.to_obs(), bytes as u64);
     }
 
-    /// Blocking receive of a message matching `from` (or any source if
-    /// `None`) and `tag`. Returns `(source, data)`.
-    pub fn recv(&self, from: Option<usize>, tag: u32) -> (usize, Bytes) {
-        assert!(tag <= MAX_USER_TAG, "tag {tag:#x} is reserved");
-        self.recv_raw(from, tag)
-    }
-
-    pub(crate) fn recv_raw(&self, from: Option<usize>, tag: u32) -> (usize, Bytes) {
+    /// Blocking receive of one message with `tag`, whichever rank sent
+    /// it. Returns `(source, data)`.
+    pub(crate) fn recv_raw(&self, tag: u32) -> (usize, Bytes) {
         loop {
-            {
-                let mut stash = self.stash.borrow_mut();
-                let stash = &mut *stash;
-                self.world.mailboxes[self.rank].drain(&mut |e| stash.push(e));
-                if let Some(msg) = stash.pop(from, tag) {
-                    return msg;
-                }
+            if let Some((from, data, _)) = self.pop(tag) {
+                return (from, data);
             }
-            // Nothing matching yet: park until a producer wakes us (the
+            // Nothing with this tag yet: park until a producer wakes us (the
             // mailbox re-checks for concurrent arrivals before sleeping, so
             // no wakeup can be lost), then re-drain.
             if !self.world.mailboxes[self.rank].park(&self.world.exec, &self.world.poisoned) {
-                panic!("peer rank panicked while this rank waited in recv");
+                panic!("peer rank panicked while this rank waited for a message");
             }
         }
     }
 
-    /// Non-blocking probe: is a message matching `(from, tag)` available?
-    pub fn iprobe(&self, from: Option<usize>, tag: u32) -> bool {
-        self.drain_wire();
-        if self.stash.borrow().has(from, tag) {
-            return true;
+    /// Drain the wire into the stash, then pop the first stashed message
+    /// with `tag`.
+    fn pop(&self, tag: u32) -> Option<(usize, Bytes, u64)> {
+        let mut stash = self.drain_wire();
+        let q = stash.get_mut(&tag)?;
+        let msg = q.pop_front();
+        if q.is_empty() {
+            stash.remove(&tag);
         }
-        // Cooperative poll: in a multiplexed world a spinning prober must
-        // lend its worker permit to the rank it is waiting on.
-        self.world.exec.yield_permit(&self.world.poisoned);
-        self.drain_wire();
-        self.stash.borrow().has(from, tag)
+        msg
     }
 
-    /// Move every message currently on the wire into the stash.
-    pub(crate) fn drain_wire(&self) {
+    /// Move every message currently on the wire into the stash, and hand
+    /// back the stash.
+    fn drain_wire(&self) -> std::cell::RefMut<'_, Stash> {
         let mut stash = self.stash.borrow_mut();
-        let stash = &mut *stash;
-        self.world.mailboxes[self.rank].drain(&mut |e| stash.push(e));
+        self.world.mailboxes[self.rank].drain(&mut |e| {
+            stash
+                .entry(e.tag)
+                .or_default()
+                .push_back((e.from, e.data, e.hash))
+        });
+        stash
     }
 
-    /// Remove and return every stashed message with `tag`, in arrival
-    /// order, as `(from, data, hash)`. Callers must have established (e.g.
-    /// via a barrier) that no more messages with this tag are in flight, and
-    /// drained the wire.
+    /// Drain the wire, then remove and return every stashed message with
+    /// `tag`, in arrival order, as `(from, data, hash)`. Callers must have
+    /// established (e.g. via a barrier) that no more messages with this tag
+    /// are in flight.
     pub(crate) fn take_tag(&self, tag: u32) -> VecDeque<(usize, Bytes, u64)> {
-        self.stash.borrow_mut().take_tag(tag)
+        self.drain_wire().remove(&tag).unwrap_or_default()
     }
 
     /// Traffic totals for the whole world (shared counters).
@@ -485,8 +365,7 @@ impl Comm {
     pub(crate) fn next_coll_tag(&self) -> u32 {
         let seq = self.coll_seq.get();
         self.coll_seq.set(seq.wrapping_add(1));
-        // Collective tags live above MAX_USER_TAG.
-        0x8000_0000 | (seq & 0x3FFF_FFFF)
+        seq
     }
 }
 
@@ -497,44 +376,13 @@ where
     F: Fn(&Comm) -> R + Send + Sync,
     R: Send,
 {
-    execute_on(MachineModel::flat(nranks), f)
-}
-
-/// Run `f` on every rank of a flat machine under the chaos scheduler with
-/// `seed`, regardless of `PUMI_PCU_SCHED`. The determinism suite uses this to
-/// compare runs under several seeds within one process.
-pub fn execute_chaos<F, R>(nranks: usize, seed: u64, f: F) -> Vec<R>
-where
-    F: Fn(&Comm) -> R + Send + Sync,
-    R: Send,
-{
-    execute_on_sched(MachineModel::flat(nranks), SchedMode::Chaos(seed), f)
+    execute_opts(MachineModel::flat(nranks), WorldOpts::default(), f)
 }
 
 /// Run `f` on every rank slot of `machine`: one thread per rank, mapped
-/// node-major (the paper's process→node, thread→core mapping). The scheduler
-/// comes from the `PUMI_PCU_SCHED` environment variable and the executor
-/// width from `PUMI_PCU_WORKERS`.
-pub fn execute_on<F, R>(machine: MachineModel, f: F) -> Vec<R>
-where
-    F: Fn(&Comm) -> R + Send + Sync,
-    R: Send,
-{
-    execute_opts(machine, WorldOpts::default(), f)
-}
-
-/// [`execute_on`] with an explicit scheduling mode (overrides the
-/// environment).
-pub fn execute_on_sched<F, R>(machine: MachineModel, sched: SchedMode, f: F) -> Vec<R>
-where
-    F: Fn(&Comm) -> R + Send + Sync,
-    R: Send,
-{
-    execute_opts(machine, WorldOpts::default().sched(sched), f)
-}
-
-/// [`execute_on`] with explicit world options: scheduling mode, executor
-/// worker cap, and rank-thread stack size.
+/// node-major (the paper's process→node, thread→core mapping), under
+/// `opts` — scheduling mode, executor worker cap and rank-thread stack size
+/// ([`WorldOpts::default`] reads `PUMI_PCU_SCHED` and `PUMI_PCU_WORKERS`).
 pub fn execute_opts<F, R>(machine: MachineModel, opts: WorldOpts, f: F) -> Vec<R>
 where
     F: Fn(&Comm) -> R + Send + Sync,
@@ -592,6 +440,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phased::Exchange;
 
     #[test]
     fn single_rank_world() {
@@ -604,157 +453,46 @@ mod tests {
     }
 
     #[test]
-    fn ring_pass() {
-        let n = 8;
-        let out = execute(n, |c| {
-            let next = (c.rank() + 1) % n;
-            let prev = (c.rank() + n - 1) % n;
-            c.send(next, 1, Bytes::from(vec![c.rank() as u8]));
-            let (from, data) = c.recv(Some(prev), 1);
-            assert_eq!(from, prev);
-            data[0] as usize
-        });
-        for (rank, got) in out.iter().enumerate() {
-            assert_eq!(*got, (rank + n - 1) % n);
-        }
-    }
-
-    #[test]
-    fn out_of_order_tags_are_stashed() {
-        let out = execute(2, |c| {
-            if c.rank() == 0 {
-                // Send tag 2 first, then tag 1; receiver asks for 1 first.
-                c.send(1, 2, Bytes::from_static(b"two"));
-                c.send(1, 1, Bytes::from_static(b"one"));
-                0
-            } else {
-                let (_, one) = c.recv(Some(0), 1);
-                let (_, two) = c.recv(Some(0), 2);
-                assert_eq!(&one[..], b"one");
-                assert_eq!(&two[..], b"two");
-                1
-            }
-        });
-        assert_eq!(out, vec![0, 1]);
-    }
-
-    #[test]
-    fn recv_from_any_source() {
-        let out = execute(3, |c| {
-            if c.rank() == 0 {
-                let (f1, _) = c.recv(None, 7);
-                let (f2, _) = c.recv(None, 7);
-                let mut v = vec![f1, f2];
-                v.sort_unstable();
-                v
-            } else {
-                c.send(0, 7, Bytes::from(vec![c.rank() as u8]));
-                vec![]
-            }
-        });
-        assert_eq!(out[0], vec![1, 2]);
-    }
-
-    /// Any-source pops interleaved with source-addressed pops must still
-    /// come out in arrival order per source (the stale-entry skip logic).
-    #[test]
-    fn mixed_addressing_preserves_per_source_fifo() {
-        let out = execute(3, |c| {
-            if c.rank() == 0 {
-                // Wait until both peers' pairs are certainly stashed.
-                c.barrier();
-                let a1 = c.recv(Some(1), 9).1;
-                // Cross-source arrival order is timing-dependent; what must
-                // hold is FIFO within each source, across both pop flavours.
-                let (f, b) = c.recv(None, 9);
-                let rest: Vec<(usize, Bytes)> = (0..2).map(|_| c.recv(None, 9)).collect();
-                let mut seq1: Vec<u8> = vec![a1[0]];
-                let mut seq2 = Vec::new();
-                for (src, d) in std::iter::once((f, b)).chain(rest) {
-                    match src {
-                        1 => seq1.push(d[0]),
-                        2 => seq2.push(d[0]),
-                        _ => unreachable!(),
-                    }
-                }
-                assert_eq!(seq1, vec![10, 11]);
-                assert_eq!(seq2, vec![20, 21]);
-                true
-            } else {
-                let base = c.rank() as u8 * 10;
-                c.send(0, 9, Bytes::from(vec![base]));
-                c.send(0, 9, Bytes::from(vec![base + 1]));
-                c.barrier();
-                true
-            }
-        });
-        assert!(out.iter().all(|&b| b));
-    }
-
-    #[test]
     fn traffic_metering_by_link_class() {
         let m = MachineModel::new(2, 2); // ranks 0,1 node0; 2,3 node1
-        let reports = execute_on(m, |c| {
+        let reports = execute_opts(m, WorldOpts::default(), |c| {
+            let mut ex = Exchange::new(c);
             if c.rank() == 0 {
-                c.send(1, 1, Bytes::from(vec![0u8; 10])); // on-node
-                c.send(2, 1, Bytes::from(vec![0u8; 20])); // off-node
+                for (to, len) in [(1, 10), (2, 20)] {
+                    let w = ex.to(to);
+                    for _ in 0..len {
+                        w.put_u8(0);
+                    }
+                }
             }
-            if c.rank() == 1 {
-                c.recv(Some(0), 1);
-            }
-            if c.rank() == 2 {
-                c.recv(Some(0), 1);
-            }
-            // Everybody waits for traffic to settle via a p2p chain: only the
-            // sender's counts matter and recv ordering guarantees them.
+            ex.finish();
+            // The exchange's termination barrier has passed, so every frame
+            // of the phase is metered in every rank's snapshot.
             c.traffic()
         });
-        // At least the sends from rank 0 are visible in rank 0's snapshot.
-        let r = &reports[0];
-        assert_eq!(r.on_node_bytes, 10);
-        assert_eq!(r.off_node_bytes, 20);
-        assert_eq!(r.on_node_msgs, 1);
-        assert_eq!(r.off_node_msgs, 1);
-    }
-
-    #[test]
-    fn iprobe_sees_pending_message() {
-        let out = execute(2, |c| {
-            if c.rank() == 0 {
-                c.send(1, 3, Bytes::from_static(b"x"));
-                true
-            } else {
-                // Spin until the probe sees it (it was surely sent by then or
-                // will be; probe drains the wire into the stash).
-                while !c.iprobe(Some(0), 3) {
-                    std::hint::spin_loop();
-                }
-                let (_, d) = c.recv(Some(0), 3);
-                d[0] == b'x'
-            }
-        });
-        assert!(out[1]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn reserved_tag_rejected() {
-        execute(1, |c| c.send(0, 0x8000_0001, Bytes::new()));
+        for r in &reports {
+            assert_eq!(r.on_node_bytes, 10);
+            assert_eq!(r.off_node_bytes, 20);
+            assert_eq!(r.on_node_msgs, 1);
+            assert_eq!(r.off_node_msgs, 1);
+        }
     }
 
     #[test]
     fn many_ranks_smoke() {
         // The paper tested 32 communicating threads on one BG/Q node.
         let m = MachineModel::new(1, 32);
-        let out = execute_on(m, |c| {
+        let out = execute_opts(m, WorldOpts::default(), |c| {
             let peer = c.nranks() - 1 - c.rank();
-            if peer != c.rank() {
-                c.send(peer, 5, Bytes::from(vec![c.rank() as u8]));
-                let (_, d) = c.recv(Some(peer), 5);
-                d[0] as usize
-            } else {
-                c.rank()
-            }
+            let mut ex = Exchange::new(c);
+            ex.to(peer).put_u32(c.rank() as u32);
+            let got: Vec<(usize, u32)> = ex
+                .finish()
+                .into_iter()
+                .map(|(from, mut r)| (from, r.get_u32()))
+                .collect();
+            assert_eq!(got, vec![(peer, peer as u32)]);
+            got[0].1 as usize
         });
         for (rank, got) in out.iter().enumerate() {
             assert_eq!(*got, 31 - rank);
@@ -772,9 +510,14 @@ mod tests {
                 let next = (c.rank() + 1) % n;
                 let prev = (c.rank() + n - 1) % n;
                 for round in 0..3u32 {
-                    c.send(next, round, Bytes::from(vec![c.rank() as u8]));
-                    let (_, d) = c.recv(Some(prev), round);
-                    assert_eq!(d[0] as usize, prev);
+                    let mut ex = Exchange::new(c);
+                    ex.to(next).put_u32(round * 100 + c.rank() as u32);
+                    let got: Vec<(usize, u32)> = ex
+                        .finish()
+                        .into_iter()
+                        .map(|(from, mut r)| (from, r.get_u32()))
+                        .collect();
+                    assert_eq!(got, vec![(prev, round * 100 + prev as u32)]);
                     c.barrier();
                 }
                 c.allreduce_sum_u64(1)
@@ -792,100 +535,70 @@ mod tests {
             if c.rank() == 0 {
                 panic!("rank 0 dies");
             }
-            // These recvs can never be satisfied; poisoning must wake them.
-            let _ = c.recv(Some(0), 1);
+            // The root never broadcasts; poisoning must wake the waiters.
+            let _ = c.bcast_bytes(0, Bytes::new());
         });
     }
 
-    /// Wide-world smoke at 256 ranks with small stacks: point-to-point,
-    /// collectives, and the stash under a many-source fan-in.
+    /// Wide-world smoke at 256 ranks with small stacks: a gather's fan-in
+    /// of 255 sources onto one stash queue.
     #[test]
     fn wide_world_fan_in() {
         let n = 256;
         let opts = WorldOpts::default().stack_size(256 * 1024);
         let out = execute_opts(MachineModel::flat(n), opts, |c| {
-            if c.rank() == 0 {
-                let mut sum = 0u64;
-                for _ in 0..n - 1 {
-                    let (_, d) = c.recv(None, 2);
-                    sum += d[0] as u64;
-                }
-                sum
-            } else {
-                c.send(0, 2, Bytes::from(vec![1u8]));
-                0
-            }
+            let all = c.gather_bytes(0, Bytes::from(vec![1u8]))?;
+            Some(all.iter().map(|d| d[0] as u64).sum::<u64>())
         });
-        assert_eq!(out[0], (n - 1) as u64);
+        assert_eq!(out[0], Some(n as u64));
+        assert!(out[1..].iter().all(Option::is_none));
     }
 
-    /// Out-of-order tag consumption at width: 255 senders each send TAG_A
-    /// then TAG_B, while rank 0 iprobe-polls for TAG_B first — so every
-    /// TAG_A frame is pulled off the wire and stashed before it is wanted.
-    /// The stash must hand the TAG_A frames back intact (by explicit source,
-    /// in reverse rank order), and the reserved collective tag space must be
-    /// unaffected by the churn.
+    /// Out-of-order tags at width: every contributor but one sends its part
+    /// of several back-to-back gathers before a barrier, the last one only
+    /// after it — so the root, awaiting the first gather's tag, drains and
+    /// stashes the later gathers' messages too. Each gather must still
+    /// collect exactly its own tag's messages, and nothing may be left in
+    /// any rank's stash.
     #[test]
-    fn wide_world_out_of_order_tags_iprobe_and_collectives() {
-        const TAG_A: u32 = 7;
-        const TAG_B: u32 = 9;
-        let n = 256;
+    fn out_of_order_tags_are_stashed() {
+        const GATHERS: usize = 4;
+        let n = 64;
+        let late = n - 1;
         let opts = WorldOpts::default().stack_size(256 * 1024);
+        let payload = |rank: usize, g: usize| Bytes::from(vec![rank as u8, g as u8]);
         let out = execute_opts(MachineModel::flat(n), opts, |c| {
-            if c.rank() == 0 {
-                // Consume TAG_B first via iprobe polling; drain_wire stashes
-                // the earlier-sent TAG_A frames as a side effect.
-                let mut b_sum = 0u64;
-                let mut b_seen = 0usize;
-                while b_seen < n - 1 {
-                    if c.iprobe(None, TAG_B) {
-                        let (src, d) = c.recv(None, TAG_B);
-                        assert_eq!(d.len(), 8);
-                        let v = u64::from_le_bytes(d[..].try_into().unwrap());
-                        assert_eq!(v, (src as u64) * 3);
-                        b_sum += v;
-                        b_seen += 1;
-                    }
-                }
-                // Now pull the stashed TAG_A frames by explicit source, in
-                // reverse rank order (exercises pop_src + stale skipping).
-                let mut a_sum = 0u64;
-                for src in (1..n).rev() {
-                    assert!(c.iprobe(Some(src), TAG_A), "stash lost rank {src}");
-                    let (from, d) = c.recv(Some(src), TAG_A);
-                    assert_eq!(from, src);
-                    a_sum += u64::from_le_bytes(d[..].try_into().unwrap());
-                }
-                assert!(!c.iprobe(None, TAG_A));
-                assert!(!c.iprobe(None, TAG_B));
-                a_sum + b_sum
+            let gather_all = || -> Vec<Option<Vec<Bytes>>> {
+                (0..GATHERS)
+                    .map(|g| {
+                        let all = c.gather_bytes(0, payload(c.rank(), g));
+                        if g == 0 && c.rank() == 0 {
+                            // The other gathers' messages from all but the
+                            // late contributor are stashed by now.
+                            assert_eq!(c.stash.borrow().len(), GATHERS - 1);
+                        }
+                        all
+                    })
+                    .collect()
+            };
+            let got = if c.rank() == 0 || c.rank() == late {
+                c.barrier();
+                gather_all()
             } else {
-                let r = c.rank() as u64;
-                c.send(0, TAG_A, Bytes::from(r.to_le_bytes().to_vec()));
-                c.send(0, TAG_B, Bytes::from((r * 3).to_le_bytes().to_vec()));
-                0
-            }
+                let got = gather_all();
+                c.barrier();
+                got
+            };
+            assert!(c.stash.borrow().is_empty(), "rank {}", c.rank());
+            got
         });
-        let expect: u64 = (1..n as u64).map(|r| r * 4).sum();
-        assert_eq!(out[0], expect);
-
-        // Collective tags after heavy stash traffic in the same world: the
-        // reserved tag space (0x8000_0000 | seq) must still line up on all
-        // ranks after user-tag stashing.
-        let opts = WorldOpts::default().stack_size(256 * 1024);
-        let sums = execute_opts(MachineModel::flat(n), opts, |c| {
-            if c.rank() != 0 {
-                c.send(0, TAG_A, Bytes::from(vec![0u8; 4]));
-            } else {
-                for _ in 0..n - 1 {
-                    let _ = c.recv(None, TAG_A);
-                }
+        for (g, all) in out[0].iter().enumerate() {
+            let all = all.as_ref().expect("root gathers");
+            assert_eq!(all.len(), n);
+            for (r, d) in all.iter().enumerate() {
+                assert_eq!(*d, payload(r, g), "gather {g} from rank {r}");
             }
-            let s = c.allreduce_sum_u64(c.rank() as u64);
-            c.barrier();
-            s
-        });
-        let expect: u64 = (0..n as u64).sum();
-        assert!(sums.iter().all(|&s| s == expect));
+        }
+        assert!(out[1..].iter().flatten().all(Option::is_none));
     }
 }

@@ -8,11 +8,13 @@
 //! exercises true pack/route/unpack code paths.
 //!
 //! Components:
-//! * [`comm`] — the world executor ([`comm::execute`], with
-//!   [`comm::WorldOpts`]/`PUMI_PCU_WORKERS` multiplexing R ranks onto W
-//!   worker permits for wide worlds) and per-rank [`comm::Comm`] handle
-//!   with point-to-point send/recv over sharded lock-free mailboxes,
-//! * [`collectives`] — barrier, reductions, gathers, all-to-all,
+//! * [`comm`] — the world executor ([`comm::execute`], and
+//!   [`comm::execute_opts`] whose [`comm::WorldOpts`]/`PUMI_PCU_WORKERS`
+//!   multiplex R ranks onto W worker permits for wide worlds) and the
+//!   per-rank [`comm::Comm`] handle over sharded lock-free mailboxes. Ranks
+//!   talk only through the phased exchange and the collectives below; there
+//!   is no user-facing point-to-point send or receive,
+//! * [`collectives`] — barrier, broadcast, gathers, reductions,
 //! * [`phased`] — PCU-style phased neighbour exchange (pack per destination,
 //!   send, iterate received buffers) with selectable off-node routing
 //!   ([`phased::RouteMode`]): direct rank-to-rank, or node-aware two-level
@@ -42,10 +44,8 @@ pub mod phased;
 mod runtime;
 pub mod sched;
 
-pub use comm::{
-    execute, execute_chaos, execute_on, execute_on_sched, execute_opts, Comm, WorldOpts,
-};
+pub use comm::{execute, execute_opts, Comm, WorldOpts};
 pub use machine::{LinkClass, MachineModel, TrafficReport};
 pub use msg::{MsgError, MsgReader, MsgWriter};
-pub use phased::{Exchange, ExchangeOpts, Received, RouteMode};
+pub use phased::{Exchange, Received, RouteMode};
 pub use sched::{ChaosRng, SchedMode};

@@ -264,7 +264,7 @@ fn hists_to_json(hists: &[(String, HistStat)]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{execute, execute_on};
+    use crate::comm::{execute, execute_opts, WorldOpts};
     use crate::machine::MachineModel;
 
     #[test]
@@ -308,7 +308,7 @@ mod tests {
     #[test]
     fn traffic_reduces_per_phase_and_link() {
         let m = MachineModel::new(2, 2); // ranks 0,1 on node 0; 2,3 on node 1
-        let out = execute_on(m, |c| {
+        let out = execute_opts(m, WorldOpts::default(), |c| {
             let _ = pumi_obs::span::take();
             let _ = pumi_obs::metrics::take_traffic();
             {
@@ -349,14 +349,14 @@ mod tests {
     /// out from one fat node (1×32) to many thin ones (8×4).
     #[test]
     fn relay_span_shows_off_node_envelope_reduction() {
-        use crate::phased::{Exchange, ExchangeOpts};
-        let run = |m: MachineModel, opts: ExchangeOpts| {
-            execute_on(m, move |c| {
+        use crate::phased::{Exchange, RouteMode};
+        let run = |m: MachineModel, route: RouteMode| {
+            execute_opts(m, WorldOpts::default(), move |c| {
                 let _ = pumi_obs::span::take();
                 let _ = pumi_obs::metrics::take_traffic();
                 {
                     let _g = pumi_obs::span!("halo");
-                    let mut ex = Exchange::with_opts(c, opts);
+                    let mut ex = Exchange::with_route(c, route);
                     // Dense all-to-all: the worst case for direct routing.
                     for dest in 0..c.nranks() {
                         ex.to(dest).put_u64(c.rank() as u64);
@@ -385,8 +385,8 @@ mod tests {
         let relay = format!("halo/pcu.exchange/{}", pumi_obs::metrics::RELAY_SPAN);
         for (nodes, cores) in [(4, 2), (1, 32), (2, 16), (4, 8), (8, 4)] {
             let m = MachineModel::new(nodes, cores);
-            let direct = run(m, ExchangeOpts::direct());
-            let agg = run(m, ExchangeOpts::two_level());
+            let direct = run(m, RouteMode::Direct);
+            let agg = run(m, RouteMode::TwoLevel);
             let shape = format!("{nodes}x{cores}");
             // Logical per-phase accounting is routing-invariant.
             assert_eq!(exchange_rows(&direct), exchange_rows(&agg), "{shape}");

@@ -12,7 +12,7 @@
 //! (the per-destination writer), so a phase costs at most one mailbox
 //! wakeup per link.
 //!
-//! Off-node routing is selectable per exchange ([`ExchangeOpts`]):
+//! Off-node routing is selectable per exchange ([`Exchange::with_route`]):
 //! [`RouteMode::Direct`] sends every buffer straight to its destination;
 //! [`RouteMode::TwoLevel`] funnels off-node buffers through node leaders,
 //! which coalesce all traffic for a remote node into one super-message and
@@ -58,49 +58,12 @@ pub enum RouteMode {
     TwoLevel,
 }
 
-/// Per-exchange knobs. [`Default`] routes directly and inherits the world's
-/// scheduler, so whole runs can be A/B-ed between chaos seeds without code
-/// changes; two-level routing is opted into per exchange
-/// ([`ExchangeOpts::two_level`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExchangeOpts {
-    /// Off-node routing strategy. Must be SPMD-uniform: all ranks of one
-    /// exchange phase must use the same mode.
-    pub route: RouteMode,
-    /// Frame-delivery scheduling override; `None` inherits the world's mode
-    /// (set by `PUMI_PCU_SCHED` or `execute_chaos`). Must be SPMD-uniform.
-    pub sched: Option<SchedMode>,
-}
-
-impl ExchangeOpts {
-    /// Direct rank-to-rank routing (the default, spelled out).
-    pub fn direct() -> ExchangeOpts {
-        ExchangeOpts::default()
-    }
-
-    /// Node-aware two-level routing.
-    pub fn two_level() -> ExchangeOpts {
-        ExchangeOpts {
-            route: RouteMode::TwoLevel,
-            ..ExchangeOpts::default()
-        }
-    }
-
-    /// Override the scheduling mode for this exchange. Tests that assert on
-    /// delivery *order* pin `SchedMode::Deterministic` here so they stay
-    /// meaningful when the whole suite runs under a chaos seed.
-    pub fn with_sched(mut self, sched: SchedMode) -> ExchangeOpts {
-        self.sched = Some(sched);
-        self
-    }
-}
-
 /// A single phased exchange. Pack with [`Exchange::to`], complete with
 /// [`Exchange::finish`].
 pub struct Exchange<'c> {
     comm: &'c Comm,
     bufs: FxHashMap<usize, MsgWriter>,
-    opts: ExchangeOpts,
+    route: RouteMode,
 }
 
 impl<'c> Exchange<'c> {
@@ -108,15 +71,16 @@ impl<'c> Exchange<'c> {
     /// routing. All ranks of the world must participate (SPMD),
     /// even those with nothing to send.
     pub fn new(comm: &'c Comm) -> Exchange<'c> {
-        Exchange::with_opts(comm, ExchangeOpts::default())
+        Exchange::with_route(comm, RouteMode::Direct)
     }
 
-    /// Begin an exchange phase with explicit options.
-    pub fn with_opts(comm: &'c Comm, opts: ExchangeOpts) -> Exchange<'c> {
+    /// Begin an exchange phase with explicit off-node routing. The route
+    /// must be SPMD-uniform: all ranks of one phase use the same mode.
+    pub fn with_route(comm: &'c Comm, route: RouteMode) -> Exchange<'c> {
         Exchange {
             comm,
             bufs: FxHashMap::default(),
-            opts,
+            route,
         }
     }
 
@@ -143,7 +107,7 @@ impl<'c> Exchange<'c> {
         let comm = self.comm;
         // A one-node machine has no off-node links to aggregate; the
         // downgrade is machine-derived, hence still SPMD-uniform.
-        let two_level = self.opts.route == RouteMode::TwoLevel && comm.machine().nodes > 1;
+        let two_level = self.route == RouteMode::TwoLevel && comm.machine().nodes > 1;
 
         // Two independent generators per chaos phase: `wire` perturbs
         // in-flight orderings (send order, relay bundle processing) and its
@@ -152,7 +116,7 @@ impl<'c> Exchange<'c> {
         // (seed, phase, rank) and routing equivalence still holds.
         let phase = comm.exchange_seq.get();
         comm.exchange_seq.set(phase.wrapping_add(1));
-        let (mut wire, mut merge) = match self.opts.sched.unwrap_or_else(|| comm.sched()) {
+        let (mut wire, mut merge) = match comm.sched() {
             SchedMode::Chaos(seed) => (
                 Some(ChaosRng::for_phase(seed, phase, comm.rank())),
                 Some(ChaosRng::for_phase(seed ^ 0xC0A1_E5CE, phase, comm.rank())),
@@ -250,7 +214,6 @@ fn finish_direct(
     // or stash. One shared-memory barrier replaces a dense per-destination
     // count reduction, and carries no control envelopes of its own.
     comm.barrier();
-    comm.drain_wire();
     let mut total_bytes = 0u64;
     let mut msgs: Vec<(usize, MsgReader)> = Vec::new();
     for (from, data, hash) in comm.take_tag(tag) {
@@ -331,7 +294,6 @@ fn finish_two_level(
     // its leader's channel or mailbox.
     comm.node_barrier();
     if is_leader {
-        comm.drain_wire();
         // Under chaos, process uplink bundles in a shuffled order; the
         // staged list is re-sorted below, so super-message bytes stay
         // canonical regardless.
@@ -384,7 +346,6 @@ fn finish_two_level(
     let mut total_bytes = 0u64;
     let mut msgs: Vec<(usize, MsgReader)> = Vec::new();
     if is_leader {
-        comm.drain_wire();
         let mut bundles: Vec<(usize, Bytes, u64)> = comm.take_tag(tag_super).into_iter().collect();
         if let Some(rng) = chaos.as_mut() {
             rng.shuffle(&mut bundles);
@@ -425,7 +386,6 @@ fn finish_two_level(
     // Fence 3 (on-node): forwarded sub-buffers have reached their final
     // destinations; tag_data is now quiescent everywhere.
     comm.node_barrier();
-    comm.drain_wire();
     for (from, data, hash) in comm.take_tag(tag_data) {
         total_bytes += data.len() as u64;
         digest_frame(comm, from, hash);
@@ -443,8 +403,7 @@ fn finish_two_level(
 /// sorted by source; under [`SchedMode::Chaos`] they are a seeded
 /// permutation of the same set — consumers must not rely on order.
 ///
-/// Iterate it like the `Vec` it replaces — `for (from, mut r) in received` —
-/// or address a specific source with [`Received::from`].
+/// Iterate it like the `Vec` it replaces: `for (from, mut r) in received`.
 #[derive(Debug, Default)]
 pub struct Received {
     /// `(source rank, reader)`; at most one per source.
@@ -466,29 +425,6 @@ impl Received {
     /// Total payload bytes received (including local self-delivery).
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// The source ranks that sent to us, in delivery order (ascending under
-    /// the deterministic scheduler).
-    pub fn sources(&self) -> impl Iterator<Item = usize> + '_ {
-        self.msgs.iter().map(|(from, _)| *from)
-    }
-
-    /// The buffer sent by `rank`, if any. Linear scan: delivery order is a
-    /// permutation under the chaos scheduler, and source counts are small.
-    pub fn from(&self, rank: usize) -> Option<&MsgReader> {
-        self.msgs
-            .iter()
-            .position(|&(from, _)| from == rank)
-            .map(|i| &self.msgs[i].1)
-    }
-
-    /// The buffer sent by `rank`, mutably (readers consume as they read).
-    pub fn from_mut(&mut self, rank: usize) -> Option<&mut MsgReader> {
-        self.msgs
-            .iter()
-            .position(|&(from, _)| from == rank)
-            .map(|i| &mut self.msgs[i].1)
     }
 
     /// Iterate `(source, reader)` pairs in delivery order.
@@ -523,7 +459,8 @@ impl<'a> IntoIterator for &'a Received {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::execute;
+    use crate::comm::{execute, execute_opts, WorldOpts};
+    use crate::machine::MachineModel;
 
     #[test]
     fn all_to_all_ring() {
@@ -554,26 +491,25 @@ mod tests {
     /// that pair's payload, and nothing else.
     #[test]
     fn ring_and_all_to_all_on_a_64_rank_world() {
-        use crate::comm::execute_on;
-        use crate::machine::MachineModel;
         let n = 64;
         // What `from` sends `to`: length and fill byte both depend on the pair.
         let payload = |from: usize, to: usize| vec![(from ^ to) as u8; 1 + (from * 7 + to) % 13];
-        let check = |me: usize, mut got: Received, peers: &[usize]| {
-            let mut sources: Vec<usize> = got.sources().collect();
-            sources.sort_unstable();
-            assert_eq!(sources, peers, "rank {me}: one frame per expected peer");
+        let check = |me: usize, got: Received, peers: &[usize]| {
+            let total = got.total_bytes();
+            let mut sources = Vec::new();
             let mut bytes = 0;
-            for &p in peers {
-                let r = got.from_mut(p).expect("source listed above");
+            for (p, mut r) in got {
                 let want = payload(p, me);
                 assert_eq!(r.get_bytes(), want, "payload {p} -> {me}");
                 assert!(r.is_done(), "trailing bytes {p} -> {me}");
                 bytes += 4 + want.len() as u64;
+                sources.push(p);
             }
-            assert_eq!(got.total_bytes(), bytes);
+            sources.sort_unstable();
+            assert_eq!(sources, peers, "rank {me}: one frame per expected peer");
+            assert_eq!(total, bytes);
         };
-        execute_on(MachineModel::new(4, 16), |c| {
+        execute_opts(MachineModel::new(4, 16), WorldOpts::default(), |c| {
             assert_eq!(c.nranks(), n);
             let me = c.rank();
             let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
@@ -608,8 +544,8 @@ mod tests {
             for _ in 0..4 {
                 let got = Exchange::new(c).finish();
                 assert!(got.is_empty());
-                assert!(got.sources().next().is_none());
-                assert!(got.from(0).is_none());
+                assert!(got.iter().next().is_none());
+                assert_eq!(got.total_bytes(), 0);
             }
         });
     }
@@ -621,7 +557,8 @@ mod tests {
             ex.to(c.rank()).put_u64(42);
             let got = ex.finish();
             assert_eq!(got.len(), 1);
-            assert_eq!(got.sources().collect::<Vec<_>>(), vec![c.rank()]);
+            let sources: Vec<usize> = got.iter().map(|(from, _)| *from).collect();
+            assert_eq!(sources, vec![c.rank()]);
         });
     }
 
@@ -634,13 +571,11 @@ mod tests {
             let mut ex = Exchange::new(c);
             ex.to(c.rank()).put_u32(c.rank() as u32);
             ex.to(c.rank()).put_f64_slice(&[1.5; 3]);
-            let mut got = ex.finish();
+            let got = ex.finish();
             assert_eq!(got.len(), 1);
             assert_eq!(got.total_bytes(), 4 + 4 + 3 * 8);
-            for other in 0..n {
-                assert_eq!(got.from(other).is_some(), other == c.rank());
-            }
-            let r = got.from_mut(c.rank()).unwrap();
+            let (from, mut r) = got.into_iter().next().unwrap();
+            assert_eq!(from, c.rank());
             assert_eq!(r.get_u32(), c.rank() as u32);
             assert_eq!(r.get_f64_slice(), vec![1.5; 3]);
             assert!(r.is_done());
@@ -650,19 +585,17 @@ mod tests {
     #[test]
     fn fan_in_sorted_by_source() {
         let n = 8;
-        execute(n, |c| {
-            // Pinned deterministic: this test asserts on delivery *order*,
-            // which a chaos environment would legitimately permute.
-            let mut ex = Exchange::with_opts(
-                c,
-                ExchangeOpts::default().with_sched(SchedMode::Deterministic),
-            );
+        // Pinned deterministic: this test asserts on delivery *order*, which
+        // a chaos environment would legitimately permute.
+        let opts = WorldOpts::default().sched(SchedMode::Deterministic);
+        execute_opts(MachineModel::flat(n), opts, |c| {
+            let mut ex = Exchange::new(c);
             if c.rank() != 0 {
                 ex.to(0).put_u32(c.rank() as u32 * 2);
             }
             let got = ex.finish();
             if c.rank() == 0 {
-                let sources: Vec<usize> = got.sources().collect();
+                let sources: Vec<usize> = got.iter().map(|(from, _)| *from).collect();
                 assert_eq!(sources, (1..n).collect::<Vec<_>>());
                 for (from, r) in got {
                     let mut r = r;
@@ -674,7 +607,8 @@ mod tests {
         });
     }
 
-    /// Received::from addresses sources without consuming the others.
+    /// Reading some sources through `iter_mut` leaves the others' readers
+    /// untouched for a later pass.
     #[test]
     fn received_addressing_by_source() {
         let n = 5;
@@ -686,15 +620,17 @@ mod tests {
             let mut got = ex.finish();
             if c.rank() == 2 {
                 assert_eq!(got.len(), n - 1);
-                // Read an arbitrary subset, out of order.
-                assert_eq!(got.from_mut(3).unwrap().get_u32(), 10);
-                assert_eq!(got.from_mut(0).unwrap().get_u32(), 7);
-                assert!(got.from(2).is_none(), "rank 2 sent nothing to itself");
-                // Untouched sources remain readable via iteration.
-                for (from, r) in got.iter_mut() {
-                    if *from != 3 && *from != 0 {
-                        assert_eq!(r.get_u32(), *from as u32 + 7);
-                    }
+                assert!(
+                    got.iter().all(|(from, _)| *from != 2),
+                    "rank 2 sent nothing to itself"
+                );
+                // Read an arbitrary subset first.
+                for (from, r) in got.iter_mut().filter(|(from, _)| [0, 3].contains(from)) {
+                    assert_eq!(r.get_u32(), *from as u32 + 7);
+                }
+                // The subset is consumed; the rest are still unread.
+                for (from, r) in got {
+                    assert_eq!(r.is_done(), [0, 3].contains(&from), "source {from}");
                 }
             }
         });
@@ -721,13 +657,11 @@ mod tests {
     /// routing: same sources, same payload bytes, same totals.
     #[test]
     fn two_level_matches_direct() {
-        use crate::comm::execute_on;
-        use crate::machine::MachineModel;
         let m = MachineModel::new(3, 2);
-        let run = |opts: ExchangeOpts| {
-            execute_on(m, move |c| {
+        let run = |route: RouteMode| {
+            execute_opts(m, WorldOpts::default(), move |c| {
                 let n = c.nranks();
-                let mut ex = Exchange::with_opts(c, opts);
+                let mut ex = Exchange::with_route(c, route);
                 // A sparse pattern with self-sends and uneven sizes.
                 for k in [0usize, 1, 3] {
                     let dest = (c.rank() + k) % n;
@@ -749,19 +683,17 @@ mod tests {
                 (total, flat)
             })
         };
-        assert_eq!(run(ExchangeOpts::direct()), run(ExchangeOpts::two_level()));
+        assert_eq!(run(RouteMode::Direct), run(RouteMode::TwoLevel));
     }
 
     /// Silent phases and leaders-only machines terminate under aggregation,
     /// and successive two-level phases do not cross.
     #[test]
     fn two_level_silent_phases_and_flat_nodes() {
-        use crate::comm::execute_on;
-        use crate::machine::MachineModel;
         for m in [MachineModel::new(4, 2), MachineModel::new(5, 1)] {
-            execute_on(m, |c| {
+            execute_opts(m, WorldOpts::default(), |c| {
                 for phase in 0..4u32 {
-                    let mut ex = Exchange::with_opts(c, ExchangeOpts::two_level());
+                    let mut ex = Exchange::with_route(c, RouteMode::TwoLevel);
                     if phase % 2 == 1 && c.rank() % 3 == 0 {
                         ex.to(c.rank()).put_u32(phase);
                         ex.to((c.rank() + c.nranks() - 1) % c.nranks())
@@ -781,15 +713,13 @@ mod tests {
     /// differ — and the same seed reproduces the same order exactly.
     #[test]
     fn chaos_preserves_payloads_and_reproduces_per_seed() {
-        use crate::comm::execute_on_sched;
-        use crate::machine::MachineModel;
         let m = MachineModel::new(3, 2);
-        let run = |sched: SchedMode, route: ExchangeOpts| {
-            execute_on_sched(m, sched, move |c| {
+        let run = |sched: SchedMode, route: RouteMode| {
+            execute_opts(m, WorldOpts::default().sched(sched), move |c| {
                 let n = c.nranks();
                 let mut per_phase = Vec::new();
                 for phase in 0..3u32 {
-                    let mut ex = Exchange::with_opts(c, route);
+                    let mut ex = Exchange::with_route(c, route);
                     for k in [0usize, 1, 2, 4] {
                         let dest = (c.rank() + k + phase as usize) % n;
                         let w = ex.to(dest);
@@ -806,8 +736,8 @@ mod tests {
                 per_phase
             })
         };
-        let base = run(SchedMode::Deterministic, ExchangeOpts::direct());
-        for route in [ExchangeOpts::direct(), ExchangeOpts::two_level()] {
+        let base = run(SchedMode::Deterministic, RouteMode::Direct);
+        for route in [RouteMode::Direct, RouteMode::TwoLevel] {
             for seed in [1u64, 7] {
                 let chaotic = run(SchedMode::Chaos(seed), route);
                 // Same seed, same route: bitwise-identical order.
@@ -831,16 +761,17 @@ mod tests {
     /// least one delivery must differ from sorted order.
     #[test]
     fn chaos_actually_permutes() {
-        use crate::comm::execute_chaos;
         let n = 8;
         let mut saw_unsorted = false;
         for seed in 1..=4u64 {
-            let orders = execute_chaos(n, seed, |c| {
+            let opts = WorldOpts::default().sched(SchedMode::Chaos(seed));
+            let orders = execute_opts(MachineModel::flat(n), opts, |c| {
                 let mut ex = Exchange::new(c);
                 if c.rank() != 0 {
                     ex.to(0).put_u32(c.rank() as u32);
                 }
-                ex.finish().sources().collect::<Vec<_>>()
+                let got = ex.finish();
+                got.iter().map(|(from, _)| *from).collect::<Vec<_>>()
             });
             let sources = &orders[0];
             let mut sorted = sources.clone();

@@ -412,18 +412,6 @@ impl Scheduler {
         self.cv.notify_one();
     }
 
-    /// Briefly cede this worker permit so other runnable ranks can make
-    /// progress — used by polling paths (`iprobe`) so a spinning rank
-    /// cannot monopolize the last permit of a multiplexed world.
-    pub(crate) fn yield_permit(&self, poisoned: &AtomicBool) {
-        if self.cap == 0 {
-            return;
-        }
-        self.release();
-        std::thread::yield_now();
-        self.acquire(poisoned);
-    }
-
     /// Wake all permit waiters unconditionally (world poison path).
     pub(crate) fn force_wake(&self) {
         let _g = self.state.lock().unwrap();

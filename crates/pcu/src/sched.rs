@@ -11,8 +11,7 @@
 //! determinism suite and `pumi-check` key on this.
 //!
 //! Selection: `PUMI_PCU_SCHED=chaos:<seed>` process-wide (read once), or
-//! per-world via [`crate::comm::execute_chaos`], or per-exchange via
-//! `ExchangeOpts::sched`.
+//! per-world via [`crate::comm::WorldOpts::sched`].
 
 use std::sync::OnceLock;
 

@@ -9,8 +9,8 @@
 
 use pumi_pcu::machine::MachineModel;
 use pumi_pcu::obs::WorldTraffic;
-use pumi_pcu::phased::{Exchange, ExchangeOpts};
-use pumi_pcu::{execute_on, MsgReader};
+use pumi_pcu::phased::{Exchange, RouteMode};
+use pumi_pcu::{execute_opts, MsgReader, WorldOpts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,8 +49,8 @@ type PhaseResult = (u64, Vec<(usize, Vec<u8>)>);
 /// Per rank, per phase.
 type Outcome = Vec<Vec<PhaseResult>>;
 
-fn run(m: MachineModel, pattern: &Pattern, opts: ExchangeOpts) -> (Outcome, Vec<WorldTraffic>) {
-    let mut results = execute_on(m, |c| {
+fn run(m: MachineModel, pattern: &Pattern, route: RouteMode) -> (Outcome, Vec<WorldTraffic>) {
+    let mut results = execute_opts(m, WorldOpts::default(), |c| {
         let _ = pumi_obs::span::take();
         let _ = pumi_obs::metrics::take_traffic();
         let phases: Vec<PhaseResult> = {
@@ -58,7 +58,7 @@ fn run(m: MachineModel, pattern: &Pattern, opts: ExchangeOpts) -> (Outcome, Vec<
             pattern
                 .iter()
                 .map(|phase| {
-                    let mut ex = Exchange::with_opts(c, opts);
+                    let mut ex = Exchange::with_route(c, route);
                     for (dest, payload) in &phase[c.rank()] {
                         ex.to(*dest).put_bytes(payload);
                     }
@@ -106,8 +106,8 @@ fn routing_strategies_are_observationally_identical() {
     for (i, &m) in shapes.iter().enumerate() {
         for seed in 0..3u64 {
             let pattern = gen_pattern(seed * 31 + i as u64, 4, m.nranks());
-            let (direct, direct_obs) = run(m, &pattern, ExchangeOpts::direct());
-            let (agg, agg_obs) = run(m, &pattern, ExchangeOpts::two_level());
+            let (direct, direct_obs) = run(m, &pattern, RouteMode::Direct);
+            let (agg, agg_obs) = run(m, &pattern, RouteMode::TwoLevel);
             assert_eq!(
                 direct, agg,
                 "received contents diverged: machine {}x{}, seed {seed}",
@@ -124,8 +124,8 @@ fn routing_strategies_are_observationally_identical() {
 
 /// No environment knob selects the routing: the default is direct whatever
 /// this test process inherited, and two-level is an explicit per-exchange
-/// choice.
+/// choice ([`Exchange::with_route`]).
 #[test]
 fn route_mode_env_default_is_direct() {
-    assert_eq!(ExchangeOpts::default().route, pumi_pcu::RouteMode::Direct);
+    assert_eq!(RouteMode::default(), RouteMode::Direct);
 }

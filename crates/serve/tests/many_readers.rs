@@ -9,7 +9,7 @@ use pumi_io::format::{delta_dir, parse_part_header, part_file_path};
 use pumi_io::{read_checkpoint, write_checkpoint, write_delta_checkpoint, IoError, Section};
 use pumi_meshgen::tri_rect;
 use pumi_partition::partition_mesh;
-use pumi_pcu::{execute, execute_chaos, Comm};
+use pumi_pcu::{execute, execute_opts, Comm, MachineModel, SchedMode, WorldOpts};
 use pumi_serve::CheckpointServer;
 use pumi_util::{Dim, FxHashMap, FxHashSet, GlobalId};
 use std::path::{Path, PathBuf};
@@ -193,7 +193,11 @@ fn each_chunk_is_decoded_once() {
             };
             match seed {
                 None => execute(nclients, client),
-                Some(seed) => execute_chaos(nclients, seed, client),
+                Some(seed) => execute_opts(
+                    MachineModel::flat(nclients),
+                    WorldOpts::default().sched(SchedMode::Chaos(seed)),
+                    client,
+                ),
             };
             let stats = server.stats();
             assert_eq!(

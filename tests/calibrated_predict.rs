@@ -23,7 +23,7 @@ use pumi_adapt::{prediction_error_pct, Calibration, CoarsenOpts, Sample, SizeFie
 use pumi_core::{distribute, PartMap};
 use pumi_meshgen::tri_rect;
 use pumi_partition::partition_mesh;
-use pumi_pcu::execute_chaos;
+use pumi_pcu::{execute_opts, MachineModel, SchedMode, WorldOpts};
 
 // The error-trajectory property needs enough parts for the per-branch
 // least-squares to be meaningfully overdetermined (8 parts, 3 unknowns —
@@ -52,7 +52,8 @@ fn error_trajectory(seed: u64, c0: f64, calibrate: bool) -> Vec<f64> {
     let labels = partition_mesh(&serial, NPARTS);
     let elem_d = serial.elem_dim_t();
     let pri: Priority = "Face".parse().unwrap();
-    let out = execute_chaos(NRANKS, seed, |c| {
+    let opts = WorldOpts::default().sched(SchedMode::Chaos(seed));
+    let out = execute_opts(MachineModel::flat(NRANKS), opts, |c| {
         let mut dm = distribute(c, PartMap::contiguous(NPARTS, NRANKS), &serial, &labels);
         let mut cal = Calibration::new();
         let mut errors = Vec::new();
@@ -135,7 +136,8 @@ fn assert_order_invisible(seed: u64, c0: f64) {
     let pri: Priority = "Face".parse().unwrap();
     let size = shock(c0);
     let part_map = || PartMap::contiguous(ORDER_NPARTS, ORDER_NRANKS);
-    let speculative = execute_chaos(ORDER_NRANKS, seed, |c| {
+    let opts = WorldOpts::default().sched(SchedMode::Chaos(seed));
+    let speculative = execute_opts(MachineModel::flat(ORDER_NRANKS), opts, |c| {
         let mut dm = distribute(c, part_map(), &serial, &labels);
         stamp_weights(&mut dm, &size, &Calibration::new());
         improve_weighted(
@@ -153,7 +155,7 @@ fn assert_order_invisible(seed: u64, c0: f64) {
         let h = pumi_io::struct_hash(c, &dm);
         (c.rank() == 0).then_some(h)
     });
-    let post = execute_chaos(ORDER_NRANKS, seed, |c| {
+    let post = execute_opts(MachineModel::flat(ORDER_NRANKS), opts, |c| {
         let mut dm = distribute(c, part_map(), &serial, &labels);
         adapt_dist(c, &mut dm, &size, AdaptOpts::new());
         improve(c, &mut dm, &pri, ImproveOpts::new().tol(0.05).max_iters(40));

@@ -13,9 +13,7 @@ use pumi_repro::io::{read_checkpoint, struct_hash, write_checkpoint};
 use pumi_repro::meshgen::tri_rect;
 use pumi_repro::obs::metrics::{take_digests, take_traffic};
 use pumi_repro::partition::partition_mesh;
-use pumi_repro::pcu::{
-    execute, execute_chaos, execute_opts, Comm, MachineModel, SchedMode, WorldOpts,
-};
+use pumi_repro::pcu::{execute, execute_opts, Comm, MachineModel, SchedMode, WorldOpts};
 use pumi_repro::util::{Dim, FxHashMap, GlobalId, PartId};
 
 /// Everything one rank observed: stage hashes, gid-keyed field bits, and
@@ -148,8 +146,9 @@ fn scenario(c: &Comm, label: &str) -> RankTrace {
 #[test]
 fn identical_results_across_chaos_seeds() {
     let plain = execute(2, |c| scenario(c, "plain"));
-    let seed1 = execute_chaos(2, 1, |c| scenario(c, "chaos1"));
-    let seed7 = execute_chaos(2, 7, |c| scenario(c, "chaos7"));
+    let chaos = |seed| WorldOpts::default().sched(SchedMode::Chaos(seed));
+    let seed1 = execute_opts(MachineModel::flat(2), chaos(1), |c| scenario(c, "chaos1"));
+    let seed7 = execute_opts(MachineModel::flat(2), chaos(7), |c| scenario(c, "chaos7"));
 
     for rank in 0..2 {
         assert_eq!(
@@ -185,7 +184,8 @@ fn multiplexed_executor_is_invisible_to_determinism() {
         );
     }
     for seed in [1u64, 7] {
-        let threaded = execute_chaos(2, seed, |c| scenario(c, &format!("mux_ref_{seed}")));
+        let chaos = WorldOpts::default().sched(SchedMode::Chaos(seed));
+        let threaded = execute_opts(machine, chaos, |c| scenario(c, &format!("mux_ref_{seed}")));
         let mux = execute_opts(
             machine,
             WorldOpts::default()

@@ -12,7 +12,7 @@ use pumi_check::{check_dist, CheckOpts};
 use pumi_core::twolevel::boundary_split;
 use pumi_core::{distribute, PartMap, PtnModel};
 use pumi_meshgen::tri_rect;
-use pumi_pcu::{execute_on, MachineModel};
+use pumi_pcu::{execute_opts, MachineModel, WorldOpts};
 use pumi_util::{Dim, MeshEnt, PartId};
 
 /// Build the three-part layout: a rectangle split into left/right halves on
@@ -39,7 +39,7 @@ fn fig3_residence_and_fig4_partition_model() {
     // 2 cores on node 0 (parts 0, 1), 1 core on node 1 (part 2): model the
     // machine as 2 nodes × 2 cores and leave one slot idle.
     let machine = MachineModel::new(2, 2);
-    execute_on(machine, |c| {
+    execute_opts(machine, WorldOpts::default(), |c| {
         let serial = tri_rect(4, 4, 1.0, 1.0);
         let labels = three_part_labels(&serial);
         // parts 0,1 -> ranks 0,1 (node 0); part 2 -> rank 2 (node 1).
@@ -96,7 +96,7 @@ fn fig3_residence_and_fig4_partition_model() {
 #[test]
 fn fig6_on_node_vs_off_node_boundaries() {
     let machine = MachineModel::new(2, 2);
-    execute_on(machine, |c| {
+    execute_opts(machine, WorldOpts::default(), |c| {
         let serial = tri_rect(4, 4, 1.0, 1.0);
         let labels = three_part_labels(&serial);
         let map = pumi_core::PartMap::from_ranks(vec![0, 1, 2], 4);

@@ -71,7 +71,7 @@ use pumi_repro::io::{read_checkpoint, struct_hash, write_checkpoint};
 use pumi_repro::meshgen::tri_rect;
 use pumi_repro::obs::metrics::{take_digests, take_traffic};
 use pumi_repro::partition::partition_mesh;
-use pumi_repro::pcu::{execute, execute_on, Comm, MachineModel};
+use pumi_repro::pcu::{execute, execute_opts, Comm, MachineModel, WorldOpts};
 use pumi_repro::util::tag::TagKind;
 use pumi_repro::util::{Dim, FxHashMap, PartId};
 
@@ -183,7 +183,8 @@ const GOLDEN: [Probe; 6] = [
 fn no_wire_byte_moved() {
     let dir = std::env::temp_dir().join(format!("pumi_golden_wire_{}", std::process::id()));
     let dir4 = dir.clone();
-    let per_rank: Vec<Vec<Probe>> = execute_on(MachineModel::new(2, 2), move |c| {
+    let machine = MachineModel::new(2, 2);
+    let per_rank: Vec<Vec<Probe>> = execute_opts(machine, WorldOpts::default(), move |c| {
         let mut out = Vec::new();
         let serial = tri_rect(12, 12, 1.0, 1.0);
         let labels = partition_mesh(&serial, 4);
@@ -277,7 +278,8 @@ const GOLDEN_SYNC: SyncProbe = (
 /// ncomp × f64)` in sorted-entity order per frame — must not move.
 #[test]
 fn halo_sync_frames_unmoved() {
-    let per_rank: Vec<SyncProbe> = execute_on(MachineModel::new(2, 2), |c| {
+    let machine = MachineModel::new(2, 2);
+    let per_rank: Vec<SyncProbe> = execute_opts(machine, WorldOpts::default(), |c| {
         let serial = tri_rect(12, 12, 1.0, 1.0);
         let labels = partition_mesh(&serial, 4);
         let mut dm = distribute(c, PartMap::contiguous(4, 4), &serial, &labels);

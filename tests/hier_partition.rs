@@ -13,7 +13,7 @@ use pumi_core::{distribute, PartMap};
 use pumi_io::struct_hash;
 use pumi_meshgen::tri_rect;
 use pumi_partition::{partition_hier, partition_mesh, partition_mesh_hier, HierOpts};
-use pumi_pcu::{execute_on_sched, MachineModel, SchedMode};
+use pumi_pcu::{execute_opts, MachineModel, SchedMode, WorldOpts};
 use pumi_util::PartId;
 
 proptest! {
@@ -70,7 +70,8 @@ fn uneven_strips(c: &pumi_pcu::Comm) -> pumi_core::DistMesh {
 /// round over round, under adversarial frame delivery.
 fn offnode_monotone_under_chaos(seed: u64) {
     let machine = MachineModel::new(2, 2);
-    execute_on_sched(machine, SchedMode::Chaos(seed), |c| {
+    let opts = WorldOpts::default().sched(SchedMode::Chaos(seed));
+    execute_opts(machine, opts, |c| {
         let mut dm = uneven_strips(c);
         let topo = TopologyOpts::new(machine).off_node_penalty(1e12);
         let pri: Priority = "Face".parse().unwrap();

@@ -25,7 +25,7 @@ use pumi_io::struct_hash;
 use pumi_mesh::Mesh;
 use pumi_meshgen::{jitter, tet_box, tri_rect};
 use pumi_partition::partition_mesh;
-use pumi_pcu::{execute, execute_chaos, Comm};
+use pumi_pcu::{execute, execute_opts, Comm, MachineModel, SchedMode, WorldOpts};
 use pumi_util::{Dim, GlobalId, MeshEnt, PartId};
 
 const DEPTH: usize = 3;
@@ -126,7 +126,11 @@ fn follows_the_rule(serial: &Mesh, nparts: usize, nranks: usize, bridge: Dim, ch
     };
     match chaos {
         None => execute(nranks, run),
-        Some(seed) => execute_chaos(nranks, seed, run),
+        Some(seed) => execute_opts(
+            MachineModel::flat(nranks),
+            WorldOpts::default().sched(SchedMode::Chaos(seed)),
+            run,
+        ),
     };
 }
 

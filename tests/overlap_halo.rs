@@ -19,7 +19,7 @@ use pumi_repro::field::{dist_field, Field, FieldShape, FieldSync};
 use pumi_repro::io::struct_hash;
 use pumi_repro::meshgen::tri_rect;
 use pumi_repro::partition::partition_mesh;
-use pumi_repro::pcu::{execute, execute_chaos, Comm};
+use pumi_repro::pcu::{execute, execute_opts, Comm, MachineModel, SchedMode, WorldOpts};
 use pumi_repro::util::{Dim, GlobalId, MeshEnt};
 
 fn mesh() -> pumi_repro::mesh::Mesh {
@@ -120,8 +120,9 @@ fn depth_k_halo_assembly_is_bitwise_serial() {
     let serial = mesh();
     let want = serial_reference(&serial);
     for seed in [1u64, 7u64] {
+        let opts = WorldOpts::default().sched(SchedMode::Chaos(seed));
         for depth in [1usize, 2, 3] {
-            execute_chaos(4, seed, |c| {
+            execute_opts(MachineModel::flat(4), opts, |c| {
                 halo_matches_serial(c, &serial, depth, &want);
             });
         }
