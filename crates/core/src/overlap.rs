@@ -27,7 +27,8 @@ use crate::part::Part;
 use crate::rows::{unpack_tags, Placed, Rows};
 use crate::wire::{self, get_dim, pack_tags};
 use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
-use pumi_util::{Dim, FxHashMap, FxHashSet, MeshEnt, PartId};
+use pumi_util::{fxhash::FxHasher, Dim, FxHashMap, FxHashSet, MeshEnt, PartId};
+use std::hash::Hasher;
 
 // ---------------------------------------------------------------------
 // Modes
@@ -97,8 +98,8 @@ impl Stamp {
 }
 
 /// One slot's share map, compiled: flat arrays sorted by entity handle,
-/// i.e. by `(dim, index)`, with the start of every dimension recorded so a
-/// walk can be restricted to the dimensions that carry data.
+/// i.e. by `(dim, index)`, so a walk can be restricted to the dimensions
+/// that carry data.
 #[derive(Debug, Clone, Default)]
 struct SlotShares {
     /// Every part a link of this slot names, ascending.
@@ -109,20 +110,24 @@ struct SlotShares {
     /// `root_links[root_offsets[i]..root_offsets[i + 1]]`, ascending.
     root_offsets: Vec<u32>,
     root_links: Vec<Share>,
-    /// `root_ents[root_dims[d]..root_dims[d + 1]]` have dimension `d`.
-    root_dims: [usize; 5],
     /// Leaf entities, ascending.
     leaf_ents: Vec<MeshEnt>,
     /// The root copy of `leaf_ents[i]`.
     leaf_roots: Vec<Share>,
-    /// `leaf_ents[leaf_dims[d]..leaf_dims[d + 1]]` have dimension `d`.
-    leaf_dims: [usize; 5],
+    /// The leaves by `(dim, root part, root index)`: in each dimension, the
+    /// leaves rooted on one peer are in their roots' order.
+    leaf_order: Vec<u32>,
+    /// Per [`Side`], per peer: the digest of the peer's link list in walk
+    /// order, which heads every frame between the two.
+    digests: [Vec<u64>; 2],
     stamp: Stamp,
 }
 
-/// Where each dimension starts in the ascending handle list `ents`.
-fn dim_starts(ents: &[MeshEnt]) -> [usize; 5] {
-    std::array::from_fn(|d| ents.partition_point(|e| e.dim().as_usize() < d))
+/// The end of its links a slot walks: a bcast sends from the roots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Roots,
+    Leaves,
 }
 
 impl SlotShares {
@@ -191,15 +196,50 @@ impl SlotShares {
             sh.leaf_ents.push(e);
             sh.leaf_roots.push(s);
         }
-        sh.root_dims = dim_starts(&sh.root_ents);
-        sh.leaf_dims = dim_starts(&sh.leaf_ents);
+        sh.leaf_order = (0..sh.leaf_ents.len() as u32).collect();
+        sh.leaf_order.sort_unstable_by_key(|&i| {
+            let (e, root) = (sh.leaf_ents[i as usize], sh.leaf_roots[i as usize]);
+            (e.dim(), root.part, root.index)
+        });
         sh.peers = peers;
+        sh.digests = [Side::Roots, Side::Leaves].map(|side| sh.digest(side));
         sh
     }
 
     /// The leaf list of the `i`-th root.
     fn links_of(&self, i: usize) -> &[Share] {
         &self.root_links[self.root_offsets[i] as usize..self.root_offsets[i + 1] as usize]
+    }
+
+    /// Per peer, the digest of its link list at `side` in walk order: the
+    /// `(root handle, ghost)` of every link.
+    fn digest(&self, side: Side) -> Vec<u64> {
+        let mut h = vec![FxHasher::default(); self.peers.len()];
+        self.walk(side, &Dim::ALL, Scope::All, |e, s| {
+            let root = MeshEnt::new(e.dim(), [e.index(), s.index][side as usize]);
+            h[usize::from(s.peer)].write_u64(1 << 63 | u64::from(root.0) << 1 | s.ghost as u64);
+        });
+        h.iter().map(FxHasher::finish).collect()
+    }
+
+    /// Visit the links of `side` in `dims` (ascending) and in `scope`, as the
+    /// local entity and the link's other end, in the order both ends agree
+    /// on: per peer, `(dim, root index)` ascending.
+    fn walk(&self, side: Side, dims: &[Dim], scope: Scope, mut f: impl FnMut(MeshEnt, &Share)) {
+        let ents = [&self.root_ents, &self.leaf_ents][side as usize];
+        let at = |d: usize| ents.partition_point(|e| e.dim().as_usize() < d);
+        let range = |d: &Dim| at(d.as_usize())..at(d.as_usize() + 1);
+        for k in dims.iter().flat_map(range) {
+            let (e, links) = match side {
+                Side::Roots => (self.root_ents[k], self.links_of(k)),
+                Side::Leaves => {
+                    let i = self.leaf_order[k] as usize;
+                    (self.leaf_ents[i], std::slice::from_ref(&self.leaf_roots[i]))
+                }
+            };
+            let links = links.iter().filter(|s| scope == Scope::All || s.ghost);
+            links.for_each(|s| f(e, s));
+        }
     }
 }
 
@@ -479,8 +519,8 @@ impl Overlap {
             for (from, to, mut r) in frames {
                 let part = &mut dm.parts[dm.map.slot_of(to)];
                 while !r.is_done() {
-                    let (e, holder_idx) = decode_header(&mut r)
-                        .and_then(|e| Ok((e, r.try_get_u32()?)))
+                    let (e, holder_idx) = get_dim(&mut r)
+                        .and_then(|d| Ok((MeshEnt::new(d, r.try_get_u32()?), r.try_get_u32()?)))
                         .unwrap_or_else(|e| panic!("corrupt overlap ack frame {from}->{to}: {e}"));
                     part.record_ghost_holder(e, (from, holder_idx));
                 }
@@ -498,11 +538,13 @@ impl Overlap {
 
     /// Push data root → leaves. For every root entity `e` of a dimension in
     /// `dims` (ascending) on local slot `s` with `has(data, s, e)` true,
-    /// `pack` writes one self-contained payload per leaf in `scope`; on the
-    /// receiving side `apply` reads exactly that payload for the leaf copy.
-    /// Share links of other dimensions are not visited. Collective; applies
-    /// frames in canonical `(to, from)` order so results are deterministic
-    /// under any scheduler.
+    /// `pack` writes its value once per leaf in `scope`, and `apply` reads
+    /// exactly that value for the leaf copy. Only values travel, in the
+    /// order both ends compiled into the share map; a frame is headed by
+    /// that order's digest. Share links of other dimensions are not
+    /// visited. Collective, and deterministic under any scheduler; panics
+    /// on a frame not from a peer, of another link list, or with too few or
+    /// too many values.
     #[allow(clippy::too_many_arguments)]
     pub fn bcast<D: ?Sized>(
         &self,
@@ -515,36 +557,15 @@ impl Overlap {
         pack: impl Fn(&D, usize, MeshEnt, &mut MsgWriter),
         apply: impl FnMut(&mut D, usize, MeshEnt, &mut MsgReader) -> Result<(), MsgError>,
     ) {
-        let _span = pumi_obs::span!("overlap.bcast");
-        debug_assert!(dims.windows(2).all(|w| w[0] < w[1]), "dims not ascending");
-        let mut ex = PartExchange::new(comm, map);
-        for (slot, sh) in self.shares.iter().enumerate() {
-            let mut out = PeerWriters::new(&sh.peers);
-            for &d in dims {
-                for i in sh.root_dims[d.as_usize()]..sh.root_dims[d.as_usize() + 1] {
-                    let e = sh.root_ents[i];
-                    if !has(data, slot, e) {
-                        continue;
-                    }
-                    for s in sh.links_of(i) {
-                        if scope == Scope::Ghosts && !s.ghost {
-                            continue;
-                        }
-                        pack(data, slot, e, out.record(d, s));
-                    }
-                }
-            }
-            out.hand_over(&mut ex, self.part_ids[slot]);
-        }
-        apply_frames("bcast", ex, map, data, apply);
+        self.move_values(Side::Roots, comm, map, scope, dims, data, has, pack, apply);
     }
 
     /// Pull data leaves → root. The mirror of [`Overlap::bcast`]: every
     /// leaf of a dimension in `dims` (ascending) in `scope` with `has` true
-    /// packs one payload addressed to its root copy; `apply` combines it
-    /// there. Frames are applied in canonical `(to, from)` order and leaves
-    /// are packed in sorted entity order, so a non-associative combine still
-    /// yields scheduler-independent results. Collective.
+    /// sends its value to its root copy, and `apply` combines it there, a
+    /// root's leaves in ascending part order: a non-associative combine
+    /// still yields scheduler-independent results. Collective; panics as
+    /// `bcast` does, naming a `reduce` frame.
     #[allow(clippy::too_many_arguments)]
     pub fn reduce<D: ?Sized>(
         &self,
@@ -557,26 +578,82 @@ impl Overlap {
         pack: impl Fn(&D, usize, MeshEnt, &mut MsgWriter),
         apply: impl FnMut(&mut D, usize, MeshEnt, &mut MsgReader) -> Result<(), MsgError>,
     ) {
-        let _span = pumi_obs::span!("overlap.reduce");
+        self.move_values(Side::Leaves, comm, map, scope, dims, data, has, pack, apply);
+    }
+
+    /// `bcast` from the roots, `reduce` from the leaves: pack a frame per
+    /// peer, then walk the receiving end with one reader per peer.
+    #[allow(clippy::too_many_arguments)]
+    fn move_values<D: ?Sized>(
+        &self,
+        sender: Side,
+        comm: &Comm,
+        map: &PartMap,
+        scope: Scope,
+        dims: &[Dim],
+        data: &mut D,
+        has: impl Fn(&D, usize, MeshEnt) -> bool,
+        pack: impl Fn(&D, usize, MeshEnt, &mut MsgWriter),
+        mut apply: impl FnMut(&mut D, usize, MeshEnt, &mut MsgReader) -> Result<(), MsgError>,
+    ) {
+        let what = ["bcast", "reduce"][sender as usize];
+        let _span = pumi_obs::span!(["overlap.bcast", "overlap.reduce"][sender as usize]);
         debug_assert!(dims.windows(2).all(|w| w[0] < w[1]), "dims not ascending");
+        let receiver = [Side::Leaves, Side::Roots][sender as usize];
         let mut ex = PartExchange::new(comm, map);
+        // Per peer of each slot in turn: the frame out with its list's
+        // length and gaps, then the frame in. One table, so a sync allocates
+        // per phase, not per slot.
+        let mut io = Vec::with_capacity(self.shares.iter().map(|sh| sh.peers.len()).sum());
+        let head = |&digest| {
+            let mut w = MsgWriter::pooled();
+            w.put_u64(digest);
+            w.put_u8(0); // every entity on the list has a value
+            (w, 0, Vec::new(), None::<FrameIn>)
+        };
         for (slot, sh) in self.shares.iter().enumerate() {
-            let mut out = PeerWriters::new(&sh.peers);
-            for &d in dims {
-                for i in sh.leaf_dims[d.as_usize()]..sh.leaf_dims[d.as_usize() + 1] {
-                    let (e, root) = (sh.leaf_ents[i], &sh.leaf_roots[i]);
-                    if scope == Scope::Ghosts && !root.ghost {
-                        continue;
-                    }
-                    if !has(data, slot, e) {
-                        continue;
-                    }
-                    pack(data, slot, e, out.record(d, root));
+            let base = io.len();
+            io.extend(sh.digests[sender as usize].iter().map(head));
+            let d: &D = data;
+            sh.walk(sender, dims, scope, |e, s| {
+                let (w, len, absent, _) = &mut io[base + usize::from(s.peer)];
+                match has(d, slot, e) {
+                    true => pack(d, slot, e, w),
+                    false => absent.push(*len),
+                }
+                *len += 1;
+            });
+            for ((w, len, absent, _), &to) in io[base..].iter_mut().zip(&sh.peers) {
+                if let Some(w) = frame_tail(std::mem::take(w), *len, std::mem::take(absent)) {
+                    ex.put(self.part_ids[slot], to, w);
                 }
             }
-            out.hand_over(&mut ex, self.part_ids[slot]);
         }
-        apply_frames("reduce", ex, map, data, apply);
+        let fail = |from, to, e| -> ! { panic!("corrupt overlap {what} frame {from}->{to}: {e}") };
+        let base = |s: usize| -> usize { self.shares[..s].iter().map(|sh| sh.peers.len()).sum() };
+        for (from, to, r) in ex.finish() {
+            let slot = map.slot_of(to);
+            let frame = FrameIn::open(&self.shares[slot], receiver, from, r)
+                .unwrap_or_else(|e| fail(from, to, e));
+            let at = base(slot) + frame.peer;
+            io[at].3 = Some(frame);
+        }
+        for (slot, sh) in self.shares.iter().enumerate() {
+            let (to, inbox) = (self.part_ids[slot], &mut io[base(slot)..]);
+            sh.walk(receiver, dims, scope, |e, s| {
+                if let (.., Some(frame)) = &mut inbox[usize::from(s.peer)] {
+                    let read = match frame.next() {
+                        Ok(true) => apply(data, slot, e, &mut frame.r),
+                        other => other.map(drop),
+                    };
+                    read.unwrap_or_else(|err| fail(s.part, to, err));
+                }
+            });
+            for ((.., frame), &from) in inbox.iter().zip(&sh.peers) {
+                let close = frame.as_ref().map_or(Ok(()), FrameIn::close);
+                close.unwrap_or_else(|e| fail(from, to, e));
+            }
+        }
     }
 
     /// Push tag data of root entities to their leaf copies in `scope`
@@ -789,62 +866,72 @@ fn next_layer(
 // Wire helpers
 // ---------------------------------------------------------------------
 
-/// One slot's outgoing bcast/reduce frames: a writer per peer, fetched by
-/// the link's peer position instead of by hashing `(from, to)` per record.
-struct PeerWriters<'a> {
-    peers: &'a [PartId],
-    writers: Vec<MsgWriter>,
+/// The frame `w` of a list of `len` entities, of which those at the
+/// positions `absent` (ascending) have no value; none if no entity has one.
+/// A list with a gap gets presence byte 1 and the `u32`-prefixed bitmap of
+/// the positions that have a value (bit `k % 8` of byte `k / 8`).
+fn frame_tail(w: MsgWriter, len: u32, absent: Vec<u32>) -> Option<MsgWriter> {
+    if absent.len() == len as usize {
+        w.recycle();
+        return None;
+    } else if absent.is_empty() {
+        return Some(w);
+    }
+    let mut bits = vec![0u8; len.div_ceil(8) as usize];
+    let present = (0..len).filter(|k| absent.binary_search(k).is_err());
+    present.for_each(|k| bits[k as usize / 8] |= 1 << (k % 8));
+    let mut out = MsgWriter::pooled();
+    out.put_raw(&w.as_slice()[..8]);
+    out.put_u8(1);
+    out.put_bytes(&bits);
+    out.put_raw(&w.as_slice()[9..]);
+    w.recycle();
+    Some(out)
 }
 
-impl<'a> PeerWriters<'a> {
-    fn new(peers: &'a [PartId]) -> Self {
-        PeerWriters {
-            peers,
-            writers: peers.iter().map(|_| MsgWriter::pooled()).collect(),
-        }
-    }
-
-    /// Write the `(dim, index)` record header addressed to the copy `to`
-    /// names; the caller appends the payload.
-    fn record(&mut self, d: Dim, to: &Share) -> &mut MsgWriter {
-        let w = &mut self.writers[usize::from(to.peer)];
-        w.put_u8(d.as_usize() as u8);
-        w.put_u32(to.index);
-        w
-    }
-
-    /// Give the frames to `ex` as part `from`'s.
-    fn hand_over(self, ex: &mut PartExchange, from: PartId) {
-        for (&to, w) in self.peers.iter().zip(self.writers) {
-            ex.put(from, to, w);
-        }
-    }
+/// One received bcast/reduce frame: its sender's peer position, its values,
+/// and the presence bitmap if some entity on the list has none.
+struct FrameIn {
+    peer: usize,
+    r: MsgReader,
+    bits: Option<bytes::Bytes>,
+    at: usize,
 }
 
-/// Finish `ex` and feed every record of every frame to `apply`, frames in
-/// canonical `(to, from)` order.
-fn apply_frames<D: ?Sized>(
-    what: &str,
-    ex: PartExchange,
-    map: &PartMap,
-    data: &mut D,
-    mut apply: impl FnMut(&mut D, usize, MeshEnt, &mut MsgReader) -> Result<(), MsgError>,
-) {
-    let mut frames = ex.finish();
-    frames.sort_by_key(|&(from, to, _)| (to, from));
-    for (from, to, mut r) in frames {
-        let slot = map.slot_of(to);
-        while !r.is_done() {
-            decode_header(&mut r)
-                .and_then(|e| apply(data, slot, e, &mut r))
-                .unwrap_or_else(|e| panic!("corrupt overlap {what} frame {from}->{to}: {e}"));
+impl FrameIn {
+    /// Open a frame `from` sent to the `side` end of `sh`'s links: it must come
+    /// from a peer and be headed by the digest of the same link list.
+    fn open(sh: &SlotShares, side: Side, from: PartId, mut r: MsgReader) -> Result<Self, MsgError> {
+        let peer = (sh.peers.binary_search(&from))
+            .map_err(|_| MsgError::corrupt("overlap frame (not from a peer)"))?;
+        if r.try_get_u64()? != sh.digests[side as usize][peer] {
+            return Err(MsgError::corrupt("overlap frame (of another link list)"));
         }
+        let bits = match r.try_get_u8()? {
+            0 => None,
+            1 => Some(r.try_get_bytes_shared()?),
+            b => return Err(MsgError::bad_enum("presence", b)),
+        };
+        let at = 0;
+        Ok(FrameIn { peer, r, bits, at })
     }
-}
 
-/// Decode one `(dim, index)` record header of a bcast/reduce frame.
-fn decode_header(r: &mut MsgReader) -> Result<MeshEnt, MsgError> {
-    Ok(MeshEnt::new(get_dim(r)?, r.try_get_u32()?))
+    /// Whether the next entity on the list has a value.
+    fn next(&mut self) -> Result<bool, MsgError> {
+        let k = self.at;
+        self.at += 1;
+        let bit = |bits: &bytes::Bytes| Some(bits.get(k / 8)? >> (k % 8) & 1 == 1);
+        let short = MsgError::corrupt("overlap frame (bitmap short of its list)");
+        self.bits.as_ref().map_or(Some(true), bit).ok_or(short)
+    }
+
+    /// Refuse values or presence bits past the end of the list.
+    fn close(&self) -> Result<(), MsgError> {
+        let bits = self.bits.as_deref().unwrap_or(&[]);
+        let past = (self.at..bits.len() * 8).any(|k| bits[k / 8] >> (k % 8) & 1 == 1);
+        let err = MsgError::corrupt("overlap frame (values past the end of its list)");
+        (self.r.is_done() && !past).then_some(()).ok_or(err)
+    }
 }
 
 /// The root copy of `e` as `part` knows it: its ghost source, else its
@@ -1131,6 +1218,98 @@ mod tests {
                     part.id
                 );
             }
+        });
+    }
+
+    /// A bcast frame from part 0 to part 1 on the quadrant split, over
+    /// their shared vertices: the value of list position `k` is `k`, and the
+    /// positions in `absent` have none.
+    fn vertex_frame(digest: u64, len: u32, absent: &[u32]) -> Vec<u8> {
+        let mut w = MsgWriter::new();
+        w.put_u64(digest);
+        w.put_u8(0);
+        (0..len)
+            .filter(|k| !absent.contains(k))
+            .for_each(|k| w.put_u64(u64::from(k)));
+        let w = frame_tail(w, len, absent.to_vec()).expect("a value to carry");
+        w.finish().to_vec()
+    }
+
+    /// Decode `frame`, sent by part `from`, at part 1's leaves as
+    /// `bcast` does: the values read, in list order.
+    fn decode_at_part_1(
+        sh: &SlotShares,
+        from: PartId,
+        frame: Vec<u8>,
+    ) -> Result<Vec<u64>, MsgError> {
+        let mut f = FrameIn::open(sh, Side::Leaves, from, MsgReader::from_vec(frame))?;
+        let mut got: Result<Vec<u64>, MsgError> = Ok(Vec::new());
+        sh.walk(Side::Leaves, &[Dim::Vertex], Scope::All, |_, s| {
+            if let (true, Ok(vals)) = (usize::from(s.peer) == f.peer, &mut got) {
+                match f
+                    .next()
+                    .and_then(|some| some.then(|| f.r.try_get_u64()).transpose())
+                {
+                    Ok(x) => vals.extend(x),
+                    Err(e) => got = Err(e),
+                }
+            }
+        });
+        let got = got?;
+        f.close()?;
+        Ok(got)
+    }
+
+    #[test]
+    fn damaged_frames_are_typed_errors() {
+        execute(1, |c| {
+            let dm = quadrants_one_rank(c);
+            let sh = Overlap::from_dist(&dm).shares[1].clone();
+            let peer = sh
+                .peers
+                .binary_search(&0)
+                .expect("part 0 is a peer of part 1");
+            let digest = sh.digests[Side::Leaves as usize][peer];
+            let mut len = 0;
+            sh.walk(Side::Leaves, &[Dim::Vertex], Scope::All, |_, s| {
+                len += u32::from(usize::from(s.peer) == peer)
+            });
+            assert!(len % 8 != 0 && len > 3, "{len} shared vertices");
+            let whole = vertex_frame(digest, len, &[]);
+            let gappy = vertex_frame(digest, len, &[1, 2]);
+            assert_eq!(gappy[8], 1, "a gap sends a bitmap");
+            let decode = |frame: &[u8]| decode_at_part_1(&sh, 0, frame.to_vec());
+            assert_eq!(decode(&whole), Ok((0..u64::from(len)).collect()));
+            let skip = (0..u64::from(len)).filter(|k| !matches!(k, 1 | 2));
+            assert_eq!(decode(&gappy), Ok(skip.collect()));
+
+            let truncated = &whole[..whole.len() - 1];
+            assert!(matches!(decode(truncated), Err(MsgError::Underrun { .. })));
+            let extra = [whole.as_slice(), &7u64.to_le_bytes()].concat();
+            assert!(matches!(decode(&extra), Err(MsgError::Corrupt { .. })));
+            for (frame, presence) in [(&whole, 1), (&gappy, 0), (&whole, 2)] {
+                let mut flipped = frame.clone();
+                flipped[8] = presence;
+                assert!(
+                    decode(&flipped).is_err(),
+                    "presence byte {presence} accepted"
+                );
+            }
+            let mut past = gappy.clone();
+            past[13 + len as usize / 8] |= 1 << (len % 8);
+            assert!(matches!(decode(&past), Err(MsgError::Corrupt { .. })));
+            let stranger = decode_at_part_1(&sh, 9, whole.clone());
+            assert!(matches!(stranger, Err(MsgError::Corrupt { .. })));
+            // Another list of the same length: one root index differs.
+            let mut other = sh.clone();
+            let i = other
+                .leaf_roots
+                .iter()
+                .position(|r| usize::from(r.peer) == peer)
+                .unwrap();
+            other.leaf_roots[i].index += 1;
+            let forged = vertex_frame(other.digest(Side::Leaves)[peer], len, &[]);
+            assert!(matches!(decode(&forged), Err(MsgError::Corrupt { .. })));
         });
     }
 

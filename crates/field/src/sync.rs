@@ -12,8 +12,9 @@
 //! * [`Reduction::Min`] / [`Reduction::Max`] — componentwise extremum over
 //!   all copies, everywhere.
 //!
-//! Values combine at the root in canonical `(to, from)` frame order with
-//! leaves packed in sorted entity order, so floating-point results are
+//! A node travels as its `ncomp × f64` alone, in the order both ends
+//! compiled into the share map. Values combine at the root in ascending part
+//! order, starting from the root's own value, so floating-point results are
 //! independent of the chaos scheduler's arrival order.
 
 use crate::field::Field;
@@ -30,7 +31,7 @@ pub fn dist_field(dm: &DistMesh, template: &Field) -> DistField {
     dm.parts.iter().map(|_| template.clone()).collect()
 }
 
-/// Read one node payload (`len u32, len × f64`) onto `e`: `combine(current,
+/// Read one node value (`ncomp × f64`) onto `e`: `combine(current,
 /// incoming)` per component where `e` already holds a value, the incoming
 /// value where it does not.
 fn apply_node(
@@ -39,9 +40,6 @@ fn apply_node(
     r: &mut MsgReader,
     combine: impl Fn(f64, f64) -> f64,
 ) -> Result<(), MsgError> {
-    if r.try_get_u32()? as usize != field.ncomp {
-        return Err(MsgError::corrupt("field node (component count)"));
-    }
     let (node, had) = field.node_mut(e);
     for c in node {
         let x = r.try_get_f64()?;
@@ -88,7 +86,8 @@ pub fn sync_fields(
     }
     let has = |f: &DistField, slot: usize, e: MeshEnt| f[slot].get(e).is_some();
     let pack = |f: &DistField, slot: usize, e: MeshEnt, w: &mut MsgWriter| {
-        w.put_f64_slice(f[slot].get(e).expect("packed entity has a value"));
+        let node = f[slot].get(e).expect("packed entity has a value");
+        node.iter().for_each(|&x| w.put_f64(x));
     };
     if red != Reduction::Insert {
         overlap.reduce(
@@ -187,8 +186,13 @@ mod tests {
 
     /// Ranks that disagree on `ncomp` cannot be caught up front; the
     /// receiver names the frame instead of tripping `Field::set`'s assert.
+    /// Rank 0 reads one component per node of rank 1's two, so the frame
+    /// has values left when its list ends.
     #[test]
-    #[should_panic(expected = "corrupt overlap reduce frame 1->0: undecodable field node")]
+    #[should_panic(
+        expected = "corrupt overlap reduce frame 1->0: undecodable overlap frame \
+                    (values past the end of its list)"
+    )]
     fn payload_of_the_wrong_length_names_its_frame() {
         execute(2, |c| {
             let dm = two_part_mesh(c);

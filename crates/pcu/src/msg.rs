@@ -254,6 +254,12 @@ impl MsgWriter {
         self.buf.put_f64_le(x);
     }
 
+    /// Write bytes as they are, with no length prefix: for a frame
+    /// re-assembled from parts of another writer.
+    pub fn put_raw(&mut self, b: &[u8]) {
+        self.buf.put_slice(b);
+    }
+
     /// Write a length-prefixed byte slice.
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.put_u32(b.len() as u32);

@@ -62,6 +62,19 @@
 //! link fingerprint (ghost sources and local indices included), the
 //! `distribute`, `migrate` and `restore 4->2` rows and `GOLDEN_SYNC` are
 //! unchanged: the roots and holder lists are the ones the re-root made.
+//!
+//! A fifth re-take, of `GOLDEN_SYNC` only: when `bcast`/`reduce` frames
+//! stopped carrying a `(dim u8, index u32, len u32)` header per value and
+//! became an 8-byte digest of the link list, a presence byte and the bare
+//! values in the order both ends compiled, each 3-component record went
+//! from 33 to 24 bytes. The frame count stayed 10 per phase, the bytes
+//! sent per phase went from 8040 to 5970 (240 records × −9 bytes, 10
+//! frames × +9), the phase digests changed with the bytes
+//! (14894211904075380606 → 15099324249021370447 for `overlap.reduce`,
+//! 1775441416287024949 → 17131722472166660347 for `overlap.bcast`), and
+//! the traffic quadruple went from `[8, 9270, 12, 6810]` to
+//! `[8, 6840, 12, 5100]`: same messages, fewer bytes. Every other constant
+//! in this file is unchanged.
 
 use pumi_repro::adapt::{adapt_dist, AdaptOpts, SizeField};
 use pumi_repro::core::overlap::{Overlap, Reduction};
@@ -263,19 +276,21 @@ fn no_wire_byte_moved() {
 /// `(frames received, order-free digest of them, bytes sent)`.
 type SyncProbe = ([u64; 4], [(u64, u64, u64); 2]);
 
-/// Taken on the commit *before* the share map was compiled into sorted
-/// arrays and `Field` went dense.
+/// Re-taken when bcast/reduce frames began to ship values only (see the
+/// module docs); the values before that were taken on the commit *before*
+/// the share map was compiled into sorted arrays and `Field` went dense.
 const GOLDEN_SYNC: SyncProbe = (
-    [8, 9270, 12, 6810],
+    [8, 6840, 12, 5100],
     [
-        (10, 14894211904075380606, 8040),
-        (10, 1775441416287024949, 8040),
+        (10, 15099324249021370447, 5970),
+        (10, 17131722472166660347, 5970),
     ],
 );
 
-/// One depth-2 `Reduction::Add` sync of a 3-component vertex field: the
-/// records of its reduce and bcast frames — `(dim u8, index u32, len u32,
-/// ncomp × f64)` in sorted-entity order per frame — must not move.
+/// One depth-2 `Reduction::Add` sync of a 3-component vertex field: its
+/// reduce and bcast frames — the link list's digest, a presence byte, then
+/// `ncomp × f64` per link in the compiled `(dim, root index)` order — must
+/// not move.
 #[test]
 fn halo_sync_frames_unmoved() {
     let machine = MachineModel::new(2, 2);
