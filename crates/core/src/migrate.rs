@@ -969,6 +969,26 @@ mod tests {
         assert_eq!(part.find_gid(Dim::Edge, 200), None);
     }
 
+    /// A tet record over the vertices of an existing tet, permuted and
+    /// under another gid, is found as that tet and refused; no second
+    /// region is built.
+    #[test]
+    fn tet_record_over_an_existing_tet_is_typed_error() {
+        let mut part = Part::new(0, 3);
+        let corners = [[0.0; 3], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]];
+        let vs: Vec<u32> = (1..)
+            .zip(corners)
+            .map(|(g, x)| part.add_vertex(x, GeomEnt(0), g).index())
+            .collect();
+        part.add_entity(Topology::Tet, &vs, GeomEnt(0), 100);
+        let mut w = MsgWriter::new();
+        raw_rec(&mut w, Topology::Tet, 200, &[3, 1, 4, 2], None);
+        let err = unpack(&mut part, vec![w]).unwrap_err();
+        assert_eq!(err, MsgError::conflict(crate::rows::TWIN, 3, 100));
+        assert_eq!(part.mesh.count(Dim::Region), 1);
+        assert_eq!(part.find_gid(Dim::Region, 200), None);
+    }
+
     /// A tag the part declares `Double × 1` arriving as `Int × 1`: the tag
     /// manager panicked on the re-declaration.
     #[test]

@@ -368,10 +368,9 @@ impl Part {
         class: GeomEnt,
         gid: GlobalId,
     ) -> MeshEnt {
-        let existed =
-            topo.dim() != Dim::Region && self.mesh.find_entity(topo.dim(), verts).is_some();
+        let before = self.mesh.count(topo.dim());
         let e = self.mesh.add_entity(topo, verts, class);
-        if existed {
+        if self.mesh.count(topo.dim()) == before {
             debug_assert_eq!(self.gid_of(e), gid, "gid mismatch on find: {e:?}");
             return e;
         }

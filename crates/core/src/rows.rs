@@ -395,14 +395,9 @@ impl Part {
                         .mesh
                         .add_entity(dr.topo[r], &vs[..refs.len()], dr.class[r]);
                     let after = self.entity_counts();
-                    // Found by its vertices, or a region over a region's.
-                    let twin = if after[d] == before[d] {
-                        Some(e)
-                    } else {
-                        self.twin_region(e)
-                    };
-                    if let Some(t) = twin {
-                        return refuse(MsgError::conflict(TWIN, d as u8, self.gid_of(t)));
+                    // Found by its vertices: an existing entity.
+                    if after[d] == before[d] {
+                        return refuse(MsgError::conflict(TWIN, d as u8, self.gid_of(e)));
                     }
                     if after[..d] != before[..d] {
                         return refuse(MsgError::corrupt(
@@ -433,23 +428,5 @@ impl Part {
             }
         }
         Ok(())
-    }
-
-    /// For a region `e`, another region over the same vertices: regions,
-    /// unlike edges and faces, are not found by their vertices.
-    fn twin_region(&self, e: MeshEnt) -> Option<MeshEnt> {
-        let sorted = |o: MeshEnt| {
-            let (vs, mut out) = (self.mesh.verts_of(o), [NONE; 8]);
-            out[..vs.len()].copy_from_slice(vs);
-            out.sort_unstable();
-            out
-        };
-        let side = self
-            .mesh
-            .down(e)
-            .next()
-            .filter(|_| e.dim() == Dim::Region)?;
-        let mine = sorted(e);
-        self.mesh.up(side).find(|&o| o != e && sorted(o) == mine)
     }
 }

@@ -5,6 +5,9 @@
 //! the quantity the paper's hybrid work targets ("maximizes usable shared
 //! memory") and the constraint adaptation partitions must satisfy ("the
 //! resulting adapted mesh fits within memory").
+//!
+//! There is no index family: entities are found from their vertices through
+//! the upward lists, so the families below are all a mesh holds.
 
 use crate::mesh::Mesh;
 use pumi_util::{Dim, InlineVec};
@@ -22,8 +25,6 @@ pub struct MeshMemory {
     pub upward: usize,
     /// Geometric classification.
     pub classification: usize,
-    /// Find-or-create indexes (edge/face lookups).
-    pub lookups: usize,
     /// Tag value arrays: per tag and dimension, slots × value width plus
     /// the presence mask.
     pub tags: usize,
@@ -37,7 +38,6 @@ impl MeshMemory {
             + self.downward
             + self.upward
             + self.classification
-            + self.lookups
             + self.tags
     }
 }
@@ -75,9 +75,6 @@ impl Mesh {
                 }
             }
         }
-        // Hash maps: entries ≈ live edges + faces, ~1.5x overhead factor.
-        m.lookups += self.count(Dim::Edge) * (8 + 4) * 3 / 2;
-        m.lookups += self.count(Dim::Face) * (16 + 4) * 3 / 2;
         m.tags = self.tags().memory_bytes();
         m
     }
@@ -117,7 +114,6 @@ mod tests {
         assert!(mem.coords > 0);
         assert!(mem.downward > 0);
         assert!(mem.upward > 0);
-        assert!(mem.lookups > 0);
         assert!(mem.total() > 1000);
         // The hub vertex has 24 up-edges: spilled inline vec counted.
         assert!(mem.upward > 25 * std::mem::size_of::<pumi_util::InlineVec>());

@@ -9,11 +9,12 @@
 //!
 //! Entities live in per-dimension fixed-stride arrays with free-list reuse,
 //! so dynamic mesh modification (adaptation, migration) is O(1) per
-//! create/delete amortized.
+//! create/delete amortized. There is no lookup table: an entity is found
+//! from its vertices through the upward lists ([`Mesh::find_entity`]).
 
 use crate::topology::Topology;
 use pumi_geom::GeomEnt;
-use pumi_util::{Dim, FxHashMap, InlineVec, MeshEnt, TagManager};
+use pumi_util::{Dim, InlineVec, MeshEnt, TagManager};
 
 /// Classification value meaning "not classified yet".
 pub const NO_GEOM: GeomEnt = GeomEnt(u32::MAX);
@@ -64,9 +65,6 @@ pub struct Mesh {
     alive: [Vec<bool>; 4],
     free: [Vec<u32>; 4],
     n_alive: [usize; 4],
-    /// Find-or-create indexes.
-    edge_lookup: FxHashMap<u64, u32>,
-    face_lookup: FxHashMap<[u32; 4], u32>,
     /// Attached user data.
     tags: TagManager,
 }
@@ -85,18 +83,6 @@ impl std::fmt::Debug for Mesh {
     }
 }
 
-fn edge_key(a: u32, b: u32) -> u64 {
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    ((hi as u64) << 32) | lo as u64
-}
-
-fn face_key(verts: &[u32]) -> [u32; 4] {
-    let mut k = [PAD; 4];
-    k[..verts.len()].copy_from_slice(verts);
-    k[..verts.len()].sort_unstable();
-    k
-}
-
 impl Mesh {
     /// An empty mesh whose elements have dimension `elem_dim` (2 or 3).
     pub fn new(elem_dim: usize) -> Mesh {
@@ -112,8 +98,6 @@ impl Mesh {
             alive: Default::default(),
             free: Default::default(),
             n_alive: [0; 4],
-            edge_lookup: FxHashMap::default(),
-            face_lookup: FxHashMap::default(),
             tags: TagManager::new(),
         }
     }
@@ -220,31 +204,63 @@ impl Mesh {
         MeshEnt::vertex(i)
     }
 
-    /// Find an existing entity with topology dimension matching `verts`.
-    /// Edges are matched by their 2 vertices; faces by their sorted vertex
-    /// tuple. Regions are not indexed (they are never find-or-created).
+    /// The live entity of dimension `d` over the vertex set `verts`, given
+    /// in any order: edges, faces and regions are found through upward
+    /// adjacency, with no index. The walk starts at `verts[0]`, or for an
+    /// edge at whichever of its two vertices bounds fewer edges.
     pub fn find_entity(&self, d: Dim, verts: &[u32]) -> Option<MeshEnt> {
-        match d {
-            Dim::Edge => self
-                .edge_lookup
-                .get(&edge_key(verts[0], verts[1]))
-                .map(|&i| MeshEnt::edge(i)),
-            Dim::Face => self
-                .face_lookup
-                .get(&face_key(verts))
-                .map(|&i| MeshEnt::face(i)),
-            _ => None,
+        let from = match d {
+            Dim::Vertex => return None,
+            Dim::Edge => verts
+                .iter()
+                .copied()
+                .min_by_key(|&v| self.up[0][v as usize].len())?,
+            _ => verts[0],
+        };
+        self.find_above(MeshEnt::vertex(from), d, verts)
+    }
+
+    /// The entity of dimension `d` over exactly the vertex set `verts`,
+    /// reached from `from` by going up through entities whose vertices all
+    /// lie in `verts`: the one with as many vertices as `verts`.
+    fn find_above(&self, from: MeshEnt, d: Dim, verts: &[u32]) -> Option<MeshEnt> {
+        let ud = from.dim().as_usize() + 1;
+        let vs = vstride(ud);
+        for &u in self.up[ud - 1][from.idx()].as_slice() {
+            // The stored list is padded to the stride, so its length needs
+            // no topology read. `n` counts its leading vertices in `verts`.
+            let stored = &self.verts[ud][u as usize * vs..][..vs];
+            let n = stored
+                .iter()
+                .take_while(|&&v| v != PAD && verts.contains(&v))
+                .count();
+            if stored.get(n).is_some_and(|&v| v != PAD) {
+                continue; // a vertex outside `verts`
+            }
+            if ud < d.as_usize() {
+                let above = self.find_above(MeshEnt::new(Dim::from_usize(ud), u), d, verts);
+                if above.is_some() {
+                    return above;
+                }
+            } else if n == verts.len() {
+                return Some(MeshEnt::new(d, u));
+            }
         }
+        None
     }
 
     /// Find-or-create an entity of `topo` over vertex ids `verts` (indices
-    /// of live vertices), classified on `class` if newly created. Downward
-    /// entities are created recursively with the same classification.
+    /// of live vertices), classified on `class` if newly created.
     ///
-    /// Returns the entity handle. Existing entities keep their prior
+    /// The first side is found or created first, recursively and with the
+    /// same classification. An existing entity over the same vertex set
+    /// bounds that side, so only its upward list is searched; when the
+    /// search finds nothing the other sides are found or created and the
+    /// entity is allocated. Existing entities keep their prior
     /// classification.
     pub fn add_entity(&mut self, topo: Topology, everts: &[u32], class: GeomEnt) -> MeshEnt {
         let d = topo.dim();
+        let dd = d.as_usize();
         assert_eq!(everts.len(), topo.num_verts(), "vertex count mismatch");
         debug_assert!(
             everts
@@ -252,26 +268,12 @@ impl Mesh {
                 .all(|&v| self.alive[0].get(v as usize).copied().unwrap_or(false)),
             "dead or missing vertex in {everts:?}"
         );
-        if d != Dim::Region {
-            if let Some(e) = self.find_entity(d, everts) {
-                return e;
-            }
-        }
-        let dd = d.as_usize();
-        let i = self.alloc(dd, topo);
-        let i_us = i as usize;
-        // Record vertex list.
-        let vs = vstride(dd);
-        self.verts[dd][i_us * vs..i_us * vs + everts.len()].copy_from_slice(everts);
-        self.class[dd][i_us] = class;
-        // Create/find downward entities per template and wire up-links.
-        let me = MeshEnt::new(d, i);
         let templates = topo.down_templates();
-        let ds = dstride(dd);
+        let mut sides = [PAD; 6];
         for (k, (tpl, sub)) in templates.iter().enumerate() {
-            let sub_ent = if dd == 1 {
+            sides[k] = if d == Dim::Edge {
                 // Edge downs are its vertices directly.
-                MeshEnt::vertex(everts[tpl[0]])
+                everts[tpl[0]]
             } else {
                 // A side has at most four vertices (quad).
                 let mut sub_verts = [PAD; 4];
@@ -279,21 +281,26 @@ impl Mesh {
                     *sv = everts[li];
                 }
                 self.add_entity(*sub, &sub_verts[..tpl.len()], class)
+                    .index()
             };
-            self.down[dd][i_us * ds + k] = sub_ent.index();
-            self.up[dd - 1][sub_ent.idx()].push(i);
-        }
-        // Index for find-or-create.
-        match d {
-            Dim::Edge => {
-                self.edge_lookup.insert(edge_key(everts[0], everts[1]), i);
+            if k == 0 {
+                let first = MeshEnt::new(Dim::from_usize(dd - 1), sides[0]);
+                if let Some(e) = self.find_above(first, d, everts) {
+                    return e;
+                }
             }
-            Dim::Face => {
-                self.face_lookup.insert(face_key(everts), i);
-            }
-            _ => {}
         }
-        me
+        let i = self.alloc(dd, topo);
+        let i_us = i as usize;
+        let vs = vstride(dd);
+        self.verts[dd][i_us * vs..i_us * vs + everts.len()].copy_from_slice(everts);
+        self.class[dd][i_us] = class;
+        let (ds, nd) = (dstride(dd), templates.len());
+        self.down[dd][i_us * ds..i_us * ds + nd].copy_from_slice(&sides[..nd]);
+        for &s in &sides[..nd] {
+            self.up[dd - 1][s as usize].push(i);
+        }
+        MeshEnt::new(d, i)
     }
 
     /// Create an element (entity of the mesh's element dimension).
@@ -326,20 +333,8 @@ impl Mesh {
                 self.up[d][i].len()
             );
         }
-        // Unlink from downward entities' up-lists and drop lookups.
+        // Unlink from downward entities' up-lists.
         if d > 0 {
-            let vs = vstride(d);
-            let nv = self.topo[d][i].num_verts();
-            let everts = &self.verts[d][i * vs..i * vs + nv];
-            match d {
-                1 => {
-                    self.edge_lookup.remove(&edge_key(everts[0], everts[1]));
-                }
-                2 => {
-                    self.face_lookup.remove(&face_key(everts));
-                }
-                _ => {}
-            }
             let ds = dstride(d);
             let nd = self.topo[d][i].num_down();
             for k in 0..nd {
@@ -499,5 +494,79 @@ impl Mesh {
         }
         let n = vs.len() as f64;
         [c[0] / n, c[1] / n, c[2] / n]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Mesh, NO_GEOM};
+    use crate::topology::Topology;
+    use pumi_util::{Dim, MeshEnt};
+
+    /// A prism, a pyramid on its quad `1 2 5 4` and a tet on the pyramid's
+    /// triangle `1 2 6`; returns the mesh and the tet.
+    fn prism_pyramid_tet() -> (Mesh, MeshEnt) {
+        let mut m = Mesh::new(3);
+        for x in [
+            [0., 0., 0.],
+            [1., 0., 0.],
+            [0., 1., 0.],
+            [0., 0., 1.],
+            [1., 0., 1.],
+            [0., 1., 1.],
+            [1., 1., 0.5],
+            [1., 1., -0.5],
+        ] {
+            m.add_vertex(x, NO_GEOM);
+        }
+        m.add_element(Topology::Prism, &[0, 1, 2, 3, 4, 5], NO_GEOM);
+        m.add_element(Topology::Pyramid, &[1, 2, 5, 4, 6], NO_GEOM);
+        let tet = m.add_element(Topology::Tet, &[1, 2, 6, 7], NO_GEOM);
+        (m, tet)
+    }
+
+    #[test]
+    fn find_entity_on_mixed_topologies() {
+        let (mut m, tet) = prism_pyramid_tet();
+        assert_eq!([1, 2, 3].map(|d| m.count(Dim::from_usize(d))), [16, 12, 3]);
+        m.assert_valid();
+        for d in [Dim::Edge, Dim::Face, Dim::Region] {
+            for e in m.iter(d) {
+                let mut vs = m.verts_of(e).to_vec();
+                for _ in 0..vs.len() {
+                    vs.rotate_left(1);
+                    assert_eq!(m.find_entity(d, &vs), Some(e), "{vs:?}");
+                    vs.reverse();
+                    assert_eq!(m.find_entity(d, &vs), Some(e), "{vs:?}");
+                    vs.reverse();
+                }
+                if m.topo(e) == Topology::Quad {
+                    let diagonal = [vs[0], vs[2], vs[1], vs[3]];
+                    assert_eq!(m.find_entity(d, &diagonal), Some(e));
+                    // Three of its vertices name no face.
+                    assert_eq!(m.find_entity(d, &vs[..3]), None);
+                }
+            }
+        }
+
+        // The tet and what only it bounds are gone and not found.
+        let tet_verts = m.verts_of(tet).to_vec();
+        m.delete_with_orphans(tet);
+        assert_eq!(m.find_entity(Dim::Region, &tet_verts), None);
+        assert_eq!(m.find_entity(Dim::Face, &[1, 2, 7]), None);
+        assert_eq!(m.find_entity(Dim::Edge, &[7, 6]), None);
+        assert!(m.find_entity(Dim::Face, &[6, 2, 1]).is_some());
+
+        // A tet on another pyramid triangle takes the freed slots, vertex 7
+        // included; the search finds the new entities in them.
+        let w = m.add_vertex([0.5, 1.5, 0.5], NO_GEOM).index();
+        assert_eq!(w, 7);
+        let new = m.add_element(Topology::Tet, &[2, 5, 6, w], NO_GEOM);
+        assert_eq!(new, tet);
+        assert_eq!(m.find_entity(Dim::Region, &[w, 6, 5, 2]), Some(new));
+        assert_eq!(m.find_entity(Dim::Region, &tet_verts), None);
+        let face = m.find_entity(Dim::Face, &[6, w, 5]).expect("new face");
+        assert!(m.up(face).eq([new]));
+        m.assert_valid();
     }
 }

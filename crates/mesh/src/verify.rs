@@ -14,7 +14,8 @@ impl Mesh {
     ///
     /// 1. every live non-vertex entity has live downward entities,
     /// 2. up/down adjacency is reciprocal,
-    /// 3. the find-or-create indexes agree with storage,
+    /// 3. no two live entities of one dimension share a vertex set
+    ///    ([`Mesh::find_entity`] returns each entity itself),
     /// 4. sides bound at most 2 elements (manifoldness),
     /// 5. element vertex lists have no duplicates.
     pub fn verify(&self) -> Vec<String> {
@@ -34,6 +35,11 @@ impl Mesh {
                     if !self.is_live(MeshEnt::vertex(v)) {
                         errs.push(format!("{e:?} references dead vertex {v}"));
                     }
+                }
+                // 3. the entity found from its vertices is this one.
+                match self.find_entity(dim, vs) {
+                    Some(found) if found == e => {}
+                    other => errs.push(format!("{e:?} not found from its vertices: {other:?}")),
                 }
                 // 1 & 2. downs live and reciprocal.
                 for sub in self.down_ents(e) {
@@ -59,21 +65,6 @@ impl Mesh {
                         errs.push(format!("{u:?} missing down-link to {e:?}"));
                     }
                 }
-            }
-        }
-        // 3. lookups agree.
-        for e in self.iter(Dim::Edge) {
-            let vs = self.verts_of(e);
-            match self.find_entity(Dim::Edge, vs) {
-                Some(found) if found == e => {}
-                other => errs.push(format!("edge lookup broken for {e:?}: {other:?}")),
-            }
-        }
-        for f in self.iter(Dim::Face) {
-            let vs = self.verts_of(f).to_vec();
-            match self.find_entity(Dim::Face, &vs) {
-                Some(found) if found == f => {}
-                other => errs.push(format!("face lookup broken for {f:?}: {other:?}")),
             }
         }
         // 4. manifold sides.
@@ -165,6 +156,33 @@ mod tests {
         m.add_element(Topology::Tet, &verts, NO_GEOM);
         assert_eq!(m.index_space(Dim::Region), before);
         m.assert_valid();
+    }
+
+    /// A pyramid over the vertices of another, its base given in diagonal
+    /// order, is built as a second region with a second base quad: check 3
+    /// reports both twins.
+    #[test]
+    fn twins_over_one_vertex_set_are_reported() {
+        let mut m = Mesh::new(3);
+        for x in [
+            [0., 0., 0.],
+            [1., 0., 0.],
+            [1., 1., 0.],
+            [0., 1., 0.],
+            [0.5, 0.5, 1.],
+        ] {
+            m.add_vertex(x, NO_GEOM);
+        }
+        m.add_element(Topology::Pyramid, &[0, 1, 2, 3, 4], NO_GEOM);
+        m.assert_valid();
+        m.add_element(Topology::Pyramid, &[0, 2, 1, 3, 4], NO_GEOM);
+        assert_eq!(
+            m.verify(),
+            [
+                "M2_5 not found from its vertices: Some(M2_0)",
+                "M3_1 not found from its vertices: Some(M3_0)"
+            ]
+        );
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! mesh adjacency interrogation is O(1) (i.e., not a function of mesh
 //! size)". On `tet_box(n, n, n)` for n = 6, 12, 24 (1 296 → 82 944 tets)
 //! every region→vertices, vertex→regions and region→region (via faces)
-//! query is made once. Each query must make no allocator call, and the
-//! largest number of handles the one-level `down`/`up` storage yields for
-//! one query must be the same at every size. Counted, not timed, so it
-//! holds on any machine.
+//! query is made once, and every edge, face and region is found from its
+//! vertices. Each query must make no allocator call, and the largest number
+//! of handles the one-level `down`/`up` storage yields for one query must be
+//! the same at every size. Counted, not timed, so it holds on any machine.
 
 use pumi_mesh::Mesh;
 use pumi_meshgen::tet_box;
@@ -44,7 +44,24 @@ struct Cost {
     region_to_vertices: usize,
     vertex_to_regions: usize,
     region_neighbors: usize,
+    find_entity: usize,
     allocs: u64,
+}
+
+/// The handles `find_entity`'s walk may read going up from `from` toward
+/// dimension `d`: every up-list it reaches through entities whose vertices
+/// all lie in `verts`.
+fn walk_items(mesh: &Mesh, from: MeshEnt, d: Dim, verts: &[u32]) -> usize {
+    mesh.up(from)
+        .map(|u| {
+            let inside = mesh.verts_of(u).iter().all(|v| verts.contains(v));
+            1 + if u.dim() < d && inside {
+                walk_items(mesh, u, d, verts)
+            } else {
+                0
+            }
+        })
+        .sum()
 }
 
 fn cost(mesh: &Mesh) -> Cost {
@@ -57,6 +74,7 @@ fn cost(mesh: &Mesh) -> Cost {
         region_to_vertices: 0,
         vertex_to_regions: 0,
         region_neighbors: 0,
+        find_entity: 0,
         allocs: 0,
     };
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -91,6 +109,20 @@ fn cost(mesh: &Mesh) -> Cost {
             + faces.iter().map(|&f| mesh.up(f).len()).sum::<usize>();
         cost.vertex_to_regions = cost.vertex_to_regions.max(items);
     }
+    for d in [Dim::Edge, Dim::Face, Dim::Region] {
+        for e in mesh.iter(d) {
+            // Found from its vertices; an edge's walk starts at the vertex
+            // with fewer edges, any other at its first vertex.
+            let vs = mesh.verts_of(e);
+            assert_eq!(mesh.find_entity(d, vs), Some(e));
+            let mut from = MeshEnt::vertex(vs[0]);
+            if d == Dim::Edge && mesh.up(MeshEnt::vertex(vs[1])).len() < mesh.up(from).len() {
+                from = MeshEnt::vertex(vs[1]);
+            }
+            let items = walk_items(mesh, from, d, vs);
+            cost.find_entity = cost.find_entity.max(items);
+        }
+    }
     cost.allocs = ALLOCS.load(Ordering::Relaxed) - before;
     cost
 }
@@ -115,4 +147,7 @@ fn adjacency_cost_does_not_grow_with_the_mesh() {
     assert_eq!(costs[0].1.region_to_vertices, 4);
     assert_eq!(costs[0].1.region_neighbors, 12);
     assert_eq!(costs[0].1.vertex_to_regions, 158);
+    // The edges of one vertex, then the up-lists the walk reaches inside
+    // one entity's vertex set.
+    assert_eq!(costs[0].1.find_entity, 42);
 }
