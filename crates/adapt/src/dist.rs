@@ -18,11 +18,11 @@
 //! [`mod@crate::refine`]'s heap), which makes the interleaving of interacting
 //! splits identical on every part *and* identical to a serial mesh.
 //!
-//! New entities get **content-derived global ids**: a hash of the sorted
+//! New entities get **content-derived global ids** ([`content_gid`], the
+//! one rule for every entity built without a row): a hash of the sorted
 //! gids of their vertices (the mid-vertex hashes its parent edge's
 //! endpoints), with the top bit set to keep them disjoint from bootstrap
-//! ids (serial indices `< 2^40`) and migration-era ids
-//! ([`Part::new_gid`]'s birth-part counters). Every copy of a split shared
+//! ids (serial indices `< 2^40`). Every copy of a split shared
 //! edge therefore derives the *same* gid for the mid-vertex and half-edges
 //! without being told — the owner's decision is reproduced rather than
 //! transmitted. One [`stitch`] round then relinks remote-copy local indices
@@ -67,7 +67,7 @@ use crate::predict::{classify, element_weight, Branch, Calibration, BRANCH_TAG, 
 use crate::sizefield::SizeField;
 use pumi_core::overlap::{clear_overlap, Overlap, Reduction};
 use pumi_core::wire::stitch;
-use pumi_core::{DistMesh, Part, NO_GID};
+use pumi_core::{content_gid, DistMesh, Part};
 use pumi_field::field::Field;
 use pumi_field::sync::{sync_fields, DistField};
 use pumi_geom::Model;
@@ -178,30 +178,6 @@ pub fn gather_branch_loads(comm: &Comm, dm: &DistMesh) -> Vec<[f64; 3]> {
         .collect()
 }
 
-/// A deterministic, partition-invariant global id for an entity derived
-/// from the sorted gids of its vertices (FNV-1a, top bit set). Every part
-/// holding a copy of the same new entity computes the same id, so boundary
-/// splits need no gid communication; serial and distributed adaptation of
-/// the same mesh produce identical ids (and thus identical `struct_hash`).
-fn content_gid(dim: Dim, vgids: &mut [GlobalId]) -> GlobalId {
-    vgids.sort_unstable();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    };
-    eat(dim.as_usize() as u8);
-    for g in vgids.iter() {
-        for b in g.to_le_bytes() {
-            eat(b);
-        }
-    }
-    // Top bit marks content-derived ids (bootstrap serial indices stay
-    // below 2^40 and birth-part counter ids keep it clear for any sane
-    // part count); the cleared low bit dodges the NO_GID sentinel.
-    (h | 1 << 63) & !1
-}
-
 /// Pending residence of entities created during the local refinement pass:
 /// the parts (other than this one) that hold — or are about to hold — a
 /// copy, inherited from the split parent. Filled per part, drained by the
@@ -296,19 +272,6 @@ impl<'a> PartHost<'a> {
     }
 }
 
-/// Give `e` its content-derived gid unless it already has one.
-fn assign_gid(part: &mut Part, e: MeshEnt) {
-    if part.gid_of(e) == NO_GID {
-        let verts = part.mesh.verts_of(e);
-        let mut vg = [NO_GID; 8];
-        for (g, &v) in vg.iter_mut().zip(verts) {
-            *g = part.gid_of(MeshEnt::vertex(v));
-        }
-        let gid = content_gid(e.dim(), &mut vg[..verts.len()]);
-        part.set_gid(e, gid);
-    }
-}
-
 /// The child entity a split just built over `verts`.
 fn child(mesh: &Mesh, dim: Dim, verts: &[u32]) -> MeshEnt {
     mesh.find_entity(dim, verts)
@@ -374,7 +337,7 @@ impl Host for PartHost<'_> {
                 .mesh
                 .adjacent_into(m, Dim::from_usize(d), &mut self.ents);
             for &e in &self.ents {
-                assign_gid(self.part, e);
+                self.part.assign_content_gid(e);
             }
         }
         // Linear interpolation of vertex field values onto the mid-vertex.
@@ -434,7 +397,7 @@ impl Host for PartHost<'_> {
             self.part.mesh.closure_into(c, &mut self.ents);
         }
         for &sub in &self.ents {
-            assign_gid(self.part, sub);
+            self.part.assign_content_gid(sub);
         }
     }
 }

@@ -9,9 +9,9 @@
 //!
 //! * **serial mesh validity** — every part's mesh passes
 //!   [`Mesh::verify`](pumi_mesh::Mesh::verify): live, reciprocal up/down
-//!   adjacency, lookup indexes that agree with storage, sides bounding at
-//!   most two elements, no repeated vertex in an entity (run on every call,
-//!   whatever the [`CheckOpts`]),
+//!   adjacency, no two live entities of one dimension over one vertex set,
+//!   sides bounding at most two elements, no repeated vertex in an entity
+//!   (run on every call, whatever the [`CheckOpts`]),
 //! * **remote-copy symmetry** — if part A lists `(B, i)` for an entity,
 //!   part B's entity at `i` is live, carries the same global id, and lists
 //!   A back with A's index,
@@ -294,8 +294,9 @@ pub enum CheckError {
         what: &'static str,
     },
     /// A part's serial mesh fails [`Mesh::verify`](pumi_mesh::Mesh::verify)
-    /// (dead or one-way adjacency, broken lookup index, a side bounding more
-    /// than two elements, a repeated vertex).
+    /// (dead or one-way adjacency, two live entities of one dimension over
+    /// one vertex set, a side bounding more than two elements, a repeated
+    /// vertex).
     MeshInvalid {
         /// The part whose mesh is broken.
         part: PartId,

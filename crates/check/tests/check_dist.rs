@@ -128,10 +128,9 @@ fn non_manifold_side_fails_everywhere() {
                 .expect("part 0 has an interior edge");
             let class = part.mesh.class_of(part.mesh.up_ents(edge)[0]);
             let [a, b] = [0, 1].map(|i| part.mesh.verts_of(edge)[i]);
-            let gid = part.new_gid();
-            let v = part.add_vertex([2.0, 2.0, 0.0], class, gid);
-            let gid = part.new_gid();
-            part.add_entity(Topology::Triangle, &[a, b, v.index()], class, gid);
+            // Gids above every bootstrap serial index (< 2^40).
+            let v = part.add_vertex([2.0, 2.0, 0.0], class, 1 << 40);
+            part.add_entity(Topology::Triangle, &[a, b, v.index()], class, (1 << 40) + 1);
         }
         let err = check_dist(c, &dm, CheckOpts::all()).expect_err("non-manifold side undetected");
         assert!(err.world_violations > 0);

@@ -39,6 +39,6 @@ pub mod wire;
 pub use dist::{distribute, DistMesh, PartExchange, PartMap};
 pub use migrate::{migrate, MigrationPlan};
 pub use overlap::{clear_overlap, Overlap, Reduction, Scope, Share};
-pub use part::{DirtyLog, Part, NO_GID};
+pub use part::{content_gid, DirtyLog, Part, NO_GID};
 pub use ptnmodel::PtnModel;
 pub use rows::{Placed, RowError, Rows};

@@ -11,7 +11,6 @@
 
 use pumi_geom::GeomEnt;
 use pumi_mesh::{Mesh, Topology};
-use pumi_util::ids::make_global_id;
 use pumi_util::{Dim, FxHashMap, FxHashSet, GlobalId, MeshEnt, PartId};
 
 /// No record on a slot; no list on a record.
@@ -25,6 +24,29 @@ const NO_SOURCE: (PartId, u32) = (PartId::MAX, u32::MAX);
 
 /// Sentinel for "no global id assigned".
 pub const NO_GID: GlobalId = u64::MAX;
+
+/// A deterministic, partition-invariant global id for an entity derived
+/// from the sorted gids of its vertices (FNV-1a, top bit set). Every part
+/// holding a copy of the same new entity computes the same id, so boundary
+/// splits need no gid communication; serial and distributed adaptation of
+/// the same mesh produce identical ids (and thus identical `struct_hash`).
+pub fn content_gid(dim: Dim, vgids: &mut [GlobalId]) -> GlobalId {
+    vgids.sort_unstable();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |b: u8| {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    };
+    eat(dim.as_usize() as u8);
+    for g in vgids.iter() {
+        for b in g.to_le_bytes() {
+            eat(b);
+        }
+    }
+    // Top bit marks content-derived ids (bootstrap serial indices stay
+    // below 2^40); the cleared low bit dodges the NO_GID sentinel.
+    (h | 1 << 63) & !1
+}
 
 /// Per-dimension record of entities touched since tracking began — the
 /// write-side input of delta checkpoints. Keys are global ids (stable
@@ -304,8 +326,6 @@ pub struct Part {
     /// Copy links per entity slot: remote copies of part-boundary entities,
     /// ghost sources and ghost holders.
     links: Links,
-    /// Counter feeding [`Part::new_gid`].
-    gid_counter: u64,
     /// Mutation log for delta checkpoints; `None` when tracking is off.
     dirty: Option<DirtyLog>,
 }
@@ -319,18 +339,8 @@ impl Part {
             gids: Default::default(),
             gid_index: Default::default(),
             links: Links::default(),
-            gid_counter: 0,
             dirty: None,
         }
-    }
-
-    /// A fresh global id unique across all parts: birth part `id + 1` keeps
-    /// new ids disjoint from bootstrap ids (which are plain serial indices
-    /// below 2^40).
-    pub fn new_gid(&mut self) -> GlobalId {
-        let g = make_global_id(self.id + 1, self.gid_counter);
-        self.gid_counter += 1;
-        g
     }
 
     pub(crate) fn record_gid(&mut self, e: MeshEnt, gid: GlobalId) {
@@ -359,8 +369,8 @@ impl Part {
     }
 
     /// Find-or-create an entity over local vertex indices with an explicit
-    /// global id for the top entity; implicitly created intermediate
-    /// entities get fresh gids from this part's counter.
+    /// global id for the top entity; the sides it creates implicitly take
+    /// their [`content_gid`].
     pub fn add_entity(
         &mut self,
         topo: Topology,
@@ -375,21 +385,26 @@ impl Part {
             return e;
         }
         self.record_gid(e, gid);
-        // Freshly created intermediates need gids too.
-        self.assign_missing_gids_in_closure(e);
+        let mut closure = Vec::new();
+        self.mesh.closure_into(e, &mut closure);
+        for sub in closure {
+            self.assign_content_gid(sub);
+        }
         e
     }
 
-    fn assign_missing_gids_in_closure(&mut self, e: MeshEnt) {
-        if e.dim() == Dim::Vertex {
-            return;
-        }
-        for sub in self.mesh.down_ents(e) {
-            if self.gid_of(sub) == NO_GID {
-                let g = self.new_gid();
-                self.record_gid(sub, g);
-                self.assign_missing_gids_in_closure(sub);
+    /// Give `e` its [`content_gid`] unless it already has one: the gid of
+    /// every entity created without a row (implicit sides, adaptation's
+    /// split and collapse products). Its vertices must have gids.
+    pub fn assign_content_gid(&mut self, e: MeshEnt) {
+        if self.gid_of(e) == NO_GID {
+            let verts = self.mesh.verts_of(e);
+            let mut vg = [NO_GID; 8];
+            for (g, &v) in vg.iter_mut().zip(verts) {
+                *g = self.gid_of(MeshEnt::vertex(v));
             }
+            let gid = content_gid(e.dim(), &mut vg[..verts.len()]);
+            self.record_gid(e, gid);
         }
     }
 
@@ -622,16 +637,7 @@ impl Part {
     /// Delete a local entity and its bookkeeping (gid index, remotes).
     /// The entity must satisfy the mesh's top-down deletion rule.
     pub fn delete_entity(&mut self, e: MeshEnt) {
-        let d = e.dim().as_usize();
-        let gid = self.gid_of(e);
-        if gid != NO_GID {
-            self.gid_index[d].remove(&gid);
-            self.gids[d][e.idx()] = NO_GID;
-            if let Some(log) = &mut self.dirty {
-                log.erase(d, gid);
-            }
-        }
-        self.links.drop_entity(e);
+        self.forget(e);
         self.mesh.delete(e);
     }
 
@@ -681,21 +687,6 @@ impl Part {
         if let Some(log) = &mut self.dirty {
             log.touch(e.dim().as_usize(), gid);
         }
-    }
-
-    /// The fresh-gid counter feeding [`Part::new_gid`]. Checkpointing
-    /// persists it so a restored part never re-issues a gid that is already
-    /// present in the file.
-    pub fn gid_counter(&self) -> u64 {
-        self.gid_counter
-    }
-
-    /// Raise the fresh-gid counter to at least `floor`. Checkpoint restore
-    /// floors every part at the global maximum so parts that change id on
-    /// load (N→M merge targets, split children) cannot collide with gids
-    /// issued before the checkpoint under the same birth part.
-    pub fn bump_gid_counter(&mut self, floor: u64) {
-        self.gid_counter = self.gid_counter.max(floor);
     }
 
     /// Apply a part-id renumbering to every remote-copy list. Used when
@@ -748,14 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn new_gids_disjoint_from_bootstrap() {
-        let mut p = Part::new(0, 2);
-        let g = p.new_gid();
-        assert!(g >= (1u64 << 40), "part 0's fresh gids must exceed 2^40");
-        assert_ne!(p.new_gid(), g);
-    }
-
-    #[test]
     fn implicit_intermediates_get_gids() {
         let mut p = Part::new(0, 2);
         let a = p.add_vertex([0.; 3], NO_GEOM, 1).index();
@@ -766,6 +749,33 @@ mod tests {
         for e in p.mesh.down_ents(t) {
             assert_ne!(p.gid_of(e), NO_GID, "edge without gid");
             assert_eq!(p.find_gid(Dim::Edge, p.gid_of(e)), Some(e));
+        }
+    }
+
+    /// Two parts build the same triangle over vertex gids 10/11/12 added in
+    /// different local orders: each implicit edge gets the same gid on
+    /// both, its content gid.
+    #[test]
+    fn copies_of_an_implicit_edge_agree_on_its_gid() {
+        let corners = [(10, [0., 0., 0.]), (11, [1., 0., 0.]), (12, [0., 1., 0.])];
+        let build = |id: PartId, order: [usize; 3]| {
+            let mut p = Part::new(id, 2);
+            for i in order {
+                let (gid, x) = corners[i];
+                p.add_vertex(x, NO_GEOM, gid);
+            }
+            let verts = [10, 11, 12].map(|g| p.find_gid(Dim::Vertex, g).unwrap().index());
+            p.add_entity(Topology::Triangle, &verts, NO_GEOM, 100);
+            p
+        };
+        let (p, q) = (build(0, [0, 1, 2]), build(1, [2, 0, 1]));
+        for [a, b] in [[10, 11], [11, 12], [10, 12]] {
+            let edge_gid = |part: &Part| {
+                let vs = [a, b].map(|g| part.find_gid(Dim::Vertex, g).unwrap().index());
+                part.gid_of(part.mesh.find_entity(Dim::Edge, &vs).unwrap())
+            };
+            assert_eq!(edge_gid(&p), edge_gid(&q));
+            assert_eq!(edge_gid(&p), content_gid(Dim::Edge, &mut [b, a]));
         }
     }
 
@@ -842,22 +852,6 @@ mod tests {
         assert!(!p.is_owned(v)); // part 0 owns it now
         p.set_ghost(v, (0, 0));
         assert_eq!(p.boundary_entities().collect::<Vec<_>>(), vec![v]);
-    }
-
-    #[test]
-    fn gid_counter_floor_keeps_fresh_gids_disjoint() {
-        let mut p = Part::new(0, 2);
-        let a = p.new_gid();
-        let b = p.new_gid();
-        assert_eq!(p.gid_counter(), 2);
-        // A restored part floored at the old counter continues the sequence.
-        let mut q = Part::new(0, 2);
-        q.bump_gid_counter(p.gid_counter());
-        let c = q.new_gid();
-        assert!(c != a && c != b);
-        // Flooring never lowers the counter.
-        q.bump_gid_counter(0);
-        assert_eq!(q.gid_counter(), 3);
     }
 
     /// A vertex `v` with every kind of copy link: three remote copies (one

@@ -12,7 +12,7 @@
 //! 4       4     format version = 2 (u32)
 //! 8       4     part id (u32)
 //! 12      4     element dimension (u32)
-//! 16      8     fresh-gid counter (u64)
+//! 16      8     reserved (zero)
 //! 24      4     flags (u32; bit 0 = delta checkpoint)
 //! 28      8     table offset (u64, absolute)
 //! 36      4     table length (u32, includes its CRC)
@@ -109,8 +109,6 @@ pub struct PartHeader {
     pub part: PartId,
     /// Element dimension of the part's mesh.
     pub elem_dim: u32,
-    /// The part's fresh-gid counter at write time.
-    pub gid_counter: u64,
     /// Header flags ([`FLAG_DELTA`]).
     pub flags: u32,
     /// The section table, in file order.
@@ -164,10 +162,10 @@ impl PartFile {
 /// Encode the fixed 44-byte header. The streaming writer calls this
 /// twice: once with zeroed `table_offset`/`table_len` to reserve the bytes,
 /// and again (seeking back) once the table's landing spot is known.
+/// Bytes 16–23 are reserved and stay zero.
 pub fn encode_header(
     part: PartId,
     elem_dim: u32,
-    gid_counter: u64,
     flags: u32,
     table_offset: u64,
     table_len: u32,
@@ -177,7 +175,6 @@ pub fn encode_header(
     h[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
     h[8..12].copy_from_slice(&part.to_le_bytes());
     h[12..16].copy_from_slice(&elem_dim.to_le_bytes());
-    h[16..24].copy_from_slice(&gid_counter.to_le_bytes());
     h[24..28].copy_from_slice(&flags.to_le_bytes());
     h[28..36].copy_from_slice(&table_offset.to_le_bytes());
     h[36..40].copy_from_slice(&table_len.to_le_bytes());
@@ -238,7 +235,6 @@ pub fn parse_part_header(part: PartId, data: &[u8]) -> Result<PartHeader, IoErro
         )));
     }
     let elem_dim = get_u32(data, 12);
-    let gid_counter = get_u64(data, 16);
     let flags = get_u32(data, 24);
     let table_offset = get_u64(data, 28) as usize;
     let table_len = get_u32(data, 36) as usize;
@@ -281,7 +277,6 @@ pub fn parse_part_header(part: PartId, data: &[u8]) -> Result<PartHeader, IoErro
     Ok(PartHeader {
         part,
         elem_dim,
-        gid_counter,
         flags,
         sections,
     })
@@ -495,7 +490,7 @@ mod tests {
         let table = encode_table(&entries);
         let body_len: u64 = entries.iter().map(|e| e.disk_len).sum();
         let table_offset = HEADER_LEN as u64 + body_len;
-        let hdr = encode_header(9, 2, 77, FLAG_DELTA, table_offset, table.len() as u32);
+        let hdr = encode_header(9, 2, FLAG_DELTA, table_offset, table.len() as u32);
         let mut file = Vec::new();
         file.extend_from_slice(&hdr);
         file.resize(HEADER_LEN + body_len as usize, 0xAB);
@@ -503,7 +498,6 @@ mod tests {
         let h = parse_part_header(9, &file).expect("parse");
         assert_eq!(h.part, 9);
         assert_eq!(h.elem_dim, 2);
-        assert_eq!(h.gid_counter, 77);
         assert!(h.is_delta());
         assert_eq!(h.sections.len(), 2);
         let d = h.find(Section::Deleted).expect("deleted entry");

@@ -126,7 +126,6 @@ pub struct PartRows {
     pub(crate) remotes: Vec<(Dim, GlobalId, Vec<PartId>)>,
     tags: Vec<TagRows>,
     fields: Vec<FieldRows>,
-    gid_counter: u64,
     bytes: u64,
 }
 
@@ -211,7 +210,6 @@ impl PartRows {
             remotes: Vec::new(),
             tags: Vec::new(),
             fields: Vec::new(),
-            gid_counter: 0,
             bytes: 0,
         };
         for delta in std::iter::once(None).chain((1..=manifest.delta_count).map(Some)) {
@@ -249,7 +247,6 @@ impl PartRows {
             rows.decode_remotes(manifest.nparts, fetch(Section::Remotes)?)?;
             rows.decode_tags(fetch(Section::Tags)?)?;
             rows.decode_fields(fetch(Section::Fields)?)?;
-            rows.gid_counter = rows.gid_counter.max(h.gid_counter);
             rows.bytes += file.data.len() as u64;
         }
         Ok(rows)
@@ -258,11 +255,6 @@ impl PartRows {
     /// The file part these rows came from.
     pub fn fpart(&self) -> PartId {
         self.fpart
-    }
-
-    /// The highest fresh-gid counter any of the part's files recorded.
-    pub fn gid_counter(&self) -> u64 {
-        self.gid_counter
     }
 
     /// Bytes of the part files read (base plus delta rounds).
@@ -698,8 +690,8 @@ fn declare(
 /// dimension across the block would. A shared entity another part of the
 /// block already built is found, not built again (the lower part's row
 /// wins), but an element held by two of them is refused. Tags and staged
-/// field values attach to the rows that were built. The part's gid counter
-/// is left at zero. This is the one loader every restored part comes from.
+/// field values attach to the rows that were built. This is the one loader
+/// every restored part comes from.
 ///
 /// # Panics
 /// Panics on an empty block, and on a `Pick::Piece(j, _)` with `id < j`.

@@ -376,7 +376,7 @@ pub fn read_checkpoint(comm: &Comm, dir: &Path) -> Result<Restored, IoError> {
     pumi_obs::metrics::counter_add("io.read.bytes", bytes_local);
     let sums = comm.allreduce_sum_u64_vec(&[built.is_err() as u64, bytes_local]);
     let Built {
-        mut part,
+        part,
         ghosts,
         siblings,
     } = match built {
@@ -384,11 +384,6 @@ pub fn read_checkpoint(comm: &Comm, dir: &Path) -> Result<Restored, IoError> {
         built => built?,
     };
     let bytes_global = sums[1];
-
-    // Floor every gid counter at the global max so ids minted after the
-    // restore stay disjoint from every checkpointed id.
-    let counter = block.iter().map(PartRows::gid_counter).max().unwrap_or(0);
-    part.bump_gid_counter(comm.allreduce_max_u64(counter));
 
     // Link the ranks. What the checks and the stitch (and the ghost relink
     // below) cannot apply is kept, not acted on: a rank that stopped here

@@ -240,7 +240,6 @@ fn write_part_file(
     let hdr = encode_header(
         part.id,
         part.mesh.elem_dim() as u32,
-        part.gid_counter(),
         flags,
         offset,
         table.len() as u32,

@@ -74,7 +74,6 @@ fn rewrite_section(path: &Path, part: u32, section: Section, mut edit: impl FnMu
     let hdr = encode_header(
         part,
         h.elem_dim,
-        h.gid_counter,
         h.flags,
         out.len() as u64,
         table.len() as u32,

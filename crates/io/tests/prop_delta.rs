@@ -174,7 +174,9 @@ fn mutate_round(dm: &mut DistMesh, fields: &mut DistField, round: usize, structu
                 // every side goes back to bounding exactly two elements —
                 // fresh gids, new entity upserts, and a manifold result.
                 x[2] += 0.3;
-                let gv = part.new_gid();
+                // Gids above every bootstrap serial index (< 2^40),
+                // distinct per part and round.
+                let gv = ((u64::from(part.id) + 1) << 40) | (2 * round as u64);
                 let nv = part.add_vertex(x, class, gv);
                 f.set(nv, &expected_value(x));
                 let topo = if elem_dim == 2 {
@@ -184,7 +186,7 @@ fn mutate_round(dm: &mut DistMesh, fields: &mut DistField, round: usize, structu
                 };
                 let mut conn: Vec<u32> = vs[..elem_dim].to_vec();
                 conn.push(nv.index());
-                let ge = part.new_gid();
+                let ge = gv + 1;
                 let ne = part.add_entity(topo, &conn, class, ge);
                 let tid = part.mesh.tags().find("prop:dbl").expect("tag");
                 part.mesh

@@ -166,40 +166,6 @@ fn roundtrip_single_part() {
 }
 
 #[test]
-fn restored_gid_counters_stay_disjoint() {
-    let serial = tri_rect(8, 6, 1.0, 1.0);
-    let dir = scratch_dir("gids");
-    execute(2, |c| {
-        let dm = build_dm(c, &serial);
-        write_checkpoint(c, &dm, &[], &dir).expect("write");
-    });
-    execute(4, |c| {
-        let mut restored = read_checkpoint(c, &dir).expect("read");
-        // Ids minted after a restore must not collide with checkpointed
-        // ones on any part.
-        let mut fresh = Vec::new();
-        for part in &mut restored.dm.parts {
-            for _ in 0..4 {
-                fresh.push(part.new_gid());
-            }
-        }
-        for g in fresh {
-            for part in &restored.dm.parts {
-                for d in 0..=part.mesh.elem_dim() {
-                    assert_eq!(
-                        part.find_gid(Dim::from_usize(d), g),
-                        None,
-                        "fresh gid {g} collides on part {}",
-                        part.id
-                    );
-                }
-            }
-        }
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn file_partition_is_rank_invariant() {
     // §"the file partition is the mesh partition": writing the same mesh
     // from the same parts must produce byte-identical part files no matter

@@ -267,10 +267,14 @@ fn third_triangle_is_refused_by_every_piece() {
         let far = mesh.iter(Dim::Vertex).last().expect("vertices");
         let (ab, x) = (mesh.verts_of(edge).to_vec(), mesh.coords(far));
         let (vclass, tclass) = (mesh.class_of(far), mesh.class_of(tri));
-        let gid = part.new_gid();
-        let c = part.add_vertex(x, vclass, gid).index();
-        let gid = part.new_gid();
-        part.add_entity(Topology::Triangle, &[ab[0], ab[1], c], tclass, gid);
+        // Gids above every bootstrap serial index (< 2^40).
+        let c = part.add_vertex(x, vclass, 1 << 40).index();
+        part.add_entity(
+            Topology::Triangle,
+            &[ab[0], ab[1], c],
+            tclass,
+            (1 << 40) + 1,
+        );
     });
     let refused = |e: &IoError| {
         matches!(e, IoError::Decode { part: 3, section: Section::Entities, detail }

@@ -104,23 +104,12 @@ pub type PartId = u32;
 
 /// A globally unique entity identifier, stable across migration.
 ///
-/// Layout: `part-of-birth (24 bits) << 40 | per-part counter (40 bits)`.
-/// Global ids are assigned once when an entity is first created and travel
-/// with the entity; they are the key used to match part-boundary copies.
+/// Two rules give them: a bootstrap serial index (below 2^40), carried in
+/// by the rows a part is built from, or — for an entity built without a
+/// row — the content gid of its vertices' gids, which has the top bit set.
+/// Global ids travel with the entity; they are the key used to match
+/// part-boundary copies.
 pub type GlobalId = u64;
-
-/// Compose a [`GlobalId`] from the creating part and a local counter.
-#[inline]
-pub fn make_global_id(part: PartId, counter: u64) -> GlobalId {
-    debug_assert!(counter < (1 << 40), "global id counter overflow");
-    ((part as u64) << 40) | counter
-}
-
-/// The part that originally created a [`GlobalId`].
-#[inline]
-pub fn global_id_birth_part(gid: GlobalId) -> PartId {
-    (gid >> 40) as PartId
-}
 
 const DIM_SHIFT: u32 = 30;
 const IDX_MASK: u32 = (1 << DIM_SHIFT) - 1;
@@ -247,13 +236,6 @@ mod tests {
         }
         assert_eq!(Dim::try_from_u8(4), None);
         assert_eq!(Dim::try_from_u8(0xFF), None);
-    }
-
-    #[test]
-    fn global_id_parts() {
-        let gid = make_global_id(37, 991);
-        assert_eq!(global_id_birth_part(gid), 37);
-        assert_eq!(gid & ((1 << 40) - 1), 991);
     }
 
     #[test]
