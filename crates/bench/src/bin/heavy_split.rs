@@ -18,12 +18,8 @@ use pumi_bench::workloads::{heavy_split, no_inspect, HeavySplitParams, Repair};
 
 /// Iterations and stop reason of the (single-stage) diffusion.
 fn diffusion_end(r: &Repair) -> String {
-    r.traces
-        .first()
-        .and_then(|t| t.stages.first())
-        .map_or("-".to_string(), |s| {
-            format!("{} iters, {}", s.iters.len(), s.stop.name())
-        })
+    let s = &r.report.types[0];
+    format!("{} iters, {}", s.iters.len(), s.stop.name())
 }
 
 fn main() {

@@ -68,21 +68,21 @@ pub fn print_table(t: &Table) {
 
 /// Per-stage rows of ParMA runs — what `improve` did for each entity type
 /// of the priority list: imbalance in and out, diffusion iterations and the
-/// recorded stop reason.
+/// stop reason.
 pub fn stage_table(title: &str, runs: &[(&str, &ParmaRun)]) -> Table {
     let mut t = Table::new(
         title,
         &["run", "stage", "imb% in", "imb% out", "iters", "stop"],
     );
     for (name, run) in runs {
-        for (i, ty) in run.report.types.iter().enumerate() {
+        for ty in &run.report.types {
             t.row(vec![
                 name.to_string(),
                 ty.dim.to_string(),
                 f(ty.initial_pct, 2),
                 f(ty.final_pct, 2),
-                ty.iterations.to_string(),
-                run.stop_name(i).to_string(),
+                ty.iters.len().to_string(),
+                ty.stop.name().to_string(),
             ]);
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! Each scenario takes a parameter struct with exactly two constructors —
 //! `paper()`, the scale EXPERIMENTS.md reports, and `small()`, seconds in a
-//! debug build — and returns the numbers it produced (plus the
-//! [`ParmaTrace`]s where ParMA ran). The binaries in `src/bin/` print those
+//! debug build — and returns the numbers it produced (with the
+//! [`ImproveReport`] where ParMA ran). The binaries in `src/bin/` print those
 //! structs; `tests/paper_shapes.rs` asserts every `check:` line on them at
 //! `small()`. Wall-clock fields are reported, never asserted.
 //!
@@ -21,7 +21,6 @@ use pumi_core::{distribute, DistMesh, PartExchange, PartMap};
 use pumi_geom::builders::VesselSpec;
 use pumi_mesh::Mesh;
 use pumi_meshgen::{jitter, shock_plane_distance, vessel_tet, wing_tet};
-use pumi_obs::parma::ParmaTrace;
 use pumi_partition::{
     off_node_share, partition_mesh, partition_mesh_hier, partition_mesh_weighted, split_labels,
     HierOpts, PartitionQuality,
@@ -118,20 +117,8 @@ pub struct ParmaRun {
     pub after: EntityLoads,
     /// Part-boundary entity copies after.
     pub boundary_copies: u64,
-    /// Per-stage outcome, seconds and elements moved.
+    /// Per-stage outcome and trajectory, seconds and elements moved.
     pub report: ImproveReport,
-    /// The iteration trajectory.
-    pub traces: Vec<ParmaTrace>,
-}
-
-impl ParmaRun {
-    /// The recorded stop reason of stage `i`, `"-"` when nothing recorded.
-    pub fn stop_name(&self, i: usize) -> &'static str {
-        self.traces
-            .first()
-            .and_then(|t| t.stages.get(i))
-            .map_or("-", |s| s.stop.name())
-    }
 }
 
 fn parma_run(
@@ -151,13 +138,11 @@ fn parma_run(
         let after = EntityLoads::gather(c, &dm);
         let boundary_copies = dm.global_sum(c, |p| p.shared_entities().len() as u64);
         inspect(c, &dm);
-        let traces = pumi_obs::parma::take();
         (c.rank() == 0).then_some(ParmaRun {
             before,
             after,
             boundary_copies,
             report,
-            traces,
         })
     }))
 }
@@ -560,8 +545,8 @@ pub struct Repair {
     pub after_pct: f64,
     /// Wall-clock seconds of the repair.
     pub seconds: f64,
-    /// The diffusion trajectory.
-    pub traces: Vec<ParmaTrace>,
+    /// The diffusion's outcome and trajectory.
+    pub report: ImproveReport,
 }
 
 /// Result of [`heavy_split`].
@@ -593,16 +578,15 @@ pub fn heavy_split(p: HeavySplitParams, inspect: Inspect) -> HeavySplit {
             if split {
                 heavy_part_split(c, &mut dm, SplitOpts::default());
             }
-            improve(c, &mut dm, &pri, ImproveOpts::new().max_iters(12));
+            let report = improve(c, &mut dm, &pri, ImproveOpts::new().max_iters(12));
             let seconds = timer.seconds();
             let after_pct = EntityLoads::gather(c, &dm).imbalance_pct(Dim::Region);
             inspect(c, &dm);
-            let traces = pumi_obs::parma::take();
             (c.rank() == 0).then_some(Repair {
                 before_pct,
                 after_pct,
                 seconds,
-                traces,
+                report,
             })
         }))
     };

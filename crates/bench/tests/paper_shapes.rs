@@ -5,13 +5,13 @@
 //! percent of the mesh". Every distributed mesh a scenario leaves behind
 //! passes `check_dist(CheckOpts::all())`.
 
+use parma::StopReason;
 use pumi_bench::workloads::{
     ablation, fig12, fig13, heavy_split, hybrid_comm, mira_local_split, table2, AaaScale,
-    Fig13Params, HeavySplitParams, HybridParams, MiraParams, ParmaRun, TABLE1, TOL,
+    Fig13Params, HeavySplitParams, HybridParams, MiraParams, ParmaRun, TOL,
 };
 use pumi_check::{check_dist, CheckOpts};
 use pumi_core::DistMesh;
-use pumi_obs::parma::StopReason;
 use pumi_pcu::Comm;
 use pumi_util::Dim;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,24 +21,6 @@ const TOL_PCT: f64 = TOL * 100.0;
 fn check(c: &Comm, dm: &DistMesh) {
     if let Err(e) = check_dist(c, dm, CheckOpts::all()) {
         panic!("scenario left an invalid distributed mesh: {e}");
-    }
-}
-
-/// The recorder and the report describe the same run: one trace, labelled
-/// with the priority list, one stage per balanced type.
-fn assert_trace_matches(run: &ParmaRun, priority: &str) {
-    assert_eq!(run.traces.len(), 1);
-    let trace = &run.traces[0];
-    assert_eq!(
-        trace.label,
-        priority.parse::<parma::Priority>().unwrap().to_string()
-    );
-    assert_eq!(trace.elements_moved, run.report.elements_moved);
-    assert_eq!(trace.stages.len(), run.report.types.len());
-    for (s, t) in trace.stages.iter().zip(&run.report.types) {
-        assert_eq!(s.dim, t.dim.to_string());
-        assert_eq!(s.iters.len(), t.iterations);
-        assert_eq!(s.final_pct, t.final_pct);
     }
 }
 
@@ -70,7 +52,6 @@ fn table2_shapes() {
         }
         let rgn = r.imb_pct(t, Dim::Region);
         assert!(rgn <= 2.0 * TOL_PCT + 1.5, "T{t} Rgn: {rgn:.2}%");
-        assert_trace_matches(run(t), TABLE1[t - 1].1);
     }
     // The paper's "–" column: vertices, which T3/T4 never target, stay
     // out of tolerance, about where T0 left them. (Not "no untargeted
@@ -101,10 +82,10 @@ fn table2_shapes() {
     // edge stage, so that stage converges without moving anything.
     let t4: Vec<Dim> = run(4).report.types.iter().map(|t| t.dim).collect();
     assert_eq!(t4, [Dim::Edge, Dim::Face, Dim::Region]);
-    let face = run(4).report.types[1];
-    assert!(face.initial_pct <= TOL_PCT && face.iterations == 0);
+    let face = &run(4).report.types[1];
+    assert!(face.initial_pct <= TOL_PCT && face.iters.is_empty());
     assert_eq!(face.initial_pct, face.final_pct);
-    assert_eq!(run(4).traces[0].stages[1].stop, StopReason::Converged);
+    assert_eq!(face.stop, StopReason::Converged);
     assert_eq!(run(3).report.types.len(), 2);
     assert_eq!(r.tests[3].stats, r.tests[4].stats);
     assert_eq!(r.tests[3].boundary_copies, r.tests[4].boundary_copies);
@@ -113,7 +94,6 @@ fn table2_shapes() {
 #[test]
 fn fig12_shapes() {
     let run = fig12(AaaScale::small(), &check);
-    assert_trace_matches(&run, "Vtx = Edge > Rgn");
     for d in [Dim::Vertex, Dim::Edge] {
         let (b, a) = (run.before.stats(d), run.after.stats(d));
         let (b_lo, b_hi) = (b.min / b.mean, b.max / b.mean);
@@ -152,7 +132,6 @@ fn fig13_shapes() {
 #[test]
 fn mira_local_split_shapes() {
     let r = mira_local_split(MiraParams::small(), &check);
-    assert_trace_matches(&r.run, "Vtx > Rgn");
     // Each splitter sees only its own subgraph: the split inflates the
     // peak vertex imbalance ...
     assert!(r.split_vtx_pct > r.coarse_vtx_pct);
@@ -169,8 +148,8 @@ fn heavy_split_shapes() {
     assert!(d.before_pct > 400.0);
     // check: diffusion alone stalls on the spike cluster ...
     assert!(d.after_pct > 0.9 * d.before_pct);
-    assert_eq!(d.traces.len(), 1);
-    assert_eq!(d.traces[0].stages[0].stop, StopReason::Stagnated);
+    assert_eq!(d.report.types.len(), 1);
+    assert_eq!(d.report.types[0].stop, StopReason::Stagnated);
     // ... where splitting the heavy parts first reaches under 35 %.
     assert!(s.after_pct < 35.0, "split + diffusion {:.1}%", s.after_pct);
 }

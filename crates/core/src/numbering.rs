@@ -9,7 +9,7 @@
 use crate::dist::{DistMesh, PartExchange};
 use pumi_pcu::Comm;
 use pumi_util::tag::TagKind;
-use pumi_util::{Dim, MeshEnt, PartId};
+use pumi_util::{Dim, MeshEnt};
 
 /// Number the owned entities of dimension `d` contiguously across the world
 /// and store the number in an `i64` tag named `tag_name` on every copy
@@ -59,20 +59,13 @@ pub fn number_owned(comm: &Comm, dm: &mut DistMesh, d: Dim, tag_name: &str) -> u
     total
 }
 
-/// Read a previously assigned number (see [`number_owned`]).
-pub fn get_number(dm: &DistMesh, pid: PartId, e: MeshEnt, tag_name: &str) -> Option<i64> {
-    let part = dm.part(pid);
-    let tid = part.mesh.tags().find(tag_name)?;
-    part.mesh.tags().get_int(tid, e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dist::{distribute, PartMap};
     use pumi_meshgen::tri_rect;
     use pumi_pcu::execute;
-    use pumi_util::FxHashSet;
+    use pumi_util::{FxHashSet, PartId};
 
     #[test]
     fn numbering_is_contiguous_and_consistent() {

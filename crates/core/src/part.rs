@@ -663,11 +663,6 @@ impl Part {
         self.dirty.is_some()
     }
 
-    /// The current log, if tracking.
-    pub fn dirty_log(&self) -> Option<&DirtyLog> {
-        self.dirty.as_ref()
-    }
-
     /// Take the accumulated log and continue tracking into a fresh one —
     /// the delta writer's snapshot point. Returns `None` if tracking is off.
     pub fn rotate_dirty_log(&mut self) -> Option<DirtyLog> {

@@ -413,6 +413,9 @@ pub fn parse_manifest(path: &Path, data: &[u8]) -> Result<Manifest, IoError> {
         let shape = shape_from_u8(shape_code)
             .ok_or_else(|| err(format!("unknown field shape code {shape_code}")))?;
         let ncomp = r.try_get_u32().map_err(parse)?;
+        if ncomp == 0 {
+            return Err(err(format!("field '{name}' has no components")));
+        }
         fields.push(FieldDesc { name, shape, ncomp });
     }
     let delta_count = r.try_get_u32().map_err(parse)?;
@@ -536,6 +539,20 @@ mod tests {
         assert!(matches!(
             parse_manifest(Path::new("m"), &bytes),
             Err(IoError::Manifest { .. })
+        ));
+        // Well sealed, but a field of no components cannot be restored.
+        let no_comps = Manifest {
+            fields: vec![FieldDesc {
+                name: "u".into(),
+                shape: FieldShape::Linear,
+                ncomp: 0,
+            }],
+            ..m
+        };
+        let bytes = encode_manifest(&no_comps);
+        assert!(matches!(
+            parse_manifest(Path::new("m"), &bytes),
+            Err(IoError::Manifest { detail, .. }) if detail.contains("no components")
         ));
     }
 }

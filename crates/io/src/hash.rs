@@ -93,7 +93,6 @@ pub fn struct_hash(comm: &Comm, dm: &DistMesh) -> u64 {
                 let mut rows: Vec<(String, Vec<u8>)> = tm
                     .collect(e)
                     .into_iter()
-                    .filter(|(tid, _)| !tm.name(*tid).starts_with(crate::FIELD_TAG_PREFIX))
                     .map(|(tid, data)| {
                         buf.clear();
                         data.encode(&mut buf);

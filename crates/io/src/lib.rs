@@ -46,22 +46,13 @@ pub mod load;
 pub mod read;
 pub mod write;
 
-/// Tag-name prefix for internal staging tags (field values ride as tags
-/// from the build to the field recovery of a restore). Never written to
-/// disk.
-pub(crate) const FIELD_TAG_PREFIX: &str = "__io:f:";
-
-/// Name of the staging tag that carries field `name`'s node values during
-/// restore. [`build_part`] leaves field data under this tag; `pumi-serve`
-/// and the collective reader both recover fields from it.
-pub fn staged_field_tag(name: &str) -> String {
-    format!("{FIELD_TAG_PREFIX}{name}")
-}
-
 pub use delta::write_delta_checkpoint;
 pub use error::{IoError, Section};
 pub use format::{FieldDesc, Manifest, PartFile, FORMAT_VERSION, MANIFEST_FILE};
 pub use hash::struct_hash;
 pub use load::{build_part, Built, DirSource, PartRows, Pick, SectionSource};
+/// The type of the field values a restore returns, so a restore's caller
+/// can name it without depending on `pumi-field`.
+pub use pumi_field::Field;
 pub use read::{balanced_block, read_checkpoint, slice_of, ReadStats, Restored};
 pub use write::{write_checkpoint, write_checkpoint_with, WriteOpts, WriteStats};

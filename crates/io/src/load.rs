@@ -5,15 +5,17 @@
 //! snapshot, then delta round 1, 2, … — through a [`SectionSource`] and
 //! replays each round on the part's own rows: Deleted retires rows,
 //! Entities appends new rows and updates the rows it names by gid, Tags and
-//! Fields attach values to rows, and Remotes is replaced whole. The rows are
+//! Fields attach values to rows (values of a field the manifest does not
+//! list are checked and dropped), and Remotes is replaced whole. The rows are
 //! a [`Rows`] block, core's flat per-dimension columns, with a gid index;
 //! an entity row names its vertices by row, resolved once, when it is
 //! decoded.
 //!
 //! [`build_part`] turns the rows of a block of file parts into one [`Part`]
-//! with core's builder ([`Part::build`]), each file part's rows in turn.
-//! When two file parts of the block hold a shared entity, the lower part's
-//! row wins: the owner's copy, the one `struct_hash` reads. A
+//! with core's builder ([`Part::build`]), each file part's rows in turn, and
+//! returns the part's field values beside it, one [`Field`] per manifest
+//! field. When two file parts of the block hold a shared entity, the lower
+//! part's row wins: the owner's copy, the one `struct_hash` reads. A
 //! [`Pick::Piece`] builds only one sub-part of a file part — its elements
 //! and their closure, cut along a Morton curve — and reports which of its
 //! entities other sub-parts hold too.
@@ -23,7 +25,8 @@
 //! same input with [`IoError::Decode`]: an Entities row without its
 //! topology's number of distinct vertex gids or naming a vertex the part
 //! lacks, a Tags or Fields row naming an entity the part lacks or holding a
-//! value of the wrong size, a Remotes row for an element or naming a part
+//! value of the wrong size, a field with another number of components than
+//! the manifest gives it, a Remotes row for an element or naming a part
 //! outside the checkpoint, an element whose sides would bound a third
 //! element, an entity row over the vertices of another entity, and an
 //! element gid held by two file parts of one block.
@@ -31,10 +34,10 @@
 use crate::chunk::{decode_chunk, section_raw_bytes, ChunkHeader};
 use crate::error::{IoError, Section};
 use crate::format::{Manifest, PartFile};
-use crate::staged_field_tag;
 use pumi_core::rows::THIRD_ELEMENT;
 use pumi_core::wire::get_dim;
 use pumi_core::{Part, Placed, RowError, Rows};
+use pumi_field::{Field, FieldShape};
 use pumi_geom::GeomEnt;
 use pumi_mesh::Topology;
 use pumi_partition::sfc;
@@ -104,10 +107,11 @@ struct TagRows {
     vals: Vec<(Dim, u32, TagData)>,
 }
 
-/// One field's node values: `ncomp` doubles per `(dimension, row)`, in file
-/// order.
+/// One manifest field's node values: `ncomp` doubles per `(dimension,
+/// row)`, in file order.
 struct FieldRows {
     name: String,
+    shape: FieldShape,
     ncomp: usize,
     at: Vec<(Dim, u32)>,
     vals: Vec<f64>,
@@ -125,6 +129,7 @@ pub struct PartRows {
     /// Part-boundary rows: (dim, gid, residence parts, sorted).
     pub(crate) remotes: Vec<(Dim, GlobalId, Vec<PartId>)>,
     tags: Vec<TagRows>,
+    /// In manifest order.
     fields: Vec<FieldRows>,
     bytes: u64,
 }
@@ -209,7 +214,17 @@ impl PartRows {
             index: Default::default(),
             remotes: Vec::new(),
             tags: Vec::new(),
-            fields: Vec::new(),
+            fields: manifest
+                .fields
+                .iter()
+                .map(|f| FieldRows {
+                    name: f.name.clone(),
+                    shape: f.shape,
+                    ncomp: f.ncomp as usize,
+                    at: Vec::new(),
+                    vals: Vec::new(),
+                })
+                .collect(),
             bytes: 0,
         };
         for delta in std::iter::once(None).chain((1..=manifest.delta_count).map(Some)) {
@@ -464,37 +479,30 @@ impl PartRows {
                 .map_err(|_| bad(fpart, sec, "field name is not UTF-8".into()))?;
             let _shape = r.try_get_u8().map_err(&e)?;
             let ncomp = r.try_get_u32().map_err(&e)? as usize;
-            let f = match self.fields.iter().position(|f| f.name == name) {
-                Some(f) if self.fields[f].ncomp != ncomp => {
-                    let detail = format!("field '{name}' re-declared with {ncomp} components");
-                    return Err(bad(fpart, sec, detail));
-                }
-                Some(f) => f,
-                None => {
-                    self.fields.push(FieldRows {
-                        name,
-                        ncomp,
-                        at: Vec::new(),
-                        vals: Vec::new(),
-                    });
-                    self.fields.len() - 1
-                }
-            };
+            // A field the manifest does not list is checked, not kept.
+            let listed = self.fields.iter().position(|f| f.name == name);
+            if let Some(m) = listed.map(|f| self.fields[f].ncomp).filter(|&m| m != ncomp) {
+                let detail = format!("field '{name}' has {ncomp} components, {m} in the manifest");
+                return Err(bad(fpart, sec, detail));
+            }
             for _ in 0..r.try_get_u32().map_err(&e)? {
                 let d = get_dim(&mut r).map_err(&e)?;
                 let gid = r.try_get_u64().map_err(&e)?;
                 let n = r.try_get_u32().map_err(&e)? as usize;
-                let name = &self.fields[f].name;
                 if n != ncomp {
                     let detail = format!("field '{name}': {n} values for {ncomp} components");
                     return Err(bad(fpart, sec, detail));
                 }
-                let row = self.row_of(sec, "field", name, d, gid)?;
-                let field = &mut self.fields[f];
+                let row = self.row_of(sec, "field", &name, d, gid)?;
                 for _ in 0..n {
-                    field.vals.push(r.try_get_f64().map_err(&e)?);
+                    let x = r.try_get_f64().map_err(&e)?;
+                    if let Some(f) = listed {
+                        self.fields[f].vals.push(x);
+                    }
                 }
-                field.at.push((d, row));
+                if let Some(f) = listed {
+                    self.fields[f].at.push((d, row));
+                }
             }
         }
         Ok(())
@@ -650,9 +658,11 @@ pub enum Pick {
 
 /// A part as [`build_part`] built it.
 pub struct Built {
-    /// The part: entities, tags, and field values staged as
-    /// `__io:f:<name>` double tags.
+    /// The part: entities and tags.
     pub part: Part,
+    /// The part's field values, one field per manifest field, in manifest
+    /// order.
+    pub fields: Vec<Field>,
     /// Ghost copies: (local entity, source part), in entity order. Empty
     /// when ghosts were skipped.
     pub ghosts: Vec<(MeshEnt, PartId)>,
@@ -667,7 +677,6 @@ pub struct Built {
 fn declare(
     part: &mut Part,
     fpart: PartId,
-    section: Section,
     name: &str,
     kind: TagKind,
     len: usize,
@@ -676,7 +685,7 @@ fn declare(
     if let Some(t) = tags.find(name) {
         if (tags.kind(t), tags.len_of(t)) != (kind, len) {
             let detail = format!("tag '{name}' declared as {kind:?} × {len} and differently");
-            return Err(bad(fpart, section, detail));
+            return Err(bad(fpart, Section::Tags, detail));
         }
     }
     Ok(tags.declare(name, kind, len))
@@ -689,9 +698,10 @@ fn declare(
 /// creates each dimension's entities in the order building dimension by
 /// dimension across the block would. A shared entity another part of the
 /// block already built is found, not built again (the lower part's row
-/// wins), but an element held by two of them is refused. Tags and staged
-/// field values attach to the rows that were built. This is the one loader
-/// every restored part comes from.
+/// wins), but an element held by two of them is refused. Tags and field
+/// values attach to the rows that were built, a field's only at the
+/// dimensions its shape puts nodes on. This is the one loader every
+/// restored part comes from.
 ///
 /// # Panics
 /// Panics on an empty block, and on a `Pick::Piece(j, _)` with `id < j`.
@@ -757,39 +767,36 @@ pub fn build_part(
             }
         }
     }
-    // A row another part of the block built carries no tags.
+    // A row another part of the block built carries no tags or values.
+    let mut fields: Vec<Field> = block[0]
+        .fields
+        .iter()
+        .map(|f| Field::new(&f.name, f.shape, f.ncomp))
+        .collect();
     let built = |at: &Placed, dim: Dim, r: u32| match at.get(dim, r as usize) {
         Some((e, true)) => Some(e),
         _ => None,
     };
     for (rows, at) in block.iter().zip(&placed) {
         for t in &rows.tags {
-            let tid = declare(&mut part, rows.fpart, Section::Tags, &t.name, t.kind, t.len)?;
+            let tid = declare(&mut part, rows.fpart, &t.name, t.kind, t.len)?;
             for (dim, r, val) in &t.vals {
                 if let Some(e) = built(at, *dim, *r) {
                     part.mesh.tags_mut().set(tid, e, val.clone());
                 }
             }
         }
-        for f in &rows.fields {
-            let name = staged_field_tag(&f.name);
-            let tid = declare(
-                &mut part,
-                rows.fpart,
-                Section::Fields,
-                &name,
-                TagKind::Double,
-                f.ncomp,
-            )?;
-            for (&(dim, r), v) in f.at.iter().zip(f.vals.chunks_exact(f.ncomp.max(1))) {
-                if let Some(e) = built(at, dim, r) {
-                    part.mesh.tags_mut().set_dbls(tid, e, v);
+        for (field, f) in fields.iter_mut().zip(&rows.fields) {
+            for (&(dim, r), v) in f.at.iter().zip(f.vals.chunks_exact(f.ncomp)) {
+                if let Some(e) = built(at, dim, r).filter(|_| f.shape.has_nodes(dim, elem_dim)) {
+                    field.set(e, v);
                 }
             }
         }
     }
     Ok(Built {
         part,
+        fields,
         ghosts,
         siblings,
     })

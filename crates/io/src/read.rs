@@ -16,10 +16,10 @@
 //! row names, to every rank building from it; a non-holder drops those.
 //!
 //! Ghost layers are dropped when N ≠ M (re-grow with
-//! `pumi_core::overlap::Overlap::grow` after the restore); global-id
-//! counters are floored at the global maximum so ids minted after a restore
-//! never collide with checkpointed ones. Every entry point is collective
-//! and returns `Err` on *every* rank when any rank fails.
+//! `pumi_core::overlap::Overlap::grow` after the restore). Field values
+//! come back from the build beside the part, one field per manifest field.
+//! Every entry point is collective and returns `Err` on *every* rank when
+//! any rank fails.
 //!
 //! Input is checked where it is decoded ([`crate::load`]'s refusals are
 //! [`IoError::Decode`]); the Remotes rows are checked against each other:
@@ -33,12 +33,10 @@
 use crate::error::IoError;
 use crate::format::{parse_manifest, Manifest, MANIFEST_FILE};
 use crate::load::{build_part, Built, DirSource, PartRows, Pick};
-use crate::FIELD_TAG_PREFIX;
 use pumi_core::wire::{get_dim, get_link, put_link, stitch};
 use pumi_core::{DistMesh, Part, PartExchange, PartMap};
-use pumi_field::{DistField, Field};
+use pumi_field::DistField;
 use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
-use pumi_util::tag::TagData;
 use pumi_util::{Dim, FxHashMap, FxHashSet, GlobalId, MeshEnt, PartId};
 use std::ops::Range;
 use std::path::Path;
@@ -360,7 +358,6 @@ pub fn read_checkpoint(comm: &Comm, dir: &Path) -> Result<Restored, IoError> {
     let n = manifest.nparts as usize;
     let m = comm.nranks();
     let rank = comm.rank();
-    let elem_dim = manifest.elem_dim as usize;
     let skip_ghosts = n != m;
     let (fparts, pick) = slice_of(rank, m, n);
 
@@ -377,6 +374,7 @@ pub fn read_checkpoint(comm: &Comm, dir: &Path) -> Result<Restored, IoError> {
     let sums = comm.allreduce_sum_u64_vec(&[built.is_err() as u64, bytes_local]);
     let Built {
         part,
+        fields,
         ghosts,
         siblings,
     } = match built {
@@ -389,7 +387,7 @@ pub fn read_checkpoint(comm: &Comm, dir: &Path) -> Result<Restored, IoError> {
     // below) cannot apply is kept, not acted on: a rank that stopped here
     // would hang its peers in the next collective. One allreduce after the
     // relink agrees on it.
-    let link = pumi_obs::span!("io.link");
+    let _link = pumi_obs::span!("io.link");
     let builders = builders(m, n);
     let own = builders[fparts.start].clone();
     let mut link_errs = block_row_errors(&block);
@@ -479,33 +477,9 @@ pub fn read_checkpoint(comm: &Comm, dir: &Path) -> Result<Restored, IoError> {
         return Err(IoError::Verify { errors: link_errs });
     }
 
-    drop(link);
-
-    // Recover staged fields, in manifest order.
-    let mut fields: Vec<DistField> = Vec::new();
-    for desc in &manifest.fields {
-        let tag_name = format!("{FIELD_TAG_PREFIX}{}", desc.name);
-        let mut df: DistField = Vec::new();
-        for part in &mut dm.parts {
-            let mut f = Field::new(&desc.name, desc.shape, desc.ncomp as usize);
-            if let Some(tid) = part.mesh.tags().find(&tag_name) {
-                for &d in desc.shape.node_dims(elem_dim) {
-                    let ents: Vec<MeshEnt> = part.mesh.iter(d).collect();
-                    for e in ents {
-                        if let Some(TagData::Dbls(v)) = part.mesh.tags_mut().remove(tid, e) {
-                            f.set(e, &v);
-                        }
-                    }
-                }
-            }
-            df.push(f);
-        }
-        fields.push(df);
-    }
-
     Ok(Restored {
         dm,
-        fields,
+        fields: fields.into_iter().map(|f| vec![f]).collect(),
         stats: ReadStats {
             nparts_in: n,
             bytes_global,

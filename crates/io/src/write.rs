@@ -19,7 +19,6 @@ use crate::format::{
     encode_header, encode_manifest, encode_table, part_file_path, FieldDesc, Manifest,
     SectionEntry, FLAG_DELTA, HEADER_LEN, MANIFEST_FILE,
 };
-use crate::FIELD_TAG_PREFIX;
 use pumi_core::{DirtyLog, DistMesh, Part};
 use pumi_field::{DistField, Field};
 use pumi_pcu::{Comm, MsgWriter};
@@ -114,10 +113,10 @@ fn encode_tags(part: &Part, dirty: Option<&DirtyLog>, w: &mut dyn SectionSink) {
     let tm = part.mesh.tags();
     let elem_dim = part.mesh.elem_dim();
     // Collect rows first: the declared count can exceed the live-entity
-    // rows, and internal "__io:" staging tags must not persist.
+    // rows.
     let mut per_tag = Vec::new();
     for tid in tm.tags() {
-        if tm.name(tid).starts_with(FIELD_TAG_PREFIX) || tm.count(tid) == 0 {
+        if tm.count(tid) == 0 {
             continue;
         }
         let mut rows = Vec::new();

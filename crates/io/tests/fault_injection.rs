@@ -3,9 +3,11 @@
 //! never a panic, and never a deadlock (peers exit with `PeerFailed`).
 
 use pumi_core::{distribute, PartMap};
+use pumi_field::{DistField, Field, FieldShape};
 use pumi_io::chunk::{decode_chunk, section_raw_bytes, ChunkWriter, SectionSink};
 use pumi_io::format::{
-    encode_header, encode_table, parse_part_header, part_file_path, SectionEntry, HEADER_LEN,
+    encode_header, encode_manifest, encode_table, parse_manifest, parse_part_header,
+    part_file_path, SectionEntry, HEADER_LEN,
 };
 use pumi_io::{read_checkpoint, write_checkpoint, IoError, Section};
 use pumi_meshgen::tri_rect;
@@ -829,5 +831,37 @@ fn third_triangle_on_an_edge_is_refused() {
         tris.push(new_tri);
     });
     assert_refused_on_load(&dir, &[3], Section::Entities, "third element");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Part files whose field rows are two values wide under a manifest that
+/// says one: the values cannot fill the manifest's field, so every file
+/// part is refused where its Fields section is decoded, on every path.
+#[test]
+fn field_wider_than_its_manifest_entry_is_refused() {
+    let dir = std::env::temp_dir().join(format!("pumi_io_fault_{}_width", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let serial = tri_rect(8, 6, 1.0, 1.0);
+    execute(2, |c| {
+        let labels = partition_mesh(&serial, 4);
+        let dm = distribute(c, PartMap::contiguous(4, 2), &serial, &labels);
+        let u: DistField = dm
+            .parts
+            .iter()
+            .map(|p| {
+                let mut f = Field::new("u", FieldShape::Linear, 2);
+                f.fill(&p.mesh, &[1.0, 2.0]);
+                f
+            })
+            .collect();
+        write_checkpoint(c, &dm, &[&u], &dir).expect("write");
+    });
+    let path = dir.join(pumi_io::MANIFEST_FILE);
+    let data = std::fs::read(&path).expect("read manifest");
+    let mut manifest = parse_manifest(&path, &data).expect("intact manifest");
+    manifest.fields[0].ncomp = 1;
+    std::fs::write(&path, encode_manifest(&manifest)).expect("write manifest");
+    let needle = "field 'u' has 2 components, 1 in the manifest";
+    assert_refused_on_load(&dir, &[0, 1, 2, 3], Section::Fields, needle);
     let _ = std::fs::remove_dir_all(&dir);
 }

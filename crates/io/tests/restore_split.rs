@@ -1,7 +1,8 @@
 //! The two restore paths build the same parts, and nothing moves: slice
 //! `i` of `M` from the slice service holds exactly the entities — every
-//! dimension, by gid — rank `i` holds after `read_checkpoint` on `M` ranks,
-//! for merges (M ≤ N) and splits (M > N) alike, in 2-D and 3-D; no part or
+//! dimension, by gid — and the field values, bit for bit, that rank `i`
+//! holds after `read_checkpoint` on `M` ranks, for merges (M ≤ N) and
+//! splits (M > N) alike, in 2-D and 3-D; no part or
 //! slice holds an entity no element bounds, and every split piece is within
 //! one element of its share. No restore enters a `migrate` span or moves an
 //! element. Two drills: an element gid held by two file parts of one merge
@@ -97,6 +98,25 @@ fn gid_sets(part: &Part) -> Vec<Vec<GlobalId>> {
         .collect()
 }
 
+/// Each field's name and values by entity: `(dimension, gid, value bits)`,
+/// sorted.
+type FieldBits = Vec<(String, Vec<(usize, GlobalId, Vec<u64>)>)>;
+
+fn field_bits(part: &Part, fields: &[Field]) -> FieldBits {
+    let bits = |f: &Field| {
+        let mut vals: Vec<(usize, GlobalId, Vec<u64>)> = (0..=part.mesh.elem_dim())
+            .flat_map(|d| part.mesh.iter(Dim::from_usize(d)))
+            .filter_map(|e| {
+                let v = f.get(e)?.iter().map(|x| x.to_bits()).collect();
+                Some((e.dim().as_usize(), part.gid_of(e), v))
+            })
+            .collect();
+        vals.sort_unstable();
+        vals
+    };
+    fields.iter().map(|f| (f.name.clone(), bits(f))).collect()
+}
+
 /// Entities below the element dimension that bound no element.
 fn orphans(part: &Part) -> Vec<(Dim, GlobalId)> {
     let top = part.mesh.elem_dim_t();
@@ -125,9 +145,10 @@ fn slices_are_the_collective_parts() {
             let ranks = execute(m, |c| {
                 let r = read_checkpoint(c, &dir).expect("collective restore");
                 let part = &r.dm.parts[0];
-                (gid_sets(part), orphans(part))
+                let fields: Vec<Field> = r.fields.iter().map(|df| df[0].clone()).collect();
+                (gid_sets(part), orphans(part), field_bits(part, &fields))
             });
-            for (i, (want, orphaned)) in ranks.iter().enumerate() {
+            for (i, (want, orphaned, want_fields)) in ranks.iter().enumerate() {
                 assert!(
                     orphaned.is_empty(),
                     "N = {n}, M = {m}: rank {i} holds {orphaned:?}"
@@ -146,6 +167,18 @@ fn slices_are_the_collective_parts() {
                     want,
                     "N = {n}, M = {m}: slice {i} is not rank {i}'s part"
                 );
+                let fields = field_bits(part, &slice.fields);
+                assert_eq!(
+                    &fields, want_fields,
+                    "N = {n}, M = {m}: slice {i}'s field values are not rank {i}'s"
+                );
+                // The 2-D checkpoint's one field has a value on every vertex.
+                if n == 4 {
+                    let [(_, vals)] = &fields[..] else {
+                        panic!("N = {n}, M = {m}: slice {i} has {} fields", fields.len());
+                    };
+                    assert_eq!(vals.len(), part.mesh.count(Dim::Vertex));
+                }
                 if m > n {
                     let p = slice.fparts[0] as usize;
                     let share = part_elems[p] as f64 / balanced_block(p, n, m).len() as f64;

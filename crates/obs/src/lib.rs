@@ -1,11 +1,11 @@
 //! Observability for the PUMI/ParMA reproduction.
 //!
-//! The paper's performance story (Tables II/III, Figs 5/6/12/13) is told in
-//! three currencies: wall time per phase, message traffic per link class, and
-//! the per-iteration trajectory of the ParMA balancer. This crate records all
-//! three on the rank that produced them; `pumi_pcu::obs::world_report`
-//! reduces the first two across ranks into one JSON value, and the ParMA
-//! traces are read as plain structs (`pumi_bench::workloads`).
+//! The paper's performance story (Tables II/III, Figs 5/6/13) is told in
+//! two currencies: wall time per phase and message traffic per link class.
+//! This crate records both on the rank that produced them, and
+//! `pumi_pcu::obs::world_report` reduces them across ranks into one JSON
+//! value. (The ParMA trajectory of Fig 12 is not recorded here: it is part
+//! of the report `parma::improve` returns.)
 //!
 //! Components:
 //! * [`mod@span`] — scoped phase timers (`let _g = span!("migrate.pack");`) that
@@ -13,8 +13,6 @@
 //! * [`metrics`] — a per-thread registry of counters and histograms,
 //!   plus message-traffic accounting per `(span path, link class)` — the
 //!   per-phase extension of PCU's world-total `TrafficCounters`,
-//! * [`parma`] — the ParMA iteration recorder: imbalance trajectory,
-//!   migration sizes and stop reasons per balancing stage,
 //! * [`json`] — a dependency-free JSON value with a pretty renderer.
 //!
 //! # Threading model
@@ -34,7 +32,6 @@
 
 pub mod json;
 pub mod metrics;
-pub mod parma;
 pub mod span;
 
 pub use json::Json;

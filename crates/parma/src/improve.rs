@@ -99,8 +99,47 @@ impl ImproveOpts {
     }
 }
 
-/// Outcome for one balanced entity type.
-#[derive(Debug, Clone, Copy)]
+/// One diffusion iteration of a balancing stage.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IterSample {
+    /// Global imbalance % of the balanced type at iteration entry.
+    pub imbalance_pct: f64,
+    /// Elements scheduled for migration world-wide after admission.
+    pub planned: u64,
+    /// Elements actually migrated world-wide.
+    pub moved: u64,
+}
+
+/// Why a balancing stage ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopReason {
+    /// Imbalance reached the tolerance.
+    Converged,
+    /// Three consecutive iterations without meaningful progress (§III-B's
+    /// motivation for heavy part splitting).
+    Stagnated,
+    /// No part could schedule any migration.
+    NoCandidates,
+    /// The per-type iteration cap was hit.
+    MaxIters,
+}
+
+impl StopReason {
+    /// Stable lowercase name used in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            StopReason::Converged => "converged",
+            StopReason::Stagnated => "stagnated",
+            StopReason::NoCandidates => "no_candidates",
+            StopReason::MaxIters => "max_iters",
+        }
+    }
+}
+
+/// Outcome for one balanced entity type: one stage of the trajectory
+/// Fig 12 plots. The values are world-global, so every rank's report is
+/// the same.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TypeReport {
     /// The entity dimension balanced.
     pub dim: Dim,
@@ -108,8 +147,10 @@ pub struct TypeReport {
     pub initial_pct: f64,
     /// Imbalance % after this stage.
     pub final_pct: f64,
-    /// Diffusion iterations executed.
-    pub iterations: usize,
+    /// Why the stage stopped.
+    pub stop: StopReason,
+    /// One sample per diffusion iteration executed, in order.
+    pub iters: Vec<IterSample>,
 }
 
 /// Outcome of a full [`improve`] run.
@@ -193,7 +234,6 @@ fn improve_inner(
         None => EntityLoads::gather(comm, dm),
     };
     let _span = pumi_obs::span!("parma.improve");
-    pumi_obs::parma::begin(&priority.to_string());
     let timer = Timer::start();
     let mut types = Vec::new();
     let mut elements_moved = 0u64;
@@ -224,10 +264,9 @@ fn improve_inner(
         let _stage_span = pumi_obs::span::enter(&format!("stage.{d}"));
         let entry_loads = gather(comm, dm);
         let initial_pct = entry_loads.imbalance_pct(d);
-        pumi_obs::parma::stage_begin(&d.to_string(), initial_pct);
-        let mut stop = pumi_obs::parma::StopReason::MaxIters;
+        let mut stop = StopReason::MaxIters;
         let mut final_pct;
-        let mut iterations = 0usize;
+        let mut iters = Vec::new();
 
         // Caps are frozen at stage entry. "No harm" means a protected
         // type's *stage-entry* peak may not be exceeded by any destination;
@@ -266,7 +305,7 @@ fn improve_inner(
             let loads = gather(comm, dm);
             final_pct = loads.imbalance_pct(d);
             if loads.imbalance(d) <= 1.0 + opts.tol {
-                stop = pumi_obs::parma::StopReason::Converged;
+                stop = StopReason::Converged;
                 break;
             }
             // Early stop when diffusion stops making headway (§III-B: such
@@ -274,7 +313,7 @@ fn improve_inner(
             if prev_pct - final_pct < 0.2 {
                 no_progress += 1;
                 if no_progress >= 3 {
-                    stop = pumi_obs::parma::StopReason::Stagnated;
+                    stop = StopReason::Stagnated;
                     break;
                 }
             } else {
@@ -393,22 +432,25 @@ fn improve_inner(
             if planned == 0 {
                 // Diffusion is stuck for this type (§III-B motivates heavy
                 // part splitting for exactly this case).
-                stop = pumi_obs::parma::StopReason::NoCandidates;
+                stop = StopReason::NoCandidates;
                 break;
             }
             let stats = migrate(comm, dm, &plans);
             elements_moved += stats.elements_moved;
-            iterations += 1;
-            pumi_obs::parma::iter(final_pct, planned, stats.elements_moved);
+            iters.push(IterSample {
+                imbalance_pct: final_pct,
+                planned,
+                moved: stats.elements_moved,
+            });
         }
         // Refresh after the last migration.
         final_pct = gather(comm, dm).imbalance_pct(d);
-        pumi_obs::parma::stage_end(final_pct, stop);
         types.push(TypeReport {
             dim: d,
             initial_pct,
             final_pct,
-            iterations,
+            stop,
+            iters,
         });
     }
 
@@ -416,7 +458,6 @@ fn improve_inner(
         .allgather_f64(timer.seconds())
         .into_iter()
         .fold(0.0, f64::max);
-    pumi_obs::parma::end(seconds, elements_moved);
     ImproveReport {
         types,
         seconds,
@@ -661,7 +702,7 @@ mod tests {
             let pr: Priority = "Face".parse().unwrap();
             let report = improve(c, &mut dm, &pr, ImproveOpts::default());
             assert_eq!(report.elements_moved, 0);
-            assert_eq!(report.types[0].iterations, 0);
+            assert!(report.types[0].iters.is_empty());
         });
     }
 }

@@ -33,7 +33,8 @@ pub mod topo;
 
 pub use balance::EntityLoads;
 pub use improve::{
-    improve, improve_above, improve_weighted, ImproveOpts, ImproveReport, TypeReport,
+    improve, improve_above, improve_weighted, ImproveOpts, ImproveReport, IterSample, StopReason,
+    TypeReport,
 };
 pub use priority::Priority;
 pub use select::{HarmGuard, SelectRequest, Selector, TopoGate};

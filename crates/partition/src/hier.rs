@@ -55,16 +55,6 @@ impl HierPartition {
     pub fn part_map(&self, nranks: usize) -> PartMap {
         PartMap::from_ranks(self.rank_of_part.clone(), nranks)
     }
-
-    /// Fraction of boundary-copy weight that crosses nodes (0 when there is
-    /// no boundary at all).
-    pub fn off_node_fraction(&self) -> f64 {
-        if self.total_cut == 0.0 {
-            0.0
-        } else {
-            self.off_node_cut / self.total_cut
-        }
-    }
 }
 
 /// Serial hierarchical mesh partition: `nparts` element labels for a

@@ -21,9 +21,9 @@
 //! block of file parts when M ≤ N, a Morton piece of one file part when
 //! M > N. The server only supplies its [`SectionSource`], the resident files
 //! and the chunk cache, so the readers of one file part decompress it once.
-//! Slices are standalone: ghost copies are dropped, remote-copy links are
-//! not stitched, and field values stay staged under `__io:f:<name>` tags
-//! (see [`pumi_io::staged_field_tag`]). Slices tile the mesh.
+//! Slices are standalone: ghost copies are dropped and remote-copy links are
+//! not stitched. A slice's field values come back beside its part, as the
+//! collective restore returns them. Slices tile the mesh.
 //!
 //! Every slice restore runs under a `serve.slice` span (with the loader's
 //! `io.rows` and `io.build` under it); cache traffic is metered through the
@@ -39,7 +39,7 @@ use pumi_core::Part;
 use pumi_io::chunk::{decode_chunk, ChunkHeader};
 use pumi_io::format::{parse_manifest, MANIFEST_FILE};
 use pumi_io::{
-    build_part, slice_of, IoError, Manifest, PartFile, PartRows, Section, SectionSource,
+    build_part, slice_of, Field, IoError, Manifest, PartFile, PartRows, Section, SectionSource,
 };
 use pumi_util::{FxHashMap, PartId};
 use std::path::PathBuf;
@@ -71,9 +71,11 @@ impl std::fmt::Debug for Slice {
 
 /// One restored slice: a subset of the checkpointed mesh.
 pub struct Slice {
-    /// The slice's one part, numbered by the slice. Field values are staged
-    /// as `__io:f:<name>` tags.
+    /// The slice's one part, numbered by the slice.
     pub parts: Vec<Part>,
+    /// The part's field values, one field per manifest field, in manifest
+    /// order.
+    pub fields: Vec<Field>,
     /// The checkpoint part files this slice drew from.
     pub fparts: Vec<PartId>,
 }
@@ -223,9 +225,10 @@ impl CheckpointServer {
             .iter()
             .map(|&p| PartRows::read(&self.manifest, p, self))
             .collect::<Result<Vec<_>, _>>()?;
-        let part = build_part(slice as PartId, &block, pick, true)?.part;
+        let built = build_part(slice as PartId, &block, pick, true)?;
         Ok(Slice {
-            parts: vec![part],
+            parts: vec![built.part],
+            fields: built.fields,
             fparts,
         })
     }
