@@ -15,26 +15,19 @@ use crate::snap::collapse_allowed;
 use pumi_mesh::Mesh;
 use pumi_util::{Dim, MeshEnt, TagStash};
 
-/// Options for [`coarsen`].
-#[derive(Debug, Clone, Copy)]
-pub struct CoarsenOpts {
-    /// Collapse an edge when `length < collapse_ratio * h(midpoint)`.
-    pub collapse_ratio: f64,
-    /// Passes over the mesh (collapses enable further collapses).
-    pub passes: usize,
-    /// Minimum mean-ratio quality a re-connected element may have.
-    pub min_quality: f64,
-}
+/// The argument [`coarsen`] and [`crate::dist::AdaptOpts::coarsen`] take.
+/// It has no fields: the sweep reads the constants below. The type stays so
+/// that callers naming `CoarsenOpts::default()` keep compiling.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CoarsenOpts {}
 
-impl Default for CoarsenOpts {
-    fn default() -> Self {
-        CoarsenOpts {
-            collapse_ratio: 0.5,
-            passes: 3,
-            min_quality: 0.05,
-        }
-    }
-}
+/// Collapse an edge when `length < COLLAPSE_RATIO * h(midpoint)`. The load
+/// predictor's coarsening band ([`crate::predict`]) reads it too.
+pub(crate) const COLLAPSE_RATIO: f64 = 0.5;
+/// Passes over the mesh (collapses enable further collapses).
+const PASSES: usize = 3;
+/// Minimum mean-ratio quality a re-connected element may have.
+const MIN_QUALITY: f64 = 0.05;
 
 /// Statistics from a [`coarsen`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -83,13 +76,11 @@ pub(crate) struct CollapseScratch {
 /// their closure) are the ones that need fresh gids. Handles in `deleted`
 /// may already be re-occupied by the time this returns — they identify
 /// *slots* whose old bookkeeping is stale, not live entities.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn try_collapse(
     mesh: &mut Mesh,
     edge: MeshEnt,
     kept: u32,
     gone: u32,
-    min_quality: f64,
     scratch: &mut CollapseScratch,
     deleted: &mut Vec<MeshEnt>,
     created: &mut Vec<MeshEnt>,
@@ -136,7 +127,7 @@ pub(crate) fn try_collapse(
         if new_m * old_m <= 0.0 || new_m.abs() < 1e-14 {
             return false; // would invert or degenerate
         }
-        if mean_ratio_coords(&new_coords[..n]).abs() < min_quality {
+        if mean_ratio_coords(&new_coords[..n]).abs() < MIN_QUALITY {
             return false; // would create a sliver
         }
         rebuilt.push(new);
@@ -185,16 +176,12 @@ pub(crate) fn try_collapse(
 /// Returns the statistics of this mesh and the number of short edges left
 /// alone because the host refused their cavity
 /// ([`Host::may_modify_cavity`]) — those are not counted as rejected.
-pub(crate) fn sweep<H: Host>(
-    host: &mut H,
-    size: &SizeField,
-    opts: CoarsenOpts,
-) -> (CoarsenStats, usize) {
+pub(crate) fn sweep<H: Host>(host: &mut H, size: &SizeField) -> (CoarsenStats, usize) {
     let mut stats = CoarsenStats::default();
     let mut vetoed = 0usize;
     let (mut deleted, mut created) = (Vec::new(), Vec::new());
     let mut scratch = CollapseScratch::default();
-    for _ in 0..opts.passes {
+    for _ in 0..PASSES {
         let mut collapsed_this_pass = 0usize;
         for e in host.mesh().snapshot(Dim::Edge) {
             let mesh = host.mesh();
@@ -203,7 +190,7 @@ pub(crate) fn sweep<H: Host>(
             }
             let verts = mesh.verts_of(e);
             let verts = [verts[0], verts[1]];
-            if edge_length(mesh, &verts) >= opts.collapse_ratio * size.at(midpoint(mesh, &verts)) {
+            if edge_length(mesh, &verts) >= COLLAPSE_RATIO * size.at(midpoint(mesh, &verts)) {
                 continue;
             }
             // Prefer to remove the more-interior vertex.
@@ -228,7 +215,6 @@ pub(crate) fn sweep<H: Host>(
                     e,
                     kept,
                     gone,
-                    opts.min_quality,
                     &mut scratch,
                     &mut deleted,
                     &mut created,
@@ -257,7 +243,7 @@ pub(crate) fn sweep<H: Host>(
     (stats, vetoed)
 }
 
-/// Collapse every edge shorter than the size field allows, in `passes`
+/// Collapse every edge shorter than the size field allows, in `PASSES`
 /// sweeps. Prefers welding the vertex with the higher-dimension (more
 /// interior) classification, which keeps boundary geometry intact.
 ///
@@ -272,8 +258,8 @@ pub(crate) fn sweep<H: Host>(
 /// assert!(stats.collapses > 0);
 /// assert!(mesh.num_elems() < before);
 /// ```
-pub fn coarsen(mesh: &mut Mesh, size: &SizeField, opts: CoarsenOpts) -> CoarsenStats {
-    sweep(mesh, size, opts).0
+pub fn coarsen(mesh: &mut Mesh, size: &SizeField, _opts: CoarsenOpts) -> CoarsenStats {
+    sweep(mesh, size).0
 }
 
 #[cfg(test)]

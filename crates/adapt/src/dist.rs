@@ -9,14 +9,15 @@
 //!
 //! # Boundary-split protocol
 //!
-//! The split predicate (`length > split_ratio * h(midpoint)`) is purely
-//! geometric, and every copy of a shared edge has bit-identical endpoint
-//! coordinates — so every residence part *independently* marks the same
-//! shared edges for splitting, with no marking communication at all. Each
-//! part then runs the split sweep locally in its canonical order (longest
-//! first, ties broken by endpoint coordinate bits — see
-//! [`mod@crate::refine`]'s heap), which makes the interleaving of interacting
-//! splits identical on every part *and* identical to a serial mesh.
+//! The split predicate (`length > 1.5 * h(midpoint)`, the serial sweep's
+//! own) is purely geometric, and every copy of a shared edge has
+//! bit-identical endpoint coordinates — so every residence part
+//! *independently* marks the same shared edges for splitting, with no
+//! marking communication at all. Each part then runs the split sweep
+//! locally in its canonical order (longest first, ties broken by endpoint
+//! coordinate bits — see [`mod@crate::refine`]'s heap), which makes the
+//! interleaving of interacting splits identical on every part *and*
+//! identical to a serial mesh.
 //!
 //! New entities get **content-derived global ids** ([`content_gid`], the
 //! one rule for every entity built without a row): a hash of the sorted
@@ -92,7 +93,7 @@ impl<'a> AdaptOpts<'a> {
         Self::default()
     }
 
-    /// Enable coarsening with the given options.
+    /// Coarsen after refinement, with the serial sweep's constants.
     pub fn coarsen(mut self, co: CoarsenOpts) -> Self {
         self.coarsen = Some(co);
         self
@@ -502,7 +503,6 @@ fn adapt_inner(
     // canonical split sweep on every part, one relink round.
     {
         let _s = pumi_obs::span!("adapt.refine");
-        let split_ratio = crate::RefineOpts::default().split_ratio;
         let mut pendings: Vec<Pending> = Vec::with_capacity(dm.parts.len());
         let mut splits = 0u64;
         let mut boundary = 0u64;
@@ -510,7 +510,7 @@ fn adapt_inner(
             let _s = pumi_obs::span!("adapt.refine.sweep");
             for (slot, part) in dm.parts.iter_mut().enumerate() {
                 let mut host = PartHost::new(part, field.as_deref_mut().map(|fs| &mut fs[slot]));
-                crate::refine::sweep(&mut host, size, opts.model, split_ratio);
+                crate::refine::sweep(&mut host, size, opts.model);
                 splits += host.splits;
                 boundary += host.boundary_splits;
                 pendings.push(host.pending);
@@ -523,7 +523,7 @@ fn adapt_inner(
 
     // Coarsening: interior-only, no communication; boundary cavities are
     // vetoed and reported.
-    if let Some(co) = opts.coarsen {
+    if opts.coarsen.is_some() {
         let _s = pumi_obs::span!("adapt.coarsen");
         let mut collapses = 0u64;
         let mut vetoed = 0u64;
@@ -540,7 +540,7 @@ fn adapt_inner(
         {
             let _s = pumi_obs::span!("adapt.coarsen.sweep");
             for host in &mut hosts {
-                let (c, v) = crate::coarsen::sweep(host, size, co);
+                let (c, v) = crate::coarsen::sweep(host, size);
                 collapses += c.collapses as u64;
                 vetoed += v as u64;
             }
@@ -672,7 +672,7 @@ mod tests {
         for part in dm.parts.iter_mut() {
             let mut host = PartHost::for_coarsening(part, None);
             assert_table_is_the_walk(&host, "before the sweep");
-            let (st, v) = crate::coarsen::sweep(&mut host, size, CoarsenOpts::default());
+            let (st, v) = crate::coarsen::sweep(&mut host, size);
             assert_table_is_the_walk(&host, "after the sweep");
             collapses += st.collapses as u64;
             vetoed += v as u64;

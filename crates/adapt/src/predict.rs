@@ -7,7 +7,7 @@
 //! target size)^dim`; balancing these *weights* instead of the current
 //! element counts prevents the Fig 13 blow-up.
 
-use crate::coarsen::CoarsenOpts;
+use crate::coarsen::COLLAPSE_RATIO;
 use crate::sizefield::SizeField;
 use pumi_mesh::Mesh;
 use pumi_util::{Dim, MeshEnt, PartId};
@@ -83,16 +83,20 @@ fn size_ratio(mesh: &Mesh, e: MeshEnt, size: &SizeField) -> f64 {
     mean_len / h
 }
 
-/// The prediction branch `e` falls in under `size`.
-pub fn classify(mesh: &Mesh, e: MeshEnt, size: &SizeField) -> Branch {
-    let ratio = size_ratio(mesh, e, size);
+/// The branch an element with size ratio `L/h` falls in.
+fn branch(ratio: f64) -> Branch {
     if ratio >= 1.0 {
         Branch::Refine
-    } else if ratio < CoarsenOpts::default().collapse_ratio {
+    } else if ratio < COLLAPSE_RATIO {
         Branch::Collapse
     } else {
         Branch::Keep
     }
+}
+
+/// The prediction branch `e` falls in under `size`.
+pub fn classify(mesh: &Mesh, e: MeshEnt, size: &SizeField) -> Branch {
+    branch(size_ratio(mesh, e, size))
 }
 
 /// Estimated number of elements `e` becomes after adapting to `size`, with
@@ -101,10 +105,10 @@ pub fn classify(mesh: &Mesh, e: MeshEnt, size: &SizeField) -> Branch {
 ///
 /// - `L/h ≥ 1` — refinement territory: the element splits into roughly
 ///   `(L/h)^dim` children.
-/// - `L/h` below the collapse band (the default
-///   [`CoarsenOpts::collapse_ratio`]) — coarsening territory: the element
-///   merges with neighbors, surviving only as the fraction `(L/h)^dim` of
-///   an element.
+/// - `L/h` below the collapse band (the collapse ratio 0.5 that the
+///   [`coarsen`](crate::coarsen()) sweep uses) — coarsening territory: the
+///   element merges with neighbors, surviving only as the fraction
+///   `(L/h)^dim` of an element.
 /// - In between — the keep band: the element stays as it is, weight 1.
 ///
 /// The result saturates at [`MAX_ELEMENT_WEIGHT`], so a degenerate size
@@ -114,11 +118,11 @@ pub fn classify(mesh: &Mesh, e: MeshEnt, size: &SizeField) -> Branch {
 /// predicted at full load even though adaptation was about to shrink them.
 pub fn element_weight(mesh: &Mesh, e: MeshEnt, size: &SizeField) -> f64 {
     let ratio = size_ratio(mesh, e, size);
-    let collapse_band = CoarsenOpts::default().collapse_ratio;
-    if ratio >= 1.0 || ratio < collapse_band {
-        ratio.powi(mesh.elem_dim() as i32).min(MAX_ELEMENT_WEIGHT)
-    } else {
-        1.0
+    match branch(ratio) {
+        Branch::Keep => 1.0,
+        Branch::Refine | Branch::Collapse => {
+            ratio.powi(mesh.elem_dim() as i32).min(MAX_ELEMENT_WEIGHT)
+        }
     }
 }
 

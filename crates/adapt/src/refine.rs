@@ -21,18 +21,15 @@ use pumi_util::{Dim, MeshEnt, TagStash};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Options for [`refine`].
-#[derive(Debug, Clone, Copy)]
-pub struct RefineOpts {
-    /// Split an edge when `length > split_ratio * h(midpoint)`.
-    pub split_ratio: f64,
-}
+/// The argument [`refine`] takes. It has no fields: the split ratio is the
+/// constant `SPLIT_RATIO`, which serial refinement and
+/// [`crate::dist::adapt_dist`] both read. The type stays so that callers
+/// naming `RefineOpts::default()` keep compiling.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RefineOpts {}
 
-impl Default for RefineOpts {
-    fn default() -> Self {
-        RefineOpts { split_ratio: 1.5 }
-    }
-}
+/// Split an edge when `length > SPLIT_RATIO * h(midpoint)`.
+const SPLIT_RATIO: f64 = 1.5;
 
 /// Statistics from a [`refine`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -258,26 +255,21 @@ pub(crate) fn split_edge_in(
 /// predicate). Purely geometric, so every copy of a shared edge evaluates
 /// it identically — the basis for communication-free consistent marking in
 /// distributed refinement.
-fn oversized_len(mesh: &Mesh, verts: &[u32], size: &SizeField, split_ratio: f64) -> Option<f64> {
+fn oversized_len(mesh: &Mesh, verts: &[u32], size: &SizeField) -> Option<f64> {
     let len = edge_length(mesh, verts);
     let h = size.at(midpoint(mesh, verts));
-    (len > split_ratio * h).then_some(len)
+    (len > SPLIT_RATIO * h).then_some(len)
 }
 
 /// The one refinement sweep ([`refine`] on whatever owns the mesh): split
 /// oversized edges longest-first from a lazy priority queue until every
 /// edge satisfies `size`. Returns the number of splits performed on this
 /// mesh.
-pub(crate) fn sweep<H: Host>(
-    host: &mut H,
-    size: &SizeField,
-    model: Option<&Model>,
-    split_ratio: f64,
-) -> usize {
+pub(crate) fn sweep<H: Host>(host: &mut H, size: &SizeField, model: Option<&Model>) -> usize {
     let mesh = host.mesh();
     let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
     for e in mesh.snapshot(Dim::Edge) {
-        if let Some(len) = oversized_len(mesh, mesh.verts_of(e), size, split_ratio) {
+        if let Some(len) = oversized_len(mesh, mesh.verts_of(e), size) {
             heap.push(HeapItem::new(mesh, e, len));
         }
     }
@@ -295,7 +287,7 @@ pub(crate) fn sweep<H: Host>(
         if ends != item.verts && [ends[1], ends[0]] != item.verts {
             continue;
         }
-        if oversized_len(mesh, &ends, size, split_ratio).is_none() {
+        if oversized_len(mesh, &ends, size).is_none() {
             continue;
         }
         let inherit = host.before_split(item.edge, ends);
@@ -306,7 +298,7 @@ pub(crate) fn sweep<H: Host>(
         let mesh = host.mesh();
         mesh.adjacent_into(m, Dim::Edge, &mut around);
         for &e in &around {
-            if let Some(len) = oversized_len(mesh, mesh.verts_of(e), size, split_ratio) {
+            if let Some(len) = oversized_len(mesh, mesh.verts_of(e), size) {
                 heap.push(HeapItem::new(mesh, e, len));
             }
         }
@@ -330,10 +322,10 @@ pub fn refine(
     mesh: &mut Mesh,
     size: &SizeField,
     model: Option<&Model>,
-    opts: RefineOpts,
+    _opts: RefineOpts,
 ) -> RefineStats {
     RefineStats {
-        splits: sweep(mesh, size, model, opts.split_ratio),
+        splits: sweep(mesh, size, model),
         elements_after: mesh.num_elems(),
     }
 }

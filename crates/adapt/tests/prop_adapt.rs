@@ -57,7 +57,7 @@ proptest! {
     }
 
     /// The size field is (approximately) satisfied after refinement: no
-    /// edge longer than split_ratio * h.
+    /// edge longer than the split ratio 1.5 times h.
     #[test]
     fn refinement_meets_size(h in 0.1f64..0.4) {
         let mut m = tri_rect(2, 2, 1.0, 1.0);

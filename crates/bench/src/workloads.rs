@@ -12,9 +12,7 @@
 //! `pumi_check::check_dist` there without this library depending on the
 //! checker; the printers pass [`no_inspect`].
 
-use parma::{
-    heavy_part_split, improve, EntityLoads, ImproveOpts, ImproveReport, Priority, SplitOpts,
-};
+use parma::{heavy_part_split, improve, EntityLoads, ImproveOpts, ImproveReport, Priority};
 use pumi_adapt::{element_weight, refine, RefineOpts, RefineStats, SizeField};
 use pumi_core::twolevel::boundary_traffic_split;
 use pumi_core::{distribute, DistMesh, PartExchange, PartMap};
@@ -576,7 +574,7 @@ pub fn heavy_split(p: HeavySplitParams, inspect: Inspect) -> HeavySplit {
             let before_pct = EntityLoads::gather(c, &dm).imbalance_pct(Dim::Region);
             let timer = Timer::start();
             if split {
-                heavy_part_split(c, &mut dm, SplitOpts::default());
+                heavy_part_split(c, &mut dm);
             }
             let report = improve(c, &mut dm, &pri, ImproveOpts::new().max_iters(12));
             let seconds = timer.seconds();

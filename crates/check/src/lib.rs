@@ -10,8 +10,7 @@
 //! * **serial mesh validity** — every part's mesh passes
 //!   [`Mesh::verify`](pumi_mesh::Mesh::verify): live, reciprocal up/down
 //!   adjacency, no two live entities of one dimension over one vertex set,
-//!   sides bounding at most two elements, no repeated vertex in an entity
-//!   (run on every call, whatever the [`CheckOpts`]),
+//!   sides bounding at most two elements, no repeated vertex in an entity,
 //! * **remote-copy symmetry** — if part A lists `(B, i)` for an entity,
 //!   part B's entity at `i` is live, carries the same global id, and lists
 //!   A back with A's index,
@@ -35,7 +34,9 @@
 //! * **part placement** — every part is hosted exactly once, on the rank
 //!   its part map names, inside the machine model — the invariant
 //!   hierarchy-aware partitioning (`partition_hier`) and on-/off-node
-//!   boundary accounting rely on.
+//!   boundary accounting rely on. Audited first: the other families route
+//!   by the part map, so a broken placement stops the check before they
+//!   run.
 //!
 //! Violations come back as typed [`CheckError`]s naming part, dimension and
 //! gid — the checker never asserts or panics on a broken mesh, so test
@@ -52,79 +53,16 @@ use pumi_field::DistField;
 use pumi_pcu::{Comm, MsgError, MsgReader};
 use pumi_util::{Dim, FxHashMap, GlobalId, MeshEnt, PartId};
 
-/// Which invariant families [`check_dist`] verifies. All on by default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckOpts {
-    /// Remote-copy symmetry and index validity.
-    pub symmetry: bool,
-    /// Owner agreement and residence-set equality across copies.
-    pub ownership: bool,
-    /// Holder/owner ghost record agreement.
-    pub ghosts: bool,
-    /// World-wide global-id uniqueness per dimension.
-    pub gids: bool,
-    /// Overlap closure-completeness (ghost closures stay inside the
-    /// overlap region).
-    pub overlap: bool,
-    /// Part → rank placement agreement with the part map and the machine
-    /// model (each part hosted exactly once, on the rank the map names,
-    /// inside the machine).
-    pub topology: bool,
-}
-
-impl Default for CheckOpts {
-    fn default() -> Self {
-        CheckOpts::all()
-    }
-}
+/// The argument [`check_dist`] takes. It has no fields: every call runs
+/// every invariant family. The type stays so that callers naming
+/// `CheckOpts::all()` keep compiling.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CheckOpts {}
 
 impl CheckOpts {
-    /// Every check enabled.
+    /// Every check enabled (the only setting there is).
     pub fn all() -> CheckOpts {
-        CheckOpts {
-            symmetry: true,
-            ownership: true,
-            ghosts: true,
-            gids: true,
-            overlap: true,
-            topology: true,
-        }
-    }
-
-    /// Toggle the symmetry checks.
-    pub fn symmetry(mut self, on: bool) -> Self {
-        self.symmetry = on;
-        self
-    }
-
-    /// Toggle the ownership checks.
-    pub fn ownership(mut self, on: bool) -> Self {
-        self.ownership = on;
-        self
-    }
-
-    /// Toggle the ghost-record checks.
-    pub fn ghosts(mut self, on: bool) -> Self {
-        self.ghosts = on;
-        self
-    }
-
-    /// Toggle the gid-uniqueness check.
-    pub fn gids(mut self, on: bool) -> Self {
-        self.gids = on;
-        self
-    }
-
-    /// Toggle the overlap closure-completeness check.
-    pub fn overlap(mut self, on: bool) -> Self {
-        self.overlap = on;
-        self
-    }
-
-    /// Toggle the part-placement topology audit.
-    pub fn topology(mut self, on: bool) -> Self {
-        self.topology = on;
-        self
+        CheckOpts {}
     }
 }
 
@@ -502,13 +440,7 @@ fn check_overlap_closure(part: &Part, errs: &mut Vec<CheckError>, stats: &mut Ch
 /// for every shared non-ghost entity and every listed remote `(q, ridx)`,
 /// its own gid/index/owner/residence; `q` verifies everything against the
 /// entity at `ridx`.
-fn check_symmetry(
-    comm: &Comm,
-    dm: &DistMesh,
-    opts: CheckOpts,
-    errs: &mut Vec<CheckError>,
-    stats: &mut CheckStats,
-) {
+fn check_symmetry(comm: &Comm, dm: &DistMesh, errs: &mut Vec<CheckError>, stats: &mut CheckStats) {
     let mut ex = PartExchange::new(comm, &dm.map);
     for part in &dm.parts {
         for (e, remotes) in part.shared_entities() {
@@ -564,25 +496,23 @@ fn check_symmetry(
                         gid,
                     });
                 }
-                if opts.ownership {
-                    if part.owner(e) != owner {
-                        errs.push(CheckError::OwnerDisagreement {
-                            part: part.id,
-                            peer: from,
-                            dim: db,
-                            gid,
-                            ours: part.owner(e),
-                            theirs: owner,
-                        });
-                    }
-                    if part.residence(e) != res {
-                        errs.push(CheckError::ResidenceMismatch {
-                            part: part.id,
-                            peer: from,
-                            dim: db,
-                            gid,
-                        });
-                    }
+                if part.owner(e) != owner {
+                    errs.push(CheckError::OwnerDisagreement {
+                        part: part.id,
+                        peer: from,
+                        dim: db,
+                        gid,
+                        ours: part.owner(e),
+                        theirs: owner,
+                    });
+                }
+                if part.residence(e) != res {
+                    errs.push(CheckError::ResidenceMismatch {
+                        part: part.id,
+                        peer: from,
+                        dim: db,
+                        gid,
+                    });
                 }
             }
             Ok(())
@@ -681,6 +611,12 @@ fn check_ghosts(comm: &Comm, dm: &DistMesh, errs: &mut Vec<CheckError>, stats: &
     }
 }
 
+/// What a host on another rank than the part map names adds to its part's
+/// slot of the placement audit's allreduce, on top of the host count in
+/// the low bits: every rank then learns of a misplacement anywhere from
+/// the one reduction the audit makes anyway.
+const MISPLACED: u64 = 1 << 32;
+
 /// Part-placement topology audit: every local part must be the one the part
 /// map names for this rank, every part id must be hosted exactly once
 /// world-wide, and the map must not point outside the machine model the
@@ -688,8 +624,9 @@ fn check_ghosts(comm: &Comm, dm: &DistMesh, errs: &mut Vec<CheckError>, stats: &
 /// (and any consumer of `MachineModel::node_of`) rely on to reason about
 /// on- vs off-node boundaries. Collective (one vector allreduce); the
 /// map-level findings are reported by rank 0 only, so world counts stay
-/// deduplicated.
-fn check_topology(comm: &Comm, dm: &DistMesh, errs: &mut Vec<CheckError>) {
+/// deduplicated. Returns the world-wide number of violations, the same on
+/// every rank.
+fn check_topology(comm: &Comm, dm: &DistMesh, errs: &mut Vec<CheckError>) -> u64 {
     let machine = comm.machine();
     let nparts = dm.map.nparts();
     let mut held = vec![0u64; nparts];
@@ -697,6 +634,7 @@ fn check_topology(comm: &Comm, dm: &DistMesh, errs: &mut Vec<CheckError>) {
         held[part.id as usize] += 1;
         let mapped = dm.map.rank_of(part.id);
         if mapped != comm.rank() {
+            held[part.id as usize] += MISPLACED;
             errs.push(CheckError::PartMisplaced {
                 part: part.id,
                 rank: comm.rank() as u32,
@@ -705,18 +643,25 @@ fn check_topology(comm: &Comm, dm: &DistMesh, errs: &mut Vec<CheckError>) {
         }
     }
     let held = comm.allreduce_sum_u64_vec(&held);
-    if comm.rank() == 0 {
-        for (p, &count) in held.iter().enumerate() {
-            if count != 1 {
+    let mut world = 0;
+    for (p, &h) in held.iter().enumerate() {
+        world += h / MISPLACED;
+        let count = h % MISPLACED;
+        if count != 1 {
+            world += 1;
+            if comm.rank() == 0 {
                 errs.push(CheckError::PartMultiplicity {
                     part: p as PartId,
                     count,
                 });
             }
         }
-        for p in 0..nparts {
-            let rank = dm.map.rank_of(p as PartId);
-            if rank >= machine.nranks() {
+    }
+    for p in 0..nparts {
+        let rank = dm.map.rank_of(p as PartId);
+        if rank >= machine.nranks() {
+            world += 1;
+            if comm.rank() == 0 {
                 errs.push(CheckError::PartOffMachine {
                     part: p as PartId,
                     rank: rank as u32,
@@ -725,6 +670,7 @@ fn check_topology(comm: &Comm, dm: &DistMesh, errs: &mut Vec<CheckError>) {
             }
         }
     }
+    world
 }
 
 /// Global-id uniqueness: every owned non-ghost entity's `(dim, gid)` is
@@ -786,9 +732,13 @@ fn check_gid_uniqueness(comm: &Comm, dm: &DistMesh, errs: &mut Vec<CheckError>) 
     errs.extend(dups);
 }
 
-/// Run every enabled invariant check over the distributed mesh.
+/// Run every invariant check over the distributed mesh.
 /// Collective: all ranks must call; the violation count is all-reduced so
 /// all ranks return `Ok`/`Err` together.
+///
+/// The placement audit runs first. Every other exchange routes by
+/// `dm.map`, so when the map disagrees with where the parts live the call
+/// returns the placement errors alone, before any of them runs.
 ///
 /// # Examples
 ///
@@ -809,39 +759,39 @@ fn check_gid_uniqueness(comm: &Comm, dm: &DistMesh, errs: &mut Vec<CheckError>) 
 ///     assert!(stats.links > 0);
 /// });
 /// ```
-pub fn check_dist(comm: &Comm, dm: &DistMesh, opts: CheckOpts) -> Result<CheckStats, CheckFailure> {
+pub fn check_dist(
+    comm: &Comm,
+    dm: &DistMesh,
+    _opts: CheckOpts,
+) -> Result<CheckStats, CheckFailure> {
     let _span = pumi_obs::span!("check");
     pumi_obs::metrics::counter_add("check.calls", 1);
     let elem_dim = dm.parts.first().map(|p| p.mesh.elem_dim()).unwrap_or(2);
     let mut errs = Vec::new();
     let mut stats = CheckStats::default();
+    let fail = |errors, world| {
+        pumi_obs::metrics::counter_add("check.violations", world);
+        Err(CheckFailure {
+            errors,
+            world_violations: world,
+        })
+    };
 
+    let misplaced = check_topology(comm, dm, &mut errs);
+    if misplaced > 0 {
+        return fail(errs, misplaced);
+    }
     for part in &dm.parts {
         check_local(part, elem_dim, &mut errs, &mut stats);
-        if opts.overlap {
-            check_overlap_closure(part, &mut errs, &mut stats);
-        }
+        check_overlap_closure(part, &mut errs, &mut stats);
     }
-    if opts.symmetry || opts.ownership {
-        check_symmetry(comm, dm, opts, &mut errs, &mut stats);
-    }
-    if opts.ghosts {
-        check_ghosts(comm, dm, &mut errs, &mut stats);
-    }
-    if opts.gids {
-        check_gid_uniqueness(comm, dm, &mut errs);
-    }
-    if opts.topology {
-        check_topology(comm, dm, &mut errs);
-    }
+    check_symmetry(comm, dm, &mut errs, &mut stats);
+    check_ghosts(comm, dm, &mut errs, &mut stats);
+    check_gid_uniqueness(comm, dm, &mut errs);
 
     let world = comm.allreduce_sum_u64(errs.len() as u64);
     if world > 0 {
-        pumi_obs::metrics::counter_add("check.violations", world);
-        return Err(CheckFailure {
-            errors: errs,
-            world_violations: world,
-        });
+        return fail(errs, world);
     }
     Ok(CheckStats {
         entities: comm.allreduce_sum_u64(stats.entities),

@@ -1,5 +1,5 @@
-//! pumi-check behaviour: clean meshes pass, every class of corruption is
-//! detected collectively, and option gates skip exactly their family.
+//! pumi-check behaviour: clean meshes pass, and every class of corruption is
+//! detected collectively.
 
 use pumi_check::{check_dist, check_field_sync, check_overlap, CheckError, CheckOpts};
 use pumi_core::overlap::{Overlap, Reduction};
@@ -56,8 +56,9 @@ fn passes_after_migrate_and_ghosting() {
 }
 
 /// The topology audit: a part map that disagrees with where parts actually
-/// live fails on every rank with typed placement errors; gating the audit
-/// off skips it.
+/// live fails on every rank with typed placement errors. The audit runs
+/// before the families that route by the map, so the full check reports the
+/// misplacement instead of panicking on a part that is not local.
 #[test]
 fn misplaced_part_map_fails_topology_audit() {
     execute(2, |c| {
@@ -65,13 +66,7 @@ fn misplaced_part_map_fails_topology_audit() {
         // Swap the map: it now claims part 0 lives on rank 1 and vice
         // versa, while the hosts are unchanged.
         dm.map = PartMap::from_ranks(vec![1, 0], 2);
-        let only_topology = CheckOpts::all()
-            .symmetry(false)
-            .ownership(false)
-            .ghosts(false)
-            .gids(false)
-            .overlap(false);
-        let err = check_dist(c, &dm, only_topology).expect_err("misplacement undetected");
+        let err = check_dist(c, &dm, CheckOpts::all()).expect_err("misplacement undetected");
         assert!(err.world_violations >= 2, "{err}");
         assert!(
             err.errors
@@ -80,9 +75,6 @@ fn misplaced_part_map_fails_topology_audit() {
             "rank {} saw: {err}",
             c.rank()
         );
-        // Audit off: the broken map goes unnoticed by the other families
-        // (they route by slot, which still matches the hosts here).
-        check_dist(c, &dm, only_topology.topology(false)).expect("gated-off audit must pass");
     });
 }
 
@@ -149,7 +141,7 @@ fn non_manifold_side_fails_everywhere() {
 /// Two parts each owning a distinct vertex with the same gid: only the
 /// gid-uniqueness family catches this, via home-part hashing.
 #[test]
-fn duplicate_gid_detected_and_gateable() {
+fn duplicate_gid_detected() {
     execute(2, |c| {
         let mut part = Part::new(c.rank() as PartId, 2);
         part.add_vertex([c.rank() as f64, 0.0, 0.0], GeomEnt(0), 7);
@@ -169,8 +161,6 @@ fn duplicate_gid_detected_and_gateable() {
                 "home rank saw: {err}"
             );
         }
-        // With the gid family gated off, the same mesh passes.
-        check_dist(c, &dm, CheckOpts::all().gids(false)).expect("gated check still failed");
     });
 }
 
@@ -195,15 +185,6 @@ fn broken_ghost_record_detected() {
             "rank {} saw: {err}",
             c.rank()
         );
-        // Gating the ghost family skips the broken mirror; the de-ghosted copy
-        // now also claims ownership of its gid and sticks out of the ghost
-        // closures it bounds, so gate those families too.
-        check_dist(
-            c,
-            &dm,
-            CheckOpts::all().ghosts(false).gids(false).overlap(false),
-        )
-        .expect("gated ghosts still failed");
     });
 }
 
@@ -236,14 +217,6 @@ fn broken_overlap_closure_detected() {
                 "rank 0 saw: {err}"
             );
         }
-        // Gating the overlap family (plus the ghost/gid families the same
-        // corruption trips) skips the check.
-        check_dist(
-            c,
-            &dm,
-            CheckOpts::all().overlap(false).ghosts(false).gids(false),
-        )
-        .expect("gated overlap still failed");
     });
 }
 

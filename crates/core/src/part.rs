@@ -684,18 +684,6 @@ impl Part {
         }
     }
 
-    /// Apply a part-id renumbering to every remote-copy list. Used when
-    /// checkpoint restore renames parts (N-part file merged onto M ranks);
-    /// the caller updates [`Part::id`] itself. `f` must be injective over
-    /// the referenced part ids and `f(p)` must never equal the new local id.
-    pub fn remap_remote_parts(&mut self, f: impl Fn(PartId) -> PartId) {
-        let shared: Vec<MeshEnt> = self.shared_entities().iter().map(|&(e, _)| e).collect();
-        for e in shared {
-            let mapped = self.remotes_of(e).iter().map(|&(p, i)| (f(p), i)).collect();
-            self.set_remotes(e, mapped);
-        }
-    }
-
     /// Per-dimension entity counts `[vtx, edge, face, rgn]` — the loads
     /// ParMA balances (counts include part-boundary copies, matching the
     /// paper's Table II accounting).
@@ -1053,19 +1041,5 @@ mod tests {
                 agrees(&p, &model);
             }
         }
-    }
-
-    #[test]
-    fn remap_remote_parts_rewrites_and_resorts() {
-        let mut p = Part::new(0, 2);
-        let v = p.add_vertex([0.; 3], NO_GEOM, 5);
-        p.set_remotes(v, vec![(4, 9), (8, 3)]);
-        // 4 -> 2, 8 -> 1: order by part id must be re-established.
-        p.remap_remote_parts(|q| match q {
-            4 => 2,
-            8 => 1,
-            other => other,
-        });
-        assert_eq!(p.remotes_of(v), &[(1, 3), (2, 9)]);
     }
 }

@@ -18,7 +18,6 @@
 //! entity upserts (vertices to elements), then tag/field values by gid,
 //! then wholesale remote-link replacement.
 
-use crate::chunk::DEFAULT_CHUNK_LEN;
 use crate::error::IoError;
 use crate::format::{delta_dir, MANIFEST_FILE};
 use crate::write::{commit_manifest, write_part_files, WriteStats};
@@ -74,7 +73,6 @@ pub fn write_delta_checkpoint(
         dm,
         fields,
         &delta_dir(dir, manifest.delta_count),
-        DEFAULT_CHUNK_LEN,
         Some(&logs),
         local_err,
     )?;

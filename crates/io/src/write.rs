@@ -38,20 +38,12 @@ pub struct WriteStats {
     pub parts_written: usize,
 }
 
-/// Options for [`write_checkpoint_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct WriteOpts {
-    /// Raw bytes per chunk (clamped to ≥ 4 KiB).
-    pub chunk_len: usize,
-}
-
-impl Default for WriteOpts {
-    fn default() -> Self {
-        WriteOpts {
-            chunk_len: DEFAULT_CHUNK_LEN,
-        }
-    }
-}
+/// The argument [`write_checkpoint_with`] takes. It has no fields: every
+/// part file is written in chunks of [`DEFAULT_CHUNK_LEN`] raw bytes. The
+/// type stays so that callers naming `WriteOpts::default()` keep
+/// compiling.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WriteOpts {}
 
 /// Whether `e`'s rows belong in a section: every entity in a full snapshot
 /// (`dirty == None`), only the logged ones in a delta round.
@@ -201,7 +193,6 @@ fn write_part_file(
     part: &Part,
     fields: &[&Field],
     dirty: Option<&DirtyLog>,
-    chunk_len: usize,
 ) -> Result<u64, IoError> {
     let io_err = |source: std::io::Error| IoError::Io {
         path: path.to_path_buf(),
@@ -213,7 +204,7 @@ fn write_part_file(
     let mut offset = HEADER_LEN as u64;
     let mut entries = Vec::with_capacity(Section::ALL.len() + 1);
     let mut emit = |section, encode: &dyn Fn(&mut dyn SectionSink)| {
-        let mut cw = ChunkWriter::new(&mut out, chunk_len);
+        let mut cw = ChunkWriter::new(&mut out, DEFAULT_CHUNK_LEN);
         encode(&mut cw);
         let st = cw.finish_section()?;
         entries.push(SectionEntry {
@@ -259,7 +250,6 @@ pub(crate) fn write_part_files(
     dm: &DistMesh,
     fields: &[&DistField],
     dir: &Path,
-    chunk_len: usize,
     logs: Option<&[DirtyLog]>,
     mut local_err: Option<IoError>,
 ) -> Result<(u64, usize), IoError> {
@@ -278,7 +268,7 @@ pub(crate) fn write_part_files(
             let pfields: Vec<&Field> = fields.iter().map(|df| &df[slot]).collect();
             let path = part_file_path(dir, part.id);
             let dirty = logs.map(|l| &l[slot]);
-            match write_part_file(&path, part, &pfields, dirty, chunk_len) {
+            match write_part_file(&path, part, &pfields, dirty) {
                 Ok(n) => {
                     bytes_local += n;
                     parts_written += 1;
@@ -363,24 +353,11 @@ pub fn write_checkpoint(
     fields: &[&DistField],
     dir: &Path,
 ) -> Result<WriteStats, IoError> {
-    write_checkpoint_with(comm, dm, fields, dir, &WriteOpts::default())
-}
-
-/// [`write_checkpoint`] with an explicit chunk size. `opts` must agree
-/// across ranks.
-pub fn write_checkpoint_with(
-    comm: &Comm,
-    dm: &DistMesh,
-    fields: &[&DistField],
-    dir: &Path,
-    opts: &WriteOpts,
-) -> Result<WriteStats, IoError> {
     let _span = pumi_obs::span!("io.write");
     for df in fields {
         assert_eq!(df.len(), dm.parts.len(), "field not aligned with dm.parts");
     }
-    let (bytes_local, parts_written) =
-        write_part_files(comm, dm, fields, dir, opts.chunk_len, None, None)?;
+    let (bytes_local, parts_written) = write_part_files(comm, dm, fields, dir, None, None)?;
 
     // Manifest inputs: global owned counts, ghost presence, field
     // descriptors (identical on every rank by the SPMD contract).
@@ -460,4 +437,16 @@ pub fn write_checkpoint_with(
         }
     });
     commit_manifest(comm, dir, manifest, bytes_local, parts_written)
+}
+
+/// [`write_checkpoint`], kept for callers that name it with a
+/// [`WriteOpts`].
+pub fn write_checkpoint_with(
+    comm: &Comm,
+    dm: &DistMesh,
+    fields: &[&DistField],
+    dir: &Path,
+    _opts: &WriteOpts,
+) -> Result<WriteStats, IoError> {
+    write_checkpoint(comm, dm, fields, dir)
 }

@@ -38,5 +38,5 @@ pub use improve::{
 };
 pub use priority::Priority;
 pub use select::{HarmGuard, SelectRequest, Selector, TopoGate};
-pub use split::{heavy_part_split, SplitOpts, SplitReport};
+pub use split::{heavy_part_split, SplitReport};
 pub use topo::{off_node_boundary, BoundarySplit, TopologyOpts};

@@ -13,29 +13,16 @@
 
 use crate::mis::{maximal_independent_merges, Proposal};
 use pumi_core::{migrate, DistMesh, MigrationPlan, PtnModel};
-use pumi_partition::{partition_graph, DualGraph, GraphPartOpts};
+use pumi_partition::{partition_graph, DualGraph};
 use pumi_pcu::{Comm, MsgReader, MsgWriter};
 use pumi_util::stats::LoadStats;
 use pumi_util::{knap, Dim, FxHashMap, PartId};
 
-/// Options for [`heavy_part_split`].
-#[derive(Debug, Clone, Copy)]
-pub struct SplitOpts {
-    /// Spike threshold (0.05 = 5% over the mean counts as heavy).
-    pub tol: f64,
-    /// Maximum merge+split rounds ("split as many times as required until
-    /// there are either no heavy parts or empty parts remaining", §III-B).
-    pub rounds: usize,
-}
-
-impl Default for SplitOpts {
-    fn default() -> Self {
-        SplitOpts {
-            tol: 0.05,
-            rounds: 6,
-        }
-    }
-}
+/// Spike threshold (0.05 = 5% over the mean counts as heavy).
+const TOL: f64 = 0.05;
+/// Maximum merge+split rounds ("split as many times as required until
+/// there are either no heavy parts or empty parts remaining", §III-B).
+const ROUNDS: usize = 6;
 
 /// Outcome of one [`heavy_part_split`] invocation.
 #[derive(Debug, Clone, Copy)]
@@ -54,9 +41,10 @@ fn element_loads(comm: &Comm, dm: &DistMesh) -> Vec<f64> {
     dm.gather_loads(comm, |p| p.mesh.num_elems() as f64)
 }
 
-/// Run heavy part splitting: merge+split rounds until no part is heavy, no
-/// merge can be formed, or `opts.rounds` is exhausted. Collective.
-pub fn heavy_part_split(comm: &Comm, dm: &mut DistMesh, opts: SplitOpts) -> SplitReport {
+/// Run heavy part splitting: merge+split rounds until no part is more than
+/// 5 % over the mean, no merge can be formed, or 6 rounds are done.
+/// Collective.
+pub fn heavy_part_split(comm: &Comm, dm: &mut DistMesh) -> SplitReport {
     let _span = pumi_obs::span!("parma.split");
     let initial_pct = {
         let loads = element_loads(comm, dm);
@@ -65,12 +53,12 @@ pub fn heavy_part_split(comm: &Comm, dm: &mut DistMesh, opts: SplitOpts) -> Spli
     let mut merges = 0usize;
     let mut splits = 0usize;
     let mut final_pct = initial_pct;
-    for _ in 0..opts.rounds.max(1) {
-        let r = split_round(comm, dm, opts);
+    for _ in 0..ROUNDS {
+        let r = split_round(comm, dm);
         merges += r.merges;
         splits += r.splits;
         final_pct = r.final_pct;
-        if r.merges == 0 || r.final_pct <= opts.tol * 100.0 {
+        if r.merges == 0 || r.final_pct <= TOL * 100.0 {
             break;
         }
     }
@@ -83,7 +71,7 @@ pub fn heavy_part_split(comm: &Comm, dm: &mut DistMesh, opts: SplitOpts) -> Spli
 }
 
 /// One merge+split round.
-fn split_round(comm: &Comm, dm: &mut DistMesh, opts: SplitOpts) -> SplitReport {
+fn split_round(comm: &Comm, dm: &mut DistMesh) -> SplitReport {
     let loads = element_loads(comm, dm);
     let stats = LoadStats::of(&loads);
     let avg = stats.mean;
@@ -91,7 +79,7 @@ fn split_round(comm: &Comm, dm: &mut DistMesh, opts: SplitOpts) -> SplitReport {
     let heavy: Vec<PartId> = loads
         .iter()
         .enumerate()
-        .filter(|&(_, &l)| l > avg * (1.0 + opts.tol))
+        .filter(|&(_, &l)| l > avg * (1.0 + TOL))
         .map(|(p, _)| p as PartId)
         .collect();
     if heavy.is_empty() {
@@ -219,7 +207,7 @@ fn split_round(comm: &Comm, dm: &mut DistMesh, opts: SplitOpts) -> SplitReport {
             };
             let k = targets.len() + 1;
             let g = DualGraph::build(&part.mesh);
-            let labels = partition_graph(&g, k, GraphPartOpts::default());
+            let labels = partition_graph(&g, k);
             let mut plan = MigrationPlan::new();
             for (node, &e) in g.elems.iter().enumerate() {
                 let l = labels[node] as usize;
@@ -271,7 +259,7 @@ mod tests {
                 };
             }
             let mut dm = distribute(c, PartMap::contiguous(4, 2), &serial, &elem_part);
-            let report = heavy_part_split(c, &mut dm, SplitOpts::default());
+            let report = heavy_part_split(c, &mut dm);
             assert!(report.initial_pct > 50.0, "setup not skewed enough");
             assert!(
                 report.final_pct < report.initial_pct / 2.0,
@@ -297,7 +285,7 @@ mod tests {
                 elem_part[e.idx()] = if serial.centroid(e)[0] < 1.0 { 0 } else { 1 };
             }
             let mut dm = distribute(c, PartMap::contiguous(2, 2), &serial, &elem_part);
-            let report = heavy_part_split(c, &mut dm, SplitOpts::default());
+            let report = heavy_part_split(c, &mut dm);
             assert_eq!(report.merges, 0);
             assert_eq!(report.splits, 0);
             assert_eq!(report.initial_pct, report.final_pct);

@@ -22,18 +22,17 @@
 
 use crate::graph::DualGraph;
 use crate::local::split_labels;
-use crate::multilevel::{partition_graph, GraphPartOpts};
+use crate::multilevel::partition_graph;
 use pumi_core::dist::{DistMesh, PartMap};
 use pumi_mesh::Mesh;
 use pumi_pcu::{Comm, MachineModel};
 use pumi_util::{Dim, PartId};
 
-/// Options for the hierarchical partitioners.
+/// The argument the hierarchical partitioners take. It has no fields: the
+/// node-level graph partitioner runs with its fixed constants. The type
+/// stays so that callers naming `HierOpts::default()` keep compiling.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct HierOpts {
-    /// Options for the node-level (and serial intra-node) graph partitioner.
-    pub graph: GraphPartOpts,
-}
+pub struct HierOpts {}
 
 /// A part → node → rank placement computed by [`partition_hier`].
 #[derive(Debug, Clone)]
@@ -73,7 +72,7 @@ pub fn partition_mesh_hier(
     mesh: &Mesh,
     nparts: usize,
     machine: &MachineModel,
-    opts: HierOpts,
+    _opts: HierOpts,
 ) -> Vec<PartId> {
     assert!(
         nparts >= machine.nodes && nparts.is_multiple_of(machine.nodes),
@@ -82,16 +81,10 @@ pub fn partition_mesh_hier(
     );
     if machine.cores_per_node == 1 || machine.nodes == 1 {
         // No hierarchy to exploit: flat path.
-        let g = DualGraph::build(mesh);
-        let gl = partition_graph(&g, nparts, opts.graph);
-        let mut labels = vec![0 as PartId; mesh.index_space(mesh.elem_dim_t())];
-        for (node, &e) in g.elems.iter().enumerate() {
-            labels[e.idx()] = gl[node];
-        }
-        return labels;
+        return crate::partition_mesh(mesh, nparts);
     }
     let g = DualGraph::build(mesh);
-    let node_labels = partition_graph(&g, machine.nodes, opts.graph);
+    let node_labels = partition_graph(&g, machine.nodes);
     let mut labels = vec![0 as PartId; mesh.index_space(mesh.elem_dim_t())];
     for (node, &e) in g.elems.iter().enumerate() {
         labels[e.idx()] = node_labels[node];
@@ -168,7 +161,7 @@ pub fn partition_hier(
     comm: &Comm,
     dm: &DistMesh,
     machine: &MachineModel,
-    opts: HierOpts,
+    _opts: HierOpts,
 ) -> HierPartition {
     let nparts = dm.map.nparts();
     let nranks = machine.nranks();
@@ -222,7 +215,7 @@ pub fn partition_hier(
             elems: Vec::new(),
             vwgt: loads.to_vec(),
         };
-        let labels = partition_graph(&pg, machine.nodes, opts.graph);
+        let labels = partition_graph(&pg, machine.nodes);
         // Every node must receive at least one part; if the coarse part
         // graph is too lumpy for that, a contiguous placement is safer.
         let mut populated = vec![false; machine.nodes];
@@ -312,7 +305,7 @@ mod tests {
         let nodes = 3;
         let cores = 4;
         let g = DualGraph::build(&m);
-        let node_labels = partition_graph(&g, nodes, GraphPartOpts::default());
+        let node_labels = partition_graph(&g, nodes);
         let labels = two_level(&m, nodes, cores);
         // The second level only cuts within a node's block, so a fine
         // part's node is the first level's label for the element.

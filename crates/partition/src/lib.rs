@@ -31,7 +31,7 @@ pub mod sfc;
 pub use graph::DualGraph;
 pub use hier::{off_node_share, partition_hier, partition_mesh_hier, HierOpts, HierPartition};
 pub use local::split_labels;
-pub use multilevel::{partition_graph, GraphPartOpts};
+pub use multilevel::partition_graph;
 pub use quality::PartitionQuality;
 pub use sfc::sfc_partition;
 
@@ -58,7 +58,7 @@ pub fn partition_mesh_weighted(
     for (node, &e) in g.elems.iter().enumerate() {
         g.vwgt[node] = weight(e);
     }
-    let gl = partition_graph(&g, nparts, GraphPartOpts::default());
+    let gl = partition_graph(&g, nparts);
     let mut labels = vec![0 as PartId; mesh.index_space(mesh.elem_dim_t())];
     for (node, &e) in g.elems.iter().enumerate() {
         labels[e.idx()] = gl[node];

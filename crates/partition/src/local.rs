@@ -8,7 +8,7 @@
 //! shape).
 
 use crate::graph::DualGraph;
-use crate::multilevel::{partition_graph, GraphPartOpts};
+use crate::multilevel::partition_graph;
 use pumi_mesh::Mesh;
 use pumi_util::PartId;
 
@@ -54,7 +54,7 @@ pub fn split_labels(mesh: &Mesh, labels: &[PartId], nparts_old: usize, k: usize)
             elems: group.iter().map(|&u| g.elems[u as usize]).collect(),
             vwgt: vec![1.0; group.len()],
         };
-        let sub_labels = partition_graph(&sub, k, GraphPartOpts::default());
+        let sub_labels = partition_graph(&sub, k);
         for (li, &u) in group.iter().enumerate() {
             out[g.elems[u as usize].idx()] = (p * k) as PartId + sub_labels[li];
         }
@@ -65,7 +65,7 @@ pub fn split_labels(mesh: &Mesh, labels: &[PartId], nparts_old: usize, k: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multilevel::{partition_graph, GraphPartOpts};
+    use crate::multilevel::partition_graph;
     use pumi_meshgen::tri_rect;
     use pumi_util::stats::imbalance;
 
@@ -73,7 +73,7 @@ mod tests {
     fn split_preserves_element_count_and_nesting() {
         let m = tri_rect(12, 12, 1.0, 1.0);
         let g = DualGraph::build(&m);
-        let coarse = partition_graph(&g, 4, GraphPartOpts::default());
+        let coarse = partition_graph(&g, 4);
         let mut labels = vec![0 as PartId; m.index_space(m.elem_dim_t())];
         for (node, &e) in g.elems.iter().enumerate() {
             labels[e.idx()] = coarse[node];

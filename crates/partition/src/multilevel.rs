@@ -12,44 +12,24 @@
 use crate::graph::DualGraph;
 use pumi_util::PartId;
 
-/// Options for [`partition_graph`].
-#[derive(Debug, Clone, Copy)]
-pub struct GraphPartOpts {
-    /// FM refinement passes per bisection.
-    pub refine_passes: usize,
-    /// Allowed element-count imbalance per bisection (e.g. 0.02 = 2%).
-    pub balance_tol: f64,
-}
-
-impl Default for GraphPartOpts {
-    fn default() -> Self {
-        GraphPartOpts {
-            refine_passes: 4,
-            balance_tol: 0.01,
-        }
-    }
-}
+/// FM refinement passes per bisection.
+const REFINE_PASSES: usize = 4;
+/// Allowed element-count imbalance per bisection (0.01 = 1%).
+const BALANCE_TOL: f64 = 0.01;
 
 /// Partition the dual graph into `nparts` labels `0..nparts`.
-pub fn partition_graph(g: &DualGraph, nparts: usize, opts: GraphPartOpts) -> Vec<PartId> {
+pub fn partition_graph(g: &DualGraph, nparts: usize) -> Vec<PartId> {
     assert!(nparts >= 1);
     let mut labels = vec![0 as PartId; g.len()];
     if nparts == 1 || g.is_empty() {
         return labels;
     }
     let nodes: Vec<u32> = (0..g.len() as u32).collect();
-    recurse(g, &nodes, 0, nparts, &mut labels, &opts);
+    recurse(g, &nodes, 0, nparts, &mut labels);
     labels
 }
 
-fn recurse(
-    g: &DualGraph,
-    nodes: &[u32],
-    base: usize,
-    nparts: usize,
-    labels: &mut [PartId],
-    opts: &GraphPartOpts,
-) {
+fn recurse(g: &DualGraph, nodes: &[u32], base: usize, nparts: usize, labels: &mut [PartId]) {
     if nparts == 1 {
         for &u in nodes {
             labels[u as usize] = base as PartId;
@@ -59,9 +39,9 @@ fn recurse(
     let k1 = nparts / 2;
     let k2 = nparts - k1;
     let frac = k1 as f64 / nparts as f64;
-    let (left, right) = bisect(g, nodes, frac, opts);
-    recurse(g, &left, base, k1, labels, opts);
-    recurse(g, &right, base + k1, k2, labels, opts);
+    let (left, right) = bisect(g, nodes, frac);
+    recurse(g, &left, base, k1, labels);
+    recurse(g, &right, base + k1, k2, labels);
 }
 
 /// Connected components of the node subset, heaviest first.
@@ -103,12 +83,12 @@ fn components(g: &DualGraph, nodes: &[u32]) -> Vec<(f64, Vec<u32>)> {
 /// This keeps every produced part a union of few whole components rather
 /// than scattering nodes (which fragments parts and inflates their
 /// boundary-entity counts).
-fn bisect(g: &DualGraph, nodes: &[u32], frac: f64, opts: &GraphPartOpts) -> (Vec<u32>, Vec<u32>) {
+fn bisect(g: &DualGraph, nodes: &[u32], frac: f64) -> (Vec<u32>, Vec<u32>) {
     let total: f64 = nodes.iter().map(|&u| g.vwgt[u as usize]).sum();
     let target = total * frac;
     let comps = components(g, nodes);
     if comps.len() == 1 {
-        return bisect_connected(g, nodes, target, opts);
+        return bisect_connected(g, nodes, target);
     }
     let mut left: Vec<u32> = Vec::new();
     let mut right: Vec<u32> = Vec::new();
@@ -120,7 +100,7 @@ fn bisect(g: &DualGraph, nodes: &[u32], frac: f64, opts: &GraphPartOpts) -> (Vec
             left.extend(members);
         } else if !split_done && lw < target {
             // This component straddles the target: cut it.
-            let (l2, r2) = bisect_connected(g, &members, target - lw, opts);
+            let (l2, r2) = bisect_connected(g, &members, target - lw);
             left.extend(l2);
             right.extend(r2);
             split_done = true;
@@ -132,12 +112,7 @@ fn bisect(g: &DualGraph, nodes: &[u32], frac: f64, opts: &GraphPartOpts) -> (Vec
 }
 
 /// Bisect a *connected* node set, putting ~`target` weight on the left.
-fn bisect_connected(
-    g: &DualGraph,
-    nodes: &[u32],
-    target: f64,
-    opts: &GraphPartOpts,
-) -> (Vec<u32>, Vec<u32>) {
+fn bisect_connected(g: &DualGraph, nodes: &[u32], target: f64) -> (Vec<u32>, Vec<u32>) {
     let mut active = vec![false; g.len()];
     for &u in nodes {
         active[u as usize] = true;
@@ -178,12 +153,12 @@ fn bisect_connected(
     // Refinement rounds: absorb enclaves (fragments of one side enclosed by
     // the other — the root cause of fragmented, vertex-heavy parts), restore
     // the balance window, then FM boundary passes for the cut.
-    let lo = target * (1.0 - opts.balance_tol) - 1.0;
-    let hi = target * (1.0 + opts.balance_tol) + 1.0;
+    let lo = target * (1.0 - BALANCE_TOL) - 1.0;
+    let hi = target * (1.0 + BALANCE_TOL) + 1.0;
     for _ in 0..2 {
         grown = flip_enclaves(g, nodes, &active, &mut side);
         rebalance(g, nodes, &active, &mut side, &mut grown, lo, hi);
-        for _ in 0..opts.refine_passes {
+        for _ in 0..REFINE_PASSES {
             let mut moved = 0usize;
             for &u in nodes {
                 let us = side[u as usize];
@@ -350,7 +325,7 @@ mod tests {
     fn bisection_balances_elements() {
         let m = tri_rect(16, 16, 1.0, 1.0);
         let g = DualGraph::build(&m);
-        let labels = partition_graph(&g, 2, GraphPartOpts::default());
+        let labels = partition_graph(&g, 2);
         let loads = label_loads(&labels, 2);
         assert!(imbalance(&loads) < 1.05, "imbalance {:?}", loads);
         // The cut of a good bisection of a 16x16 grid is near the grid width.
@@ -363,7 +338,7 @@ mod tests {
         let m = tri_rect(20, 20, 1.0, 1.0);
         let g = DualGraph::build(&m);
         for k in [3usize, 4, 7, 8] {
-            let labels = partition_graph(&g, k, GraphPartOpts::default());
+            let labels = partition_graph(&g, k);
             let loads = label_loads(&labels, k);
             assert!(
                 imbalance(&loads) < 1.10,
@@ -378,7 +353,7 @@ mod tests {
     fn three_d_partition() {
         let m = tet_box(6, 6, 6, 1.0, 1.0, 1.0);
         let g = DualGraph::build(&m);
-        let labels = partition_graph(&g, 8, GraphPartOpts::default());
+        let labels = partition_graph(&g, 8);
         let loads = label_loads(&labels, 8);
         assert!(imbalance(&loads) < 1.10, "{loads:?}");
         // Parts should be mostly contiguous: the cut stays well below the
@@ -391,7 +366,7 @@ mod tests {
     fn single_part_is_identity() {
         let m = tri_rect(4, 4, 1.0, 1.0);
         let g = DualGraph::build(&m);
-        let labels = partition_graph(&g, 1, GraphPartOpts::default());
+        let labels = partition_graph(&g, 1);
         assert!(labels.iter().all(|&l| l == 0));
     }
 }

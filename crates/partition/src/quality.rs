@@ -103,12 +103,12 @@ impl PartitionQuality {
 mod tests {
     use super::*;
     use crate::graph::DualGraph;
-    use crate::multilevel::{partition_graph, GraphPartOpts};
+    use crate::multilevel::partition_graph;
     use pumi_meshgen::tri_rect;
 
     fn labels_of(mesh: &Mesh, nparts: usize) -> Vec<PartId> {
         let g = DualGraph::build(mesh);
-        let gl = partition_graph(&g, nparts, GraphPartOpts::default());
+        let gl = partition_graph(&g, nparts);
         let mut labels = vec![0 as PartId; mesh.index_space(mesh.elem_dim_t())];
         for (node, &e) in g.elems.iter().enumerate() {
             labels[e.idx()] = gl[node];

@@ -437,13 +437,6 @@ impl MsgReader {
         self.try_get_bytes().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Read a length-prefixed payload as a zero-copy sub-slice. Panics on
-    /// underrun.
-    pub fn get_bytes_shared(&mut self) -> Bytes {
-        self.try_get_bytes_shared()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Read a length-prefixed `u32` vector. Panics on underrun.
     pub fn get_u32_slice(&mut self) -> Vec<u32> {
         self.try_get_u32_slice().unwrap_or_else(|e| panic!("{e}"))
@@ -587,9 +580,9 @@ mod tests {
         let frozen = w.finish();
         let mut a = MsgReader::new(frozen.clone());
         let mut b = MsgReader::new(frozen);
-        assert_eq!(&a.get_bytes_shared()[..], &b.get_bytes()[..]);
-        assert_eq!(&a.get_bytes_shared()[..], &b.get_bytes()[..]);
-        assert_eq!(&a.get_bytes_shared()[..], &b.get_bytes()[..]);
+        assert_eq!(&a.try_get_bytes_shared().unwrap()[..], &b.get_bytes()[..]);
+        assert_eq!(&a.try_get_bytes_shared().unwrap()[..], &b.get_bytes()[..]);
+        assert_eq!(&a.try_get_bytes_shared().unwrap()[..], &b.get_bytes()[..]);
         assert!(a.is_done());
         // Underrun reporting matches the copying variant.
         let mut w = MsgWriter::new();
@@ -643,7 +636,7 @@ mod tests {
         let mut w = MsgWriter::with_capacity(256);
         w.put_bytes(&[1u8; 64]);
         let mut r = MsgReader::new(w.finish());
-        let slice = r.get_bytes_shared();
+        let slice = r.try_get_bytes_shared().unwrap();
         drop(r); // slice still alive: no reclaim, no corruption
         assert_eq!(&slice[..], &[1u8; 64]);
     }

@@ -73,16 +73,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with the Fx hasher.
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
-/// Construct an empty [`FxHashMap`] with space for `cap` entries.
-pub fn map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(cap, BuildHasherDefault::default())
-}
-
-/// Construct an empty [`FxHashSet`] with space for `cap` entries.
-pub fn set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
-    FxHashSet::with_capacity_and_hasher(cap, BuildHasherDefault::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,13 +113,5 @@ mod tests {
         assert_eq!(h(&[1, 2, 3]), h(&[1, 2, 3]));
         assert_ne!(h(&[1, 2, 3]), h(&[3, 2, 1]));
         assert_ne!(h(&[1, 2, 3, 4, 5, 6, 7, 8, 9]), h(&[1, 2, 3]));
-    }
-
-    #[test]
-    fn capacity_constructors() {
-        let m: FxHashMap<u32, u32> = map_with_capacity(100);
-        assert!(m.capacity() >= 100);
-        let s: FxHashSet<u32> = set_with_capacity(100);
-        assert!(s.capacity() >= 100);
     }
 }

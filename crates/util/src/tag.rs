@@ -336,17 +336,6 @@ impl TagManager {
         col.slot_mut(at)[0] = x.to_bits();
     }
 
-    /// Attach a `Double` array value from a slice, without building a
-    /// [`TagData`].
-    pub fn set_dbls(&mut self, tag: TagId, ent: MeshEnt, x: &[f64]) {
-        let col = &mut self.columns[tag.0 as usize];
-        debug_assert_eq!((col.kind, col.width()), (TagKind::Double, x.len()));
-        let at = col.occupy(ent);
-        for (slot, v) in col.slot_mut(at).iter_mut().zip(x) {
-            *slot = v.to_bits();
-        }
-    }
-
     /// Attach an `Int`/`Double` value from the bit patterns it is stored
     /// as (`i64 as u64`, `f64::to_bits`), without building a [`TagData`].
     pub fn set_words(&mut self, tag: TagId, ent: MeshEnt, words: &[u64]) {

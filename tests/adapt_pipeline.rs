@@ -2,7 +2,7 @@
 //! partition through refinement), predictive balancing, heavy part
 //! splitting, and field transfer across an adapted mesh.
 
-use parma::{heavy_part_split, EntityLoads, SplitOpts};
+use parma::{heavy_part_split, EntityLoads};
 use pumi_adapt::{predicted_loads, refine, RefineOpts, SizeField};
 use pumi_check::{check_dist, CheckOpts};
 use pumi_core::{distribute, PartMap};
@@ -73,7 +73,7 @@ fn heavy_split_repairs_adapted_partition() {
     execute(2, |c| {
         let mut dm = distribute(c, PartMap::contiguous(nparts, 2), &mesh, &labels);
         let before = EntityLoads::gather(c, &dm).imbalance_pct(d);
-        let report = heavy_part_split(c, &mut dm, SplitOpts::default());
+        let report = heavy_part_split(c, &mut dm);
         check_dist(c, &dm, CheckOpts::all()).expect("valid after heavy part split");
         let after = EntityLoads::gather(c, &dm).imbalance_pct(d);
         assert!(before > 30.0, "setup spike too small: {before:.1}%");
