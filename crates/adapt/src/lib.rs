@@ -15,6 +15,7 @@
 //!   collapse sweeps [`refine()`] and [`coarsen()`] run, hosted by a part
 //!   that adds the part-boundary bookkeeping.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod coarsen;

@@ -9,7 +9,7 @@
 //!   message count grows linearly with the world.
 //! - **all-to-all**: each rank splits the same payload across every peer;
 //!   message count grows quadratically, so this leans hardest on per-link
-//!   frame batching and the sharded mailboxes.
+//!   frame batching and the per-rank mailboxes.
 //!
 //! Usage: `pcu_weak_scaling [--bytes-per-rank B] [--reps R] [--max-ranks N]
 //! [--rounds K]`.

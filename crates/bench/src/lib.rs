@@ -17,6 +17,8 @@
 //! the per-part statistics that drive the phenomena (a few hundred to a
 //! few thousand elements per part, as in the paper's runs).
 
+#![forbid(unsafe_code)]
+
 pub mod report;
 pub mod workloads;
 

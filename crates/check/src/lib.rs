@@ -44,6 +44,7 @@
 //! [`check_dist`] is collective: the violation count is all-reduced, so
 //! every rank returns `Err` together even when the broken link is remote.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use pumi_core::overlap::Overlap;
@@ -624,9 +625,12 @@ const MISPLACED: u64 = 1 << 32;
 /// (and any consumer of `MachineModel::node_of`) rely on to reason about
 /// on- vs off-node boundaries. Collective (one vector allreduce); the
 /// map-level findings are reported by rank 0 only, so world counts stay
-/// deduplicated. Returns the world-wide number of violations, the same on
-/// every rank.
-fn check_topology(comm: &Comm, dm: &DistMesh, errs: &mut Vec<CheckError>) -> u64 {
+/// deduplicated. Fails with the world-wide number of violations, the same
+/// on every rank. Every check that routes frames by the part map runs this
+/// first, so a misplaced map fails with placement errors instead of frames
+/// delivered to the wrong rank.
+fn check_topology(comm: &Comm, dm: &DistMesh) -> Result<(), CheckFailure> {
+    let mut errs = Vec::new();
     let machine = comm.machine();
     let nparts = dm.map.nparts();
     let mut held = vec![0u64; nparts];
@@ -670,7 +674,14 @@ fn check_topology(comm: &Comm, dm: &DistMesh, errs: &mut Vec<CheckError>) -> u64
             }
         }
     }
-    world
+    if world > 0 {
+        pumi_obs::metrics::counter_add("check.violations", world);
+        return Err(CheckFailure {
+            errors: errs,
+            world_violations: world,
+        });
+    }
+    Ok(())
 }
 
 /// Global-id uniqueness: every owned non-ghost entity's `(dim, gid)` is
@@ -777,10 +788,7 @@ pub fn check_dist(
         })
     };
 
-    let misplaced = check_topology(comm, dm, &mut errs);
-    if misplaced > 0 {
-        return fail(errs, misplaced);
-    }
+    check_topology(comm, dm)?;
     for part in &dm.parts {
         check_local(part, elem_dim, &mut errs, &mut stats);
         check_overlap_closure(part, &mut errs, &mut stats);
@@ -808,7 +816,8 @@ pub fn check_dist(
 ///
 /// The overlap must describe `dm` (same local part slots); call
 /// [`Overlap::rebuild_shares`] after mutating share records through the raw
-/// [`Part`] API.
+/// [`Part`] API. Like [`check_dist`], it runs the placement audit first and
+/// returns the placement errors alone when the part map is wrong.
 ///
 /// # Examples
 ///
@@ -835,6 +844,7 @@ pub fn check_dist(
 pub fn check_overlap(comm: &Comm, dm: &DistMesh, ov: &Overlap) -> Result<u64, CheckFailure> {
     let _span = pumi_obs::span!("check.overlap");
     assert_eq!(ov.num_slots(), dm.parts.len(), "overlap/mesh slot mismatch");
+    check_topology(comm, dm)?;
     let mut ex = PartExchange::new(comm, &dm.map);
     for (slot, part) in dm.parts.iter().enumerate() {
         debug_assert_eq!(ov.part_id(slot), part.id);
@@ -921,7 +931,8 @@ pub fn check_overlap(comm: &Comm, dm: &DistMesh, ov: &Overlap) -> Result<u64, Ch
 /// Verify field-copy coherence: every shared node's value on every copy is
 /// bit-identical to the owner's (the post-condition of an `Insert`-mode
 /// `Field::sync`). Collective; returns the world-wide number of
-/// values compared.
+/// values compared. Like [`check_dist`], it runs the placement audit first
+/// and returns the placement errors alone when the part map is wrong.
 pub fn check_field_sync(
     comm: &Comm,
     dm: &DistMesh,
@@ -929,6 +940,7 @@ pub fn check_field_sync(
 ) -> Result<u64, CheckFailure> {
     let _span = pumi_obs::span!("check.field");
     assert_eq!(fields.len(), dm.parts.len());
+    check_topology(comm, dm)?;
     let node_dims: &[Dim] = fields
         .first()
         .map(|f| f.shape.node_dims(dm.parts[0].mesh.elem_dim()))

@@ -57,24 +57,39 @@ fn passes_after_migrate_and_ghosting() {
 
 /// The topology audit: a part map that disagrees with where parts actually
 /// live fails on every rank with typed placement errors. The audit runs
-/// before the families that route by the map, so the full check reports the
-/// misplacement instead of panicking on a part that is not local.
+/// before the families that route by the map, so the full check, the share
+/// check and the field check each report the misplacement instead of
+/// routing frames to the wrong rank.
 #[test]
 fn misplaced_part_map_fails_topology_audit() {
     execute(2, |c| {
         let mut dm = two_part_mesh(c);
+        let ov = Overlap::from_dist(&dm);
+        let mut fields = dist_field(&dm, &Field::new("u", FieldShape::Linear, 1));
+        for (slot, part) in dm.parts.iter().enumerate() {
+            for v in part.mesh.iter(Dim::Vertex) {
+                fields[slot].set_scalar(v, part.gid_of(v) as f64);
+            }
+        }
         // Swap the map: it now claims part 0 lives on rank 1 and vice
         // versa, while the hosts are unchanged.
         dm.map = PartMap::from_ranks(vec![1, 0], 2);
-        let err = check_dist(c, &dm, CheckOpts::all()).expect_err("misplacement undetected");
-        assert!(err.world_violations >= 2, "{err}");
-        assert!(
-            err.errors
-                .iter()
-                .any(|e| matches!(e, CheckError::PartMisplaced { .. })),
-            "rank {} saw: {err}",
-            c.rank()
-        );
+        let failures = [
+            ("check_dist", check_dist(c, &dm, CheckOpts::all()).err()),
+            ("check_overlap", check_overlap(c, &dm, &ov).err()),
+            ("check_field_sync", check_field_sync(c, &dm, &fields).err()),
+        ];
+        for (check, err) in failures {
+            let err = err.unwrap_or_else(|| panic!("{check}: misplacement undetected"));
+            assert!(err.world_violations >= 2, "{check}: {err}");
+            assert!(
+                err.errors
+                    .iter()
+                    .any(|e| matches!(e, CheckError::PartMisplaced { .. })),
+                "{check}: rank {} saw: {err}",
+                c.rank()
+            );
+        }
     });
 }
 

@@ -26,6 +26,8 @@
 //!   and entity record codecs, and the one remote-link [`wire::stitch`]
 //!   that `distribute`, `migrate`, adaptation and restore all call.
 
+#![forbid(unsafe_code)]
+
 pub mod dist;
 pub mod migrate;
 pub mod numbering;

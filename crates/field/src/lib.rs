@@ -11,6 +11,8 @@
 //! * [`transfer`] — mesh-to-mesh solution transfer (point location +
 //!   barycentric interpolation), used after adaptation.
 
+#![forbid(unsafe_code)]
+
 pub mod field;
 pub mod sync;
 pub mod transfer;

@@ -19,6 +19,8 @@
 //! *geometric classification* that "is central to the ability to support
 //! automated, adaptive simulations".
 
+#![forbid(unsafe_code)]
+
 pub mod builders;
 pub mod model;
 pub mod shape;

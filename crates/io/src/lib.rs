@@ -34,6 +34,7 @@
 //! `io.build` and `io.link` under it) spans and byte counters thread
 //! through `pumi-obs`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chunk;

@@ -18,6 +18,8 @@
 //! * [`memory`] — byte-usage accounting (§II-D's memory counter),
 //! * [`verify`] — structural invariant checking.
 
+#![forbid(unsafe_code)]
+
 pub mod adjacency;
 pub mod classify;
 pub mod iterators;

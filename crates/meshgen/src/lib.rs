@@ -14,6 +14,8 @@
 //! All generators produce fully classified meshes consistent with the
 //! matching `pumi_geom::builders` models and are deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod boxmesh;
 pub mod unstructure;
 pub mod vessel;

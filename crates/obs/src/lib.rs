@@ -30,6 +30,8 @@
 //! no allocation per message (`tests/record_cost.rs` counts the allocator
 //! calls).
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod metrics;
 pub mod span;

@@ -20,6 +20,7 @@
 //! [`ImproveOpts`] (see [`topo`]): diffusion then prefers on-node
 //! candidates and gates migrations that create off-node boundary.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod balance;

@@ -19,6 +19,7 @@
 //! * [`quality`] — Table II's statistics: per-dimension means, imbalance
 //!   percentages, boundary-copy totals, edge cut.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod graph;

@@ -9,7 +9,7 @@
 //! World state (routing table, traffic meters, barriers, the executor) lives
 //! in one `Arc`-shared `WorldCore`; each `Comm` is a thin per-rank view, so
 //! world setup is O(N), not O(N²) sender-handle clones. Transport is the
-//! sharded lock-free mailbox of the private `runtime` module, and [`WorldOpts`] /
+//! locked per-rank mailbox of the private `runtime` module, and [`WorldOpts`] /
 //! `PUMI_PCU_WORKERS` can multiplex R ranks onto W worker permits so worlds
 //! far wider than the host (256–1024 ranks) stay cheap — see DESIGN.md
 //! "Scaling the simulated world".
@@ -146,7 +146,7 @@ impl WorldCore {
             machine,
             sched,
             counters: TrafficCounters::default(),
-            mailboxes: (0..nranks).map(|_| Mailbox::new(nranks)).collect(),
+            mailboxes: (0..nranks).map(|_| Mailbox::new()).collect(),
             world_barrier: SenseBarrier::new(nranks),
             node_barriers: (0..machine.nodes)
                 .map(|_| SenseBarrier::new(machine.cores_per_node))

@@ -3,7 +3,7 @@
 //! The paper's PUMI runs on MPI with an emerging hybrid MPI/thread mode. This
 //! crate provides the equivalent substrate as a **simulated message-passing
 //! runtime**: N ranks execute as OS threads, and parts communicate *only*
-//! through serialized byte messages pushed into sharded lock-free mailboxes,
+//! through serialized byte messages pushed into one locked mailbox per rank,
 //! fenced by shared-memory sense barriers — the same discipline as MPI, so every distributed algorithm above (migration, ghosting, ParMA)
 //! exercises true pack/route/unpack code paths.
 //!
@@ -11,7 +11,7 @@
 //! * [`comm`] — the world executor ([`comm::execute`], and
 //!   [`comm::execute_opts`] whose [`comm::WorldOpts`]/`PUMI_PCU_WORKERS`
 //!   multiplex R ranks onto W worker permits for wide worlds) and the
-//!   per-rank [`comm::Comm`] handle over sharded lock-free mailboxes. Ranks
+//!   per-rank [`comm::Comm`] handle over locked per-rank mailboxes. Ranks
 //!   talk only through the phased exchange and the collectives below; there
 //!   is no user-facing point-to-point send or receive,
 //! * [`collectives`] — barrier, broadcast, gathers, reductions,
@@ -34,6 +34,8 @@
 //! and exchanges deliver frames in a canonical order (or a seeded
 //! permutation of it), so distributed results are bitwise reproducible
 //! across runs — and must agree across chaos seeds.
+
+#![forbid(unsafe_code)]
 
 pub mod collectives;
 pub mod comm;

@@ -1,23 +1,23 @@
-//! World-shared runtime primitives: sharded lock-free mailboxes, shared-
+//! World-shared runtime primitives: locked per-rank mailboxes, shared-
 //! memory consensus barriers, and the cooperative rank executor.
 //!
 //! This is the machinery that lets one process host a 1024-rank world
 //! cheaply (DESIGN.md "Scaling the simulated world"). Three ideas:
 //!
-//! * **Sharded mailboxes.** Every rank owns one [`Mailbox`]: an array of
-//!   per-source-class [`Shard`]s, each a lock-free Treiber stack of
-//!   envelope nodes. A send is one `compare_exchange` push; the owning
-//!   rank drains whole shards with a single `swap` per shard and restores
-//!   FIFO order by reversing. No channel allocation per link, no lock on
-//!   the send path.
+//! * **One queue per rank.** Every rank owns one [`Mailbox`]: a
+//!   mutex-guarded `Vec` of envelopes. A send locks it and pushes; the
+//!   owning rank drains it in place under the same lock, so the `Vec`
+//!   keeps its capacity and a steady-state exchange allocates nothing. No
+//!   more rank threads run at once than the host has cores, so the lock
+//!   is rarely contended.
 //! * **Elided, token-based wakeups.** A sender pays for a wakeup only when
-//!   the receiver is actually parked (a `SeqCst` flag handshake makes the
-//!   check race-free), and the wakeup itself is a sticky
-//!   `thread::unpark` token — no mutex for the sleeper to re-acquire, no
-//!   lost-wakeup window, and callers that deliver several envelopes to
-//!   one destination push them all quietly and notify once, so a phase's
-//!   worth of frames costs at most one wake per link, not one per
-//!   envelope.
+//!   the receiver is actually parked (a `SeqCst` flag handshake, ordered
+//!   by the queue lock, makes the check race-free), and the wakeup itself
+//!   is a sticky `thread::unpark` token — no condvar for the sleeper to
+//!   re-acquire, no lost-wakeup window, and callers that deliver several
+//!   envelopes to one destination push them all quietly and notify once,
+//!   so a phase's worth of frames costs at most one wake per link, not
+//!   one per envelope.
 //! * **Cooperative executor.** With `R` ranks multiplexed onto `W` worker
 //!   permits ([`Scheduler`]), at most `W` rank threads are runnable at any
 //!   instant; a rank releases its permit whenever it parks (mailbox wait,
@@ -29,16 +29,9 @@
 //! one rank wakes and fails the others instead of deadlocking the world.
 
 use crate::comm::Envelope;
-use std::mem::MaybeUninit;
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::Thread;
-
-/// Shards per mailbox: sources stripe onto shards modulo this, bounding
-/// memory at high rank counts while still spreading producer CAS
-/// contention.
-const MAX_SHARDS: usize = 32;
 
 /// How many `yield_now` rounds a blocking primitive cedes the CPU before
 /// paying for a real `park`. When rank threads outnumber cores, one yield
@@ -49,152 +42,41 @@ const MAX_SHARDS: usize = 32;
 /// parks and frees the core entirely.
 const SPIN_YIELDS: usize = 8;
 
-/// An intrusive envelope node on a shard stack.
-struct Node {
-    env: MaybeUninit<Envelope>,
-    next: *mut Node,
-}
-
-// The boxes are the point: pooled nodes round-trip through
-// `Box::into_raw` as intrusive stack links, so each must own a stable heap
-// allocation of its own.
-#[allow(clippy::vec_box)]
-mod node_pool {
-    //! Thread-local free list of mailbox nodes. Each rank is pinned to one
-    //! OS thread, so thread-local means per-rank: in steady-state neighbour
-    //! exchange the nodes a rank consumed circulate back into its own
-    //! sends without touching the allocator.
-    use super::Node;
-    use std::cell::RefCell;
-    use std::mem::MaybeUninit;
-    use std::ptr;
-
-    const MAX_NODES: usize = 64;
-
-    thread_local! {
-        static POOL: RefCell<Vec<Box<Node>>> = const { RefCell::new(Vec::new()) };
-    }
-
-    pub(super) fn take() -> Box<Node> {
-        POOL.with(|p| p.borrow_mut().pop()).unwrap_or_else(|| {
-            Box::new(Node {
-                env: MaybeUninit::uninit(),
-                next: ptr::null_mut(),
-            })
-        })
-    }
-
-    /// `node.env` must already be logically uninitialized (moved out).
-    pub(super) fn put(mut node: Box<Node>) {
-        node.next = ptr::null_mut();
-        POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            if p.len() < MAX_NODES {
-                p.push(node);
-            }
-        });
-    }
-}
-
-/// One lock-free MPSC stack. Producers push with CAS; only the mailbox
-/// owner pops (whole-stack `swap`), so no ABA hazard exists.
-struct Shard {
-    head: AtomicPtr<Node>,
-}
-
-impl Shard {
-    const fn new() -> Shard {
-        Shard {
-            head: AtomicPtr::new(ptr::null_mut()),
-        }
-    }
-
-    fn push(&self, env: Envelope) {
-        let mut node = node_pool::take();
-        node.env.write(env);
-        let node = Box::into_raw(node);
-        let mut head = self.head.load(Ordering::Acquire);
-        loop {
-            unsafe { (*node).next = head };
-            // SeqCst success: the push must be globally ordered against the
-            // consumer's sleep-flag store (see Mailbox::park).
-            match self
-                .head
-                .compare_exchange(head, node, Ordering::SeqCst, Ordering::Acquire)
-            {
-                Ok(_) => return,
-                Err(h) => head = h,
-            }
-        }
-    }
-
-    /// Take every queued envelope in arrival (FIFO) order.
-    fn drain(&self, out: &mut impl FnMut(Envelope)) {
-        let mut p = self.head.swap(ptr::null_mut(), Ordering::SeqCst);
-        if p.is_null() {
-            return;
-        }
-        // The stack is newest-first; reverse in place to recover FIFO.
-        let mut prev: *mut Node = ptr::null_mut();
-        while !p.is_null() {
-            let next = unsafe { (*p).next };
-            unsafe { (*p).next = prev };
-            prev = p;
-            p = next;
-        }
-        while !prev.is_null() {
-            let node = unsafe { Box::from_raw(prev) };
-            prev = node.next;
-            let env = unsafe { node.env.assume_init_read() };
-            node_pool::put(node);
-            out(env);
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.head.load(Ordering::SeqCst).is_null()
-    }
-}
-
-impl Drop for Shard {
-    fn drop(&mut self) {
-        let mut p = *self.head.get_mut();
-        while !p.is_null() {
-            let node = unsafe { Box::from_raw(p) };
-            p = node.next;
-            drop(unsafe { node.env.assume_init_read() });
-        }
-    }
-}
-
 /// One rank's incoming side of the simulated network.
 pub(crate) struct Mailbox {
-    shards: Box<[Shard]>,
+    /// Envelopes in arrival order: each sender's own envelopes stay FIFO,
+    /// and order across senders is whatever order they took the lock in.
+    queue: Mutex<Vec<Envelope>>,
     /// Whether the owner is parked — producers skip the wake syscall
     /// entirely while the owner is running.
     sleeping: AtomicBool,
     /// The owning rank's thread, recorded at first park. Wakeups are
     /// sticky `unpark` tokens: if a producer races ahead of the owner's
     /// `park`, the token makes that park return immediately, so no wakeup
-    /// can be lost and no mutex/condvar pair is needed.
+    /// can be lost and no condvar is needed.
     owner: OnceLock<Thread>,
 }
 
 impl Mailbox {
-    pub(crate) fn new(nranks: usize) -> Mailbox {
-        let n = nranks.clamp(1, MAX_SHARDS);
+    pub(crate) fn new() -> Mailbox {
         Mailbox {
-            shards: (0..n).map(|_| Shard::new()).collect(),
+            queue: Mutex::new(Vec::new()),
             sleeping: AtomicBool::new(false),
             owner: OnceLock::new(),
         }
     }
 
+    /// The queue, even after a rank panicked while holding it: a panic
+    /// must reach the world's poison path, not raise a second panic here.
+    /// Every update is one `Vec` push or drain, which leaves it valid.
+    fn queue(&self) -> MutexGuard<'_, Vec<Envelope>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Enqueue without waking the owner. Callers must follow a batch of
     /// quiet pushes with [`Mailbox::notify`].
     pub(crate) fn push_quiet(&self, env: Envelope) {
-        let shard = env.from % self.shards.len();
-        self.shards[shard].push(env);
+        self.queue().push(env);
     }
 
     /// Wake the owner if (and only if) it is parked.
@@ -212,16 +94,13 @@ impl Mailbox {
         self.notify();
     }
 
-    /// Drain every shard (fixed shard order, FIFO within a shard) into
-    /// `out`. Owner-only.
+    /// Hand every queued envelope, in arrival order, to `out`. Owner-only.
     pub(crate) fn drain(&self, out: &mut impl FnMut(Envelope)) {
-        for s in self.shards.iter() {
-            s.drain(out);
-        }
+        self.queue().drain(..).for_each(out);
     }
 
     fn has_mail(&self) -> bool {
-        self.shards.iter().any(|s| !s.is_empty())
+        !self.queue().is_empty()
     }
 
     /// Park the owner until a producer notifies (or the world is
@@ -246,9 +125,16 @@ impl Mailbox {
         self.sleeping.store(true, Ordering::SeqCst);
         // Re-check after raising the flag: a producer that pushed before
         // the flag was visible did not (and will not) notify, so the push
-        // must be caught here. SeqCst on both sides makes one of the two
-        // observations certain; a producer that raced in between leaves a
-        // sticky unpark token that returns the park below immediately.
+        // must be caught here. The queue lock orders that push against this
+        // check, and so against the producer's `sleeping` load that follows
+        // its unlock:
+        // * if this check takes the lock after the push, it sees the
+        //   envelope;
+        // * otherwise the check holds the lock first, so the
+        //   `sleeping = true` store above happens before the producer's
+        //   push and hence before its load, and the producer unparks.
+        // A producer that unparks before the park below leaves a sticky
+        // token that returns that park immediately.
         if self.has_mail() || poisoned.load(Ordering::SeqCst) {
             self.sleeping.store(false, Ordering::SeqCst);
             return !poisoned.load(Ordering::SeqCst);
@@ -422,8 +308,9 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use std::sync::mpsc;
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
     use std::time::Duration;
 
     /// Back-to-back barriers with more members than cores, under a
@@ -474,5 +361,92 @@ mod tests {
             !hung,
             "barrier hung: a member parked with nobody left to wake it ({panicked} members had to be poisoned out)"
         );
+    }
+
+    /// Three producers push numbered envelopes into one mailbox in
+    /// lockstep rounds, every other round as a quiet batch closed by one
+    /// `notify`, while the owner drains and parks under a multiplexing
+    /// scheduler, so every empty drain ends in a real park. A round ends at
+    /// a barrier once the owner holds all of it, so the last push of each
+    /// round is the only one that can wake the owner: a lost wakeup leaves
+    /// it parked with mail queued, which the watchdog turns into a failure.
+    /// Every sender's numbers must also arrive ascending, none lost.
+    #[test]
+    fn inbox_keeps_each_sender_fifo_and_never_loses_a_wakeup() {
+        const SENDERS: usize = 3;
+        const ROUNDS: u64 = 10_000;
+        const BATCH: u64 = 2;
+        let inbox = Arc::new(Mailbox::new());
+        let exec = Arc::new(Scheduler::new(1));
+        let poisoned = Arc::new(AtomicBool::new(false));
+        let round_end = Arc::new(Barrier::new(SENDERS + 1));
+        let (done_tx, done_rx) = mpsc::channel();
+        let owner = {
+            let (inbox, exec, poisoned, round_end) = (
+                Arc::clone(&inbox),
+                Arc::clone(&exec),
+                Arc::clone(&poisoned),
+                Arc::clone(&round_end),
+            );
+            std::thread::spawn(move || {
+                exec.acquire(&poisoned);
+                let mut next = [0u64; SENDERS];
+                for round in 1..=ROUNDS {
+                    loop {
+                        inbox.drain(&mut |e| {
+                            assert_eq!(e.hash, next[e.from], "sender {} out of order", e.from);
+                            next[e.from] += 1;
+                        });
+                        if next.iter().all(|&n| n == round * BATCH) {
+                            break;
+                        }
+                        // Widen the window in which a push lands after the
+                        // drain but before `park` raises its flag.
+                        std::thread::yield_now();
+                        assert!(inbox.park(&exec, &poisoned), "owner poisoned out");
+                    }
+                    round_end.wait();
+                }
+                exec.release();
+                done_tx.send(()).expect("watchdog alive");
+            })
+        };
+        let producers: Vec<_> = (0..SENDERS)
+            .map(|from| {
+                let (inbox, round_end) = (Arc::clone(&inbox), Arc::clone(&round_end));
+                std::thread::spawn(move || {
+                    let envelope = |hash| Envelope {
+                        from,
+                        tag: 0,
+                        data: Bytes::new(),
+                        hash,
+                    };
+                    for round in 0..ROUNDS {
+                        let seqs = round * BATCH..(round + 1) * BATCH;
+                        if round % 2 == 0 {
+                            seqs.for_each(|i| inbox.push(envelope(i)));
+                        } else {
+                            seqs.for_each(|i| inbox.push_quiet(envelope(i)));
+                            inbox.notify();
+                        }
+                        round_end.wait();
+                    }
+                })
+            })
+            .collect();
+        let hung = matches!(
+            done_rx.recv_timeout(Duration::from_secs(30)),
+            Err(mpsc::RecvTimeoutError::Timeout)
+        );
+        if hung {
+            poisoned.store(true, Ordering::SeqCst);
+            owner.thread().unpark();
+        }
+        let drained = owner.join();
+        assert!(!hung, "inbox hung: the owner parked with mail queued");
+        assert!(drained.is_ok(), "the owner saw an envelope out of order");
+        for p in producers {
+            p.join().expect("producer panicked");
+        }
     }
 }

@@ -33,6 +33,7 @@
 //!
 //! [`restore_slice`]: CheckpointServer::restore_slice
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use pumi_core::Part;

@@ -14,6 +14,8 @@
 //! * [`knap`] — an exact 0-1 knapsack solver used by ParMA heavy part
 //!   splitting (§III-B).
 
+#![forbid(unsafe_code)]
+
 pub mod fxhash;
 pub mod ids;
 pub mod inline;

@@ -4,6 +4,8 @@
 //! integration tests can `use pumi_repro::prelude::*`. See `DESIGN.md` for
 //! the system inventory and `EXPERIMENTS.md` for the paper-reproduction map.
 
+#![forbid(unsafe_code)]
+
 pub use parma;
 pub use pumi_adapt as adapt;
 pub use pumi_check as check;
