@@ -21,7 +21,7 @@
 //! part map ([`PartMap::contiguous`]) for the distributed placement.
 
 use crate::graph::DualGraph;
-use crate::local::split_labels;
+use crate::local::split_graph;
 use crate::multilevel::partition_graph;
 use pumi_core::dist::{DistMesh, PartMap};
 use pumi_mesh::Mesh;
@@ -85,11 +85,8 @@ pub fn partition_mesh_hier(
     }
     let g = DualGraph::build(mesh);
     let node_labels = partition_graph(&g, machine.nodes);
-    let mut labels = vec![0 as PartId; mesh.index_space(mesh.elem_dim_t())];
-    for (node, &e) in g.elems.iter().enumerate() {
-        labels[e.idx()] = node_labels[node];
-    }
-    split_labels(mesh, &labels, machine.nodes, nparts / machine.nodes)
+    let len = mesh.index_space(mesh.elem_dim_t());
+    split_graph(&g, &node_labels, machine.nodes, nparts / machine.nodes, len)
 }
 
 /// Fraction of part-boundary entity copies of dimension `d` that cross

@@ -8,9 +8,19 @@
 //! percent, contiguous-ish parts, decent boundaries — and, crucially, no
 //! control over vertex/edge balance, which is what leaves the ~20% vertex
 //! imbalance spikes that ParMA then removes.
+//!
+//! There is no coarsening level despite the module's name. Both selection
+//! loops of a bisection — growth's best frontier node and rebalancing's
+//! best boundary node — take their node from a max-heap that skips stale
+//! entries, so a bisection of `n` nodes costs O(n log n) rather than the
+//! O(n · frontier) and O(n · moves) of scanning every candidate per pick.
+//! The heaps choose exactly what those scans chose, ties included; the
+//! test module keeps the scans as the oracle.
 
 use crate::graph::DualGraph;
 use pumi_util::PartId;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// FM refinement passes per bisection.
 const REFINE_PASSES: usize = 4;
@@ -121,34 +131,7 @@ fn bisect_connected(g: &DualGraph, nodes: &[u32], target: f64) -> (Vec<u32>, Vec
     // already-grown neighbours (minimizes frontier).
     let seed = g.peripheral_node(nodes[0], &active);
     let mut side = vec![false; g.len()]; // true = left
-    let mut gain = vec![0f64; g.len()];
-    let mut in_frontier = vec![false; g.len()];
-    let mut frontier: Vec<u32> = vec![seed];
-    in_frontier[seed as usize] = true;
-    let mut grown = 0.0;
-    while grown < target && !frontier.is_empty() {
-        // Pick the frontier node with max grown-neighbour edge weight.
-        let (pos, &u) = frontier
-            .iter()
-            .enumerate()
-            .max_by(|&(_, &a), &(_, &b)| gain[a as usize].partial_cmp(&gain[b as usize]).unwrap())
-            .unwrap();
-        frontier.swap_remove(pos);
-        if side[u as usize] {
-            continue;
-        }
-        side[u as usize] = true;
-        grown += g.vwgt[u as usize];
-        for (v, w) in g.edges(u) {
-            if active[v as usize] && !side[v as usize] {
-                gain[v as usize] += w;
-                if !in_frontier[v as usize] {
-                    in_frontier[v as usize] = true;
-                    frontier.push(v);
-                }
-            }
-        }
-    }
+    grow(g, &active, seed, target, &mut side);
 
     // Refinement rounds: absorb enclaves (fragments of one side enclosed by
     // the other — the root cause of fragmented, vertex-heavy parts), restore
@@ -156,24 +139,13 @@ fn bisect_connected(g: &DualGraph, nodes: &[u32], target: f64) -> (Vec<u32>, Vec
     let lo = target * (1.0 - BALANCE_TOL) - 1.0;
     let hi = target * (1.0 + BALANCE_TOL) + 1.0;
     for _ in 0..2 {
-        grown = flip_enclaves(g, nodes, &active, &mut side);
+        let mut grown = flip_enclaves(g, nodes, &active, &mut side);
         rebalance(g, nodes, &active, &mut side, &mut grown, lo, hi);
         for _ in 0..REFINE_PASSES {
             let mut moved = 0usize;
             for &u in nodes {
                 let us = side[u as usize];
-                let mut same = 0f64;
-                let mut other = 0f64;
-                for (v, w) in g.edges(u) {
-                    if !active[v as usize] {
-                        continue;
-                    }
-                    if side[v as usize] == us {
-                        same += w;
-                    } else {
-                        other += w;
-                    }
-                }
+                let (same, other, _) = side_weights(g, &active, &side, u);
                 if other <= same {
                     continue; // no cut gain
                 }
@@ -256,8 +228,130 @@ fn flip_enclaves(g: &DualGraph, nodes: &[u32], active: &[bool], side: &mut [bool
         .sum()
 }
 
+/// A selection-heap entry, ordered by `gain` and then by `tie`. `node`
+/// rides along; `stamp` tells a live entry from a stale one in
+/// [`rebalance`] (growth tells them apart by position and gain instead).
+///
+/// `gain` is ordered by `f64::total_cmp`. The scans these heaps replaced
+/// compared with `partial_cmp`; the two agree unless a gain is NaN or
+/// `-0.0`, and neither occurs. A growth gain is a sum of finite edge
+/// weights starting at `+0.0`, which is never `-0.0`; a rebalancing gain
+/// is the difference of two such sums, and `x - y` is `-0.0` only when `x`
+/// is.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    gain: f64,
+    tie: u32,
+    node: u32,
+    stamp: u32,
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.gain
+            .total_cmp(&other.gain)
+            .then(self.tie.cmp(&other.tie))
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Entry {}
+
+/// Grow the left side (`side[u] = true`) from `seed` until it weighs
+/// `target`, always taking the frontier node with the most edge weight to
+/// the grown set.
+///
+/// Ties go to the node latest in the frontier `Vec`, whose order is that
+/// of a `swap_remove` queue — the choice a linear `max_by` over the
+/// frontier makes. A max-heap keyed on (gain, frontier position) finds it
+/// without the scan: each gain change and each `swap_remove` move pushes
+/// the node again, and an entry is live only while its node still sits at
+/// that position with that gain.
+fn grow(g: &DualGraph, active: &[bool], seed: u32, target: f64, side: &mut [bool]) {
+    let mut gain = vec![0f64; g.len()];
+    // Frontier position of every node that ever entered it (MAX: never).
+    let mut pos = vec![u32::MAX; g.len()];
+    let mut frontier: Vec<u32> = vec![seed];
+    pos[seed as usize] = 0;
+    let entry = |gain: f64, pos: u32, node: u32| Entry {
+        gain,
+        tie: pos,
+        node,
+        stamp: 0,
+    };
+    let mut heap = BinaryHeap::from([entry(0.0, 0, seed)]);
+    let mut grown = 0.0;
+    while grown < target && !frontier.is_empty() {
+        let top = loop {
+            let e = heap.pop().expect("every frontier node has a live entry");
+            let here = frontier.get(e.tie as usize) == Some(&e.node);
+            if here && gain[e.node as usize].to_bits() == e.gain.to_bits() {
+                break e;
+            }
+        };
+        let (u, at) = (top.node, top.tie);
+        frontier.swap_remove(at as usize);
+        if let Some(&moved) = frontier.get(at as usize) {
+            pos[moved as usize] = at;
+            heap.push(entry(gain[moved as usize], at, moved));
+        }
+        side[u as usize] = true;
+        grown += g.vwgt[u as usize];
+        for (v, w) in g.edges(u) {
+            if active[v as usize] && !side[v as usize] {
+                gain[v as usize] += w;
+                if pos[v as usize] == u32::MAX {
+                    pos[v as usize] = frontier.len() as u32;
+                    frontier.push(v);
+                }
+                heap.push(entry(gain[v as usize], pos[v as usize], v));
+            }
+        }
+    }
+}
+
+/// Edge weight from `u` to active neighbours on its own side and on the
+/// other side (summed in edge order), and whether any active neighbour is
+/// on the other side.
+fn side_weights(g: &DualGraph, active: &[bool], side: &[bool], u: u32) -> (f64, f64, bool) {
+    let us = side[u as usize];
+    let mut same = 0f64;
+    let mut other = 0f64;
+    let mut touches_other = false;
+    for (v, w) in g.edges(u) {
+        if !active[v as usize] {
+            continue;
+        }
+        if side[v as usize] == us {
+            same += w;
+        } else {
+            other += w;
+            touches_other = true;
+        }
+    }
+    (same, other, touches_other)
+}
+
 /// Move boundary nodes across the cut (least cut damage first) until the
 /// left weight is inside `[lo, hi]`.
+///
+/// Each move takes the boundary node of the overweight side with the
+/// largest `other - same`, ties to the earliest in `nodes`. One max-heap per
+/// side, keyed on (gain, earliest index), finds it: a move re-stamps the
+/// moved node and its active neighbours and pushes each again if it still
+/// touches the other side, so only entries with a node's current stamp are
+/// live.
 fn rebalance(
     g: &DualGraph,
     nodes: &[u32],
@@ -267,42 +361,53 @@ fn rebalance(
     lo: f64,
     hi: f64,
 ) {
-    let mut guard = nodes.len() * 2;
-    while (*grown > hi || *grown < lo) && guard > 0 {
-        let from_left = *grown > hi;
-        // Best boundary node on the overweight side: max (other - same).
-        let mut best: Option<(f64, u32)> = None;
-        for &u in nodes {
-            if side[u as usize] != from_left {
-                continue;
-            }
-            let mut same = 0f64;
-            let mut other = 0f64;
-            let mut touches_other = false;
-            for (v, w) in g.edges(u) {
-                if !active[v as usize] {
-                    continue;
-                }
-                if side[v as usize] == side[u as usize] {
-                    same += w;
-                } else {
-                    other += w;
-                    touches_other = true;
-                }
-            }
-            if !touches_other {
-                continue;
-            }
-            let gain = other - same;
-            if best.is_none_or(|(bg, _)| gain > bg) {
-                best = Some((gain, u));
-            }
+    let outside = |grown: f64| grown > hi || grown < lo;
+    if !outside(*grown) {
+        return;
+    }
+    let mut index = vec![0u32; g.len()];
+    let mut stamp = vec![0u32; g.len()];
+    // The entry of boundary node `u` in its current state; the earliest
+    // index in `nodes` ranks highest.
+    let entry = |side: &[bool], index: &[u32], stamp: &[u32], u: u32| {
+        let (same, other, touches_other) = side_weights(g, active, side, u);
+        touches_other.then(|| Entry {
+            gain: other - same,
+            tie: u32::MAX - index[u as usize],
+            node: u,
+            stamp: stamp[u as usize],
+        })
+    };
+    let mut heaps = [BinaryHeap::new(), BinaryHeap::new()];
+    for (i, &u) in nodes.iter().enumerate() {
+        index[u as usize] = i as u32;
+        if let Some(e) = entry(side, &index, &stamp, u) {
+            heaps[side[u as usize] as usize].push(e);
         }
-        let Some((_, u)) = best else { break };
+    }
+    let mut guard = nodes.len() * 2;
+    while outside(*grown) && guard > 0 {
+        let from_left = *grown > hi;
+        let heap = &mut heaps[from_left as usize];
+        let Some(u) = std::iter::from_fn(|| heap.pop())
+            .find(|e| e.stamp == stamp[e.node as usize])
+            .map(|e| e.node)
+        else {
+            break;
+        };
         let w = g.vwgt[u as usize];
         side[u as usize] = !side[u as usize];
         *grown += if from_left { -w } else { w };
         guard -= 1;
+        for &x in std::iter::once(&u).chain(g.neighbors(u)) {
+            if !active[x as usize] {
+                continue;
+            }
+            stamp[x as usize] += 1;
+            if let Some(e) = entry(side, &index, &stamp, x) {
+                heaps[side[x as usize] as usize].push(e);
+            }
+        }
     }
 }
 
@@ -310,8 +415,175 @@ fn rebalance(
 mod tests {
     use super::*;
     use crate::graph::DualGraph;
-    use pumi_meshgen::{tet_box, tri_rect};
+    use proptest::prelude::*;
+    use pumi_meshgen::{jitter, tet_box, tri_rect};
     use pumi_util::stats::imbalance;
+
+    /// The linear scan `grow` replaced: the oracle its heap must match.
+    fn grow_scan(g: &DualGraph, active: &[bool], seed: u32, target: f64, side: &mut [bool]) {
+        let mut gain = vec![0f64; g.len()];
+        let mut in_frontier = vec![false; g.len()];
+        let mut frontier: Vec<u32> = vec![seed];
+        in_frontier[seed as usize] = true;
+        let mut grown = 0.0;
+        while grown < target && !frontier.is_empty() {
+            // Pick the frontier node with max grown-neighbour edge weight.
+            let (pos, &u) = frontier
+                .iter()
+                .enumerate()
+                .max_by(|&(_, &a), &(_, &b)| {
+                    gain[a as usize].partial_cmp(&gain[b as usize]).unwrap()
+                })
+                .unwrap();
+            frontier.swap_remove(pos);
+            if side[u as usize] {
+                continue;
+            }
+            side[u as usize] = true;
+            grown += g.vwgt[u as usize];
+            for (v, w) in g.edges(u) {
+                if active[v as usize] && !side[v as usize] {
+                    gain[v as usize] += w;
+                    if !in_frontier[v as usize] {
+                        in_frontier[v as usize] = true;
+                        frontier.push(v);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The linear scan `rebalance` replaced: the oracle its heaps must
+    /// match.
+    fn rebalance_scan(
+        g: &DualGraph,
+        nodes: &[u32],
+        active: &[bool],
+        side: &mut [bool],
+        grown: &mut f64,
+        lo: f64,
+        hi: f64,
+    ) {
+        let mut guard = nodes.len() * 2;
+        while (*grown > hi || *grown < lo) && guard > 0 {
+            let from_left = *grown > hi;
+            // Best boundary node on the overweight side: max (other - same).
+            let mut best: Option<(f64, u32)> = None;
+            for &u in nodes {
+                if side[u as usize] != from_left {
+                    continue;
+                }
+                let mut same = 0f64;
+                let mut other = 0f64;
+                let mut touches_other = false;
+                for (v, w) in g.edges(u) {
+                    if !active[v as usize] {
+                        continue;
+                    }
+                    if side[v as usize] == side[u as usize] {
+                        same += w;
+                    } else {
+                        other += w;
+                        touches_other = true;
+                    }
+                }
+                if !touches_other {
+                    continue;
+                }
+                let gain = other - same;
+                if best.is_none_or(|(bg, _)| gain > bg) {
+                    best = Some((gain, u));
+                }
+            }
+            let Some((_, u)) = best else { break };
+            let w = g.vwgt[u as usize];
+            side[u as usize] = !side[u as usize];
+            *grown += if from_left { -w } else { w };
+            guard -= 1;
+        }
+    }
+
+    /// A small integer hash, for weights and side patterns that repeat.
+    fn mix(a: u64, b: u64) -> u64 {
+        let z = (a ^ b.rotate_left(29)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z ^ (z >> 31)
+    }
+
+    /// The dual graph of a jittered tri or tet mesh. Unless `unit`, vertex
+    /// weights come from {1, 2, 3} and symmetric edge weights from
+    /// {0.5, 1, 2}: few distinct values, so gains tie often.
+    fn tie_graph(tet: bool, n: usize, seed: u64, unit: bool) -> DualGraph {
+        let mut m = if tet {
+            tet_box(n, n, n, 1.0, 1.0, 1.0)
+        } else {
+            tri_rect(3 * n, 3 * n, 1.0, 1.0)
+        };
+        jitter(&mut m, 0.2, seed);
+        let mut g = DualGraph::build(&m);
+        if !unit {
+            for u in 0..g.len() as u32 {
+                g.vwgt[u as usize] = 1.0 + (mix(u as u64, seed) % 3) as f64;
+                let (s, e) = (g.xadj[u as usize] as usize, g.xadj[u as usize + 1] as usize);
+                for i in s..e {
+                    let v = g.adjncy[i];
+                    let (a, b) = (u.min(v) as u64, u.max(v) as u64);
+                    g.adjwgt[i] = [0.5, 1.0, 2.0][(mix(a * 1_000_003 + b, seed) % 3) as usize];
+                }
+            }
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `grow` and `rebalance` choose exactly what the scans they
+        /// replaced chose, ties included: over a prefix of the graph's
+        /// nodes, growth from the peripheral node to a random target, then
+        /// rebalancing into a random window from the grown sides and from a
+        /// scrambled side pattern.
+        #[test]
+        fn heaps_choose_what_the_scans_chose(
+            tet in 0u32..2,
+            n in 3usize..9,
+            seed in 0u64..1000,
+            unit in 0u32..2,
+            keep in 0.3f64..1.0,
+            (frac, frac2) in (0.05f64..0.95, 0.05f64..0.95),
+        ) {
+            let g = tie_graph(tet == 1, n, seed, unit == 1);
+            let cut = ((g.len() as f64 * keep) as u32).max(1);
+            let nodes: Vec<u32> = (0..cut).collect();
+            let mut active = vec![false; g.len()];
+            for &u in &nodes {
+                active[u as usize] = true;
+            }
+            let total: f64 = nodes.iter().map(|&u| g.vwgt[u as usize]).sum();
+            let start = g.peripheral_node(nodes[0], &active);
+
+            let mut heap_side = vec![false; g.len()];
+            let mut scan_side = vec![false; g.len()];
+            grow(&g, &active, start, total * frac, &mut heap_side);
+            grow_scan(&g, &active, start, total * frac, &mut scan_side);
+            prop_assert_eq!(&heap_side, &scan_side, "growth diverged");
+
+            let target = total * frac2;
+            let (lo, hi) = (target * 0.99 - 1.0, target * 1.01 + 1.0);
+            let scrambled: Vec<bool> =
+                (0..g.len() as u64).map(|u| mix(u, seed ^ 0x5EED) & 1 == 1).collect();
+            for from in [heap_side, scrambled] {
+                let left = |side: &[bool]| -> f64 {
+                    nodes.iter().filter(|&&u| side[u as usize]).map(|&u| g.vwgt[u as usize]).sum()
+                };
+                let (mut heap_side, mut scan_side) = (from.clone(), from);
+                let (mut heap_w, mut scan_w) = (left(&heap_side), left(&scan_side));
+                rebalance(&g, &nodes, &active, &mut heap_side, &mut heap_w, lo, hi);
+                rebalance_scan(&g, &nodes, &active, &mut scan_side, &mut scan_w, lo, hi);
+                prop_assert_eq!(&heap_side, &scan_side, "rebalance diverged");
+                prop_assert_eq!(heap_w.to_bits(), scan_w.to_bits());
+            }
+        }
+    }
 
     fn label_loads(labels: &[PartId], nparts: usize) -> Vec<f64> {
         let mut loads = vec![0f64; nparts];
