@@ -22,7 +22,12 @@
 //! through the [`SectionSink`] trait and every `chunk_len` raw bytes are
 //! compressed and flushed to the underlying `Write` immediately, so a
 //! part's serialized image is never resident in memory — peak buffering is
-//! one chunk. [`section_raw_bytes`] is the one consumer: it walks a
+//! one chunk. A value that fits in the current chunk costs one inlined
+//! copy; only a value that fills it takes the out-of-line path that
+//! flushes. A flush allocates the compressor's output block and position
+//! table and nothing else, so writing a section costs a fixed number of
+//! allocations per chunk, whatever its values are.
+//! [`section_raw_bytes`] is the one consumer: it walks a
 //! section's chunk stream and reassembles it, handing each chunk to a
 //! caller-supplied decode step ([`decode_chunk`] directly, or through
 //! `pumi-serve`'s shared cache).
@@ -217,7 +222,9 @@ pub fn section_raw_bytes(
 
 /// The typed-value sink the section encoders write through: the framing of
 /// [`pumi_pcu::MsgWriter`], streamed. Implemented by [`ChunkWriter`] for any
-/// underlying `Write`, so the encoders need not be generic over it.
+/// underlying `Write`. The encoders take `&mut impl SectionSink`, so every
+/// value is an inlined copy into the chunk buffer, not a call through a
+/// vtable.
 pub trait SectionSink {
     /// Append raw bytes (no length prefix).
     fn put_raw(&mut self, b: &[u8]);
@@ -343,10 +350,12 @@ impl<'w, W: Write> ChunkWriter<'w, W> {
             None => Ok(self.section),
         }
     }
-}
 
-impl<W: Write> SectionSink for ChunkWriter<'_, W> {
-    fn put_raw(&mut self, b: &[u8]) {
+    /// [`SectionSink::put_raw`] for bytes that fill the current chunk:
+    /// fill it, flush, and go on chunk by chunk.
+    #[cold]
+    #[inline(never)]
+    fn put_raw_across(&mut self, b: &[u8]) {
         let mut rest = b;
         while !rest.is_empty() {
             let room = self.chunk_len - self.buf.len();
@@ -356,6 +365,20 @@ impl<W: Write> SectionSink for ChunkWriter<'_, W> {
             if self.buf.len() == self.chunk_len {
                 self.flush_chunk();
             }
+        }
+    }
+}
+
+impl<W: Write> SectionSink for ChunkWriter<'_, W> {
+    /// Bytes that leave room in the current chunk are one copy into its
+    /// buffer, which never reallocates: it was made with the chunk's
+    /// capacity and a full chunk is flushed at once.
+    #[inline]
+    fn put_raw(&mut self, b: &[u8]) {
+        if b.len() < self.chunk_len - self.buf.len() {
+            self.buf.extend_from_slice(b);
+        } else {
+            self.put_raw_across(b);
         }
     }
 }

@@ -22,7 +22,7 @@ use crate::format::{
 use pumi_core::{DirtyLog, DistMesh, Part};
 use pumi_field::{DistField, Field};
 use pumi_pcu::{Comm, MsgWriter};
-use pumi_util::tag::TagKind;
+use pumi_util::tag::{TagId, TagKind};
 use pumi_util::{Dim, GlobalId, MeshEnt};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -51,16 +51,22 @@ fn keeps(part: &Part, dirty: Option<&DirtyLog>, e: MeshEnt) -> bool {
     dirty.is_none_or(|log| log.dirty[e.dim().as_usize()].contains(&part.gid_of(e)))
 }
 
-fn encode_entities(part: &Part, dirty: Option<&DirtyLog>, w: &mut dyn SectionSink) {
-    let elem_dim = part.mesh.elem_dim();
-    for d in 0..=elem_dim {
-        let rows: Vec<MeshEnt> = part
-            .mesh
-            .iter(Dim::from_usize(d))
-            .filter(|&e| keeps(part, dirty, e))
-            .collect();
-        w.put_u32(rows.len() as u32);
-        for e in rows {
+/// The entities of dimension `d` a section has rows for, in mesh order.
+/// Where a count precedes the rows, an encoder walks this twice — once to
+/// count, once to write — rather than collecting the rows.
+fn rows<'a>(
+    part: &'a Part,
+    dirty: Option<&'a DirtyLog>,
+    d: Dim,
+) -> impl Iterator<Item = MeshEnt> + 'a {
+    part.mesh.iter(d).filter(move |&e| keeps(part, dirty, e))
+}
+
+fn encode_entities(part: &Part, dirty: Option<&DirtyLog>, w: &mut impl SectionSink) {
+    for d in 0..=part.mesh.elem_dim() {
+        let dim = Dim::from_usize(d);
+        w.put_u32(rows(part, dirty, dim).count() as u32);
+        for e in rows(part, dirty, dim) {
             w.put_u64(part.gid_of(e));
             w.put_u8(part.mesh.topo(e).to_u8());
             w.put_u32(part.mesh.class_of(e).0);
@@ -77,13 +83,11 @@ fn encode_entities(part: &Part, dirty: Option<&DirtyLog>, w: &mut dyn SectionSin
                 w.put_f64(x[1]);
                 w.put_f64(x[2]);
             } else {
-                let vgids: Vec<u64> = part
-                    .mesh
-                    .verts_of(e)
-                    .iter()
-                    .map(|&v| part.gid_of(MeshEnt::vertex(v)))
-                    .collect();
-                w.put_u64_slice(&vgids);
+                let verts = part.mesh.verts_of(e);
+                w.put_u32(verts.len() as u32);
+                for &v in verts {
+                    w.put_u64(part.gid_of(MeshEnt::vertex(v)));
+                }
             }
         }
     }
@@ -91,42 +95,39 @@ fn encode_entities(part: &Part, dirty: Option<&DirtyLog>, w: &mut dyn SectionSin
 
 /// Boundary links are global state and small next to the entities, so a
 /// delta round rewrites them whole.
-fn encode_remotes(part: &Part, w: &mut dyn SectionSink) {
+fn encode_remotes(part: &Part, w: &mut impl SectionSink) {
     let shared = part.shared_entities();
     w.put_u32(shared.len() as u32);
-    for (e, _) in shared {
+    for (e, copies) in shared {
         w.put_u8(e.dim().as_usize() as u8);
         w.put_u64(part.gid_of(e));
-        w.put_u32_slice(&part.residence(e));
+        // `Part::residence`, written in place: this part merged into the
+        // remote parts, which are sorted and never include it.
+        let below = copies.partition_point(|&(p, _)| p < part.id);
+        w.put_u32(copies.len() as u32 + 1);
+        for &(p, _) in &copies[..below] {
+            w.put_u32(p);
+        }
+        w.put_u32(part.id);
+        for &(p, _) in &copies[below..] {
+            w.put_u32(p);
+        }
     }
 }
 
-fn encode_tags(part: &Part, dirty: Option<&DirtyLog>, w: &mut dyn SectionSink) {
+fn encode_tags(part: &Part, dirty: Option<&DirtyLog>, w: &mut impl SectionSink) {
     let tm = part.mesh.tags();
     let elem_dim = part.mesh.elem_dim();
-    // Collect rows first: the declared count can exceed the live-entity
-    // rows.
-    let mut per_tag = Vec::new();
-    for tid in tm.tags() {
-        if tm.count(tid) == 0 {
-            continue;
-        }
-        let mut rows = Vec::new();
-        for d in 0..=elem_dim {
-            let dim = Dim::from_usize(d);
-            for e in part.mesh.iter(dim).filter(|&e| keeps(part, dirty, e)) {
-                if let Some(data) = tm.get(tid, e) {
-                    rows.push((d as u8, part.gid_of(e), data));
-                }
-            }
-        }
-        if !rows.is_empty() {
-            per_tag.push((tid, rows));
-        }
-    }
-    w.put_u32(per_tag.len() as u32);
-    let mut buf = Vec::new();
-    for (tid, rows) in per_tag {
+    // A tag's rows are the section's entities that carry it; the declared
+    // count can exceed them, and a tag without rows is left out.
+    let tag_rows = |tid: TagId| {
+        (0..=elem_dim)
+            .flat_map(move |d| rows(part, dirty, Dim::from_usize(d)))
+            .filter_map(move |e| Some((e, tm.get_ref(tid, e)?)))
+    };
+    let written = |tid: &TagId| tm.count(*tid) > 0 && tag_rows(*tid).next().is_some();
+    w.put_u32(tm.tags().filter(written).count() as u32);
+    for tid in tm.tags().filter(written) {
         w.put_bytes(tm.name(tid).as_bytes());
         w.put_u8(match tm.kind(tid) {
             TagKind::Int => 0,
@@ -134,13 +135,12 @@ fn encode_tags(part: &Part, dirty: Option<&DirtyLog>, w: &mut dyn SectionSink) {
             TagKind::Bytes => 2,
         });
         w.put_u32(tm.len_of(tid) as u32);
-        w.put_u32(rows.len() as u32);
-        for (d, gid, data) in rows {
-            w.put_u8(d);
-            w.put_u64(gid);
-            buf.clear();
-            data.encode(&mut buf);
-            w.put_bytes(&buf);
+        w.put_u32(tag_rows(tid).count() as u32);
+        for (e, value) in tag_rows(tid) {
+            w.put_u8(e.dim().as_usize() as u8);
+            w.put_u64(part.gid_of(e));
+            w.put_u32(value.encoded_len() as u32);
+            value.encode_with(|b| w.put_raw(b));
         }
     }
 }
@@ -149,7 +149,7 @@ fn encode_fields(
     part: &Part,
     fields: &[&Field],
     dirty: Option<&DirtyLog>,
-    w: &mut dyn SectionSink,
+    w: &mut impl SectionSink,
 ) {
     let elem_dim = part.mesh.elem_dim();
     w.put_u32(fields.len() as u32);
@@ -157,30 +157,58 @@ fn encode_fields(
         w.put_bytes(f.name.as_bytes());
         w.put_u8(crate::format::shape_to_u8(f.shape));
         w.put_u32(f.ncomp as u32);
-        let mut rows = Vec::new();
-        for &d in f.shape.node_dims(elem_dim) {
-            for e in part.mesh.iter(d).filter(|&e| keeps(part, dirty, e)) {
-                if let Some(v) = f.get(e) {
-                    rows.push((d.as_usize() as u8, part.gid_of(e), v));
-                }
-            }
-        }
-        w.put_u32(rows.len() as u32);
-        for (d, gid, v) in rows {
-            w.put_u8(d);
-            w.put_u64(gid);
+        let field_rows = || {
+            f.shape
+                .node_dims(elem_dim)
+                .iter()
+                .flat_map(|&d| rows(part, dirty, d))
+                .filter_map(|e| Some((e, f.get(e)?)))
+        };
+        w.put_u32(field_rows().count() as u32);
+        for (e, v) in field_rows() {
+            w.put_u8(e.dim().as_usize() as u8);
+            w.put_u64(part.gid_of(e));
             w.put_f64_slice(v);
         }
     }
 }
 
 /// Delta rounds only: the gids deleted since the last round, per dimension.
-fn encode_deleted(log: &DirtyLog, w: &mut dyn SectionSink) {
+fn encode_deleted(log: &DirtyLog, w: &mut impl SectionSink) {
     for d in 0..4 {
         let mut gids: Vec<GlobalId> = log.deleted[d].iter().copied().collect();
         gids.sort_unstable();
         w.put_u64_slice(&gids);
     }
+}
+
+/// Where the next section of a part file starts: after the last one
+/// written, or after the header.
+fn sections_end(entries: &[SectionEntry]) -> u64 {
+    entries
+        .last()
+        .map_or(HEADER_LEN as u64, |e| e.offset + e.disk_len)
+}
+
+/// Run `encode` once, streaming its output to `out` as one section's
+/// compressed chunks, and append the section's table entry.
+fn emit<W: Write>(
+    out: &mut W,
+    entries: &mut Vec<SectionEntry>,
+    section: Section,
+    encode: impl FnOnce(&mut ChunkWriter<'_, W>),
+) -> std::io::Result<()> {
+    let mut cw = ChunkWriter::new(out, DEFAULT_CHUNK_LEN);
+    encode(&mut cw);
+    let st = cw.finish_section()?;
+    entries.push(SectionEntry {
+        section,
+        offset: sections_end(entries),
+        disk_len: st.disk_len,
+        raw_len: st.raw_len,
+        nchunks: st.nchunks,
+    });
+    Ok(())
 }
 
 /// Stream one part file to `path`: placeholder header, chunked sections
@@ -201,29 +229,31 @@ fn write_part_file(
     let file = std::fs::File::create(path).map_err(io_err)?;
     let mut out = BufWriter::new(file);
     out.write_all(&[0u8; HEADER_LEN]).map_err(io_err)?;
-    let mut offset = HEADER_LEN as u64;
     let mut entries = Vec::with_capacity(Section::ALL.len() + 1);
-    let mut emit = |section, encode: &dyn Fn(&mut dyn SectionSink)| {
-        let mut cw = ChunkWriter::new(&mut out, DEFAULT_CHUNK_LEN);
-        encode(&mut cw);
-        let st = cw.finish_section()?;
-        entries.push(SectionEntry {
-            section,
-            offset,
-            disk_len: st.disk_len,
-            raw_len: st.raw_len,
-            nchunks: st.nchunks,
-        });
-        offset += st.disk_len;
-        Ok(())
-    };
-    emit(Section::Entities, &|w| encode_entities(part, dirty, w)).map_err(io_err)?;
-    emit(Section::Remotes, &|w| encode_remotes(part, w)).map_err(io_err)?;
-    emit(Section::Tags, &|w| encode_tags(part, dirty, w)).map_err(io_err)?;
-    emit(Section::Fields, &|w| encode_fields(part, fields, dirty, w)).map_err(io_err)?;
+    let o = &mut out;
+    emit(o, &mut entries, Section::Entities, |w| {
+        encode_entities(part, dirty, w)
+    })
+    .map_err(io_err)?;
+    emit(o, &mut entries, Section::Remotes, |w| {
+        encode_remotes(part, w)
+    })
+    .map_err(io_err)?;
+    emit(o, &mut entries, Section::Tags, |w| {
+        encode_tags(part, dirty, w)
+    })
+    .map_err(io_err)?;
+    emit(o, &mut entries, Section::Fields, |w| {
+        encode_fields(part, fields, dirty, w)
+    })
+    .map_err(io_err)?;
     if let Some(log) = dirty {
-        emit(Section::Deleted, &|w| encode_deleted(log, w)).map_err(io_err)?;
+        emit(o, &mut entries, Section::Deleted, |w| {
+            encode_deleted(log, w)
+        })
+        .map_err(io_err)?;
     }
+    let offset = sections_end(&entries);
     let table = encode_table(&entries);
     out.write_all(&table).map_err(io_err)?;
     let flags = if dirty.is_some() { FLAG_DELTA } else { 0 };

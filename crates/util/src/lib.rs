@@ -27,4 +27,4 @@ pub use fxhash::{FxHashMap, FxHashSet};
 pub use ids::{Dim, GlobalId, MeshEnt, PartId, INVALID_ENT};
 pub use inline::InlineVec;
 pub use stats::{imbalance, Counter, Timer};
-pub use tag::{TagData, TagId, TagKind, TagManager, TagStash};
+pub use tag::{TagData, TagId, TagKind, TagManager, TagRef, TagStash};

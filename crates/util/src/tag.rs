@@ -110,6 +110,54 @@ impl TagData {
     }
 }
 
+/// A value borrowed from its column: what [`TagManager::get`] builds, without
+/// the heap block. [`TagRef::encode_with`] gives [`TagData::encode`]'s bytes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TagRef<'a> {
+    /// Integer array value, as the values' bit patterns.
+    Ints(&'a [u64]),
+    /// Double array value, as the values' bit patterns.
+    Dbls(&'a [u64]),
+    /// Opaque byte value.
+    Bytes(&'a [u8]),
+}
+
+impl TagRef<'_> {
+    /// The value in its exchange form.
+    pub fn to_data(self) -> TagData {
+        match self {
+            TagRef::Ints(w) => TagData::Ints(w.iter().map(|&x| x as i64).collect()),
+            TagRef::Dbls(w) => TagData::Dbls(w.iter().map(|&x| f64::from_bits(x)).collect()),
+            TagRef::Bytes(b) => TagData::Bytes(b.to_vec()),
+        }
+    }
+
+    /// The length of [`TagData::encode`]'s output for this value.
+    pub fn encoded_len(self) -> usize {
+        5 + match self {
+            TagRef::Ints(w) | TagRef::Dbls(w) => 8 * w.len(),
+            TagRef::Bytes(b) => b.len(),
+        }
+    }
+
+    /// Hand [`TagData::encode`]'s bytes for this value to `put`, piece by
+    /// piece.
+    #[inline]
+    pub fn encode_with(self, mut put: impl FnMut(&[u8])) {
+        let (code, n) = match self {
+            TagRef::Ints(w) => (0u8, w.len()),
+            TagRef::Dbls(w) => (1, w.len()),
+            TagRef::Bytes(b) => (2, b.len()),
+        };
+        put(&[code]);
+        put(&(n as u32).to_le_bytes());
+        match self {
+            TagRef::Ints(w) | TagRef::Dbls(w) => w.iter().for_each(|x| put(&x.to_le_bytes())),
+            TagRef::Bytes(b) => put(b),
+        }
+    }
+}
+
 /// Handle to a declared tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TagId(pub u32);
@@ -363,12 +411,18 @@ impl TagManager {
 
     /// Read a value, in its exchange form.
     pub fn get(&self, tag: TagId, ent: MeshEnt) -> Option<TagData> {
+        self.get_ref(tag, ent).map(TagRef::to_data)
+    }
+
+    /// Read a value in place.
+    #[inline]
+    pub fn get_ref(&self, tag: TagId, ent: MeshEnt) -> Option<TagRef<'_>> {
         let col = &self.columns[tag.0 as usize];
         let words = col.words_of(ent)?;
         Some(match col.kind {
-            TagKind::Int => TagData::Ints(words.iter().map(|&x| x as i64).collect()),
-            TagKind::Double => TagData::Dbls(words.iter().map(|&x| f64::from_bits(x)).collect()),
-            TagKind::Bytes => TagData::Bytes(col.blobs[ent.dim().as_usize()][ent.idx()].clone()),
+            TagKind::Int => TagRef::Ints(words),
+            TagKind::Double => TagRef::Dbls(words),
+            TagKind::Bytes => TagRef::Bytes(&col.blobs[ent.dim().as_usize()][ent.idx()]),
         })
     }
 
@@ -496,6 +550,28 @@ mod tests {
         assert_eq!(tm.find("size"), Some(t));
         assert_eq!(tm.name(t), "size");
         assert_eq!(tm.kind(t), TagKind::Double);
+    }
+
+    #[test]
+    fn borrowed_values_encode_like_exchange_values() {
+        let mut tm = TagManager::new();
+        let a = tm.declare("a", TagKind::Int, 2);
+        let b = tm.declare("b", TagKind::Double, 3);
+        let c = tm.declare("c", TagKind::Bytes, 0);
+        let e = MeshEnt::edge(4);
+        tm.set(a, e, TagData::Ints(vec![-3, 1 << 40]));
+        tm.set(b, e, TagData::Dbls(vec![0.5, -0.0, f64::MAX]));
+        tm.set(c, e, TagData::Bytes(vec![9, 8, 7, 6, 5]));
+        for t in [a, b, c] {
+            let (owned, borrowed) = (tm.get(t, e).unwrap(), tm.get_ref(t, e).unwrap());
+            let mut want = Vec::new();
+            owned.encode(&mut want);
+            let mut got = Vec::new();
+            borrowed.encode_with(|b| got.extend_from_slice(b));
+            assert_eq!(got, want);
+            assert_eq!(borrowed.encoded_len(), want.len());
+        }
+        assert_eq!(tm.get_ref(a, MeshEnt::edge(5)), None);
     }
 
     #[test]
