@@ -541,7 +541,7 @@ fn check_ghosts(comm: &Comm, dm: &DistMesh, errs: &mut Vec<CheckError>, stats: &
         }
         // owner -> holder: (1, dim, gid, holder_idx)
         for (e, holders) in part.ghost_entities_owner_side() {
-            for (q, their_idx) in holders {
+            for &(q, their_idx) in holders {
                 let w = ex.to(part.id, q);
                 w.put_u8(1);
                 w.put_u8(dim8(e));

@@ -256,51 +256,85 @@ impl<'c, 'm> PartExchange<'c, 'm> {
 /// the elements `elem_part` assigns to its parts. Global ids are the serial
 /// indices, so part-boundary copies match across parts; remote-copy links
 /// are then established with one real exchange.
+///
+/// A rank's work follows the parts it holds, as DMPlex distributes each
+/// point from its own closure and star (arXiv:1506.06194):
+///
+/// * `dist.build` — each part's elements in serial order, 256 a block, each
+///   closure entity pushed into a block's rows once (its vertices looked up
+///   by serial index), so every entity lands where it first appears;
+/// * `dist.residence` — one pass labels the serial elements' vertices with
+///   their parts, which is a vertex's residence; another entity the parts
+///   built is walked up to its elements only when every one of its
+///   vertices carries more than one label, since an entity with a
+///   single-labelled vertex lies inside that label's part;
+/// * `dist.stitch` — each part announces its boundary entities to their
+///   other residence parts.
 pub fn distribute(comm: &Comm, map: PartMap, serial: &Mesh, elem_part: &[PartId]) -> DistMesh {
     let _span = pumi_obs::span!("dist");
-    let elem_dim = serial.elem_dim();
-    let d_elem = Dim::from_usize(elem_dim);
+    let d_elem = serial.elem_dim_t();
     assert_eq!(elem_part.len(), serial.index_space(d_elem));
-    let rank = comm.rank();
+    let build = pumi_obs::span!("dist.build");
+    let parts = build_parts(serial, elem_part, map.parts_on(comm.rank()));
+    drop(build);
+    let mut dm = DistMesh { map, parts };
+    let walk = pumi_obs::span!("dist.residence");
+    let residence = Residence::of(serial, elem_part, &dm.parts);
+    drop(walk);
+    let _stitch = pumi_obs::span!("dist.stitch");
+    let faults = stitch(comm, &mut dm, &residence.announce());
+    // A residence part holds an element adjacent to the entity, so its
+    // closure — built in `dist.build` — holds the entity itself.
+    assert!(faults.is_empty(), "distribute: stitch failed: {faults:?}");
+    dm
+}
 
-    // 1. Build local parts: each element's closure, bottom-up, as rows with
-    //    gid = serial index, a chunk of elements per build. A row the part
-    //    already holds is found, so every entity is created where it first
-    //    appears in the walk.
-    let mut parts: Vec<Part> = Vec::new();
-    let (mut at, mut buf) = (Placed::default(), Vec::new());
-    for &pid in map.parts_on(rank) {
-        let mut part = Part::new(pid, elem_dim);
+/// The parts `pids`, each built from its elements' closures as rows with
+/// gid = serial index, 256 elements a block. Within a block a closure
+/// entity gets one row, at its first appearance; a row the part already
+/// holds from an earlier block is found.
+fn build_parts(serial: &Mesh, elem_part: &[PartId], pids: &[PartId]) -> Vec<Part> {
+    let ed = serial.elem_dim();
+    let d_elem = Dim::from_usize(ed);
+    // Per dimension below the elements and serial index: the block the
+    // entity was last pushed in (blocks count from 1) and its row there.
+    let mut seen: [Vec<(u32, u32)>; 3] = Default::default();
+    for (d, s) in seen.iter_mut().enumerate().take(ed) {
+        s.resize(serial.index_space(Dim::from_usize(d)), (0, 0));
+    }
+    let (mut block, mut at, mut buf) = (0u32, Placed::default(), Vec::new());
+    let mut parts = Vec::with_capacity(pids.len());
+    for &pid in pids {
+        let mut part = Part::new(pid, ed);
         let elems: Vec<MeshEnt> = serial
             .iter(d_elem)
             .filter(|e| elem_part[e.idx()] == pid)
             .collect();
         for chunk in elems.chunks(256) {
+            block += 1;
             let mut rows = Rows::default();
             for &e in chunk {
                 buf.clear();
                 serial.closure_into(e, &mut buf);
-                let (first, nv) = (
-                    rows.dim(Dim::Vertex).len() as u32,
-                    serial.topo(e).num_verts(),
-                );
                 for &sub in &buf {
-                    let (gid, class) = (sub.index() as u64, serial.class_of(sub));
-                    if sub.dim() == Dim::Vertex {
-                        rows.push_vertex(gid, class, serial.coords(sub), ());
+                    let (d, gid, class) = (sub.dim(), sub.index() as u64, serial.class_of(sub));
+                    let below = d.as_usize() < ed;
+                    if below && seen[d.as_usize()][sub.idx()].0 == block {
                         continue;
                     }
-                    // The closure starts with the element's vertices.
-                    let (sv, mut vs) = (serial.verts_of(sub), [0u32; 8]);
-                    for (v, &s) in vs.iter_mut().zip(sv) {
-                        *v = first
-                            + buf[..nv]
-                                .iter()
-                                .position(|x| x.index() == s)
-                                .expect("closure vertex") as u32;
+                    let row = if d == Dim::Vertex {
+                        rows.push_vertex(gid, class, serial.coords(sub), ())
+                    } else {
+                        let (sv, mut vs) = (serial.verts_of(sub), [0u32; 8]);
+                        for (v, &s) in vs.iter_mut().zip(sv) {
+                            *v = seen[0][s as usize].1;
+                        }
+                        rows.push_entity(serial.topo(sub), gid, class, &vs[..sv.len()], ())
+                            .expect("a serial mesh entity has distinct vertices")
+                    };
+                    if below {
+                        seen[d.as_usize()][sub.idx()] = (block, row);
                     }
-                    rows.push_entity(serial.topo(sub), gid, class, &vs[..sv.len()], ())
-                        .expect("a serial mesh entity has distinct vertices");
                 }
             }
             part.build(&rows, &mut at, |_, _| true)
@@ -308,55 +342,213 @@ pub fn distribute(comm: &Comm, map: PartMap, serial: &Mesh, elem_part: &[PartId]
         }
         parts.push(part);
     }
-    let mut dm = DistMesh { map, parts };
+    parts
+}
 
-    // 2. Residence from the serial mesh: an entity resides on the parts of
-    //    its adjacent elements (§II-B).
-    let mut residence: FxHashMap<MeshEnt, Vec<PartId>> = FxHashMap::default();
-    for d in 0..elem_dim {
-        let dim = Dim::from_usize(d);
-        for a in serial.iter(dim) {
-            let mut parts: Vec<PartId> = serial
-                .adjacent(a, d_elem)
-                .iter()
-                .map(|e| elem_part[e.idx()])
-                .collect();
-            parts.sort_unstable();
-            parts.dedup();
-            if parts.len() > 1 {
-                residence.insert(a, parts);
+/// Labels a vertex keeps: the parts of its elements, up to this many.
+const LABELS: usize = 4;
+/// An unused label slot.
+const UNLABELLED: PartId = PartId::MAX;
+/// Every slot of a vertex whose elements lie in more than [`LABELS`] parts.
+const MANY: PartId = PartId::MAX - 1;
+
+/// The residence (§II-B: the parts of the adjacent elements) of every
+/// entity of some parts that lies on a part boundary.
+struct Residence {
+    /// Every residence list, concatenated.
+    parts: Vec<PartId>,
+    /// Per part: its boundary entities in handle order, each with the
+    /// `[start, end)` of its list in `parts`.
+    ents: Vec<Vec<(MeshEnt, [u32; 2])>>,
+}
+
+impl Residence {
+    /// The residence of the boundary entities of `parts`. One pass over the
+    /// serial elements labels each vertex with their parts, which is a
+    /// vertex's residence; another entity is walked up to its elements only
+    /// when every one of its vertices carries two or more labels.
+    fn of(serial: &Mesh, elem_part: &[PartId], parts: &[Part]) -> Residence {
+        let d_elem = serial.elem_dim_t();
+        let mut labels = vec![[UNLABELLED; LABELS]; serial.index_space(Dim::Vertex)];
+        for e in serial.iter(d_elem) {
+            let p = elem_part[e.idx()];
+            for &v in serial.verts_of(e) {
+                let l = &mut labels[v as usize];
+                if !l.contains(&p) && l[0] != MANY {
+                    match l.iter().position(|&q| q == UNLABELLED) {
+                        Some(i) => l[i] = p,
+                        None => *l = [MANY; LABELS],
+                    }
+                }
             }
         }
+        let shared = |v: u32| labels[v as usize][1] != UNLABELLED;
+        let mut out = Residence {
+            parts: Vec::new(),
+            ents: Vec::with_capacity(parts.len()),
+        };
+        let mut here = Vec::new();
+        for part in parts {
+            let mut list = Vec::new();
+            for d in (0..d_elem.as_usize()).map(Dim::from_usize) {
+                for e in part.mesh.iter(d) {
+                    let s = MeshEnt::new(d, part.gid_of(e) as u32);
+                    let inside = match d {
+                        Dim::Vertex => !shared(s.index()),
+                        _ => !serial.verts_of(s).iter().all(|&v| shared(v)),
+                    };
+                    if inside {
+                        continue;
+                    }
+                    here.clear();
+                    match d {
+                        Dim::Vertex if labels[s.idx()][0] != MANY => {
+                            here.extend(labels[s.idx()].iter().filter(|&&q| q != UNLABELLED));
+                        }
+                        _ => parts_above(serial, elem_part, s, &mut here),
+                    }
+                    here.sort_unstable();
+                    if here.len() > 1 {
+                        let start = out.parts.len() as u32;
+                        out.parts.extend_from_slice(&here);
+                        list.push((e, [start, out.parts.len() as u32]));
+                    }
+                }
+            }
+            out.ents.push(list);
+        }
+        out
     }
 
-    // 3. Every part announces its local index of each boundary entity to
-    //    the entity's other residence parts.
-    let announce: Vec<Vec<(MeshEnt, &[PartId])>> = dm
-        .parts
-        .iter()
-        .map(|part| {
-            residence
-                .iter()
-                .filter(|(_, res)| res.contains(&part.id))
-                .filter_map(|(sent, res)| {
-                    let local = part.find_gid(sent.dim(), sent.index() as u64)?;
-                    Some((local, res.as_slice()))
-                })
+    /// Per part, its boundary entities and their residence: what
+    /// [`stitch`] announces.
+    fn announce(&self) -> Vec<Vec<(MeshEnt, &[PartId])>> {
+        let list = |l: &Vec<(MeshEnt, [u32; 2])>| {
+            l.iter()
+                .map(|&(e, [a, b])| (e, &self.parts[a as usize..b as usize]))
                 .collect()
-        })
-        .collect();
-    let faults = stitch(comm, &mut dm, &announce);
-    // A residence part holds an element adjacent to the entity, so its
-    // closure — built in step 1 — holds the entity itself.
-    assert!(faults.is_empty(), "distribute: stitch failed: {faults:?}");
-    dm
+        };
+        self.ents.iter().map(list).collect()
+    }
+}
+
+/// Add to `parts` the part of every element above `e`, each part once,
+/// walking the upward lists without deduplicating the entities passed:
+/// the parts are few, the entities many.
+fn parts_above(serial: &Mesh, elem_part: &[PartId], e: MeshEnt, parts: &mut Vec<PartId>) {
+    if e.dim().as_usize() == serial.elem_dim() {
+        let p = elem_part[e.idx()];
+        if !parts.contains(&p) {
+            parts.push(p);
+        }
+        return;
+    }
+    for u in serial.up(e) {
+        parts_above(serial, elem_part, u, parts);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pumi_meshgen::tri_rect;
+    use proptest::prelude::*;
+    use pumi_mesh::Topology;
+    use pumi_meshgen::{hex_box, jitter, quad_rect, tet_box, tri_rect};
     use pumi_pcu::{execute, execute_opts, MachineModel, WorldOpts};
+
+    /// The residence rule before `distribute` followed the parts a rank
+    /// holds, kept as the oracle of `boundary_residence_matches_whole_mesh`:
+    /// every entity of the whole serial mesh, its parts collected into a
+    /// `Vec` of its own.
+    fn whole_mesh_residence(
+        serial: &Mesh,
+        elem_part: &[PartId],
+    ) -> FxHashMap<MeshEnt, Vec<PartId>> {
+        let d_elem = serial.elem_dim_t();
+        let mut residence = FxHashMap::default();
+        for d in 0..serial.elem_dim() {
+            for a in serial.iter(Dim::from_usize(d)) {
+                let mut parts: Vec<PartId> = serial
+                    .adjacent(a, d_elem)
+                    .iter()
+                    .map(|e| elem_part[e.idx()])
+                    .collect();
+                parts.sort_unstable();
+                parts.dedup();
+                if parts.len() > 1 {
+                    residence.insert(a, parts);
+                }
+            }
+        }
+        residence
+    }
+
+    /// `quad_rect(n, n)` with every other quad cut into two triangles.
+    fn quads_and_triangles(n: usize) -> Mesh {
+        let quads = quad_rect(n, n, 1.0, 1.0);
+        let mut m = Mesh::new(2);
+        for v in quads.iter(Dim::Vertex) {
+            assert_eq!(m.add_vertex(quads.coords(v), quads.class_of(v)), v);
+        }
+        for (k, e) in quads.elems().enumerate() {
+            let (vs, class) = (quads.verts_of(e), quads.class_of(e));
+            if k % 2 == 0 {
+                m.add_element(Topology::Quad, vs, class);
+            } else {
+                m.add_element(Topology::Triangle, &[vs[0], vs[1], vs[2]], class);
+                m.add_element(Topology::Triangle, &[vs[0], vs[2], vs[3]], class);
+            }
+        }
+        m
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Residence from each part's own entities equals the rule over the
+        /// whole serial mesh, as sets of (part, dim, gid, residence), on
+        /// jittered triangle, tet, hex and quad-and-triangle meshes with
+        /// random element labels (up to seven parts, so that vertices with
+        /// more parts than they keep labels occur).
+        #[test]
+        fn boundary_residence_matches_whole_mesh(kind in 0usize..4, n in 2usize..5, nparts in 2u32..8, seed in 0u64..1 << 40) {
+            let mut serial = match kind {
+                0 => tri_rect(2 * n, 2 * n, 1.0, 1.0),
+                1 => tet_box(n, n, n, 1.0, 1.0, 1.0),
+                2 => hex_box(n, n, n, 1.0, 1.0, 1.0),
+                _ => quads_and_triangles(2 * n),
+            };
+            jitter(&mut serial, 0.2, seed);
+            let d = serial.elem_dim_t();
+            let mut state = seed;
+            let labels: Vec<PartId> = (0..serial.index_space(d))
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (state >> 33) as PartId % nparts
+                })
+                .collect();
+            let pids: Vec<PartId> = (0..nparts).collect();
+            let parts = build_parts(&serial, &labels, &pids);
+            let residence = Residence::of(&serial, &labels, &parts);
+            let mut got: Vec<(PartId, Dim, u64, &[PartId])> = Vec::new();
+            for (part, list) in parts.iter().zip(residence.announce()) {
+                for (e, res) in list {
+                    got.push((part.id, e.dim(), part.gid_of(e), res));
+                }
+            }
+            let oracle = whole_mesh_residence(&serial, &labels);
+            let mut want: Vec<(PartId, Dim, u64, &[PartId])> = Vec::new();
+            for (a, rs) in &oracle {
+                for &p in rs {
+                    prop_assert!(parts[p as usize].find_gid(a.dim(), a.index() as u64).is_some());
+                    want.push((p, a.dim(), a.index() as u64, rs.as_slice()));
+                }
+            }
+            got.sort_unstable();
+            want.sort_unstable();
+            prop_assert_eq!(got, want);
+        }
+    }
 
     #[test]
     fn partmap_contiguous() {

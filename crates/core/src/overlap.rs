@@ -155,7 +155,7 @@ impl SlotShares {
         // Ghost copies: the source (always the owner — growth ships each
         // ghost with its root) is root, the ghost is a leaf.
         for (e, holders) in part.ghost_entities_owner_side() {
-            roots.extend(holders.into_iter().map(|h| (e, link(h, true))));
+            roots.extend(holders.iter().map(|&h| (e, link(h, true))));
         }
         for e in part.ghost_entities() {
             let src = part.ghost_source(e).expect("ghost has a source");
@@ -1035,7 +1035,7 @@ mod tests {
             assert!(!view.is_empty(), "owner-side ghost records missing");
             assert!(view.windows(2).all(|w| w[0].0 < w[1].0), "view not sorted");
             for (e, holders) in view {
-                assert_eq!(part.ghosted_to(e), holders.as_slice());
+                assert_eq!(part.ghosted_to(e), holders);
                 assert!(!part.is_ghost(e), "ghost listed as an owner");
             }
         });

@@ -592,12 +592,12 @@ impl Part {
     /// Owner-side view of ghost holders: entity → (holder part, holder-local
     /// index) list, sorted by entity handle. Costs the holder records, not
     /// the part.
-    pub fn ghost_entities_owner_side(&self) -> Vec<(MeshEnt, Vec<(PartId, u32)>)> {
-        let mut v: Vec<(MeshEnt, Vec<(PartId, u32)>)> = self
+    pub fn ghost_entities_owner_side(&self) -> Vec<(MeshEnt, &[(PartId, u32)])> {
+        let mut v: Vec<(MeshEnt, &[(PartId, u32)])> = self
             .links
             .records()
             .filter(|rec| rec.holders != NONE && self.mesh.is_live(rec.ent))
-            .map(|rec| (rec.ent, self.links.holders(rec).to_vec()))
+            .map(|rec| (rec.ent, self.links.holders(rec)))
             .collect();
         v.sort_unstable_by_key(|(e, _)| *e);
         v
@@ -951,10 +951,10 @@ mod tests {
             .collect();
         assert_eq!(p.ghost_entities(), ghosts);
         assert_eq!(p.num_ghosts(), ghosts.len());
-        let owners: Vec<(MeshEnt, Vec<(PartId, u32)>)> = model
+        let owners: Vec<(MeshEnt, &[(PartId, u32)])> = model
             .iter()
             .filter(|(_, l)| !l.2.is_empty())
-            .map(|(&e, l)| (e, l.2.clone()))
+            .map(|(&e, l)| (e, l.2.as_slice()))
             .collect();
         assert_eq!(p.ghost_entities_owner_side(), owners);
         let mut boundary: Vec<MeshEnt> = p.boundary_entities().collect();

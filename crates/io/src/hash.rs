@@ -10,7 +10,7 @@
 
 use pumi_core::DistMesh;
 use pumi_pcu::Comm;
-use pumi_util::Dim;
+use pumi_util::{Dim, MeshEnt};
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -60,8 +60,14 @@ impl Fnv {
 /// ```
 pub fn struct_hash(comm: &Comm, dm: &DistMesh) -> u64 {
     let mut acc = 0u64;
-    let mut buf = Vec::new();
+    let mut by_name = Vec::new();
     for part in &dm.parts {
+        // Tag names are distinct, so name order is the order of the
+        // (name, value) rows the hash is defined over.
+        let tm = part.mesh.tags();
+        by_name.clear();
+        by_name.extend(tm.tags());
+        by_name.sort_unstable_by_key(|&t| tm.name(t));
         let elem_dim = part.mesh.elem_dim();
         for d in 0..=elem_dim {
             let dim = Dim::from_usize(d);
@@ -78,31 +84,21 @@ pub fn struct_hash(comm: &Comm, dm: &DistMesh) -> u64 {
                         h.mix_u64(x.to_bits());
                     }
                 } else {
-                    let mut vgids: Vec<u64> = part
-                        .mesh
-                        .verts_of(e)
-                        .iter()
-                        .map(|&v| part.gid_of(pumi_util::MeshEnt::vertex(v)))
-                        .collect();
+                    let (verts, mut vgids) = (part.mesh.verts_of(e), [0u64; 8]);
+                    let vgids = &mut vgids[..verts.len()];
+                    for (g, &v) in vgids.iter_mut().zip(verts) {
+                        *g = part.gid_of(MeshEnt::vertex(v));
+                    }
                     vgids.sort_unstable();
-                    for g in vgids {
+                    for &g in vgids.iter() {
                         h.mix_u64(g);
                     }
                 }
-                let tm = part.mesh.tags();
-                let mut rows: Vec<(String, Vec<u8>)> = tm
-                    .collect(e)
-                    .into_iter()
-                    .map(|(tid, data)| {
-                        buf.clear();
-                        data.encode(&mut buf);
-                        (tm.name(tid).to_string(), buf.clone())
-                    })
-                    .collect();
-                rows.sort();
-                for (name, enc) in rows {
-                    h.mix(name.as_bytes());
-                    h.mix(&enc);
+                for &t in &by_name {
+                    if let Some(value) = tm.get_ref(t, e) {
+                        h.mix(tm.name(t).as_bytes());
+                        value.encode_with(|b| h.mix(b));
+                    }
                 }
                 acc = acc.wrapping_add(h.0 | 1);
             }

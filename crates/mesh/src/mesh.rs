@@ -256,11 +256,14 @@ impl Mesh {
     /// same classification. An existing entity over the same vertex set
     /// bounds that side, so only its upward list is searched; when the
     /// search finds nothing the other sides are found or created and the
-    /// entity is allocated. Existing entities keep their prior
-    /// classification.
+    /// entity is allocated. A region side after the first that shares an
+    /// edge with a side already found is looked for in that edge's upward
+    /// list — the found side's `down` list holds the edge — and a side not
+    /// there does not exist, so it is created with no search of its own;
+    /// only a side that shares no edge with a found side goes through the
+    /// recursive rule. Either way the same entities are created in the same
+    /// order. Existing entities keep their prior classification.
     pub fn add_entity(&mut self, topo: Topology, everts: &[u32], class: GeomEnt) -> MeshEnt {
-        let d = topo.dim();
-        let dd = d.as_usize();
         assert_eq!(everts.len(), topo.num_verts(), "vertex count mismatch");
         debug_assert!(
             everts
@@ -268,6 +271,20 @@ impl Mesh {
                 .all(|&v| self.alive[0].get(v as usize).copied().unwrap_or(false)),
             "dead or missing vertex in {everts:?}"
         );
+        self.find_or_create(topo, everts, class, true)
+    }
+
+    /// [`Mesh::add_entity`]; with `search` off the entity is known not to
+    /// exist, and only its sides are found or created before it is.
+    fn find_or_create(
+        &mut self,
+        topo: Topology,
+        everts: &[u32],
+        class: GeomEnt,
+        search: bool,
+    ) -> MeshEnt {
+        let d = topo.dim();
+        let dd = d.as_usize();
         let templates = topo.down_templates();
         let mut sides = [PAD; 6];
         for (k, (tpl, sub)) in templates.iter().enumerate() {
@@ -280,10 +297,20 @@ impl Mesh {
                 for (sv, &li) in sub_verts.iter_mut().zip(*tpl) {
                     *sv = everts[li];
                 }
-                self.add_entity(*sub, &sub_verts[..tpl.len()], class)
-                    .index()
+                let sv = &sub_verts[..tpl.len()];
+                let through = match d {
+                    Dim::Region => self.shared_edge(&sides[..k], sv),
+                    _ => None,
+                };
+                let side = match through {
+                    Some(edge) => self
+                        .find_above(edge, Dim::Face, sv)
+                        .unwrap_or_else(|| self.find_or_create(*sub, sv, class, false)),
+                    None => self.find_or_create(*sub, sv, class, true),
+                };
+                side.index()
             };
-            if k == 0 {
+            if k == 0 && search {
                 let first = MeshEnt::new(Dim::from_usize(dd - 1), sides[0]);
                 if let Some(e) = self.find_above(first, d, everts) {
                     return e;
@@ -301,6 +328,22 @@ impl Mesh {
             self.up[dd - 1][s as usize].push(i);
         }
         MeshEnt::new(d, i)
+    }
+
+    /// An edge of one of the faces `faces` with both its vertices in
+    /// `verts`: the edge a face over `verts` would share with it.
+    fn shared_edge(&self, faces: &[u32], verts: &[u32]) -> Option<MeshEnt> {
+        let ds = dstride(2);
+        let edges = faces
+            .iter()
+            .flat_map(|&f| &self.down[2][f as usize * ds..][..ds]);
+        let inside = |e: u32| {
+            self.verts[1][e as usize * 2..][..2]
+                .iter()
+                .all(|v| verts.contains(v))
+        };
+        let e = edges.copied().find(|&e| e != PAD && inside(e))?;
+        Some(MeshEnt::new(Dim::Edge, e))
     }
 
     /// Create an element (entity of the mesh's element dimension).
@@ -499,9 +542,169 @@ impl Mesh {
 
 #[cfg(test)]
 mod tests {
-    use super::{Mesh, NO_GEOM};
+    use super::{dstride, vstride, Mesh, NO_GEOM, PAD};
     use crate::topology::Topology;
+    use proptest::prelude::*;
+    use pumi_geom::GeomEnt;
     use pumi_util::{Dim, MeshEnt};
+
+    /// The find-or-create rule before region sides were found through
+    /// shared edges, kept as the oracle of `region_sides_match_recursive_rule`:
+    /// every side is found or created by its own recursive walk.
+    fn add_recursive(m: &mut Mesh, topo: Topology, everts: &[u32], class: GeomEnt) -> MeshEnt {
+        let (d, dd) = (topo.dim(), topo.dim().as_usize());
+        let templates = topo.down_templates();
+        let mut sides = [PAD; 6];
+        for (k, (tpl, sub)) in templates.iter().enumerate() {
+            sides[k] = if d == Dim::Edge {
+                everts[tpl[0]]
+            } else {
+                let sub_verts: Vec<u32> = tpl.iter().map(|&li| everts[li]).collect();
+                add_recursive(m, *sub, &sub_verts, class).index()
+            };
+            if k == 0 {
+                let first = MeshEnt::new(Dim::from_usize(dd - 1), sides[0]);
+                if let Some(e) = m.find_above(first, d, everts) {
+                    return e;
+                }
+            }
+        }
+        let i = m.alloc(dd, topo) as usize;
+        m.verts[dd][i * vstride(dd)..][..everts.len()].copy_from_slice(everts);
+        m.class[dd][i] = class;
+        let nd = templates.len();
+        m.down[dd][i * dstride(dd)..][..nd].copy_from_slice(&sides[..nd]);
+        for &s in &sides[..nd] {
+            m.up[dd - 1][s as usize].push(i as u32);
+        }
+        MeshEnt::new(d, i as u32)
+    }
+
+    /// The elements of an `n³`-cube lattice cut into one topology (`kind`
+    /// 0: hexes, 1: two prisms, 2: six Kuhn tets, 3: six pyramids on the
+    /// cube's centre), and the number of vertices they use.
+    fn lattice(n: usize, kind: usize) -> (usize, Vec<(Topology, Vec<u32>)>) {
+        let at = |i: usize, j: usize, k: usize| ((k * (n + 1) + j) * (n + 1) + i) as u32;
+        let corners = (n + 1).pow(3);
+        let mut elems = Vec::new();
+        for (k, j, i) in
+            (0..n).flat_map(|k| (0..n).flat_map(move |j| (0..n).map(move |i| (k, j, i))))
+        {
+            let c = |b: usize| at(i + (b & 1), j + (b >> 1 & 1), k + (b >> 2));
+            // Bottom then top, each counter-clockwise.
+            let h = [c(0), c(1), c(3), c(2), c(4), c(5), c(7), c(6)];
+            match kind {
+                0 => elems.push((Topology::Hex, h.to_vec())),
+                1 => {
+                    elems.push((Topology::Prism, vec![h[0], h[1], h[2], h[4], h[5], h[6]]));
+                    elems.push((Topology::Prism, vec![h[0], h[2], h[3], h[4], h[6], h[7]]));
+                }
+                2 => {
+                    for (a, b) in [(1, 2), (2, 1), (1, 4), (4, 1), (2, 4), (4, 2)] {
+                        elems.push((Topology::Tet, vec![c(0), c(a), c(a | b), c(7)]));
+                    }
+                }
+                _ => {
+                    let apex = (corners + (k * n + j) * n + i) as u32;
+                    let quads = [
+                        [0, 1, 2, 3],
+                        [4, 7, 6, 5],
+                        [0, 4, 5, 1],
+                        [1, 5, 6, 2],
+                        [2, 6, 7, 3],
+                        [3, 7, 4, 0],
+                    ];
+                    for q in quads {
+                        let mut vs: Vec<u32> = q.iter().map(|&x| h[x]).collect();
+                        vs.push(apex);
+                        elems.push((Topology::Pyramid, vs));
+                    }
+                }
+            }
+        }
+        let nverts = if kind == 3 {
+            corners + n.pow(3)
+        } else {
+            corners
+        };
+        (nverts, elems)
+    }
+
+    /// Whether two meshes hold the same entities at the same indices, with
+    /// the same vertex lists, down lists, up lists in the same order, and
+    /// free lists.
+    fn same_storage(a: &Mesh, b: &Mesh) -> bool {
+        a.topo == b.topo
+            && a.verts == b.verts
+            && a.down == b.down
+            && a.alive == b.alive
+            && a.free == b.free
+            && (0..3).all(|d| {
+                a.up[d].len() == b.up[d].len()
+                    && a.up[d]
+                        .iter()
+                        .zip(&b.up[d])
+                        .all(|(x, y)| x.as_slice() == y.as_slice())
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Region sides found through shared edges: the same entities at the
+        /// same indices as the recursive rule, on tet, hex, prism and
+        /// pyramid lattices inserted in a random order, then with a random
+        /// third of the elements deleted (orphans with them) and inserted
+        /// again into the freed slots.
+        #[test]
+        fn region_sides_match_recursive_rule(kind in 0usize..4, n in 1usize..4, seed in 0u64..1 << 40) {
+            let (nverts, mut elems) = lattice(n, kind);
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (state ^ state >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                (z ^ z >> 31) as usize
+            };
+            for i in (1..elems.len()).rev() {
+                elems.swap(i, next() % (i + 1));
+            }
+            let (mut a, mut b) = (Mesh::new(3), Mesh::new(3));
+            for m in [&mut a, &mut b] {
+                for v in 0..nverts {
+                    m.add_vertex([v as f64, 0., 0.], NO_GEOM);
+                }
+            }
+            let mut handles = Vec::new();
+            for (topo, vs) in &elems {
+                let (x, y) = (a.add_element(*topo, vs, NO_GEOM), add_recursive(&mut b, *topo, vs, NO_GEOM));
+                prop_assert_eq!(x, y);
+                handles.push(x);
+            }
+            prop_assert!(same_storage(&a, &b));
+            let gone: Vec<usize> = (0..elems.len()).filter(|_| next() % 3 == 0).collect();
+            for &i in &gone {
+                a.delete_with_orphans(handles[i]);
+                b.delete_with_orphans(handles[i]);
+            }
+            prop_assert!(same_storage(&a, &b));
+            // Orphaned vertices went with their elements: new ones take
+            // their slots, in whatever order the free list gives.
+            let dead: Vec<u32> = (0..nverts as u32).filter(|&v| !a.is_live(MeshEnt::vertex(v))).collect();
+            let mut remap: Vec<u32> = (0..nverts as u32).collect();
+            for v in dead {
+                remap[v as usize] = a.add_vertex([v as f64, 0., 0.], NO_GEOM).index();
+                prop_assert_eq!(b.add_vertex([v as f64, 0., 0.], NO_GEOM).index(), remap[v as usize]);
+            }
+            for &i in gone.iter().rev() {
+                let (topo, vs) = &elems[i];
+                let vs: Vec<u32> = vs.iter().map(|&v| remap[v as usize]).collect();
+                let (x, y) = (a.add_element(*topo, &vs, NO_GEOM), add_recursive(&mut b, *topo, &vs, NO_GEOM));
+                prop_assert_eq!(x, y);
+            }
+            prop_assert!(same_storage(&a, &b));
+            a.assert_valid();
+        }
+    }
 
     /// A prism, a pyramid on its quad `1 2 5 4` and a tet on the pyramid's
     /// triangle `1 2 6`; returns the mesh and the tet.
