@@ -100,7 +100,7 @@ impl Stamp {
 /// One slot's share map, compiled: flat arrays sorted by entity handle,
 /// i.e. by `(dim, index)`, so a walk can be restricted to the dimensions
 /// that carry data.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct SlotShares {
     /// Every part a link of this slot names, ascending.
     peers: Vec<PartId>,
@@ -131,77 +131,118 @@ enum Side {
 }
 
 impl SlotShares {
-    /// Compile `part`'s remote-copy lists and ghost records.
+    /// Compile `part`'s remote-copy lists and ghost records in one walk of
+    /// its link slots, which is handle order: per entity, its root links
+    /// are its remote copies (if it owns itself) merged with its ghost
+    /// holders, and its leaf link is the owner's copy or its ghost source.
+    /// Peers are marked in a table by part id, and the leaves are put in
+    /// walk order by a counting sort on `(dim, peer)` and one packed key
+    /// each.
     fn compile(part: &Part) -> SlotShares {
-        let link = |(p, index): (PartId, u32), ghost| Share {
-            part: p,
-            index,
-            ghost,
-            peer: 0,
-        };
-        let mut roots: Vec<(MeshEnt, Share)> = Vec::new();
-        let mut leaves: Vec<(MeshEnt, Share)> = Vec::new();
-        // Part-boundary copies: the minimum residence part is root.
-        for (e, remotes) in part.shared_entities() {
-            if part.is_owned(e) {
-                roots.extend(remotes.iter().map(|&r| (e, link(r, false))));
-            } else {
-                let owner = part.owner(e);
-                if let Some(&r) = remotes.iter().find(|&&(p, _)| p == owner) {
-                    leaves.push((e, link(r, false)));
-                }
-            }
-        }
-        // Ghost copies: the source (always the owner — growth ships each
-        // ghost with its root) is root, the ghost is a leaf.
-        for (e, holders) in part.ghost_entities_owner_side() {
-            roots.extend(holders.iter().map(|&h| (e, link(h, true))));
-        }
-        for e in part.ghost_entities() {
-            let src = part.ghost_source(e).expect("ghost has a source");
-            leaves.push((e, link(src, true)));
-        }
-        // Canonical order, independent of ack arrival order.
-        roots.sort_unstable();
-        leaves.sort_unstable();
-        debug_assert!(
-            leaves.windows(2).all(|w| w[0].0 < w[1].0),
-            "an entity is a leaf twice on part {}",
-            part.id
-        );
-
-        let mut peers: Vec<PartId> = roots.iter().chain(&leaves).map(|l| l.1.part).collect();
-        peers.sort_unstable();
-        peers.dedup();
-        assert!(peers.len() <= usize::from(u16::MAX), "too many neighbours");
-        let peer_of = |s: &mut Share| {
-            s.peer = peers.binary_search(&s.part).expect("peer listed") as u16;
-        };
-
         let mut sh = SlotShares {
             stamp: Stamp::of(part),
             ..SlotShares::default()
         };
-        for (e, mut s) in roots {
-            if sh.root_ents.last() != Some(&e) {
-                sh.root_ents.push(e);
-                sh.root_offsets.push(sh.root_links.len() as u32);
+        let link = |(part, index): (PartId, u32), ghost| Share {
+            part,
+            index,
+            ghost,
+            peer: 0,
+        };
+        // Per part id: 1 once a link names it, then its peer position + 1.
+        let mut peer_at: Vec<u32> = Vec::new();
+        let mut mark = |p: PartId| {
+            if peer_at.len() <= p as usize {
+                peer_at.resize(p as usize + 1, 0);
             }
-            peer_of(&mut s);
-            sh.root_links.push(s);
+            peer_at[p as usize] = 1;
+        };
+        for l in part.links() {
+            // The minimum residence part owns a boundary copy; a ghost's
+            // source (always the owner: growth ships each ghost with its
+            // root) owns the ghost.
+            let owner = match (l.source, l.copies.first()) {
+                (Some((p, _)), _) => p,
+                (None, Some(&(p, _))) => p.min(part.id),
+                (None, None) => part.id,
+            };
+            let copies = if owner == part.id { l.copies } else { &[] };
+            let holders = match part.mesh.is_live(l.ent) {
+                true => l.holders,
+                false => &[],
+            };
+            if !copies.is_empty() || !holders.is_empty() {
+                sh.root_ents.push(l.ent);
+                sh.root_offsets.push(sh.root_links.len() as u32);
+                let (mut i, mut j) = (0, 0);
+                while i < copies.len() || j < holders.len() {
+                    let copy = j == holders.len() || (i < copies.len() && copies[i] <= holders[j]);
+                    let s = if copy {
+                        i += 1;
+                        link(copies[i - 1], false)
+                    } else {
+                        j += 1;
+                        link(holders[j - 1], true)
+                    };
+                    mark(s.part);
+                    sh.root_links.push(s);
+                }
+            }
+            let leaves = [
+                (owner != part.id)
+                    .then(|| l.copies.iter().find(|&&(p, _)| p == owner))
+                    .flatten()
+                    .map(|&r| link(r, false)),
+                l.source.map(|src| link(src, true)),
+            ];
+            debug_assert!(
+                leaves.iter().flatten().count() < 2,
+                "an entity is a leaf twice on part {}",
+                part.id
+            );
+            for s in leaves.into_iter().flatten() {
+                mark(s.part);
+                sh.leaf_ents.push(l.ent);
+                sh.leaf_roots.push(s);
+            }
         }
         sh.root_offsets.push(sh.root_links.len() as u32);
-        for (e, mut s) in leaves {
-            peer_of(&mut s);
-            sh.leaf_ents.push(e);
-            sh.leaf_roots.push(s);
+
+        for (p, at) in peer_at.iter_mut().enumerate() {
+            if *at != 0 {
+                sh.peers.push(p as PartId);
+                *at = sh.peers.len() as u32;
+            }
         }
-        sh.leaf_order = (0..sh.leaf_ents.len() as u32).collect();
-        sh.leaf_order.sort_unstable_by_key(|&i| {
-            let (e, root) = (sh.leaf_ents[i as usize], sh.leaf_roots[i as usize]);
-            (e.dim(), root.part, root.index)
-        });
-        sh.peers = peers;
+        assert!(
+            sh.peers.len() <= usize::from(u16::MAX),
+            "too many neighbours"
+        );
+        for s in sh.root_links.iter_mut().chain(&mut sh.leaf_roots) {
+            s.peer = (peer_at[s.part as usize] - 1) as u16;
+        }
+        // Count the leaves into one bucket per (dim, peer), then order each
+        // bucket by one packed `u64`, (root index, leaf), so no compare
+        // reads the leaf arrays.
+        let bucket = |i: usize| {
+            let d = sh.leaf_ents[i].dim().as_usize();
+            d * sh.peers.len() + usize::from(sh.leaf_roots[i].peer)
+        };
+        let mut start = vec![0usize; 4 * sh.peers.len() + 1];
+        (0..sh.leaf_ents.len()).for_each(|i| start[bucket(i) + 1] += 1);
+        for b in 1..start.len() {
+            start[b] += start[b - 1];
+        }
+        let mut keyed = vec![0u64; sh.leaf_ents.len()];
+        let mut at = start.clone();
+        for (i, root) in sh.leaf_roots.iter().enumerate() {
+            keyed[at[bucket(i)]] = u64::from(root.index) << 32 | i as u64;
+            at[bucket(i)] += 1;
+        }
+        start
+            .windows(2)
+            .for_each(|b| keyed[b[0]..b[1]].sort_unstable());
+        sh.leaf_order = keyed.iter().map(|&k| k as u32).collect();
         sh.digests = [Side::Roots, Side::Leaves].map(|side| sh.digest(side));
         sh
     }
@@ -280,7 +321,10 @@ impl Overlap {
             bridge: Dim::Vertex,
             depth: 0,
             part_ids: dm.parts.iter().map(|p| p.id).collect(),
-            shares: dm.parts.iter().map(SlotShares::compile).collect(),
+            shares: {
+                let _span = pumi_obs::span!("overlap.shares");
+                dm.parts.iter().map(SlotShares::compile).collect()
+            },
             sent: vec![FxHashMap::default(); nlocal],
             frontier: vec![FxHashMap::default(); nlocal],
         }
@@ -357,6 +401,7 @@ impl Overlap {
             dm.parts.len(),
             "overlap/mesh slot mismatch"
         );
+        let _span = pumi_obs::span!("overlap.shares");
         for (sh, part) in self.shares.iter_mut().zip(&dm.parts) {
             *sh = SlotShares::compile(part);
         }
@@ -426,6 +471,7 @@ impl Overlap {
         let mut by_dim: [Vec<MeshEnt>; 4] = Default::default();
         let mut buf = Vec::new();
         let mut at = Placed::default();
+        let mut rows = Rows::default();
 
         for _ in 0..layers {
             // 1. Determine which elements to send where.
@@ -469,7 +515,7 @@ impl Overlap {
                     }
                     let w = ex.to(part.id, q);
                     for &e in by_dim.iter().take(elem_dim + 1).flatten() {
-                        wire::put_entity(w, part, e, |w| wire::put_share(w, root_of(part, e)));
+                        wire::put_entity(w, part, e, |w| wire::put_share(w, part.root_copy(e)));
                     }
                 }
             }
@@ -489,7 +535,7 @@ impl Overlap {
             frames.sort_by_key(|&(from, to, _)| (to, from));
             for (from, to, mut r) in frames {
                 let part = &mut dm.parts[dm.map.slot_of(to)];
-                let mut rows = Rows::default();
+                rows.clear();
                 wire::decode_entity_frame(&mut r, &mut rows, |r| wire::get_share(r, nparts))
                     .map_err(|e| e.to_string())
                     .and_then(|()| {
@@ -934,20 +980,6 @@ impl FrameIn {
     }
 }
 
-/// The root copy of `e` as `part` knows it: its ghost source, else its
-/// owner's copy from the remote-copy list, else `part`'s own.
-fn root_of(part: &Part, e: MeshEnt) -> (PartId, u32) {
-    if let Some(src) = part.ghost_source(e) {
-        return src;
-    }
-    let owner = part.owner(e);
-    part.remotes_of(e)
-        .iter()
-        .find(|&&(q, _)| q == owner)
-        .copied()
-        .unwrap_or((part.id, e.index()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -978,6 +1010,135 @@ mod tests {
             elem_part[e.idx()] = (x[0] >= 1.0) as PartId + 2 * ((x[1] >= 1.0) as PartId);
         }
         distribute(c, PartMap::contiguous(4, 1), &serial, &elem_part)
+    }
+
+    /// The sort-based compile the one-pass walk replaced, kept as the
+    /// oracle of `one_pass_compile_matches_the_sorted_one`: collect every
+    /// link through the public accessors, sort roots and leaves by entity
+    /// and link, then look each link's peer up in the sorted part list.
+    fn compile_sorted(part: &Part) -> SlotShares {
+        let link = |(p, index): (PartId, u32), ghost| Share {
+            part: p,
+            index,
+            ghost,
+            peer: 0,
+        };
+        let mut roots: Vec<(MeshEnt, Share)> = Vec::new();
+        let mut leaves: Vec<(MeshEnt, Share)> = Vec::new();
+        for (e, remotes) in part.shared_entities() {
+            if part.is_owned(e) {
+                roots.extend(remotes.iter().map(|&r| (e, link(r, false))));
+            } else {
+                let owner = part.owner(e);
+                if let Some(&r) = remotes.iter().find(|&&(p, _)| p == owner) {
+                    leaves.push((e, link(r, false)));
+                }
+            }
+        }
+        for (e, holders) in part.ghost_entities_owner_side() {
+            roots.extend(holders.iter().map(|&h| (e, link(h, true))));
+        }
+        for e in part.ghost_entities() {
+            let src = part.ghost_source(e).expect("ghost has a source");
+            leaves.push((e, link(src, true)));
+        }
+        roots.sort_unstable();
+        leaves.sort_unstable();
+        let mut peers: Vec<PartId> = roots.iter().chain(&leaves).map(|l| l.1.part).collect();
+        peers.sort_unstable();
+        peers.dedup();
+        let peer_of = |s: &mut Share| {
+            s.peer = peers.binary_search(&s.part).expect("peer listed") as u16;
+        };
+        let mut sh = SlotShares {
+            stamp: Stamp::of(part),
+            ..SlotShares::default()
+        };
+        for (e, mut s) in roots {
+            if sh.root_ents.last() != Some(&e) {
+                sh.root_ents.push(e);
+                sh.root_offsets.push(sh.root_links.len() as u32);
+            }
+            peer_of(&mut s);
+            sh.root_links.push(s);
+        }
+        sh.root_offsets.push(sh.root_links.len() as u32);
+        for (e, mut s) in leaves {
+            peer_of(&mut s);
+            sh.leaf_ents.push(e);
+            sh.leaf_roots.push(s);
+        }
+        sh.leaf_order = (0..sh.leaf_ents.len() as u32).collect();
+        sh.leaf_order.sort_unstable_by_key(|&i| {
+            let (e, root) = (sh.leaf_ents[i as usize], sh.leaf_roots[i as usize]);
+            (e.dim(), root.part, root.index)
+        });
+        sh.peers = peers;
+        sh.digests = [Side::Roots, Side::Leaves].map(|side| sh.digest(side));
+        sh
+    }
+
+    /// Every slot's compiled share map equals the sorted compile's.
+    fn compiles_agree(ov: &Overlap, dm: &DistMesh) {
+        for (slot, part) in dm.parts.iter().enumerate() {
+            assert_eq!(
+                SlotShares::compile(part),
+                compile_sorted(part),
+                "part {}",
+                part.id
+            );
+            assert_eq!(ov.shares[slot], compile_sorted(part), "part {}", part.id);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The one-pass compile builds the same arrays and digests as the
+        /// sorted one: on a tri or tet mesh cut into five parts around
+        /// random centres (two ranks), after distribution, after a random
+        /// grow of depth 1 to 3 through each bridge below the elements,
+        /// after a second grow, after `clear` and after a regrow.
+        #[test]
+        fn one_pass_compile_matches_the_sorted_one(
+            tet in proptest::bool::ANY,
+            bridge in 0usize..3,
+            depth in 1usize..4,
+            seed in 0u64..1 << 40,
+        ) {
+            let serial = match tet {
+                true => pumi_meshgen::tet_box(4, 3, 3, 1.0, 1.0, 1.0),
+                false => tri_rect(9, 7, 1.0, 1.0),
+            };
+            let bridge = Dim::from_usize(bridge % serial.elem_dim());
+            let unit = |k: u64| {
+                let z = (seed ^ k).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (z ^ z >> 29) as f64 / u64::MAX as f64
+            };
+            let centres: Vec<[f64; 3]> =
+                (0..5).map(|k| [unit(3 * k), unit(3 * k + 1), unit(3 * k + 2)]).collect();
+            let d = serial.elem_dim_t();
+            let mut elem_part = vec![0 as PartId; serial.index_space(d)];
+            for e in serial.iter(d) {
+                let x = serial.centroid(e);
+                let dist = |c: &[f64; 3]| (0..3).map(|i| (x[i] - c[i]).powi(2)).sum::<f64>();
+                let near = (0..5).min_by(|&a, &b| dist(&centres[a]).total_cmp(&dist(&centres[b])));
+                elem_part[e.idx()] = near.expect("five centres") as PartId;
+            }
+            execute(2, |c| {
+                let mut dm = distribute(c, PartMap::contiguous(5, 2), &serial, &elem_part);
+                let mut ov = Overlap::from_dist(&dm).with_bridge(bridge);
+                compiles_agree(&ov, &dm);
+                ov.grow(c, &mut dm, depth);
+                compiles_agree(&ov, &dm);
+                ov.grow(c, &mut dm, 1);
+                compiles_agree(&ov, &dm);
+                ov.clear(&mut dm);
+                compiles_agree(&ov, &dm);
+                ov.grow(c, &mut dm, depth);
+                compiles_agree(&ov, &dm);
+            });
+        }
     }
 
     #[test]

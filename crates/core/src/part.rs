@@ -19,6 +19,10 @@ const NONE: u32 = u32::MAX;
 /// Remote copies a record holds in place; a longer list spills to the pool.
 const INLINE_COPIES: usize = 2;
 
+/// Ghost holders a record holds in place; a longer list spills to the pool.
+/// Most roots are ghosted to one neighbour.
+const INLINE_HOLDERS: usize = 1;
+
 /// The ghost source of an entity that is not a ghost.
 const NO_SOURCE: (PartId, u32) = (PartId::MAX, u32::MAX);
 
@@ -83,36 +87,132 @@ impl DirtyLog {
     }
 }
 
+/// The lists too long to sit in a record, with free-list reuse of their
+/// positions.
+#[derive(Debug, Default)]
+struct Pool {
+    lists: Vec<Vec<(PartId, u32)>>,
+    free: Vec<u32>,
+}
+
+impl Pool {
+    fn take(&mut self, list: Vec<(PartId, u32)>) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                self.lists[i as usize] = list;
+                i
+            }
+            None => {
+                self.lists.push(list);
+                (self.lists.len() - 1) as u32
+            }
+        }
+    }
+
+    fn give_back(&mut self, i: u32) {
+        if i != NONE {
+            self.lists[i as usize] = Vec::new();
+            self.free.push(i);
+        }
+    }
+}
+
+/// A sorted list of copy links: up to `N` in place, a longer one in the
+/// pool, with its pool position kept in the first place instead.
+#[derive(Debug, Clone, Copy)]
+struct Short<const N: usize> {
+    len: u32,
+    inline: [(PartId, u32); N],
+}
+
+impl<const N: usize> Short<N> {
+    const EMPTY: Self = Short {
+        len: 0,
+        inline: [(0, 0); N],
+    };
+
+    /// The pool position of a spilled list, else [`NONE`].
+    fn spill(&self) -> u32 {
+        match self.len as usize > N {
+            true => self.inline[0].0,
+            false => NONE,
+        }
+    }
+
+    fn as_slice<'a>(&'a self, pool: &'a Pool) -> &'a [(PartId, u32)] {
+        match self.spill() {
+            NONE => &self.inline[..self.len as usize],
+            i => &pool.lists[i as usize],
+        }
+    }
+
+    /// Replace the list with `items` (sorted, distinct).
+    fn set(&mut self, pool: &mut Pool, items: &[(PartId, u32)]) {
+        let spill = self.spill();
+        if items.len() <= N {
+            pool.give_back(spill);
+            self.inline[..items.len()].copy_from_slice(items);
+        } else if spill != NONE {
+            let list = &mut pool.lists[spill as usize];
+            list.clear();
+            list.extend_from_slice(items);
+        } else {
+            self.inline[0].0 = pool.take(items.to_vec());
+        }
+        self.len = items.len() as u32;
+    }
+
+    /// Insert `x` in order, once.
+    fn insert(&mut self, pool: &mut Pool, x: (PartId, u32)) {
+        let Err(at) = self.as_slice(pool).binary_search(&x) else {
+            return;
+        };
+        let n = self.len as usize;
+        if n < N {
+            self.inline.copy_within(at..n, at + 1);
+            self.inline[at] = x;
+        } else if n == N {
+            let mut list = Vec::with_capacity(2 * N + 2);
+            list.extend_from_slice(&self.inline);
+            list.insert(at, x);
+            self.inline[0].0 = pool.take(list);
+        } else {
+            pool.lists[self.spill() as usize].insert(at, x);
+        }
+        self.len += 1;
+    }
+
+    fn clear(&mut self, pool: &mut Pool) {
+        pool.give_back(self.spill());
+        *self = Self::EMPTY;
+    }
+}
+
 /// The copy links of one entity (§II-B): its remote copies, and its ghost
-/// source or ghost holders (§II-C). 40 bytes.
+/// source or ghost holders (§II-C). 40 bytes; the entity is the slot that
+/// names the record.
 #[derive(Debug, Clone, Copy)]
 struct Record {
-    /// The entity, for iterating the store.
-    ent: MeshEnt,
-    /// Number of remote copies: in `inline` up to [`INLINE_COPIES`], in
-    /// the pooled list `spill` beyond.
-    ncopies: u32,
-    inline: [(PartId, u32); INLINE_COPIES],
-    spill: u32,
     /// (owner part, owner local index) of a ghost copy, else [`NO_SOURCE`].
     source: (PartId, u32),
-    /// Pooled list of the parts holding ghost copies, or [`NONE`].
-    holders: u32,
+    /// Remote copies, sorted by part.
+    copies: Short<INLINE_COPIES>,
+    /// The copies holding ghosts of this entity, sorted.
+    holders: Short<INLINE_HOLDERS>,
 }
+
+const _: () = assert!(std::mem::size_of::<Record>() == 40);
 
 impl Record {
     const FREE: Record = Record {
-        ent: MeshEnt(u32::MAX),
-        ncopies: 0,
-        inline: [(0, 0); INLINE_COPIES],
-        spill: NONE,
         source: NO_SOURCE,
-        holders: NONE,
+        copies: Short::EMPTY,
+        holders: Short::EMPTY,
     };
 
     /// Whether the record holds no link: a free record is one.
     fn is_empty(&self) -> bool {
-        self.ncopies == 0 && self.source == NO_SOURCE && self.holders == NONE
+        self.copies.len == 0 && self.source == NO_SOURCE && self.holders.len == 0
     }
 }
 
@@ -129,12 +229,22 @@ struct Links {
     recs: Vec<Record>,
     free_recs: Vec<u32>,
     /// Spilled remote-copy lists and ghost-holder lists.
-    lists: Vec<Vec<(PartId, u32)>>,
-    free_lists: Vec<u32>,
+    pool: Pool,
     /// Records with remote copies.
     nshared: usize,
     /// Records with a ghost source.
     nghosts: usize,
+}
+
+/// The copy links of one entity, as [`Part::links`] yields them.
+pub(crate) struct EntLinks<'a> {
+    pub(crate) ent: MeshEnt,
+    /// Remote copies, sorted by part.
+    pub(crate) copies: &'a [(PartId, u32)],
+    /// The ghost source, if `ent` is a ghost.
+    pub(crate) source: Option<(PartId, u32)>,
+    /// Ghost holders, sorted.
+    pub(crate) holders: &'a [(PartId, u32)],
 }
 
 impl Links {
@@ -147,24 +257,20 @@ impl Links {
         self.recs.get(self.index(e) as usize)
     }
 
-    /// The records holding links, in store order.
-    fn records(&self) -> impl Iterator<Item = &Record> + '_ {
-        self.recs.iter().filter(|rec| !rec.is_empty())
+    /// The entities of dimension `d` with a record, and their records, in
+    /// slot order.
+    fn in_slot_order(&self, d: Dim) -> impl Iterator<Item = (MeshEnt, &Record)> + '_ {
+        let slot = self.slot[d.as_usize()].iter().enumerate();
+        slot.filter(|&(_, &r)| r != NONE)
+            .map(move |(i, &r)| (MeshEnt::new(d, i as u32), &self.recs[r as usize]))
     }
 
     fn copies<'a>(&'a self, rec: &'a Record) -> &'a [(PartId, u32)] {
-        let n = rec.ncopies as usize;
-        match n <= INLINE_COPIES {
-            true => &rec.inline[..n],
-            false => &self.lists[rec.spill as usize],
-        }
+        rec.copies.as_slice(&self.pool)
     }
 
     fn holders<'a>(&'a self, rec: &'a Record) -> &'a [(PartId, u32)] {
-        match rec.holders {
-            NONE => &[],
-            i => &self.lists[i as usize],
-        }
+        rec.holders.as_slice(&self.pool)
     }
 
     /// The record of `e`, taken from the store if `e` has none.
@@ -180,7 +286,6 @@ impl Links {
                 (self.recs.len() - 1) as u32
             }
         };
-        self.recs[r as usize].ent = e;
         let slot = &mut self.slot[e.dim().as_usize()];
         if slot.len() <= e.idx() {
             slot.resize(e.idx() + 1, NONE);
@@ -189,33 +294,12 @@ impl Links {
         r as usize
     }
 
-    /// Free record `r` if it holds no link any more.
-    fn release_if_empty(&mut self, r: usize) {
-        let rec = self.recs[r];
-        if rec.is_empty() {
-            self.slot[rec.ent.dim().as_usize()][rec.ent.idx()] = NONE;
+    /// Free the record `r` of `e` if it holds no link any more.
+    fn release_if_empty(&mut self, e: MeshEnt, r: usize) {
+        if self.recs[r].is_empty() {
+            self.slot[e.dim().as_usize()][e.idx()] = NONE;
             self.recs[r] = Record::FREE;
             self.free_recs.push(r as u32);
-        }
-    }
-
-    fn new_list(&mut self, list: Vec<(PartId, u32)>) -> u32 {
-        match self.free_lists.pop() {
-            Some(i) => {
-                self.lists[i as usize] = list;
-                i
-            }
-            None => {
-                self.lists.push(list);
-                (self.lists.len() - 1) as u32
-            }
-        }
-    }
-
-    fn free_list(&mut self, i: u32) {
-        if i != NONE {
-            self.lists[i as usize] = Vec::new();
-            self.free_lists.push(i);
         }
     }
 
@@ -225,25 +309,11 @@ impl Links {
             return;
         }
         let r = self.entry(e);
-        let rec = self.recs[r];
-        let spill = rec.spill;
-        self.nshared += (!copies.is_empty()) as usize;
-        self.nshared -= (rec.ncopies > 0) as usize;
         let rec = &mut self.recs[r];
-        rec.ncopies = copies.len() as u32;
-        if copies.len() <= INLINE_COPIES {
-            rec.inline[..copies.len()].copy_from_slice(copies);
-            rec.spill = NONE;
-            self.free_list(spill);
-            self.release_if_empty(r);
-        } else if spill != NONE {
-            let list = &mut self.lists[spill as usize];
-            list.clear();
-            list.extend_from_slice(copies);
-        } else {
-            let spill = self.new_list(copies.to_vec());
-            self.recs[r].spill = spill;
-        }
+        self.nshared += (!copies.is_empty()) as usize;
+        self.nshared -= (rec.copies.len > 0) as usize;
+        rec.copies.set(&mut self.pool, copies);
+        self.release_if_empty(e, r);
     }
 
     fn set_source(&mut self, e: MeshEnt, src: (PartId, u32)) {
@@ -257,38 +327,29 @@ impl Links {
         if r != NONE && self.recs[r as usize].source != NO_SOURCE {
             self.nghosts -= 1;
             self.recs[r as usize].source = NO_SOURCE;
-            self.release_if_empty(r as usize);
+            self.release_if_empty(e, r as usize);
         }
     }
 
     /// Insert `to` into the sorted holder list of `e`, once.
     fn add_holder(&mut self, e: MeshEnt, to: (PartId, u32)) {
         let r = self.entry(e);
-        let list = match self.recs[r].holders {
-            NONE => {
-                let i = self.new_list(Vec::new());
-                self.recs[r].holders = i;
-                i
-            }
-            i => i,
-        };
-        let holders = &mut self.lists[list as usize];
-        if let Err(at) = holders.binary_search(&to) {
-            holders.insert(at, to);
-        }
+        self.recs[r].holders.insert(&mut self.pool, to);
     }
 
     /// Drop every ghost source and holder list, keeping remote copies.
     fn clear_ghosts(&mut self) {
-        for r in 0..self.recs.len() {
-            let rec = self.recs[r];
-            if rec.source == NO_SOURCE && rec.holders == NONE {
-                continue;
+        for d in Dim::ALL {
+            for i in 0..self.slot[d.as_usize()].len() {
+                let (e, r) = (MeshEnt::new(d, i as u32), self.slot[d.as_usize()][i]);
+                if r == NONE {
+                    continue;
+                }
+                let rec = &mut self.recs[r as usize];
+                rec.holders.clear(&mut self.pool);
+                rec.source = NO_SOURCE;
+                self.release_if_empty(e, r as usize);
             }
-            self.free_list(rec.holders);
-            self.recs[r].source = NO_SOURCE;
-            self.recs[r].holders = NONE;
-            self.release_if_empty(r);
         }
         self.nghosts = 0;
     }
@@ -299,16 +360,13 @@ impl Links {
         if r == NONE {
             return;
         }
-        let rec = self.recs[r as usize];
-        self.nshared -= (rec.ncopies > 0) as usize;
+        let rec = &mut self.recs[r as usize];
+        self.nshared -= (rec.copies.len > 0) as usize;
         self.nghosts -= (rec.source != NO_SOURCE) as usize;
-        self.free_list(rec.spill);
-        self.free_list(rec.holders);
-        self.recs[r as usize] = Record {
-            ent: e,
-            ..Record::FREE
-        };
-        self.release_if_empty(r as usize);
+        rec.copies.clear(&mut self.pool);
+        rec.holders.clear(&mut self.pool);
+        rec.source = NO_SOURCE;
+        self.release_if_empty(e, r as usize);
     }
 }
 
@@ -330,6 +388,29 @@ pub struct Part {
     dirty: Option<DirtyLog>,
 }
 
+/// Record `gid` as the global id of `e` in the dense column, and in the
+/// dirty log if one is kept; the caller keeps the reverse index.
+fn note_gid(
+    gids: &mut [Vec<GlobalId>; 4],
+    dirty: &mut Option<DirtyLog>,
+    mesh: &Mesh,
+    e: MeshEnt,
+    gid: GlobalId,
+) {
+    let col = &mut gids[e.dim().as_usize()];
+    if col.len() <= e.idx() {
+        col.resize(e.idx() + 1, NO_GID);
+    }
+    debug_assert!(
+        col[e.idx()] == NO_GID || !mesh.is_live(e) || col[e.idx()] == gid,
+        "gid reassignment for {e:?}"
+    );
+    col[e.idx()] = gid;
+    if let Some(log) = dirty {
+        log.touch(e.dim().as_usize(), gid);
+    }
+}
+
 impl Part {
     /// An empty part with the given id and element dimension.
     pub fn new(id: PartId, elem_dim: usize) -> Part {
@@ -344,20 +425,39 @@ impl Part {
     }
 
     pub(crate) fn record_gid(&mut self, e: MeshEnt, gid: GlobalId) {
-        let d = e.dim().as_usize();
-        if self.gids[d].len() <= e.idx() {
-            self.gids[d].resize(e.idx() + 1, NO_GID);
+        self.gid_index[e.dim().as_usize()].insert(gid, e.index());
+        note_gid(&mut self.gids, &mut self.dirty, &self.mesh, e, gid);
+    }
+
+    /// The live entity of dimension `d` whose global id is `gid`, found
+    /// with one probe of the gid index, or else the entity `create` makes
+    /// on the mesh, its gid recorded in the entry that probe left; with
+    /// whether it was created. An entry that names a dead slot counts as
+    /// absent. On `Err` the index is as it was.
+    pub(crate) fn find_or_create_gid<E>(
+        &mut self,
+        d: Dim,
+        gid: GlobalId,
+        create: impl FnOnce(&mut Mesh) -> Result<MeshEnt, E>,
+    ) -> Result<(MeshEnt, bool), E> {
+        let index = &mut self.gid_index[d.as_usize()];
+        let at = index.entry(gid).or_insert(NONE);
+        let was = *at;
+        if was != NONE && self.mesh.is_live(MeshEnt::new(d, was)) {
+            return Ok((MeshEnt::new(d, was), false));
         }
-        debug_assert!(
-            self.gids[d][e.idx()] == NO_GID
-                || !self.mesh.is_live(e)
-                || self.gids[d][e.idx()] == gid,
-            "gid reassignment for {e:?}"
-        );
-        self.gids[d][e.idx()] = gid;
-        self.gid_index[d].insert(gid, e.index());
-        if let Some(log) = &mut self.dirty {
-            log.touch(d, gid);
+        match create(&mut self.mesh) {
+            Ok(e) => {
+                *at = e.index();
+                note_gid(&mut self.gids, &mut self.dirty, &self.mesh, e, gid);
+                Ok((e, true))
+            }
+            Err(err) => {
+                if was == NONE {
+                    index.remove(&gid);
+                }
+                Err(err)
+            }
         }
     }
 
@@ -486,7 +586,7 @@ impl Part {
     /// Whether `e` lies on a part boundary (has remote copies).
     #[inline]
     pub fn is_shared(&self, e: MeshEnt) -> bool {
-        self.links.get(e).is_some_and(|rec| rec.ncopies > 0)
+        self.links.get(e).is_some_and(|rec| rec.copies.len > 0)
     }
 
     /// The residence parts of `e`: this part plus all remote parts, sorted.
@@ -525,31 +625,40 @@ impl Part {
         self.remotes_of(e).iter().map(|&(p, _)| p).collect()
     }
 
-    /// Every entity with a remote-copy or ghost record, in no particular
-    /// order: what the part cannot modify on its own. Distributed
-    /// coarsening derives its per-sweep veto table from these; they are
-    /// read off the record store, so the table costs the boundary, not the
-    /// part.
+    /// Every entity with a remote-copy or ghost record, in handle order:
+    /// what the part cannot modify on its own. Distributed coarsening
+    /// derives its per-sweep veto table from these; they are read off the
+    /// link slots, so the table costs one `u32` a slot and a record per
+    /// linked entity.
     pub fn boundary_entities(&self) -> impl Iterator<Item = MeshEnt> + '_ {
-        self.links
-            .records()
-            .filter(|rec| rec.ncopies > 0 || rec.source != NO_SOURCE)
-            .map(|rec| rec.ent)
+        let linked = self
+            .links()
+            .filter(|l| !l.copies.is_empty() || l.source.is_some());
+        linked.map(|l| l.ent)
+    }
+
+    /// Every entity with a copy link and its links, in slot order — which
+    /// is handle order, so the walk is deterministic and its output sorted.
+    /// Costs the index spaces of the linked dimensions, one `u32` a slot.
+    pub(crate) fn links(&self) -> impl Iterator<Item = EntLinks<'_>> + '_ {
+        let links = &self.links;
+        Dim::ALL
+            .into_iter()
+            .flat_map(|d| links.in_slot_order(d))
+            .map(move |(ent, rec)| EntLinks {
+                ent,
+                copies: links.copies(rec),
+                source: (rec.source != NO_SOURCE).then_some(rec.source),
+                holders: links.holders(rec),
+            })
     }
 
     /// All shared (part-boundary) entities with their remote lists, in slot
     /// order — which is handle order, so the result is deterministic.
     pub fn shared_entities(&self) -> Vec<(MeshEnt, &[(PartId, u32)])> {
         let mut v = Vec::with_capacity(self.links.nshared);
-        for d in Dim::ALL {
-            for (i, &r) in self.links.slot[d.as_usize()].iter().enumerate() {
-                if let Some(rec) = self.links.recs.get(r as usize) {
-                    if rec.ncopies > 0 {
-                        v.push((MeshEnt::new(d, i as u32), self.links.copies(rec)));
-                    }
-                }
-            }
-        }
+        let shared = self.links().filter(|l| !l.copies.is_empty());
+        v.extend(shared.map(|l| (l.ent, l.copies)));
         v
     }
 
@@ -577,6 +686,25 @@ impl Part {
             .filter(|&src| src != NO_SOURCE)
     }
 
+    /// The root copy of `e` as this part knows it: its ghost source, else
+    /// its owner's copy from the remote-copy list, else its own. One read
+    /// of its record.
+    pub(crate) fn root_copy(&self, e: MeshEnt) -> (PartId, u32) {
+        let own = (self.id, e.index());
+        let Some(rec) = self.links.get(e) else {
+            return own;
+        };
+        if rec.source != NO_SOURCE {
+            return rec.source;
+        }
+        // The owner is the minimum residence part: the first remote copy
+        // if it sorts below this part.
+        match self.links.copies(rec).first() {
+            Some(&first) if first.0 < self.id => first,
+            _ => own,
+        }
+    }
+
     /// Owner side: record that `to` holds a ghost copy of `e`. The holder
     /// list stays sorted so its order is independent of ack arrival order.
     /// Idempotent — recording the same holder twice keeps one entry.
@@ -590,28 +718,19 @@ impl Part {
     }
 
     /// Owner-side view of ghost holders: entity → (holder part, holder-local
-    /// index) list, sorted by entity handle. Costs the holder records, not
-    /// the part.
+    /// index) list, sorted by entity handle. Read off the link slots in
+    /// handle order, so it needs no sort.
     pub fn ghost_entities_owner_side(&self) -> Vec<(MeshEnt, &[(PartId, u32)])> {
-        let mut v: Vec<(MeshEnt, &[(PartId, u32)])> = self
-            .links
-            .records()
-            .filter(|rec| rec.holders != NONE && self.mesh.is_live(rec.ent))
-            .map(|rec| (rec.ent, self.links.holders(rec)))
-            .collect();
-        v.sort_unstable_by_key(|(e, _)| *e);
-        v
+        let held = self.links().filter(|l| !l.holders.is_empty());
+        held.filter(|l| self.mesh.is_live(l.ent))
+            .map(|l| (l.ent, l.holders))
+            .collect()
     }
 
     /// Iterate ghost entities (sorted by handle).
     pub fn ghost_entities(&self) -> Vec<MeshEnt> {
-        let mut v: Vec<MeshEnt> = self
-            .links
-            .records()
-            .filter(|rec| rec.source != NO_SOURCE)
-            .map(|rec| rec.ent)
-            .collect();
-        v.sort_unstable();
+        let mut v = Vec::with_capacity(self.links.nghosts);
+        v.extend(self.links().filter(|l| l.source.is_some()).map(|l| l.ent));
         v
     }
 
@@ -888,6 +1007,26 @@ mod tests {
         p.gid_index[0].remove(&gid);
         p.gids[0][v.idx()] = NO_GID;
         p.mesh.delete(v);
+    }
+
+    /// A row whose gid the index still names at a dead slot is built as a
+    /// new entity: the probe that finds the entry does not count it.
+    #[test]
+    fn a_gid_entry_at_a_dead_slot_is_not_found() {
+        let mut p = Part::new(0, 2);
+        let v = p.add_vertex([0.; 3], NO_GEOM, 5);
+        p.mesh.delete(v);
+        assert_eq!(p.find_gid(Dim::Vertex, 5), None);
+        let mut rows = crate::rows::Rows::default();
+        rows.push_vertex(5, NO_GEOM, [1.; 3], ());
+        let mut at = crate::rows::Placed::default();
+        p.build(&rows, &mut at, |_, _| true)
+            .expect("one vertex row");
+        let (w, created) = at.get(Dim::Vertex, 0).expect("built");
+        assert!(created, "the dead slot's entry was taken for the entity");
+        assert_eq!(p.mesh.count(Dim::Vertex), 1);
+        assert_eq!(p.find_gid(Dim::Vertex, 5), Some(w));
+        assert_eq!(p.mesh.coords(w), [1.; 3]);
     }
 
     #[test]

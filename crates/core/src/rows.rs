@@ -20,7 +20,7 @@
 
 use crate::part::Part;
 use pumi_geom::GeomEnt;
-use pumi_mesh::Topology;
+use pumi_mesh::{Mesh, Topology};
 use pumi_pcu::{MsgError, MsgReader};
 use pumi_util::tag::TagKind;
 use pumi_util::{Dim, FxHashMap, GlobalId, MeshEnt};
@@ -79,6 +79,17 @@ impl<X> DimRows<X> {
     pub fn verts_of(&self, r: usize) -> &[u32] {
         let at = self.first[r] as usize;
         &self.verts[at..at + self.topo[r].num_verts()]
+    }
+
+    fn clear(&mut self) {
+        self.gid.clear();
+        self.topo.clear();
+        self.class.clear();
+        self.coords.clear();
+        self.extra.clear();
+        self.first.clear();
+        self.verts.clear();
+        self.tags.clear();
     }
 
     fn push(&mut self, topo: Topology, gid: GlobalId, class: GeomEnt, extra: X, tags: [u32; 2]) {
@@ -212,6 +223,15 @@ fn check_verts<T: PartialEq>(topo: Topology, vs: &[T]) -> Result<(), MsgError> {
 }
 
 impl<X> Rows<X> {
+    /// Drop every row and tag value, keeping the row columns' capacity: one
+    /// block serves a stream of frames.
+    pub fn clear(&mut self) {
+        self.dims.iter_mut().for_each(DimRows::clear);
+        self.vgids.clear();
+        self.vslot.clear();
+        self.tags = TagCol::default();
+    }
+
     /// The rows of dimension `d`.
     pub fn dim(&self, d: Dim) -> &DimRows<X> {
         &self.dims[d.as_usize()]
@@ -336,6 +356,13 @@ impl std::fmt::Display for RowError {
 
 impl std::error::Error for RowError {}
 
+/// Why [`Part::build`] refuses a row: an error, or a conflict that names an
+/// entity by its gid.
+enum Refusal {
+    Bad(MsgError),
+    Names(&'static str, MeshEnt),
+}
+
 impl Part {
     /// Build the rows of `rows` that `keep` selects, dimension by dimension
     /// and in row order, recording in `at` where each landed: a row whose
@@ -365,19 +392,15 @@ impl Part {
             local.clear();
             local.resize(dr.len(), NONE);
             for r in (0..dr.len()).filter(|&r| keep(dim, r)) {
-                let refuse = |err| Err(RowError { dim, row: r, err });
-                if let Some(e) = self.find_gid(dim, dr.gid[r]) {
-                    local[r] = e.index() | FLAG;
-                    continue;
-                }
-                if d > ed {
-                    return refuse(MsgError::corrupt(
-                        "entity record (above the element dimension)",
-                    ));
-                }
-                let e = if d == 0 {
-                    self.mesh.add_vertex(dr.coords[r], dr.class[r])
-                } else {
+                let made = self.find_or_create_gid(dim, dr.gid[r], |mesh| {
+                    if d > ed {
+                        return Err(Refusal::Bad(MsgError::corrupt(
+                            "entity record (above the element dimension)",
+                        )));
+                    }
+                    if d == 0 {
+                        return Ok(mesh.add_vertex(dr.coords[r], dr.class[r]));
+                    }
                     let (refs, mut vs) = (dr.verts_of(r), [0u32; 8]);
                     for (v, &x) in vs.iter_mut().zip(refs) {
                         let i = (x & !FLAG) as usize;
@@ -386,36 +409,39 @@ impl Part {
                             _ => (at.by_gid[i], rows.vgids[i]),
                         };
                         if l == NONE {
-                            return refuse(MsgError::missing("closure vertex", 0, g));
+                            return Err(Refusal::Bad(MsgError::missing("closure vertex", 0, g)));
                         }
                         *v = l & !FLAG;
                     }
-                    let before = self.entity_counts();
-                    let e = self
-                        .mesh
-                        .add_entity(dr.topo[r], &vs[..refs.len()], dr.class[r]);
-                    let after = self.entity_counts();
+                    let counts = |m: &Mesh| Dim::ALL.map(|d| m.count(d));
+                    let before = counts(mesh);
+                    let e = mesh.add_entity(dr.topo[r], &vs[..refs.len()], dr.class[r]);
+                    let after = counts(mesh);
                     // Found by its vertices: an existing entity.
                     if after[d] == before[d] {
-                        return refuse(MsgError::conflict(TWIN, d as u8, self.gid_of(e)));
+                        return Err(Refusal::Names(TWIN, e));
                     }
                     if after[..d] != before[..d] {
-                        return refuse(MsgError::corrupt(
+                        return Err(Refusal::Bad(MsgError::corrupt(
                             "entity record (closure entity without a row)",
-                        ));
+                        )));
                     }
-                    let mesh = &self.mesh;
-                    if let Some(s) = mesh.down(e).find(|&s| d == ed && mesh.up_count(s) > 2) {
-                        return refuse(MsgError::conflict(
-                            THIRD_ELEMENT,
-                            d as u8 - 1,
-                            self.gid_of(s),
-                        ));
+                    let third = mesh.down(e).find(|&s| d == ed && mesh.up_count(s) > 2);
+                    third.map_or(Ok(e), |s| Err(Refusal::Names(THIRD_ELEMENT, s)))
+                });
+                local[r] = match made {
+                    Ok((e, true)) => e.index(),
+                    Ok((e, false)) => e.index() | FLAG,
+                    Err(why) => {
+                        let err = match why {
+                            Refusal::Bad(err) => err,
+                            Refusal::Names(what, e) => {
+                                MsgError::conflict(what, e.dim().as_usize() as u8, self.gid_of(e))
+                            }
+                        };
+                        return Err(RowError { dim, row: r, err });
                     }
-                    e
                 };
-                self.record_gid(e, dr.gid[r]);
-                local[r] = e.index();
             }
         }
         for (d, dr) in rows.dims.iter().enumerate() {

@@ -175,12 +175,12 @@ pub fn stitch<P: AsRef<[PartId]>>(
 // ---------------------------------------------------------------------
 
 /// Append the tag block of `e`: count, then `name, kind, len, value` each.
+/// Values are read in place and encoded straight into `w`.
 pub(crate) fn pack_tags(part: &Part, e: MeshEnt, w: &mut MsgWriter) {
-    let tags = part.mesh.tags().collect(e);
-    w.put_u32(tags.len() as u32);
-    let mut buf = Vec::new();
-    for (tid, data) in tags {
-        let tm = part.mesh.tags();
+    let tm = part.mesh.tags();
+    let values = || tm.tags().filter_map(|t| Some((t, tm.get_ref(t, e)?)));
+    w.put_u32(values().count() as u32);
+    for (tid, value) in values() {
         w.put_bytes(tm.name(tid).as_bytes());
         w.put_u8(match tm.kind(tid) {
             TagKind::Int => 0,
@@ -188,9 +188,9 @@ pub(crate) fn pack_tags(part: &Part, e: MeshEnt, w: &mut MsgWriter) {
             TagKind::Bytes => 2,
         });
         w.put_u32(tm.len_of(tid) as u32);
-        buf.clear();
-        data.encode(&mut buf);
-        w.put_bytes(&buf);
+        // `put_bytes`'s layout of the value's `TagData::encode` bytes.
+        w.put_u32(value.encoded_len() as u32);
+        value.encode_with(|b| w.put_raw(b));
     }
 }
 
@@ -201,23 +201,30 @@ pub(crate) fn pack_tags(part: &Part, e: MeshEnt, w: &mut MsgWriter) {
 /// Append the record of `e`: header, the caller's `extra` field, geometry
 /// (coordinates for a vertex, vertex gids otherwise), tags.
 pub fn put_entity(w: &mut MsgWriter, part: &Part, e: MeshEnt, extra: impl FnOnce(&mut MsgWriter)) {
-    w.put_u8(e.dim().as_usize() as u8);
-    w.put_u8(part.mesh.topo(e).to_u8());
-    w.put_u64(part.gid_of(e));
-    w.put_u32(part.mesh.class_of(e).0);
+    let mut head = [0u8; 14];
+    head[0] = e.dim().as_usize() as u8;
+    head[1] = part.mesh.topo(e).to_u8();
+    head[2..10].copy_from_slice(&part.gid_of(e).to_le_bytes());
+    head[10..].copy_from_slice(&part.mesh.class_of(e).0.to_le_bytes());
+    w.put_raw(&head);
     extra(w);
-    if e.dim() == Dim::Vertex {
-        for x in part.mesh.coords(e) {
-            w.put_f64(x);
+    // The geometry in one write: three coordinates, or the vertex gids in
+    // `put_u64_slice`'s layout.
+    let mut geo = [0u8; 4 + 8 * 8];
+    let len = if e.dim() == Dim::Vertex {
+        for (b, x) in geo.chunks_exact_mut(8).zip(part.mesh.coords(e)) {
+            b.copy_from_slice(&x.to_le_bytes());
         }
+        3 * 8
     } else {
-        // `put_u64_slice`'s layout, without collecting the gids first.
         let verts = part.mesh.verts_of(e);
-        w.put_u32(verts.len() as u32);
-        for &v in verts {
-            w.put_u64(part.gid_of(MeshEnt::vertex(v)));
+        geo[..4].copy_from_slice(&(verts.len() as u32).to_le_bytes());
+        for (b, &v) in geo[4..].chunks_exact_mut(8).zip(verts) {
+            b.copy_from_slice(&part.gid_of(MeshEnt::vertex(v)).to_le_bytes());
         }
-    }
+        4 + 8 * verts.len()
+    };
+    w.put_raw(&geo[..len]);
     pack_tags(part, e, w);
 }
 

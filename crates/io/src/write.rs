@@ -8,7 +8,8 @@
 //! peers blocked in the manifest reduction.
 //!
 //! One set of section encoders serves full snapshots and delta rounds
-//! alike — a delta passes its part's [`DirtyLog`] as a row filter — and
+//! alike — a delta resolves its part's [`DirtyLog`] to the logged
+//! entities once, so its cost follows the log, not the part — and
 //! every part file is streamed through [`ChunkWriter`]: LZ4-compressed,
 //! CRC'd chunks go straight to disk, so peak memory is one chunk regardless
 //! of part size.
@@ -45,28 +46,49 @@ pub struct WriteStats {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WriteOpts {}
 
-/// Whether `e`'s rows belong in a section: every entity in a full snapshot
-/// (`dirty == None`), only the logged ones in a delta round.
-fn keeps(part: &Part, dirty: Option<&DirtyLog>, e: MeshEnt) -> bool {
-    dirty.is_none_or(|log| log.dirty[e.dim().as_usize()].contains(&part.gid_of(e)))
+/// The entities a part file has rows for, per dimension: every live one
+/// in a full snapshot, or in a delta round only those its [`DirtyLog`]
+/// names, resolved by gid and sorted into mesh order once per file.
+enum Picked {
+    All,
+    Logged([Vec<MeshEnt>; 4]),
+}
+
+impl Picked {
+    fn of(part: &Part, dirty: Option<&DirtyLog>) -> Picked {
+        let Some(log) = dirty else {
+            return Picked::All;
+        };
+        Picked::Logged(Dim::ALL.map(|d| {
+            let named = log.dirty[d.as_usize()].iter().filter_map(|&g| {
+                let e = part.find_gid(d, g)?;
+                (part.gid_of(e) == g).then_some(e)
+            });
+            let mut ents: Vec<MeshEnt> = named.collect();
+            ents.sort_unstable();
+            ents
+        }))
+    }
 }
 
 /// The entities of dimension `d` a section has rows for, in mesh order.
 /// Where a count precedes the rows, an encoder walks this twice — once to
 /// count, once to write — rather than collecting the rows.
-fn rows<'a>(
-    part: &'a Part,
-    dirty: Option<&'a DirtyLog>,
-    d: Dim,
-) -> impl Iterator<Item = MeshEnt> + 'a {
-    part.mesh.iter(d).filter(move |&e| keeps(part, dirty, e))
+fn rows<'a>(part: &'a Part, picked: &'a Picked, d: Dim) -> impl Iterator<Item = MeshEnt> + 'a {
+    let (all, logged) = match picked {
+        Picked::All => (Some(part.mesh.iter(d)), None),
+        Picked::Logged(ents) => (None, Some(&ents[d.as_usize()])),
+    };
+    all.into_iter()
+        .flatten()
+        .chain(logged.into_iter().flatten().copied())
 }
 
-fn encode_entities(part: &Part, dirty: Option<&DirtyLog>, w: &mut impl SectionSink) {
+fn encode_entities(part: &Part, picked: &Picked, w: &mut impl SectionSink) {
     for d in 0..=part.mesh.elem_dim() {
         let dim = Dim::from_usize(d);
-        w.put_u32(rows(part, dirty, dim).count() as u32);
-        for e in rows(part, dirty, dim) {
+        w.put_u32(rows(part, picked, dim).count() as u32);
+        for e in rows(part, picked, dim) {
             w.put_u64(part.gid_of(e));
             w.put_u8(part.mesh.topo(e).to_u8());
             w.put_u32(part.mesh.class_of(e).0);
@@ -115,14 +137,14 @@ fn encode_remotes(part: &Part, w: &mut impl SectionSink) {
     }
 }
 
-fn encode_tags(part: &Part, dirty: Option<&DirtyLog>, w: &mut impl SectionSink) {
+fn encode_tags(part: &Part, picked: &Picked, w: &mut impl SectionSink) {
     let tm = part.mesh.tags();
     let elem_dim = part.mesh.elem_dim();
     // A tag's rows are the section's entities that carry it; the declared
     // count can exceed them, and a tag without rows is left out.
     let tag_rows = |tid: TagId| {
         (0..=elem_dim)
-            .flat_map(move |d| rows(part, dirty, Dim::from_usize(d)))
+            .flat_map(move |d| rows(part, picked, Dim::from_usize(d)))
             .filter_map(move |e| Some((e, tm.get_ref(tid, e)?)))
     };
     let written = |tid: &TagId| tm.count(*tid) > 0 && tag_rows(*tid).next().is_some();
@@ -145,12 +167,7 @@ fn encode_tags(part: &Part, dirty: Option<&DirtyLog>, w: &mut impl SectionSink) 
     }
 }
 
-fn encode_fields(
-    part: &Part,
-    fields: &[&Field],
-    dirty: Option<&DirtyLog>,
-    w: &mut impl SectionSink,
-) {
+fn encode_fields(part: &Part, fields: &[&Field], picked: &Picked, w: &mut impl SectionSink) {
     let elem_dim = part.mesh.elem_dim();
     w.put_u32(fields.len() as u32);
     for f in fields {
@@ -161,7 +178,7 @@ fn encode_fields(
             f.shape
                 .node_dims(elem_dim)
                 .iter()
-                .flat_map(|&d| rows(part, dirty, d))
+                .flat_map(|&d| rows(part, picked, d))
                 .filter_map(|e| Some((e, f.get(e)?)))
         };
         w.put_u32(field_rows().count() as u32);
@@ -231,8 +248,9 @@ fn write_part_file(
     out.write_all(&[0u8; HEADER_LEN]).map_err(io_err)?;
     let mut entries = Vec::with_capacity(Section::ALL.len() + 1);
     let o = &mut out;
+    let picked = &Picked::of(part, dirty);
     emit(o, &mut entries, Section::Entities, |w| {
-        encode_entities(part, dirty, w)
+        encode_entities(part, picked, w)
     })
     .map_err(io_err)?;
     emit(o, &mut entries, Section::Remotes, |w| {
@@ -240,11 +258,11 @@ fn write_part_file(
     })
     .map_err(io_err)?;
     emit(o, &mut entries, Section::Tags, |w| {
-        encode_tags(part, dirty, w)
+        encode_tags(part, picked, w)
     })
     .map_err(io_err)?;
     emit(o, &mut entries, Section::Fields, |w| {
-        encode_fields(part, fields, dirty, w)
+        encode_fields(part, fields, picked, w)
     })
     .map_err(io_err)?;
     if let Some(log) = dirty {

@@ -11,6 +11,10 @@
 //! so dynamic mesh modification (adaptation, migration) is O(1) per
 //! create/delete amortized. There is no lookup table: an entity is found
 //! from its vertices through the upward lists ([`Mesh::find_entity`]).
+//! Find-or-create ([`Mesh::add_entity`]) searches only the upward list of
+//! the entity's first side; an edge or a triangle is matched there by one
+//! compare per candidate (its other or third vertex), any other topology
+//! by the generic walk that checks every vertex.
 
 use crate::topology::Topology;
 use pumi_geom::GeomEnt;
@@ -209,15 +213,46 @@ impl Mesh {
     /// adjacency, with no index. The walk starts at `verts[0]`, or for an
     /// edge at whichever of its two vertices bounds fewer edges.
     pub fn find_entity(&self, d: Dim, verts: &[u32]) -> Option<MeshEnt> {
-        let from = match d {
-            Dim::Vertex => return None,
-            Dim::Edge => verts
-                .iter()
-                .copied()
-                .min_by_key(|&v| self.up[0][v as usize].len())?,
-            _ => verts[0],
+        match (d, verts) {
+            (Dim::Vertex, _) => None,
+            (Dim::Edge, &[a, b]) => {
+                let fewer = self.up[0][a as usize].len() <= self.up[0][b as usize].len();
+                let (a, b) = if fewer { (a, b) } else { (b, a) };
+                Some(MeshEnt::new(Dim::Edge, self.find_edge(a, b)?))
+            }
+            (Dim::Edge, _) => None,
+            _ => self.find_above(MeshEnt::vertex(verts[0]), d, verts),
+        }
+    }
+
+    /// The live edge over vertices `a` and `b`, from `a`'s upward list:
+    /// every candidate holds `a`, so its other vertex is `v0 ^ v1 ^ a`, and
+    /// one compare per candidate decides.
+    fn find_edge(&self, a: u32, b: u32) -> Option<u32> {
+        let verts = &self.verts[1];
+        let other = |u: u32| verts[u as usize * 2] ^ verts[u as usize * 2 + 1] ^ a;
+        self.up[0][a as usize]
+            .as_slice()
+            .iter()
+            .copied()
+            .find(|&u| other(u) == b)
+    }
+
+    /// The live triangle over the vertices whose XOR is `xor`, from the
+    /// upward list of `edge`, one of its sides: every candidate holds the
+    /// edge's two vertices, so the XOR of its three compares its third
+    /// vertex. A quad has a fourth vertex and is passed over.
+    fn find_triangle(&self, edge: u32, xor: u32) -> Option<u32> {
+        let vs = vstride(2);
+        let is_tri = |u: u32| match &self.verts[2][u as usize * vs..][..vs] {
+            &[x, y, z, PAD] => x ^ y ^ z == xor,
+            _ => false,
         };
-        self.find_above(MeshEnt::vertex(from), d, verts)
+        self.up[1][edge as usize]
+            .as_slice()
+            .iter()
+            .copied()
+            .find(|&u| is_tri(u))
     }
 
     /// The entity of dimension `d` over exactly the vertex set `verts`,
@@ -256,13 +291,18 @@ impl Mesh {
     /// same classification. An existing entity over the same vertex set
     /// bounds that side, so only its upward list is searched; when the
     /// search finds nothing the other sides are found or created and the
-    /// entity is allocated. A region side after the first that shares an
-    /// edge with a side already found is looked for in that edge's upward
-    /// list — the found side's `down` list holds the edge — and a side not
-    /// there does not exist, so it is created with no search of its own;
-    /// only a side that shares no edge with a found side goes through the
-    /// recursive rule. Either way the same entities are created in the same
-    /// order. Existing entities keep their prior classification.
+    /// entity is allocated. The two searches every build makes most are
+    /// typed loops that read one value per candidate: an edge over `a, b`
+    /// in `a`'s upward list is the one whose other vertex (`v0 ^ v1 ^ a`)
+    /// is `b`, and a triangle in an edge's upward list is the one whose
+    /// third vertex matches; quads and regions take the generic walk. A
+    /// region side after the first that shares an edge with a side already
+    /// found is looked for in that edge's upward list — the found side's
+    /// `down` list holds the edge — and a side not there does not exist, so
+    /// it is created with no search of its own; only a side that shares no
+    /// edge with a found side goes through the recursive rule. Either way
+    /// the same entities are created in the same order. Existing entities
+    /// keep their prior classification.
     pub fn add_entity(&mut self, topo: Topology, everts: &[u32], class: GeomEnt) -> MeshEnt {
         assert_eq!(everts.len(), topo.num_verts(), "vertex count mismatch");
         debug_assert!(
@@ -302,18 +342,17 @@ impl Mesh {
                     Dim::Region => self.shared_edge(&sides[..k], sv),
                     _ => None,
                 };
-                let side = match through {
+                match through {
                     Some(edge) => self
-                        .find_above(edge, Dim::Face, sv)
-                        .unwrap_or_else(|| self.find_or_create(*sub, sv, class, false)),
-                    None => self.find_or_create(*sub, sv, class, true),
-                };
-                side.index()
+                        .find_over(*sub, edge, sv)
+                        .unwrap_or_else(|| self.find_or_create(*sub, sv, class, false).index()),
+                    None => self.find_or_create(*sub, sv, class, true).index(),
+                }
             };
             if k == 0 && search {
                 let first = MeshEnt::new(Dim::from_usize(dd - 1), sides[0]);
-                if let Some(e) = self.find_above(first, d, everts) {
-                    return e;
+                if let Some(e) = self.find_over(topo, first, everts) {
+                    return MeshEnt::new(d, e);
                 }
             }
         }
@@ -328,6 +367,19 @@ impl Mesh {
             self.up[dd - 1][s as usize].push(i);
         }
         MeshEnt::new(d, i)
+    }
+
+    /// The live entity of `topo` over `everts` among those `side` bounds:
+    /// an edge or a triangle by its typed search, any other topology by
+    /// the generic walk.
+    fn find_over(&self, topo: Topology, side: MeshEnt, everts: &[u32]) -> Option<u32> {
+        match topo {
+            Topology::Edge => self.find_edge(side.index(), everts[0] ^ everts[1] ^ side.index()),
+            Topology::Triangle => {
+                self.find_triangle(side.index(), everts[0] ^ everts[1] ^ everts[2])
+            }
+            _ => self.find_above(side, topo.dim(), everts).map(|e| e.index()),
+        }
     }
 
     /// An edge of one of the faces `faces` with both its vertices in
@@ -582,7 +634,8 @@ mod tests {
 
     /// The elements of an `n³`-cube lattice cut into one topology (`kind`
     /// 0: hexes, 1: two prisms, 2: six Kuhn tets, 3: six pyramids on the
-    /// cube's centre), and the number of vertices they use.
+    /// cube's centre) or, with `kind` 4, each cube into the topology
+    /// `(i + j + k) % 4`, and the number of vertices they use.
     fn lattice(n: usize, kind: usize) -> (usize, Vec<(Topology, Vec<u32>)>) {
         let at = |i: usize, j: usize, k: usize| ((k * (n + 1) + j) * (n + 1) + i) as u32;
         let corners = (n + 1).pow(3);
@@ -593,7 +646,7 @@ mod tests {
             let c = |b: usize| at(i + (b & 1), j + (b >> 1 & 1), k + (b >> 2));
             // Bottom then top, each counter-clockwise.
             let h = [c(0), c(1), c(3), c(2), c(4), c(5), c(7), c(6)];
-            match kind {
+            match if kind == 4 { (i + j + k) % 4 } else { kind } {
                 0 => elems.push((Topology::Hex, h.to_vec())),
                 1 => {
                     elems.push((Topology::Prism, vec![h[0], h[1], h[2], h[4], h[5], h[6]]));
@@ -622,7 +675,7 @@ mod tests {
                 }
             }
         }
-        let nverts = if kind == 3 {
+        let nverts = if kind >= 3 {
             corners + n.pow(3)
         } else {
             corners
@@ -703,6 +756,94 @@ mod tests {
             }
             prop_assert!(same_storage(&a, &b));
             a.assert_valid();
+        }
+    }
+
+    /// Every typed search of `m` against the generic walk: the edge over
+    /// each live edge's vertices in both orders and over each live vertex
+    /// and a few random ones, and the triangle over each live edge and the
+    /// vertices of the faces it bounds, its own and a few random ones.
+    fn typed_agree(m: &Mesh, next: &mut impl FnMut() -> usize) {
+        let nv = m.index_space(Dim::Vertex) as u32;
+        for a in m.iter(Dim::Vertex).map(|v| v.index()) {
+            let near = m
+                .up(MeshEnt::vertex(a))
+                .flat_map(|e| m.verts_of(e).to_vec());
+            for b in near.chain((0..4).map(|_| next() as u32 % nv)) {
+                let generic = m.find_above(MeshEnt::vertex(a), Dim::Edge, &[a, b]);
+                assert_eq!(
+                    m.find_edge(a, b),
+                    generic.map(|e| e.index()),
+                    "edge {} {}",
+                    a,
+                    b
+                );
+            }
+        }
+        for e in m.iter(Dim::Edge) {
+            let &[a, b] = m.verts_of(e) else {
+                unreachable!()
+            };
+            let near = m.up(e).flat_map(|f| m.verts_of(f).to_vec());
+            for c in near.chain((0..4).map(|_| next() as u32 % nv)) {
+                let generic = m.find_above(e, Dim::Face, &[a, b, c]);
+                let typed = m.find_triangle(e.index(), a ^ b ^ c);
+                assert_eq!(
+                    typed,
+                    generic.map(|f| f.index()),
+                    "triangle {} {} {}",
+                    a,
+                    b,
+                    c
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The typed edge and triangle searches find what the generic walk
+        /// finds, or both nothing: on tet, hex, prism, pyramid and mixed
+        /// lattices inserted in a random order, after a random third of the
+        /// elements is deleted (orphans with them), and after they are
+        /// inserted again into the freed slots.
+        #[test]
+        fn typed_searches_match_generic_walk(kind in 0usize..5, n in 1usize..4, seed in 0u64..1 << 40) {
+            let (nverts, mut elems) = lattice(n, kind);
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (state ^ state >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                (z ^ z >> 31) as usize
+            };
+            for i in (1..elems.len()).rev() {
+                elems.swap(i, next() % (i + 1));
+            }
+            let mut m = Mesh::new(3);
+            for v in 0..nverts {
+                m.add_vertex([v as f64, 0., 0.], NO_GEOM);
+            }
+            let handles: Vec<MeshEnt> =
+                elems.iter().map(|(topo, vs)| m.add_element(*topo, vs, NO_GEOM)).collect();
+            typed_agree(&m, &mut next);
+            let gone: Vec<usize> = (0..elems.len()).filter(|_| next() % 3 == 0).collect();
+            for &i in &gone {
+                m.delete_with_orphans(handles[i]);
+            }
+            typed_agree(&m, &mut next);
+            let dead: Vec<u32> = (0..nverts as u32).filter(|&v| !m.is_live(MeshEnt::vertex(v))).collect();
+            let mut remap: Vec<u32> = (0..nverts as u32).collect();
+            for v in dead {
+                remap[v as usize] = m.add_vertex([v as f64, 0., 0.], NO_GEOM).index();
+            }
+            for &i in gone.iter().rev() {
+                let (topo, vs) = &elems[i];
+                let vs: Vec<u32> = vs.iter().map(|&v| remap[v as usize]).collect();
+                m.add_element(*topo, &vs, NO_GEOM);
+            }
+            typed_agree(&m, &mut next);
+            m.assert_valid();
         }
     }
 

@@ -35,11 +35,57 @@ pub fn partition_graph(g: &DualGraph, nparts: usize) -> Vec<PartId> {
         return labels;
     }
     let nodes: Vec<u32> = (0..g.len() as u32).collect();
-    recurse(g, &nodes, 0, nparts, &mut labels);
+    let mut work = Work::new(g.len());
+    recurse(g, &nodes, 0, nparts, &mut labels, &mut work);
     labels
 }
 
-fn recurse(g: &DualGraph, nodes: &[u32], base: usize, nparts: usize, labels: &mut [PartId]) {
+/// Whole-graph scratch that every bisection of one [`partition_graph`]
+/// call reuses. A bisection writes entries only at its subset's nodes and
+/// puts them back, or resets them before it reads them, so it costs its
+/// subset, not the graph.
+struct Work {
+    /// The subset being split; all false between uses.
+    active: Vec<bool>,
+    /// `components`' visited marks; all false between uses.
+    seen: Vec<bool>,
+    /// The side of each subset node, `true` = left; reset per bisection.
+    side: Vec<bool>,
+    /// `flip_enclaves`' component labels; all `u32::MAX` between uses.
+    comp: Vec<u32>,
+    /// Growth's gains (all 0) and frontier positions (all `u32::MAX`)
+    /// between uses.
+    gain: Vec<f64>,
+    pos: Vec<u32>,
+    /// `rebalance`'s node positions and entry stamps; set at the subset's
+    /// nodes when it starts.
+    index: Vec<u32>,
+    stamp: Vec<u32>,
+}
+
+impl Work {
+    fn new(n: usize) -> Work {
+        Work {
+            active: vec![false; n],
+            seen: vec![false; n],
+            side: vec![false; n],
+            comp: vec![u32::MAX; n],
+            gain: vec![0.0; n],
+            pos: vec![u32::MAX; n],
+            index: vec![0; n],
+            stamp: vec![0; n],
+        }
+    }
+}
+
+fn recurse(
+    g: &DualGraph,
+    nodes: &[u32],
+    base: usize,
+    nparts: usize,
+    labels: &mut [PartId],
+    work: &mut Work,
+) {
     if nparts == 1 {
         for &u in nodes {
             labels[u as usize] = base as PartId;
@@ -49,18 +95,17 @@ fn recurse(g: &DualGraph, nodes: &[u32], base: usize, nparts: usize, labels: &mu
     let k1 = nparts / 2;
     let k2 = nparts - k1;
     let frac = k1 as f64 / nparts as f64;
-    let (left, right) = bisect(g, nodes, frac);
-    recurse(g, &left, base, k1, labels);
-    recurse(g, &right, base + k1, k2, labels);
+    let (left, right) = bisect(g, nodes, frac, work);
+    recurse(g, &left, base, k1, labels, work);
+    recurse(g, &right, base + k1, k2, labels, work);
 }
 
 /// Connected components of the node subset, heaviest first.
-fn components(g: &DualGraph, nodes: &[u32]) -> Vec<(f64, Vec<u32>)> {
-    let mut active = vec![false; g.len()];
+fn components(g: &DualGraph, nodes: &[u32], work: &mut Work) -> Vec<(f64, Vec<u32>)> {
+    let Work { active, seen, .. } = work;
     for &u in nodes {
         active[u as usize] = true;
     }
-    let mut seen = vec![false; g.len()];
     let mut out: Vec<(f64, Vec<u32>)> = Vec::new();
     for &start in nodes {
         if seen[start as usize] {
@@ -82,6 +127,9 @@ fn components(g: &DualGraph, nodes: &[u32]) -> Vec<(f64, Vec<u32>)> {
         }
         out.push((weight, members));
     }
+    for &u in nodes {
+        (active[u as usize], seen[u as usize]) = (false, false);
+    }
     out.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
     out
 }
@@ -93,12 +141,12 @@ fn components(g: &DualGraph, nodes: &[u32]) -> Vec<(f64, Vec<u32>)> {
 /// This keeps every produced part a union of few whole components rather
 /// than scattering nodes (which fragments parts and inflates their
 /// boundary-entity counts).
-fn bisect(g: &DualGraph, nodes: &[u32], frac: f64) -> (Vec<u32>, Vec<u32>) {
+fn bisect(g: &DualGraph, nodes: &[u32], frac: f64, work: &mut Work) -> (Vec<u32>, Vec<u32>) {
     let total: f64 = nodes.iter().map(|&u| g.vwgt[u as usize]).sum();
     let target = total * frac;
-    let comps = components(g, nodes);
+    let comps = components(g, nodes, work);
     if comps.len() == 1 {
-        return bisect_connected(g, nodes, target);
+        return bisect_connected(g, nodes, target, work);
     }
     let mut left: Vec<u32> = Vec::new();
     let mut right: Vec<u32> = Vec::new();
@@ -110,7 +158,7 @@ fn bisect(g: &DualGraph, nodes: &[u32], frac: f64) -> (Vec<u32>, Vec<u32>) {
             left.extend(members);
         } else if !split_done && lw < target {
             // This component straddles the target: cut it.
-            let (l2, r2) = bisect_connected(g, &members, target - lw);
+            let (l2, r2) = bisect_connected(g, &members, target - lw, work);
             left.extend(l2);
             right.extend(r2);
             split_done = true;
@@ -122,16 +170,32 @@ fn bisect(g: &DualGraph, nodes: &[u32], frac: f64) -> (Vec<u32>, Vec<u32>) {
 }
 
 /// Bisect a *connected* node set, putting ~`target` weight on the left.
-fn bisect_connected(g: &DualGraph, nodes: &[u32], target: f64) -> (Vec<u32>, Vec<u32>) {
-    let mut active = vec![false; g.len()];
+fn bisect_connected(
+    g: &DualGraph,
+    nodes: &[u32],
+    target: f64,
+    work: &mut Work,
+) -> (Vec<u32>, Vec<u32>) {
+    let Work {
+        active,
+        side,
+        comp,
+        gain,
+        pos,
+        index,
+        stamp,
+        ..
+    } = work;
     for &u in nodes {
-        active[u as usize] = true;
+        (active[u as usize], side[u as usize]) = (true, false);
     }
     // Greedy growth from a peripheral node, preferring nodes with the most
     // already-grown neighbours (minimizes frontier).
-    let seed = g.peripheral_node(nodes[0], &active);
-    let mut side = vec![false; g.len()]; // true = left
-    grow(g, &active, seed, target, &mut side);
+    let seed = g.peripheral_node(nodes[0], active);
+    grow_in(g, active, seed, target, side, gain, pos);
+    for &u in nodes {
+        (gain[u as usize], pos[u as usize]) = (0.0, u32::MAX);
+    }
 
     // Refinement rounds: absorb enclaves (fragments of one side enclosed by
     // the other — the root cause of fragmented, vertex-heavy parts), restore
@@ -139,13 +203,14 @@ fn bisect_connected(g: &DualGraph, nodes: &[u32], target: f64) -> (Vec<u32>, Vec
     let lo = target * (1.0 - BALANCE_TOL) - 1.0;
     let hi = target * (1.0 + BALANCE_TOL) + 1.0;
     for _ in 0..2 {
-        let mut grown = flip_enclaves(g, nodes, &active, &mut side);
-        rebalance(g, nodes, &active, &mut side, &mut grown, lo, hi);
+        let mut grown = flip_enclaves(g, nodes, active, side, comp);
+        let scratch = (&mut index[..], &mut stamp[..]);
+        rebalance_in(g, nodes, active, side, &mut grown, lo, hi, scratch);
         for _ in 0..REFINE_PASSES {
             let mut moved = 0usize;
             for &u in nodes {
                 let us = side[u as usize];
-                let (same, other, _) = side_weights(g, &active, &side, u);
+                let (same, other, _) = side_weights(g, active, side, u);
                 if other <= same {
                     continue; // no cut gain
                 }
@@ -167,6 +232,7 @@ fn bisect_connected(g: &DualGraph, nodes: &[u32], target: f64) -> (Vec<u32>, Vec
     let mut left = Vec::with_capacity(target as usize + 1);
     let mut right = Vec::with_capacity(nodes.len());
     for &u in nodes {
+        active[u as usize] = false;
         if side[u as usize] {
             left.push(u);
         } else {
@@ -179,9 +245,14 @@ fn bisect_connected(g: &DualGraph, nodes: &[u32], target: f64) -> (Vec<u32>, Vec
 /// Flip every non-principal connected component of each side to the other
 /// side (an enclave of left inside right becomes right, and vice versa).
 /// Returns the left weight afterwards.
-fn flip_enclaves(g: &DualGraph, nodes: &[u32], active: &[bool], side: &mut [bool]) -> f64 {
+fn flip_enclaves(
+    g: &DualGraph,
+    nodes: &[u32],
+    active: &[bool],
+    side: &mut [bool],
+    comp: &mut [u32],
+) -> f64 {
     // Component labelling restricted to `nodes`, separately per side.
-    let mut comp: Vec<u32> = vec![u32::MAX; g.len()];
     let mut comps: Vec<(bool, f64, Vec<u32>)> = Vec::new(); // (side, weight, members)
     for &start in nodes {
         if comp[start as usize] != u32::MAX {
@@ -220,6 +291,9 @@ fn flip_enclaves(g: &DualGraph, nodes: &[u32], active: &[bool], side: &mut [bool
         for &u in members {
             side[u as usize] = !s;
         }
+    }
+    for &u in nodes {
+        comp[u as usize] = u32::MAX;
     }
     nodes
         .iter()
@@ -278,10 +352,25 @@ impl Eq for Entry {}
 /// without the scan: each gain change and each `swap_remove` move pushes
 /// the node again, and an entry is live only while its node still sits at
 /// that position with that gain.
+#[cfg(test)]
 fn grow(g: &DualGraph, active: &[bool], seed: u32, target: f64, side: &mut [bool]) {
-    let mut gain = vec![0f64; g.len()];
+    let (mut gain, mut pos) = (vec![0f64; g.len()], vec![u32::MAX; g.len()]);
+    grow_in(g, active, seed, target, side, &mut gain, &mut pos);
+}
+
+/// [`grow`] on scratch arrays: `gain` 0 and `pos` `u32::MAX` at every
+/// active node on entry. Growth leaves them set where it reached; the
+/// caller puts them back.
+fn grow_in(
+    g: &DualGraph,
+    active: &[bool],
+    seed: u32,
+    target: f64,
+    side: &mut [bool],
+    gain: &mut [f64],
     // Frontier position of every node that ever entered it (MAX: never).
-    let mut pos = vec![u32::MAX; g.len()];
+    pos: &mut [u32],
+) {
     let mut frontier: Vec<u32> = vec![seed];
     pos[seed as usize] = 0;
     let entry = |gain: f64, pos: u32, node: u32| Entry {
@@ -352,6 +441,7 @@ fn side_weights(g: &DualGraph, active: &[bool], side: &[bool], u: u32) -> (f64, 
 /// moved node and its active neighbours and pushes each again if it still
 /// touches the other side, so only entries with a node's current stamp are
 /// live.
+#[cfg(test)]
 fn rebalance(
     g: &DualGraph,
     nodes: &[u32],
@@ -361,12 +451,36 @@ fn rebalance(
     lo: f64,
     hi: f64,
 ) {
+    let (mut index, mut stamp) = (vec![0u32; g.len()], vec![0u32; g.len()]);
+    rebalance_in(
+        g,
+        nodes,
+        active,
+        side,
+        grown,
+        lo,
+        hi,
+        (&mut index, &mut stamp),
+    );
+}
+
+/// [`rebalance`] on scratch arrays, `(index, stamp)`, which it sets at
+/// `nodes` before it reads them.
+#[allow(clippy::too_many_arguments)]
+fn rebalance_in(
+    g: &DualGraph,
+    nodes: &[u32],
+    active: &[bool],
+    side: &mut [bool],
+    grown: &mut f64,
+    lo: f64,
+    hi: f64,
+    (index, stamp): (&mut [u32], &mut [u32]),
+) {
     let outside = |grown: f64| grown > hi || grown < lo;
     if !outside(*grown) {
         return;
     }
-    let mut index = vec![0u32; g.len()];
-    let mut stamp = vec![0u32; g.len()];
     // The entry of boundary node `u` in its current state; the earliest
     // index in `nodes` ranks highest.
     let entry = |side: &[bool], index: &[u32], stamp: &[u32], u: u32| {
@@ -380,8 +494,8 @@ fn rebalance(
     };
     let mut heaps = [BinaryHeap::new(), BinaryHeap::new()];
     for (i, &u) in nodes.iter().enumerate() {
-        index[u as usize] = i as u32;
-        if let Some(e) = entry(side, &index, &stamp, u) {
+        (index[u as usize], stamp[u as usize]) = (i as u32, 0);
+        if let Some(e) = entry(side, index, stamp, u) {
             heaps[side[u as usize] as usize].push(e);
         }
     }
@@ -404,7 +518,7 @@ fn rebalance(
                 continue;
             }
             stamp[x as usize] += 1;
-            if let Some(e) = entry(side, &index, &stamp, x) {
+            if let Some(e) = entry(side, index, stamp, x) {
                 heaps[side[x as usize] as usize].push(e);
             }
         }

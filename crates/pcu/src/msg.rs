@@ -215,52 +215,62 @@ impl MsgWriter {
     }
 
     /// View the bytes written so far.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         self.buf.as_slice()
     }
 
     /// Bytes written so far.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// Whether nothing has been written.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// Write a `u8`.
+    #[inline]
     pub fn put_u8(&mut self, x: u8) {
         self.buf.put_u8(x);
     }
 
     /// Write a `u32` (little endian).
+    #[inline]
     pub fn put_u32(&mut self, x: u32) {
         self.buf.put_u32_le(x);
     }
 
     /// Write a `u64` (little endian).
+    #[inline]
     pub fn put_u64(&mut self, x: u64) {
         self.buf.put_u64_le(x);
     }
 
     /// Write an `i64` (little endian).
+    #[inline]
     pub fn put_i64(&mut self, x: i64) {
         self.buf.put_i64_le(x);
     }
 
     /// Write an `f64` (little endian bit pattern).
+    #[inline]
     pub fn put_f64(&mut self, x: f64) {
         self.buf.put_f64_le(x);
     }
 
     /// Write bytes as they are, with no length prefix: for a frame
     /// re-assembled from parts of another writer.
+    #[inline]
     pub fn put_raw(&mut self, b: &[u8]) {
         self.buf.put_slice(b);
     }
 
     /// Write a length-prefixed byte slice.
+    #[inline]
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.put_u32(b.len() as u32);
         self.buf.put_slice(b);
@@ -316,15 +326,18 @@ impl MsgReader {
     }
 
     /// Bytes remaining.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.remaining()
     }
 
     /// Whether the stream is fully consumed.
+    #[inline]
     pub fn is_done(&self) -> bool {
         self.remaining() == 0
     }
 
+    #[inline]
     fn check(&self, n: usize) -> Result<(), MsgError> {
         if self.buf.remaining() >= n {
             Ok(())
@@ -334,30 +347,35 @@ impl MsgReader {
     }
 
     /// Read a `u8`, or report an underrun.
+    #[inline]
     pub fn try_get_u8(&mut self) -> Result<u8, MsgError> {
         self.check(1)?;
         Ok(self.buf.get_u8())
     }
 
     /// Read a `u32`, or report an underrun.
+    #[inline]
     pub fn try_get_u32(&mut self) -> Result<u32, MsgError> {
         self.check(4)?;
         Ok(self.buf.get_u32_le())
     }
 
     /// Read a `u64`, or report an underrun.
+    #[inline]
     pub fn try_get_u64(&mut self) -> Result<u64, MsgError> {
         self.check(8)?;
         Ok(self.buf.get_u64_le())
     }
 
     /// Read an `i64`, or report an underrun.
+    #[inline]
     pub fn try_get_i64(&mut self) -> Result<i64, MsgError> {
         self.check(8)?;
         Ok(self.buf.get_i64_le())
     }
 
     /// Read an `f64`, or report an underrun.
+    #[inline]
     pub fn try_get_f64(&mut self) -> Result<f64, MsgError> {
         self.check(8)?;
         Ok(self.buf.get_f64_le())
@@ -408,26 +426,31 @@ impl MsgReader {
     ///
     /// # Panics
     /// On underrun, with the [`MsgError`] message.
+    #[inline]
     pub fn get_u8(&mut self) -> u8 {
         self.try_get_u8().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Read a `u32`. Panics on underrun.
+    #[inline]
     pub fn get_u32(&mut self) -> u32 {
         self.try_get_u32().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Read a `u64`. Panics on underrun.
+    #[inline]
     pub fn get_u64(&mut self) -> u64 {
         self.try_get_u64().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Read an `i64`. Panics on underrun.
+    #[inline]
     pub fn get_i64(&mut self) -> i64 {
         self.try_get_i64().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Read an `f64`. Panics on underrun.
+    #[inline]
     pub fn get_f64(&mut self) -> f64 {
         self.try_get_f64().unwrap_or_else(|e| panic!("{e}"))
     }
