@@ -101,29 +101,55 @@ impl DualGraph {
     /// farthest node found (pseudo-diameter endpoint) within the set of
     /// nodes where `active` is true.
     pub fn peripheral_node(&self, start: u32, active: &[bool]) -> u32 {
+        self.peripheral_node_in(start, active, &mut vec![false; self.len()], &mut Vec::new())
+    }
+
+    /// [`DualGraph::peripheral_node`] on caller-owned scratch, so a caller
+    /// that sweeps many subsets pays for the nodes it visits, not for the
+    /// graph: `seen` is all false on entry and is left all false, and
+    /// `queue` (any contents on entry) is left holding the last sweep's
+    /// visit order.
+    pub(crate) fn peripheral_node_in(
+        &self,
+        start: u32,
+        active: &[bool],
+        seen: &mut [bool],
+        queue: &mut Vec<u32>,
+    ) -> u32 {
         let mut far = start;
         for _ in 0..2 {
-            far = self.bfs_farthest(far, active);
+            far = self.bfs_farthest(far, active, seen, queue);
         }
         far
     }
 
-    fn bfs_farthest(&self, start: u32, active: &[bool]) -> u32 {
-        let mut seen = vec![false; self.len()];
-        let mut queue = std::collections::VecDeque::new();
+    /// The node a breadth-first sweep from `start` reaches last. `queue`
+    /// keeps every node it enqueued, so it is both the FIFO (read from
+    /// `head`) and the list of `seen` marks to clear.
+    fn bfs_farthest(
+        &self,
+        start: u32,
+        active: &[bool],
+        seen: &mut [bool],
+        queue: &mut Vec<u32>,
+    ) -> u32 {
+        queue.clear();
         seen[start as usize] = true;
-        queue.push_back(start);
-        let mut last = start;
-        while let Some(u) = queue.pop_front() {
-            last = u;
+        queue.push(start);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
             for &v in self.neighbors(u) {
                 if active[v as usize] && !seen[v as usize] {
                     seen[v as usize] = true;
-                    queue.push_back(v);
+                    queue.push(v);
                 }
             }
         }
-        last
+        for &u in queue.iter() {
+            seen[u as usize] = false;
+        }
+        queue[queue.len() - 1]
     }
 }
 

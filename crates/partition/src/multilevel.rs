@@ -47,8 +47,11 @@ pub fn partition_graph(g: &DualGraph, nparts: usize) -> Vec<PartId> {
 struct Work {
     /// The subset being split; all false between uses.
     active: Vec<bool>,
-    /// `components`' visited marks; all false between uses.
+    /// `components`' and the peripheral sweeps' visited marks; all false
+    /// between uses.
     seen: Vec<bool>,
+    /// The peripheral sweeps' BFS queue, reused across bisections.
+    queue: Vec<u32>,
     /// The side of each subset node, `true` = left; reset per bisection.
     side: Vec<bool>,
     /// `flip_enclaves`' component labels; all `u32::MAX` between uses.
@@ -68,6 +71,7 @@ impl Work {
         Work {
             active: vec![false; n],
             seen: vec![false; n],
+            queue: Vec::new(),
             side: vec![false; n],
             comp: vec![u32::MAX; n],
             gain: vec![0.0; n],
@@ -178,20 +182,21 @@ fn bisect_connected(
 ) -> (Vec<u32>, Vec<u32>) {
     let Work {
         active,
+        seen,
+        queue,
         side,
         comp,
         gain,
         pos,
         index,
         stamp,
-        ..
     } = work;
     for &u in nodes {
         (active[u as usize], side[u as usize]) = (true, false);
     }
     // Greedy growth from a peripheral node, preferring nodes with the most
     // already-grown neighbours (minimizes frontier).
-    let seed = g.peripheral_node(nodes[0], active);
+    let seed = g.peripheral_node_in(nodes[0], active, seen, queue);
     grow_in(g, active, seed, target, side, gain, pos);
     for &u in nodes {
         (gain[u as usize], pos[u as usize]) = (0.0, u32::MAX);

@@ -146,25 +146,18 @@ impl WorldCore {
             machine,
             sched,
             counters: TrafficCounters::default(),
-            mailboxes: (0..nranks).map(|_| Mailbox::new()).collect(),
+            mailboxes: (0..nranks).map(Mailbox::new).collect(),
             world_barrier: SenseBarrier::new(nranks),
             node_barriers: (0..machine.nodes)
                 .map(|_| SenseBarrier::new(machine.cores_per_node))
                 .collect(),
-            exec: Scheduler::new(workers),
+            exec: Scheduler::new(workers, nranks),
             poisoned: AtomicBool::new(false),
         }
     }
 
     fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
-        for mb in self.mailboxes.iter() {
-            mb.force_wake();
-        }
-        self.world_barrier.force_wake();
-        for b in self.node_barriers.iter() {
-            b.force_wake();
-        }
         self.exec.force_wake();
     }
 }
@@ -243,12 +236,15 @@ impl Comm {
     /// the envelope beside the payload.
     pub(crate) fn send_frame(&self, to: usize, tag: u32, data: Bytes, hash: u64) {
         self.meter(to, data.len());
-        self.world.mailboxes[to].push(Envelope {
-            from: self.rank,
-            tag,
-            data,
-            hash,
-        });
+        self.world.mailboxes[to].push(
+            Envelope {
+                from: self.rank,
+                tag,
+                data,
+                hash,
+            },
+            &self.world.exec,
+        );
     }
 
     /// Send an exchange frame on behalf of `origin`, without the destination
@@ -275,10 +271,10 @@ impl Comm {
         });
     }
 
-    /// Wake rank `to` if it is parked on its mailbox (pairs with
+    /// Wake rank `to` if it is blocked on its mailbox (pairs with
     /// [`Comm::forward_raw_quiet`]).
     pub(crate) fn notify(&self, to: usize) {
-        self.world.mailboxes[to].notify();
+        self.world.mailboxes[to].notify(&self.world.exec);
     }
 
     fn meter(&self, to: usize, bytes: usize) {
@@ -296,8 +292,8 @@ impl Comm {
             if let Some((from, data, _)) = self.pop(tag) {
                 return (from, data);
             }
-            // Nothing with this tag yet: park until a producer wakes us (the
-            // mailbox re-checks for concurrent arrivals before sleeping, so
+            // Nothing with this tag yet: block until a producer wakes us (the
+            // mailbox re-checks for concurrent arrivals before blocking, so
             // no wakeup can be lost), then re-drain.
             if !self.world.mailboxes[self.rank].park(&self.world.exec, &self.world.poisoned) {
                 panic!("peer rank panicked while this rank waited for a message");
@@ -348,18 +344,28 @@ impl Comm {
         self.world.counters.reset();
     }
 
+    /// This rank's executor `(parks, handoffs)` since the last call, which
+    /// resets them (see [`crate::obs::WorldExecutor`]).
+    pub(crate) fn take_executor_counts(&self) -> (u64, u64) {
+        self.world.exec.take_counts(self.rank)
+    }
+
     /// Shared-memory consensus among all ranks of the world — the barrier
     /// body lives here because it owns the world state; the public
     /// [`Comm::barrier`] wrapper in `collectives` adds the obs span.
     pub(crate) fn barrier_wait(&self) {
         self.world
             .world_barrier
-            .wait(&self.world.exec, &self.world.poisoned);
+            .wait(self.rank, &self.world.exec, &self.world.poisoned);
     }
 
     /// Consensus among the ranks of this rank's node only.
     pub(crate) fn node_barrier_wait(&self) {
-        self.world.node_barriers[self.node()].wait(&self.world.exec, &self.world.poisoned);
+        self.world.node_barriers[self.node()].wait(
+            self.rank,
+            &self.world.exec,
+            &self.world.poisoned,
+        );
     }
 
     pub(crate) fn next_coll_tag(&self) -> u32 {
@@ -411,9 +417,9 @@ where
                         coll_seq: Cell::new(0),
                         exchange_seq: Cell::new(0),
                     };
-                    world.exec.acquire(&world.poisoned);
+                    world.exec.start(rank, &world.poisoned);
                     let out = catch_unwind(AssertUnwindSafe(|| f(&comm)));
-                    world.exec.release();
+                    world.exec.finish(rank);
                     if out.is_err() {
                         // Fail the whole world: peers blocked on this rank
                         // wake up and panic instead of waiting forever.

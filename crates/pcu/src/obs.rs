@@ -48,6 +48,37 @@ pub struct WorldTraffic {
     pub bytes: u64,
 }
 
+/// What the worker-permit executor did, summed over the world's ranks.
+/// Both read 0 in an uncapped world (a cap at or above its size), where
+/// ranks hold no permits.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorldExecutor {
+    /// `pcu.parks`: times a rank gave its permit up to wait for a message
+    /// or a barrier.
+    pub parks: u64,
+    /// `pcu.handoffs`: times a blocking or finishing rank passed its permit
+    /// straight to a ready rank rather than back to the free set.
+    pub handoffs: u64,
+}
+
+/// Drain every rank's executor counts and sum them on rank 0. The counts
+/// are taken before the reduction's own gather, so its waits land in the
+/// next call. Collective; `Some` on rank 0 only.
+pub fn reduce_executor(comm: &Comm) -> Option<WorldExecutor> {
+    let (parks, handoffs) = comm.take_executor_counts();
+    let mut w = MsgWriter::new();
+    w.put_u64(parks);
+    w.put_u64(handoffs);
+    let gathered = comm.gather_bytes(0, w.finish())?;
+    let mut sum = WorldExecutor::default();
+    for b in gathered {
+        let mut r = MsgReader::new(b);
+        sum.parks += r.get_u64();
+        sum.handoffs += r.get_u64();
+    }
+    Some(sum)
+}
+
 /// Drain every rank's span aggregates and reduce them to rank 0, sorted by
 /// path. Collective; `Some` on rank 0 only.
 pub fn reduce_spans(comm: &Comm) -> Option<Vec<WorldSpan>> {
@@ -194,8 +225,10 @@ fn link_from_code(code: u8) -> Link {
 
 /// Reduce spans and metrics and render them as the standard report
 /// sections: `{"spans": [...], "traffic": [...], "counters": [...],
-/// "hists": [...]}` — so "how many migrations, how many entities" has an
-/// answer for any traced run. Collective; `Some` on rank 0 only. The
+/// "hists": [...], "executor": [...]}` — so "how many migrations, how many
+/// entities, how many parks" has an answer for any traced run. `executor`
+/// holds `pcu.parks` and `pcu.handoffs` ([`WorldExecutor`]) beside, not
+/// in, the `pumi-obs` counters. Collective; `Some` on rank 0 only. The
 /// typical bench pattern:
 ///
 /// ```ignore
@@ -206,10 +239,12 @@ fn link_from_code(code: u8) -> Link {
 /// let obs = out.into_iter().flatten().next().unwrap();
 /// ```
 pub fn world_report(comm: &Comm) -> Option<Json> {
+    let executor = reduce_executor(comm);
     let spans = reduce_spans(comm);
     let metrics = reduce_metrics(comm);
     let spans = spans?;
-    let m = metrics.expect("rank 0 sees both reductions");
+    let m = metrics.expect("rank 0 sees every reduction");
+    let executor = executor.expect("rank 0 sees every reduction");
     Some(Json::obj([
         (
             "spans",
@@ -244,6 +279,16 @@ pub fn world_report(comm: &Comm) -> Option<Json> {
             ),
         ),
         ("hists", hists_to_json(&m.hists)),
+        (
+            "executor",
+            Json::arr(
+                [
+                    ("pcu.parks", executor.parks),
+                    ("pcu.handoffs", executor.handoffs),
+                ]
+                .map(|(name, v)| Json::obj([("name", Json::str(name)), ("value", Json::U64(v))])),
+            ),
+        ),
     ]))
 }
 
@@ -437,6 +482,36 @@ mod tests {
         assert_eq!((h.count, h.sum, h.min, h.max), (3, 60.0, 10.0, 30.0));
         let again = again.unwrap();
         assert!(again.contains("\"counters\": []") && again.contains("\"hists\": []"));
+    }
+
+    /// On one permit every barrier parks all but its last arriver (no
+    /// arrival can end a spin while the spinner holds the only permit), and
+    /// from the second barrier on, the ranks the last one released wait
+    /// ready for the permit the next parks hand on. An uncapped world holds
+    /// no permits and counts neither. The report carries both.
+    #[test]
+    fn executor_counts_parks_and_handoffs() {
+        let run = |workers: usize| {
+            let opts = WorldOpts::default().workers(workers);
+            execute_opts(MachineModel::flat(4), opts, |c| {
+                let _ = reduce_executor(c);
+                for _ in 0..5 {
+                    c.barrier();
+                }
+                let counts = reduce_executor(c);
+                (counts, world_report(c).map(|j| j.render()))
+            })
+            .into_iter()
+            .next()
+            .unwrap()
+        };
+        let (capped, report) = run(1);
+        let capped = capped.expect("rank 0 reduces");
+        assert!(capped.parks >= 5 * 3, "{capped:?}");
+        assert!(capped.handoffs > 0, "{capped:?}");
+        assert!(report.unwrap().contains("\"name\": \"pcu.handoffs\""));
+        let (uncapped, _) = run(0);
+        assert_eq!(uncapped, Some(WorldExecutor::default()));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! World-shared runtime primitives: locked per-rank mailboxes, shared-
-//! memory consensus barriers, and the cooperative rank executor.
+//! memory consensus barriers, and the permit-handoff rank executor.
 //!
 //! This is the machinery that lets one process host a 1024-rank world
 //! cheaply (DESIGN.md "Scaling the simulated world"). Three ideas:
@@ -10,59 +10,57 @@
 //!   keeps its capacity and a steady-state exchange allocates nothing. No
 //!   more rank threads run at once than the host has cores, so the lock
 //!   is rarely contended.
-//! * **Elided, token-based wakeups.** A sender pays for a wakeup only when
-//!   the receiver is actually parked (a `SeqCst` flag handshake, ordered
-//!   by the queue lock, makes the check race-free), and the wakeup itself
-//!   is a sticky `thread::unpark` token — no condvar for the sleeper to
-//!   re-acquire, no lost-wakeup window, and callers that deliver several
+//! * **Elided wakeups.** A sender pays for a wakeup only when the receiver
+//!   is actually blocked (a `SeqCst` flag handshake, ordered by the queue
+//!   lock, makes the check race-free), and callers that deliver several
 //!   envelopes to one destination push them all quietly and notify once,
-//!   so a phase's worth of frames costs at most one wake per link, not
-//!   one per envelope.
-//! * **Cooperative executor.** With `R` ranks multiplexed onto `W` worker
-//!   permits ([`Scheduler`]), at most `W` rank threads are runnable at any
-//!   instant; a rank releases its permit whenever it parks (mailbox wait,
-//!   barrier wait) and re-acquires it on wake. Blocked ranks therefore
-//!   cost a parked OS thread, not a scheduled one, and a 1024-rank world
-//!   no longer thrashes the kernel scheduler of a laptop-sized host.
+//!   so a phase's worth of frames costs at most one wake per link, not one
+//!   per envelope.
+//! * **Permit handoff.** With `R` ranks on `W` worker permits
+//!   ([`Scheduler`]), at most `W` rank threads execute rank code at any
+//!   instant. An event for a blocked rank *makes it ready*: it is handed a
+//!   free permit and unparked, or queued in a ring without a wake. A rank
+//!   that blocks passes its permit straight to the oldest ready rank and
+//!   unparks only that one. So a woken rank always holds a permit and never
+//!   parks a second time to wait for one, and a blocked rank costs a parked
+//!   OS thread, not a scheduled one.
 //!
 //! Every blocking loop observes the world's poison flag so that a panic on
 //! one rank wakes and fails the others instead of deadlocking the world.
 
 use crate::comm::Envelope;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::Thread;
 
 /// How many `yield_now` rounds a blocking primitive cedes the CPU before
-/// paying for a real `park`. When rank threads outnumber cores, one yield
-/// walks the scheduler through every other runnable rank — which usually
-/// produces the event we are waiting for — so the common case costs one
-/// cheap syscall instead of a park/unpark futex pair plus a forced wake on
-/// the notifier's critical path. Bounded, so a genuinely long wait still
-/// parks and frees the core entirely.
+/// it blocks for real. One yield walks the OS scheduler through the other
+/// runnable rank threads, which usually produces the event we are waiting
+/// for, so the common case costs one cheap syscall instead of a
+/// park/unpark pair on the notifier's critical path. The spin stops as
+/// soon as a ready rank waits for a permit (the spinner holds one that
+/// rank could run on), and it is bounded, so a long wait still frees the
+/// core entirely.
 const SPIN_YIELDS: usize = 8;
 
 /// One rank's incoming side of the simulated network.
 pub(crate) struct Mailbox {
+    /// The rank that drains and parks on this mailbox.
+    owner: usize,
     /// Envelopes in arrival order: each sender's own envelopes stay FIFO,
     /// and order across senders is whatever order they took the lock in.
     queue: Mutex<Vec<Envelope>>,
-    /// Whether the owner is parked — producers skip the wake syscall
-    /// entirely while the owner is running.
+    /// Whether the owner is blocked (or about to block) on this mailbox:
+    /// producers skip the wake entirely while the owner is running.
     sleeping: AtomicBool,
-    /// The owning rank's thread, recorded at first park. Wakeups are
-    /// sticky `unpark` tokens: if a producer races ahead of the owner's
-    /// `park`, the token makes that park return immediately, so no wakeup
-    /// can be lost and no condvar is needed.
-    owner: OnceLock<Thread>,
 }
 
 impl Mailbox {
-    pub(crate) fn new() -> Mailbox {
+    pub(crate) fn new(owner: usize) -> Mailbox {
         Mailbox {
+            owner,
             queue: Mutex::new(Vec::new()),
             sleeping: AtomicBool::new(false),
-            owner: OnceLock::new(),
         }
     }
 
@@ -79,19 +77,17 @@ impl Mailbox {
         self.queue().push(env);
     }
 
-    /// Wake the owner if (and only if) it is parked.
-    pub(crate) fn notify(&self) {
+    /// Wake the owner if (and only if) it is blocked on this mailbox.
+    pub(crate) fn notify(&self, exec: &Scheduler) {
         if self.sleeping.load(Ordering::SeqCst) {
-            if let Some(t) = self.owner.get() {
-                t.unpark();
-            }
+            exec.wake(self.owner);
         }
     }
 
     /// Enqueue and wake: the common single-envelope send.
-    pub(crate) fn push(&self, env: Envelope) {
+    pub(crate) fn push(&self, env: Envelope, exec: &Scheduler) {
         self.push_quiet(env);
-        self.notify();
+        self.notify(exec);
     }
 
     /// Hand every queued envelope, in arrival order, to `out`. Owner-only.
@@ -103,25 +99,23 @@ impl Mailbox {
         !self.queue().is_empty()
     }
 
-    /// Park the owner until a producer notifies (or the world is
+    /// Block the owner until a producer notifies (or the world is
     /// poisoned). Returns `true` if mail may be available, `false` only on
-    /// poison. Owner-only. The caller re-drains after every wake: wakes
-    /// may be spurious (stale tokens) or already-consumed.
+    /// poison. Owner-only. The caller re-drains after every return: wakes
+    /// may be spurious (stale) or already consumed.
     pub(crate) fn park(&self, exec: &Scheduler, poisoned: &AtomicBool) -> bool {
-        // Yield-spin first (unless multiplexed: spinning would hold a
-        // worker permit that a runnable rank needs). The producer we are
-        // waiting on is usually just another thread of this process, so
-        // ceding the CPU is both the fastest and the cheapest way to make
-        // it run.
-        if !exec.is_multiplexing() {
-            for _ in 0..SPIN_YIELDS {
-                if self.has_mail() || poisoned.load(Ordering::SeqCst) {
-                    return !poisoned.load(Ordering::SeqCst);
-                }
-                std::thread::yield_now();
+        // The producer we are waiting on is usually just another thread of
+        // this process, so ceding the CPU is both the fastest and the
+        // cheapest way to make it run.
+        for _ in 0..SPIN_YIELDS {
+            if self.has_mail() || poisoned.load(Ordering::SeqCst) {
+                return !poisoned.load(Ordering::SeqCst);
             }
+            if exec.has_ready() {
+                break;
+            }
+            std::thread::yield_now();
         }
-        self.owner.get_or_init(std::thread::current);
         self.sleeping.store(true, Ordering::SeqCst);
         // Re-check after raising the flag: a producer that pushed before
         // the flag was visible did not (and will not) notify, so the push
@@ -132,44 +126,36 @@ impl Mailbox {
         //   envelope;
         // * otherwise the check holds the lock first, so the
         //   `sleeping = true` store above happens before the producer's
-        //   push and hence before its load, and the producer unparks.
-        // A producer that unparks before the park below leaves a sticky
-        // token that returns that park immediately.
+        //   push and hence before its load, and the producer wakes us.
+        // A wake that lands before `block` below is not lost either: it
+        // leaves a sticky token (uncapped) or a `WOKEN` state (capped) that
+        // returns the block at once.
         if self.has_mail() || poisoned.load(Ordering::SeqCst) {
             self.sleeping.store(false, Ordering::SeqCst);
             return !poisoned.load(Ordering::SeqCst);
         }
-        // Sleeping costs a parked OS thread only: give the worker permit
-        // back to the executor while blocked.
-        exec.release();
-        std::thread::park();
+        exec.block(self.owner, poisoned);
         self.sleeping.store(false, Ordering::SeqCst);
-        exec.acquire(poisoned);
         !poisoned.load(Ordering::SeqCst)
-    }
-
-    /// Wake the owner unconditionally (world poison path).
-    pub(crate) fn force_wake(&self) {
-        if let Some(t) = self.owner.get() {
-            t.unpark();
-        }
     }
 }
 
 /// A reusable counted barrier over one membership set (the world, or the
 /// ranks of one node). Shared-memory consensus replaces the previous
 /// log₂N-round dissemination barrier of empty messages: arrivals count on
-/// a lock-free atomic, the last arriver bumps the generation and unparks
-/// only the waiters that actually parked, and non-last arrivers yield-spin
-/// on the generation before paying for a park — in the steady cadence of a
-/// phased exchange most members never touch the mutex or a futex at all.
+/// a lock-free atomic, the last arriver bumps the generation and wakes
+/// only the waiters that actually registered, and non-last arrivers
+/// yield-spin on the generation before blocking — in the steady cadence of
+/// a phased exchange most members never touch the mutex or a futex at all.
 pub(crate) struct SenseBarrier {
     members: usize,
     /// Arrivals in the current generation. Only the last arriver resets
     /// it, and no member can re-enter until the generation advances, so
     /// the counter is never incremented concurrently with its reset.
     arrivals: AtomicUsize,
-    waiters: Mutex<Vec<Thread>>,
+    /// Ranks registered to block on the current generation, in arrival
+    /// order.
+    waiters: Mutex<Vec<usize>>,
     generation: AtomicU64,
 }
 
@@ -183,9 +169,9 @@ impl SenseBarrier {
         }
     }
 
-    /// Block until all members arrive. Panics (on every waiter) if the
-    /// world is poisoned while waiting.
-    pub(crate) fn wait(&self, exec: &Scheduler, poisoned: &AtomicBool) {
+    /// Block `rank` until all members arrive. Panics (on every waiter) if
+    /// the world is poisoned while waiting.
+    pub(crate) fn wait(&self, rank: usize, exec: &Scheduler, poisoned: &AtomicBool) {
         if self.members == 1 {
             return;
         }
@@ -205,191 +191,420 @@ impl SenseBarrier {
             // next-generation waiter.
             let mut w = self.waiters.lock().unwrap();
             self.generation.store(gen.wrapping_add(1), Ordering::SeqCst);
-            for t in w.drain(..) {
-                t.unpark();
-            }
+            // Latest arrival first: the last ranks to arrive did the most
+            // work in the phase, so they are the ones the next phase waits
+            // for. Running them first is longest-first list scheduling;
+            // arrival order would run the light ranks first and leave the
+            // heavy ones to run one after another.
+            exec.wake_all(w.drain(..).rev());
             return;
         }
-        if !exec.is_multiplexing() {
-            for _ in 0..SPIN_YIELDS {
-                if self.generation.load(Ordering::SeqCst) != gen {
-                    return;
-                }
-                std::thread::yield_now();
+        for _ in 0..SPIN_YIELDS {
+            if self.generation.load(Ordering::SeqCst) != gen {
+                return;
             }
+            if exec.has_ready() {
+                break;
+            }
+            std::thread::yield_now();
         }
         // Slow path: re-check under the lock, then register — the releaser
         // bumps the generation and drains while holding the same lock, so a
         // registration that observes the old generation here is guaranteed
-        // to be seen (and unparked) by the releaser.
+        // to be seen (and woken) by the releaser.
         let mut w = self.waiters.lock().unwrap();
         if self.generation.load(Ordering::SeqCst) != gen {
             return;
         }
-        w.push(std::thread::current());
+        w.push(rank);
         drop(w);
-        exec.release();
         while self.generation.load(Ordering::SeqCst) == gen && !poisoned.load(Ordering::SeqCst) {
-            std::thread::park();
+            exec.block(rank, poisoned);
         }
-        exec.acquire(poisoned);
         if poisoned.load(Ordering::SeqCst) {
             panic!("peer rank panicked while this rank waited at a barrier");
         }
     }
+}
 
-    /// Wake all registered waiters unconditionally (world poison path).
-    pub(crate) fn force_wake(&self) {
-        let mut w = self.waiters.lock().unwrap();
-        for t in w.drain(..) {
-            t.unpark();
+// A capped rank's executor state. Every change is made under the permit
+// lock, except `GRANTED → RUNNING`, which only the granted rank makes; no
+// waker acts on a `GRANTED` rank, so that store races with nothing.
+
+/// Holds a permit and runs, or has finished, or has not started yet (a
+/// wake before the start finds no wait to end; the start overwrites it).
+const RUNNING: u8 = 0;
+/// Gave its permit up and waits for its event.
+const BLOCKED: u8 = 1;
+/// Its event (or its start) has come; queued in the ring for a permit.
+const READY: u8 = 2;
+/// Handed a permit and unparked; about to run.
+const GRANTED: u8 = 3;
+/// Its event came before it gave its permit up: its next block returns at
+/// once, permit kept.
+const WOKEN: u8 = 4;
+
+/// One rank's wait record, allocated once with the world.
+struct Waiter {
+    /// The rank's thread, recorded before the rank can block.
+    thread: OnceLock<Thread>,
+    /// `RUNNING` … `WOKEN`; capped worlds only.
+    state: AtomicU8,
+    /// Times the rank gave its permit up to wait (`pcu.parks`).
+    parks: AtomicU64,
+    /// Times the rank passed its permit straight to a ready rank
+    /// (`pcu.handoffs`).
+    handoffs: AtomicU64,
+}
+
+/// The free permits and the ready ranks of a capped world.
+struct Permits {
+    free: usize,
+    /// A fixed ring of ready rank ids, oldest at `head`. A rank is queued
+    /// at most once at a time, so one slot per rank always suffices.
+    ring: Box<[usize]>,
+    head: usize,
+    len: usize,
+}
+
+impl Permits {
+    fn push(&mut self, rank: usize) {
+        let slot = (self.head + self.len) % self.ring.len();
+        self.ring[slot] = rank;
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        if self.len == 0 {
+            return None;
         }
+        let rank = self.ring[self.head];
+        self.head = (self.head + 1) % self.ring.len();
+        self.len -= 1;
+        Some(rank)
     }
 }
 
-/// The cooperative rank executor: a counted set of worker permits. A rank
-/// thread must hold a permit to execute; every blocking primitive releases
-/// the permit before parking and re-acquires it after waking, so at most
-/// `cap` rank threads contend for the host's cores regardless of world
-/// size. `cap == 0` disables multiplexing (one permit per rank, no
-/// bookkeeping at all) — the default for small worlds.
+/// The cooperative rank executor: a counted set of worker permits handed
+/// from rank to rank. A rank thread must hold a permit to execute rank
+/// code; a rank that blocks passes its permit to the oldest ready rank, so
+/// at most `cap` rank threads contend for the host's cores regardless of
+/// world size. `cap == 0` means uncapped: every rank stays runnable, a
+/// block is a plain `thread::park` and a wake a plain `unpark`, with no
+/// permit bookkeeping at all — the default for small worlds.
 pub(crate) struct Scheduler {
-    cap: usize,
-    state: Mutex<usize>,
-    cv: Condvar,
+    capped: bool,
+    ranks: Box<[Waiter]>,
+    permits: Mutex<Permits>,
+    /// Ranks that want a permit they do not hold — the ring's length plus
+    /// the ranks not started yet — readable without the lock: the spin
+    /// rule's test. `Relaxed`: it publishes no other data, and a stale
+    /// read only spins a little longer or blocks a little sooner.
+    ready: AtomicUsize,
 }
 
 impl Scheduler {
-    pub(crate) fn new(cap: usize) -> Scheduler {
+    pub(crate) fn new(cap: usize, nranks: usize) -> Scheduler {
+        let capped = cap != 0;
         Scheduler {
-            cap,
-            state: Mutex::new(cap),
-            cv: Condvar::new(),
+            capped,
+            ranks: (0..nranks)
+                .map(|_| Waiter {
+                    thread: OnceLock::new(),
+                    state: AtomicU8::new(RUNNING),
+                    parks: AtomicU64::new(0),
+                    handoffs: AtomicU64::new(0),
+                })
+                .collect(),
+            permits: Mutex::new(Permits {
+                free: cap,
+                ring: vec![0; if capped { nranks } else { 0 }].into_boxed_slice(),
+                head: 0,
+                len: 0,
+            }),
+            ready: AtomicUsize::new(if capped { nranks } else { 0 }),
         }
     }
 
-    /// Whether rank threads are being multiplexed onto a bounded permit
-    /// set. Blocking primitives skip their yield-spin fast path when true:
-    /// spinning would pin a permit that a runnable rank needs.
-    pub(crate) fn is_multiplexing(&self) -> bool {
-        self.cap != 0
+    fn permits(&self) -> MutexGuard<'_, Permits> {
+        self.permits
+            .lock()
+            .expect("no code panics while holding the permit lock")
     }
 
-    /// Take a worker permit (blocking). Poison releases all waiters.
-    pub(crate) fn acquire(&self, poisoned: &AtomicBool) {
-        if self.cap == 0 {
+    /// Whether a ready rank waits for a permit. A rank not started yet
+    /// counts: it wants a permit as soon as its thread comes up. Blocking
+    /// primitives yield-spin only while this is false: a spinning rank would
+    /// pin a permit that the ready rank could run on.
+    pub(crate) fn has_ready(&self) -> bool {
+        self.ready.load(Ordering::Relaxed) != 0
+    }
+
+    /// Enter rank code on `rank`'s thread: record the thread, then take a
+    /// free permit or wait in the ring for one.
+    pub(crate) fn start(&self, rank: usize, poisoned: &AtomicBool) {
+        self.ranks[rank].thread.get_or_init(std::thread::current);
+        if !self.capped {
             return;
         }
-        let mut g = self.state.lock().unwrap();
-        while *g == 0 && !poisoned.load(Ordering::SeqCst) {
-            g = self.cv.wait(g).unwrap();
-        }
-        *g = g.saturating_sub(1);
-    }
-
-    /// Return a worker permit.
-    pub(crate) fn release(&self) {
-        if self.cap == 0 {
+        let state = &self.ranks[rank].state;
+        let mut p = self.permits();
+        if p.free > 0 {
+            p.free -= 1;
+            self.ready.fetch_sub(1, Ordering::Relaxed);
+            state.store(RUNNING, Ordering::SeqCst);
             return;
         }
-        let mut g = self.state.lock().unwrap();
-        *g += 1;
-        drop(g);
-        self.cv.notify_one();
+        // Already counted in `ready` as not started.
+        state.store(READY, Ordering::SeqCst);
+        p.push(rank);
+        drop(p);
+        self.wait_for_permit(rank, poisoned);
     }
 
-    /// Wake all permit waiters unconditionally (world poison path).
+    /// Leave rank code: pass `rank`'s permit on.
+    pub(crate) fn finish(&self, rank: usize) {
+        if !self.capped {
+            return;
+        }
+        let next = self.pass_permit(rank, &mut self.permits());
+        if let Some(next) = next {
+            self.unpark(next);
+        }
+    }
+
+    /// Block `rank` until a [`Scheduler::wake`] (or the world's poison).
+    /// The caller registered for its event first, so a wake that comes
+    /// before the block is not lost: uncapped it leaves a sticky `unpark`
+    /// token, capped it leaves `WOKEN` and the rank keeps its permit.
+    /// Capped, a blocking rank passes its permit to the oldest ready rank
+    /// and returns holding a permit again. Returns may be spurious (a stale
+    /// wake): callers re-check their event.
+    pub(crate) fn block(&self, rank: usize, poisoned: &AtomicBool) {
+        if !self.capped {
+            std::thread::park();
+            return;
+        }
+        let me = &self.ranks[rank];
+        let next = {
+            let mut p = self.permits();
+            if me.state.load(Ordering::SeqCst) == WOKEN {
+                me.state.store(RUNNING, Ordering::SeqCst);
+                return;
+            }
+            me.state.store(BLOCKED, Ordering::SeqCst);
+            me.parks.fetch_add(1, Ordering::Relaxed);
+            self.pass_permit(rank, &mut p)
+        };
+        if let Some(next) = next {
+            self.unpark(next);
+        }
+        self.wait_for_permit(rank, poisoned);
+    }
+
+    /// Make `rank` ready for the event it blocked on. Capped: a blocked rank
+    /// gets a free permit and is unparked, or is queued without a wake; a
+    /// rank that has registered but not yet blocked is marked `WOKEN`.
+    pub(crate) fn wake(&self, rank: usize) {
+        if !self.capped {
+            self.unpark(rank);
+            return;
+        }
+        let granted = self.ready_up(rank, &mut self.permits());
+        if granted {
+            self.unpark(rank);
+        }
+    }
+
+    /// [`Scheduler::wake`] each of `ranks` in turn, under one lock: the
+    /// first ones take the free permits, the rest queue in this order.
+    pub(crate) fn wake_all(&self, ranks: impl Iterator<Item = usize>) {
+        if !self.capped {
+            ranks.for_each(|r| self.unpark(r));
+            return;
+        }
+        let mut p = self.permits();
+        for rank in ranks {
+            if self.ready_up(rank, &mut p) {
+                self.unpark(rank);
+            }
+        }
+    }
+
+    /// `wake`'s state change under the lock; `true` if `rank` was granted a
+    /// permit and must be unparked.
+    fn ready_up(&self, rank: usize, p: &mut Permits) -> bool {
+        let state = &self.ranks[rank].state;
+        match state.load(Ordering::SeqCst) {
+            BLOCKED if p.free > 0 => {
+                p.free -= 1;
+                state.store(GRANTED, Ordering::SeqCst);
+                true
+            }
+            BLOCKED => {
+                state.store(READY, Ordering::SeqCst);
+                p.push(rank);
+                self.ready.fetch_add(1, Ordering::Relaxed);
+                false
+            }
+            RUNNING => {
+                state.store(WOKEN, Ordering::SeqCst);
+                false
+            }
+            // READY, GRANTED, WOKEN: already made ready.
+            _ => false,
+        }
+    }
+
+    /// Pass `rank`'s permit to the oldest ready rank, returned to be
+    /// unparked once the lock is dropped, or back to the free set.
+    fn pass_permit(&self, rank: usize, p: &mut Permits) -> Option<usize> {
+        let Some(next) = p.pop() else {
+            p.free += 1;
+            return None;
+        };
+        self.ready.fetch_sub(1, Ordering::Relaxed);
+        self.ranks[next].state.store(GRANTED, Ordering::SeqCst);
+        self.ranks[rank].handoffs.fetch_add(1, Ordering::Relaxed);
+        Some(next)
+    }
+
+    /// Park until granted a permit; returns early, permit-less, only on
+    /// poison (the caller then fails).
+    fn wait_for_permit(&self, rank: usize, poisoned: &AtomicBool) {
+        let state = &self.ranks[rank].state;
+        while state.load(Ordering::SeqCst) != GRANTED {
+            if poisoned.load(Ordering::SeqCst) {
+                return;
+            }
+            std::thread::park();
+        }
+        state.store(RUNNING, Ordering::SeqCst);
+    }
+
+    fn unpark(&self, rank: usize) {
+        if let Some(t) = self.ranks[rank].thread.get() {
+            t.unpark();
+        }
+    }
+
+    /// `rank`'s `(parks, handoffs)` since the last call, which resets them.
+    pub(crate) fn take_counts(&self, rank: usize) -> (u64, u64) {
+        let me = &self.ranks[rank];
+        (
+            me.parks.swap(0, Ordering::Relaxed),
+            me.handoffs.swap(0, Ordering::Relaxed),
+        )
+    }
+
+    /// Unpark every rank thread unconditionally (world poison path): each
+    /// blocking loop then sees the poison flag and fails.
     pub(crate) fn force_wake(&self) {
-        let _g = self.state.lock().unwrap();
-        self.cv.notify_all();
+        (0..self.ranks.len()).for_each(|r| self.unpark(r));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::{execute_opts, WorldOpts};
+    use crate::machine::MachineModel;
+    use crate::phased::{Exchange, RouteMode};
     use bytes::Bytes;
     use std::sync::mpsc;
     use std::sync::{Arc, Barrier};
     use std::time::Duration;
 
-    /// Back-to-back barriers with more members than cores, under a
-    /// multiplexing scheduler so every non-last arriver registers and parks
-    /// (no yield-spin): a member released from generation G re-enters,
-    /// registers and parks for G+1 while G's releaser is still on its way
-    /// to the waiter list. If that releaser could drain the newcomer, it
-    /// would wake into an unchanged generation, park again unregistered,
-    /// and nobody would ever wake it. A watchdog turns that hang into a
-    /// failure.
+    /// How long a watchdog waits before it calls a protocol test hung.
+    const WATCHDOG: Duration = Duration::from_secs(30);
+
+    /// Back-to-back barriers with more members than permits. On one permit
+    /// every non-last arriver finds a ready rank waiting, so it skips the
+    /// spin, registers and blocks for real, handing its permit on; on two,
+    /// a member released onto a free permit runs beside the releaser and
+    /// re-enters, registers and blocks for generation G+1 while G's
+    /// releaser may still be waking the rest. If that releaser could drain
+    /// the newcomer, it would wake into an unchanged generation, block again
+    /// unregistered, and nobody would ever wake it. A watchdog turns that
+    /// hang into a failure.
     #[test]
     fn barrier_never_loses_a_wakeup_across_generations() {
         const MEMBERS: usize = 4;
         const ROUNDS: usize = 200_000;
-        let barrier = Arc::new(SenseBarrier::new(MEMBERS));
-        let exec = Arc::new(Scheduler::new(MEMBERS));
-        let poisoned = Arc::new(AtomicBool::new(false));
-        let (done_tx, done_rx) = mpsc::channel();
-        let members: Vec<_> = (0..MEMBERS)
-            .map(|_| {
-                let (barrier, exec, poisoned, done_tx) = (
-                    Arc::clone(&barrier),
-                    Arc::clone(&exec),
-                    Arc::clone(&poisoned),
-                    done_tx.clone(),
-                );
-                std::thread::spawn(move || {
-                    exec.acquire(&poisoned);
-                    for _ in 0..ROUNDS {
-                        barrier.wait(&exec, &poisoned);
-                    }
-                    exec.release();
-                    done_tx.send(()).expect("watchdog alive");
+        for cap in [1, 2] {
+            let barrier = Arc::new(SenseBarrier::new(MEMBERS));
+            let exec = Arc::new(Scheduler::new(cap, MEMBERS));
+            let poisoned = Arc::new(AtomicBool::new(false));
+            let (done_tx, done_rx) = mpsc::channel();
+            let members: Vec<_> = (0..MEMBERS)
+                .map(|rank| {
+                    let (barrier, exec, poisoned, done_tx) = (
+                        Arc::clone(&barrier),
+                        Arc::clone(&exec),
+                        Arc::clone(&poisoned),
+                        done_tx.clone(),
+                    );
+                    std::thread::spawn(move || {
+                        exec.start(rank, &poisoned);
+                        for _ in 0..ROUNDS {
+                            barrier.wait(rank, &exec, &poisoned);
+                        }
+                        exec.finish(rank);
+                        done_tx.send(()).expect("watchdog alive");
+                    })
                 })
-            })
-            .collect();
-        let hung = (0..MEMBERS).any(|_| done_rx.recv_timeout(Duration::from_secs(30)).is_err());
-        if hung {
-            // Poison, then unpark every member directly: the lost one is in
-            // nobody's waiter list, so `force_wake` cannot reach it.
-            poisoned.store(true, Ordering::SeqCst);
-            for m in &members {
-                m.thread().unpark();
+                .collect();
+            let hung = (0..MEMBERS).any(|_| done_rx.recv_timeout(WATCHDOG).is_err());
+            if hung {
+                // Poison, then unpark every member: each blocking loop
+                // sees the flag and fails.
+                poisoned.store(true, Ordering::SeqCst);
+                exec.force_wake();
             }
+            let panicked = members.into_iter().filter_map(|m| m.join().err()).count();
+            assert!(
+                !hung,
+                "barrier hung on {cap} permit(s): a member blocked with nobody left to wake it \
+                 ({panicked} members had to be poisoned out)"
+            );
         }
-        let panicked = members.into_iter().filter_map(|m| m.join().err()).count();
-        assert!(
-            !hung,
-            "barrier hung: a member parked with nobody left to wake it ({panicked} members had to be poisoned out)"
-        );
     }
 
-    /// Three producers push numbered envelopes into one mailbox in
+    /// Three producers push numbered envelopes into rank 0's mailbox in
     /// lockstep rounds, every other round as a quiet batch closed by one
-    /// `notify`, while the owner drains and parks under a multiplexing
-    /// scheduler, so every empty drain ends in a real park. A round ends at
-    /// a barrier once the owner holds all of it, so the last push of each
-    /// round is the only one that can wake the owner: a lost wakeup leaves
-    /// it parked with mail queued, which the watchdog turns into a failure.
-    /// Every sender's numbers must also arrive ascending, none lost.
+    /// `notify`, while rank 0 drains and parks on one permit. Before each
+    /// park it readies rank 1, an idler that only blocks again whenever it
+    /// runs: with a ready rank waiting, the park skips its spin and blocks
+    /// for real, handing the permit to the idler, and the producer's wake
+    /// must bring it back through the ring. A round ends at a barrier once
+    /// the owner holds all of it, so the last push of each round is the
+    /// only one that can wake the owner: a lost wakeup leaves it parked
+    /// with mail queued, which the watchdog turns into a failure. Every
+    /// sender's numbers must also arrive ascending, none lost.
     #[test]
     fn inbox_keeps_each_sender_fifo_and_never_loses_a_wakeup() {
         const SENDERS: usize = 3;
         const ROUNDS: u64 = 10_000;
         const BATCH: u64 = 2;
-        let inbox = Arc::new(Mailbox::new());
-        let exec = Arc::new(Scheduler::new(1));
+        const OWNER: usize = 0;
+        const IDLER: usize = 1;
+        let inbox = Arc::new(Mailbox::new(OWNER));
+        let exec = Arc::new(Scheduler::new(1, 2));
         let poisoned = Arc::new(AtomicBool::new(false));
+        let done = Arc::new(AtomicBool::new(false));
         let round_end = Arc::new(Barrier::new(SENDERS + 1));
         let (done_tx, done_rx) = mpsc::channel();
         let owner = {
-            let (inbox, exec, poisoned, round_end) = (
+            let (inbox, exec, poisoned, done, round_end, done_tx) = (
                 Arc::clone(&inbox),
                 Arc::clone(&exec),
                 Arc::clone(&poisoned),
+                Arc::clone(&done),
                 Arc::clone(&round_end),
+                done_tx.clone(),
             );
             std::thread::spawn(move || {
-                exec.acquire(&poisoned);
+                exec.start(OWNER, &poisoned);
                 let mut next = [0u64; SENDERS];
                 for round in 1..=ROUNDS {
                     loop {
@@ -403,17 +618,36 @@ mod tests {
                         // Widen the window in which a push lands after the
                         // drain but before `park` raises its flag.
                         std::thread::yield_now();
+                        exec.wake(IDLER);
                         assert!(inbox.park(&exec, &poisoned), "owner poisoned out");
                     }
                     round_end.wait();
                 }
-                exec.release();
+                done.store(true, Ordering::SeqCst);
+                exec.wake(IDLER);
+                exec.finish(OWNER);
+                done_tx.send(()).expect("watchdog alive");
+            })
+        };
+        let idler = {
+            let (exec, poisoned, done) =
+                (Arc::clone(&exec), Arc::clone(&poisoned), Arc::clone(&done));
+            std::thread::spawn(move || {
+                exec.start(IDLER, &poisoned);
+                while !done.load(Ordering::SeqCst) && !poisoned.load(Ordering::SeqCst) {
+                    exec.block(IDLER, &poisoned);
+                }
+                exec.finish(IDLER);
                 done_tx.send(()).expect("watchdog alive");
             })
         };
         let producers: Vec<_> = (0..SENDERS)
             .map(|from| {
-                let (inbox, round_end) = (Arc::clone(&inbox), Arc::clone(&round_end));
+                let (inbox, exec, round_end) = (
+                    Arc::clone(&inbox),
+                    Arc::clone(&exec),
+                    Arc::clone(&round_end),
+                );
                 std::thread::spawn(move || {
                     let envelope = |hash| Envelope {
                         from,
@@ -424,29 +658,149 @@ mod tests {
                     for round in 0..ROUNDS {
                         let seqs = round * BATCH..(round + 1) * BATCH;
                         if round % 2 == 0 {
-                            seqs.for_each(|i| inbox.push(envelope(i)));
+                            seqs.for_each(|i| inbox.push(envelope(i), &exec));
                         } else {
                             seqs.for_each(|i| inbox.push_quiet(envelope(i)));
-                            inbox.notify();
+                            inbox.notify(&exec);
                         }
                         round_end.wait();
                     }
                 })
             })
             .collect();
-        let hung = matches!(
-            done_rx.recv_timeout(Duration::from_secs(30)),
-            Err(mpsc::RecvTimeoutError::Timeout)
-        );
+        // The owner and the idler each report once. An owner that panics
+        // (its message names the sender out of order) never releases the
+        // idler, so that too ends at the watchdog.
+        let hung = (0..2).any(|_| {
+            matches!(
+                done_rx.recv_timeout(WATCHDOG),
+                Err(mpsc::RecvTimeoutError::Timeout)
+            )
+        });
         if hung {
             poisoned.store(true, Ordering::SeqCst);
-            owner.thread().unpark();
+            exec.force_wake();
         }
         let drained = owner.join();
-        assert!(!hung, "inbox hung: the owner parked with mail queued");
+        let idled = idler.join();
+        assert!(!hung, "inbox hung: a rank blocked with its event delivered");
         assert!(drained.is_ok(), "the owner saw an envelope out of order");
+        assert!(idled.is_ok(), "the idler panicked");
         for p in producers {
             p.join().expect("producer panicked");
+        }
+    }
+
+    /// Run `world` on a fresh thread and fail if it has not returned within
+    /// the watchdog's limit. A hung world cannot be poisoned from outside,
+    /// so its parked threads are left behind.
+    fn under_watchdog(what: String, world: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            world();
+            let _ = tx.send(());
+        });
+        match rx.recv_timeout(WATCHDOG) {
+            Ok(()) => {}
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("{what}: the world hung"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("{what}: a rank panicked"),
+        }
+    }
+
+    /// `WorldOpts::workers` means that no more than W rank threads execute
+    /// rank code at once. Between its pcu calls a rank must hold a permit,
+    /// so a shared count of ranks in that stretch must never exceed W,
+    /// through barriers, direct and two-level exchanges, gathers and
+    /// allreduces. Each stretch yields, to give an executor that let a
+    /// rank run without a permit the chance to show it.
+    #[test]
+    fn permits_never_exceed_the_cap() {
+        const ROUNDS: u64 = 150;
+        for (nodes, per_node) in [(2, 4), (4, 4)] {
+            for cap in [1usize, 2] {
+                let running = Arc::new(AtomicUsize::new(0));
+                let most = Arc::new(AtomicUsize::new(0));
+                let (r, m) = (Arc::clone(&running), Arc::clone(&most));
+                let n = nodes * per_node;
+                under_watchdog(format!("{n} ranks on {cap} permit(s)"), move || {
+                    let machine = MachineModel::new(nodes, per_node);
+                    let opts = WorldOpts::default().workers(cap);
+                    let stretch = || {
+                        let now = r.fetch_add(1, Ordering::SeqCst) + 1;
+                        m.fetch_max(now, Ordering::SeqCst);
+                        for _ in 0..3 {
+                            std::thread::yield_now();
+                        }
+                        r.fetch_sub(1, Ordering::SeqCst);
+                    };
+                    let sums = execute_opts(machine, opts, |c| {
+                        let mut total = 0;
+                        for round in 0..ROUNDS {
+                            stretch();
+                            match round % 4 {
+                                0 => c.barrier(),
+                                1 | 2 => {
+                                    let route = if round % 4 == 1 {
+                                        RouteMode::Direct
+                                    } else {
+                                        RouteMode::TwoLevel
+                                    };
+                                    let mut ex = Exchange::with_route(c, route);
+                                    let step = 1 + round as usize % (n - 1);
+                                    ex.to((c.rank() + step) % n).put_u64(round);
+                                    let got = ex.finish();
+                                    assert_eq!(got.len(), 1);
+                                }
+                                _ => {
+                                    let _ = c.gather_bytes(round as usize % n, Bytes::new());
+                                    total += c.allreduce_sum_u64(round);
+                                }
+                            }
+                        }
+                        stretch();
+                        total
+                    });
+                    let want: u64 = (0..ROUNDS)
+                        .filter(|r| r % 4 == 3)
+                        .map(|r| r * n as u64)
+                        .sum();
+                    assert!(sums.iter().all(|&s| s == want));
+                });
+                let most = most.load(Ordering::SeqCst);
+                assert!(most <= cap, "{most} ranks ran at once on {cap} permit(s)");
+                assert!(most >= 1);
+            }
+        }
+    }
+
+    /// A rank that finishes passes its permit on. Ranks wait in the ready
+    /// ring at spawn, after a barrier whose releaser then returns, and at a
+    /// gather whose senders return at once; in each shape every permit
+    /// holder leaves while ready ranks still wait, and each of those must
+    /// still get a permit and finish.
+    #[test]
+    fn no_ready_rank_is_stranded_when_every_permit_holder_finishes() {
+        const REPEATS: usize = 40;
+        for n in [3usize, 8, 16] {
+            for cap in [1usize, 2] {
+                under_watchdog(format!("{n} ranks on {cap} permit(s)"), move || {
+                    let opts = WorldOpts::default().workers(cap);
+                    for _ in 0..REPEATS {
+                        // Ranks 0..cap take the permits and leave at once.
+                        let ran = execute_opts(MachineModel::flat(n), opts, |c| c.rank());
+                        assert_eq!(ran, (0..n).collect::<Vec<_>>());
+                        // The last arriver releases and returns at once.
+                        execute_opts(MachineModel::flat(n), opts, |c| c.barrier());
+                        // Senders return right after their send, while the
+                        // root waits for their messages.
+                        let got = execute_opts(MachineModel::flat(n), opts, |c| {
+                            c.gather_bytes(0, Bytes::from(vec![c.rank() as u8]))
+                                .map(|all| all.len())
+                        });
+                        assert_eq!(got[0], Some(n));
+                    }
+                });
+            }
         }
     }
 }

@@ -8,7 +8,9 @@
 //! half) are printed: per span path
 //! under `migrate`, its self time and its inclusive time in ms per
 //! rank-step. One worker by default, so that no span holds a preempted
-//! rank's wait.
+//! rank's wait. A last line gives the executor's `pcu.parks` and
+//! `pcu.handoffs` per rank-step (`pumi_pcu::obs::reduce_executor`); both
+//! read 0 at `--workers 4` or more, where the world is uncapped.
 //!
 //! Run: `cargo run --release --example migrate_phases -- [--steps 96] [--workers 1] [--seed 1]`
 
@@ -79,7 +81,11 @@ fn main() {
     let opts = WorldOpts::default().workers(workers as usize);
     let report = execute_opts(machine, opts, |c| {
         let mut dm = distribute(c, PartMap::contiguous(PARTS, c.nranks()), &serial, &labels);
-        let _ = pumi_pcu::obs::reduce_spans(c); // drop the set-up's spans
+        // Drop the set-up's spans and executor counts.
+        let _ = (
+            pumi_pcu::obs::reduce_spans(c),
+            pumi_pcu::obs::reduce_executor(c),
+        );
         let n = PARTS as PartId;
         for i in 0..steps {
             let plans = match i % 2 {
@@ -88,9 +94,10 @@ fn main() {
             };
             migrate(c, &mut dm, &plans);
         }
-        pumi_pcu::obs::reduce_spans(c)
+        let exec = pumi_pcu::obs::reduce_executor(c);
+        pumi_pcu::obs::reduce_spans(c).zip(exec)
     });
-    let spans = report.into_iter().flatten().next().expect("rank 0 reduces");
+    let (spans, exec) = report.into_iter().flatten().next().expect("rank 0 reduces");
     let per_rank_step = 1e3 / (4 * steps) as f64;
     println!("{steps} steps, {workers} worker(s), seed {seed}; ms per rank-step");
     println!("{:>8} {:>10}  span", "self", "inclusive");
@@ -102,4 +109,9 @@ fn main() {
             s.path
         );
     }
+    println!(
+        "executor: {:.2} parks, {:.2} handoffs per rank-step",
+        exec.parks as f64 / (4 * steps) as f64,
+        exec.handoffs as f64 / (4 * steps) as f64
+    );
 }

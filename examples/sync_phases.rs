@@ -8,7 +8,10 @@
 //! `reduce_spans` half) are printed: per span path under `field.sync`
 //! (`overlap.reduce`, `overlap.bcast` and the exchanges inside them), its
 //! self time and its inclusive time in ms per rank-sync. One worker by
-//! default, so that no span holds a preempted rank's wait.
+//! default, so that no span holds a preempted rank's wait. A last line
+//! gives the executor's `pcu.parks` and `pcu.handoffs` per rank-sync
+//! (`pumi_pcu::obs::reduce_executor`); both read 0 at `--workers 4` or
+//! more, where the world is uncapped.
 //!
 //! Run: `cargo run --release --example sync_phases -- [--steps 400] [--workers 1] [--seed 1]`
 
@@ -40,16 +43,21 @@ fn main() {
         let mut ov = Overlap::from_dist(&dm).with_bridge(Dim::Vertex);
         ov.grow(c, &mut dm, 2);
         let mut fields = dist_field(&dm, &Field::new("u", FieldShape::Linear, 3));
-        let _ = pumi_pcu::obs::reduce_spans(c); // drop the set-up's spans
+        // Drop the set-up's spans and executor counts.
+        let _ = (
+            pumi_pcu::obs::reduce_spans(c),
+            pumi_pcu::obs::reduce_executor(c),
+        );
         for _ in 0..steps {
             for (part, f) in dm.parts.iter().zip(&mut fields) {
                 f.fill(&part.mesh, &[1.0, 2.0, 3.0]);
             }
             fields.sync(c, &dm, &ov, Reduction::Add);
         }
-        pumi_pcu::obs::reduce_spans(c)
+        let exec = pumi_pcu::obs::reduce_executor(c);
+        pumi_pcu::obs::reduce_spans(c).zip(exec)
     });
-    let spans = report.into_iter().flatten().next().expect("rank 0 reduces");
+    let (spans, exec) = report.into_iter().flatten().next().expect("rank 0 reduces");
     let per_rank_sync = 1e3 / (4 * steps) as f64;
     println!("{steps} syncs, {workers} worker(s), seed {seed}; ms per rank-sync");
     println!("{:>8} {:>10}  span", "self", "inclusive");
@@ -61,4 +69,9 @@ fn main() {
             s.path
         );
     }
+    println!(
+        "executor: {:.2} parks, {:.2} handoffs per rank-sync",
+        exec.parks as f64 / (4 * steps) as f64,
+        exec.handoffs as f64 / (4 * steps) as f64
+    );
 }
