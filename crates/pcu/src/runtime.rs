@@ -19,16 +19,28 @@
 //! * **Permit handoff.** With `R` ranks on `W` worker permits
 //!   ([`Scheduler`]), at most `W` rank threads execute rank code at any
 //!   instant. An event for a blocked rank *makes it ready*: it is handed a
-//!   free permit and unparked, or queued in a ring without a wake. A rank
+//!   free permit and woken, or queued in a ring without a wake. A rank
 //!   that blocks passes its permit straight to the oldest ready rank and
-//!   unparks only that one. So a woken rank always holds a permit and never
-//!   parks a second time to wait for one, and a blocked rank costs a parked
-//!   OS thread, not a scheduled one.
+//!   wakes only that one. So a woken rank always holds a permit and never
+//!   parks a second time to wait for one, and a blocked rank costs a
+//!   sleeping OS thread, not a scheduled one.
+//! * **Sync-wakeup bells.** A capped rank waits for its permit on its own
+//!   [`Bell`], a pipe, and a grant rings it with a one-byte write. A pipe
+//!   write is a *synchronous* wakeup: the kernel takes the waker to be about
+//!   to sleep and places the woken rank on the waker's core, which in a
+//!   handoff is the core the permit frees. A futex `unpark` carries no such
+//!   hint, and Linux often put the woken rank beside the other permit
+//!   holder, leaving the freed core idle. On two permits the four 2.8 ms
+//!   part writes of a checkpoint step, two rounds of two, spanned 8.2 ms at
+//!   the median with `unpark` and one write in six waited in a run queue
+//!   (`/proc/thread-self/schedstat`); with bells they span 5.8 ms (DESIGN.md
+//!   "Executor: permit handoff"). Uncapped worlds keep `park`/`unpark`.
 //!
 //! Every blocking loop observes the world's poison flag so that a panic on
 //! one rank wakes and fails the others instead of deadlocking the world.
 
 use crate::comm::Envelope;
+use std::io::{PipeReader, PipeWriter, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::Thread;
@@ -196,7 +208,8 @@ impl SenseBarrier {
             // for. Running them first is longest-first list scheduling;
             // arrival order would run the light ranks first and leave the
             // heavy ones to run one after another.
-            exec.wake_all(w.drain(..).rev());
+            w.reverse();
+            exec.wake_all(&mut w);
             return;
         }
         for _ in 0..SPIN_YIELDS {
@@ -238,16 +251,67 @@ const RUNNING: u8 = 0;
 const BLOCKED: u8 = 1;
 /// Its event (or its start) has come; queued in the ring for a permit.
 const READY: u8 = 2;
-/// Handed a permit and unparked; about to run.
+/// Handed a permit and woken; about to run.
 const GRANTED: u8 = 3;
 /// Its event came before it gave its permit up: its next block returns at
 /// once, permit kept.
 const WOKEN: u8 = 4;
 
+/// A capped rank's wake-up line for its permit waits: a pipe that the rank
+/// sleeps on by reading and that a grant rings by writing one byte. Its
+/// point is the kind of wakeup: a pipe write wakes its reader with the
+/// kernel's sync hint, so the woken rank lands on the core its waker is
+/// about to free, not beside the other permit holder.
+struct Bell {
+    rx: PipeReader,
+    tx: PipeWriter,
+    /// A token is in the pipe, or about to be. A ring writes only when it
+    /// raises this flag, and only a sleep that read the token lowers it, so
+    /// the pipe never holds more than one byte and a ring never blocks,
+    /// however many grants land while the rank does not sleep.
+    rung: AtomicBool,
+}
+
+impl Bell {
+    /// `None` if the host refuses a pipe (file descriptors run out): the
+    /// rank then sleeps on `park` as an uncapped one does.
+    fn new() -> Option<Bell> {
+        let (rx, tx) = std::io::pipe().ok()?;
+        Some(Bell {
+            rx,
+            tx,
+            rung: AtomicBool::new(false),
+        })
+    }
+
+    fn ring(&self) {
+        if !self.rung.swap(true, Ordering::SeqCst) {
+            (&self.tx)
+                .write_all(&[1])
+                .expect("an empty pipe takes one byte");
+        }
+    }
+
+    /// Sleep until rung. A token left by a ring that landed before the
+    /// sleep returns it at once, stale or not: the caller re-checks its
+    /// state. The read drains whatever is there.
+    fn sleep(&self) {
+        let mut tokens = [0u8; 8];
+        if matches!((&self.rx).read(&mut tokens), Ok(n) if n > 0) {
+            self.rung.store(false, Ordering::SeqCst);
+        }
+    }
+}
+
 /// One rank's wait record, allocated once with the world.
 struct Waiter {
     /// The rank's thread, recorded before the rank can block.
     thread: OnceLock<Thread>,
+    /// The rank's bell, made when its first block in a capped world
+    /// returns, and never changed after. A grant and the wait it ends see
+    /// the same bell, or both none and use `unpark`/`park`: the wait at
+    /// start, the first block, and every wait on a host without pipes.
+    bell: OnceLock<Option<Bell>>,
     /// `RUNNING` … `WOKEN`; capped worlds only.
     state: AtomicU8,
     /// Times the rank gave its permit up to wait (`pcu.parks`).
@@ -289,9 +353,10 @@ impl Permits {
 /// from rank to rank. A rank thread must hold a permit to execute rank
 /// code; a rank that blocks passes its permit to the oldest ready rank, so
 /// at most `cap` rank threads contend for the host's cores regardless of
-/// world size. `cap == 0` means uncapped: every rank stays runnable, a
-/// block is a plain `thread::park` and a wake a plain `unpark`, with no
-/// permit bookkeeping at all — the default for small worlds.
+/// world size. A capped rank waits for its permit on its [`Bell`].
+/// `cap == 0` means uncapped: every rank stays runnable, a block is a plain
+/// `thread::park` and a wake a plain `unpark`, with no permit bookkeeping
+/// at all — the default for small worlds.
 pub(crate) struct Scheduler {
     capped: bool,
     ranks: Box<[Waiter]>,
@@ -311,6 +376,7 @@ impl Scheduler {
             ranks: (0..nranks)
                 .map(|_| Waiter {
                     thread: OnceLock::new(),
+                    bell: OnceLock::new(),
                     state: AtomicU8::new(RUNNING),
                     parks: AtomicU64::new(0),
                     handoffs: AtomicU64::new(0),
@@ -369,7 +435,7 @@ impl Scheduler {
         }
         let next = self.pass_permit(rank, &mut self.permits());
         if let Some(next) = next {
-            self.unpark(next);
+            self.ring_bell(next);
         }
     }
 
@@ -385,54 +451,65 @@ impl Scheduler {
             std::thread::park();
             return;
         }
+        if self.give_up(rank) {
+            self.wait_for_permit(rank, poisoned);
+            // The rank's later waits sleep on a bell, made here the first
+            // time: the rank runs, so no grant can reach it before the
+            // bell is in place. A world's start, where every rank blocks
+            // once before the last one runs, makes none.
+            self.ranks[rank].bell.get_or_init(Bell::new);
+        }
+    }
+
+    /// `block`'s first half, capped: unless `rank` was woken already
+    /// (`false`, permit kept), mark it blocked and pass its permit on.
+    fn give_up(&self, rank: usize) -> bool {
         let me = &self.ranks[rank];
         let next = {
             let mut p = self.permits();
             if me.state.load(Ordering::SeqCst) == WOKEN {
                 me.state.store(RUNNING, Ordering::SeqCst);
-                return;
+                return false;
             }
             me.state.store(BLOCKED, Ordering::SeqCst);
             me.parks.fetch_add(1, Ordering::Relaxed);
             self.pass_permit(rank, &mut p)
         };
         if let Some(next) = next {
-            self.unpark(next);
+            self.ring_bell(next);
         }
-        self.wait_for_permit(rank, poisoned);
+        true
     }
 
     /// Make `rank` ready for the event it blocked on. Capped: a blocked rank
-    /// gets a free permit and is unparked, or is queued without a wake; a
+    /// gets a free permit and its bell rung, or is queued without a wake; a
     /// rank that has registered but not yet blocked is marked `WOKEN`.
     pub(crate) fn wake(&self, rank: usize) {
         if !self.capped {
-            self.unpark(rank);
+            self.ring_bell(rank);
             return;
         }
         let granted = self.ready_up(rank, &mut self.permits());
         if granted {
-            self.unpark(rank);
+            self.ring_bell(rank);
         }
     }
 
     /// [`Scheduler::wake`] each of `ranks` in turn, under one lock: the
     /// first ones take the free permits, the rest queue in this order.
-    pub(crate) fn wake_all(&self, ranks: impl Iterator<Item = usize>) {
-        if !self.capped {
-            ranks.for_each(|r| self.unpark(r));
-            return;
+    /// Drains `ranks`. The granted ranks' bells ring once the lock is
+    /// dropped: a sync wakeup may run a woken rank on this core at once, and
+    /// it must not find the permit lock held by the waker it displaced.
+    pub(crate) fn wake_all(&self, ranks: &mut Vec<usize>) {
+        if self.capped {
+            let mut p = self.permits();
+            ranks.retain(|&rank| self.ready_up(rank, &mut p));
         }
-        let mut p = self.permits();
-        for rank in ranks {
-            if self.ready_up(rank, &mut p) {
-                self.unpark(rank);
-            }
-        }
+        ranks.drain(..).for_each(|rank| self.ring_bell(rank));
     }
 
     /// `wake`'s state change under the lock; `true` if `rank` was granted a
-    /// permit and must be unparked.
+    /// permit and its bell must be rung.
     fn ready_up(&self, rank: usize, p: &mut Permits) -> bool {
         let state = &self.ranks[rank].state;
         match state.load(Ordering::SeqCst) {
@@ -456,8 +533,8 @@ impl Scheduler {
         }
     }
 
-    /// Pass `rank`'s permit to the oldest ready rank, returned to be
-    /// unparked once the lock is dropped, or back to the free set.
+    /// Pass `rank`'s permit to the oldest ready rank, returned to have its
+    /// bell rung once the lock is dropped, or back to the free set.
     fn pass_permit(&self, rank: usize, p: &mut Permits) -> Option<usize> {
         let Some(next) = p.pop() else {
             p.free += 1;
@@ -469,22 +546,34 @@ impl Scheduler {
         Some(next)
     }
 
-    /// Park until granted a permit; returns early, permit-less, only on
-    /// poison (the caller then fails).
+    /// Sleep on the bell (or park, if there is none) until granted a
+    /// permit; returns early, permit-less, only on poison (the caller then
+    /// fails).
     fn wait_for_permit(&self, rank: usize, poisoned: &AtomicBool) {
-        let state = &self.ranks[rank].state;
-        while state.load(Ordering::SeqCst) != GRANTED {
+        let me = &self.ranks[rank];
+        while me.state.load(Ordering::SeqCst) != GRANTED {
             if poisoned.load(Ordering::SeqCst) {
                 return;
             }
-            std::thread::park();
+            match me.bell.get() {
+                Some(Some(bell)) => bell.sleep(),
+                _ => std::thread::park(),
+            }
         }
-        state.store(RUNNING, Ordering::SeqCst);
+        me.state.store(RUNNING, Ordering::SeqCst);
     }
 
-    fn unpark(&self, rank: usize) {
-        if let Some(t) = self.ranks[rank].thread.get() {
-            t.unpark();
+    /// End `rank`'s wait: ring its bell, or unpark its thread if it has no
+    /// bell (uncapped, waiting at start, or on a host without pipes).
+    fn ring_bell(&self, rank: usize) {
+        let me = &self.ranks[rank];
+        match me.bell.get() {
+            Some(Some(bell)) => bell.ring(),
+            _ => {
+                if let Some(t) = me.thread.get() {
+                    t.unpark();
+                }
+            }
         }
     }
 
@@ -497,10 +586,10 @@ impl Scheduler {
         )
     }
 
-    /// Unpark every rank thread unconditionally (world poison path): each
-    /// blocking loop then sees the poison flag and fails.
+    /// Wake every rank unconditionally (world poison path): each blocking
+    /// loop then sees the poison flag and fails.
     pub(crate) fn force_wake(&self) {
-        (0..self.ranks.len()).for_each(|r| self.unpark(r));
+        (0..self.ranks.len()).for_each(|r| self.ring_bell(r));
     }
 }
 
@@ -556,7 +645,7 @@ mod tests {
                 .collect();
             let hung = (0..MEMBERS).any(|_| done_rx.recv_timeout(WATCHDOG).is_err());
             if hung {
-                // Poison, then unpark every member: each blocking loop
+                // Poison, then wake every member: each blocking loop
                 // sees the flag and fails.
                 poisoned.store(true, Ordering::SeqCst);
                 exec.force_wake();
@@ -705,6 +794,71 @@ mod tests {
             Err(mpsc::RecvTimeoutError::Timeout) => panic!("{what}: the world hung"),
             Err(mpsc::RecvTimeoutError::Disconnected) => panic!("{what}: a rank panicked"),
         }
+    }
+
+    /// A ring never blocks its ringer, and tokens never pile up. Rank 0
+    /// holds a bell and takes 100 000 grants without ever sleeping on it:
+    /// each lands between its giving the permit up and its wait, which
+    /// finds the permit granted and returns. A ring that wrote a byte per
+    /// grant would fill the pipe (64 KiB on Linux) and block its ringer for
+    /// good, which the watchdog turns into a failure. Afterwards exactly one
+    /// token waits: one sleep returns at once and drains it.
+    #[test]
+    fn grants_to_a_rank_that_never_sleeps_leave_one_token() {
+        const GRANTS: usize = 100_000;
+        under_watchdog(format!("{GRANTS} grants"), || {
+            let exec = Scheduler::new(1, 2);
+            let poisoned = AtomicBool::new(false);
+            exec.start(0, &poisoned);
+            let bell = exec.ranks[0].bell.get_or_init(Bell::new);
+            let bell = bell.as_ref().expect("the host gives a pipe");
+            for _ in 0..GRANTS {
+                assert!(exec.give_up(0), "rank 0 was not woken");
+                // The permit is free (rank 1 never started): the wake
+                // grants it back and rings the bell.
+                exec.wake(0);
+                exec.wait_for_permit(0, &poisoned);
+            }
+            assert!(bell.rung.load(Ordering::SeqCst));
+            bell.sleep();
+            assert!(!bell.rung.load(Ordering::SeqCst), "the sleep drained");
+        });
+    }
+
+    /// Poison must reach a rank asleep on its bell, not only a parked one.
+    /// Rank 0's first block parks and a wake grants it the free permit back;
+    /// its second block sleeps on the bell made in between. Poison and
+    /// `force_wake` must end that sleep: the block returns and the rank
+    /// thread exits, or the watchdog fails the test.
+    #[test]
+    fn poison_releases_a_rank_asleep_on_its_bell() {
+        under_watchdog("a rank asleep on its bell".into(), || {
+            let exec = Scheduler::new(1, 2);
+            let poisoned = AtomicBool::new(false);
+            let me = &exec.ranks[0];
+            let blocked = || me.state.load(Ordering::SeqCst) == BLOCKED;
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    exec.start(0, &poisoned);
+                    exec.block(0, &poisoned);
+                    exec.block(0, &poisoned);
+                });
+                while !blocked() {
+                    std::thread::yield_now();
+                }
+                exec.wake(0);
+                while !(blocked() && me.bell.get().is_some()) {
+                    std::thread::yield_now();
+                }
+                assert!(me.bell.get().unwrap().is_some(), "the host gives a pipe");
+                // Let the rank reach its read. The sleep only widens the
+                // window for the case under test: a poison that lands
+                // before the read is caught by the wait's own check.
+                std::thread::sleep(Duration::from_millis(20));
+                poisoned.store(true, Ordering::SeqCst);
+                exec.force_wake();
+            });
+        });
     }
 
     /// `WorldOpts::workers` means that no more than W rank threads execute

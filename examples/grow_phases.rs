@@ -8,7 +8,9 @@
 //! (`dist.build`, `dist.residence`, `dist.stitch` and what runs inside
 //! them) and under `overlap.grow`, its self time and its inclusive time in
 //! ms per rep, summed over the ranks. One worker by default, so that no
-//! span holds a preempted rank's wait.
+//! span holds a preempted rank's wait. A last line gives the wall time per
+//! rep and the idle share of the permits' cores (`phases::print_wall`):
+//! `--workers 2` against `--workers 4` shows what the cap costs.
 //!
 //! Run: `cargo run --release --example grow_phases -- [--reps 8] [--workers 1] [--seed 1]`
 
@@ -18,6 +20,9 @@ use pumi_meshgen::{jitter, tet_box};
 use pumi_partition::{partition_mesh_hier, HierOpts};
 use pumi_pcu::{execute_opts, MachineModel, WorldOpts};
 use pumi_util::Dim;
+use std::time::Instant;
+
+mod phases;
 
 const PARTS: usize = 8;
 
@@ -34,17 +39,25 @@ fn main() {
     let machine = MachineModel::new(2, 2);
     let labels = partition_mesh_hier(&serial, PARTS, &machine, HierOpts::default());
     let opts = WorldOpts::default().workers(workers as usize);
+    let epoch = Instant::now();
     let report = execute_opts(machine, opts, |c| {
         let _ = pumi_pcu::obs::reduce_spans(c); // start from an empty report
-        for _ in 0..reps {
-            let mut dm = distribute(c, PartMap::contiguous(PARTS, c.nranks()), &serial, &labels);
-            Overlap::from_dist(&dm)
-                .with_bridge(Dim::Vertex)
-                .grow(c, &mut dm, 2);
-        }
-        pumi_pcu::obs::reduce_spans(c)
+        let window = phases::timed(epoch, || {
+            for _ in 0..reps {
+                let mut dm =
+                    distribute(c, PartMap::contiguous(PARTS, c.nranks()), &serial, &labels);
+                Overlap::from_dist(&dm)
+                    .with_bridge(Dim::Vertex)
+                    .grow(c, &mut dm, 2);
+            }
+        });
+        (window, pumi_pcu::obs::reduce_spans(c))
     });
-    let spans = report.into_iter().flatten().next().expect("rank 0 reduces");
+    let windows: Vec<_> = report.iter().map(|r| r.0).collect();
+    let spans = report
+        .into_iter()
+        .find_map(|r| r.1)
+        .expect("rank 0 reduces");
     let per_rep = 1e3 / reps as f64;
     println!("{reps} reps, {workers} worker(s), seed {seed}; ms per rep, summed over ranks");
     println!("{:>8} {:>10}  span", "self", "inclusive");
@@ -57,4 +70,5 @@ fn main() {
             s.path
         );
     }
+    phases::print_wall(&windows, &spans, reps, "rep", workers as usize);
 }

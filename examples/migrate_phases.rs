@@ -8,9 +8,12 @@
 //! half) are printed: per span path
 //! under `migrate`, its self time and its inclusive time in ms per
 //! rank-step. One worker by default, so that no span holds a preempted
-//! rank's wait. A last line gives the executor's `pcu.parks` and
+//! rank's wait. A line after the table gives the executor's `pcu.parks` and
 //! `pcu.handoffs` per rank-step (`pumi_pcu::obs::reduce_executor`); both
-//! read 0 at `--workers 4` or more, where the world is uncapped.
+//! read 0 at `--workers 4` or more, where the world is uncapped. The last
+//! gives the wall time per step, band selection included, and the idle
+//! share of the permits' cores (`phases::print_wall`): `--workers 2` against
+//! `--workers 4` shows what the cap costs.
 //!
 //! Run: `cargo run --release --example migrate_phases -- [--steps 96] [--workers 1] [--seed 1]`
 
@@ -19,6 +22,9 @@ use pumi_meshgen::{jitter, tet_box};
 use pumi_partition::{partition_mesh_hier, HierOpts};
 use pumi_pcu::{execute_opts, Comm, MachineModel, WorldOpts};
 use pumi_util::{FxHashMap, MeshEnt, PartId};
+use std::time::Instant;
+
+mod phases;
 
 const PARTS: usize = 8;
 
@@ -79,6 +85,7 @@ fn main() {
     let machine = MachineModel::new(2, 2);
     let labels = partition_mesh_hier(&serial, PARTS, &machine, HierOpts::default());
     let opts = WorldOpts::default().workers(workers as usize);
+    let epoch = Instant::now();
     let report = execute_opts(machine, opts, |c| {
         let mut dm = distribute(c, PartMap::contiguous(PARTS, c.nranks()), &serial, &labels);
         // Drop the set-up's spans and executor counts.
@@ -87,17 +94,23 @@ fn main() {
             pumi_pcu::obs::reduce_executor(c),
         );
         let n = PARTS as PartId;
-        for i in 0..steps {
-            let plans = match i % 2 {
-                0 => band(c, &dm, &lattice, |p| (p + 1) % n),
-                _ => band(c, &dm, &lattice, |p| (p + n - 1) % n),
-            };
-            migrate(c, &mut dm, &plans);
-        }
+        let window = phases::timed(epoch, || {
+            for i in 0..steps {
+                let plans = match i % 2 {
+                    0 => band(c, &dm, &lattice, |p| (p + 1) % n),
+                    _ => band(c, &dm, &lattice, |p| (p + n - 1) % n),
+                };
+                migrate(c, &mut dm, &plans);
+            }
+        });
         let exec = pumi_pcu::obs::reduce_executor(c);
-        pumi_pcu::obs::reduce_spans(c).zip(exec)
+        (window, pumi_pcu::obs::reduce_spans(c).zip(exec))
     });
-    let (spans, exec) = report.into_iter().flatten().next().expect("rank 0 reduces");
+    let windows: Vec<_> = report.iter().map(|r| r.0).collect();
+    let (spans, exec) = report
+        .into_iter()
+        .find_map(|r| r.1)
+        .expect("rank 0 reduces");
     let per_rank_step = 1e3 / (4 * steps) as f64;
     println!("{steps} steps, {workers} worker(s), seed {seed}; ms per rank-step");
     println!("{:>8} {:>10}  span", "self", "inclusive");
@@ -114,4 +127,5 @@ fn main() {
         exec.parks as f64 / (4 * steps) as f64,
         exec.handoffs as f64 / (4 * steps) as f64
     );
+    phases::print_wall(&windows, &spans, steps, "step", workers as usize);
 }

@@ -8,10 +8,13 @@
 //! `reduce_spans` half) are printed: per span path under `field.sync`
 //! (`overlap.reduce`, `overlap.bcast` and the exchanges inside them), its
 //! self time and its inclusive time in ms per rank-sync. One worker by
-//! default, so that no span holds a preempted rank's wait. A last line
-//! gives the executor's `pcu.parks` and `pcu.handoffs` per rank-sync
+//! default, so that no span holds a preempted rank's wait. A line after
+//! the table gives the executor's `pcu.parks` and `pcu.handoffs` per rank-sync
 //! (`pumi_pcu::obs::reduce_executor`); both read 0 at `--workers 4` or
-//! more, where the world is uncapped.
+//! more, where the world is uncapped. The last gives the wall time per
+//! sync, fill included, and the idle share of the permits' cores
+//! (`phases::print_wall`): `--workers 2` against `--workers 4` shows what
+//! the cap costs.
 //!
 //! Run: `cargo run --release --example sync_phases -- [--steps 400] [--workers 1] [--seed 1]`
 
@@ -22,6 +25,9 @@ use pumi_meshgen::{jitter, tet_box};
 use pumi_partition::{partition_mesh_hier, HierOpts};
 use pumi_pcu::{execute_opts, MachineModel, WorldOpts};
 use pumi_util::Dim;
+use std::time::Instant;
+
+mod phases;
 
 const PARTS: usize = 8;
 
@@ -38,6 +44,7 @@ fn main() {
     let machine = MachineModel::new(2, 2);
     let labels = partition_mesh_hier(&serial, PARTS, &machine, HierOpts::default());
     let opts = WorldOpts::default().workers(workers as usize);
+    let epoch = Instant::now();
     let report = execute_opts(machine, opts, |c| {
         let mut dm = distribute(c, PartMap::contiguous(PARTS, c.nranks()), &serial, &labels);
         let mut ov = Overlap::from_dist(&dm).with_bridge(Dim::Vertex);
@@ -48,16 +55,22 @@ fn main() {
             pumi_pcu::obs::reduce_spans(c),
             pumi_pcu::obs::reduce_executor(c),
         );
-        for _ in 0..steps {
-            for (part, f) in dm.parts.iter().zip(&mut fields) {
-                f.fill(&part.mesh, &[1.0, 2.0, 3.0]);
+        let window = phases::timed(epoch, || {
+            for _ in 0..steps {
+                for (part, f) in dm.parts.iter().zip(&mut fields) {
+                    f.fill(&part.mesh, &[1.0, 2.0, 3.0]);
+                }
+                fields.sync(c, &dm, &ov, Reduction::Add);
             }
-            fields.sync(c, &dm, &ov, Reduction::Add);
-        }
+        });
         let exec = pumi_pcu::obs::reduce_executor(c);
-        pumi_pcu::obs::reduce_spans(c).zip(exec)
+        (window, pumi_pcu::obs::reduce_spans(c).zip(exec))
     });
-    let (spans, exec) = report.into_iter().flatten().next().expect("rank 0 reduces");
+    let windows: Vec<_> = report.iter().map(|r| r.0).collect();
+    let (spans, exec) = report
+        .into_iter()
+        .find_map(|r| r.1)
+        .expect("rank 0 reduces");
     let per_rank_sync = 1e3 / (4 * steps) as f64;
     println!("{steps} syncs, {workers} worker(s), seed {seed}; ms per rank-sync");
     println!("{:>8} {:>10}  span", "self", "inclusive");
@@ -74,4 +87,5 @@ fn main() {
         exec.parks as f64 / (4 * steps) as f64,
         exec.handoffs as f64 / (4 * steps) as f64
     );
+    phases::print_wall(&windows, &spans, steps, "sync", workers as usize);
 }
