@@ -20,8 +20,7 @@ use pumi_geom::builders::VesselSpec;
 use pumi_mesh::Mesh;
 use pumi_meshgen::{jitter, shock_plane_distance, vessel_tet, wing_tet};
 use pumi_partition::{
-    off_node_share, partition_mesh, partition_mesh_hier, partition_mesh_weighted, split_labels,
-    HierOpts, PartitionQuality,
+    off_node_share, partition_mesh, partition_mesh_weighted, split_labels, PartitionQuality,
 };
 use pumi_pcu::phased::Exchange;
 use pumi_pcu::{execute_opts, Comm, MachineModel, TrafficReport, WorldOpts};
@@ -764,15 +763,10 @@ pub fn hybrid_comm(p: HybridParams, inspect: Inspect) -> Hybrid {
     });
 
     // "first partitioning a mesh into nodes and subsequently to the cores
-    // on the nodes" — compared against a machine-oblivious assignment of
-    // the same number of parts (part ids permuted, as a partitioner with no
-    // machine knowledge would produce).
-    let hybrid = partition_mesh_hier(
-        &serial,
-        p.nparts,
-        &MachineModel::new(nodes, CORES_PER_NODE),
-        HierOpts::default(),
-    );
+    // on the nodes" — recursive bisection numbers `labels` node-major on a
+    // power-of-two node count, so they are that partition. Compared against
+    // a machine-oblivious assignment of the same number of parts (part ids
+    // permuted, as a partitioner with no machine knowledge would produce).
     let oblivious: Vec<PartId> = labels
         .iter()
         .map(|&q| (q * 7 + 3) % p.nparts as PartId)
@@ -782,7 +776,7 @@ pub fn hybrid_comm(p: HybridParams, inspect: Inspect) -> Hybrid {
         ring,
         machines,
         oblivious_vtx_share: off_node_share(&serial, &oblivious, CORES_PER_NODE, Dim::Vertex),
-        hybrid_vtx_share: off_node_share(&serial, &hybrid, CORES_PER_NODE, Dim::Vertex),
+        hybrid_vtx_share: off_node_share(&serial, &labels, CORES_PER_NODE, Dim::Vertex),
     }
 }
 

@@ -33,10 +33,10 @@
 //!   `Insert`-mode `Field::sync` every copy is bit-identical to its owner,
 //! * **part placement** — every part is hosted exactly once, on the rank
 //!   its part map names, inside the machine model — the invariant
-//!   hierarchy-aware partitioning (`partition_hier`) and on-/off-node
-//!   boundary accounting rely on. Audited first: the other families route
-//!   by the part map, so a broken placement stops the check before they
-//!   run.
+//!   node-major part numbering (`PartMap::contiguous` on a node-major
+//!   partition) and on-/off-node boundary accounting rely on. Audited
+//!   first: the other families route by the part map, so a broken
+//!   placement stops the check before they run.
 //!
 //! Violations come back as typed [`CheckError`]s naming part, dimension and
 //! gid — the checker never asserts or panics on a broken mesh, so test
@@ -621,8 +621,8 @@ const MISPLACED: u64 = 1 << 32;
 /// Part-placement topology audit: every local part must be the one the part
 /// map names for this rank, every part id must be hosted exactly once
 /// world-wide, and the map must not point outside the machine model the
-/// world runs on. This is the invariant `partition_hier`-style placements
-/// (and any consumer of `MachineModel::node_of`) rely on to reason about
+/// world runs on. This is the invariant node-major placements (and any
+/// consumer of `MachineModel::node_of`) rely on to reason about
 /// on- vs off-node boundaries. Collective (one vector allreduce); the
 /// map-level findings are reported by rank 0 only, so world counts stay
 /// deduplicated. Fails with the world-wide number of violations, the same

@@ -16,11 +16,7 @@ pub struct DualGraph {
     pub xadj: Vec<u32>,
     /// CSR column indices (neighbour graph-node ids).
     pub adjncy: Vec<u32>,
-    /// Edge weights, parallel to `adjncy` (1 by default).
-    pub adjwgt: Vec<f64>,
-    /// Graph-node id → element handle. May be empty for synthetic graphs
-    /// (e.g. the part graph built by [`crate::hier`]) that never map nodes
-    /// back to mesh entities.
+    /// Graph-node id → element handle.
     pub elems: Vec<MeshEnt>,
     /// Node weights (element costs; 1 by default).
     pub vwgt: Vec<f64>,
@@ -46,11 +42,9 @@ impl DualGraph {
             xadj.push(adjncy.len() as u32);
         }
         let n = elems.len();
-        let nedges = adjncy.len();
         DualGraph {
             xadj,
             adjncy,
-            adjwgt: vec![1.0; nedges],
             elems,
             vwgt: vec![1.0; n],
         }
@@ -70,17 +64,6 @@ impl DualGraph {
     #[inline]
     pub fn neighbors(&self, u: u32) -> &[u32] {
         &self.adjncy[self.xadj[u as usize] as usize..self.xadj[u as usize + 1] as usize]
-    }
-
-    /// Neighbours of node `u` with their edge weights.
-    #[inline]
-    pub fn edges(&self, u: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
-        let s = self.xadj[u as usize] as usize;
-        let e = self.xadj[u as usize + 1] as usize;
-        self.adjncy[s..e]
-            .iter()
-            .copied()
-            .zip(self.adjwgt[s..e].iter().copied())
     }
 
     /// The edge cut of a labeling: edges whose endpoints have different

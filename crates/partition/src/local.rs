@@ -21,25 +21,11 @@ pub fn split_labels(mesh: &Mesh, labels: &[PartId], nparts_old: usize, k: usize)
         return labels.to_vec();
     }
     let g = DualGraph::build(mesh);
-    let node_labels: Vec<PartId> = g.elems.iter().map(|e| labels[e.idx()]).collect();
-    split_graph(&g, &node_labels, nparts_old, k, labels.len())
-}
-
-/// [`split_labels`] on the mesh's dual graph `g`, already built: `node_labels`
-/// holds each graph node's old part. Returns labels indexed by element
-/// handle index, `len` long.
-pub(crate) fn split_graph(
-    g: &DualGraph,
-    node_labels: &[PartId],
-    nparts_old: usize,
-    k: usize,
-    len: usize,
-) -> Vec<PartId> {
-    let mut out = vec![0 as PartId; len];
+    let mut out = vec![0 as PartId; labels.len()];
     // Collect the graph nodes of each old part.
     let mut groups: Vec<Vec<u32>> = vec![Vec::new(); nparts_old];
-    for (node, &p) in node_labels.iter().enumerate() {
-        groups[p as usize].push(node as u32);
+    for (node, &e) in g.elems.iter().enumerate() {
+        groups[labels[e.idx()] as usize].push(node as u32);
     }
     // Graph node -> index in its group; reset after each group.
     let mut local_of = vec![u32::MAX; g.len()];
@@ -64,11 +50,9 @@ pub(crate) fn split_graph(
         for &u in group {
             local_of[u as usize] = u32::MAX;
         }
-        let nedges = adjncy.len();
         let sub = DualGraph {
             xadj,
             adjncy,
-            adjwgt: vec![1.0; nedges],
             elems: group.iter().map(|&u| g.elems[u as usize]).collect(),
             vwgt: vec![1.0; group.len()],
         };

@@ -313,10 +313,10 @@ fn flip_enclaves(
 ///
 /// `gain` is ordered by `f64::total_cmp`. The scans these heaps replaced
 /// compared with `partial_cmp`; the two agree unless a gain is NaN or
-/// `-0.0`, and neither occurs. A growth gain is a sum of finite edge
-/// weights starting at `+0.0`, which is never `-0.0`; a rebalancing gain
-/// is the difference of two such sums, and `x - y` is `-0.0` only when `x`
-/// is.
+/// `-0.0`, and neither occurs. A growth gain is a count of edges to the
+/// grown set starting at `+0.0`, which is never `-0.0`; a rebalancing gain
+/// is the difference of two such counts, and `x - y` is `-0.0` only when
+/// `x` is.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     gain: f64,
@@ -348,8 +348,8 @@ impl PartialEq for Entry {
 impl Eq for Entry {}
 
 /// Grow the left side (`side[u] = true`) from `seed` until it weighs
-/// `target`, always taking the frontier node with the most edge weight to
-/// the grown set.
+/// `target`, always taking the frontier node with the most edges to the
+/// grown set.
 ///
 /// Ties go to the node latest in the frontier `Vec`, whose order is that
 /// of a `swap_remove` queue — the choice a linear `max_by` over the
@@ -402,9 +402,9 @@ fn grow_in(
         }
         side[u as usize] = true;
         grown += g.vwgt[u as usize];
-        for (v, w) in g.edges(u) {
+        for &v in g.neighbors(u) {
             if active[v as usize] && !side[v as usize] {
-                gain[v as usize] += w;
+                gain[v as usize] += 1.0;
                 if pos[v as usize] == u32::MAX {
                     pos[v as usize] = frontier.len() as u32;
                     frontier.push(v);
@@ -415,22 +415,21 @@ fn grow_in(
     }
 }
 
-/// Edge weight from `u` to active neighbours on its own side and on the
-/// other side (summed in edge order), and whether any active neighbour is
-/// on the other side.
+/// Number of `u`'s active neighbours on its own side and on the other
+/// side, and whether any active neighbour is on the other side.
 fn side_weights(g: &DualGraph, active: &[bool], side: &[bool], u: u32) -> (f64, f64, bool) {
     let us = side[u as usize];
     let mut same = 0f64;
     let mut other = 0f64;
     let mut touches_other = false;
-    for (v, w) in g.edges(u) {
+    for &v in g.neighbors(u) {
         if !active[v as usize] {
             continue;
         }
         if side[v as usize] == us {
-            same += w;
+            same += 1.0;
         } else {
-            other += w;
+            other += 1.0;
             touches_other = true;
         }
     }
@@ -546,7 +545,7 @@ mod tests {
         in_frontier[seed as usize] = true;
         let mut grown = 0.0;
         while grown < target && !frontier.is_empty() {
-            // Pick the frontier node with max grown-neighbour edge weight.
+            // Pick the frontier node with the most grown neighbours.
             let (pos, &u) = frontier
                 .iter()
                 .enumerate()
@@ -560,9 +559,9 @@ mod tests {
             }
             side[u as usize] = true;
             grown += g.vwgt[u as usize];
-            for (v, w) in g.edges(u) {
+            for &v in g.neighbors(u) {
                 if active[v as usize] && !side[v as usize] {
-                    gain[v as usize] += w;
+                    gain[v as usize] += 1.0;
                     if !in_frontier[v as usize] {
                         in_frontier[v as usize] = true;
                         frontier.push(v);
@@ -595,14 +594,14 @@ mod tests {
                 let mut same = 0f64;
                 let mut other = 0f64;
                 let mut touches_other = false;
-                for (v, w) in g.edges(u) {
+                for &v in g.neighbors(u) {
                     if !active[v as usize] {
                         continue;
                     }
                     if side[v as usize] == side[u as usize] {
-                        same += w;
+                        same += 1.0;
                     } else {
-                        other += w;
+                        other += 1.0;
                         touches_other = true;
                     }
                 }
@@ -629,8 +628,8 @@ mod tests {
     }
 
     /// The dual graph of a jittered tri or tet mesh. Unless `unit`, vertex
-    /// weights come from {1, 2, 3} and symmetric edge weights from
-    /// {0.5, 1, 2}: few distinct values, so gains tie often.
+    /// weights come from {1, 2, 3}. Edges are unweighted, so gains are
+    /// small integers and tie often.
     fn tie_graph(tet: bool, n: usize, seed: u64, unit: bool) -> DualGraph {
         let mut m = if tet {
             tet_box(n, n, n, 1.0, 1.0, 1.0)
@@ -642,12 +641,6 @@ mod tests {
         if !unit {
             for u in 0..g.len() as u32 {
                 g.vwgt[u as usize] = 1.0 + (mix(u as u64, seed) % 3) as f64;
-                let (s, e) = (g.xadj[u as usize] as usize, g.xadj[u as usize + 1] as usize);
-                for i in s..e {
-                    let v = g.adjncy[i];
-                    let (a, b) = (u.min(v) as u64, u.max(v) as u64);
-                    g.adjwgt[i] = [0.5, 1.0, 2.0][(mix(a * 1_000_003 + b, seed) % 3) as usize];
-                }
             }
         }
         g

@@ -5,7 +5,8 @@
 //! on every part whose elements touch it (i.e. including part-boundary
 //! copies, as the distributed mesh would hold them), plus boundary-copy
 //! totals — "the amount of communications across partition model boundaries
-//! will increase as the part boundary gets rougher".
+//! will increase as the part boundary gets rougher". [`off_node_share`]
+//! measures how much of that boundary crosses nodes (§II-D).
 
 use pumi_mesh::Mesh;
 use pumi_util::stats::LoadStats;
@@ -96,6 +97,38 @@ impl PartitionQuality {
     /// proxy the paper reports shrinking under ParMA).
     pub fn total_boundary_copies(&self) -> usize {
         self.boundary_copies.iter().sum()
+    }
+}
+
+/// Fraction of part-boundary entity copies of dimension `d` that cross
+/// nodes, for a labeling where part `p` lives on node `p / cores_per_node`.
+/// The quality measure a hybrid partition optimizes (lower is better).
+pub fn off_node_share(mesh: &Mesh, labels: &[PartId], cores_per_node: usize, d: Dim) -> f64 {
+    let elem_d = mesh.elem_dim_t();
+    let mut on = 0usize;
+    let mut off = 0usize;
+    for a in mesh.iter(d) {
+        let mut parts: Vec<PartId> = mesh
+            .adjacent(a, elem_d)
+            .iter()
+            .map(|e| labels[e.idx()])
+            .collect();
+        parts.sort_unstable();
+        parts.dedup();
+        if parts.len() < 2 {
+            continue;
+        }
+        let node0 = parts[0] as usize / cores_per_node;
+        if parts.iter().all(|&p| p as usize / cores_per_node == node0) {
+            on += parts.len();
+        } else {
+            off += parts.len();
+        }
+    }
+    if on + off == 0 {
+        0.0
+    } else {
+        off as f64 / (on + off) as f64
     }
 }
 

@@ -78,11 +78,6 @@ impl MachineModel {
         rank % self.cores_per_node
     }
 
-    /// Ranks co-located on `node`.
-    pub fn ranks_on_node(&self, node: usize) -> std::ops::Range<usize> {
-        node * self.cores_per_node..(node + 1) * self.cores_per_node
-    }
-
     /// The node-leader rank of `node` (its lowest rank) — the relay
     /// endpoint for two-level message routing.
     pub fn leader_of(&self, node: usize) -> usize {
@@ -197,7 +192,6 @@ mod tests {
         assert_eq!(m.node_of(7), 0);
         assert_eq!(m.node_of(8), 1);
         assert_eq!(m.core_of(9), 1);
-        assert_eq!(m.ranks_on_node(2), 16..24);
     }
 
     #[test]

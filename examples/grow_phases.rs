@@ -17,7 +17,7 @@
 use pumi_core::overlap::Overlap;
 use pumi_core::{distribute, PartMap};
 use pumi_meshgen::{jitter, tet_box};
-use pumi_partition::{partition_mesh_hier, HierOpts};
+use pumi_partition::partition_mesh;
 use pumi_pcu::{execute_opts, MachineModel, WorldOpts};
 use pumi_util::Dim;
 use std::time::Instant;
@@ -37,7 +37,7 @@ fn main() {
     let mut serial = tet_box(14, 14, 14, 1.0, 1.0, 1.0);
     jitter(&mut serial, 0.15, seed);
     let machine = MachineModel::new(2, 2);
-    let labels = partition_mesh_hier(&serial, PARTS, &machine, HierOpts::default());
+    let labels = partition_mesh(&serial, PARTS);
     let opts = WorldOpts::default().workers(workers as usize);
     let epoch = Instant::now();
     let report = execute_opts(machine, opts, |c| {

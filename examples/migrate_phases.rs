@@ -19,7 +19,7 @@
 
 use pumi_core::{distribute, migrate, DistMesh, MigrationPlan, PartMap};
 use pumi_meshgen::{jitter, tet_box};
-use pumi_partition::{partition_mesh_hier, HierOpts};
+use pumi_partition::partition_mesh;
 use pumi_pcu::{execute_opts, Comm, MachineModel, WorldOpts};
 use pumi_util::{FxHashMap, MeshEnt, PartId};
 use std::time::Instant;
@@ -83,7 +83,7 @@ fn main() {
     }
     jitter(&mut serial, 0.15, seed);
     let machine = MachineModel::new(2, 2);
-    let labels = partition_mesh_hier(&serial, PARTS, &machine, HierOpts::default());
+    let labels = partition_mesh(&serial, PARTS);
     let opts = WorldOpts::default().workers(workers as usize);
     let epoch = Instant::now();
     let report = execute_opts(machine, opts, |c| {
