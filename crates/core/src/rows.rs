@@ -5,7 +5,7 @@
 //! classification, coordinates, vertex references and the caller's extra
 //! column `X` — and a row → tag-value column. A row names its vertices by
 //! dimension-0 row of the block ([`Rows::push_entity`]) or, decoded from a
-//! wire frame, by gid. [`Part::build`] finds or creates the rows dimension
+//! wire frame, by gid, until [`Rows::resolve_vertices`] names them by row. [`Part::build`] finds or creates the rows dimension
 //! by dimension, in row order, and records in a [`Placed`] where each
 //! landed. Every caller gets one input contract, each violation a typed
 //! [`MsgError`]:
@@ -207,7 +207,9 @@ pub struct Rows<X> {
 }
 
 fn bad_count() -> MsgError {
-    MsgError::corrupt("entity record (vertex count differs from its topology)")
+    MsgError::corrupt(
+        "entity record (vertex count differs from the number of vertex gids for a topology)",
+    )
 }
 
 /// Refuse a vertex list `topo` does not have: the wrong count, or a vertex
@@ -217,7 +219,7 @@ fn check_verts<T: PartialEq>(topo: Topology, vs: &[T]) -> Result<(), MsgError> {
         return Err(bad_count());
     }
     if (1..vs.len()).any(|i| vs[..i].contains(&vs[i])) {
-        return Err(MsgError::corrupt("entity record (repeated vertex)"));
+        return Err(MsgError::corrupt("entity record (repeated vertex gid)"));
     }
     Ok(())
 }
@@ -266,6 +268,64 @@ impl<X> Rows<X> {
         rows.verts.extend_from_slice(verts);
         rows.push(topo, gid, class, extra, [0; 2]);
         Ok(rows.len() as u32 - 1)
+    }
+
+    /// Give row `to` of dimension `d` the classification, coordinates and
+    /// tags of row `from` in place of its own, and leave `from` without
+    /// tags: a decoder's update of a row it holds by a later record. The
+    /// caller's column is the caller's to update.
+    pub fn overwrite(&mut self, d: Dim, to: usize, from: usize) {
+        let rows = &mut self.dims[d.as_usize()];
+        rows.class[to] = rows.class[from];
+        if d == Dim::Vertex {
+            rows.coords[to] = rows.coords[from];
+        }
+        let tags = &mut rows.tags;
+        let find = |tags: &[[u32; 3]], r: usize| tags.binary_search_by_key(&(r as u32), |t| t[0]);
+        let moved = find(tags, from).ok().map(|i| tags.remove(i));
+        match (find(tags, to), moved) {
+            (Ok(i), Some([_, start, end])) => tags[i] = [to as u32, start, end],
+            (Ok(i), None) => {
+                tags.remove(i);
+            }
+            (Err(i), Some([_, start, end])) => tags.insert(i, [to as u32, start, end]),
+            (Err(_), None) => {}
+        }
+    }
+
+    /// Name by dimension-0 row every vertex a decoded record named by gid,
+    /// `row_of` finding the row, so that [`DimRows::verts_of`] are rows for
+    /// every row of the block. Refuses a row naming a vertex `row_of` does
+    /// not find with [`MsgError::Missing`].
+    pub fn resolve_vertices(
+        &mut self,
+        row_of: impl Fn(GlobalId) -> Option<u32>,
+    ) -> Result<(), RowError> {
+        let found: Vec<u32> = self
+            .vgids
+            .iter()
+            .map(|&g| row_of(g).unwrap_or(NONE))
+            .collect();
+        for (d, dr) in self.dims.iter_mut().enumerate().skip(1) {
+            for r in 0..dr.len() {
+                let at = dr.first[r] as usize;
+                for v in &mut dr.verts[at..at + dr.topo[r].num_verts()] {
+                    if *v & FLAG == 0 {
+                        continue;
+                    }
+                    let slot = (*v & !FLAG) as usize;
+                    if found[slot] == NONE {
+                        let err = MsgError::missing("closure vertex", 0, self.vgids[slot]);
+                        let dim = Dim::from_usize(d);
+                        return Err(RowError { dim, row: r, err });
+                    }
+                    *v = found[slot];
+                }
+            }
+        }
+        self.vgids.clear();
+        self.vslot.clear();
+        Ok(())
     }
 
     /// Append one entity record as `wire::put_entity` writes it: `dim, topo,

@@ -1,6 +1,8 @@
-//! Entity transport: the one wire format and the one remote-link exchange
-//! under `distribute`, `migrate`, `Overlap::grow`, adaptation's relink and
-//! checkpoint restore.
+//! Entity transport: the one entity record and the one remote-link
+//! exchange under `distribute`, `migrate`, `Overlap::grow`, adaptation's
+//! relink and checkpoint restore. The records are written through
+//! [`SectionSink`], so a checkpoint's part file holds the same records a
+//! migration ships.
 //!
 //! §II-B/C's machinery is two ideas, each spelled once here:
 //!
@@ -8,7 +10,8 @@
 //!   class, <caller's extra field>, coords | vertex gids, tags`), which
 //!   [`decode_entity_frame`] appends to a [`Rows`] block for
 //!   [`Part::build`] to find or create; `Overlap::grow`'s extra field is
-//!   the entity's root copy, one [`put_share`] `(part, index)`;
+//!   the entity's root copy, one [`put_share`] `(part, index)`, and a
+//!   checkpoint's is the ghost source, [`put_ghost_source`];
 //! * **link the copies** — [`stitch`]: every part tells the other residence
 //!   parts its local index with one [`put_link`] row `(dim, gid, index)`
 //!   per (entity, peer), and receivers resolve the rows by gid. Before
@@ -23,7 +26,7 @@
 use crate::dist::{DistMesh, PartExchange};
 use crate::part::{Part, NO_GID};
 use crate::rows::Rows;
-use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
+use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter, SectionSink};
 use pumi_util::tag::TagKind;
 use pumi_util::{Dim, GlobalId, MeshEnt, PartId};
 
@@ -52,7 +55,7 @@ pub fn get_link(r: &mut MsgReader) -> Result<(Dim, GlobalId, u32), MsgError> {
 
 /// Append one residence row: `dim u8, gid u64, parts` — the parts a
 /// length-prefixed `u32` list, as [`get_parts`] reads it.
-pub fn put_residence(w: &mut MsgWriter, dim: Dim, gid: GlobalId, parts: &[PartId]) {
+pub fn put_residence(w: &mut impl SectionSink, dim: Dim, gid: GlobalId, parts: &[PartId]) {
     w.put_u8(dim.as_usize() as u8);
     w.put_u64(gid);
     w.put_u32_slice(parts);
@@ -105,6 +108,29 @@ pub fn put_share(w: &mut MsgWriter, (part, index): (PartId, u32)) {
 /// [`MsgError::Corrupt`].
 pub fn get_share(r: &mut MsgReader, nparts: usize) -> Result<(PartId, u32), MsgError> {
     Ok((get_part(r, nparts)?, r.try_get_u32()?))
+}
+
+/// Append a ghost source: a flag byte, then the source part when there is
+/// one.
+pub fn put_ghost_source(w: &mut impl SectionSink, src: Option<PartId>) {
+    match src {
+        Some(p) => {
+            w.put_u8(1);
+            w.put_u32(p);
+        }
+        None => w.put_u8(0),
+    }
+}
+
+/// Decode a ghost source written by [`put_ghost_source`]; a flag other than
+/// 0 or 1 is [`MsgError::BadEnum`], a part outside `0..nparts`
+/// [`MsgError::Corrupt`].
+pub fn get_ghost_source(r: &mut MsgReader, nparts: usize) -> Result<Option<PartId>, MsgError> {
+    match r.try_get_u8()? {
+        0 => Ok(None),
+        1 => get_part(r, nparts).map(Some),
+        b => Err(MsgError::bad_enum("ghost flag", b)),
+    }
 }
 
 /// Rebuild remote-copy links. `announce[slot]` lists, in wire order, the
@@ -176,7 +202,7 @@ pub fn stitch<P: AsRef<[PartId]>>(
 
 /// Append the tag block of `e`: count, then `name, kind, len, value` each.
 /// Values are read in place and encoded straight into `w`.
-pub(crate) fn pack_tags(part: &Part, e: MeshEnt, w: &mut MsgWriter) {
+pub(crate) fn pack_tags(part: &Part, e: MeshEnt, w: &mut impl SectionSink) {
     let tm = part.mesh.tags();
     let values = || tm.tags().filter_map(|t| Some((t, tm.get_ref(t, e)?)));
     w.put_u32(values().count() as u32);
@@ -200,7 +226,7 @@ pub(crate) fn pack_tags(part: &Part, e: MeshEnt, w: &mut MsgWriter) {
 
 /// Append the record of `e`: header, the caller's `extra` field, geometry
 /// (coordinates for a vertex, vertex gids otherwise), tags.
-pub fn put_entity(w: &mut MsgWriter, part: &Part, e: MeshEnt, extra: impl FnOnce(&mut MsgWriter)) {
+pub fn put_entity<S: SectionSink>(w: &mut S, part: &Part, e: MeshEnt, extra: impl FnOnce(&mut S)) {
     let mut head = [0u8; 14];
     head[0] = e.dim().as_usize() as u8;
     head[1] = part.mesh.topo(e).to_u8();

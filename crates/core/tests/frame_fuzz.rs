@@ -5,6 +5,10 @@
 //! into a part that already holds the frame's vertices. A build that
 //! succeeds must have created nothing without a gid.
 //!
+//! A checkpoint's Entities section is a frame of the same records, with the
+//! ghost source as the extra field; it is damaged and built the same way,
+//! so this fuzzer covers the restore's record decoder too.
+//!
 //! The same damage applied to a frame of `migrate`'s residence rows or of
 //! the stitch's link rows must decode to valid rows or stop at a typed
 //! error, and no allocation made while decoding may be larger than the
@@ -12,8 +16,8 @@
 
 use proptest::prelude::*;
 use pumi_core::wire::{
-    decode_entity_frame, get_link, get_residence, get_share, put_entity, put_link, put_residence,
-    put_share,
+    decode_entity_frame, get_ghost_source, get_link, get_residence, get_share, put_entity,
+    put_ghost_source, put_link, put_residence, put_share,
 };
 use pumi_core::{distribute, Part, PartMap, Placed, Rows, NO_GID};
 use pumi_meshgen::tet_box;
@@ -130,6 +134,63 @@ fn frame(part: &Part, residence: bool) -> Frame {
     Frame { bytes, prefixes }
 }
 
+/// The closure of the first six elements, bottom up, as a checkpoint's
+/// Entities section holds it: every other entity is a ghost, its source a
+/// part of the world.
+fn disk_frame(part: &Part) -> Frame {
+    let mut ents: Vec<MeshEnt> = Vec::new();
+    for el in part.mesh.elems().take(6) {
+        for sub in part.mesh.closure(el) {
+            if !ents.contains(&sub) {
+                ents.push(sub);
+            }
+        }
+    }
+    ents.sort_by_key(|e| e.dim());
+    let (mut w, mut prefixes) = (MsgWriter::new(), Vec::new());
+    for (k, &e) in ents.iter().enumerate() {
+        let src = (k % 2 == 1).then_some((k % NPARTS) as PartId);
+        let mut at = w.len() + 1 + 1 + 8 + 4 + 1 + 4 * src.is_some() as usize;
+        put_entity(&mut w, part, e, |w| put_ghost_source(w, src));
+        if e.dim() != Dim::Vertex {
+            prefixes.push(at);
+            at += 4 + 8 * part.mesh.verts_of(e).len();
+        } else {
+            at += 3 * 8;
+        }
+        prefixes.push(at); // the tag count
+    }
+    Frame {
+        bytes: w.finish().to_vec(),
+        prefixes,
+    }
+}
+
+/// Decode `bytes` as a checkpoint's Entities section and build it on
+/// `part`.
+fn unpack_disk(part: &mut Part, bytes: &[u8]) -> Result<(), String> {
+    let r = &mut MsgReader::from_vec(bytes.to_vec());
+    build(part, r, |r| get_ghost_source(r, NPARTS))
+}
+
+/// `f`'s bytes with one bit flipped, cut short, or one length prefix
+/// edited, as `how` (0, 1, 2) picks.
+fn damage(f: &Frame, how: u32, at: f64, bit: u32, value: u32) -> Vec<u8> {
+    let mut bytes = f.bytes.clone();
+    let i = ((bytes.len() as f64 * at) as usize).min(bytes.len() - 1);
+    match how {
+        0 => bytes[i] ^= 1 << bit,
+        1 => bytes.truncate(i),
+        _ => {
+            let p = f.prefixes[(f.prefixes.len() as f64 * at) as usize % f.prefixes.len()];
+            let n = u32::from_le_bytes(bytes[p..p + 4].try_into().unwrap());
+            let edited = [0, 1, n + 1, n.wrapping_sub(1), 0x7fff_ffff, u32::MAX][value as usize];
+            bytes[p..p + 4].copy_from_slice(&edited.to_le_bytes());
+        }
+    }
+    bytes
+}
+
 /// Decode `bytes` as one frame and build it on `part`.
 fn unpack(part: &mut Part, bytes: &[u8], residence: bool) -> Result<(), String> {
     let r = &mut MsgReader::from_vec(bytes.to_vec());
@@ -228,8 +289,40 @@ fn undamaged_frames_build() {
     }
 }
 
+#[test]
+fn undamaged_disk_records_build() {
+    let src = source();
+    let f = disk_frame(&src);
+    for &p in &f.prefixes {
+        let n = u32::from_le_bytes(f.bytes[p..p + 4].try_into().unwrap());
+        assert!(n <= 4, "no vertex or tag count at {p}: {n}");
+    }
+    let mut part = Part::new(1, 3);
+    unpack_disk(&mut part, &f.bytes).expect("a real section builds");
+    assert_eq!(part.mesh.num_elems(), 6);
+    assert!(all_named(&part));
+    part.mesh.assert_valid();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn damaged_disk_records_never_panic(
+        how in 0u32..3,
+        at in 0.0f64..1.0,
+        bit in 0u32..8,
+        value in 0u32..6,
+    ) {
+        let src = source();
+        let bytes = damage(&disk_frame(&src), how, at, bit, value);
+        let targets = [Part::new(1, 3), holding_vertices(&frame(&src, false).bytes)];
+        for mut part in targets {
+            if unpack_disk(&mut part, &bytes).is_ok() {
+                prop_assert!(all_named(&part), "an entity built without a gid");
+            }
+        }
+    }
 
     #[test]
     fn damaged_frames_never_panic(

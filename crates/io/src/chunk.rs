@@ -19,10 +19,10 @@
 //! naming part, section and chunk index.
 //!
 //! [`ChunkWriter`] is the streaming producer: encoders push typed values
-//! through the [`SectionSink`] trait and every `chunk_len` raw bytes are
-//! compressed and flushed to the underlying `Write` immediately, so a
-//! part's serialized image is never resident in memory — peak buffering is
-//! one chunk. A value that fits in the current chunk costs one inlined
+//! through [`pumi_pcu::SectionSink`], the trait `MsgWriter` implements for
+//! the wire, and every `chunk_len` raw bytes are compressed and flushed to
+//! the underlying `Write` immediately, so a part's serialized image is
+//! never resident in memory — peak buffering is one chunk. A value that fits in the current chunk costs one inlined
 //! copy; only a value that fills it takes the out-of-line path that
 //! flushes. A flush allocates the compressor's output block and position
 //! table and nothing else, so writing a section costs a fixed number of
@@ -35,6 +35,7 @@
 use crate::crc::crc32;
 use crate::error::{IoError, Section};
 use crate::format::SectionEntry;
+use pumi_pcu::SectionSink;
 use pumi_util::PartId;
 use std::io::Write;
 use std::sync::Arc;
@@ -220,59 +221,6 @@ pub fn section_raw_bytes(
     Ok(out)
 }
 
-/// The typed-value sink the section encoders write through: the framing of
-/// [`pumi_pcu::MsgWriter`], streamed. Implemented by [`ChunkWriter`] for any
-/// underlying `Write`. The encoders take `&mut impl SectionSink`, so every
-/// value is an inlined copy into the chunk buffer, not a call through a
-/// vtable.
-pub trait SectionSink {
-    /// Append raw bytes (no length prefix).
-    fn put_raw(&mut self, b: &[u8]);
-
-    /// Write a `u8`.
-    fn put_u8(&mut self, x: u8) {
-        self.put_raw(&[x]);
-    }
-    /// Write a `u32` (little endian).
-    fn put_u32(&mut self, x: u32) {
-        self.put_raw(&x.to_le_bytes());
-    }
-    /// Write a `u64` (little endian).
-    fn put_u64(&mut self, x: u64) {
-        self.put_raw(&x.to_le_bytes());
-    }
-    /// Write an `f64` (little-endian bit pattern).
-    fn put_f64(&mut self, x: f64) {
-        self.put_raw(&x.to_bits().to_le_bytes());
-    }
-    /// Write a length-prefixed byte slice.
-    fn put_bytes(&mut self, b: &[u8]) {
-        self.put_u32(b.len() as u32);
-        self.put_raw(b);
-    }
-    /// Write a length-prefixed `u32` slice.
-    fn put_u32_slice(&mut self, xs: &[u32]) {
-        self.put_u32(xs.len() as u32);
-        for &x in xs {
-            self.put_u32(x);
-        }
-    }
-    /// Write a length-prefixed `u64` slice.
-    fn put_u64_slice(&mut self, xs: &[u64]) {
-        self.put_u32(xs.len() as u32);
-        for &x in xs {
-            self.put_u64(x);
-        }
-    }
-    /// Write a length-prefixed `f64` slice.
-    fn put_f64_slice(&mut self, xs: &[f64]) {
-        self.put_u32(xs.len() as u32);
-        for &x in xs {
-            self.put_f64(x);
-        }
-    }
-}
-
 /// Statistics of one finished chunked section.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChunkedSection {
@@ -438,7 +386,7 @@ mod tests {
             w.put_u64(i);
         }
         let sec = w.finish_section().expect("io");
-        let raw = reassemble(3, Section::Tags, &file, &sec).expect("reassemble");
+        let raw = reassemble(3, Section::Fields, &file, &sec).expect("reassemble");
         let mut r = pumi_pcu::MsgReader::from_vec(raw);
         for i in 0..2000u64 {
             assert_eq!(r.try_get_u8().unwrap(), i as u8);

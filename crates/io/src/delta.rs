@@ -6,7 +6,7 @@
 //! `delta_<k:04>/part_*.pmb` files under the base checkpoint directory —
 //! ordinary part files with [`FLAG_DELTA`](crate::format::FLAG_DELTA) set,
 //! written by the same section encoders as a full snapshot: their
-//! Entities/Tags/Fields sections carry *only* the dirty entities, plus a
+//! Entities/Fields sections carry *only* the dirty entities, plus a
 //! Deleted section of per-dimension gid lists and a full Remotes section
 //! (boundary links are global state and cheap relative to entities). The
 //! manifest's `delta_count` is bumped last, so a crash mid-delta leaves the
@@ -15,8 +15,8 @@
 //! Restore ([`crate::PartRows::read`]) replays deltas on each part's rows
 //! *before* any part is built, so a checkpoint with deltas restores onto
 //! any rank count exactly like a fresh full snapshot: deletions first, then
-//! entity upserts (vertices to elements), then tag/field values by gid,
-//! then wholesale remote-link replacement.
+//! entity upserts (each record's tags with it), then wholesale remote-link
+//! replacement, then field values by gid.
 
 use crate::error::IoError;
 use crate::format::{delta_dir, MANIFEST_FILE};

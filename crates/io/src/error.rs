@@ -9,16 +9,16 @@
 use pumi_util::PartId;
 use std::path::PathBuf;
 
-/// The sections of a `.pmb` part file, in file order.
+/// The sections of a `.pmb` part file, in file order. Code 2 is unused: it
+/// was version 2's Tags section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Section {
-    /// Entities per dimension: gid, topology, classification, ghost
-    /// provenance, coordinates / vertex gids.
+    /// The part's entities, vertices first: one `pumi_core::wire::put_entity`
+    /// record each, as migration ships them, with the ghost source as the
+    /// extra field and the entity's tags inline.
     Entities,
-    /// Part-boundary entities with their residence part sets.
+    /// Part-boundary entities: one `pumi_core::wire::put_residence` row each.
     Remotes,
-    /// Tag declarations and per-entity values.
-    Tags,
     /// `pumi-field` fields: descriptors and per-node values.
     Fields,
     /// Delta checkpoints only: gids of entities deleted since the base
@@ -29,19 +29,13 @@ pub enum Section {
 impl Section {
     /// The full-snapshot sections in file order (a delta part file appends
     /// [`Section::Deleted`] after these).
-    pub const ALL: [Section; 4] = [
-        Section::Entities,
-        Section::Remotes,
-        Section::Tags,
-        Section::Fields,
-    ];
+    pub const ALL: [Section; 3] = [Section::Entities, Section::Remotes, Section::Fields];
 
     /// Stable on-disk code.
     pub fn to_u8(self) -> u8 {
         match self {
             Section::Entities => 0,
             Section::Remotes => 1,
-            Section::Tags => 2,
             Section::Fields => 3,
             Section::Deleted => 4,
         }
@@ -52,7 +46,6 @@ impl Section {
         match x {
             0 => Some(Section::Entities),
             1 => Some(Section::Remotes),
-            2 => Some(Section::Tags),
             3 => Some(Section::Fields),
             4 => Some(Section::Deleted),
             _ => None,
@@ -64,7 +57,6 @@ impl Section {
         match self {
             Section::Entities => "entities",
             Section::Remotes => "remotes",
-            Section::Tags => "tags",
             Section::Fields => "fields",
             Section::Deleted => "deleted",
         }
@@ -219,6 +211,7 @@ mod tests {
         for s in Section::ALL {
             assert_eq!(Section::from_u8(s.to_u8()), Some(s));
         }
+        assert_eq!(Section::from_u8(2), None);
         assert_eq!(Section::from_u8(200), None);
     }
 
@@ -226,13 +219,13 @@ mod tests {
     fn errors_name_part_and_section() {
         let e = IoError::BadChunk {
             part: 7,
-            section: Section::Tags,
+            section: Section::Fields,
             chunk: 2,
             detail: "payload CRC mismatch".into(),
         };
         let msg = e.to_string();
         assert!(
-            msg.contains("part 7") && msg.contains("tags") && msg.contains("chunk 2"),
+            msg.contains("part 7") && msg.contains("fields") && msg.contains("chunk 2"),
             "{msg}"
         );
         let e = IoError::Truncated {

@@ -9,15 +9,14 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "PMBP"
-//! 4       4     format version = 2 (u32)
+//! 4       4     format version = 3 (u32)
 //! 8       4     part id (u32)
 //! 12      4     element dimension (u32)
-//! 16      8     reserved (zero)
-//! 24      4     flags (u32; bit 0 = delta checkpoint)
-//! 28      8     table offset (u64, absolute)
-//! 36      4     table length (u32, includes its CRC)
-//! 40      4     crc32 of bytes [0, 40)
-//! 44      ...   section chunk streams (see `chunk` module)
+//! 16      4     flags (u32; bit 0 = delta checkpoint)
+//! 20      8     table offset (u64, absolute)
+//! 28      4     table length (u32, includes its CRC)
+//! 32      4     crc32 of bytes [0, 32)
+//! 36      ...   section chunk streams (see `chunk` module)
 //! table   4     section count n (u32)
 //!         29*n  entries: kind u8, offset u64, disk_len u64, raw_len u64,
 //!               nchunks u32
@@ -27,10 +26,18 @@
 //! The header and the table carry their own CRCs so damage is detected
 //! before any offset is trusted. The writer streams chunks as encoders
 //! produce them, records where each section landed, appends the table at
-//! the end, and seeks back to rewrite the 44-byte header — so a part's
-//! serialized image is never held in memory. Section content is a
-//! [`pumi_pcu::MsgWriter`]-framed stream — the same encoding migration
-//! uses on the wire.
+//! the end, and seeks back to rewrite the 36-byte header — so a part's
+//! serialized image is never held in memory.
+//!
+//! A part file holds the sections Entities, Remotes and Fields, and a delta
+//! round also Deleted ([`Section`]). Entities is a stream of
+//! `pumi_core::wire::put_entity` records, the records migration ships:
+//! dimension, topology, gid, classification, the ghost source as the extra
+//! field (`wire::put_ghost_source`), coordinates or vertex gids, and the
+//! entity's tags inline. Remotes holds one `wire::put_residence` row per
+//! part-boundary entity. Both are written through the
+//! [`pumi_pcu::SectionSink`] that `MsgWriter` implements on the wire, so the
+//! disk and the wire share one encoder and one decoder.
 //!
 //! Manifest file:
 //!
@@ -42,9 +49,10 @@
 //! global owned entity counts, a ghost flag, the field descriptors, and
 //! the number of delta rounds.
 //!
-//! Version 1 (a flat, uncompressed container written before PR 8) is no
-//! longer read: such a part file or manifest is refused with a typed
-//! [`IoError::Header`] / [`IoError::Manifest`].
+//! Versions 1 (a flat, uncompressed container) and 2 (entity rows of their
+//! own layout and a Tags section) are no longer read: such a part file or
+//! manifest is refused with a typed [`IoError::Header`] /
+//! [`IoError::Manifest`] that names its version.
 
 use crate::crc::crc32;
 use crate::error::{IoError, Section};
@@ -59,14 +67,14 @@ pub const PART_MAGIC: [u8; 4] = *b"PMBP";
 pub const MANIFEST_MAGIC: [u8; 4] = *b"PMBM";
 /// The format version written to (and required of) every part file and
 /// manifest.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 /// The manifest file name inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "manifest.pmb";
 /// Header flag bit: this part file is a *delta* against a base snapshot.
 pub const FLAG_DELTA: u32 = 1;
 
 /// Fixed header length (the trailing 4 bytes are its CRC).
-pub const HEADER_LEN: usize = 44;
+pub const HEADER_LEN: usize = 36;
 const TABLE_ENTRY: usize = 29;
 
 /// The file name of a part's data inside a checkpoint directory.
@@ -159,10 +167,9 @@ impl PartFile {
     }
 }
 
-/// Encode the fixed 44-byte header. The streaming writer calls this
+/// Encode the fixed 36-byte header. The streaming writer calls this
 /// twice: once with zeroed `table_offset`/`table_len` to reserve the bytes,
 /// and again (seeking back) once the table's landing spot is known.
-/// Bytes 16–23 are reserved and stay zero.
 pub fn encode_header(
     part: PartId,
     elem_dim: u32,
@@ -175,11 +182,11 @@ pub fn encode_header(
     h[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
     h[8..12].copy_from_slice(&part.to_le_bytes());
     h[12..16].copy_from_slice(&elem_dim.to_le_bytes());
-    h[24..28].copy_from_slice(&flags.to_le_bytes());
-    h[28..36].copy_from_slice(&table_offset.to_le_bytes());
-    h[36..40].copy_from_slice(&table_len.to_le_bytes());
-    let crc = crc32(&h[..40]);
-    h[40..44].copy_from_slice(&crc.to_le_bytes());
+    h[16..20].copy_from_slice(&flags.to_le_bytes());
+    h[20..28].copy_from_slice(&table_offset.to_le_bytes());
+    h[28..32].copy_from_slice(&table_len.to_le_bytes());
+    let crc = crc32(&h[..32]);
+    h[32..36].copy_from_slice(&crc.to_le_bytes());
     h
 }
 
@@ -221,8 +228,8 @@ pub fn parse_part_header(part: PartId, data: &[u8]) -> Result<PartHeader, IoErro
     if data.len() < HEADER_LEN {
         return Err(too_short());
     }
-    let stored = get_u32(data, 40);
-    let actual = crc32(&data[..40]);
+    let stored = get_u32(data, 32);
+    let actual = crc32(&data[..32]);
     if stored != actual {
         return Err(header_err(format!(
             "header CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
@@ -235,9 +242,9 @@ pub fn parse_part_header(part: PartId, data: &[u8]) -> Result<PartHeader, IoErro
         )));
     }
     let elem_dim = get_u32(data, 12);
-    let flags = get_u32(data, 24);
-    let table_offset = get_u64(data, 28) as usize;
-    let table_len = get_u32(data, 36) as usize;
+    let flags = get_u32(data, 16);
+    let table_offset = get_u64(data, 20) as usize;
+    let table_len = get_u32(data, 28) as usize;
     if table_len < 8 || table_offset.checked_add(table_len).is_none() {
         return Err(header_err(format!("nonsense table length {table_len}")));
     }

@@ -9,7 +9,7 @@
 //! ```text
 //! checkpoint-dir/
 //!   manifest.pmb       nparts, elem_dim, owned counts, field descriptors
-//!   part_00000.pmb     entities | remotes | tags | fields, as LZ4 chunks + CRC-32s
+//!   part_00000.pmb     entities | remotes | fields, as LZ4 chunks + CRC-32s
 //!   part_00001.pmb
 //!   ...
 //!   delta_0001/        one part file per part: what changed since, + deleted

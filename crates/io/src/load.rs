@@ -4,45 +4,43 @@
 //! [`PartRows::read`] walks a file part's files in order — the base
 //! snapshot, then delta round 1, 2, … — through a [`SectionSource`] and
 //! replays each round on the part's own rows: Deleted retires rows,
-//! Entities appends new rows and updates the rows it names by gid, Tags and
-//! Fields attach values to rows (values of a field the manifest does not
-//! list are checked and dropped), and Remotes is replaced whole. The rows are
-//! a [`Rows`] block, core's flat per-dimension columns, with a gid index;
-//! an entity row names its vertices by row, resolved once, when it is
-//! decoded.
+//! Entities decodes its `put_entity` records with migration's decoder
+//! ([`decode_entity_frame`]) and updates the rows they name by gid, Fields
+//! attaches values to rows (values of a field the manifest does not list
+//! are checked and dropped), and Remotes is replaced whole. The rows are a
+//! [`Rows`] block, core's flat per-dimension columns with the records'
+//! tags, and a gid index; an entity row names its vertices by row, resolved
+//! once per round.
 //!
 //! [`build_part`] turns the rows of a block of file parts into one [`Part`]
 //! with core's builder ([`Part::build`]), each file part's rows in turn, and
 //! returns the part's field values beside it, one [`Field`] per manifest
 //! field. When two file parts of the block hold a shared entity, the lower
-//! part's row wins: the owner's copy, the one `struct_hash` reads. A
+//! part's row creates it: the owner's copy, the one `struct_hash` reads. A
 //! [`Pick::Piece`] builds only one sub-part of a file part — its elements
 //! and their closure, cut along a Morton curve — and reports which of its
 //! entities other sub-parts hold too.
 //! [`crate::slice_of`] decides what a rank or slice builds.
 //!
 //! Input is checked where it is decoded, so both restore paths refuse the
-//! same input with [`IoError::Decode`]: an Entities row without its
-//! topology's number of distinct vertex gids or naming a vertex the part
-//! lacks, a Tags or Fields row naming an entity the part lacks or holding a
-//! value of the wrong size, a field with another number of components than
-//! the manifest gives it, a Remotes row for an element or naming a part
-//! outside the checkpoint, an element whose sides would bound a third
-//! element, an entity row over the vertices of another entity, and an
+//! same input with [`IoError::Decode`]: an entity record the wire would
+//! refuse (see `pumi_core::rows`), one above the element dimension, naming
+//! a vertex the part lacks or a ghost source outside the checkpoint, a
+//! Fields row naming an entity the part lacks or holding a value of the
+//! wrong size, a field with another number of components than the manifest
+//! gives it, a Remotes row for an element or naming a part outside the
+//! checkpoint, an element whose sides would bound a third element, and an
 //! element gid held by two file parts of one block.
 
 use crate::chunk::{decode_chunk, section_raw_bytes, ChunkHeader};
 use crate::error::{IoError, Section};
 use crate::format::{Manifest, PartFile};
 use pumi_core::rows::THIRD_ELEMENT;
-use pumi_core::wire::get_dim;
+use pumi_core::wire::{decode_entity_frame, get_dim, get_ghost_source, get_residence};
 use pumi_core::{Part, Placed, RowError, Rows};
 use pumi_field::{Field, FieldShape};
-use pumi_geom::GeomEnt;
-use pumi_mesh::Topology;
 use pumi_partition::sfc;
 use pumi_pcu::{MsgError, MsgReader};
-use pumi_util::tag::{TagData, TagId, TagKind};
 use pumi_util::{Dim, FxHashMap, GlobalId, MeshEnt, PartId};
 use std::path::Path;
 use std::sync::Arc;
@@ -98,15 +96,6 @@ fn derr(part: PartId, section: Section) -> impl Fn(MsgError) -> IoError {
     move |e| bad(part, section, e.to_string())
 }
 
-/// One tag's values, in file order: a later round's value for a row
-/// replaces an earlier one.
-struct TagRows {
-    name: String,
-    kind: TagKind,
-    len: usize,
-    vals: Vec<(Dim, u32, TagData)>,
-}
-
 /// One manifest field's node values: `ncomp` doubles per `(dimension,
 /// row)`, in file order.
 struct FieldRows {
@@ -128,72 +117,9 @@ pub struct PartRows {
     index: [FxHashMap<GlobalId, u32>; 4],
     /// Part-boundary rows: (dim, gid, residence parts, sorted).
     pub(crate) remotes: Vec<(Dim, GlobalId, Vec<PartId>)>,
-    tags: Vec<TagRows>,
     /// In manifest order.
     fields: Vec<FieldRows>,
     bytes: u64,
-}
-
-/// One parsed Entities row.
-struct EntityRow {
-    gid: GlobalId,
-    topo: Topology,
-    class: GeomEnt,
-    ghost_src: Option<PartId>,
-    /// Vertex coordinates (dimension 0; zeros otherwise).
-    coords: [f64; 3],
-    /// Bounding vertex gids, the first `topo.num_verts()` (dimensions ≥ 1).
-    vgids: [GlobalId; 8],
-}
-
-/// Parse and validate one Entities row of the dimension-`d` block — the
-/// one place that knows the row layout. A row must name exactly its
-/// topology's number of distinct vertices.
-fn read_entity_row(fpart: PartId, r: &mut MsgReader, d: usize) -> Result<EntityRow, IoError> {
-    let sec = Section::Entities;
-    let e = &derr(fpart, sec);
-    let gid = r.try_get_u64().map_err(e)?;
-    let topo_code = r.try_get_u8().map_err(e)?;
-    let class = GeomEnt(r.try_get_u32().map_err(e)?);
-    let ghost_src = match r.try_get_u8().map_err(e)? {
-        0 => None,
-        _ => Some(r.try_get_u32().map_err(e)?),
-    };
-    let topo = Topology::try_from_u8(topo_code)
-        .ok_or(MsgError::bad_enum("topology", topo_code))
-        .map_err(e)?;
-    if topo.dim().as_usize() != d {
-        let detail = format!("topology {topo:?} in dimension-{d} block");
-        return Err(bad(fpart, sec, detail));
-    }
-    let (mut coords, mut vgids) = ([0.0; 3], [0; 8]);
-    if d == 0 {
-        for x in &mut coords {
-            *x = r.try_get_f64().map_err(e)?;
-        }
-    } else {
-        let n = r.try_get_u32().map_err(e)? as usize;
-        if n != topo.num_verts() {
-            let detail = format!("entity gid {gid}: {n} vertex gids for a {topo:?}");
-            return Err(bad(fpart, sec, detail));
-        }
-        for g in &mut vgids[..n] {
-            *g = r.try_get_u64().map_err(e)?;
-        }
-        let vgids = &vgids[..n];
-        if (1..n).any(|i| vgids[..i].contains(&vgids[i])) {
-            let detail = format!("entity gid {gid}: repeated vertex gid in {vgids:?}");
-            return Err(bad(fpart, sec, detail));
-        }
-    }
-    Ok(EntityRow {
-        gid,
-        topo,
-        class,
-        ghost_src,
-        coords,
-        vgids,
-    })
 }
 
 impl PartRows {
@@ -213,7 +139,6 @@ impl PartRows {
             rows: Rows::default(),
             index: Default::default(),
             remotes: Vec::new(),
-            tags: Vec::new(),
             fields: manifest
                 .fields
                 .iter()
@@ -260,7 +185,6 @@ impl PartRows {
             }
             rows.decode_entities(manifest.nparts, fetch(Section::Entities)?)?;
             rows.decode_remotes(manifest.nparts, fetch(Section::Remotes)?)?;
-            rows.decode_tags(fetch(Section::Tags)?)?;
             rows.decode_fields(fetch(Section::Fields)?)?;
             rows.bytes += file.data.len() as u64;
         }
@@ -321,63 +245,46 @@ impl PartRows {
         Ok(())
     }
 
-    /// An Entities section. A row for a gid the part already holds (a delta
-    /// round's upsert) updates that row's classification, coordinates and
-    /// ghost source in place; any other row is appended, its vertex gids
-    /// resolved to rows. A ghost source outside the checkpoint's `nparts`
-    /// is refused.
+    /// An Entities section: [`decode_entity_frame`] appends its records to
+    /// the rows, the ghost source their extra field. A record for a gid the
+    /// part already holds (a delta round's upsert) then replaces that row's
+    /// classification, coordinates, ghost source and tags, and is retired
+    /// itself. Every vertex a record names must be a live row, and no record
+    /// may lie above the element dimension.
     fn decode_entities(&mut self, nparts: u32, mut r: MsgReader) -> Result<(), IoError> {
-        let (fpart, sec) = (self.fpart, Section::Entities);
-        let e = derr(fpart, sec);
-        /// Gid, topology, classification, ghost flag: the least a row takes.
-        const MIN_ROW: usize = 8 + 1 + 4 + 1;
-        for d in 0..=self.elem_dim {
-            let dim = Dim::from_usize(d);
-            let n = r.try_get_u32().map_err(&e)?;
-            self.index[d].reserve((n as usize).min(r.remaining() / MIN_ROW));
-            for _ in 0..n {
-                let row = read_entity_row(fpart, &mut r, d)?;
-                let ghost = row.ghost_src.unwrap_or(NONE);
-                if ghost != NONE && ghost >= nparts {
-                    let detail =
-                        format!("entity gid {}: ghost of part {ghost} of {nparts}", row.gid);
-                    return Err(bad(fpart, sec, detail));
-                }
-                if let Some(&at) = self.index[d].get(&row.gid) {
-                    let (at, rows) = (at as usize, self.rows.dim_mut(dim));
-                    rows.class[at] = row.class;
-                    rows.extra[at] = ghost;
-                    if d == 0 {
-                        rows.coords[at] = row.coords;
-                    }
+        let start = Dim::ALL.map(|d| self.rows.dim(d).len());
+        let ghost = |r: &mut MsgReader| Ok(get_ghost_source(r, nparts as usize)?.unwrap_or(NONE));
+        decode_entity_frame(&mut r, &mut self.rows, ghost)
+            .map_err(derr(self.fpart, Section::Entities))?;
+        for (d, index) in Dim::ALL.into_iter().zip(&mut self.index) {
+            let new_rows = start[d.as_usize()]..self.rows.dim(d).len();
+            if d.as_usize() > self.elem_dim && !new_rows.is_empty() {
+                let detail = format!(
+                    "{d} record in a part of element dimension {}",
+                    self.elem_dim
+                );
+                return Err(bad(self.fpart, Section::Entities, detail));
+            }
+            index.reserve(new_rows.len());
+            for new in new_rows {
+                let gid = self.rows.dim(d).gid[new];
+                let Some(&at) = index.get(&gid) else {
+                    index.insert(gid, new as u32);
                     continue;
-                }
-                let at = if d == 0 {
-                    self.rows.push_vertex(row.gid, row.class, row.coords, ghost)
-                } else {
-                    let (nv, mut vs) = (row.topo.num_verts(), [0u32; 8]);
-                    for (v, &g) in vs.iter_mut().zip(&row.vgids[..nv]) {
-                        *v = *self.index[0].get(&g).ok_or_else(|| {
-                            let detail =
-                                format!("entity gid {} references unknown vertex {g}", row.gid);
-                            bad(fpart, sec, detail)
-                        })?;
-                    }
-                    let vs = &vs[..nv];
-                    let pushed = self
-                        .rows
-                        .push_entity(row.topo, row.gid, row.class, vs, ghost);
-                    pushed.map_err(&e)?
                 };
-                self.index[d].insert(row.gid, at);
+                self.rows.overwrite(d, at as usize, new);
+                let ghost = &mut self.rows.dim_mut(d).extra;
+                ghost[at as usize] = std::mem::replace(&mut ghost[new], RETIRED);
             }
         }
-        Ok(())
+        let index = &self.index[0];
+        let resolved = self.rows.resolve_vertices(|g| index.get(&g).copied());
+        resolved.map_err(|e| self.refused(e))
     }
 
-    /// A Remotes section, replacing the previous round's. Elements are
-    /// never shared, so a row at the element dimension is refused, and so is
-    /// a row naming a part outside the checkpoint's `nparts`.
+    /// A Remotes section of [`get_residence`] rows, replacing the previous
+    /// round's. Elements are never shared, so a row at the element dimension
+    /// is refused, and so is a row naming a part outside the checkpoint.
     fn decode_remotes(&mut self, nparts: u32, mut r: MsgReader) -> Result<(), IoError> {
         /// Dimension byte, gid, residence-list length: the least a row takes.
         const MIN_ROW: usize = 1 + 8 + 4;
@@ -386,15 +293,10 @@ impl PartRows {
         let n = r.try_get_u32().map_err(&e)?;
         let mut rows = Vec::with_capacity((n as usize).min(r.remaining() / MIN_ROW));
         for _ in 0..n {
-            let d = get_dim(&mut r).map_err(&e)?;
-            let gid = r.try_get_u64().map_err(&e)?;
+            let mut res = Vec::new();
+            let (d, gid) = get_residence(&mut r, nparts as usize, &mut res).map_err(&e)?;
             if d.as_usize() == self.elem_dim {
                 let detail = format!("row for element gid {gid}: elements are never shared");
-                return Err(bad(fpart, sec, detail));
-            }
-            let mut res = r.try_get_u32_slice().map_err(&e)?;
-            if let Some(q) = res.iter().find(|&&q| q >= nparts) {
-                let detail = format!("row for {d} gid {gid} names part {q} of {nparts}");
                 return Err(bad(fpart, sec, detail));
             }
             res.sort_unstable();
@@ -402,72 +304,6 @@ impl PartRows {
             rows.push((d, gid, res));
         }
         self.remotes = rows;
-        Ok(())
-    }
-
-    /// The row of `(dim, gid)`, or the error a row of `section` naming an
-    /// entity the part lacks is refused with (`what`: "tag" or "field").
-    fn row_of(
-        &self,
-        section: Section,
-        what: &str,
-        name: &str,
-        dim: Dim,
-        gid: GlobalId,
-    ) -> Result<u32, IoError> {
-        let found = self.index[dim.as_usize()].get(&gid).copied();
-        found.ok_or_else(|| {
-            let detail = format!("{what} '{name}' row references unknown gid {gid}");
-            bad(self.fpart, section, detail)
-        })
-    }
-
-    fn decode_tags(&mut self, mut r: MsgReader) -> Result<(), IoError> {
-        let (fpart, sec) = (self.fpart, Section::Tags);
-        let e = derr(fpart, sec);
-        for _ in 0..r.try_get_u32().map_err(&e)? {
-            let name = String::from_utf8(r.try_get_bytes().map_err(&e)?)
-                .map_err(|_| bad(fpart, sec, "tag name is not UTF-8".into()))?;
-            let kind = match r.try_get_u8().map_err(&e)? {
-                0 => TagKind::Int,
-                1 => TagKind::Double,
-                2 => TagKind::Bytes,
-                k => return Err(e(MsgError::bad_enum("tag kind", k))),
-            };
-            let len = r.try_get_u32().map_err(&e)? as usize;
-            let t = match self.tags.iter().position(|t| t.name == name) {
-                Some(t) if (self.tags[t].kind, self.tags[t].len) != (kind, len) => {
-                    let detail = format!("tag '{name}' re-declared as {kind:?} × {len}");
-                    return Err(bad(fpart, sec, detail));
-                }
-                Some(t) => t,
-                None => {
-                    self.tags.push(TagRows {
-                        name,
-                        kind,
-                        len,
-                        vals: Vec::new(),
-                    });
-                    self.tags.len() - 1
-                }
-            };
-            for _ in 0..r.try_get_u32().map_err(&e)? {
-                let d = get_dim(&mut r).map_err(&e)?;
-                let gid = r.try_get_u64().map_err(&e)?;
-                let buf = r.try_get_bytes_shared().map_err(&e)?;
-                let name = &self.tags[t].name;
-                let fits = |v: &TagData| match v {
-                    TagData::Ints(x) => kind == TagKind::Int && x.len() == len,
-                    TagData::Dbls(x) => kind == TagKind::Double && x.len() == len,
-                    TagData::Bytes(_) => kind == TagKind::Bytes,
-                };
-                let data = TagData::decode(&buf, &mut 0).filter(fits).ok_or_else(|| {
-                    bad(fpart, sec, format!("undecodable value for tag '{name}'"))
-                })?;
-                let row = self.row_of(sec, "tag", name, d, gid)?;
-                self.tags[t].vals.push((d, row, data));
-            }
-        }
         Ok(())
     }
 
@@ -493,7 +329,10 @@ impl PartRows {
                     let detail = format!("field '{name}': {n} values for {ncomp} components");
                     return Err(bad(fpart, sec, detail));
                 }
-                let row = self.row_of(sec, "field", &name, d, gid)?;
+                let row = self.index[d.as_usize()].get(&gid).copied().ok_or_else(|| {
+                    let detail = format!("field '{name}' row references unknown gid {gid}");
+                    bad(fpart, sec, detail)
+                })?;
                 for _ in 0..n {
                     let x = r.try_get_f64().map_err(&e)?;
                     if let Some(f) = listed {
@@ -672,25 +511,6 @@ pub struct Built {
     pub siblings: Vec<(MeshEnt, Vec<PartId>)>,
 }
 
-/// Declare a tag on `part`, refusing a name the part already has with
-/// another kind or length.
-fn declare(
-    part: &mut Part,
-    fpart: PartId,
-    name: &str,
-    kind: TagKind,
-    len: usize,
-) -> Result<TagId, IoError> {
-    let tags = part.mesh.tags_mut();
-    if let Some(t) = tags.find(name) {
-        if (tags.kind(t), tags.len_of(t)) != (kind, len) {
-            let detail = format!("tag '{name}' declared as {kind:?} × {len} and differently");
-            return Err(bad(fpart, Section::Tags, detail));
-        }
-    }
-    Ok(tags.declare(name, kind, len))
-}
-
 /// Build part `id` from the rows of a block of file parts, in ascending
 /// file-part order, keeping `pick` of each; with `skip_ghosts` ghost rows
 /// are dropped. Each file part's rows are built in turn with core's builder
@@ -698,10 +518,10 @@ fn declare(
 /// creates each dimension's entities in the order building dimension by
 /// dimension across the block would. A shared entity another part of the
 /// block already built is found, not built again (the lower part's row
-/// wins), but an element held by two of them is refused. Tags and field
-/// values attach to the rows that were built, a field's only at the
-/// dimensions its shape puts nodes on. This is the one loader every
-/// restored part comes from.
+/// creates it, and the builder attaches each row's tags to it), but an
+/// element held by two of them is refused. Field values attach to the rows
+/// that were built, only at the dimensions their field's shape puts nodes
+/// on. This is the one loader every restored part comes from.
 ///
 /// # Panics
 /// Panics on an empty block, and on a `Pick::Piece(j, _)` with `id < j`.
@@ -767,7 +587,7 @@ pub fn build_part(
             }
         }
     }
-    // A row another part of the block built carries no tags or values.
+    // A row another part of the block built carries no field values.
     let mut fields: Vec<Field> = block[0]
         .fields
         .iter()
@@ -778,14 +598,6 @@ pub fn build_part(
         _ => None,
     };
     for (rows, at) in block.iter().zip(&placed) {
-        for t in &rows.tags {
-            let tid = declare(&mut part, rows.fpart, &t.name, t.kind, t.len)?;
-            for (dim, r, val) in &t.vals {
-                if let Some(e) = built(at, *dim, *r) {
-                    part.mesh.tags_mut().set(tid, e, val.clone());
-                }
-            }
-        }
         for (field, f) in fields.iter_mut().zip(&rows.fields) {
             for (&(dim, r), v) in f.at.iter().zip(f.vals.chunks_exact(f.ncomp)) {
                 if let Some(e) = built(at, dim, r).filter(|_| f.shape.has_nodes(dim, elem_dim)) {

@@ -1,11 +1,11 @@
 //! Parallel checkpoint writer.
 //!
-//! Each rank serializes its local parts — entities, partition-model
-//! residence data, ghost provenance, tags, and fields — into one `.pmb`
-//! file per part; rank 0 then writes the manifest. The call is collective
-//! and fallible: local write failures are agreed across ranks (one
-//! allreduce) so every rank returns an `Err` together instead of leaving
-//! peers blocked in the manifest reduction.
+//! Each rank serializes its local parts — entity records with their ghost
+//! provenance and tags, partition-model residence rows, and fields — into
+//! one `.pmb` file per part; rank 0 then writes the manifest. The call is
+//! collective and fallible: local write failures are agreed across ranks
+//! (one allreduce) so every rank returns an `Err` together instead of
+//! leaving peers blocked in the manifest reduction.
 //!
 //! One set of section encoders serves full snapshots and delta rounds
 //! alike — a delta resolves its part's [`DirtyLog`] to the logged
@@ -14,17 +14,17 @@
 //! CRC'd chunks go straight to disk, so peak memory is one chunk regardless
 //! of part size.
 
-use crate::chunk::{ChunkWriter, SectionSink, DEFAULT_CHUNK_LEN};
+use crate::chunk::{ChunkWriter, DEFAULT_CHUNK_LEN};
 use crate::error::{IoError, Section};
 use crate::format::{
     encode_header, encode_manifest, encode_table, part_file_path, FieldDesc, Manifest,
     SectionEntry, FLAG_DELTA, HEADER_LEN, MANIFEST_FILE,
 };
+use pumi_core::wire::{put_entity, put_ghost_source, put_residence};
 use pumi_core::{DirtyLog, DistMesh, Part};
 use pumi_field::{DistField, Field};
-use pumi_pcu::{Comm, MsgWriter};
-use pumi_util::tag::{TagId, TagKind};
-use pumi_util::{Dim, GlobalId, MeshEnt};
+use pumi_pcu::{Comm, MsgWriter, SectionSink};
+use pumi_util::{Dim, GlobalId, MeshEnt, PartId};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
@@ -84,86 +84,30 @@ fn rows<'a>(part: &'a Part, picked: &'a Picked, d: Dim) -> impl Iterator<Item = 
         .chain(logged.into_iter().flatten().copied())
 }
 
+/// One [`put_entity`] record per entity, vertices first, the ghost source
+/// as the extra field.
 fn encode_entities(part: &Part, picked: &Picked, w: &mut impl SectionSink) {
     for d in 0..=part.mesh.elem_dim() {
-        let dim = Dim::from_usize(d);
-        w.put_u32(rows(part, picked, dim).count() as u32);
-        for e in rows(part, picked, dim) {
-            w.put_u64(part.gid_of(e));
-            w.put_u8(part.mesh.topo(e).to_u8());
-            w.put_u32(part.mesh.class_of(e).0);
-            match part.ghost_source(e) {
-                Some((src, _)) => {
-                    w.put_u8(1);
-                    w.put_u32(src);
-                }
-                None => w.put_u8(0),
-            }
-            if d == 0 {
-                let x = part.mesh.coords(e);
-                w.put_f64(x[0]);
-                w.put_f64(x[1]);
-                w.put_f64(x[2]);
-            } else {
-                let verts = part.mesh.verts_of(e);
-                w.put_u32(verts.len() as u32);
-                for &v in verts {
-                    w.put_u64(part.gid_of(MeshEnt::vertex(v)));
-                }
-            }
+        for e in rows(part, picked, Dim::from_usize(d)) {
+            let src = part.ghost_source(e).map(|(src, _)| src);
+            put_entity(w, part, e, |w| put_ghost_source(w, src));
         }
     }
 }
 
-/// Boundary links are global state and small next to the entities, so a
-/// delta round rewrites them whole.
+/// One [`put_residence`] row per part-boundary entity. Boundary links are
+/// global state and small next to the entities, so a delta round rewrites
+/// them whole.
 fn encode_remotes(part: &Part, w: &mut impl SectionSink) {
     let shared = part.shared_entities();
     w.put_u32(shared.len() as u32);
+    let mut res: Vec<PartId> = Vec::new();
     for (e, copies) in shared {
-        w.put_u8(e.dim().as_usize() as u8);
-        w.put_u64(part.gid_of(e));
-        // `Part::residence`, written in place: this part merged into the
-        // remote parts, which are sorted and never include it.
-        let below = copies.partition_point(|&(p, _)| p < part.id);
-        w.put_u32(copies.len() as u32 + 1);
-        for &(p, _) in &copies[..below] {
-            w.put_u32(p);
-        }
-        w.put_u32(part.id);
-        for &(p, _) in &copies[below..] {
-            w.put_u32(p);
-        }
-    }
-}
-
-fn encode_tags(part: &Part, picked: &Picked, w: &mut impl SectionSink) {
-    let tm = part.mesh.tags();
-    let elem_dim = part.mesh.elem_dim();
-    // A tag's rows are the section's entities that carry it; the declared
-    // count can exceed them, and a tag without rows is left out.
-    let tag_rows = |tid: TagId| {
-        (0..=elem_dim)
-            .flat_map(move |d| rows(part, picked, Dim::from_usize(d)))
-            .filter_map(move |e| Some((e, tm.get_ref(tid, e)?)))
-    };
-    let written = |tid: &TagId| tm.count(*tid) > 0 && tag_rows(*tid).next().is_some();
-    w.put_u32(tm.tags().filter(written).count() as u32);
-    for tid in tm.tags().filter(written) {
-        w.put_bytes(tm.name(tid).as_bytes());
-        w.put_u8(match tm.kind(tid) {
-            TagKind::Int => 0,
-            TagKind::Double => 1,
-            TagKind::Bytes => 2,
-        });
-        w.put_u32(tm.len_of(tid) as u32);
-        w.put_u32(tag_rows(tid).count() as u32);
-        for (e, value) in tag_rows(tid) {
-            w.put_u8(e.dim().as_usize() as u8);
-            w.put_u64(part.gid_of(e));
-            w.put_u32(value.encoded_len() as u32);
-            value.encode_with(|b| w.put_raw(b));
-        }
+        // `Part::residence`: this part merged into the sorted remote parts.
+        res.clear();
+        res.extend(copies.iter().map(|&(p, _)| p));
+        res.insert(res.partition_point(|&p| p < part.id), part.id);
+        put_residence(w, e.dim(), part.gid_of(e), &res);
     }
 }
 
@@ -255,10 +199,6 @@ fn write_part_file(
     .map_err(io_err)?;
     emit(o, &mut entries, Section::Remotes, |w| {
         encode_remotes(part, w)
-    })
-    .map_err(io_err)?;
-    emit(o, &mut entries, Section::Tags, |w| {
-        encode_tags(part, picked, w)
     })
     .map_err(io_err)?;
     emit(o, &mut entries, Section::Fields, |w| {

@@ -4,7 +4,7 @@
 
 use pumi_core::{distribute, PartMap};
 use pumi_field::{DistField, Field, FieldShape};
-use pumi_io::chunk::{decode_chunk, section_raw_bytes, ChunkWriter, SectionSink};
+use pumi_io::chunk::{decode_chunk, section_raw_bytes, ChunkWriter};
 use pumi_io::format::{
     encode_header, encode_manifest, encode_table, parse_manifest, parse_part_header,
     part_file_path, SectionEntry, HEADER_LEN,
@@ -13,7 +13,8 @@ use pumi_io::{read_checkpoint, write_checkpoint, IoError, Section};
 use pumi_meshgen::tri_rect;
 use pumi_partition::partition_mesh;
 use pumi_pcu::{
-    execute, execute_opts, Comm, MachineModel, MsgReader, MsgWriter, SchedMode, WorldOpts,
+    execute, execute_opts, Comm, MachineModel, MsgReader, MsgWriter, SchedMode, SectionSink,
+    WorldOpts,
 };
 use pumi_serve::{CheckpointServer, Slice};
 use std::path::{Path, PathBuf};
@@ -92,10 +93,10 @@ fn rewrite_section(path: &Path, part: u32, section: Section, mut edit: impl FnMu
 #[test]
 fn flipped_enum_byte_is_typed_decode_error() {
     let dir = write_small("enum");
-    // First vertex record: [n u32][gid u64][topo u8]... — flip the topology
-    // code to an undefined value.
+    // First vertex record: [dim u8][topo u8][gid u64]... — flip the
+    // topology code to an undefined value.
     rewrite_section(&part_file_path(&dir, 1), 1, Section::Entities, |raw| {
-        raw[12] = 0xFF
+        raw[1] = 0xFF
     });
 
     let errs = read_errors(&dir);
@@ -232,7 +233,7 @@ fn truncated_chunk_is_bad_chunk() {
     let dir = write_small("v2chunktrunc");
     let path = part_file_path(&dir, 1);
     let mut data = std::fs::read(&path).expect("read part file");
-    let at = first_chunk_at(&data, 1, Section::Tags);
+    let at = first_chunk_at(&data, 1, Section::Fields);
     data[at + 4..at + 8].copy_from_slice(&0xFFFF_FF00u32.to_le_bytes()); // comp_len
     std::fs::write(&path, &data).expect("write corrupted file");
 
@@ -242,13 +243,13 @@ fn truncated_chunk_is_bad_chunk() {
         .find_map(|e| match e {
             IoError::BadChunk {
                 part: 1,
-                section: Section::Tags,
+                section: Section::Fields,
                 chunk: 0,
                 detail,
             } => Some(detail.clone()),
             _ => None,
         })
-        .unwrap_or_else(|| panic!("expected BadChunk(part 1, tags, chunk 0), got: {errs:?}"));
+        .unwrap_or_else(|| panic!("expected BadChunk(part 1, fields, chunk 0), got: {errs:?}"));
     assert!(detail.contains("truncated"), "{detail}");
     assert!(
         errs.iter().any(|e| matches!(e, IoError::PeerFailed { .. })),
@@ -337,11 +338,12 @@ fn corrupted_manifest_body_fails_cleanly() {
 }
 
 /// A version-1 part file (the flat container written before the chunked
-/// format; here just its 32-byte header, no sections) is refused at the
-/// header stage on the rank that meets it, and its peer exits with it.
+/// format; here just its 32-byte header, no sections) and a version-2 one
+/// (its 44-byte header, CRC intact, no sections) are each refused at the
+/// header stage on the rank that meets them, naming the version, and the
+/// peer exits with it.
 #[test]
 fn version_1_part_file_is_refused() {
-    let dir = write_small("v1part");
     let mut v1 = Vec::new();
     v1.extend_from_slice(b"PMBP");
     v1.extend_from_slice(&1u32.to_le_bytes()); // format version
@@ -351,29 +353,43 @@ fn version_1_part_file_is_refused() {
     v1.extend_from_slice(&0u32.to_le_bytes()); // section count
     let crc = pumi_io::crc::crc32(&v1);
     v1.extend_from_slice(&crc.to_le_bytes());
-    std::fs::write(part_file_path(&dir, 1), &v1).expect("write v1 part file");
+    let mut v2 = Vec::new();
+    v2.extend_from_slice(b"PMBP");
+    v2.extend_from_slice(&2u32.to_le_bytes()); // format version
+    v2.extend_from_slice(&1u32.to_le_bytes()); // part id
+    v2.extend_from_slice(&2u32.to_le_bytes()); // element dimension
+    v2.extend_from_slice(&0u64.to_le_bytes()); // reserved
+    v2.extend_from_slice(&0u32.to_le_bytes()); // flags
+    v2.extend_from_slice(&44u64.to_le_bytes()); // table offset
+    v2.extend_from_slice(&0u32.to_le_bytes()); // table length
+    let crc = pumi_io::crc::crc32(&v2);
+    v2.extend_from_slice(&crc.to_le_bytes());
 
-    let errs = read_errors(&dir);
-    let detail = errs
-        .iter()
-        .find_map(|e| match e {
-            IoError::Header { part: 1, detail } => Some(detail.clone()),
-            _ => None,
-        })
-        .unwrap_or_else(|| panic!("expected Header(part 1), got: {errs:?}"));
-    assert!(detail.contains("version 1"), "{detail}");
-    assert!(
-        errs.iter().any(|e| matches!(e, IoError::PeerFailed { .. })),
-        "peer should report PeerFailed, got: {errs:?}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    for (version, header) in [(1, v1), (2, v2)] {
+        let dir = write_small(&format!("v{version}part"));
+        std::fs::write(part_file_path(&dir, 1), &header).expect("write old part file");
+        let errs = read_errors(&dir);
+        let detail = errs
+            .iter()
+            .find_map(|e| match e {
+                IoError::Header { part: 1, detail } => Some(detail.clone()),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("expected Header(part 1), got: {errs:?}"));
+        assert!(detail.contains(&format!("version {version}")), "{detail}");
+        assert!(
+            errs.iter().any(|e| matches!(e, IoError::PeerFailed { .. })),
+            "peer should report PeerFailed, got: {errs:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
-/// A version-1 manifest (same framing, no delta count in the body) is
-/// refused by every rank.
+/// A version-1 manifest (same framing, no delta count in the body) and a
+/// version-2 one (with the delta count, CRC intact) are each refused by
+/// every rank, naming the version.
 #[test]
 fn version_1_manifest_is_refused() {
-    let dir = write_small("v1manifest");
     let mut body = Vec::new();
     for x in [2u32, 2, 2] {
         body.extend_from_slice(&x.to_le_bytes()); // nparts, elem_dim, nranks
@@ -381,23 +397,30 @@ fn version_1_manifest_is_refused() {
     body.extend_from_slice(&[0u8; 32]); // owned counts
     body.push(0); // no ghosts
     body.extend_from_slice(&0u32.to_le_bytes()); // no fields
-    let mut v1 = Vec::new();
-    v1.extend_from_slice(b"PMBM");
-    v1.extend_from_slice(&1u32.to_le_bytes()); // format version
-    v1.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    v1.extend_from_slice(&body);
-    v1.extend_from_slice(&pumi_io::crc::crc32(&body).to_le_bytes());
-    std::fs::write(dir.join(pumi_io::MANIFEST_FILE), &v1).expect("write v1 manifest");
+    let v1_body = body.clone();
+    body.extend_from_slice(&0u32.to_le_bytes()); // no delta rounds
 
-    let errs = read_errors(&dir);
-    assert_eq!(errs.len(), 2);
-    for e in &errs {
-        match e {
-            IoError::Manifest { detail, .. } => assert!(detail.contains("version 1"), "{detail}"),
-            other => panic!("every rank reports Manifest, got: {other:?}"),
+    for (version, body) in [(1u32, v1_body), (2, body)] {
+        let dir = write_small(&format!("v{version}manifest"));
+        let mut old = Vec::new();
+        old.extend_from_slice(b"PMBM");
+        old.extend_from_slice(&version.to_le_bytes()); // format version
+        old.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        old.extend_from_slice(&body);
+        old.extend_from_slice(&pumi_io::crc::crc32(&body).to_le_bytes());
+        std::fs::write(dir.join(pumi_io::MANIFEST_FILE), &old).expect("write old manifest");
+
+        let errs = read_errors(&dir);
+        assert_eq!(errs.len(), 2);
+        let needle = format!("version {version}");
+        for e in &errs {
+            match e {
+                IoError::Manifest { detail, .. } => assert!(detail.contains(&needle), "{detail}"),
+                other => panic!("every rank reports Manifest, got: {other:?}"),
+            }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A 4-part checkpoint of `tri_rect(8, 6)` written from 2 ranks: restoring
@@ -457,8 +480,10 @@ fn edit_remotes(dir: &Path, part: u32, mut edit: impl FnMut(&mut Vec<RemotesRow>
     });
 }
 
-/// One Entities row: gid, topology code, classification, ghost source,
-/// then coordinates (vertices) or vertex gids (everything else).
+/// One Entities record (`pumi_core::wire::put_entity`): gid, topology
+/// code, classification, ghost source (the extra field), then coordinates
+/// (vertices) or vertex gids (everything else); the dimension is the
+/// block's, and the drills' parts carry no tags.
 #[derive(Clone, Debug)]
 struct EntityRow {
     gid: u64,
@@ -469,40 +494,39 @@ struct EntityRow {
     vgids: Vec<u64>,
 }
 
-/// The Entities section of a 2-D part: per dimension a u32 count and rows.
+/// The Entities section of a 2-D part, its records grouped by dimension.
 fn decode_entity_rows(raw: Vec<u8>) -> [Vec<EntityRow>; 3] {
     let mut r = MsgReader::from_vec(raw);
-    std::array::from_fn(|d| {
-        (0..r.get_u32())
-            .map(|_| {
-                let (gid, topo, class) = (r.get_u64(), r.get_u8(), r.get_u32());
-                let ghost = (r.get_u8() != 0).then(|| r.get_u32());
-                let (mut coords, mut vgids) = ([0.0; 3], Vec::new());
-                if d == 0 {
-                    coords = [r.get_f64(), r.get_f64(), r.get_f64()];
-                } else {
-                    vgids = r.get_u64_slice();
-                }
-                EntityRow {
-                    gid,
-                    topo,
-                    class,
-                    ghost,
-                    coords,
-                    vgids,
-                }
-            })
-            .collect()
-    })
+    let mut blocks: [Vec<EntityRow>; 3] = Default::default();
+    while !r.is_done() {
+        let (d, topo, gid, class) = (r.get_u8() as usize, r.get_u8(), r.get_u64(), r.get_u32());
+        let ghost = (r.get_u8() != 0).then(|| r.get_u32());
+        let (mut coords, mut vgids) = ([0.0; 3], Vec::new());
+        if d == 0 {
+            coords = [r.get_f64(), r.get_f64(), r.get_f64()];
+        } else {
+            vgids = r.get_u64_slice();
+        }
+        assert_eq!(r.get_u32(), 0, "the drills' parts carry no tags");
+        blocks[d].push(EntityRow {
+            gid,
+            topo,
+            class,
+            ghost,
+            coords,
+            vgids,
+        });
+    }
+    blocks
 }
 
 fn encode_entity_rows(blocks: &[Vec<EntityRow>; 3]) -> Vec<u8> {
     let mut w = MsgWriter::new();
     for (d, rows) in blocks.iter().enumerate() {
-        w.put_u32(rows.len() as u32);
         for row in rows {
-            w.put_u64(row.gid);
+            w.put_u8(d as u8);
             w.put_u8(row.topo);
+            w.put_u64(row.gid);
             w.put_u32(row.class);
             match row.ghost {
                 None => w.put_u8(0),
@@ -516,6 +540,7 @@ fn encode_entity_rows(blocks: &[Vec<EntityRow>; 3]) -> Vec<u8> {
             } else {
                 w.put_u64_slice(&row.vgids);
             }
+            w.put_u32(0); // no tags
         }
     }
     w.finish().to_vec()

@@ -2,10 +2,11 @@
 //!
 //! A 2-part `tri_rect` mesh with one tag and one field is written as a
 //! base snapshot plus one delta round, and every file is pinned by its
-//! FNV-1a hash. The values were taken at the commit before pumi-io's
-//! three format generations were collapsed into one, so they prove that
-//! refactor (and any later one) moved no byte on disk: checkpoints written
-//! by older builds keep restoring.
+//! FNV-1a hash, so a refactor that moves a byte on disk fails here. The
+//! values were re-pinned once, for format version 3: the Entities section
+//! became a stream of `wire::put_entity` records with the tags inline, the
+//! Tags section went, and the part header lost its 8 reserved bytes. Files
+//! of versions 1 and 2 are refused by name, not restored.
 
 use pumi_core::{distribute, PartMap};
 use pumi_field::{DistField, Field, FieldShape};
@@ -87,12 +88,12 @@ fn checkpoint_files_are_byte_stable() {
     let (base, delta) = hashes[0].clone();
     let got: Vec<(String, u64)> = base.into_iter().chain(delta).collect();
     let want: [(&str, u64); 6] = [
-        ("manifest.pmb", 0xC0BC1F01D2A03154),
-        ("part_00000.pmb", 0xD1F4E6D09AF8A376),
-        ("part_00001.pmb", 0x3F558F5637626148),
-        ("manifest.pmb", 0xBF0CADFE6662B629),
-        ("delta_0001/part_00000.pmb", 0x6107A1F4C24B539F),
-        ("delta_0001/part_00001.pmb", 0xA9A6B3409EDDD551),
+        ("manifest.pmb", 0x3026D1F23265D871),
+        ("part_00000.pmb", 0x4CB51CCBE392D4EA),
+        ("part_00001.pmb", 0x1D7580360BCEF5C1),
+        ("manifest.pmb", 0x08CB96DCD114C604),
+        ("delta_0001/part_00000.pmb", 0x23ADCBE86C42572D),
+        ("delta_0001/part_00001.pmb", 0x0771824835B73823),
     ];
     let shown: Vec<String> = got
         .iter()

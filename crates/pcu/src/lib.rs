@@ -48,6 +48,6 @@ pub mod sched;
 
 pub use comm::{execute, execute_opts, Comm, WorldOpts};
 pub use machine::{LinkClass, MachineModel, TrafficReport};
-pub use msg::{MsgError, MsgReader, MsgWriter};
+pub use msg::{MsgError, MsgReader, MsgWriter, SectionSink};
 pub use phased::{Exchange, Received, RouteMode};
 pub use sched::{ChaosRng, SchedMode};

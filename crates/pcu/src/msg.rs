@@ -306,6 +306,67 @@ impl MsgWriter {
     }
 }
 
+/// A typed-value byte sink: the framing of [`MsgWriter`], written anywhere.
+/// `MsgWriter` implements it for the wire, and the checkpoint writer's
+/// chunk streams for the disk, so one encoder (an entity record, a
+/// residence row) serves both. Encoders take `&mut impl SectionSink`, so
+/// every value is an inlined copy into the sink's buffer, not a call
+/// through a vtable.
+pub trait SectionSink {
+    /// Append raw bytes (no length prefix).
+    fn put_raw(&mut self, b: &[u8]);
+
+    /// Write a `u8`.
+    fn put_u8(&mut self, x: u8) {
+        self.put_raw(&[x]);
+    }
+    /// Write a `u32` (little endian).
+    fn put_u32(&mut self, x: u32) {
+        self.put_raw(&x.to_le_bytes());
+    }
+    /// Write a `u64` (little endian).
+    fn put_u64(&mut self, x: u64) {
+        self.put_raw(&x.to_le_bytes());
+    }
+    /// Write an `f64` (little-endian bit pattern).
+    fn put_f64(&mut self, x: f64) {
+        self.put_raw(&x.to_bits().to_le_bytes());
+    }
+    /// Write a length-prefixed byte slice.
+    fn put_bytes(&mut self, b: &[u8]) {
+        self.put_u32(b.len() as u32);
+        self.put_raw(b);
+    }
+    /// Write a length-prefixed `u32` slice.
+    fn put_u32_slice(&mut self, xs: &[u32]) {
+        self.put_u32(xs.len() as u32);
+        for &x in xs {
+            self.put_u32(x);
+        }
+    }
+    /// Write a length-prefixed `u64` slice.
+    fn put_u64_slice(&mut self, xs: &[u64]) {
+        self.put_u32(xs.len() as u32);
+        for &x in xs {
+            self.put_u64(x);
+        }
+    }
+    /// Write a length-prefixed `f64` slice.
+    fn put_f64_slice(&mut self, xs: &[f64]) {
+        self.put_u32(xs.len() as u32);
+        for &x in xs {
+            self.put_f64(x);
+        }
+    }
+}
+
+impl SectionSink for MsgWriter {
+    #[inline]
+    fn put_raw(&mut self, b: &[u8]) {
+        self.buf.put_slice(b);
+    }
+}
+
 /// Sequential typed reader over a byte buffer.
 #[derive(Debug)]
 pub struct MsgReader {
