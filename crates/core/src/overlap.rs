@@ -1474,6 +1474,46 @@ mod tests {
         });
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random damage to a values-only frame — one byte overwritten, a
+        /// cut at any shorter length, or 1 to 16 bytes appended — decodes
+        /// to a typed error or to at most the list's length of values,
+        /// never a panic. Whole and gappy frames from part 0 to part 1's
+        /// vertex leaves, as in `damaged_frames_are_typed_errors`.
+        #[test]
+        fn damaged_frames_decode_to_errors_or_bounded_values(
+            gappy in proptest::bool::ANY,
+            damage in 0u8..3,
+            at in 0usize..1 << 20,
+            byte in 0u8..=255,
+            extra in proptest::collection::vec(0u8..=255, 1..17),
+        ) {
+            let sh = execute(1, |c| Overlap::from_dist(&quadrants_one_rank(c)).shares[1].clone())
+                .pop()
+                .expect("one rank");
+            let peer = sh.peers.binary_search(&0).expect("part 0 is a peer of part 1");
+            let mut len = 0;
+            sh.walk(Side::Leaves, &[Dim::Vertex], Scope::All, |_, s| {
+                len += u32::from(usize::from(s.peer) == peer)
+            });
+            let absent: &[u32] = if gappy { &[1, 2] } else { &[] };
+            let mut frame = vertex_frame(sh.digests[Side::Leaves as usize][peer], len, absent);
+            match damage {
+                0 => {
+                    let i = at % frame.len();
+                    frame[i] = byte;
+                }
+                1 => frame.truncate(at % frame.len()),
+                _ => frame.extend_from_slice(&extra),
+            }
+            if let Ok(values) = decode_at_part_1(&sh, 0, frame) {
+                proptest::prop_assert!(values.len() <= len as usize, "{} values", values.len());
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "stale overlap: slot 0 (part 0)")]
     fn bcast_tags_refuses_a_handle_from_before_a_clear() {

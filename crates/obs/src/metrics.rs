@@ -43,12 +43,6 @@ impl Link {
     }
 }
 
-/// Span name the PCU runtime nests under an exchange while it moves relay
-/// envelopes (node-leader aggregation hops). Reports can separate physical
-/// relay traffic (at `.../<exchange>/pcu.relay`) from the logical
-/// rank-to-rank traffic recorded at the exchange path itself.
-pub const RELAY_SPAN: &str = "pcu.relay";
-
 /// Message/byte totals for one link class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkTotals {

@@ -27,16 +27,6 @@ impl Comm {
         self.barrier_wait();
     }
 
-    /// Consensus among the ranks of this rank's node only. Collective
-    /// across the whole world (every rank calls it; the machine is uniform
-    /// and no collective tags are consumed, so sequence numbers stay
-    /// aligned). Used by the two-level exchange to fence intra-node
-    /// delivery hops.
-    pub(crate) fn node_barrier(&self) {
-        let _span = pumi_obs::span!("pcu.node_barrier");
-        self.node_barrier_wait();
-    }
-
     /// Gather one buffer from every rank to `root`; returns `Some(bufs)` on
     /// the root (indexed by rank), `None` elsewhere.
     pub fn gather_bytes(&self, root: usize, data: Bytes) -> Option<Vec<Bytes>> {

@@ -132,7 +132,6 @@ pub(crate) struct WorldCore {
     counters: TrafficCounters,
     mailboxes: Box<[Mailbox]>,
     world_barrier: SenseBarrier,
-    node_barriers: Box<[SenseBarrier]>,
     exec: Scheduler,
     /// Raised when any rank panics; every parked peer is then woken to
     /// fail loudly instead of deadlocking on a message that will never come.
@@ -148,9 +147,6 @@ impl WorldCore {
             counters: TrafficCounters::default(),
             mailboxes: (0..nranks).map(Mailbox::new).collect(),
             world_barrier: SenseBarrier::new(nranks),
-            node_barriers: (0..machine.nodes)
-                .map(|_| SenseBarrier::new(machine.cores_per_node))
-                .collect(),
             exec: Scheduler::new(workers, nranks),
             poisoned: AtomicBool::new(false),
         }
@@ -175,9 +171,9 @@ pub struct Comm {
     /// collectives are called in SPMD order.
     pub(crate) coll_seq: Cell<u32>,
     /// Monotonic count of completed phased exchanges. Unlike `coll_seq` it
-    /// advances exactly once per exchange regardless of routing (direct
-    /// consumes one tag per phase, two-level three), so chaos permutations
-    /// seeded from it are routing-invariant.
+    /// advances only on exchanges, never on collectives, so the chaos
+    /// permutation of an exchange does not move when a collective is added
+    /// or removed between two phases.
     pub(crate) exchange_seq: Cell<u32>,
 }
 
@@ -198,12 +194,6 @@ impl Comm {
     #[inline]
     pub fn machine(&self) -> MachineModel {
         self.world.machine
-    }
-
-    /// The node hosting this rank.
-    #[inline]
-    pub(crate) fn node(&self) -> usize {
-        self.world.machine.node_of(self.rank)
     }
 
     /// Classify the link from this rank to `other`.
@@ -245,36 +235,6 @@ impl Comm {
             },
             &self.world.exec,
         );
-    }
-
-    /// Send an exchange frame on behalf of `origin`, without the destination
-    /// wakeup: the receiver sees the envelope as coming from `origin`, not
-    /// from this rank. The two-level exchange relay re-delivers sub-buffers
-    /// this way, pushing a batch to one destination quietly and then issuing
-    /// a single [`Comm::notify`] — one wake per link per phase instead of one
-    /// per envelope. Traffic is metered on the physical link (this rank →
-    /// `to`).
-    pub(crate) fn forward_raw_quiet(
-        &self,
-        origin: usize,
-        to: usize,
-        tag: u32,
-        data: Bytes,
-        hash: u64,
-    ) {
-        self.meter(to, data.len());
-        self.world.mailboxes[to].push_quiet(Envelope {
-            from: origin,
-            tag,
-            data,
-            hash,
-        });
-    }
-
-    /// Wake rank `to` if it is blocked on its mailbox (pairs with
-    /// [`Comm::forward_raw_quiet`]).
-    pub(crate) fn notify(&self, to: usize) {
-        self.world.mailboxes[to].notify(&self.world.exec);
     }
 
     fn meter(&self, to: usize, bytes: usize) {
@@ -357,15 +317,6 @@ impl Comm {
         self.world
             .world_barrier
             .wait(self.rank, &self.world.exec, &self.world.poisoned);
-    }
-
-    /// Consensus among the ranks of this rank's node only.
-    pub(crate) fn node_barrier_wait(&self) {
-        self.world.node_barriers[self.node()].wait(
-            self.rank,
-            &self.world.exec,
-            &self.world.poisoned,
-        );
     }
 
     pub(crate) fn next_coll_tag(&self) -> u32 {

@@ -16,9 +16,8 @@
 //!   is no user-facing point-to-point send or receive,
 //! * [`collectives`] — barrier, broadcast, gathers, reductions,
 //! * [`phased`] — PCU-style phased neighbour exchange (pack per destination,
-//!   send, iterate received buffers) with selectable off-node routing
-//!   ([`phased::RouteMode`]): direct rank-to-rank, or node-aware two-level
-//!   aggregation through node leaders,
+//!   send each buffer straight to its destination rank, iterate received
+//!   buffers), ended by one shared-memory barrier,
 //! * [`machine`] — the architecture model: rank ↔ (node, core) mapping and
 //!   on-node vs off-node link classification (Figs 5/6),
 //! * [`msg`] — typed little-endian message writers/readers over [`bytes`],
@@ -49,5 +48,5 @@ pub mod sched;
 pub use comm::{execute, execute_opts, Comm, WorldOpts};
 pub use machine::{LinkClass, MachineModel, TrafficReport};
 pub use msg::{MsgError, MsgReader, MsgWriter, SectionSink};
-pub use phased::{Exchange, Received, RouteMode};
+pub use phased::{Exchange, Received};
 pub use sched::{ChaosRng, SchedMode};

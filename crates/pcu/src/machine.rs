@@ -7,7 +7,10 @@
 //! described explicitly by a [`MachineModel`] — nodes × cores — and the
 //! runtime uses it to classify every message as on-node or off-node and to
 //! meter traffic per link class (Figs 5/6: on-node vs off-node part
-//! boundaries).
+//! boundaries). The model does not route: every message travels straight
+//! to its destination rank, and an off-node link costs what an on-node one
+//! costs. Architecture awareness acts through placement — node-major part
+//! labels keep neighbouring parts on one node — and the meters show it.
 
 use pumi_util::stats::Counter;
 
@@ -76,17 +79,6 @@ impl MachineModel {
     /// The core (processing unit) hosting `rank` within its node.
     pub fn core_of(&self, rank: usize) -> usize {
         rank % self.cores_per_node
-    }
-
-    /// The node-leader rank of `node` (its lowest rank) — the relay
-    /// endpoint for two-level message routing.
-    pub fn leader_of(&self, node: usize) -> usize {
-        node * self.cores_per_node
-    }
-
-    /// Whether `rank` is its node's leader.
-    pub fn is_leader(&self, rank: usize) -> bool {
-        self.core_of(rank) == 0
     }
 
     /// Classify the link between two ranks.

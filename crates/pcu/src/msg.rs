@@ -20,8 +20,8 @@
 //!
 //! [`MsgReader::try_get_bytes_shared`] returns a length-prefixed payload as
 //! a [`Bytes`] sub-slice sharing the incoming message's allocation —
-//! deserialization layers that re-frame nested buffers (part exchange,
-//! relay routing) use it to avoid copying every payload into a fresh
+//! deserialization layers that unpack nested buffers (the part exchange,
+//! checkpoint sections) use it to avoid copying every payload into a fresh
 //! `Vec<u8>`.
 //!
 //! # Fallible and infallible reads
@@ -545,26 +545,6 @@ impl Drop for MsgReader {
     }
 }
 
-/// Relay sub-frame layout used by the two-level exchange (DESIGN.md
-/// "Two-level message routing"): `[u32 dest rank][u32 origin rank]
-/// [u32 len][len payload bytes]`. A node-bound super-message is a
-/// concatenation of these; a relay re-delivers each payload by slicing it
-/// out of the super-message without copying.
-pub(crate) fn put_relay_frame(w: &mut MsgWriter, dest: u32, origin: u32, payload: &[u8]) {
-    w.put_u32(dest);
-    w.put_u32(origin);
-    w.put_bytes(payload);
-}
-
-/// Parse one relay sub-frame: `(dest rank, origin rank, payload)`. The
-/// payload shares the super-message's allocation (zero copy).
-pub(crate) fn take_relay_frame(r: &mut MsgReader) -> Result<(u32, u32, Bytes), MsgError> {
-    let dest = r.try_get_u32()?;
-    let origin = r.try_get_u32()?;
-    let payload = r.try_get_bytes_shared()?;
-    Ok((dest, origin, payload))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,22 +657,6 @@ mod tests {
             r.try_get_bytes_shared().unwrap_err(),
             MsgError::underrun(10, 1)
         );
-    }
-
-    #[test]
-    fn relay_frame_roundtrip_is_zero_copy() {
-        let mut w = MsgWriter::new();
-        put_relay_frame(&mut w, 7, 3, b"payload-a");
-        put_relay_frame(&mut w, 2, 3, b"");
-        let mut r = MsgReader::new(w.finish());
-        let (dest, origin, payload) = take_relay_frame(&mut r).unwrap();
-        assert_eq!((dest, origin), (7, 3));
-        assert_eq!(&payload[..], b"payload-a");
-        let (dest, origin, payload) = take_relay_frame(&mut r).unwrap();
-        assert_eq!((dest, origin), (2, 3));
-        assert!(payload.is_empty());
-        assert!(r.is_done());
-        assert!(take_relay_frame(&mut r).is_err());
     }
 
     #[test]

@@ -12,13 +12,11 @@
 //! (the per-destination writer), so a phase costs at most one mailbox
 //! wakeup per link.
 //!
-//! Off-node routing is selectable per exchange ([`Exchange::with_route`]):
-//! [`RouteMode::Direct`] sends every buffer straight to its destination;
-//! [`RouteMode::TwoLevel`] funnels off-node buffers through node leaders,
-//! which coalesce all traffic for a remote node into one super-message and
-//! re-deliver the pieces over shared-memory links on arrival — bounding
-//! off-node envelopes per phase by nodes² (the paper's architecture-aware
-//! message routing, §II-D).
+//! Every buffer travels straight to its destination rank, over the link
+//! the machine model classifies (self-loop, on-node or off-node), and is
+//! metered there. Writers are drawn from a thread-local buffer pool, and a
+//! received buffer is read in place: no frame is copied between the pack
+//! and the reader.
 //!
 //! ```
 //! use pumi_pcu::phased::Exchange;
@@ -35,52 +33,25 @@
 //! ```
 
 use crate::comm::Comm;
-use crate::machine::LinkClass;
-use crate::msg::{put_relay_frame, take_relay_frame, MsgReader, MsgWriter};
+use crate::msg::{MsgReader, MsgWriter};
 use crate::sched::{ChaosRng, SchedMode};
-use bytes::Bytes;
 use pumi_obs::metrics::Link;
 use pumi_util::FxHashMap;
-
-/// How [`Exchange::finish`] routes buffers whose destination lives on a
-/// different node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RouteMode {
-    /// Every buffer travels straight to its destination rank: at worst
-    /// O(ranks²) off-node envelopes per phase.
-    #[default]
-    Direct,
-    /// Node-aware two-level routing: off-node buffers funnel through the
-    /// sender's node leader, which coalesces everything bound for a given
-    /// remote node into one framed super-message to that node's leader; the
-    /// receiving leader re-delivers the sub-buffers over shared-memory
-    /// links. Off-node envelopes per phase are bounded by nodes².
-    TwoLevel,
-}
 
 /// A single phased exchange. Pack with [`Exchange::to`], complete with
 /// [`Exchange::finish`].
 pub struct Exchange<'c> {
     comm: &'c Comm,
     bufs: FxHashMap<usize, MsgWriter>,
-    route: RouteMode,
 }
 
 impl<'c> Exchange<'c> {
-    /// Begin an exchange phase on `comm` with the default (direct)
-    /// routing. All ranks of the world must participate (SPMD),
-    /// even those with nothing to send.
+    /// Begin an exchange phase on `comm`. All ranks of the world must
+    /// participate (SPMD), even those with nothing to send.
     pub fn new(comm: &'c Comm) -> Exchange<'c> {
-        Exchange::with_route(comm, RouteMode::Direct)
-    }
-
-    /// Begin an exchange phase with explicit off-node routing. The route
-    /// must be SPMD-uniform: all ranks of one phase use the same mode.
-    pub fn with_route(comm: &'c Comm, route: RouteMode) -> Exchange<'c> {
         Exchange {
             comm,
             bufs: FxHashMap::default(),
-            route,
         }
     }
 
@@ -105,15 +76,10 @@ impl<'c> Exchange<'c> {
     pub fn finish(self) -> Received {
         let _span = pumi_obs::span!("pcu.exchange");
         let comm = self.comm;
-        // A one-node machine has no off-node links to aggregate; the
-        // downgrade is machine-derived, hence still SPMD-uniform.
-        let two_level = self.route == RouteMode::TwoLevel && comm.machine().nodes > 1;
-
-        // Two independent generators per chaos phase: `wire` perturbs
-        // in-flight orderings (send order, relay bundle processing) and its
-        // draw count depends on the route; `merge` permutes only the final
-        // merged list, so the delivered permutation is a pure function of
-        // (seed, phase, rank) and routing equivalence still holds.
+        // Two independent generators per chaos phase: `wire` perturbs the
+        // send order and `merge` permutes the final merged list. They are
+        // kept apart so that every pinned chaos permutation stays where it
+        // is; seeding either from the other would move them all.
         let phase = comm.exchange_seq.get();
         comm.exchange_seq.set(phase.wrapping_add(1));
         let (mut wire, mut merge) = match comm.sched() {
@@ -132,11 +98,7 @@ impl<'c> Exchange<'c> {
             rng.shuffle(&mut bufs);
         }
 
-        let (mut msgs, total_bytes) = if two_level {
-            finish_two_level(comm, bufs, wire.as_mut())
-        } else {
-            finish_direct(comm, bufs, wire.as_mut())
-        };
+        let (mut msgs, total_bytes) = finish_direct(comm, bufs, wire.as_mut());
         // Sorted merge: transport arrival order is timing-dependent, so the
         // canonical order is by source (at most one buffer per source).
         msgs.sort_by_key(|(from, _)| *from);
@@ -148,13 +110,13 @@ impl<'c> Exchange<'c> {
 }
 
 /// The fingerprint of one logical frame that the obs digest sink folds: an
-/// FNV-style hash of (origin rank, payload bytes). Routing-invariant —
-/// relayed frames hash identically to direct ones — so digest rows can be
-/// compared across routes and chaos seeds. The fold consumes 8-byte words
-/// per multiply (with the length mixed in to disambiguate tail padding): a
-/// pure function of the same inputs as byte-at-a-time FNV-1a, at an eighth
-/// of the dependent-multiply chain — fingerprinting is on every frame of
-/// every exchange, so it must not dominate the phase.
+/// FNV-style hash of (origin rank, payload bytes). It does not depend on
+/// delivery order, so digest rows can be compared across chaos seeds and
+/// worker caps. The fold consumes 8-byte words per multiply (with the
+/// length mixed in to disambiguate tail padding): a pure function of the
+/// same inputs as byte-at-a-time FNV-1a, at an eighth of the
+/// dependent-multiply chain — fingerprinting is on every frame of every
+/// exchange, so it must not dominate the phase.
 ///
 /// A frame is hashed by the rank that frames it, while its bytes are still
 /// in that rank's cache, and the hash rides in the envelope beside the
@@ -180,8 +142,8 @@ fn digest_frame(comm: &Comm, from: usize, hash: u64) {
     pumi_obs::metrics::record_frame_digest(comm.link_to(from).to_obs(), hash);
 }
 
-/// Direct routing: send each buffer to its destination, then run the
-/// termination consensus and collect arrivals.
+/// Send each buffer straight to its destination, then run the termination
+/// consensus and collect arrivals.
 fn finish_direct(
     comm: &Comm,
     bufs: Vec<(usize, MsgWriter)>,
@@ -224,176 +186,6 @@ fn finish_direct(
     if let Some(r) = local {
         total_bytes += r.remaining() as u64;
         msgs.push((comm.rank(), r));
-    }
-    (msgs, total_bytes)
-}
-
-/// Two-level routing: on-node buffers go direct; off-node buffers ride
-/// relay frames through node leaders (see DESIGN.md "Two-level message
-/// routing"). Three fences — node, world, node — make each relay hop's
-/// traffic quiescent before it is consumed.
-fn finish_two_level(
-    comm: &Comm,
-    bufs: Vec<(usize, MsgWriter)>,
-    mut chaos: Option<&mut ChaosRng>,
-) -> (Vec<(usize, MsgReader)>, u64) {
-    let tag_data = comm.next_coll_tag();
-    let tag_up = comm.next_coll_tag();
-    let tag_super = comm.next_coll_tag();
-    let machine = comm.machine();
-    let me = comm.rank();
-    let leader = machine.leader_of(machine.node_of(me));
-    let is_leader = me == leader;
-
-    let mut local: Option<MsgReader> = None;
-    // Off-node sub-buffers awaiting relay, as (dest, origin, payload).
-    let mut staged: Vec<(u32, u32, Bytes)> = Vec::new();
-    let mut uplink: Option<MsgWriter> = None;
-    for (dest, w) in bufs {
-        if w.is_empty() {
-            w.recycle();
-            continue;
-        }
-        if let Some(rng) = chaos.as_mut() {
-            rng.maybe_yield();
-        }
-        match comm.link_to(dest) {
-            LinkClass::SelfLoop => {
-                pumi_obs::metrics::record_traffic(Link::SelfLoop, w.len() as u64);
-                let data = w.finish();
-                digest_frame(comm, me, frame_hash(me, &data));
-                local = Some(MsgReader::new(data));
-            }
-            // Shared-memory links are exactly what aggregation is meant to
-            // spare: on-node buffers go direct.
-            LinkClass::OnNode => {
-                let data = w.finish();
-                let hash = frame_hash(me, &data);
-                comm.send_frame(dest, tag_data, data, hash);
-            }
-            LinkClass::OffNode => {
-                // Record the logical rank-to-rank message at the exchange
-                // span path, exactly as direct routing would; the physical
-                // relay envelopes are metered under the nested relay span.
-                pumi_obs::metrics::record_traffic(Link::OffNode, w.len() as u64);
-                let data = w.finish();
-                if is_leader {
-                    staged.push((dest as u32, me as u32, data));
-                } else {
-                    let up = uplink.get_or_insert_with(MsgWriter::pooled);
-                    put_relay_frame(up, dest as u32, me as u32, &data);
-                }
-            }
-        }
-    }
-    if let Some(up) = uplink {
-        let _relay = pumi_obs::span!(pumi_obs::metrics::RELAY_SPAN);
-        comm.send_raw(leader, tag_up, up.finish());
-    }
-    // Fence 1 (on-node): after it, every uplink bundle of this node is in
-    // its leader's channel or mailbox.
-    comm.node_barrier();
-    if is_leader {
-        // Under chaos, process uplink bundles in a shuffled order; the
-        // staged list is re-sorted below, so super-message bytes stay
-        // canonical regardless.
-        let mut bundles: Vec<(usize, Bytes, u64)> = comm.take_tag(tag_up).into_iter().collect();
-        if let Some(rng) = chaos.as_mut() {
-            rng.shuffle(&mut bundles);
-        }
-        for (_, bundle, _) in bundles {
-            let mut r = MsgReader::new(bundle);
-            while !r.is_done() {
-                let (dest, origin, payload) = take_relay_frame(&mut r)
-                    .unwrap_or_else(|e| panic!("corrupt relay uplink frame: {e}"));
-                staged.push((dest, origin, payload));
-            }
-        }
-        // One super-message per destination node, sub-frames ordered by
-        // (dest, origin); payloads are zero-copy slices of the uplink
-        // bundles, so regrouping copies each byte exactly once.
-        staged.sort_unstable_by_key(|&(dest, origin, _)| (dest, origin));
-        let mut supers: Vec<(usize, MsgWriter)> = Vec::new();
-        for (dest, origin, payload) in &staged {
-            let node = machine.node_of(*dest as usize);
-            match supers.last_mut() {
-                Some((n, w)) if *n == node => put_relay_frame(w, *dest, *origin, payload),
-                _ => {
-                    let mut w = MsgWriter::pooled();
-                    put_relay_frame(&mut w, *dest, *origin, payload);
-                    supers.push((node, w));
-                }
-            }
-        }
-        drop(staged);
-        // Chaos interleaving: supers leave in shuffled order (the frames
-        // inside each are already canonically ordered).
-        if let Some(rng) = chaos.as_mut() {
-            rng.shuffle(&mut supers);
-        }
-        let _relay = pumi_obs::span!(pumi_obs::metrics::RELAY_SPAN);
-        for (node, w) in supers {
-            comm.send_raw(machine.leader_of(node), tag_super, w.finish());
-            if let Some(rng) = chaos.as_mut() {
-                rng.maybe_yield();
-            }
-        }
-    }
-    // Fence 2 (world): all super-messages have reached their destination
-    // leaders. This is also the phase's termination consensus, exactly as
-    // in direct routing.
-    comm.barrier();
-    let mut total_bytes = 0u64;
-    let mut msgs: Vec<(usize, MsgReader)> = Vec::new();
-    if is_leader {
-        let mut bundles: Vec<(usize, Bytes, u64)> = comm.take_tag(tag_super).into_iter().collect();
-        if let Some(rng) = chaos.as_mut() {
-            rng.shuffle(&mut bundles);
-        }
-        // Re-delivered sub-buffers are pushed quietly and each destination
-        // is woken once after all bundles are unpacked: one wakeup per
-        // on-node link for the whole phase, however many origins relayed
-        // through this leader.
-        let mut pending_notify: Vec<usize> = Vec::new();
-        for (_, bundle, _) in bundles {
-            let mut r = MsgReader::new(bundle);
-            while !r.is_done() {
-                let (dest, origin, payload) = take_relay_frame(&mut r)
-                    .unwrap_or_else(|e| panic!("corrupt relay super-frame: {e}"));
-                // The receiving leader re-frames a relayed frame, so it
-                // hashes it here.
-                let hash = frame_hash(origin as usize, &payload);
-                if dest as usize == me {
-                    total_bytes += payload.len() as u64;
-                    digest_frame(comm, origin as usize, hash);
-                    msgs.push((origin as usize, MsgReader::new(payload)));
-                } else {
-                    // Re-deliver on-node with the envelope showing the true
-                    // origin; the payload is a zero-copy slice of the
-                    // super-message.
-                    let _relay = pumi_obs::span!(pumi_obs::metrics::RELAY_SPAN);
-                    comm.forward_raw_quiet(origin as usize, dest as usize, tag_data, payload, hash);
-                    if !pending_notify.contains(&(dest as usize)) {
-                        pending_notify.push(dest as usize);
-                    }
-                }
-            }
-        }
-        for dest in pending_notify {
-            comm.notify(dest);
-        }
-    }
-    // Fence 3 (on-node): forwarded sub-buffers have reached their final
-    // destinations; tag_data is now quiescent everywhere.
-    comm.node_barrier();
-    for (from, data, hash) in comm.take_tag(tag_data) {
-        total_bytes += data.len() as u64;
-        digest_frame(comm, from, hash);
-        msgs.push((from, MsgReader::new(data)));
-    }
-    if let Some(r) = local {
-        total_bytes += r.remaining() as u64;
-        msgs.push((me, r));
     }
     (msgs, total_bytes)
 }
@@ -653,73 +445,18 @@ mod tests {
         });
     }
 
-    /// Two-level routing must be observationally identical to direct
-    /// routing: same sources, same payload bytes, same totals.
-    #[test]
-    fn two_level_matches_direct() {
-        let m = MachineModel::new(3, 2);
-        let run = |route: RouteMode| {
-            execute_opts(m, WorldOpts::default(), move |c| {
-                let n = c.nranks();
-                let mut ex = Exchange::with_route(c, route);
-                // A sparse pattern with self-sends and uneven sizes.
-                for k in [0usize, 1, 3] {
-                    let dest = (c.rank() + k) % n;
-                    let w = ex.to(dest);
-                    w.put_u32((c.rank() * 100 + dest) as u32);
-                    w.put_bytes(&vec![dest as u8; c.rank() + k]);
-                }
-                let got = ex.finish();
-                let total = got.total_bytes();
-                let flat: Vec<(usize, u32, Vec<u8>)> = got
-                    .into_iter()
-                    .map(|(from, mut r)| {
-                        let tagv = r.get_u32();
-                        let body = r.get_bytes();
-                        assert!(r.is_done());
-                        (from, tagv, body)
-                    })
-                    .collect();
-                (total, flat)
-            })
-        };
-        assert_eq!(run(RouteMode::Direct), run(RouteMode::TwoLevel));
-    }
-
-    /// Silent phases and leaders-only machines terminate under aggregation,
-    /// and successive two-level phases do not cross.
-    #[test]
-    fn two_level_silent_phases_and_flat_nodes() {
-        for m in [MachineModel::new(4, 2), MachineModel::new(5, 1)] {
-            execute_opts(m, WorldOpts::default(), |c| {
-                for phase in 0..4u32 {
-                    let mut ex = Exchange::with_route(c, RouteMode::TwoLevel);
-                    if phase % 2 == 1 && c.rank() % 3 == 0 {
-                        ex.to(c.rank()).put_u32(phase);
-                        ex.to((c.rank() + c.nranks() - 1) % c.nranks())
-                            .put_u32(phase);
-                    }
-                    for (_, mut r) in ex.finish() {
-                        assert_eq!(r.get_u32(), phase);
-                        assert!(r.is_done());
-                    }
-                }
-            });
-        }
-    }
-
     /// Chaos delivers the same multiset of (source, payload) as the
-    /// deterministic scheduler, for both routing modes — only the order may
-    /// differ — and the same seed reproduces the same order exactly.
+    /// deterministic scheduler — only the order may differ — and the same
+    /// seed reproduces the same order exactly.
     #[test]
     fn chaos_preserves_payloads_and_reproduces_per_seed() {
         let m = MachineModel::new(3, 2);
-        let run = |sched: SchedMode, route: RouteMode| {
+        let run = |sched: SchedMode| {
             execute_opts(m, WorldOpts::default().sched(sched), move |c| {
                 let n = c.nranks();
                 let mut per_phase = Vec::new();
                 for phase in 0..3u32 {
-                    let mut ex = Exchange::with_route(c, route);
+                    let mut ex = Exchange::new(c);
                     for k in [0usize, 1, 2, 4] {
                         let dest = (c.rank() + k + phase as usize) % n;
                         let w = ex.to(dest);
@@ -736,21 +473,19 @@ mod tests {
                 per_phase
             })
         };
-        let base = run(SchedMode::Deterministic, RouteMode::Direct);
-        for route in [RouteMode::Direct, RouteMode::TwoLevel] {
-            for seed in [1u64, 7] {
-                let chaotic = run(SchedMode::Chaos(seed), route);
-                // Same seed, same route: bitwise-identical order.
-                assert_eq!(chaotic, run(SchedMode::Chaos(seed), route));
-                // Versus deterministic: same multiset per rank per phase.
-                for (rank, phases) in chaotic.iter().enumerate() {
-                    for (phase, flat) in phases.iter().enumerate() {
-                        let mut got = flat.clone();
-                        let mut want = base[rank][phase].clone();
-                        got.sort();
-                        want.sort();
-                        assert_eq!(got, want, "rank {rank} phase {phase} seed {seed}");
-                    }
+        let base = run(SchedMode::Deterministic);
+        for seed in [1u64, 7] {
+            let chaotic = run(SchedMode::Chaos(seed));
+            // Same seed: bitwise-identical order.
+            assert_eq!(chaotic, run(SchedMode::Chaos(seed)));
+            // Versus deterministic: same multiset per rank per phase.
+            for (rank, phases) in chaotic.iter().enumerate() {
+                for (phase, flat) in phases.iter().enumerate() {
+                    let mut got = flat.clone();
+                    let mut want = base[rank][phase].clone();
+                    got.sort();
+                    want.sort();
+                    assert_eq!(got, want, "rank {rank} phase {phase} seed {seed}");
                 }
             }
         }

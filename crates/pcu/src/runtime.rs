@@ -12,10 +12,8 @@
 //!   is rarely contended.
 //! * **Elided wakeups.** A sender pays for a wakeup only when the receiver
 //!   is actually blocked (a `SeqCst` flag handshake, ordered by the queue
-//!   lock, makes the check race-free), and callers that deliver several
-//!   envelopes to one destination push them all quietly and notify once,
-//!   so a phase's worth of frames costs at most one wake per link, not one
-//!   per envelope.
+//!   lock, makes the check race-free). An exchange sends at most one frame
+//!   per destination, so a phase costs at most one wake per link.
 //! * **Permit handoff.** With `R` ranks on `W` worker permits
 //!   ([`Scheduler`]), at most `W` rank threads execute rank code at any
 //!   instant. An event for a blocked rank *makes it ready*: it is handed a
@@ -83,23 +81,13 @@ impl Mailbox {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Enqueue without waking the owner. Callers must follow a batch of
-    /// quiet pushes with [`Mailbox::notify`].
-    pub(crate) fn push_quiet(&self, env: Envelope) {
+    /// Enqueue, then wake the owner if (and only if) it is blocked on this
+    /// mailbox.
+    pub(crate) fn push(&self, env: Envelope, exec: &Scheduler) {
         self.queue().push(env);
-    }
-
-    /// Wake the owner if (and only if) it is blocked on this mailbox.
-    pub(crate) fn notify(&self, exec: &Scheduler) {
         if self.sleeping.load(Ordering::SeqCst) {
             exec.wake(self.owner);
         }
-    }
-
-    /// Enqueue and wake: the common single-envelope send.
-    pub(crate) fn push(&self, env: Envelope, exec: &Scheduler) {
-        self.push_quiet(env);
-        self.notify(exec);
     }
 
     /// Hand every queued envelope, in arrival order, to `out`. Owner-only.
@@ -152,13 +140,13 @@ impl Mailbox {
     }
 }
 
-/// A reusable counted barrier over one membership set (the world, or the
-/// ranks of one node). Shared-memory consensus replaces the previous
-/// log₂N-round dissemination barrier of empty messages: arrivals count on
-/// a lock-free atomic, the last arriver bumps the generation and wakes
-/// only the waiters that actually registered, and non-last arrivers
-/// yield-spin on the generation before blocking — in the steady cadence of
-/// a phased exchange most members never touch the mutex or a futex at all.
+/// A reusable counted barrier over the ranks of one world. Shared-memory
+/// consensus replaces the previous log₂N-round dissemination barrier of
+/// empty messages: arrivals count on a lock-free atomic, the last arriver
+/// bumps the generation and wakes only the waiters that actually
+/// registered, and non-last arrivers yield-spin on the generation before
+/// blocking — in the steady cadence of a phased exchange most members
+/// never touch the mutex or a futex at all.
 pub(crate) struct SenseBarrier {
     members: usize,
     /// Arrivals in the current generation. Only the last arriver resets
@@ -598,7 +586,7 @@ mod tests {
     use super::*;
     use crate::comm::{execute_opts, WorldOpts};
     use crate::machine::MachineModel;
-    use crate::phased::{Exchange, RouteMode};
+    use crate::phased::Exchange;
     use bytes::Bytes;
     use std::sync::mpsc;
     use std::sync::{Arc, Barrier};
@@ -660,16 +648,15 @@ mod tests {
     }
 
     /// Three producers push numbered envelopes into rank 0's mailbox in
-    /// lockstep rounds, every other round as a quiet batch closed by one
-    /// `notify`, while rank 0 drains and parks on one permit. Before each
-    /// park it readies rank 1, an idler that only blocks again whenever it
-    /// runs: with a ready rank waiting, the park skips its spin and blocks
-    /// for real, handing the permit to the idler, and the producer's wake
-    /// must bring it back through the ring. A round ends at a barrier once
-    /// the owner holds all of it, so the last push of each round is the
-    /// only one that can wake the owner: a lost wakeup leaves it parked
-    /// with mail queued, which the watchdog turns into a failure. Every
-    /// sender's numbers must also arrive ascending, none lost.
+    /// lockstep rounds, while rank 0 drains and parks on one permit. Before
+    /// each park it readies rank 1, an idler that only blocks again whenever
+    /// it runs: with a ready rank waiting, the park skips its spin and
+    /// blocks for real, handing the permit to the idler, and the producer's
+    /// wake must bring it back through the ring. A round ends at a barrier
+    /// once the owner holds all of it, so the last push of each round is the
+    /// only one that can wake the owner: a lost wakeup leaves it parked with
+    /// mail queued, which the watchdog turns into a failure. Every sender's
+    /// numbers must also arrive ascending, none lost.
     #[test]
     fn inbox_keeps_each_sender_fifo_and_never_loses_a_wakeup() {
         const SENDERS: usize = 3;
@@ -745,13 +732,8 @@ mod tests {
                         hash,
                     };
                     for round in 0..ROUNDS {
-                        let seqs = round * BATCH..(round + 1) * BATCH;
-                        if round % 2 == 0 {
-                            seqs.for_each(|i| inbox.push(envelope(i), &exec));
-                        } else {
-                            seqs.for_each(|i| inbox.push_quiet(envelope(i)));
-                            inbox.notify(&exec);
-                        }
+                        (round * BATCH..(round + 1) * BATCH)
+                            .for_each(|i| inbox.push(envelope(i), &exec));
                         round_end.wait();
                     }
                 })
@@ -864,7 +846,7 @@ mod tests {
     /// `WorldOpts::workers` means that no more than W rank threads execute
     /// rank code at once. Between its pcu calls a rank must hold a permit,
     /// so a shared count of ranks in that stretch must never exceed W,
-    /// through barriers, direct and two-level exchanges, gathers and
+    /// through barriers, neighbour and all-to-all exchanges, gathers and
     /// allreduces. Each stretch yields, to give an executor that let a
     /// rank run without a permit the chance to show it.
     #[test]
@@ -893,17 +875,20 @@ mod tests {
                             stretch();
                             match round % 4 {
                                 0 => c.barrier(),
-                                1 | 2 => {
-                                    let route = if round % 4 == 1 {
-                                        RouteMode::Direct
-                                    } else {
-                                        RouteMode::TwoLevel
-                                    };
-                                    let mut ex = Exchange::with_route(c, route);
+                                1 => {
+                                    let mut ex = Exchange::new(c);
                                     let step = 1 + round as usize % (n - 1);
                                     ex.to((c.rank() + step) % n).put_u64(round);
                                     let got = ex.finish();
                                     assert_eq!(got.len(), 1);
+                                }
+                                2 => {
+                                    let mut ex = Exchange::new(c);
+                                    for dest in 0..n {
+                                        ex.to(dest).put_u64(round);
+                                    }
+                                    let got = ex.finish();
+                                    assert_eq!(got.len(), n);
                                 }
                                 _ => {
                                     let _ = c.gather_bytes(round as usize % n, Bytes::new());

@@ -3,9 +3,9 @@
 //! The simulated transport delivers messages in one fixed order per run, so
 //! latent order-dependence bugs in the algorithms above (migration, ghosting,
 //! field sync, ParMA) stay hidden. [`SchedMode::Chaos`] makes delivery order
-//! adversarial *and reproducible*: frame arrival order is shuffled with a
-//! seeded generator, relay and direct frames interleave under two-level
-//! routing, and random yields perturb thread interleaving. Two runs with the
+//! adversarial *and reproducible*: each rank's send order and its merged
+//! arrival order are shuffled by two seeded generators, and random yields
+//! perturb thread interleaving. Two runs with the
 //! same seed perturb identically; two runs with different seeds must still
 //! produce identical meshes, field bytes, and per-phase traffic — the
 //! determinism suite and `pumi-check` key on this.
