@@ -57,6 +57,70 @@ pub enum Scope {
     Ghosts,
 }
 
+/// What [`Overlap::bcast`] / [`Overlap::reduce`] hand their `pack` and
+/// `apply`: the entities of one dimension that a local slot exchanges with
+/// one peer, as local indices in the order both ends compiled, and which
+/// of them carry a value.
+#[derive(Debug, Clone, Copy)]
+pub struct Run<'a> {
+    /// The local slot.
+    pub slot: usize,
+    /// The entities' dimension.
+    pub dim: Dim,
+    index: &'a [u32],
+    /// `None` if every entity carries a value; else bit `at + k` of the
+    /// frame's presence bitmap says whether the `k`-th does.
+    present: Option<(&'a [u8], usize)>,
+}
+
+impl<'a> Run<'a> {
+    /// The local indices of the entities that carry a value, in wire order.
+    pub fn valued(&self) -> impl Iterator<Item = u32> + 'a {
+        let (all, (bits, at)) = (self.present.is_none(), self.present.unwrap_or_default());
+        let has = move |k: usize| all || bits[(at + k) / 8] >> ((at + k) % 8) & 1 == 1;
+        let index = self.index.iter().enumerate();
+        index.filter(move |&(k, _)| has(k)).map(|(_, &i)| i)
+    }
+
+    /// How many entities of the run carry a value.
+    pub fn count(&self) -> usize {
+        match self.present {
+            None => self.index.len(),
+            Some(_) => self.valued().count(),
+        }
+    }
+}
+
+/// One peer's list in a bcast/reduce: its runs, one per dimension, in
+/// ascending dimension order.
+struct List<'a> {
+    runs: [(Dim, &'a [u32]); 4],
+    len: usize,
+}
+
+impl<'a> List<'a> {
+    fn new() -> Self {
+        List {
+            runs: [(Dim::Vertex, &[]); 4],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, dim: Dim, index: &'a [u32]) {
+        self.runs[self.len] = (dim, index);
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (Dim, &'a [u32])> + '_ {
+        self.runs[..self.len].iter().copied()
+    }
+
+    /// The number of entities on the list.
+    fn entities(&self) -> usize {
+        self.iter().map(|(_, index)| index.len()).sum()
+    }
+}
+
 // ---------------------------------------------------------------------
 // The star forest
 // ---------------------------------------------------------------------
@@ -98,8 +162,7 @@ impl Stamp {
 }
 
 /// One slot's share map, compiled: flat arrays sorted by entity handle,
-/// i.e. by `(dim, index)`, so a walk can be restricted to the dimensions
-/// that carry data.
+/// i.e. by `(dim, index)`, and per side the runs a bcast/reduce moves.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct SlotShares {
     /// Every part a link of this slot names, ascending.
@@ -114,9 +177,12 @@ struct SlotShares {
     leaf_ents: Vec<MeshEnt>,
     /// The root copy of `leaf_ents[i]`.
     leaf_roots: Vec<Share>,
-    /// The leaves by `(dim, root part, root index)`: in each dimension, the
-    /// leaves rooted on one peer are in their roots' order.
-    leaf_order: Vec<u32>,
+    /// Per [`Side`]: the local index of every link's entity at that end,
+    /// bucketed by `(dim, peer)`, each bucket in walk order (its peer's
+    /// `(dim, root index)` ascending). Bucket `d * peers.len() + p` is
+    /// `runs[side][run_starts[side][b]..run_starts[side][b + 1]]`.
+    runs: [Vec<u32>; 2],
+    run_starts: [Vec<u32>; 2],
     /// Per [`Side`], per peer: the digest of the peer's link list in walk
     /// order, which heads every frame between the two.
     digests: [Vec<u64>; 2],
@@ -130,14 +196,21 @@ enum Side {
     Leaves,
 }
 
+/// The word a link adds to its peer's digest: the root's handle and
+/// whether the leaf is a ghost.
+fn digest_word(root: MeshEnt, ghost: bool) -> u64 {
+    1 << 63 | u64::from(root.0) << 1 | ghost as u64
+}
+
 impl SlotShares {
     /// Compile `part`'s remote-copy lists and ghost records in one walk of
     /// its link slots, which is handle order: per entity, its root links
     /// are its remote copies (if it owns itself) merged with its ghost
     /// holders, and its leaf link is the owner's copy or its ghost source.
-    /// Peers are marked in a table by part id, and the leaves are put in
-    /// walk order by a counting sort on `(dim, peer)` and one packed key
-    /// each.
+    /// Peers are marked in a table by part id. The root links, in root
+    /// order, are already in walk order per peer, so a counting sort on
+    /// `(dim, peer)` makes their runs; the leaves get the same counting
+    /// sort and then one packed key each.
     fn compile(part: &Part) -> SlotShares {
         let mut sh = SlotShares {
             stamp: Stamp::of(part),
@@ -221,29 +294,63 @@ impl SlotShares {
         for s in sh.root_links.iter_mut().chain(&mut sh.leaf_roots) {
             s.peer = (peer_at[s.part as usize] - 1) as u16;
         }
-        // Count the leaves into one bucket per (dim, peer), then order each
-        // bucket by one packed `u64`, (root index, leaf), so no compare
-        // reads the leaf arrays.
-        let bucket = |i: usize| {
-            let d = sh.leaf_ents[i].dim().as_usize();
-            d * sh.peers.len() + usize::from(sh.leaf_roots[i].peer)
-        };
-        let mut start = vec![0usize; 4 * sh.peers.len() + 1];
-        (0..sh.leaf_ents.len()).for_each(|i| start[bucket(i) + 1] += 1);
-        for b in 1..start.len() {
-            start[b] += start[b - 1];
+        let np = sh.peers.len();
+        let bucket = |e: MeshEnt, s: &Share| e.dim().as_usize() * np + usize::from(s.peer);
+
+        // Roots: bucket the links in root order; hash them on the way.
+        let mut h = vec![FxHasher::default(); np];
+        let mut root_starts = vec![0u32; 4 * np + 1];
+        for (k, &e) in sh.root_ents.iter().enumerate() {
+            sh.links_of(k)
+                .iter()
+                .for_each(|s| root_starts[bucket(e, s) + 1] += 1);
         }
+        prefix_sum(&mut root_starts);
+        let mut at = root_starts.clone();
+        let mut runs = vec![0u32; sh.root_links.len()];
+        for (k, &e) in sh.root_ents.iter().enumerate() {
+            for s in sh.links_of(k) {
+                let b = bucket(e, s);
+                runs[at[b] as usize] = e.index();
+                at[b] += 1;
+                h[usize::from(s.peer)].write_u64(digest_word(e, s.ghost));
+            }
+        }
+        sh.runs[Side::Roots as usize] = runs;
+        sh.run_starts[Side::Roots as usize] = root_starts;
+        sh.digests[Side::Roots as usize] = h.iter().map(FxHasher::finish).collect();
+
+        // Leaves: count them into the same buckets, then order each bucket
+        // by one packed `u64`, (root index, leaf), so no compare reads the
+        // leaf arrays.
+        let mut leaf_starts = vec![0u32; 4 * np + 1];
+        for (e, s) in sh.leaf_ents.iter().zip(&sh.leaf_roots) {
+            leaf_starts[bucket(*e, s) + 1] += 1;
+        }
+        prefix_sum(&mut leaf_starts);
+        let mut at = leaf_starts.clone();
         let mut keyed = vec![0u64; sh.leaf_ents.len()];
-        let mut at = start.clone();
-        for (i, root) in sh.leaf_roots.iter().enumerate() {
-            keyed[at[bucket(i)]] = u64::from(root.index) << 32 | i as u64;
-            at[bucket(i)] += 1;
+        for (i, (e, root)) in sh.leaf_ents.iter().zip(&sh.leaf_roots).enumerate() {
+            let b = bucket(*e, root);
+            keyed[at[b] as usize] = u64::from(root.index) << 32 | i as u64;
+            at[b] += 1;
         }
-        start
-            .windows(2)
-            .for_each(|b| keyed[b[0]..b[1]].sort_unstable());
-        sh.leaf_order = keyed.iter().map(|&k| k as u32).collect();
-        sh.digests = [Side::Roots, Side::Leaves].map(|side| sh.digest(side));
+        let mut h = vec![FxHasher::default(); np];
+        let mut runs = Vec::with_capacity(keyed.len());
+        for (b, w) in leaf_starts.windows(2).enumerate() {
+            let run = &mut keyed[w[0] as usize..w[1] as usize];
+            run.sort_unstable();
+            let (dim, peer) = (Dim::from_usize(b / np), b % np);
+            for &k in run.iter() {
+                let i = k as u32 as usize;
+                let (e, root) = (sh.leaf_ents[i], sh.leaf_roots[i]);
+                runs.push(e.index());
+                h[peer].write_u64(digest_word(MeshEnt::new(dim, root.index), root.ghost));
+            }
+        }
+        sh.runs[Side::Leaves as usize] = runs;
+        sh.run_starts[Side::Leaves as usize] = leaf_starts;
+        sh.digests[Side::Leaves as usize] = h.iter().map(FxHasher::finish).collect();
         sh
     }
 
@@ -252,35 +359,58 @@ impl SlotShares {
         &self.root_links[self.root_offsets[i] as usize..self.root_offsets[i + 1] as usize]
     }
 
-    /// Per peer, the digest of its link list at `side` in walk order: the
-    /// `(root handle, ghost)` of every link.
-    fn digest(&self, side: Side) -> Vec<u64> {
-        let mut h = vec![FxHasher::default(); self.peers.len()];
-        self.walk(side, &Dim::ALL, Scope::All, |e, s| {
-            let root = MeshEnt::new(e.dim(), [e.index(), s.index][side as usize]);
-            h[usize::from(s.peer)].write_u64(1 << 63 | u64::from(root.0) << 1 | s.ghost as u64);
-        });
-        h.iter().map(FxHasher::finish).collect()
+    /// The local indices of `side`'s links of dimension `dim` to the
+    /// `peer`-th peer, in walk order.
+    fn run(&self, side: Side, dim: Dim, peer: usize) -> &[u32] {
+        let b = dim.as_usize() * self.peers.len() + peer;
+        let starts = &self.run_starts[side as usize];
+        &self.runs[side as usize][starts[b] as usize..starts[b + 1] as usize]
     }
 
-    /// Visit the links of `side` in `dims` (ascending) and in `scope`, as the
-    /// local entity and the link's other end, in the order both ends agree
-    /// on: per peer, `(dim, root index)` ascending.
-    fn walk(&self, side: Side, dims: &[Dim], scope: Scope, mut f: impl FnMut(MeshEnt, &Share)) {
-        let ents = [&self.root_ents, &self.leaf_ents][side as usize];
-        let at = |d: usize| ents.partition_point(|e| e.dim().as_usize() < d);
-        let range = |d: &Dim| at(d.as_usize())..at(d.as_usize() + 1);
-        for k in dims.iter().flat_map(range) {
-            let (e, links) = match side {
-                Side::Roots => (self.root_ents[k], self.links_of(k)),
-                Side::Leaves => {
-                    let i = self.leaf_order[k] as usize;
-                    (self.leaf_ents[i], std::slice::from_ref(&self.leaf_roots[i]))
-                }
-            };
-            let links = links.iter().filter(|s| scope == Scope::All || s.ghost);
-            links.for_each(|s| f(e, s));
+    /// Whether the link of `side`'s entity `e` to the `peer`-th peer has a
+    /// ghost leaf.
+    fn ghost_link(&self, side: Side, e: MeshEnt, peer: usize) -> bool {
+        match side {
+            Side::Roots => self.root_ents.binary_search(&e).is_ok_and(|i| {
+                let mut links = self.links_of(i).iter();
+                links.any(|s| usize::from(s.peer) == peer && s.ghost)
+            }),
+            Side::Leaves => {
+                (self.leaf_ents.binary_search(&e)).is_ok_and(|i| self.leaf_roots[i].ghost)
+            }
         }
+    }
+
+    /// The runs of `side`'s list for the `peer`-th peer in `dims`
+    /// (ascending) and in `scope`. [`Scope::All`] lends the compiled runs;
+    /// [`Scope::Ghosts`] filters them into `buf`.
+    fn list<'a>(
+        &'a self,
+        side: Side,
+        peer: usize,
+        dims: &[Dim],
+        scope: Scope,
+        buf: &'a mut Vec<u32>,
+    ) -> List<'a> {
+        let mut list = List::new();
+        if scope == Scope::Ghosts {
+            buf.clear();
+            let mut ends = [0; 4];
+            for (k, &dim) in dims.iter().enumerate() {
+                let run = self.run(side, dim, peer).iter();
+                buf.extend(run.filter(|&&i| self.ghost_link(side, MeshEnt::new(dim, i), peer)));
+                ends[k] = buf.len();
+            }
+            let mut from = 0;
+            for (k, &dim) in dims.iter().enumerate() {
+                list.push(dim, &buf[from..ends[k]]);
+                from = ends[k];
+            }
+        } else {
+            dims.iter()
+                .for_each(|&dim| list.push(dim, self.run(side, dim, peer)));
+        }
+        list
     }
 }
 
@@ -583,14 +713,16 @@ impl Overlap {
     // -----------------------------------------------------------------
 
     /// Push data root → leaves. For every root entity `e` of a dimension in
-    /// `dims` (ascending) on local slot `s` with `has(data, s, e)` true,
-    /// `pack` writes its value once per leaf in `scope`, and `apply` reads
-    /// exactly that value for the leaf copy. Only values travel, in the
-    /// order both ends compiled into the share map; a frame is headed by
-    /// that order's digest. Share links of other dimensions are not
-    /// visited. Collective, and deterministic under any scheduler; panics
-    /// on a frame not from a peer, of another link list, or with too few or
-    /// too many values.
+    /// `dims` (ascending) on local slot `s` with `has(data, s, e)` true, its
+    /// value travels once per leaf in `scope`. The values move run by run:
+    /// `pack` writes the valued entities of a [`Run`] of the sender's list
+    /// for one peer, and `apply` reads exactly those values for the same
+    /// run of the leaf copies. Only values travel, in the order both ends
+    /// compiled into the share map; a frame is headed by that order's
+    /// digest. Share links of other dimensions are not visited.
+    /// Collective, and deterministic under any scheduler; panics on a frame
+    /// not from a peer, of another link list, or with too few or too many
+    /// values.
     #[allow(clippy::too_many_arguments)]
     pub fn bcast<D: ?Sized>(
         &self,
@@ -600,18 +732,19 @@ impl Overlap {
         dims: &[Dim],
         data: &mut D,
         has: impl Fn(&D, usize, MeshEnt) -> bool,
-        pack: impl Fn(&D, usize, MeshEnt, &mut MsgWriter),
-        apply: impl FnMut(&mut D, usize, MeshEnt, &mut MsgReader) -> Result<(), MsgError>,
+        pack: impl FnMut(&D, Run<'_>, &mut MsgWriter),
+        apply: impl FnMut(&mut D, Run<'_>, &mut MsgReader) -> Result<(), MsgError>,
     ) {
         self.move_values(Side::Roots, comm, map, scope, dims, data, has, pack, apply);
     }
 
     /// Pull data leaves → root. The mirror of [`Overlap::bcast`]: every
     /// leaf of a dimension in `dims` (ascending) in `scope` with `has` true
-    /// sends its value to its root copy, and `apply` combines it there, a
-    /// root's leaves in ascending part order: a non-associative combine
-    /// still yields scheduler-independent results. Collective; panics as
-    /// `bcast` does, naming a `reduce` frame.
+    /// sends its value to its root copy, and `apply` combines the runs
+    /// there one peer at a time, in ascending part order. A root has one
+    /// link per peer, so its leaves' values reach it in ascending part
+    /// order: a non-associative combine still yields scheduler-independent
+    /// results. Collective; panics as `bcast` does, naming a `reduce` frame.
     #[allow(clippy::too_many_arguments)]
     pub fn reduce<D: ?Sized>(
         &self,
@@ -621,14 +754,15 @@ impl Overlap {
         dims: &[Dim],
         data: &mut D,
         has: impl Fn(&D, usize, MeshEnt) -> bool,
-        pack: impl Fn(&D, usize, MeshEnt, &mut MsgWriter),
-        apply: impl FnMut(&mut D, usize, MeshEnt, &mut MsgReader) -> Result<(), MsgError>,
+        pack: impl FnMut(&D, Run<'_>, &mut MsgWriter),
+        apply: impl FnMut(&mut D, Run<'_>, &mut MsgReader) -> Result<(), MsgError>,
     ) {
         self.move_values(Side::Leaves, comm, map, scope, dims, data, has, pack, apply);
     }
 
     /// `bcast` from the roots, `reduce` from the leaves: pack a frame per
-    /// peer, then walk the receiving end with one reader per peer.
+    /// peer from its runs, then apply each received frame run by run, per
+    /// slot in ascending peer order.
     #[allow(clippy::too_many_arguments)]
     fn move_values<D: ?Sized>(
         &self,
@@ -639,65 +773,51 @@ impl Overlap {
         dims: &[Dim],
         data: &mut D,
         has: impl Fn(&D, usize, MeshEnt) -> bool,
-        pack: impl Fn(&D, usize, MeshEnt, &mut MsgWriter),
-        mut apply: impl FnMut(&mut D, usize, MeshEnt, &mut MsgReader) -> Result<(), MsgError>,
+        mut pack: impl FnMut(&D, Run<'_>, &mut MsgWriter),
+        mut apply: impl FnMut(&mut D, Run<'_>, &mut MsgReader) -> Result<(), MsgError>,
     ) {
         let what = ["bcast", "reduce"][sender as usize];
         let _span = pumi_obs::span!(["overlap.bcast", "overlap.reduce"][sender as usize]);
         debug_assert!(dims.windows(2).all(|w| w[0] < w[1]), "dims not ascending");
         let receiver = [Side::Leaves, Side::Roots][sender as usize];
         let mut ex = PartExchange::new(comm, map);
-        // Per peer of each slot in turn: the frame out with its list's
-        // length and gaps, then the frame in. One table, so a sync allocates
-        // per phase, not per slot.
-        let mut io = Vec::with_capacity(self.shares.iter().map(|sh| sh.peers.len()).sum());
-        let head = |&digest| {
-            let mut w = MsgWriter::pooled();
-            w.put_u64(digest);
-            w.put_u8(0); // every entity on the list has a value
-            (w, 0, Vec::new(), None::<FrameIn>)
-        };
+        // A ghost-only list and a presence bitmap, reused peer after peer.
+        let (mut buf, mut bits) = (Vec::new(), Vec::new());
+        let d: &D = data;
         for (slot, sh) in self.shares.iter().enumerate() {
-            let base = io.len();
-            io.extend(sh.digests[sender as usize].iter().map(head));
-            let d: &D = data;
-            sh.walk(sender, dims, scope, |e, s| {
-                let (w, len, absent, _) = &mut io[base + usize::from(s.peer)];
-                match has(d, slot, e) {
-                    true => pack(d, slot, e, w),
-                    false => absent.push(*len),
-                }
-                *len += 1;
-            });
-            for ((w, len, absent, _), &to) in io[base..].iter_mut().zip(&sh.peers) {
-                if let Some(w) = frame_tail(std::mem::take(w), *len, std::mem::take(absent)) {
+            for (peer, &to) in sh.peers.iter().enumerate() {
+                let list = sh.list(sender, peer, dims, scope, &mut buf);
+                let digest = sh.digests[sender as usize][peer];
+                let has = |e| has(d, slot, e);
+                let frame = frame_out(digest, slot, &list, &mut bits, has, |run, w| {
+                    pack(d, run, w)
+                });
+                if let Some(w) = frame {
                     ex.put(self.part_ids[slot], to, w);
                 }
             }
         }
         let fail = |from, to, e| -> ! { panic!("corrupt overlap {what} frame {from}->{to}: {e}") };
+        // One inbox entry per (slot, peer), so a sync allocates per phase,
+        // not per slot.
         let base = |s: usize| -> usize { self.shares[..s].iter().map(|sh| sh.peers.len()).sum() };
+        let mut inbox: Vec<Option<FrameIn>> = Vec::new();
+        inbox.resize_with(base(self.shares.len()), || None);
         for (from, to, r) in ex.finish() {
             let slot = map.slot_of(to);
             let frame = FrameIn::open(&self.shares[slot], receiver, from, r)
                 .unwrap_or_else(|e| fail(from, to, e));
             let at = base(slot) + frame.peer;
-            io[at].3 = Some(frame);
+            inbox[at] = Some(frame);
         }
         for (slot, sh) in self.shares.iter().enumerate() {
-            let (to, inbox) = (self.part_ids[slot], &mut io[base(slot)..]);
-            sh.walk(receiver, dims, scope, |e, s| {
-                if let (.., Some(frame)) = &mut inbox[usize::from(s.peer)] {
-                    let read = match frame.next() {
-                        Ok(true) => apply(data, slot, e, &mut frame.r),
-                        other => other.map(drop),
-                    };
-                    read.unwrap_or_else(|err| fail(s.part, to, err));
+            let (to, inbox) = (self.part_ids[slot], &mut inbox[base(slot)..]);
+            for (peer, &from) in sh.peers.iter().enumerate() {
+                if let Some(frame) = inbox[peer].take() {
+                    let list = sh.list(receiver, peer, dims, scope, &mut buf);
+                    let read = frame.apply(slot, &list, |run, r| apply(data, run, r));
+                    read.unwrap_or_else(|e| fail(from, to, e));
                 }
-            });
-            for ((.., frame), &from) in inbox.iter().zip(&sh.peers) {
-                let close = frame.as_ref().map_or(Ok(()), FrameIn::close);
-                close.unwrap_or_else(|e| fail(from, to, e));
             }
         }
     }
@@ -720,8 +840,16 @@ impl Overlap {
             &Dim::ALL,
             parts.as_mut_slice(),
             |_, _, _| true,
-            |parts: &[Part], slot, e, w| pack_tags(&parts[slot], e, w),
-            |parts: &mut [Part], slot, e, r| unpack_tags(&mut parts[slot], e, r),
+            |parts: &[Part], run, w| {
+                let part = &parts[run.slot];
+                run.valued()
+                    .for_each(|i| pack_tags(part, MeshEnt::new(run.dim, i), w));
+            },
+            |parts: &mut [Part], run, r| {
+                let part = &mut parts[run.slot];
+                run.valued()
+                    .try_for_each(|i| unpack_tags(part, MeshEnt::new(run.dim, i), r))
+            },
         );
     }
 
@@ -912,27 +1040,59 @@ fn next_layer(
 // Wire helpers
 // ---------------------------------------------------------------------
 
-/// The frame `w` of a list of `len` entities, of which those at the
-/// positions `absent` (ascending) have no value; none if no entity has one.
-/// A list with a gap gets presence byte 1 and the `u32`-prefixed bitmap of
-/// the positions that have a value (bit `k % 8` of byte `k / 8`).
-fn frame_tail(w: MsgWriter, len: u32, absent: Vec<u32>) -> Option<MsgWriter> {
-    if absent.len() == len as usize {
-        w.recycle();
-        return None;
-    } else if absent.is_empty() {
-        return Some(w);
+/// Turn per-bucket counts (bucket `b` at `starts[b + 1]`) into bucket
+/// starts.
+fn prefix_sum(starts: &mut [u32]) {
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
     }
-    let mut bits = vec![0u8; len.div_ceil(8) as usize];
-    let present = (0..len).filter(|k| absent.binary_search(k).is_err());
-    present.for_each(|k| bits[k as usize / 8] |= 1 << (k % 8));
-    let mut out = MsgWriter::pooled();
-    out.put_raw(&w.as_slice()[..8]);
-    out.put_u8(1);
-    out.put_bytes(&bits);
-    out.put_raw(&w.as_slice()[9..]);
-    w.recycle();
-    Some(out)
+}
+
+/// The frame of one peer's `list`, or none if no entity on it has a value:
+/// the list's `digest`, a presence byte, then the values `pack` writes run
+/// by run. A list with a gap gets presence byte 1 and, before the values,
+/// the `u32`-prefixed bitmap of the positions that have a value (bit
+/// `k % 8` of byte `k / 8`), built in `bits`.
+fn frame_out(
+    digest: u64,
+    slot: usize,
+    list: &List,
+    bits: &mut Vec<u8>,
+    has: impl Fn(MeshEnt) -> bool,
+    mut pack: impl FnMut(Run<'_>, &mut MsgWriter),
+) -> Option<MsgWriter> {
+    let ents = || {
+        list.iter()
+            .flat_map(|(dim, index)| index.iter().map(move |&i| MeshEnt::new(dim, i)))
+    };
+    let valued = ents().filter(|&e| has(e)).count();
+    if valued == 0 {
+        return None;
+    }
+    let gappy = valued < list.entities();
+    let mut w = MsgWriter::pooled();
+    w.put_u64(digest);
+    w.put_u8(gappy as u8);
+    if gappy {
+        bits.clear();
+        bits.resize(list.entities().div_ceil(8), 0);
+        let valued = ents().enumerate().filter(|&(_, e)| has(e));
+        valued.for_each(|(k, _)| bits[k / 8] |= 1 << (k % 8));
+        w.put_bytes(bits);
+    }
+    let mut at = 0;
+    for (dim, index) in list.iter() {
+        let present = gappy.then_some((&bits[..], at));
+        let run = Run {
+            slot,
+            dim,
+            index,
+            present,
+        };
+        pack(run, &mut w);
+        at += index.len();
+    }
+    Some(w)
 }
 
 /// One received bcast/reduce frame: its sender's peer position, its values,
@@ -941,7 +1101,6 @@ struct FrameIn {
     peer: usize,
     r: MsgReader,
     bits: Option<bytes::Bytes>,
-    at: usize,
 }
 
 impl FrameIn {
@@ -958,25 +1117,41 @@ impl FrameIn {
             1 => Some(r.try_get_bytes_shared()?),
             b => return Err(MsgError::bad_enum("presence", b)),
         };
-        let at = 0;
-        Ok(FrameIn { peer, r, bits, at })
+        Ok(FrameIn { peer, r, bits })
     }
 
-    /// Whether the next entity on the list has a value.
-    fn next(&mut self) -> Result<bool, MsgError> {
-        let k = self.at;
-        self.at += 1;
-        let bit = |bits: &bytes::Bytes| Some(bits.get(k / 8)? >> (k % 8) & 1 == 1);
-        let short = MsgError::corrupt("overlap frame (bitmap short of its list)");
-        self.bits.as_ref().map_or(Some(true), bit).ok_or(short)
-    }
-
-    /// Refuse values or presence bits past the end of the list.
-    fn close(&self) -> Result<(), MsgError> {
-        let bits = self.bits.as_deref().unwrap_or(&[]);
-        let past = (self.at..bits.len() * 8).any(|k| bits[k / 8] >> (k % 8) & 1 == 1);
+    /// Hand `apply` the frame's values run by run along `list`, slot
+    /// `slot`'s list for this peer; then refuse values or presence bits
+    /// past the end of the list.
+    fn apply(
+        self,
+        slot: usize,
+        list: &List,
+        mut apply: impl FnMut(Run<'_>, &mut MsgReader) -> Result<(), MsgError>,
+    ) -> Result<(), MsgError> {
+        let FrameIn { mut r, bits, .. } = self;
+        let bits = bits.as_deref();
+        if bits.is_some_and(|b| b.len() < list.entities().div_ceil(8)) {
+            return Err(MsgError::corrupt(
+                "overlap frame (bitmap short of its list)",
+            ));
+        }
+        let mut at = 0;
+        for (dim, index) in list.iter() {
+            let present = bits.map(|b| (b, at));
+            let run = Run {
+                slot,
+                dim,
+                index,
+                present,
+            };
+            apply(run, &mut r)?;
+            at += index.len();
+        }
+        let bits = bits.unwrap_or(&[]);
+        let past = (at..bits.len() * 8).any(|k| bits[k / 8] >> (k % 8) & 1 == 1);
         let err = MsgError::corrupt("overlap frame (values past the end of its list)");
-        (self.r.is_done() && !past).then_some(()).ok_or(err)
+        (r.is_done() && !past).then_some(()).ok_or(err)
     }
 }
 
@@ -1012,10 +1187,76 @@ mod tests {
         distribute(c, PartMap::contiguous(4, 1), &serial, &elem_part)
     }
 
+    /// The entity walk the compiled runs replaced, kept as their oracle:
+    /// visit the links of `side` in `dims` (ascending) and in `scope`, as
+    /// the local entity and the link's other end, in the order both ends
+    /// agree on: per peer, `(dim, root index)` ascending. The leaves are
+    /// put in that order by a sort, not by the compile's buckets.
+    impl SlotShares {
+        fn walk(&self, side: Side, dims: &[Dim], scope: Scope, mut f: impl FnMut(MeshEnt, &Share)) {
+            let mut leaf_order: Vec<usize> = (0..self.leaf_ents.len()).collect();
+            leaf_order.sort_unstable_by_key(|&i| {
+                let (e, root) = (self.leaf_ents[i], self.leaf_roots[i]);
+                (e.dim(), root.part, root.index)
+            });
+            let ents = [&self.root_ents, &self.leaf_ents][side as usize];
+            let at = |d: usize| ents.partition_point(|e| e.dim().as_usize() < d);
+            let range = |d: &Dim| at(d.as_usize())..at(d.as_usize() + 1);
+            for k in dims.iter().flat_map(range) {
+                let (e, links) = match side {
+                    Side::Roots => (self.root_ents[k], self.links_of(k)),
+                    Side::Leaves => {
+                        let i = leaf_order[k];
+                        (self.leaf_ents[i], std::slice::from_ref(&self.leaf_roots[i]))
+                    }
+                };
+                let links = links.iter().filter(|s| scope == Scope::All || s.ghost);
+                links.for_each(|s| f(e, s));
+            }
+        }
+
+        /// Per peer, the digest of its link list at `side` in walk order:
+        /// the `(root handle, ghost)` of every link.
+        fn digest(&self, side: Side) -> Vec<u64> {
+            let mut h = vec![FxHasher::default(); self.peers.len()];
+            self.walk(side, &Dim::ALL, Scope::All, |e, s| {
+                let root = MeshEnt::new(e.dim(), [e.index(), s.index][side as usize]);
+                h[usize::from(s.peer)].write_u64(digest_word(root, s.ghost));
+            });
+            h.iter().map(FxHasher::finish).collect()
+        }
+    }
+
+    /// The frame writer the run packer replaced, kept as the oracle of the
+    /// wire format: the frame `w` of a list of `len` entities, of which
+    /// those at the positions `absent` (ascending) have no value, re-copied
+    /// behind a presence bitmap if there is a gap; none if no entity has a
+    /// value.
+    fn frame_tail(w: MsgWriter, len: u32, absent: Vec<u32>) -> Option<MsgWriter> {
+        if absent.len() == len as usize {
+            w.recycle();
+            return None;
+        } else if absent.is_empty() {
+            return Some(w);
+        }
+        let mut bits = vec![0u8; len.div_ceil(8) as usize];
+        let present = (0..len).filter(|k| absent.binary_search(k).is_err());
+        present.for_each(|k| bits[k as usize / 8] |= 1 << (k % 8));
+        let mut out = MsgWriter::pooled();
+        out.put_raw(&w.as_slice()[..8]);
+        out.put_u8(1);
+        out.put_bytes(&bits);
+        out.put_raw(&w.as_slice()[9..]);
+        w.recycle();
+        Some(out)
+    }
+
     /// The sort-based compile the one-pass walk replaced, kept as the
     /// oracle of `one_pass_compile_matches_the_sorted_one`: collect every
     /// link through the public accessors, sort roots and leaves by entity
     /// and link, then look each link's peer up in the sorted part list.
+    /// Each side's runs come from sorting its links by `(dim, peer, root
+    /// index)`, and the digests from the entity walk.
     fn compile_sorted(part: &Part) -> SlotShares {
         let link = |(p, index): (PartId, u32), ghost| Share {
             part: p,
@@ -1068,12 +1309,26 @@ mod tests {
             sh.leaf_ents.push(e);
             sh.leaf_roots.push(s);
         }
-        sh.leaf_order = (0..sh.leaf_ents.len() as u32).collect();
-        sh.leaf_order.sort_unstable_by_key(|&i| {
-            let (e, root) = (sh.leaf_ents[i as usize], sh.leaf_roots[i as usize]);
-            (e.dim(), root.part, root.index)
-        });
         sh.peers = peers;
+        let np = sh.peers.len();
+        let mut keys: [Vec<(usize, u32, u32)>; 2] = Default::default();
+        for (k, &e) in sh.root_ents.iter().enumerate() {
+            for s in sh.links_of(k) {
+                let b = e.dim().as_usize() * np + usize::from(s.peer);
+                keys[Side::Roots as usize].push((b, e.index(), e.index()));
+            }
+        }
+        for (&e, s) in sh.leaf_ents.iter().zip(&sh.leaf_roots) {
+            let b = e.dim().as_usize() * np + usize::from(s.peer);
+            keys[Side::Leaves as usize].push((b, s.index, e.index()));
+        }
+        for (side, mut keys) in keys.into_iter().enumerate() {
+            keys.sort_unstable();
+            sh.runs[side] = keys.iter().map(|k| k.2).collect();
+            sh.run_starts[side] = (0..=4 * np)
+                .map(|b| keys.partition_point(|k| k.0 < b) as u32)
+                .collect();
+        }
         sh.digests = [Side::Roots, Side::Leaves].map(|side| sh.digest(side));
         sh
     }
@@ -1091,14 +1346,85 @@ mod tests {
         }
     }
 
+    /// Every run equals the entity walk restricted to its peer and
+    /// dimension, on both sides and in both scopes.
+    fn runs_agree(ov: &Overlap, _: &DistMesh) {
+        let mut buf = Vec::new();
+        for (sh, side, scope) in ov.shares.iter().flat_map(|sh| {
+            let cases = [Side::Roots, Side::Leaves]
+                .map(|side| [Scope::All, Scope::Ghosts].map(|scope| (sh, side, scope)));
+            cases.into_iter().flatten()
+        }) {
+            for peer in 0..sh.peers.len() {
+                let list = sh.list(side, peer, &Dim::ALL, scope, &mut buf);
+                for (dim, run) in list.iter() {
+                    let mut walked = Vec::new();
+                    sh.walk(side, &[dim], scope, |e, s| {
+                        if usize::from(s.peer) == peer {
+                            walked.push(e.index());
+                        }
+                    });
+                    assert_eq!(
+                        run, walked,
+                        "{side:?} {scope:?} peer {} {dim:?}",
+                        sh.peers[peer]
+                    );
+                }
+            }
+        }
+    }
+
+    /// A tri or tet mesh cut into five parts around random centres (two
+    /// ranks): `check` runs after distribution, after a random grow of
+    /// depth 1 to 3 through each bridge below the elements, after a second
+    /// grow, after `clear` and after a regrow.
+    fn random_stages(
+        tet: bool,
+        bridge: usize,
+        depth: usize,
+        seed: u64,
+        check: fn(&Overlap, &DistMesh),
+    ) {
+        let serial = match tet {
+            true => pumi_meshgen::tet_box(4, 3, 3, 1.0, 1.0, 1.0),
+            false => tri_rect(9, 7, 1.0, 1.0),
+        };
+        let bridge = Dim::from_usize(bridge % serial.elem_dim());
+        let unit = |k: u64| {
+            let z = (seed ^ k).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (z ^ z >> 29) as f64 / u64::MAX as f64
+        };
+        let centres: Vec<[f64; 3]> = (0..5)
+            .map(|k| [unit(3 * k), unit(3 * k + 1), unit(3 * k + 2)])
+            .collect();
+        let d = serial.elem_dim_t();
+        let mut elem_part = vec![0 as PartId; serial.index_space(d)];
+        for e in serial.iter(d) {
+            let x = serial.centroid(e);
+            let dist = |c: &[f64; 3]| (0..3).map(|i| (x[i] - c[i]).powi(2)).sum::<f64>();
+            let near = (0..5).min_by(|&a, &b| dist(&centres[a]).total_cmp(&dist(&centres[b])));
+            elem_part[e.idx()] = near.expect("five centres") as PartId;
+        }
+        execute(2, |c| {
+            let mut dm = distribute(c, PartMap::contiguous(5, 2), &serial, &elem_part);
+            let mut ov = Overlap::from_dist(&dm).with_bridge(bridge);
+            check(&ov, &dm);
+            ov.grow(c, &mut dm, depth);
+            check(&ov, &dm);
+            ov.grow(c, &mut dm, 1);
+            check(&ov, &dm);
+            ov.clear(&mut dm);
+            check(&ov, &dm);
+            ov.grow(c, &mut dm, depth);
+            check(&ov, &dm);
+        });
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
-        /// The one-pass compile builds the same arrays and digests as the
-        /// sorted one: on a tri or tet mesh cut into five parts around
-        /// random centres (two ranks), after distribution, after a random
-        /// grow of depth 1 to 3 through each bridge below the elements,
-        /// after a second grow, after `clear` and after a regrow.
+        /// The one-pass compile builds the same arrays, runs and digests as
+        /// the sorted one, at every stage of `random_stages`.
         #[test]
         fn one_pass_compile_matches_the_sorted_one(
             tet in proptest::bool::ANY,
@@ -1106,38 +1432,20 @@ mod tests {
             depth in 1usize..4,
             seed in 0u64..1 << 40,
         ) {
-            let serial = match tet {
-                true => pumi_meshgen::tet_box(4, 3, 3, 1.0, 1.0, 1.0),
-                false => tri_rect(9, 7, 1.0, 1.0),
-            };
-            let bridge = Dim::from_usize(bridge % serial.elem_dim());
-            let unit = |k: u64| {
-                let z = (seed ^ k).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                (z ^ z >> 29) as f64 / u64::MAX as f64
-            };
-            let centres: Vec<[f64; 3]> =
-                (0..5).map(|k| [unit(3 * k), unit(3 * k + 1), unit(3 * k + 2)]).collect();
-            let d = serial.elem_dim_t();
-            let mut elem_part = vec![0 as PartId; serial.index_space(d)];
-            for e in serial.iter(d) {
-                let x = serial.centroid(e);
-                let dist = |c: &[f64; 3]| (0..3).map(|i| (x[i] - c[i]).powi(2)).sum::<f64>();
-                let near = (0..5).min_by(|&a, &b| dist(&centres[a]).total_cmp(&dist(&centres[b])));
-                elem_part[e.idx()] = near.expect("five centres") as PartId;
-            }
-            execute(2, |c| {
-                let mut dm = distribute(c, PartMap::contiguous(5, 2), &serial, &elem_part);
-                let mut ov = Overlap::from_dist(&dm).with_bridge(bridge);
-                compiles_agree(&ov, &dm);
-                ov.grow(c, &mut dm, depth);
-                compiles_agree(&ov, &dm);
-                ov.grow(c, &mut dm, 1);
-                compiles_agree(&ov, &dm);
-                ov.clear(&mut dm);
-                compiles_agree(&ov, &dm);
-                ov.grow(c, &mut dm, depth);
-                compiles_agree(&ov, &dm);
-            });
+            random_stages(tet, bridge, depth, seed, compiles_agree);
+        }
+
+        /// Every `(side, peer, dim)` run a bcast/reduce moves is the entity
+        /// walk restricted to that peer and dimension, in both scopes, at
+        /// every stage of `random_stages`.
+        #[test]
+        fn runs_match_the_entity_walk(
+            tet in proptest::bool::ANY,
+            bridge in 0usize..3,
+            depth in 1usize..4,
+            seed in 0u64..1 << 40,
+        ) {
+            random_stages(tet, bridge, depth, seed, runs_agree);
         }
     }
 
@@ -1333,11 +1641,16 @@ mod tests {
                 &[Dim::Vertex],
                 &mut vals,
                 |_, _, _| true,
-                |vals, slot, e, w| w.put_u64(vals[slot][&e]),
-                |vals, slot, e, r| {
-                    let v = r.try_get_u64()?;
-                    vals[slot].insert(e, v);
-                    Ok(())
+                |vals, run, w| {
+                    let ents = run.valued().map(MeshEnt::vertex);
+                    ents.for_each(|e| w.put_u64(vals[run.slot][&e]))
+                },
+                |vals, run, r| {
+                    run.valued().try_for_each(|i| {
+                        let v = r.try_get_u64()?;
+                        vals[run.slot].insert(MeshEnt::vertex(i), v);
+                        Ok(())
+                    })
                 },
             );
             // Every copy (boundary or ghost) now carries the root's gid.
@@ -1359,11 +1672,16 @@ mod tests {
                 &[Dim::Vertex],
                 &mut ones,
                 |_, _, _| true,
-                |ones, slot, e, w| w.put_u64(ones[slot][&e]),
-                |ones, slot, e, r| {
-                    let v = r.try_get_u64()?;
-                    *ones[slot].get_mut(&e).unwrap() += v;
-                    Ok(())
+                |ones, run, w| {
+                    let ents = run.valued().map(MeshEnt::vertex);
+                    ents.for_each(|e| w.put_u64(ones[run.slot][&e]))
+                },
+                |ones, run, r| {
+                    run.valued().try_for_each(|i| {
+                        let v = r.try_get_u64()?;
+                        *ones[run.slot].get_mut(&MeshEnt::vertex(i)).unwrap() += v;
+                        Ok(())
+                    })
                 },
             );
             let slot = dm.map.slot_of(c.rank() as PartId);
@@ -1403,22 +1721,54 @@ mod tests {
         from: PartId,
         frame: Vec<u8>,
     ) -> Result<Vec<u64>, MsgError> {
-        let mut f = FrameIn::open(sh, Side::Leaves, from, MsgReader::from_vec(frame))?;
-        let mut got: Result<Vec<u64>, MsgError> = Ok(Vec::new());
-        sh.walk(Side::Leaves, &[Dim::Vertex], Scope::All, |_, s| {
-            if let (true, Ok(vals)) = (usize::from(s.peer) == f.peer, &mut got) {
-                match f
-                    .next()
-                    .and_then(|some| some.then(|| f.r.try_get_u64()).transpose())
-                {
-                    Ok(x) => vals.extend(x),
-                    Err(e) => got = Err(e),
-                }
+        let f = FrameIn::open(sh, Side::Leaves, from, MsgReader::from_vec(frame))?;
+        let mut buf = Vec::new();
+        let list = sh.list(Side::Leaves, f.peer, &[Dim::Vertex], Scope::All, &mut buf);
+        let mut got = Vec::new();
+        f.apply(1, &list, |run, r| {
+            for _ in run.valued() {
+                got.push(r.try_get_u64()?);
+            }
+            Ok(())
+        })?;
+        Ok(got)
+    }
+
+    /// The run packer writes the bytes the old writer wrote: on part 1's
+    /// vertex list for part 0, with no gap, with gaps, with one value and
+    /// with none, the value of list position `k` being `k`.
+    #[test]
+    fn packed_frames_match_the_old_writer() {
+        execute(1, |c| {
+            let sh = Overlap::from_dist(&quadrants_one_rank(c)).shares[1].clone();
+            let peer = sh
+                .peers
+                .binary_search(&0)
+                .expect("part 0 is a peer of part 1");
+            let digest = sh.digests[Side::Leaves as usize][peer];
+            let mut buf = Vec::new();
+            let list = sh.list(Side::Leaves, peer, &[Dim::Vertex], Scope::All, &mut buf);
+            let len = list.entities() as u32;
+            let pos = |e: MeshEnt| {
+                let run = list.iter().next().expect("one run").1;
+                run.iter()
+                    .position(|&i| i == e.index())
+                    .expect("on the list") as u32
+            };
+            let all: Vec<u32> = (0..len).collect();
+            for absent in [&[][..], &[1, 2], &all[1..], &all[..]] {
+                let has = |e| !absent.contains(&pos(e));
+                let pack = |run: Run<'_>, w: &mut MsgWriter| {
+                    run.valued()
+                        .for_each(|i| w.put_u64(u64::from(pos(MeshEnt::vertex(i)))))
+                };
+                let mut bits = Vec::new();
+                let packed = frame_out(digest, 1, &list, &mut bits, has, pack);
+                let packed = packed.map(|w| w.finish().to_vec());
+                let want = (absent.len() < len as usize).then(|| vertex_frame(digest, len, absent));
+                assert_eq!(packed, want, "{} of {len} absent", absent.len());
             }
         });
-        let got = got?;
-        f.close()?;
-        Ok(got)
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! example in §I is exactly why vertex+edge balance matters).
 
 use pumi_mesh::Mesh;
+use pumi_pcu::MsgWriter;
 use pumi_util::{Dim, MeshEnt};
 
 /// The node distribution of a field.
@@ -90,6 +91,47 @@ impl Field {
         let had = std::mem::replace(&mut self.present[d][i], true);
         self.len += usize::from(!had);
         (&mut self.values[d][i * n..(i + 1) * n], had)
+    }
+
+    /// Append the values of the dimension-`dim` nodes at `index`, which
+    /// must all hold one, to `w`: `ncomp` little-endian doubles each, in
+    /// `index` order, after one reserve for the `count` of them.
+    pub(crate) fn gather(
+        &self,
+        dim: Dim,
+        index: impl Iterator<Item = u32>,
+        count: usize,
+        w: &mut MsgWriter,
+    ) {
+        let (values, n) = (&self.values[dim.as_usize()], self.ncomp);
+        w.reserve(count * n * 8);
+        for i in index.map(|i| i as usize) {
+            values[i * n..(i + 1) * n]
+                .iter()
+                .for_each(|&x| w.put_f64(x));
+        }
+    }
+
+    /// Read one value per node of dimension `dim` at `index` from `bytes`
+    /// (`ncomp` little-endian doubles each, as [`Field::gather`] writes
+    /// them): `combine(current, incoming)` per component where the node
+    /// holds a value, the incoming value where it does not. Stops at the
+    /// shorter of `index` and `bytes`.
+    pub(crate) fn scatter(
+        &mut self,
+        dim: Dim,
+        index: impl Iterator<Item = u32>,
+        bytes: &[u8],
+        combine: impl Fn(f64, f64) -> f64,
+    ) {
+        let n = self.ncomp;
+        for (i, node_bytes) in index.zip(bytes.chunks_exact(n * 8)) {
+            let (node, had) = self.node_mut(MeshEnt::new(dim, i));
+            for (c, x) in node.iter_mut().zip(node_bytes.chunks_exact(8)) {
+                let x = f64::from_le_bytes(x.try_into().expect("8 bytes"));
+                *c = if had { combine(*c, x) } else { x };
+            }
+        }
     }
 
     /// Set the node value on an entity.

@@ -13,12 +13,16 @@
 //!   all copies, everywhere.
 //!
 //! A node travels as its `ncomp × f64` alone, in the order both ends
-//! compiled into the share map. Values combine at the root in ascending part
-//! order, starting from the root's own value, so floating-point results are
-//! independent of the chaos scheduler's arrival order.
+//! compiled into the share map, and the nodes move a run at a time (those
+//! of one dimension that a part exchanges with one peer): a run is packed
+//! as one strided gather from the field's dense array and applied from one
+//! bounds-checked slice of the frame. Values combine at the root in
+//! ascending part order, starting from the root's own value, so
+//! floating-point results are independent of the chaos scheduler's arrival
+//! order.
 
 use crate::field::Field;
-use pumi_core::overlap::{Overlap, Reduction, Scope};
+use pumi_core::overlap::{Overlap, Reduction, Run, Scope};
 use pumi_core::DistMesh;
 use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
 use pumi_util::{Dim, MeshEnt};
@@ -29,23 +33,6 @@ pub type DistField = Vec<Field>;
 /// Create an identical field on every local part.
 pub fn dist_field(dm: &DistMesh, template: &Field) -> DistField {
     dm.parts.iter().map(|_| template.clone()).collect()
-}
-
-/// Read one node value (`ncomp × f64`) onto `e`: `combine(current,
-/// incoming)` per component where `e` already holds a value, the incoming
-/// value where it does not.
-fn apply_node(
-    field: &mut Field,
-    e: MeshEnt,
-    r: &mut MsgReader,
-    combine: impl Fn(f64, f64) -> f64,
-) -> Result<(), MsgError> {
-    let (node, had) = field.node_mut(e);
-    for c in node {
-        let x = r.try_get_f64()?;
-        *c = if had { combine(*c, x) } else { x };
-    }
-    Ok(())
 }
 
 /// Synchronize `fields` over the share map `overlap` with reduction `red`.
@@ -85,39 +72,37 @@ pub fn sync_fields(
         dims = first.shape.node_dims(dm.parts[0].mesh.elem_dim());
     }
     let has = |f: &DistField, slot: usize, e: MeshEnt| f[slot].get(e).is_some();
-    let pack = |f: &DistField, slot: usize, e: MeshEnt, w: &mut MsgWriter| {
-        let node = f[slot].get(e).expect("packed entity has a value");
-        node.iter().for_each(|&x| w.put_f64(x));
+    let pack = |f: &DistField, run: Run<'_>, w: &mut MsgWriter| {
+        f[run.slot].gather(run.dim, run.valued(), run.count(), w);
     };
     if red != Reduction::Insert {
-        overlap.reduce(
-            comm,
-            &dm.map,
-            Scope::All,
-            dims,
-            fields,
-            has,
-            pack,
-            |f, slot, e, r| {
-                apply_node(&mut f[slot], e, r, |c, x| match red {
-                    Reduction::Add => c + x,
-                    Reduction::Min => c.min(x),
-                    Reduction::Max => c.max(x),
-                    Reduction::Insert => x,
-                })
-            },
-        );
+        let combine = |f: &mut DistField, run: Run<'_>, r: &mut MsgReader| match red {
+            Reduction::Add => apply_run(f, run, r, |c, x| c + x),
+            Reduction::Min => apply_run(f, run, r, f64::min),
+            Reduction::Max => apply_run(f, run, r, f64::max),
+            Reduction::Insert => apply_run(f, run, r, |_, x| x),
+        };
+        let (map, scope) = (&dm.map, Scope::All);
+        overlap.reduce(comm, map, scope, dims, fields, has, pack, combine);
     }
-    overlap.bcast(
-        comm,
-        &dm.map,
-        Scope::All,
-        dims,
-        fields,
-        has,
-        pack,
-        |f, slot, e, r| apply_node(&mut f[slot], e, r, |_, x| x),
-    );
+    let insert =
+        |f: &mut DistField, run: Run<'_>, r: &mut MsgReader| apply_run(f, run, r, |_, x| x);
+    overlap.bcast(comm, &dm.map, Scope::All, dims, fields, has, pack, insert);
+}
+
+/// Read one run's values from one bounds-checked slice of the frame onto
+/// its nodes: `combine(current, incoming)` per component where a node
+/// already holds a value, the incoming value where it does not.
+fn apply_run(
+    fields: &mut DistField,
+    run: Run<'_>,
+    r: &mut MsgReader,
+    combine: impl Fn(f64, f64) -> f64,
+) -> Result<(), MsgError> {
+    let field = &mut fields[run.slot];
+    let bytes = r.try_get_raw(run.count() * field.ncomp * 8)?;
+    field.scatter(run.dim, run.valued(), &bytes, combine);
+    Ok(())
 }
 
 /// The one-signature sync entry point on a distributed field:

@@ -214,6 +214,13 @@ impl MsgWriter {
         pool::put(buf);
     }
 
+    /// Reserve room for at least `additional` more bytes, so a run of
+    /// puts that fits does not grow the buffer piecemeal.
+    #[inline]
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// View the bytes written so far.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
@@ -458,6 +465,13 @@ impl MsgReader {
     /// [`Self::try_get_bytes`]; only the ownership of the result differs.
     pub fn try_get_bytes_shared(&mut self) -> Result<Bytes, MsgError> {
         let n = self.try_get_u32()? as usize;
+        self.try_get_raw(n)
+    }
+
+    /// Read the next `n` bytes as they are, with no length prefix (the read
+    /// side of [`MsgWriter::put_raw`]), as a zero-copy [`Bytes`] sub-slice,
+    /// or report an underrun: one bounds check for a run of values.
+    pub fn try_get_raw(&mut self, n: usize) -> Result<Bytes, MsgError> {
         self.check(n)?;
         Ok(self.buf.split_to(n))
     }
@@ -633,6 +647,29 @@ mod tests {
         assert_eq!(r.try_get_bytes(), Ok(b"xy".to_vec()));
         assert!(r.is_done());
         assert_eq!(r.try_get_u8(), Err(MsgError::underrun(1, 0)));
+    }
+
+    #[test]
+    fn raw_reads_are_bounded_slices() {
+        let mut w = MsgWriter::new();
+        w.put_raw(b"abcdef");
+        let mut r = MsgReader::new(w.finish());
+        assert_eq!(&r.try_get_raw(4).unwrap()[..], b"abcd");
+        let short = r.try_get_raw(3);
+        assert!(matches!(
+            short,
+            Err(MsgError::Underrun {
+                needed: 3,
+                available: 2
+            })
+        ));
+        assert_eq!(
+            &r.try_get_raw(2).unwrap()[..],
+            b"ef",
+            "an underrun reads nothing"
+        );
+        assert!(r.try_get_raw(0).unwrap().is_empty());
+        assert!(r.is_done());
     }
 
     #[test]
